@@ -3,13 +3,16 @@
 //! trees — the building blocks of block production and sync
 //! authentication.
 
+use ammboost_amm::types::PoolId;
 use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost_crypto::field::Fr;
 use ammboost_crypto::keccak::keccak256;
 use ammboost_crypto::merkle::MerkleTree;
-use ammboost_crypto::tsqc::{combine, partial_sign};
+use ammboost_crypto::tsqc::{combine, partial_sign, partial_sign_digest, QuorumCertificate};
 use ammboost_crypto::vrf::VrfSecretKey;
-use ammboost_crypto::H256;
+use ammboost_crypto::{Address, H256};
+use ammboost_mainchain::contracts::token_bank::SyncInput;
+use ammboost_sidechain::summary::{PayoutEntry, PoolUpdate};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -52,6 +55,54 @@ fn bench_tsqc(c: &mut Criterion) {
     });
 }
 
+/// The same primitives at sync-payload size: a `SyncInput` of 2 978
+/// payouts ABI-encodes to 1 MiB + 128 B, so these rungs read as cost per
+/// MiB of payload (a 50 000-user sync is ≈ 20 of them).
+fn bench_tsqc_at_payload_size(c: &mut Criterion) {
+    let out = run_ceremony(DkgConfig::for_faults(4), 7); // n=14, t=10
+    let input = SyncInput {
+        epoch: 1,
+        payouts: (0..2_978u64)
+            .map(|i| PayoutEntry {
+                user: Address::from_index(i),
+                amount0: i as u128,
+                amount1: u128::MAX - i as u128,
+            })
+            .collect(),
+        positions: vec![],
+        pools: vec![PoolUpdate {
+            pool: PoolId(0),
+            reserve0: 1,
+            reserve1: 1,
+        }],
+        next_vk: out.group_public_key,
+    };
+    let payload = input.abi_payload();
+    let (digest, len) = input.abi_digest();
+    assert_eq!((digest, len), (H256::hash(&payload), (1 << 20) + 128));
+
+    c.bench_function("sync_input/hash_of_abi_payload/1MiB", |b| {
+        b.iter(|| black_box(H256::hash(&black_box(&input).abi_payload())))
+    });
+    c.bench_function("sync_input/abi_digest/1MiB", |b| {
+        b.iter(|| black_box(black_box(&input).abi_digest()))
+    });
+    c.bench_function("tsqc/partial_sign/1MiB", |b| {
+        b.iter(|| black_box(partial_sign(&out.key_shares[0], black_box(&payload))))
+    });
+    c.bench_function("tsqc/partial_sign_digest", |b| {
+        b.iter(|| black_box(partial_sign_digest(&out.key_shares[0], black_box(&digest))))
+    });
+    let partials: Vec<_> = out.key_shares[..10]
+        .iter()
+        .map(|k| partial_sign_digest(k, &digest))
+        .collect();
+    let qc = QuorumCertificate::assemble_digest(1, digest, &partials, 10).unwrap();
+    c.bench_function("tsqc/qc_verify/1MiB", |b| {
+        b.iter(|| black_box(qc.verify(&out.group_public_key, black_box(&payload))))
+    });
+}
+
 fn bench_dkg(c: &mut Criterion) {
     c.bench_function("dkg/ceremony_n14_t10", |b| {
         let mut seed = 0u64;
@@ -84,6 +135,7 @@ criterion_group!(
     bench_keccak,
     bench_field,
     bench_tsqc,
+    bench_tsqc_at_payload_size,
     bench_dkg,
     bench_vrf,
     bench_merkle

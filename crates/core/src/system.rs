@@ -25,8 +25,9 @@ use ammboost_amm::types::PoolId;
 use ammboost_consensus::election::{draw_ticket, elect_committee, Committee, MinerRecord};
 use ammboost_consensus::latency::AgreementModel;
 use ammboost_consensus::pbft::{run_consensus, Behavior};
+use ammboost_crypto::bls::PublicKey;
 use ammboost_crypto::dkg::{run_ceremony, DkgConfig, DkgOutput};
-use ammboost_crypto::tsqc::{partial_sign, QuorumCertificate};
+use ammboost_crypto::tsqc::{partial_sign_digest, QuorumCertificate};
 use ammboost_crypto::vrf::VrfSecretKey;
 use ammboost_crypto::{Address, H256};
 use ammboost_mainchain::chain::{Mainchain, TxId, TxSpec};
@@ -215,6 +216,9 @@ pub struct System {
     last_delta: Option<ammboost_state::DeltaSnapshot>,
     /// The most recent sync receipt (itemization source for Table II).
     pub last_sync_receipt: Option<SyncReceipt>,
+    /// Every sync certificate issued, in submission order, with the
+    /// committee key it was issued (and checked by the bank) under.
+    pub sync_certificates: Vec<(PublicKey, QuorumCertificate)>,
 }
 
 impl System {
@@ -360,6 +364,7 @@ impl System {
             last_snapshot: None,
             last_delta: None,
             last_sync_receipt: None,
+            sync_certificates: Vec::new(),
             cfg,
         }
     }
@@ -862,14 +867,15 @@ impl System {
             next_vk: self.next_dkg.group_public_key,
         };
 
-        // TSQC: the committee matching the registered vk certifies
-        let payload = input.abi_payload();
+        // TSQC: the committee matching the registered vk certifies; the
+        // simulated members share one streamed digest of the payload
+        let (digest, _) = input.abi_digest();
         let threshold = self.registered_shares.config.threshold;
         let partials: Vec<_> = self.registered_shares.key_shares[..threshold]
             .iter()
-            .map(|ks| partial_sign(ks, &payload))
+            .map(|ks| partial_sign_digest(ks, &digest))
             .collect();
-        let qc = QuorumCertificate::assemble(through_epoch, &payload, &partials, threshold)
+        let qc = QuorumCertificate::assemble_digest(through_epoch, digest, &partials, threshold)
             .expect("threshold partials available");
 
         // apply to the bank now (full backup first when this sync is
@@ -917,6 +923,8 @@ impl System {
         );
         self.sync_gas += receipt.meter.total();
         self.last_sync_receipt = Some(receipt);
+        self.sync_certificates
+            .push((self.registered_shares.group_public_key, qc));
         self.pending_ops.push((
             tx_id,
             PendingOp::Sync {

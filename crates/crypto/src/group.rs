@@ -1,6 +1,6 @@
 //! A bilinear group abstraction with a *transparent* BN254-scalar backend.
 //!
-//! # Substitution note (see `DESIGN.md` §1)
+//! # Substitution note (see README, "Sync authentication")
 //!
 //! The paper's proof-of-concept verifies BLS threshold signatures over the
 //! BN256 curve via Ethereum's EIP-196/197 precompiles. Implementing the

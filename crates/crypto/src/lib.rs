@@ -9,7 +9,8 @@
 //! - [`types`] — [`H256`](types::H256) digests and [`Address`](types::Address)es.
 //! - [`field`] — the BN254 scalar field `F_r`.
 //! - [`group`] — a bilinear-group abstraction with a transparent backend
-//!   (see the module docs and `DESIGN.md` for the substitution rationale).
+//!   (see the module docs and the README's "Sync authentication" section
+//!   for the substitution rationale).
 //! - [`bls`] — BLS signatures with aggregation and proofs of possession.
 //! - [`shamir`] — secret sharing and Lagrange interpolation.
 //! - [`dkg`] — joint-Feldman distributed key generation.

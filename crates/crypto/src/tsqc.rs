@@ -7,6 +7,11 @@
 //! *partial signatures* over the sync payload; any `2f + 2` valid partials
 //! combine (via Lagrange interpolation in the exponent) into a single BLS
 //! signature that TokenBank verifies against `vk_c` with one pairing check.
+//!
+//! The scheme is hash-then-sign: the signed point is `H2P(keccak256(payload))`,
+//! so a party that already holds the payload digest (the `*_digest`
+//! functions) never touches the payload again. The byte-slice functions
+//! hash once and delegate.
 
 use crate::bls::{PublicKey, Signature};
 use crate::dkg::KeyShare;
@@ -40,25 +45,39 @@ pub struct PartialSignature {
     pub signature: Signature,
 }
 
+/// The point every TSQC signature is over: hash-to-point of the payload
+/// digest under the TSQC domain tag.
+fn sync_point(digest: &H256) -> G1 {
+    G1::hash_to_point(DST_TSQC, digest.as_bytes())
+}
+
+/// The pairing equation `e(H2P(digest), vk) == e(sig, g2)`.
+fn verify_point(vk: &PublicKey, digest: &H256, sig: &Signature) -> bool {
+    crate::group::pairing_check(
+        &sync_point(digest),
+        &vk.point(),
+        &sig.point(),
+        &G2::generator(),
+    )
+}
+
 /// Signs a message with a key share, producing a partial signature.
 pub fn partial_sign(share: &KeyShare, msg: &[u8]) -> PartialSignature {
-    let h = G1::hash_to_point(DST_TSQC, msg);
+    partial_sign_digest(share, &H256::hash(msg))
+}
+
+/// [`partial_sign`] for a signer that already holds `keccak256(msg)`.
+pub fn partial_sign_digest(share: &KeyShare, digest: &H256) -> PartialSignature {
     PartialSignature {
         index: share.index,
-        signature: Signature::from_point(h * share.secret),
+        signature: Signature::from_point(sync_point(digest) * share.secret),
     }
 }
 
 /// Verifies a partial signature against the signer's public verification
 /// key `vk_i = g2 * x_i` (published by the DKG).
 pub fn verify_partial(vk_i: &PublicKey, msg: &[u8], partial: &PartialSignature) -> bool {
-    let h = G1::hash_to_point(DST_TSQC, msg);
-    crate::group::pairing_check(
-        &h,
-        &vk_i.point(),
-        &partial.signature.point(),
-        &G2::generator(),
-    )
+    verify_point(vk_i, &H256::hash(msg), &partial.signature)
 }
 
 /// Errors from combining partial signatures.
@@ -103,6 +122,15 @@ impl From<InterpolationError> for CombineError {
 /// callers either verify each partial (`verify_partial`) or verify the
 /// combined signature against the group key, as TokenBank does.
 pub fn combine(partials: &[PartialSignature], threshold: usize) -> Result<Signature, CombineError> {
+    combine_indexed(partials, threshold).map(|(sig, _)| sig)
+}
+
+/// [`combine`], also returning the (ascending) share indices whose partials
+/// were interpolated: the first `threshold` distinct ones.
+fn combine_indexed(
+    partials: &[PartialSignature],
+    threshold: usize,
+) -> Result<(Signature, Vec<u32>), CombineError> {
     let mut unique: BTreeMap<u32, Signature> = BTreeMap::new();
     for p in partials {
         unique.entry(p.index).or_insert(p.signature);
@@ -120,7 +148,7 @@ pub fn combine(partials: &[PartialSignature], threshold: usize) -> Result<Signat
         let lambda: Fr = lagrange_coefficient_at_zero(&indices, *i)?;
         acc = acc + sig.point() * lambda;
     }
-    Ok(Signature::from_point(acc))
+    Ok((Signature::from_point(acc), indices))
 }
 
 /// A quorum certificate: the combined threshold signature over a sync
@@ -133,8 +161,8 @@ pub struct QuorumCertificate {
     pub payload_hash: H256,
     /// Combined threshold BLS signature.
     pub signature: Signature,
-    /// Share indices that contributed (for audit; verification only needs
-    /// the signature).
+    /// Share indices whose partials were combined, ascending (for audit;
+    /// verification only needs the signature).
     pub signers: Vec<u32>,
 }
 
@@ -149,13 +177,24 @@ impl QuorumCertificate {
         partials: &[PartialSignature],
         threshold: usize,
     ) -> Result<QuorumCertificate, CombineError> {
-        let signature = combine(partials, threshold)?;
-        let mut signers: Vec<u32> = partials.iter().map(|p| p.index).collect();
-        signers.sort_unstable();
-        signers.dedup();
+        Self::assemble_digest(epoch, H256::hash(payload), partials, threshold)
+    }
+
+    /// [`assemble`](Self::assemble) from partials over the payload whose
+    /// Keccak-256 is `payload_hash`.
+    ///
+    /// # Errors
+    /// Propagates [`CombineError`] when below threshold.
+    pub fn assemble_digest(
+        epoch: u64,
+        payload_hash: H256,
+        partials: &[PartialSignature],
+        threshold: usize,
+    ) -> Result<QuorumCertificate, CombineError> {
+        let (signature, signers) = combine_indexed(partials, threshold)?;
         Ok(QuorumCertificate {
             epoch,
-            payload_hash: H256::hash(payload),
+            payload_hash,
             signature,
             signers,
         })
@@ -165,11 +204,13 @@ impl QuorumCertificate {
     /// expected payload — exactly TokenBank's check: recompute the payload
     /// hash, hash-to-point, one pairing equation.
     pub fn verify(&self, vk_c: &PublicKey, payload: &[u8]) -> bool {
-        if H256::hash(payload) != self.payload_hash {
-            return false;
-        }
-        let h = G1::hash_to_point(DST_TSQC, payload);
-        crate::group::pairing_check(&h, &vk_c.point(), &self.signature.point(), &G2::generator())
+        self.verify_digest(vk_c, &H256::hash(payload))
+    }
+
+    /// [`verify`](Self::verify) for a verifier that has already recomputed
+    /// `keccak256(payload)` from its own copy of the payload.
+    pub fn verify_digest(&self, vk_c: &PublicKey, digest: &H256) -> bool {
+        *digest == self.payload_hash && verify_point(vk_c, digest, &self.signature)
     }
 
     /// Serialized size on the mainchain in bytes: 64-byte signature (the
@@ -184,8 +225,7 @@ impl PublicKey {
     /// Verifies a *combined* TSQC signature over `msg` (the raw form used
     /// before wrapping into a [`QuorumCertificate`]).
     pub fn verify_raw_tsqc(&self, msg: &[u8], sig: &Signature) -> bool {
-        let h = G1::hash_to_point(DST_TSQC, msg);
-        crate::group::pairing_check(&h, &self.point(), &sig.point(), &G2::generator())
+        verify_point(self, &H256::hash(msg), sig)
     }
 }
 
@@ -281,6 +321,24 @@ mod tests {
         assert!(!qc.verify(&out.group_public_key, b"forged payload"));
         assert_eq!(qc.signers, vec![2, 3, 4, 5]);
         assert_eq!(qc.mainchain_signature_size(), 64);
+    }
+
+    #[test]
+    fn certificate_names_exactly_the_combined_signers() {
+        let out = setup(2, 20); // n=8, t=6
+        let payload = b"sync";
+        // threshold + 2 partials, out of order and with a duplicate
+        let mut partials: Vec<_> = out
+            .key_shares
+            .iter()
+            .rev()
+            .map(|k| partial_sign(k, payload))
+            .collect();
+        partials.push(partials[0]);
+        let qc = QuorumCertificate::assemble(1, payload, &partials, 6).unwrap();
+        // shares 7 and 8 were supplied but never interpolated
+        assert_eq!(qc.signers, vec![1, 2, 3, 4, 5, 6]);
+        assert!(qc.verify(&out.group_public_key, payload));
     }
 
     #[test]

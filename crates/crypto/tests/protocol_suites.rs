@@ -3,13 +3,15 @@
 //! TSQC under the new key), threshold boundaries, and cross-component
 //! interactions.
 
-use ammboost_crypto::bls::{keypair_from_seed, Signature};
+use ammboost_crypto::bls::{keypair_from_seed, SecretKey, Signature};
 use ammboost_crypto::dkg::{aggregate_dealings, run_ceremony, Dealing, DkgConfig};
 use ammboost_crypto::tsqc::{
-    combine, partial_sign, quorum_threshold, verify_partial, QuorumCertificate,
+    combine, partial_sign, partial_sign_digest, quorum_threshold, verify_partial, PartialSignature,
+    QuorumCertificate,
 };
 use ammboost_crypto::vrf::VrfSecretKey;
 use ammboost_crypto::H256;
+use proptest::prelude::*;
 
 /// The full epoch-handover chain of §IV-C: committee e+1 runs DKG during
 /// epoch e; committee e records vk_{e+1}; epoch e+1's sync verifies under
@@ -181,4 +183,73 @@ fn qc_binds_epoch_and_payload() {
     let mut bad = qc.clone();
     bad.payload_hash = H256::hash(b"other");
     assert!(!bad.verify(&out.group_public_key, payload));
+}
+
+/// Hash-then-sign keeps the TSQC domain: a share's TSQC signature over the
+/// digest `d` is not its plain BLS signature over `d`'s bytes, nor the
+/// reverse.
+#[test]
+fn tsqc_and_plain_bls_domains_are_separate() {
+    let out = run_ceremony(DkgConfig::for_faults(1), 78);
+    let ks = &out.key_shares[0];
+    let sk = SecretKey::from_scalar(ks.secret);
+    assert_eq!(sk.public_key(), ks.verification_key);
+    let msg = b"sync payload";
+    let d = H256::hash(msg);
+
+    let tsqc = partial_sign_digest(ks, &d);
+    assert!(verify_partial(&ks.verification_key, msg, &tsqc));
+    assert!(!ks.verification_key.verify(d.as_bytes(), &tsqc.signature));
+
+    let bls = sk.sign(d.as_bytes());
+    assert!(ks.verification_key.verify(d.as_bytes(), &bls));
+    let as_partial = PartialSignature {
+        index: ks.index,
+        signature: bls,
+    };
+    assert!(!verify_partial(&ks.verification_key, msg, &as_partial));
+    assert!(!ks.verification_key.verify_raw_tsqc(msg, &bls));
+    let as_qc = QuorumCertificate {
+        epoch: 1,
+        payload_hash: d,
+        signature: bls,
+        signers: vec![ks.index],
+    };
+    assert!(!as_qc.verify_digest(&ks.verification_key, &d));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The byte-slice API is `H256::hash` + the digest API: same partials,
+    /// same certificate, same verdicts, whichever threshold subset signs.
+    #[test]
+    fn byte_and_digest_apis_are_one_function(
+        msg in proptest::collection::vec(any::<u8>(), 0..400),
+        other in proptest::collection::vec(any::<u8>(), 0..40),
+        seed in any::<u64>(),
+        first in 0usize..3,
+    ) {
+        let config = DkgConfig::for_faults(2); // n = 8, t = 6
+        let t = config.threshold;
+        let out = run_ceremony(config, seed);
+        let digest = H256::hash(&msg);
+        let by_bytes: Vec<_> = out.key_shares.iter().map(|ks| partial_sign(ks, &msg)).collect();
+        let by_digest: Vec<_> = out
+            .key_shares
+            .iter()
+            .map(|ks| partial_sign_digest(ks, &digest))
+            .collect();
+        prop_assert_eq!(&by_bytes, &by_digest);
+
+        let subset = &by_digest[first..first + t];
+        let qc = QuorumCertificate::assemble(3, &msg, subset, t).unwrap();
+        prop_assert_eq!(&qc, &QuorumCertificate::assemble_digest(3, digest, subset, t).unwrap());
+        prop_assert_eq!(qc.signature, combine(&by_bytes[..t], t).unwrap());
+
+        let vk = out.group_public_key;
+        prop_assert!(qc.verify(&vk, &msg) && qc.verify_digest(&vk, &digest));
+        prop_assume!(other != msg);
+        prop_assert!(!qc.verify(&vk, &other) && !qc.verify_digest(&vk, &H256::hash(&other)));
+    }
 }

@@ -7,15 +7,26 @@
 //! Table IV). This module reproduces that overhead structurally: encoders
 //! emit real words, sizes fall out of the field layout.
 
-use ammboost_crypto::U256;
+use ammboost_crypto::keccak::Keccak256;
+use ammboost_crypto::{H256, U256};
 
 /// Size of one ABI word in bytes.
 pub const WORD: usize = 32;
 
-/// An ABI word-stream encoder.
+/// Bytes a hashing encoder stages before the sponge absorbs them: large
+/// enough to amortise the call, small enough to stay in cache.
+const HASH_CHUNK: usize = 64 * 1024;
+
+/// An ABI word-stream encoder. A plain encoder ([`new`](Self::new))
+/// materialises the stream; a [`hashing`](Self::hashing) one only digests
+/// it, holding at most one staging chunk.
 #[derive(Debug, Default, Clone)]
 pub struct AbiEncoder {
     buf: Vec<u8>,
+    /// `Some` for a hashing encoder: `buf` then holds only the bytes not
+    /// yet absorbed, and `absorbed` counts the ones that were.
+    sink: Option<Keccak256>,
+    absorbed: usize,
 }
 
 impl AbiEncoder {
@@ -24,9 +35,30 @@ impl AbiEncoder {
         AbiEncoder::default()
     }
 
+    /// An empty encoder that streams into Keccak-256 instead of keeping
+    /// the bytes; finish it with [`into_digest`](Self::into_digest).
+    pub fn hashing() -> AbiEncoder {
+        AbiEncoder {
+            buf: Vec::with_capacity(HASH_CHUNK),
+            sink: Some(Keccak256::new()),
+            absorbed: 0,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        if let Some(sink) = &mut self.sink {
+            if self.buf.len() + bytes.len() > HASH_CHUNK {
+                sink.update(&self.buf);
+                self.absorbed += self.buf.len();
+                self.buf.clear();
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a `U256` word.
     pub fn word_u256(&mut self, v: U256) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.push(&v.to_be_bytes());
         self
     }
 
@@ -55,17 +87,17 @@ impl AbiEncoder {
     pub fn word_address(&mut self, a: &[u8; 20]) -> &mut Self {
         let mut w = [0u8; WORD];
         w[12..].copy_from_slice(a);
-        self.buf.extend_from_slice(&w);
+        self.push(&w);
         self
     }
 
     /// Appends raw bytes right-padded to a whole number of words (ABI
     /// `bytesN`/tail encoding).
     pub fn bytes_padded(&mut self, data: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(data);
+        self.push(data);
         let rem = data.len() % WORD;
         if rem != 0 {
-            self.buf.extend(std::iter::repeat_n(0u8, WORD - rem));
+            self.push(&[0u8; WORD][rem..]);
         }
         self
     }
@@ -78,27 +110,38 @@ impl AbiEncoder {
 
     /// Encoded length in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.absorbed + self.buf.len()
     }
 
     /// `true` when nothing has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Number of complete words encoded.
     pub fn words(&self) -> usize {
-        self.buf.len() / WORD
+        self.len() / WORD
     }
 
-    /// Consumes the encoder, returning the byte stream.
+    /// Consumes the encoder, returning the byte stream (of a hashing
+    /// encoder: only the bytes not yet absorbed).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Borrows the byte stream.
+    /// Borrows the byte stream (of a hashing encoder: only the bytes not
+    /// yet absorbed).
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Consumes the encoder, returning the Keccak-256 of everything
+    /// encoded and its length in bytes.
+    pub fn into_digest(self) -> (H256, usize) {
+        let len = self.len();
+        let mut sink = self.sink.unwrap_or_default();
+        sink.update(&self.buf);
+        (H256(sink.finalize()), len)
     }
 }
 
@@ -146,6 +189,33 @@ mod tests {
         let mut e3 = AbiEncoder::new();
         e3.bytes_padded(&[0u8; 64]);
         assert_eq!(e3.len(), 64);
+    }
+
+    #[test]
+    fn hashing_encoder_digests_the_same_stream() {
+        // word counts on both sides of a chunk flush, plus a ragged tail
+        for words in [
+            0usize,
+            1,
+            5,
+            HASH_CHUNK / WORD - 1,
+            HASH_CHUNK / WORD,
+            3 * HASH_CHUNK / WORD + 7,
+        ] {
+            let (mut plain, mut hashing) = (AbiEncoder::new(), AbiEncoder::hashing());
+            for enc in [&mut plain, &mut hashing] {
+                for i in 0..words {
+                    enc.word_u64(i as u64);
+                }
+                enc.bytes_padded(&[7u8; 45]);
+            }
+            assert_eq!(hashing.len(), plain.len());
+            assert_eq!(hashing.words(), plain.words());
+            assert!(hashing.as_bytes().len() <= HASH_CHUNK);
+            let expected = (H256::hash(plain.as_bytes()), plain.len());
+            assert_eq!(hashing.into_digest(), expected);
+            assert_eq!(plain.into_digest(), expected);
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! This stands in for the Sepolia testnet of the paper's evaluation: the
 //! relevant observables — gas units, bytes appended, blocks-to-confirmation
-//! — are produced by the same accounting rules (see `DESIGN.md` §1).
+//! — are produced by the same accounting rules (see README, "Sync
+//! authentication").
 
 use ammboost_sim::metrics::GrowthSeries;
 use ammboost_sim::time::{SimDuration, SimTime};

@@ -27,7 +27,7 @@ impl std::fmt::Display for Erc20Error {
 impl std::error::Error for Erc20Error {}
 
 /// An ERC20 token ledger.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Erc20 {
     /// Token symbol (for display only).
     pub symbol: String,

@@ -20,7 +20,7 @@ use crate::gas::{self, GasMeter};
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::bls::PublicKey;
 use ammboost_crypto::tsqc::QuorumCertificate;
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, H256};
 use ammboost_sidechain::summary::{PayoutEntry, PoolUpdate, PositionEntry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -50,14 +50,28 @@ impl SyncInput {
     /// the TSQC and the calldata whose size Table IV accounts.
     pub fn abi_payload(&self) -> Vec<u8> {
         let mut enc = AbiEncoder::new();
+        self.encode_into(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// `(H256::hash(&abi_payload()), abi_payload().len())` in one streamed
+    /// pass, without materialising the payload: what a TSQC signer signs
+    /// and what TokenBank recomputes and meters.
+    pub fn abi_digest(&self) -> (H256, usize) {
+        let mut enc = AbiEncoder::hashing();
+        self.encode_into(&mut enc);
+        enc.into_digest()
+    }
+
+    fn encode_into(&self, enc: &mut AbiEncoder) {
         enc.word_u64(self.epoch);
         enc.dynamic_header(0, self.payouts.len());
         for p in &self.payouts {
-            encode_payout(&mut enc, p);
+            encode_payout(enc, p);
         }
         enc.dynamic_header(0, self.positions.len());
         for p in &self.positions {
-            encode_position(&mut enc, p);
+            encode_position(enc, p);
         }
         enc.dynamic_header(0, self.pools.len());
         for u in &self.pools {
@@ -66,7 +80,6 @@ impl SyncInput {
             enc.word_u128(u.reserve1);
         }
         enc.bytes_padded(&self.next_vk.to_bytes());
-        enc.into_bytes()
     }
 
     /// ABI-encoded size of one payout entry in bytes (Table IV row
@@ -241,7 +254,7 @@ pub struct SyncReceipt {
 }
 
 /// The TokenBank contract state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TokenBank {
     /// The contract's own address (receives deposits).
     pub address: Address,
@@ -376,8 +389,9 @@ impl TokenBank {
     /// 5. records the next committee's `vk_c`.
     ///
     /// # Errors
-    /// Rejects stale epochs and invalid certificates without touching
-    /// state.
+    /// Rejects stale epochs, malformed pool sections and invalid
+    /// certificates without touching state; the O(1) rejections come
+    /// before the O(payload) digest.
     pub fn sync(
         &mut self,
         input: &SyncInput,
@@ -385,9 +399,6 @@ impl TokenBank {
         token0: &mut Erc20,
         token1: &mut Erc20,
     ) -> Result<SyncReceipt, TokenBankError> {
-        let mut meter = GasMeter::new();
-        let payload = input.abi_payload();
-
         if input.epoch < self.expected_epoch {
             return Err(TokenBankError::StaleEpoch {
                 got: input.epoch,
@@ -404,15 +415,18 @@ impl TokenBank {
             .as_ref()
             .ok_or(TokenBankError::NoCommitteeKey)?;
 
-        // --- authentication (Table II "Authentication" columns) ---
+        // --- authentication (Table II "Authentication" columns): the
+        // bank hashes its own encoding of the input it is about to apply
+        let mut meter = GasMeter::new();
+        let (digest, payload_bytes) = input.abi_digest();
         meter.charge(
             "auth.intrinsic",
-            gas::intrinsic_cost(payload.len() + 68, 0.35),
+            gas::intrinsic_cost(payload_bytes + 68, 0.35),
         );
-        meter.charge("auth.keccak256", gas::keccak_cost(payload.len()));
+        meter.charge("auth.keccak256", gas::keccak_cost(payload_bytes));
         meter.charge("auth.hash_to_point.ecmul", gas::EC_MUL);
         meter.charge("auth.pairing", gas::pairing_cost(2));
-        if !qc.verify(vk, &payload) {
+        if !qc.verify_digest(vk, &digest) {
             return Err(TokenBankError::BadSyncSignature);
         }
 
@@ -459,8 +473,8 @@ impl TokenBank {
         self.expected_epoch = input.epoch + 1;
 
         Ok(SyncReceipt {
-            payload_bytes: payload.len(),
-            tx_size_bytes: payload.len() + 64 + 4,
+            payload_bytes,
+            tx_size_bytes: payload_bytes + 64 + 4,
             payouts_applied: input.payouts.len(),
             positions_applied: input.positions.len(),
             meter,
@@ -633,6 +647,7 @@ mod tests {
     use super::*;
     use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
     use ammboost_crypto::tsqc::{partial_sign, quorum_threshold};
+    use proptest::prelude::*;
 
     fn a(i: u64) -> Address {
         Address::from_index(i)
@@ -675,6 +690,40 @@ mod tests {
             .map(|k| partial_sign(k, &payload))
             .collect();
         QuorumCertificate::assemble(input.epoch, &payload, &partials, threshold).unwrap()
+    }
+
+    /// Runs a sync that must be rejected with `expected` and leave the
+    /// bank and both token ledgers exactly as they were.
+    fn assert_rejected_untouched(
+        w: &mut World,
+        input: &SyncInput,
+        qc: &QuorumCertificate,
+        expected: TokenBankError,
+    ) {
+        let before = (w.bank.clone(), w.token0.clone(), w.token1.clone());
+        let r = w.bank.sync(input, qc, &mut w.token0, &mut w.token1);
+        assert_eq!(r.unwrap_err(), expected);
+        assert!(
+            (&w.bank, &w.token0, &w.token1) == (&before.0, &before.1, &before.2),
+            "rejected sync touched state"
+        );
+    }
+
+    fn position(i: u64) -> PositionEntry {
+        PositionEntry {
+            id: PositionId::derive(&[&i.to_be_bytes()]),
+            owner: a(i),
+            liquidity: 1000 + i as u128,
+            amount0: 10,
+            amount1: 20,
+            fees0: 1,
+            fees1: 2,
+            fee_growth_inside0: i as u128,
+            fee_growth_inside1: u128::MAX - i as u128,
+            tick_lower: -60,
+            tick_upper: 60,
+            deleted: i % 7 == 0,
+        }
     }
 
     fn empty_sync(w: &World, epoch: u64) -> SyncInput {
@@ -778,9 +827,31 @@ mod tests {
             .map(|k| partial_sign(k, &payload))
             .collect();
         let qc = QuorumCertificate::assemble(1, &payload, &partials, 4).unwrap();
-        let r = w.bank.sync(&input, &qc, &mut w.token0, &mut w.token1);
-        assert_eq!(r.unwrap_err(), TokenBankError::BadSyncSignature);
-        assert_eq!(w.bank.expected_epoch(), 1, "state untouched");
+        assert_rejected_untouched(&mut w, &input, &qc, TokenBankError::BadSyncSignature);
+    }
+
+    #[test]
+    fn sync_rejects_input_tampered_after_certification() {
+        let mut w = setup();
+        let mut input = empty_sync(&w, 1);
+        for i in 1..=3 {
+            input.payouts.push(PayoutEntry {
+                user: a(i),
+                amount0: 100,
+                amount1: 100,
+            });
+        }
+        let qc = signed_sync(&w, &input);
+        // the submitter bumps one payout by one unit: the bank's own
+        // digest of what it is asked to apply no longer matches the QC
+        input.payouts[1].amount1 += 1;
+        assert_rejected_untouched(&mut w, &input, &qc, TokenBankError::BadSyncSignature);
+        // ...and a matching recorded hash does not help without the shares
+        let forged = QuorumCertificate {
+            payload_hash: input.abi_digest().0,
+            ..qc
+        };
+        assert_rejected_untouched(&mut w, &input, &forged, TokenBankError::BadSyncSignature);
     }
 
     #[test]
@@ -791,8 +862,11 @@ mod tests {
         w.bank
             .sync(&input, &qc, &mut w.token0, &mut w.token1)
             .unwrap();
-        let r = w.bank.sync(&input, &qc, &mut w.token0, &mut w.token1);
-        assert!(matches!(r, Err(TokenBankError::StaleEpoch { .. })));
+        let stale = TokenBankError::StaleEpoch {
+            got: 1,
+            expected: 2,
+        };
+        assert_rejected_untouched(&mut w, &input, &qc, stale);
     }
 
     #[test]
@@ -1051,30 +1125,93 @@ mod tests {
     #[test]
     fn sync_rejects_malformed_pool_sections() {
         let mut w = setup();
-        let run = |w: &mut World, pools: Vec<PoolUpdate>| {
-            let mut input = empty_sync(w, 1);
-            input.pools = pools;
-            let qc = signed_sync(w, &input);
-            w.bank.sync(&input, &qc, &mut w.token0, &mut w.token1)
-        };
         let update = |p: u32| PoolUpdate {
             pool: PoolId(p),
             reserve0: 1,
             reserve1: 1,
         };
         // empty, duplicated and unsorted section lists all fail closed
-        assert_eq!(
-            run(&mut w, vec![]).unwrap_err(),
-            TokenBankError::InvalidPoolSections
-        );
-        assert_eq!(
-            run(&mut w, vec![update(0), update(0)]).unwrap_err(),
-            TokenBankError::InvalidPoolSections
-        );
-        assert_eq!(
-            run(&mut w, vec![update(1), update(0)]).unwrap_err(),
-            TokenBankError::InvalidPoolSections
-        );
-        assert_eq!(w.bank.expected_epoch(), 1, "state untouched");
+        for pools in [
+            vec![],
+            vec![update(0), update(0)],
+            vec![update(1), update(0)],
+        ] {
+            let mut input = empty_sync(&w, 1);
+            input.pools = pools;
+            input.payouts.push(PayoutEntry {
+                user: a(1),
+                amount0: 5,
+                amount1: 5,
+            });
+            let qc = signed_sync(&w, &input);
+            assert_rejected_untouched(&mut w, &input, &qc, TokenBankError::InvalidPoolSections);
+        }
+    }
+
+    fn assert_digest_is_hash_of_payload(input: &SyncInput) {
+        let payload = input.abi_payload();
+        assert_eq!(input.abi_digest(), (H256::hash(&payload), payload.len()));
+    }
+
+    #[test]
+    fn abi_digest_matches_payload_at_the_boundaries() {
+        let w = setup();
+        // no lists at all: 352 B, i.e. 2 whole Keccak rate blocks + 80 B
+        let mut input = empty_sync(&w, 1);
+        input.pools.clear();
+        assert_eq!(input.abi_digest().1, 352);
+        assert_digest_is_hash_of_payload(&input);
+        // 448 + 352·10 + 416·148 = 65 536 B: exactly one staging chunk;
+        // one entry less or more lands on either side of the flush
+        for (payouts, positions) in [(10, 148), (10, 147), (9, 148), (11, 148), (400, 0)] {
+            let mut input = empty_sync(&w, 7);
+            input.payouts = (0..payouts)
+                .map(|i| PayoutEntry {
+                    user: a(i),
+                    amount0: i as u128,
+                    amount1: u128::MAX - i as u128,
+                })
+                .collect();
+            input.positions = (0..positions).map(position).collect();
+            assert_digest_is_hash_of_payload(&input);
+            if (payouts, positions) == (10, 148) {
+                assert_eq!(input.abi_digest().1, 64 * 1024);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn abi_digest_is_hash_and_len_of_abi_payload(
+            epoch in any::<u64>(),
+            payouts in proptest::collection::vec((any::<u64>(), any::<u128>(), any::<u128>()), 0..220),
+            positions in proptest::collection::vec((any::<u64>(), any::<u128>(), any::<i32>(), any::<bool>()), 0..180),
+            pools in proptest::collection::vec((any::<u32>(), any::<u128>(), any::<u128>()), 0..4),
+        ) {
+            let input = SyncInput {
+                epoch,
+                payouts: payouts
+                    .into_iter()
+                    .map(|(u, amount0, amount1)| PayoutEntry { user: a(u), amount0, amount1 })
+                    .collect(),
+                positions: positions
+                    .into_iter()
+                    .map(|(i, liquidity, tick_lower, deleted)| PositionEntry {
+                        liquidity,
+                        tick_lower,
+                        deleted,
+                        ..position(i)
+                    })
+                    .collect(),
+                pools: pools
+                    .into_iter()
+                    .map(|(p, reserve0, reserve1)| PoolUpdate { pool: PoolId(p), reserve0, reserve1 })
+                    .collect(),
+                next_vk: run_ceremony(DkgConfig::for_faults(1), epoch).group_public_key,
+            };
+            assert_digest_is_hash_of_payload(&input);
+        }
     }
 }

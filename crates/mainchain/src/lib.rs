@@ -1,7 +1,8 @@
 //! # ammboost-mainchain
 //!
 //! A simulated smart-contract mainchain standing in for the paper's
-//! Sepolia testnet (see `DESIGN.md` §1 for the substitution argument):
+//! Sepolia testnet (see README, "Sync authentication", for the
+//! substitution argument):
 //!
 //! - [`gas`] — the EVM gas schedule (EIP-2929 storage pricing, EIP-1108
 //!   precompiles) with a labelled, itemizable meter.
