@@ -462,7 +462,9 @@ mod tests {
 
     /// A tiny sharded node driver: executes rounds of swaps into
     /// meta-blocks and seals each epoch with a summary block. Users
-    /// 1..=2·pools are homed round-robin on the pool set.
+    /// 1..=3·pools are homed round-robin on the pool set; the last
+    /// `pools` of them never trade, so every summary lists a strict
+    /// subset of the depositors.
     struct Node {
         shards: ShardMap,
         ledger: Ledger,
@@ -485,11 +487,11 @@ mod tests {
                 );
             }
             let mut snapshot = HashMap::new();
-            for i in 1..=(2 * pools as u64) {
+            for i in 1..=(3 * pools as u64) {
                 snapshot.insert(user(i), (5_000_000_000u128, 5_000_000_000u128));
             }
             shards.begin_epoch(snapshot, |a| {
-                (1..=2 * pools as u64)
+                (1..=3 * pools as u64)
                     .find(|i| user(*i) == *a)
                     .map(|i| PoolId(((i - 1) % pools as u64) as u32))
             });
@@ -522,6 +524,7 @@ mod tests {
                 self.ledger.append_meta(block).unwrap();
             }
             let (payouts, positions, pools) = self.shards.end_epoch();
+            assert!(!payouts.is_empty() && payouts.len() <= 2 * self.pools as usize);
             let summary = SummaryBlock {
                 epoch,
                 parent: self.ledger.tip(),

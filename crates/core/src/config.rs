@@ -18,7 +18,10 @@ pub enum DepositPolicy {
     /// configuration that matches the paper's Figure 5 gas accounting.
     OncePerRun,
     /// A fresh deposit every epoch (the paper's §IV-A protocol described
-    /// strictly; heavier on mainchain gas).
+    /// strictly; heavier on mainchain gas). Only a user whose balance
+    /// moved is paid out at the sync: an idle user's deposit is not
+    /// bounced to the wallet and re-pulled but stays locked, adds to the
+    /// fresh deposit, and shows up summed in the next opening snapshot.
     PerEpoch,
 }
 

@@ -4,8 +4,8 @@
 //!
 //! At epoch start the processor snapshots user deposits from TokenBank
 //! (`SnapshotBank`); every accepted transaction is backed by deposit
-//! coverage, newly accrued tokens are immediately tradable, and the final
-//! deposit map becomes the epoch's payout list (Fig. 4).
+//! coverage, newly accrued tokens are immediately tradable, and the
+//! deposits that moved become the epoch's payout list (Fig. 4).
 
 use ammboost_amm::engines::{Engine, EngineKind, EngineState};
 use ammboost_amm::error::AmmError;
@@ -257,9 +257,16 @@ impl EpochProcessor {
     }
 
     /// `SnapshotBank`: installs the deposit snapshot retrieved from
-    /// TokenBank at the start of an epoch and resets per-epoch state.
+    /// TokenBank at the start of an epoch and resets per-epoch state. The
+    /// snapshot is the baseline the epoch's payout list is measured
+    /// against.
     pub fn begin_epoch(&mut self, snapshot: HashMap<Address, (u128, u128)>) {
-        self.deposits = Deposits::from_snapshot(snapshot);
+        self.begin_epoch_with(Deposits::from_snapshot(snapshot));
+    }
+
+    /// [`EpochProcessor::begin_epoch`] over an already-built ledger.
+    pub(crate) fn begin_epoch_with(&mut self, snapshot: Deposits) {
+        self.deposits = snapshot;
         self.reset_epoch_tracking();
     }
 
@@ -267,8 +274,11 @@ impl EpochProcessor {
     /// the previous epoch's sync never reached the mainchain (invalid
     /// sync inputs or a rollback) — the sidechain's own deposit tracking
     /// carries forward and the new committee will mass-sync (paper
-    /// §IV-C).
+    /// §IV-C). The carried balances are the new epoch's payout baseline,
+    /// so each epoch's list stands on its own and a replay from any
+    /// checkpoint reproduces it.
     pub fn carry_over_epoch(&mut self) {
+        self.deposits.open_epoch();
         self.reset_epoch_tracking();
     }
 
@@ -578,8 +588,9 @@ impl EpochProcessor {
     }
 
     /// Ends the epoch, producing the summary material (Fig. 4):
-    /// the payout list (final deposits), the touched/deleted position
-    /// entries, and the updated pool reserves.
+    /// the payout list (closing deposits of the users whose balance
+    /// moved), the touched/deleted position entries, and the updated pool
+    /// reserves.
     pub fn end_epoch(&mut self) -> (Vec<PayoutEntry>, Vec<PositionEntry>, PoolUpdate) {
         let payouts = self.deposits.to_payouts();
         let mut positions = Vec::with_capacity(self.touched.len() + self.deleted.len());
@@ -860,7 +871,7 @@ mod tests {
         p.begin_epoch(snapshot(&[(user(1), (1_000_000, 500_000))]));
         p.execute(&swap_tx(user(1), 400_000, true), 1008, 0);
         let (payouts, positions, pool_update) = p.end_epoch();
-        // sumPayouts = Deposits: user 1's final balance
+        // sumPayouts = ΔDeposits: user 1's final balance
         let entry = payouts.iter().find(|e| e.user == user(1)).unwrap();
         assert_eq!(entry.amount0, 600_000);
         assert!(entry.amount1 > 500_000);

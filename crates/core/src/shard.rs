@@ -382,18 +382,17 @@ impl ShardMap {
         snapshot: HashMap<Address, (u128, u128)>,
         route: impl Fn(&Address) -> Option<PoolId>,
     ) {
-        let mut per_shard: Vec<HashMap<Address, (u128, u128)>> =
-            (0..self.shards.len()).map(|_| HashMap::new()).collect();
+        let mut per_shard: Vec<Vec<(Address, (u128, u128))>> = vec![Vec::new(); self.shards.len()];
         self.home.clear();
         for (user, balance) in snapshot {
             let idx = route(&user)
                 .and_then(|pool| self.index_of(pool))
                 .unwrap_or(0);
             self.home.insert(user, idx);
-            per_shard[idx].insert(user, balance);
+            per_shard[idx].push((user, balance));
         }
         for (shard, deposits) in self.shards.iter_mut().zip(per_shard) {
-            shard.begin_epoch(deposits);
+            shard.begin_epoch_with(Deposits::from_snapshot(deposits));
         }
         self.netting = NettingLedger::new();
     }
@@ -826,9 +825,10 @@ impl ShardMap {
     }
 
     /// Ends the epoch on every shard and merges the per-pool effects
-    /// deterministically: payouts re-sorted by user (shard user sets are
-    /// disjoint, so this is a pure merge), positions concatenated in pool
-    /// order, and one [`PoolUpdate`] per shard ascending by pool id.
+    /// deterministically: payouts (the users whose deposit moved)
+    /// re-sorted by user (shard user sets are disjoint, so this is a pure
+    /// merge), positions concatenated in pool order, and one
+    /// [`PoolUpdate`] per shard ascending by pool id.
     pub fn end_epoch(&mut self) -> (Vec<PayoutEntry>, Vec<PositionEntry>, Vec<PoolUpdate>) {
         let mut payouts = Vec::new();
         let mut positions = Vec::new();

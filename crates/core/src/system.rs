@@ -36,7 +36,7 @@ use ammboost_mainchain::contracts::{Erc20, TokenBank};
 use ammboost_mainchain::gas::GasMeter;
 use ammboost_sidechain::block::{MetaBlock, SummaryBlock};
 use ammboost_sidechain::ledger::Ledger;
-use ammboost_sidechain::summary::{PayoutEntry, PoolUpdate, PositionEntry};
+use ammboost_sidechain::summary::{Deposits, PayoutEntry, PoolUpdate, PositionEntry};
 use ammboost_sim::metrics::LatencyStats;
 use ammboost_sim::rng::DetRng;
 use ammboost_sim::time::{SimDuration, SimTime};
@@ -91,8 +91,8 @@ pub struct SystemReport {
     /// seconds.
     pub agreement_secs: f64,
     /// Largest summary block produced, in bytes — the permanent per-epoch
-    /// sidechain growth (Table XI's "max sc growth"; bounded by the user
-    /// and position counts, not by traffic volume).
+    /// sidechain growth (Table XI's "max sc growth"; bounded by the
+    /// active-user and position counts, not by traffic volume).
     pub max_summary_bytes: u64,
     /// Epochs executed.
     pub epochs: u64,
@@ -848,35 +848,31 @@ impl System {
         if is_mass {
             self.mass_syncs += 1;
         }
-        // merge: latest payouts (deposits are cumulative on the
-        // sidechain), union of positions (later entries win), latest
-        // per-pool sections (every epoch reports all pools)
-        let payouts = self.unsynced.last().expect("non-empty").1.clone();
+        // merge: union of positions and of the payouts no applied sync
+        // covers yet, later epochs winning (each epoch lists what moved
+        // against its own opening state, so after a refusal or a rollback
+        // the bank needs every such epoch's entries), latest per-pool
+        // sections (every epoch reports all pools)
+        let mut payouts: BTreeMap<_, PayoutEntry> = BTreeMap::new();
         let mut merged: BTreeMap<_, PositionEntry> = BTreeMap::new();
-        for (_, _, positions, _) in &self.unsynced {
-            for p in positions {
-                merged.insert(p.id, *p);
+        for (epoch, epoch_payouts, positions, _) in &self.unsynced {
+            if *epoch > self.synced_through {
+                payouts.extend(epoch_payouts.iter().map(|p| (p.user, *p)));
             }
+            merged.extend(positions.iter().map(|p| (p.id, *p)));
         }
         let pools = self.unsynced.last().expect("non-empty").3.clone();
         let input = SyncInput {
             epoch: through_epoch,
-            payouts,
+            payouts: payouts.into_values().collect(),
             positions: merged.into_values().collect(),
             pools,
             next_vk: self.next_dkg.group_public_key,
         };
 
-        // TSQC: the committee matching the registered vk certifies; the
-        // simulated members share one streamed digest of the payload
-        let (digest, _) = input.abi_digest();
-        let threshold = self.registered_shares.config.threshold;
-        let partials: Vec<_> = self.registered_shares.key_shares[..threshold]
-            .iter()
-            .map(|ks| partial_sign_digest(ks, &digest))
-            .collect();
-        let qc = QuorumCertificate::assemble_digest(through_epoch, digest, &partials, threshold)
-            .expect("threshold partials available");
+        let qc = self.certify(&input);
+        #[cfg(test)]
+        let oracle = self.full_list_settlement(&input);
 
         // apply to the bank now (full backup first when this sync is
         // scheduled to be lost to a rollback), submit the transaction for
@@ -896,7 +892,8 @@ impl System {
             .sync(&input, &qc, &mut self.token0, &mut self.token1)
             .expect("committee-built sync must verify");
 
-        // rollover: re-lock every payout as the next epoch's deposit
+        // rollover: re-lock every payout as the next epoch's deposit,
+        // beside the unlisted deposits the bank rolled over itself
         if self.cfg.deposit_policy == DepositPolicy::OncePerRun {
             for p in &input.payouts {
                 self.bank
@@ -910,6 +907,16 @@ impl System {
                     )
                     .expect("payout was just dispensed");
             }
+            debug_assert!(
+                Deposits::from_snapshot(self.bank.snapshot_deposits(through_epoch + 1))
+                    == self.shards.merged_deposits(),
+                "the bank's next bucket must mirror the sidechain ledger for every user"
+            );
+            #[cfg(test)]
+            assert!(
+                (&oracle.0, &oracle.1, &oracle.2) == (&self.bank, &self.token0, &self.token1),
+                "dirty settlement through epoch {through_epoch} diverges from the full list"
+            );
         }
 
         let tx_id = self.chain.submit(
@@ -939,6 +946,52 @@ impl System {
             DkgConfig::for_faults(self.cfg.crypto_committee_faults),
             self.cfg.seed ^ 0xD16 ^ (through_epoch + 2),
         );
+    }
+
+    /// TSQC: the committee matching the registered vk certifies `input`;
+    /// the simulated members share one streamed digest of the payload.
+    fn certify(&self, input: &SyncInput) -> QuorumCertificate {
+        let (digest, _) = input.abi_digest();
+        let threshold = self.registered_shares.config.threshold;
+        let partials: Vec<_> = self.registered_shares.key_shares[..threshold]
+            .iter()
+            .map(|ks| partial_sign_digest(ks, &digest))
+            .collect();
+        QuorumCertificate::assemble_digest(input.epoch, digest, &partials, threshold)
+            .expect("threshold partials available")
+    }
+
+    /// Test oracle — Fig. 4's `sumPayouts = Deposits`: settles `dirty`'s
+    /// epoch(s) on clones of the bank and both ledgers with one payout
+    /// per deposit, moved or not, and re-locks every entry.
+    #[cfg(test)]
+    fn full_list_settlement(&self, dirty: &SyncInput) -> (TokenBank, Erc20, Erc20) {
+        let entry = |(user, (amount0, amount1))| PayoutEntry {
+            user,
+            amount0,
+            amount1,
+        };
+        let deposits = self.shards.merged_deposits().to_sorted_entries();
+        let full = SyncInput {
+            payouts: deposits.into_iter().map(entry).collect(),
+            ..dirty.clone()
+        };
+        let (mut bank, mut token0, mut token1) =
+            (self.bank.clone(), self.token0.clone(), self.token1.clone());
+        bank.sync(&full, &self.certify(&full), &mut token0, &mut token1)
+            .expect("the full list is certified like the dirty one");
+        for p in &full.payouts {
+            bank.relock(
+                p.user,
+                p.amount0,
+                p.amount1,
+                full.epoch + 1,
+                &mut token0,
+                &mut token1,
+            )
+            .expect("payout was just dispensed");
+        }
+        (bank, token0, token1)
     }
 
     fn handle_confirmations(&mut self) {
@@ -1192,6 +1245,71 @@ mod tests {
         let report = System::new(cfg).run();
         assert!(report.mass_syncs >= 1, "{report:?}");
         assert_eq!(report.leftover_queue, 0);
+    }
+
+    /// Every sync of these runs passes `submit_sync`'s test oracle: bank
+    /// deposits and both ERC-20 ledgers equal to the full-list settlement
+    /// of the same step, including mass-syncs after refusals and
+    /// rollbacks, with most of the 60 users idle in every epoch.
+    #[test]
+    fn dirty_settlement_matches_full_list_under_every_fault_plan() {
+        let plan = |refused: &[u64], rolled_back: &[u64]| FaultPlan {
+            invalid_sync_epochs: refused.iter().copied().collect(),
+            rollback_epochs: rolled_back.iter().copied().collect(),
+            ..FaultPlan::default()
+        };
+        let plans = [
+            (plan(&[], &[]), 0),
+            (plan(&[2], &[]), 1),
+            (plan(&[], &[2]), 1),
+            (plan(&[2], &[3]), 2),
+            (plan(&[], &[2, 3]), 2),
+            (plan(&[2, 3], &[]), 1),
+        ];
+        for (faults, mass_syncs) in plans {
+            for seed in 7..12 {
+                let mut cfg = small();
+                cfg.seed = seed;
+                cfg.epochs = 5;
+                cfg.users = 60;
+                cfg.daily_volume = 40_000;
+                cfg.faults = faults.clone();
+                let mut sys = System::new(cfg);
+                let report = sys.run();
+                assert_eq!(report.mass_syncs, mass_syncs, "{faults:?}");
+                assert_eq!(report.leftover_queue, 0);
+                let listed = sys.last_sync_receipt.as_ref().unwrap().payouts_applied;
+                assert!(listed < 30, "{listed} of 60 users listed");
+                // every deposit is in the one live bucket, listed or not
+                let live = sys.bank.snapshot_deposits(sys.bank.expected_epoch());
+                assert_eq!(live.len(), 60);
+            }
+        }
+    }
+
+    #[test]
+    fn payout_list_is_bounded_by_activity_not_users() {
+        let mut cfg = small();
+        cfg.users = 5_000;
+        cfg.daily_volume = 40_000;
+        let mut sys = System::new(cfg.clone());
+        let t0 = SimTime::ZERO + SimDuration::from_secs(60);
+        sys.submit_deposits(SimTime::ZERO, 1);
+        sys.chain.advance_to(t0);
+        sys.handle_confirmations();
+        for epoch in 1..=cfg.epochs {
+            let before = sys.accepted;
+            sys.run_epoch(epoch, t0 + cfg.epoch_duration().saturating_mul(epoch - 1));
+            let accepted = (sys.accepted - before) as usize;
+            let receipt = sys.last_sync_receipt.as_ref().unwrap();
+            assert!(
+                accepted > 0 && receipt.payouts_applied <= accepted,
+                "epoch {epoch}: {} listed, {accepted} accepted",
+                receipt.payouts_applied
+            );
+            let summary = sys.ledger.summaries().last().unwrap();
+            assert_eq!(summary.payouts.len(), receipt.payouts_applied);
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub struct SyncInput {
     /// Epoch these summaries cover. Mass-syncing submits the summaries of
     /// several epochs under the latest epoch number.
     pub epoch: u64,
-    /// Payout list (one entry per active user).
+    /// Payout list: one entry per *active* user — the closing deposit of
+    /// every user whose balance moved in the covered epoch(s). Deposits
+    /// of unlisted users roll over in place.
     pub payouts: Vec<PayoutEntry>,
     /// Updated liquidity positions.
     pub positions: Vec<PositionEntry>,
@@ -263,7 +265,8 @@ pub struct TokenBank {
     vk_registered_before: bool,
     /// Epoch-keyed deposits: `Deposit(type, amnt)` is placed *for the
     /// next epoch* (paper Fig. 3), so each epoch's backing is its own
-    /// bucket, cleared when that epoch's payouts are dispensed.
+    /// bucket; that epoch's sync pays out the users whose balance moved
+    /// and rolls the rest over into the next bucket.
     deposits: HashMap<u64, HashMap<Address, (u128, u128)>>,
     positions: HashMap<PositionId, StoredPosition>,
     pools: HashMap<PoolId, (u128, u128)>,
@@ -383,15 +386,20 @@ impl TokenBank {
     ///
     /// 1. authenticates the TSQC against the stored `vk_c` (Keccak over the
     ///    payload, hash-to-point `ecMul`, one 2-pairing check);
-    /// 2. dispenses payouts (deposit refunds + accrued tokens);
+    /// 2. dispenses payouts (deposit refunds + accrued tokens) and clears
+    ///    the listed users' deposit slots; unlisted deposits of the
+    ///    covered epoch(s) roll over into epoch `input.epoch + 1` in
+    ///    place — slots that are simply not written, so no token moves
+    ///    and no gas is charged, under the same certified transition;
     /// 3. creates/updates/deletes stored positions;
     /// 4. updates pool reserves;
     /// 5. records the next committee's `vk_c`.
     ///
     /// # Errors
-    /// Rejects stale epochs, malformed pool sections and invalid
-    /// certificates without touching state; the O(1) rejections come
-    /// before the O(payload) digest.
+    /// Rejects stale epochs, malformed pool sections, invalid
+    /// certificates and payout lists the bank's token balances cannot
+    /// cover without touching state; the O(1) rejections come before the
+    /// O(payload) digest.
     pub fn sync(
         &mut self,
         input: &SyncInput,
@@ -430,12 +438,37 @@ impl TokenBank {
             return Err(TokenBankError::BadSyncSignature);
         }
 
-        // --- payouts ---
-        for p in &input.payouts {
-            self.apply_payout(p, input.epoch, token0, token1, &mut meter)?;
+        // the only way a payout transfer can fail — checked before the
+        // first one moves, so a rejected sync leaves no partial payouts
+        let bank_covers = |token: &Erc20, amount: fn(&PayoutEntry) -> u128| {
+            let mut listed = input.payouts.iter().map(amount);
+            let total = listed.try_fold(0, u128::checked_add);
+            total.is_some_and(|total| total <= token.balance_of(&self.address))
+        };
+        if !bank_covers(token0, |p| p.amount0) || !bank_covers(token1, |p| p.amount1) {
+            return Err(Erc20Error::InsufficientBalance.into());
         }
-        // drop every bucket the (mass-)sync covered
-        self.deposits.retain(|&e, _| e > input.epoch);
+
+        // --- payouts: every bucket the (mass-)sync covers comes out as
+        // one map (a move in the usual single-bucket case); listed users
+        // are paid and leave it, the rest roll over as bucket epoch + 1
+        let (covered_buckets, later): (HashMap<_, _>, HashMap<_, _>) =
+            std::mem::take(&mut self.deposits)
+                .into_iter()
+                .partition(|(e, _)| *e <= input.epoch);
+        self.deposits = later;
+        let mut covered = HashMap::new();
+        for bucket in covered_buckets.into_values() {
+            merge_bucket(&mut covered, bucket);
+        }
+        for p in &input.payouts {
+            self.apply_payout(p, &mut covered, token0, token1, &mut meter);
+        }
+        if !covered.is_empty() {
+            let next = self.deposits.entry(input.epoch + 1).or_default();
+            let fresh = std::mem::replace(next, covered);
+            merge_bucket(next, fresh);
+        }
 
         // --- positions ---
         for entry in &input.positions {
@@ -482,39 +515,30 @@ impl TokenBank {
     }
 
     fn apply_payout(
-        &mut self,
+        &self,
         p: &PayoutEntry,
-        epoch: u64,
+        covered: &mut HashMap<Address, (u128, u128)>,
         token0: &mut Erc20,
         token1: &mut Erc20,
         meter: &mut GasMeter,
-    ) -> Result<(), TokenBankError> {
-        // Deposit slot: read + clear (refundable).
+    ) {
+        // Deposit slot: read + clear (refundable) — whichever covered
+        // bucket held it.
         meter.charge("payout", gas::SLOAD_COLD);
-        let had_deposit = self
-            .deposits
-            .get_mut(&epoch)
-            .map(|b| b.remove(&p.user).is_some())
-            .unwrap_or(false);
-        if had_deposit {
+        if covered.remove(&p.user).is_some() {
             meter.charge("payout", gas::SSTORE_UPDATE_WARM);
             meter.add_refund(gas::SSTORE_CLEAR_REFUND);
         }
         // Dispense tokens: the bank's own balance slot is warm inside the
         // batch loop; only the user slots cost cold accesses.
-        if p.amount0 > 0 {
-            meter.charge("payout", gas::SLOAD_COLD + gas::SSTORE_UPDATE_COLD);
-            token0
-                .transfer(self.address, p.user, p.amount0, &mut GasMeter::new())
-                .map_err(TokenBankError::from)?;
+        for (amount, token) in [(p.amount0, token0), (p.amount1, token1)] {
+            if amount > 0 {
+                meter.charge("payout", gas::SLOAD_COLD + gas::SSTORE_UPDATE_COLD);
+                token
+                    .transfer(self.address, p.user, amount, &mut GasMeter::new())
+                    .expect("sync checked the bank covers the whole list");
+            }
         }
-        if p.amount1 > 0 {
-            meter.charge("payout", gas::SLOAD_COLD + gas::SSTORE_UPDATE_COLD);
-            token1
-                .transfer(self.address, p.user, p.amount1, &mut GasMeter::new())
-                .map_err(TokenBankError::from)?;
-        }
-        Ok(())
     }
 
     fn apply_position(&mut self, entry: &PositionEntry, meter: &mut GasMeter) {
@@ -637,6 +661,19 @@ impl TokenBank {
     }
 }
 
+/// Adds `from`'s deposits onto `into`'s (a move when `into` is empty).
+fn merge_bucket(into: &mut HashMap<Address, (u128, u128)>, from: HashMap<Address, (u128, u128)>) {
+    if into.is_empty() {
+        *into = from;
+        return;
+    }
+    for (user, (amount0, amount1)) in from {
+        let slot = into.entry(user).or_insert((0, 0));
+        slot.0 += amount0;
+        slot.1 += amount1;
+    }
+}
+
 fn mul_ceil(amount: u128, pips: u32) -> u128 {
     let denom = 1_000_000u128;
     (amount * pips as u128).div_ceil(denom)
@@ -653,6 +690,7 @@ mod tests {
         Address::from_index(i)
     }
 
+    #[derive(Clone)]
     struct World {
         bank: TokenBank,
         token0: Erc20,
@@ -852,6 +890,72 @@ mod tests {
             ..qc
         };
         assert_rejected_untouched(&mut w, &input, &forged, TokenBankError::BadSyncSignature);
+    }
+
+    #[test]
+    fn sync_rejects_uncoverable_payout_list() {
+        let mut w = setup();
+        w.bank
+            .relock(a(1), 500, 0, 1, &mut w.token0, &mut w.token1)
+            .unwrap();
+        // the bank holds 10 000 500 token0: the first entry alone is
+        // covered, the list is not — nothing may move, not even entry one
+        let mut input = empty_sync(&w, 1);
+        for i in 1..=2 {
+            input.payouts.push(PayoutEntry {
+                user: a(i),
+                amount0: 6_000_000,
+                amount1: 1,
+            });
+        }
+        let qc = signed_sync(&w, &input);
+        let uncovered = TokenBankError::Token(Erc20Error::InsufficientBalance);
+        assert_rejected_untouched(&mut w, &input, &qc, uncovered.clone());
+        // a sum past u128 is uncoverable too, not a wrapped small number
+        input.payouts[0].amount1 = u128::MAX;
+        let qc = signed_sync(&w, &input);
+        assert_rejected_untouched(&mut w, &input, &qc, uncovered);
+    }
+
+    #[test]
+    fn mass_sync_clears_the_slot_wherever_it_sat() {
+        // a refused sync left users 1 and 2 in bucket 1; bucket 2 holds a
+        // fresh deposit of user 2 and user 3's only one
+        let mut w = setup();
+        for (user, epoch) in [(1, 1), (2, 1), (2, 2), (3, 2)] {
+            w.bank
+                .relock(a(user), 100, 100, epoch, &mut w.token0, &mut w.token1)
+                .unwrap();
+        }
+        let mut input = empty_sync(&w, 2);
+        for user in [1, 3] {
+            input.payouts.push(PayoutEntry {
+                user: a(user),
+                amount0: 7,
+                amount1: 0,
+            });
+        }
+        let qc = signed_sync(&w, &input);
+        let receipt = w
+            .bank
+            .sync(&input, &qc, &mut w.token0, &mut w.token1)
+            .unwrap();
+        // both listed users pay slot read + clear + one token transfer,
+        // and both clears book their refund — user 1's from bucket 1
+        let per_user =
+            gas::SLOAD_COLD + gas::SSTORE_UPDATE_WARM + gas::SLOAD_COLD + gas::SSTORE_UPDATE_COLD;
+        assert_eq!(receipt.meter.total_for("payout"), 2 * per_user);
+        assert_eq!(
+            receipt.meter.gross() - receipt.meter.total(),
+            2 * gas::SSTORE_CLEAR_REFUND
+        );
+        // no covered bucket survives; the unlisted deposits moved on whole
+        for user in 1..=3 {
+            assert_eq!(w.bank.deposit_of(&a(user), 1), (0, 0));
+            assert_eq!(w.bank.deposit_of(&a(user), 2), (0, 0));
+        }
+        assert_eq!(w.bank.snapshot_deposits(3), [(a(2), (200, 200))].into());
+        assert_eq!(w.token0.balance_of(&a(1)), 1_000_000 - 100 + 7);
     }
 
     #[test]
@@ -1182,6 +1286,75 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Listing only the users that moved settles exactly like Fig. 4's
+        /// full list (every depositor, the unmoved ones at the balance
+        /// they already hold), for less gas: `users` are (deposit, second
+        /// deposit in another bucket?, new balance when moved).
+        #[test]
+        fn dirty_list_settles_like_the_full_list(
+            layout in 0u8..3,
+            users in proptest::collection::vec(
+                ((0u128..1000, 0u128..1000), any::<bool>(), (any::<bool>(), 0u128..2000, 0u128..2000)),
+                1..8,
+            ),
+        ) {
+            // epoch 2 syncs: bucket 2 always, plus (by layout) nothing,
+            // an unsynced bucket 1, or fresh deposits already in bucket 3
+            let mut w = setup();
+            let mut dirty = empty_sync(&w, 2);
+            let mut full = empty_sync(&w, 2);
+            let mut unlisted = Vec::new();
+            for (i, ((d0, d1), second, (moved, n0, n1))) in users.into_iter().enumerate() {
+                let user = a(10 + i as u64);
+                w.token0.mint(user, 10_000);
+                w.token1.mint(user, 10_000);
+                let mut lock = |epoch| {
+                    w.bank.relock(user, d0, d1, epoch, &mut w.token0, &mut w.token1).unwrap()
+                };
+                lock(2);
+                let (mut covered, mut next) = ((d0, d1), (d0, d1));
+                match (layout, second) {
+                    (1, true) => {
+                        lock(1);
+                        covered = (2 * d0, 2 * d1);
+                        next = covered;
+                    }
+                    (2, true) => {
+                        lock(3);
+                        next = (2 * d0, 2 * d1);
+                    }
+                    _ => {}
+                }
+                let entry = |(amount0, amount1)| PayoutEntry { user, amount0, amount1 };
+                if moved {
+                    dirty.payouts.push(entry((n0, n1)));
+                    full.payouts.push(entry((n0, n1)));
+                } else {
+                    full.payouts.push(entry(covered));
+                    unlisted.push((user, next));
+                }
+            }
+            let settle = |w: &World, input: &SyncInput| {
+                let mut w = w.clone();
+                let qc = signed_sync(&w, input);
+                let receipt = w.bank.sync(input, &qc, &mut w.token0, &mut w.token1).unwrap();
+                for p in &input.payouts {
+                    w.bank
+                        .relock(p.user, p.amount0, p.amount1, 3, &mut w.token0, &mut w.token1)
+                        .unwrap();
+                }
+                (w, receipt.meter.total())
+            };
+            let (by_dirty, dirty_gas) = settle(&w, &dirty);
+            let (by_full, full_gas) = settle(&w, &full);
+            prop_assert!(by_dirty.bank == by_full.bank, "bank state diverges");
+            prop_assert!(by_dirty.token0 == by_full.token0 && by_dirty.token1 == by_full.token1);
+            prop_assert!(dirty_gas <= full_gas);
+            for (user, next) in unlisted {
+                prop_assert_eq!(by_dirty.bank.deposit_of(&user, 3), next);
+            }
+        }
 
         #[test]
         fn abi_digest_is_hash_and_len_of_abi_payload(

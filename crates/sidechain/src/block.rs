@@ -188,7 +188,9 @@ pub struct SummaryBlock {
     pub parent: H256,
     /// Ids of the summarized meta-blocks, in order.
     pub meta_refs: Vec<H256>,
-    /// The payout list (merged across all pools, sorted by user).
+    /// The payout list (merged across all pools, sorted by user): the
+    /// closing deposit of every user whose balance moved this epoch.
+    /// Deposits it does not list are unchanged since the previous summary.
     pub payouts: Vec<PayoutEntry>,
     /// The updated positions (all pools).
     pub positions: Vec<PositionEntry>,

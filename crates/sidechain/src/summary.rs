@@ -3,13 +3,16 @@
 //! During an epoch the committee tracks every user's **deposit balance**
 //! as transactions execute (swaps debit the input and credit the output,
 //! mints debit provided liquidity, burns/collects credit withdrawals).
-//! At the epoch's end the final deposit map *is* the payout list
-//! (`sumPayouts = Deposits`), and the touched positions form the position
-//! list; TokenBank recomputes pool balances from these (paper §IV-B).
+//! At the epoch's end the deposits that *moved* are the payout list
+//! (`sumPayouts = ΔDeposits` — Fig. 4's `sumPayouts = Deposits` minus the
+//! entries TokenBank already holds unchanged), and the touched positions
+//! form the position list; TokenBank recomputes pool balances from these
+//! (paper §IV-B).
 
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::Address;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// A payout entry: the user's final deposit balance for the epoch
@@ -237,13 +240,59 @@ impl std::fmt::Display for DepositError {
 
 impl std::error::Error for DepositError {}
 
-/// The per-epoch deposit ledger: retrieved from TokenBank at epoch start
-/// (`SnapshotBank`), mutated by every processed transaction, emitted as
-/// the payout list at epoch end.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Deposits {
-    balances: HashMap<Address, (u128, u128)>,
+/// One user's ledger slot: the live balance, plus whether it was written
+/// since the epoch opened (bookkeeping for the payout list, not state).
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    balance: (u128, u128),
+    touched: bool,
 }
+
+impl Slot {
+    /// Writes `balance`, recording the slot's opening balance in `opening`
+    /// on the epoch's first write.
+    fn write(
+        &mut self,
+        user: Address,
+        balance: (u128, u128),
+        opening: &mut Vec<(Address, (u128, u128))>,
+    ) {
+        if !self.touched {
+            self.touched = true;
+            opening.push((user, self.balance));
+        }
+        self.balance = balance;
+    }
+}
+
+/// The per-epoch deposit ledger: retrieved from TokenBank at epoch start
+/// (`SnapshotBank`), mutated by every processed transaction, emitting the
+/// balances that moved as the payout list at epoch end.
+///
+/// The first-touch record behind [`Deposits::to_payouts`] is epoch
+/// bookkeeping, not state: equality, the sorted export and everything
+/// built on it (snapshots, state roots) see balances only.
+#[derive(Clone, Debug, Default)]
+pub struct Deposits {
+    slots: HashMap<Address, Slot>,
+    /// Every user written since the epoch opened, with the balance they
+    /// opened it with.
+    opening: Vec<(Address, (u128, u128))>,
+}
+
+impl PartialEq for Deposits {
+    fn eq(&self, other: &Deposits) -> bool {
+        self.slots.len() == other.slots.len()
+            && self.slots.iter().all(|(user, slot)| {
+                other
+                    .slots
+                    .get(user)
+                    .is_some_and(|o| o.balance == slot.balance)
+            })
+    }
+}
+
+impl Eq for Deposits {}
 
 impl Deposits {
     /// An empty ledger.
@@ -251,24 +300,40 @@ impl Deposits {
         Deposits::default()
     }
 
-    /// Builds the ledger from a TokenBank snapshot.
-    pub fn from_snapshot(snapshot: HashMap<Address, (u128, u128)>) -> Deposits {
-        Deposits { balances: snapshot }
+    /// Builds the ledger from a TokenBank snapshot; the snapshot is the
+    /// epoch's opening state.
+    pub fn from_snapshot(snapshot: impl IntoIterator<Item = (Address, (u128, u128))>) -> Deposits {
+        let touched = false;
+        let slot = |(user, balance)| (user, Slot { balance, touched });
+        Deposits {
+            slots: snapshot.into_iter().map(slot).collect(),
+            opening: Vec::new(),
+        }
+    }
+
+    /// Opens a new epoch on the carried-over ledger: the current balances
+    /// become the baseline the next payout list is measured against.
+    pub fn open_epoch(&mut self) {
+        for (user, _) in self.opening.drain(..) {
+            if let Some(slot) = self.slots.get_mut(&user) {
+                slot.touched = false;
+            }
+        }
     }
 
     /// A user's `(token0, token1)` balance.
     pub fn get(&self, user: &Address) -> (u128, u128) {
-        self.balances.get(user).copied().unwrap_or((0, 0))
+        self.slots.get(user).map_or((0, 0), |s| s.balance)
     }
 
     /// Number of users with an entry.
     pub fn len(&self) -> usize {
-        self.balances.len()
+        self.slots.len()
     }
 
     /// `true` when no user has an entry.
     pub fn is_empty(&self) -> bool {
-        self.balances.is_empty()
+        self.slots.is_empty()
     }
 
     /// Checks whether `user` can cover a debit without applying it.
@@ -287,7 +352,12 @@ impl Deposits {
         amount0: u128,
         amount1: u128,
     ) -> Result<(), DepositError> {
-        let (have0, have1) = self.get(&user);
+        // one probe: the located entry serves the check and the write
+        let entry = self.slots.entry(user);
+        let (have0, have1) = match &entry {
+            Entry::Occupied(e) => e.get().balance,
+            Entry::Vacant(_) => (0, 0),
+        };
         if have0 < amount0 || have1 < amount1 {
             return Err(DepositError::InsufficientDeposit {
                 user,
@@ -297,8 +367,9 @@ impl Deposits {
                 have1,
             });
         }
-        self.balances
-            .insert(user, (have0 - amount0, have1 - amount1));
+        entry
+            .or_default()
+            .write(user, (have0 - amount0, have1 - amount1), &mut self.opening);
         Ok(())
     }
 
@@ -313,10 +384,11 @@ impl Deposits {
         amount0: u128,
         amount1: u128,
     ) -> Result<(), DepositError> {
-        let (have0, have1) = self.get(&user);
+        let slot = self.slots.entry(user).or_default();
+        let (have0, have1) = slot.balance;
         let new0 = have0.checked_add(amount0).ok_or(DepositError::Overflow)?;
         let new1 = have1.checked_add(amount1).ok_or(DepositError::Overflow)?;
-        self.balances.insert(user, (new0, new1));
+        slot.write(user, (new0, new1), &mut self.opening);
         Ok(())
     }
 
@@ -325,30 +397,37 @@ impl Deposits {
     /// [`Deposits::from_sorted_entries`].
     pub fn to_sorted_entries(&self) -> Vec<(Address, (u128, u128))> {
         let mut out: Vec<(Address, (u128, u128))> =
-            self.balances.iter().map(|(a, b)| (*a, *b)).collect();
+            self.slots.iter().map(|(a, s)| (*a, s.balance)).collect();
         out.sort_by_key(|(a, _)| *a);
         out
     }
 
     /// Rebuilds a ledger from exported entries.
     pub fn from_sorted_entries(entries: Vec<(Address, (u128, u128))>) -> Deposits {
-        Deposits {
-            balances: entries.into_iter().collect(),
-        }
+        Deposits::from_snapshot(entries)
     }
 
-    /// Emits the payout list: every user's final balance, sorted by
-    /// address for determinism. This is Fig. 4's `sumPayouts = Deposits`.
-    /// Zero-balance entries are retained — their inclusion clears the
-    /// deposit slot on TokenBank.
+    /// Emits the payout list: the closing balance of every user whose
+    /// balance differs from the one they opened the epoch with, sorted by
+    /// address for determinism — one entry per *active* user, so the list
+    /// (and everything sized by it: summary block, sync payload, TSQC
+    /// digest, bank gas) follows the epoch's activity, not its user
+    /// count. This is Fig. 4's `sumPayouts = Deposits` less the entries
+    /// that would rewrite a TokenBank slot with the value it already
+    /// holds; TokenBank rolls those deposits over in place. A user driven
+    /// to `(0, 0)` is listed — the entry clears their slot — while a user
+    /// who trades back to the exact opening balance is not.
     pub fn to_payouts(&self) -> Vec<PayoutEntry> {
         let mut out: Vec<PayoutEntry> = self
-            .balances
+            .opening
             .iter()
-            .map(|(user, &(amount0, amount1))| PayoutEntry {
-                user: *user,
-                amount0,
-                amount1,
+            .filter_map(|(user, opened)| {
+                let (amount0, amount1) = self.get(user);
+                ((amount0, amount1) != *opened).then_some(PayoutEntry {
+                    user: *user,
+                    amount0,
+                    amount1,
+                })
             })
             .collect();
         out.sort_by_key(|p| p.user);
@@ -424,15 +503,73 @@ mod tests {
         assert_eq!(d.get(&a(1)), (0, 0));
     }
 
+    /// Fig. 4's `sumPayouts = Deposits`: every entry, moved or not — the
+    /// oracle the dirty list is checked against.
+    fn full_payouts(d: &Deposits) -> Vec<PayoutEntry> {
+        let entry = |(user, (amount0, amount1))| PayoutEntry {
+            user,
+            amount0,
+            amount1,
+        };
+        d.to_sorted_entries().into_iter().map(entry).collect()
+    }
+
     #[test]
     fn payouts_sorted_and_complete() {
-        let mut d = Deposits::new();
-        d.credit(a(3), 3, 0).unwrap();
-        d.credit(a(1), 1, 0).unwrap();
-        d.credit(a(2), 0, 0).unwrap(); // zero entry retained
+        let snap: HashMap<_, _> = (1..=6).map(|i| (a(i), (10 * i as u128, 5))).collect();
+        let mut d = Deposits::from_snapshot(snap.clone());
+        d.debit(a(5), 1, 0).unwrap(); // moved
+        d.credit(a(2), 0, 7).unwrap(); // moved
+        d.debit(a(3), 30, 5).unwrap(); // driven to (0, 0): listed, clears the slot
+        d.debit(a(4), 4, 0).unwrap(); // swaps A -> B ...
+        d.credit(a(4), 0, 9).unwrap();
+        d.debit(a(4), 0, 9).unwrap(); // ... and back to the exact
+        d.credit(a(4), 4, 0).unwrap(); // opening balance: not listed
+        d.credit(a(9), 0, 0).unwrap(); // new, still (0, 0): not listed
+        assert!(d.debit(a(6), 61, 0).is_err()); // rejected: not touched
         let p = d.to_payouts();
-        assert_eq!(p.len(), 3);
         assert!(p.windows(2).all(|w| w[0].user < w[1].user));
+        let mut moved = vec![a(2), a(3), a(5)];
+        moved.sort();
+        assert_eq!(p.iter().map(|e| e.user).collect::<Vec<_>>(), moved);
+        let cleared = p.iter().find(|e| e.user == a(3)).unwrap();
+        assert_eq!((cleared.amount0, cleared.amount1), (0, 0));
+        // exactly the full list's entries whose balance left the opening
+        let opened = |e: &PayoutEntry| snap.get(&e.user).copied().unwrap_or((0, 0));
+        let mut oracle = full_payouts(&d);
+        assert_eq!(oracle.len(), 7);
+        oracle.retain(|e| (e.amount0, e.amount1) != opened(e));
+        assert_eq!(p, oracle);
+    }
+
+    #[test]
+    fn open_epoch_rebases_the_payout_list() {
+        let mut d = Deposits::from_snapshot([(a(1), (10, 0)), (a(2), (20, 0))]);
+        d.debit(a(1), 3, 0).unwrap();
+        assert_eq!(d.to_payouts().len(), 1);
+        // carry-over: the closing balances are the next baseline
+        d.open_epoch();
+        assert!(d.to_payouts().is_empty());
+        d.credit(a(1), 3, 0).unwrap(); // back to the *previous* opening
+        d.debit(a(2), 0, 0).unwrap(); // written, unchanged
+        let p = d.to_payouts();
+        assert_eq!(p.len(), 1);
+        assert_eq!((p[0].user, p[0].amount0), (a(1), 10));
+    }
+
+    #[test]
+    fn first_touch_record_is_not_state() {
+        let mut d = Deposits::from_snapshot([(a(1), (10, 0))]);
+        let untouched = d.clone();
+        d.debit(a(1), 4, 0).unwrap();
+        d.credit(a(1), 4, 0).unwrap();
+        assert_eq!(d, untouched);
+        assert_eq!(d.to_sorted_entries(), untouched.to_sorted_entries());
+        assert_ne!(d, Deposits::from_snapshot([(a(1), (9, 0))]));
+        assert_ne!(
+            d,
+            Deposits::from_snapshot([(a(1), (10, 0)), (a(2), (0, 0))])
+        );
     }
 
     #[test]
