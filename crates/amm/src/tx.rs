@@ -267,6 +267,19 @@ pub enum AmmTxKind {
     Route,
 }
 
+impl AmmTxKind {
+    /// The kind's lowercase name (`"swap"`, `"mint"`, …).
+    pub const fn name(self) -> &'static str {
+        match self {
+            AmmTxKind::Swap => "swap",
+            AmmTxKind::Mint => "mint",
+            AmmTxKind::Burn => "burn",
+            AmmTxKind::Collect => "collect",
+            AmmTxKind::Route => "route",
+        }
+    }
+}
+
 impl AmmTx {
     /// The transaction kind.
     pub fn kind(&self) -> AmmTxKind {

@@ -1,13 +1,22 @@
 //! Criterion benchmarks for the system pipeline: sidechain transaction
 //! processing rate, summary building, sync verification on TokenBank,
-//! PBFT agreement, and a small end-to-end epoch.
+//! PBFT agreement, a small end-to-end epoch, and the per-user substrate
+//! under a fat run (mainchain deposit chain, election, traffic
+//! generation).
 
 use ammboost_amm::types::PoolId;
+use ammboost_consensus::election::{draw_ticket, elect_committee, MinerRecord};
 use ammboost_consensus::pbft::{run_consensus, Behavior};
 use ammboost_core::config::SystemConfig;
 use ammboost_core::processor::EpochProcessor;
 use ammboost_core::system::System;
+use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
+use ammboost_crypto::vrf::VrfSecretKey;
 use ammboost_crypto::{Address, H256};
+use ammboost_mainchain::chain::{ChainConfig, Mainchain, TxSpec};
+use ammboost_mainchain::contracts::{Erc20, TokenBank};
+use ammboost_mainchain::gas::{GasMeter, TX_BASE};
+use ammboost_sim::time::SimTime;
 use ammboost_workload::{GeneratorConfig, LiquidityStyle, TrafficGenerator};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -116,11 +125,102 @@ fn bench_small_system(c: &mut Criterion) {
     group.finish();
 }
 
+/// The one-time deposit flow of `System::submit_deposits`, per user:
+/// approve + approve + deposit on the contracts, three dependency-chained
+/// `submit`s, then the three blocks that confirm them.
+fn bench_deposit_chain(c: &mut Criterion) {
+    let amount = 10u128.pow(12);
+    let users: Vec<Address> = (0..10_000).map(TrafficGenerator::user_address).collect();
+    let dkg = run_ceremony(DkgConfig::for_faults(1), 7);
+    let bank = TokenBank::deploy(dkg.group_public_key);
+    let mut token = Erc20::new("TKN");
+    for user in &users {
+        token.mint(*user, amount);
+    }
+    let chain = Mainchain::new(ChainConfig {
+        gas_limit: 1 << 40,
+        ..ChainConfig::default()
+    });
+    let spec = |label: &'static str, gas, size_bytes, depends_on| TxSpec {
+        label: label.into(),
+        gas,
+        size_bytes,
+        depends_on,
+    };
+    let mut group = c.benchmark_group("mainchain");
+    group.sample_size(10);
+    group.bench_function("deposit_chain_10k_users", |b| {
+        b.iter_batched(
+            || (chain.clone(), bank.clone(), token.clone(), token.clone()),
+            |(mut chain, mut bank, mut token0, mut token1)| {
+                let at = SimTime::ZERO;
+                for &user in &users {
+                    let mut dep = None;
+                    for token in [&mut token0, &mut token1] {
+                        let mut meter = GasMeter::new();
+                        token.approve(user, bank.address, amount, &mut meter);
+                        let gas = meter.total() + TX_BASE;
+                        dep = Some(chain.submit(at, spec("approve", gas, 68, dep)));
+                    }
+                    let (t0, t1, mut meter) = (&mut token0, &mut token1, GasMeter::new());
+                    bank.deposit(user, amount, amount, 1, t0, t1, &mut meter)
+                        .expect("funded and approved");
+                    chain.submit(at, spec("deposit", meter.total(), 132, dep));
+                }
+                chain.advance_to(SimTime::from_secs(36));
+                assert_eq!(chain.mempool_len(), 0);
+                (chain, bank, token0, token1)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+/// One epoch's election at the paper's population: 2 000 registered
+/// miners, 2 000 tickets, 500 seats.
+fn bench_election(c: &mut Criterion) {
+    let cfg = SystemConfig::default();
+    let seed = H256::hash(b"epoch-seed");
+    let (miners, tickets): (Vec<_>, Vec<_>) = (0..cfg.miner_population as u64)
+        .map(|id| {
+            let sk = VrfSecretKey::from_entropy(H256::hash(&id.to_be_bytes()).0);
+            let (vrf_pk, stake) = (sk.public_key(), 100 + (id % 17) * 10);
+            let record = MinerRecord { id, vrf_pk, stake };
+            (record, draw_ticket(&sk, id, &seed, 1))
+        })
+        .unzip();
+    let mut group = c.benchmark_group("election");
+    group.sample_size(10);
+    group.bench_function("elect_2000_of_2000", |b| {
+        b.iter(|| {
+            let seats = cfg.committee_size;
+            black_box(elect_committee(&miners, &tickets, &seed, 1, seats)).expect("valid tickets")
+        })
+    });
+    group.finish();
+}
+
+/// One round of `paper_default` traffic (2 026 transactions).
+fn bench_generator(c: &mut Criterion) {
+    let mut generator = System::new(SystemConfig::default()).generator().clone();
+    let mut round = 0;
+    c.bench_function("generator/next_round_paper_default", |b| {
+        b.iter(|| {
+            round += 1;
+            black_box(generator.next_round(round))
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_processor_throughput,
     bench_processor_fragmented_liquidity,
     bench_pbft,
-    bench_small_system
+    bench_small_system,
+    bench_deposit_chain,
+    bench_election,
+    bench_generator
 );
 criterion_main!(benches);

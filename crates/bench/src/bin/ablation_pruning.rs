@@ -1,7 +1,7 @@
 //! Ablation: how much of ammBoost's state-growth control comes from
 //! meta-block pruning (block suppression)? Runs the default workload with
 //! pruning enabled vs disabled and compares sidechain growth — the
-//! DESIGN.md §6 ablation.
+//! ablation behind the README's "State growth control" section.
 
 use ammboost_bench::{fmt_bytes, header, line};
 use ammboost_core::config::SystemConfig;

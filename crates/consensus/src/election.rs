@@ -97,37 +97,33 @@ pub fn verify_ticket(record: &MinerRecord, seed: &H256, proof: &ElectionProof) -
             .unwrap_or(false)
 }
 
-/// Stake-weighted priority: lower is better. Computed as
-/// `output / stake` over the first 16 bytes of the VRF output, compared
-/// in integers (ties broken by the raw output, then the miner id).
-fn priority_cmp(
-    a: &ElectionProof,
-    a_stake: u64,
-    b: &ElectionProof,
-    b_stake: u64,
-) -> std::cmp::Ordering {
-    let av = u128::from_be_bytes(a.output.0[..16].try_into().expect("16 bytes"));
-    let bv = u128::from_be_bytes(b.output.0[..16].try_into().expect("16 bytes"));
-    let a_pri = av / a_stake.max(1) as u128;
-    let b_pri = bv / b_stake.max(1) as u128;
-    a_pri
-        .cmp(&b_pri)
-        .then(av.cmp(&bv))
-        .then(a.miner.cmp(&b.miner))
+/// Stake-weighted priority key: lower is better. `output / stake` over
+/// the first 16 bytes of the VRF output, compared in integers (ties
+/// broken by the raw output, then the miner id).
+fn priority(ticket: &ElectionProof, stake: u64) -> (u128, u128, u64) {
+    let draw = u128::from_be_bytes(ticket.output.0[..16].try_into().expect("16 bytes"));
+    (draw / stake.max(1) as u128, draw, ticket.miner)
 }
 
-/// Errors from committee election.
+/// Why an election was refused. Every ticket is checked before any seat
+/// is assigned, so an error names the first offending ticket in
+/// submission order and no committee is formed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElectionError {
-    /// Fewer registered miners than seats.
+    /// Fewer tickets than seats.
     NotEnoughMiners {
-        /// Registered miners.
+        /// Tickets submitted.
         have: usize,
         /// Seats needed.
         need: usize,
     },
-    /// A ticket failed verification.
+    /// The ticket of this miner failed verification: unregistered miner,
+    /// wrong epoch, or a VRF proof that does not verify against the
+    /// registered key and the claimed output.
     BadTicket(u64),
+    /// This miner submitted more than one ticket; a second (valid) copy
+    /// would otherwise take a second seat.
+    DuplicateTicket(u64),
 }
 
 impl std::fmt::Display for ElectionError {
@@ -137,6 +133,7 @@ impl std::fmt::Display for ElectionError {
                 write!(f, "only {have} miners for {need} seats")
             }
             ElectionError::BadTicket(m) => write!(f, "invalid election ticket from miner {m}"),
+            ElectionError::DuplicateTicket(m) => write!(f, "miner {m} submitted two tickets"),
         }
     }
 }
@@ -148,7 +145,8 @@ impl std::error::Error for ElectionError {}
 /// paper's §III API).
 ///
 /// # Errors
-/// Fails when a ticket does not verify or too few miners registered.
+/// Fails when a ticket does not verify, a miner submits two tickets, or
+/// too few tickets were submitted.
 pub fn elect_committee(
     miners: &[MinerRecord],
     tickets: &[ElectionProof],
@@ -162,30 +160,32 @@ pub fn elect_committee(
             need: committee_size,
         });
     }
-    let stake_of = |id: u64| -> Option<u64> { miners.iter().find(|m| m.id == id).map(|m| m.stake) };
+    // id → record index, built once; of records sharing an id the first
+    // is the registered one
+    let mut by_id: Vec<(u64, usize)> = miners.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
+    by_id.sort_unstable();
+    by_id.dedup_by_key(|(id, _)| *id);
+    let mut drew = vec![false; miners.len()];
+    let mut ranked = Vec::with_capacity(tickets.len());
     for t in tickets {
-        let rec = miners
-            .iter()
-            .find(|m| m.id == t.miner)
-            .ok_or(ElectionError::BadTicket(t.miner))?;
-        if t.epoch != epoch || !verify_ticket(rec, seed, t) {
+        let at = by_id
+            .binary_search_by_key(&t.miner, |(id, _)| *id)
+            .map_err(|_| ElectionError::BadTicket(t.miner))?;
+        let (_, record) = by_id[at];
+        if t.epoch != epoch || !verify_ticket(&miners[record], seed, t) {
             return Err(ElectionError::BadTicket(t.miner));
         }
+        if std::mem::replace(&mut drew[record], true) {
+            return Err(ElectionError::DuplicateTicket(t.miner));
+        }
+        ranked.push((priority(t, miners[record].stake), t));
     }
-    let mut ranked: Vec<&ElectionProof> = tickets.iter().collect();
-    ranked.sort_by(|a, b| {
-        priority_cmp(
-            a,
-            stake_of(a.miner).unwrap_or(1),
-            b,
-            stake_of(b.miner).unwrap_or(1),
-        )
-    });
+    ranked.sort_unstable_by_key(|(priority, _)| *priority);
     let seated = &ranked[..committee_size];
     Ok(Committee {
         epoch,
-        members: seated.iter().map(|t| t.miner).collect(),
-        proofs: seated.iter().map(|&t| t.clone()).collect(),
+        members: seated.iter().map(|(_, t)| t.miner).collect(),
+        proofs: seated.iter().map(|(_, t)| (*t).clone()).collect(),
     })
 }
 
@@ -304,6 +304,96 @@ mod tests {
             }
         }
         assert!(wins >= 18, "whale won only {wins}/20 elections");
+    }
+
+    /// The election this one replaced: a linear `find` per ticket and per
+    /// comparison, no duplicate check.
+    fn find_based_election(
+        registered: &[MinerRecord],
+        tickets: &[ElectionProof],
+        seed: &H256,
+        epoch: u64,
+        committee_size: usize,
+    ) -> Result<Vec<u64>, ElectionError> {
+        let stake_of = |id: u64| {
+            registered
+                .iter()
+                .find(|m| m.id == id)
+                .map_or(1, |m| m.stake)
+        };
+        for t in tickets {
+            let rec = registered
+                .iter()
+                .find(|m| m.id == t.miner)
+                .ok_or(ElectionError::BadTicket(t.miner))?;
+            if t.epoch != epoch || !verify_ticket(rec, seed, t) {
+                return Err(ElectionError::BadTicket(t.miner));
+            }
+        }
+        let mut ranked: Vec<&ElectionProof> = tickets.iter().collect();
+        ranked.sort_by_key(|t| priority(t, stake_of(t.miner)));
+        Ok(ranked[..committee_size].iter().map(|t| t.miner).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn index_based_election_matches_the_find_based_one(
+            ids in proptest::collection::btree_set(0u64..1_000, 4..40),
+            stake_salt in proptest::prelude::any::<u64>(),
+            shuffle_salt in proptest::prelude::any::<u64>(),
+            seats in 1usize..4,
+            // 0: clean, 1: ticket from an unregistered miner, 2: a
+            // second record reusing a registered id
+            variant in 0u8..3,
+        ) {
+            // registration order and ticket order both differ from id order
+            let mut ids: Vec<u64> = ids.into_iter().collect();
+            ids.sort_by_key(|id| keccak256(&(id ^ shuffle_salt).to_be_bytes()));
+            let (mut recs, mut sks): (Vec<_>, Vec<_>) = ids
+                .iter()
+                .map(|&id| miner(id, 1 + (id ^ stake_salt) % 5 * 100))
+                .unzip();
+            let seed = H256::hash(&shuffle_salt.to_be_bytes());
+            let mut t = tickets(&recs, &sks, &seed, 3);
+            t.reverse();
+            match variant {
+                1 => {
+                    let (stranger, sk) = miner(5_000, 100);
+                    t.insert(t.len() / 2, draw_ticket(&sk, stranger.id, &seed, 3));
+                }
+                2 => {
+                    // `find` saw only the first record of an id, so the
+                    // impostor's key must not verify the real ticket
+                    let (mut impostor, sk) = miner(6_000, 900);
+                    impostor.id = recs[0].id;
+                    recs.push(impostor);
+                    sks.push(sk);
+                }
+                _ => {}
+            }
+            let got = elect_committee(&recs, &t, &seed, 3, seats).map(|c| c.members);
+            let want = find_based_election(&recs, &t, &seed, 3, seats);
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(got.is_err(), variant == 1);
+            if variant == 1 {
+                proptest::prop_assert_eq!(got, Err(ElectionError::BadTicket(5_000)));
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_ticket_takes_no_second_seat() {
+        let (recs, sks) = setup(6);
+        let seed = H256::hash(b"epoch-seed");
+        let mut t = tickets(&recs, &sks, &seed, 1);
+        let clean = elect_committee(&recs, &t, &seed, 1, 5).unwrap();
+        // a seated miner re-submits its (valid) ticket
+        t.push(t[clean.members[0] as usize].clone());
+        assert_eq!(
+            elect_committee(&recs, &t, &seed, 1, 5).unwrap_err(),
+            ElectionError::DuplicateTicket(clean.members[0])
+        );
     }
 
     #[test]

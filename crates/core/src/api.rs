@@ -1,8 +1,8 @@
 //! The paper's §III framework API, made concrete: thin, documented entry
 //! points named exactly as the functionality list (`SystemSetup`,
 //! `PartySetup`, `CreateTx`, `VerifyTx`, `VerifyBlock`, `UpdateState`,
-//! `Elect`, `Prune`), mapped onto the workspace components (see
-//! `DESIGN.md` §3 for the full table).
+//! `Elect`, `Prune`), mapped onto the workspace components (the
+//! README's "Workspace layout" table lists them).
 
 use crate::processor::EpochProcessor;
 use crate::txenv::{self, SignedTx, TxError};

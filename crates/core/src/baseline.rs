@@ -328,7 +328,7 @@ impl BaselineRunner {
         let op_id = self.chain.submit(
             arrival,
             TxSpec {
-                label: format!("{kind:?}").to_lowercase(),
+                label: kind.name().into(),
                 gas,
                 size_bytes: receipt.size_bytes,
                 depends_on: dep,

@@ -19,7 +19,7 @@
 use crate::processor::EpochProcessor;
 use crate::shard::ShardMap;
 use ammboost_amm::types::{PoolId, PositionId};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, DigestMap};
 use ammboost_sidechain::block::SummaryBlock;
 use ammboost_sidechain::ledger::Ledger;
 use ammboost_sidechain::summary::Deposits;
@@ -283,8 +283,7 @@ pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError
     // split the global deposits section across shards by each meta's
     // user list; every listed user must exist and no entry may be left
     // unclaimed — anything else marks an internally inconsistent snapshot
-    let mut unclaimed: std::collections::HashMap<Address, (u128, u128)> =
-        restored.deposits.to_sorted_entries().into_iter().collect();
+    let mut unclaimed: DigestMap<Address, (u128, u128)> = restored.deposits.into_iter().collect();
     let mut processors = Vec::with_capacity(metas.len());
     for meta in metas {
         let pool = pools

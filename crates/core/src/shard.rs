@@ -43,14 +43,13 @@ use ammboost_amm::engines::{Engine, EngineKind};
 use ammboost_amm::pool::TickSearch;
 use ammboost_amm::tx::{AmmTx, RouteTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, DigestMap};
 use ammboost_sidechain::block::{ExecutedTx, RouteLeg, TxEffect};
 use ammboost_sidechain::summary::{
     Deposits, NettingLedger, PayoutEntry, PoolUpdate, PositionEntry,
 };
 use ammboost_sim::{FaultInjector, FaultKind, InjectionPoint};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -112,7 +111,7 @@ pub struct ShardMap {
     /// shard). Built when deposits are routed at epoch start, rebuilt
     /// from the per-shard deposit ledgers on restore. Routes reserve
     /// their input and receive their netted credit here.
-    home: HashMap<Address, usize>,
+    home: DigestMap<Address, usize>,
     /// Per-epoch netting ledger: every routed flow folded this epoch.
     /// Diagnostic/reporting state, reset at epoch start — the consensus
     /// state it summarizes lives entirely in pools and deposits.
@@ -194,7 +193,7 @@ impl ShardMap {
         let view_cache = vec![None; shards.len()];
         ShardMap {
             shards,
-            home: HashMap::new(),
+            home: DigestMap::default(),
             netting: NettingLedger::new(),
             view_cache,
             chaos: None,
@@ -218,11 +217,9 @@ impl ShardMap {
                 .all(|w| w[0].pool_id() < w[1].pool_id()),
             "duplicate pool ids in shard map"
         );
-        let mut home = HashMap::new();
+        let mut home = DigestMap::default();
         for (idx, shard) in processors.iter().enumerate() {
-            for (user, _) in shard.deposits().to_sorted_entries() {
-                home.insert(user, idx);
-            }
+            home.extend(shard.deposits().iter().map(|(user, _)| (user, idx)));
         }
         let view_cache = vec![None; processors.len()];
         ShardMap {
@@ -379,11 +376,18 @@ impl ShardMap {
     /// merge exact.
     pub fn begin_epoch(
         &mut self,
-        snapshot: HashMap<Address, (u128, u128)>,
+        snapshot: impl IntoIterator<Item = (Address, (u128, u128))>,
         route: impl Fn(&Address) -> Option<PoolId>,
     ) {
-        let mut per_shard: Vec<Vec<(Address, (u128, u128))>> = vec![Vec::new(); self.shards.len()];
+        let snapshot = snapshot.into_iter();
+        let users = snapshot.size_hint().0;
+        // an even split is the usual case; a skewed route grows the rest
+        let share = users.div_ceil(self.shards.len());
+        let mut per_shard: Vec<DepositEntries> = (0..self.shards.len())
+            .map(|_| Vec::with_capacity(share))
+            .collect();
         self.home.clear();
+        self.home.reserve(users);
         for (user, balance) in snapshot {
             let idx = route(&user)
                 .and_then(|pool| self.index_of(pool))
@@ -844,10 +848,10 @@ impl ShardMap {
     }
 
     /// One pass over every shard's deposit ledger: the per-shard sorted
-    /// entry lists (ascending by pool id) plus their global union —
-    /// the checkpoint's shard user lists and deposits section come from
-    /// the same computation, so the two can never disagree.
-    pub fn deposit_export(&self) -> (Vec<DepositEntries>, Deposits) {
+    /// entry lists (ascending by pool id) plus their global union, sorted
+    /// as well — the checkpoint's shard user lists and deposits section
+    /// come from the same computation, so the two can never disagree.
+    pub fn deposit_export(&self) -> (Vec<DepositEntries>, DepositEntries) {
         let mut per_shard = Vec::with_capacity(self.shards.len());
         let mut merged: DepositEntries = Vec::new();
         for shard in &self.shards {
@@ -855,14 +859,15 @@ impl ShardMap {
             merged.extend(entries.iter().copied());
             per_shard.push(entries);
         }
+        // a merge of sorted runs, which the stable sort detects
         merged.sort_by_key(|(user, _)| *user);
-        (per_shard, Deposits::from_sorted_entries(merged))
+        (per_shard, merged)
     }
 
     /// The union of all shards' deposit ledgers (user sets are disjoint
     /// by routing), for the snapshot's global deposits section.
     pub fn merged_deposits(&self) -> Deposits {
-        self.deposit_export().1
+        Deposits::from_sorted_entries(self.deposit_export().1)
     }
 
     /// Exports every shard's persistent state, ascending by pool id.
@@ -885,6 +890,7 @@ impl ShardMap {
 mod tests {
     use super::*;
     use ammboost_amm::tx::{SwapIntent, SwapTx};
+    use std::collections::HashMap;
 
     fn user(i: u64) -> Address {
         Address::from_index(i)
@@ -1282,10 +1288,7 @@ mod tests {
         );
         shards.seed_liquidity(PoolId(1), user(901), -600, 600, 2_000, 2_000);
         let deposit = 1_000_000_000u128;
-        shards.begin_epoch(
-            [(user(0), (deposit, deposit))].into_iter().collect(),
-            |_| Some(PoolId(0)),
-        );
+        shards.begin_epoch([(user(0), (deposit, deposit))], |_| Some(PoolId(0)));
         let pool_before: Vec<(u128, u128)> = [0u32, 1]
             .iter()
             .map(|&p| {

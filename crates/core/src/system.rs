@@ -7,7 +7,8 @@
 //! a [`SystemReport`] with the metrics of §VI-A: throughput, sidechain
 //! transaction latency, payout latency, gas, and main/side chain growth.
 //!
-//! ## Scale note (see `DESIGN.md`)
+//! ## Scale note (see the README, "Sync authentication", for what else is
+//! substituted)
 //! Committee *latency* is modelled at the configured committee size
 //! (e.g. 500) via the Table-XII-calibrated [`AgreementModel`], while the
 //! threshold cryptography (DKG + TSQC) executes for real on a reduced

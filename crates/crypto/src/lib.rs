@@ -6,7 +6,8 @@
 //! - [`u256`] — 256/512-bit integers (also the basis of the AMM fixed-point
 //!   math in `ammboost-amm`).
 //! - [`keccak`] — spec-conformant Keccak-256 (Ethereum variant).
-//! - [`types`] — [`H256`](types::H256) digests and [`Address`](types::Address)es.
+//! - [`types`] — [`H256`](types::H256) digests, [`Address`](types::Address)es
+//!   and the seeded [`DigestMap`](types::DigestMap) keyed by them.
 //! - [`field`] — the BN254 scalar field `F_r`.
 //! - [`group`] — a bilinear-group abstraction with a transparent backend
 //!   (see the module docs and the README's "Sync authentication" section
@@ -52,5 +53,5 @@ pub mod u256;
 pub mod vrf;
 
 pub use field::Fr;
-pub use types::{Address, H256};
+pub use types::{Address, DigestMap, DigestState, H256};
 pub use u256::{U256, U512};

@@ -1,10 +1,14 @@
 //! Common hash-sized value types shared across the workspace: [`H256`]
 //! digests and 20-byte [`Address`]es (derived, Ethereum-style, from the
-//! Keccak-256 hash of a public key).
+//! Keccak-256 hash of a public key), plus [`DigestMap`], the hash map
+//! every ledger keyed by such an identity uses.
 
 use crate::keccak::keccak256;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// A 256-bit hash value (block ids, transaction ids, Merkle roots).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
@@ -118,6 +122,91 @@ impl AsRef<[u8]> for Address {
     }
 }
 
+/// A hash map keyed by a Keccak-derived identity ([`Address`], an
+/// `(Address, Address)` pair, a position id): std's `HashMap` over
+/// [`DigestState`] instead of SipHash. The keys are already uniform
+/// digests, so one multiply-fold per 8-byte word spreads them as well as
+/// SipHash does at a fraction of the cost — but whoever picks a key can
+/// grind it, so the fold is *seeded*: a collision set has to be found
+/// against a value the process draws at start-up and never reveals. (The
+/// AMM engine's `fast_hash` is unseeded because its keys are tick and
+/// word indices the engine derives itself.) Iteration order is as
+/// unspecified as a std map's; sort before anything observable.
+///
+/// Built with `DigestMap::default()` or `collect()` — `HashMap::new`
+/// exists for `RandomState` only.
+pub type DigestMap<K, V> = std::collections::HashMap<K, V, DigestState>;
+
+/// The [`DigestMap`] hasher factory. `default()` hands every map the
+/// process-wide seed, drawn once from std's `RandomState`.
+#[derive(Clone, Copy, Debug)]
+pub struct DigestState {
+    seed: u64,
+}
+
+impl DigestState {
+    /// A factory with an explicit seed, for tests.
+    pub const fn with_seed(seed: u64) -> DigestState {
+        DigestState { seed }
+    }
+}
+
+impl Default for DigestState {
+    fn default() -> DigestState {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        let seed = *SEED.get_or_init(|| RandomState::new().build_hasher().finish());
+        DigestState { seed }
+    }
+}
+
+impl BuildHasher for DigestState {
+    type Hasher = DigestHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> DigestHasher {
+        DigestHasher { state: self.seed }
+    }
+}
+
+/// The [`DigestMap`] hasher: the seed is the initial state, every 8-byte
+/// word written costs one fold. Both ends of the result see the whole key
+/// — hashbrown takes its control byte from the top 7 bits and its bucket
+/// index from the low ones.
+#[derive(Clone, Copy, Debug)]
+pub struct DigestHasher {
+    state: u64,
+}
+
+impl Hasher for DigestHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(last));
+        }
+    }
+
+    /// The fold: a 64×64→128-bit multiply by the golden-ratio constant of
+    /// Fibonacci hashing with the two halves xored together, so the high
+    /// input bits reach the low output bits and vice versa.
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let wide = u128::from(self.state ^ word) * 0x9E37_79B9_7F4A_7C15;
+        self.state = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
 /// Encodes bytes as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
@@ -186,5 +275,99 @@ mod tests {
     #[test]
     fn hash_concat_matches() {
         assert_eq!(H256::hash_concat(&[b"ab", b"c"]), H256::hash(b"abc"));
+    }
+
+    #[test]
+    fn default_digest_maps_share_the_process_seed() {
+        let (a, b) = (DigestState::default(), DigestState::default());
+        let key = Address::from_index(9);
+        assert_eq!(a.hash_one(key), b.hash_one(key));
+        assert_ne!(
+            DigestState::with_seed(1).hash_one(key),
+            DigestState::with_seed(2).hash_one(key)
+        );
+    }
+
+    /// Pearson's χ² of `counts` against the uniform distribution.
+    fn chi_square(counts: &[u32], samples: usize) -> f64 {
+        let expected = samples as f64 / counts.len() as f64;
+        let deviation = |&c: &u32| (f64::from(c) - expected).powi(2) / expected;
+        counts.iter().map(deviation).sum()
+    }
+
+    #[test]
+    fn digest_hash_spreads_addresses_at_both_ends() {
+        // hashbrown takes its control byte from the top 7 bits and its
+        // bucket from the low bits: both must look uniform. χ² over k
+        // buckets has mean k - 1 and deviation √(2(k - 1)); allow 5σ.
+        const KEYS: usize = 100_000;
+        let keys: Vec<Address> = (0..KEYS as u64).map(Address::from_index).collect();
+        for seed in [0, 1, 0xDEAD_BEEF, u64::MAX] {
+            let state = DigestState::with_seed(seed);
+            let mut top7 = vec![0u32; 1 << 7];
+            let mut low16 = vec![0u32; 1 << 16];
+            for key in &keys {
+                let h = state.hash_one(key);
+                top7[(h >> 57) as usize] += 1;
+                low16[(h & 0xFFFF) as usize] += 1;
+            }
+            for counts in [&top7, &low16] {
+                let dof = (counts.len() - 1) as f64;
+                let chi = chi_square(counts, KEYS);
+                let sigmas = (chi - dof) / (2.0 * dof).sqrt();
+                assert!(
+                    sigmas.abs() < 5.0,
+                    "seed {seed:#x}, {} buckets: χ² {chi:.0} is {sigmas:.1}σ off",
+                    counts.len()
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn digest_map_agrees_with_a_std_map(
+            ops in proptest::collection::vec((0u8..4, 0u64..48, any::<u32>()), 0..400),
+            seeds in (any::<u64>(), any::<u64>()),
+        ) {
+            let mut oracle = std::collections::HashMap::new();
+            let mut maps = [seeds.0, seeds.1, seeds.0.wrapping_add(1)]
+                .map(|seed| DigestMap::with_hasher(DigestState::with_seed(seed)));
+            for (op, key, value) in ops {
+                let key = (Address::from_index(key), Address::from_index(key / 7));
+                for map in &mut maps {
+                    match op {
+                        0 => prop_assert_eq!(map.insert(key, value), oracle.get(&key).copied()),
+                        1 => prop_assert_eq!(map.remove(&key), oracle.get(&key).copied()),
+                        2 => {
+                            let slot = map.entry(key).or_insert(7);
+                            *slot = slot.wrapping_add(value);
+                        }
+                        _ => prop_assert_eq!(map.get(&key), oracle.get(&key)),
+                    }
+                }
+                match op {
+                    0 => drop(oracle.insert(key, value)),
+                    1 => drop(oracle.remove(&key)),
+                    2 => {
+                        let slot = oracle.entry(key).or_insert(7);
+                        *slot = slot.wrapping_add(value);
+                    }
+                    _ => {}
+                }
+            }
+            // whatever the seed — and so whatever the iteration order —
+            // the sorted export is the same
+            let mut want: Vec<_> = oracle.into_iter().collect();
+            want.sort_unstable();
+            for map in maps {
+                let mut got: Vec<_> = map.into_iter().collect();
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

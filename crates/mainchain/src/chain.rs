@@ -11,7 +11,7 @@
 use ammboost_sim::metrics::GrowthSeries;
 use ammboost_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Chain parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -31,15 +31,24 @@ impl Default for ChainConfig {
     }
 }
 
-/// Identifies a submitted transaction.
+/// Identifies a submitted transaction: its position in submission order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TxId(pub u64);
+
+impl TxId {
+    /// Index into the chain's dense transaction log.
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// What a transaction costs the chain; produced by the contract layer.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TxSpec {
     /// Human-readable operation label (`"sync"`, `"deposit"`, `"swap"`, …).
-    pub label: String,
+    /// A literal (`"sync".into()`) is borrowed and allocates nothing; a
+    /// computed `String` converts with `.into()` as well.
+    pub label: Cow<'static, str>,
     /// Gas charged.
     pub gas: u64,
     /// Serialized transaction size in bytes (chain growth).
@@ -84,11 +93,12 @@ pub struct Block {
 pub struct Mainchain {
     /// Chain parameters.
     pub config: ChainConfig,
-    next_tx_id: u64,
     next_block_at: SimTime,
     height: u64,
     pending: Vec<TxId>,
-    txs: HashMap<TxId, TxRecord>,
+    /// Every submitted transaction; `submit` hands ids out densely, so
+    /// `TxId(i)` is entry `i`.
+    txs: Vec<TxRecord>,
     blocks: Vec<Block>,
     growth: GrowthSeries,
     total_gas: u64,
@@ -99,11 +109,10 @@ impl Mainchain {
     pub fn new(config: ChainConfig) -> Mainchain {
         Mainchain {
             config,
-            next_tx_id: 0,
             next_block_at: SimTime::ZERO + config.block_interval,
             height: 0,
             pending: Vec::new(),
-            txs: HashMap::new(),
+            txs: Vec::new(),
             blocks: Vec::new(),
             growth: GrowthSeries::new(),
             total_gas: 0,
@@ -142,15 +151,16 @@ impl Mainchain {
 
     /// Looks up a transaction record.
     pub fn tx(&self, id: TxId) -> Option<&TxRecord> {
-        self.txs.get(&id)
+        self.txs.get(usize::try_from(id.0).ok()?)
     }
 
     /// Submits a transaction at `at`; returns its id.
     ///
     /// # Panics
-    /// Panics if the transaction's gas exceeds the block gas limit — such
-    /// a transaction could never be mined and would silently stall the
-    /// caller.
+    /// Panics if the transaction's gas exceeds the block gas limit, or if
+    /// it depends on an id this chain never handed out — either way it
+    /// could never be mined and would silently stall the caller (and be
+    /// rescanned by every block).
     pub fn submit(&mut self, at: SimTime, spec: TxSpec) -> TxId {
         assert!(
             spec.gas <= self.config.gas_limit,
@@ -159,25 +169,28 @@ impl Mainchain {
             spec.gas,
             self.config.gas_limit
         );
-        let id = TxId(self.next_tx_id);
-        self.next_tx_id += 1;
-        self.txs.insert(
+        let id = TxId(self.txs.len() as u64);
+        if let Some(dep) = spec.depends_on {
+            assert!(
+                dep.0 < id.0,
+                "transaction `{}` depends on {dep:?}, which was never submitted",
+                spec.label
+            );
+        }
+        self.txs.push(TxRecord {
             id,
-            TxRecord {
-                id,
-                spec,
-                submitted_at: at,
-                included_in: None,
-                confirmed_at: None,
-            },
-        );
+            spec,
+            submitted_at: at,
+            included_in: None,
+            confirmed_at: None,
+        });
         self.pending.push(id);
         id
     }
 
     /// When a transaction was confirmed, if it was.
     pub fn confirmed_at(&self, id: TxId) -> Option<SimTime> {
-        self.txs.get(&id).and_then(|r| r.confirmed_at)
+        self.tx(id).and_then(|r| r.confirmed_at)
     }
 
     /// Mines all blocks due up to and including time `t`.
@@ -197,18 +210,15 @@ impl Mainchain {
         let mut still_pending = Vec::new();
 
         for id in std::mem::take(&mut self.pending) {
-            let rec = &self.txs[&id];
+            let rec = &self.txs[id.index()];
             // only txs submitted strictly before the block's timestamp
             let eligible_time = rec.submitted_at < at;
-            let dep_ok = match rec.spec.depends_on {
-                None => true,
-                Some(dep) => self
-                    .txs
-                    .get(&dep)
-                    .and_then(|d| d.included_in)
-                    .map(|h| h < height)
-                    .unwrap_or(false),
-            };
+            // `submit` checked that the dependency exists
+            let dep_ok = rec.spec.depends_on.is_none_or(|dep| {
+                self.txs[dep.index()]
+                    .included_in
+                    .is_some_and(|h| h < height)
+            });
             let fits = gas_used + rec.spec.gas <= self.config.gas_limit;
             if eligible_time && dep_ok && fits {
                 gas_used += rec.spec.gas;
@@ -221,7 +231,7 @@ impl Mainchain {
         self.pending = still_pending;
 
         for id in &included {
-            let rec = self.txs.get_mut(id).expect("included tx exists");
+            let rec = &mut self.txs[id.index()];
             rec.included_in = Some(height);
             rec.confirmed_at = Some(at);
             self.total_gas += rec.spec.gas;
@@ -258,7 +268,7 @@ impl Mainchain {
             self.growth.remove(block.bytes);
             self.height -= 1;
             for id in block.txs.iter().rev() {
-                let rec = self.txs.get_mut(id).expect("tx exists");
+                let rec = &mut self.txs[id.index()];
                 rec.included_in = None;
                 rec.confirmed_at = None;
                 self.total_gas -= rec.spec.gas;
@@ -278,9 +288,9 @@ impl Mainchain {
 mod tests {
     use super::*;
 
-    fn spec(label: &str, gas: u64) -> TxSpec {
+    fn spec(label: &'static str, gas: u64) -> TxSpec {
         TxSpec {
-            label: label.to_string(),
+            label: label.into(),
             gas,
             size_bytes: 100,
             depends_on: None,
@@ -346,6 +356,32 @@ mod tests {
         );
         chain.advance_to(SimTime::from_secs(24));
         assert_eq!(chain.confirmed_at(deposit), Some(SimTime::from_secs(24)));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "transaction `deposit` depends on TxId(1), which was never submitted"
+    )]
+    fn dependency_on_an_unsubmitted_tx_panics() {
+        let mut chain = Mainchain::new(ChainConfig::default());
+        let approve = chain.submit(SimTime::from_secs(1), spec("approve", 50_000));
+        assert_eq!(approve, TxId(0));
+        let mut dep = spec("deposit", 100_000);
+        dep.depends_on = Some(TxId(1)); // the id this very submission gets
+        chain.submit(SimTime::from_secs(1), dep);
+    }
+
+    #[test]
+    fn unknown_ids_are_none() {
+        let mut chain = Mainchain::new(ChainConfig::default());
+        let a = chain.submit(SimTime::from_secs(1), spec("a", 10));
+        chain.advance_to(SimTime::from_secs(12));
+        assert_eq!(chain.tx(a).map(|r| r.id), Some(a));
+        for unknown in [TxId(1), TxId(u64::MAX)] {
+            assert!(chain.tx(unknown).is_none());
+            assert!(chain.confirmed_at(unknown).is_none());
+            assert!(!chain.censor_pending(unknown));
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! the paper's single-pool experiments is two instances of this contract.
 
 use crate::gas::{self, GasMeter};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, DigestMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Errors from ERC20 operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +30,8 @@ impl std::error::Error for Erc20Error {}
 pub struct Erc20 {
     /// Token symbol (for display only).
     pub symbol: String,
-    balances: HashMap<Address, u128>,
-    allowances: HashMap<(Address, Address), u128>,
+    balances: DigestMap<Address, u128>,
+    allowances: DigestMap<(Address, Address), u128>,
     total_supply: u128,
 }
 

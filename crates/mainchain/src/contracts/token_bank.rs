@@ -20,7 +20,7 @@ use crate::gas::{self, GasMeter};
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::bls::PublicKey;
 use ammboost_crypto::tsqc::QuorumCertificate;
-use ammboost_crypto::{Address, H256};
+use ammboost_crypto::{Address, DigestMap, H256};
 use ammboost_sidechain::summary::{PayoutEntry, PoolUpdate, PositionEntry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -240,6 +240,9 @@ impl From<Erc20Error> for TokenBankError {
     }
 }
 
+/// One epoch's deposit bucket: user → `(token0, token1)` locked for it.
+pub type DepositBucket = DigestMap<Address, (u128, u128)>;
+
 /// Receipt of a successful `Sync`, carrying the itemized gas meter.
 #[derive(Clone, Debug)]
 pub struct SyncReceipt {
@@ -267,8 +270,8 @@ pub struct TokenBank {
     /// next epoch* (paper Fig. 3), so each epoch's backing is its own
     /// bucket; that epoch's sync pays out the users whose balance moved
     /// and rolls the rest over into the next bucket.
-    deposits: HashMap<u64, HashMap<Address, (u128, u128)>>,
-    positions: HashMap<PositionId, StoredPosition>,
+    deposits: HashMap<u64, DepositBucket>,
+    positions: DigestMap<PositionId, StoredPosition>,
     pools: HashMap<PoolId, (u128, u128)>,
     flash_fee_pips: u32,
 }
@@ -282,7 +285,7 @@ impl TokenBank {
             vk_current: Some(genesis_vk),
             vk_registered_before: false,
             deposits: HashMap::new(),
-            positions: HashMap::new(),
+            positions: DigestMap::default(),
             pools: HashMap::new(),
             flash_fee_pips: 3000,
         }
@@ -315,12 +318,12 @@ impl TokenBank {
 
     /// Snapshot of the deposits backing `epoch` — the sidechain's
     /// `SnapshotBank` call at the start of an epoch (paper §V).
-    pub fn snapshot_deposits(&self, epoch: u64) -> HashMap<Address, (u128, u128)> {
+    pub fn snapshot_deposits(&self, epoch: u64) -> DepositBucket {
         self.deposits.get(&epoch).cloned().unwrap_or_default()
     }
 
     /// Snapshot of all stored positions.
-    pub fn snapshot_positions(&self) -> HashMap<PositionId, StoredPosition> {
+    pub fn snapshot_positions(&self) -> DigestMap<PositionId, StoredPosition> {
         self.positions.clone()
     }
 
@@ -457,7 +460,7 @@ impl TokenBank {
                 .into_iter()
                 .partition(|(e, _)| *e <= input.epoch);
         self.deposits = later;
-        let mut covered = HashMap::new();
+        let mut covered = DepositBucket::default();
         for bucket in covered_buckets.into_values() {
             merge_bucket(&mut covered, bucket);
         }
@@ -517,7 +520,7 @@ impl TokenBank {
     fn apply_payout(
         &self,
         p: &PayoutEntry,
-        covered: &mut HashMap<Address, (u128, u128)>,
+        covered: &mut DepositBucket,
         token0: &mut Erc20,
         token1: &mut Erc20,
         meter: &mut GasMeter,
@@ -662,7 +665,7 @@ impl TokenBank {
 }
 
 /// Adds `from`'s deposits onto `into`'s (a move when `into` is empty).
-fn merge_bucket(into: &mut HashMap<Address, (u128, u128)>, from: HashMap<Address, (u128, u128)>) {
+fn merge_bucket(into: &mut DepositBucket, from: DepositBucket) {
     if into.is_empty() {
         *into = from;
         return;
@@ -954,7 +957,10 @@ mod tests {
             assert_eq!(w.bank.deposit_of(&a(user), 1), (0, 0));
             assert_eq!(w.bank.deposit_of(&a(user), 2), (0, 0));
         }
-        assert_eq!(w.bank.snapshot_deposits(3), [(a(2), (200, 200))].into());
+        assert_eq!(
+            w.bank.snapshot_deposits(3),
+            [(a(2), (200, 200))].into_iter().collect()
+        );
         assert_eq!(w.token0.balance_of(&a(1)), 1_000_000 - 100 + 7);
     }
 

@@ -65,19 +65,24 @@ pub fn intrinsic_cost(calldata_len: usize, zero_fraction: f64) -> u64 {
     TX_BASE + zeros * CALLDATA_ZERO_BYTE + nonzeros * CALLDATA_NONZERO_BYTE
 }
 
-/// A single labelled gas charge.
+/// The gas charged under one label.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GasItem {
-    /// What the charge was for (e.g. `"payout"`, `"pairing"`).
+    /// What the charges were for (e.g. `"payout"`, `"pairing"`).
     pub label: &'static str,
-    /// Gas units charged.
+    /// Gas units charged under the label so far.
     pub gas: u64,
 }
 
-/// A gas meter that remembers what every unit was spent on.
+/// A gas meter that remembers what every unit was spent on: a running
+/// total per label, so a 50 000-payout sync holds a dozen entries, not
+/// one per charge.
 #[derive(Clone, Debug, Default)]
 pub struct GasMeter {
     items: Vec<GasItem>,
+    /// Index of the entry charged last.
+    last: usize,
+    gross: u64,
     refund: u64,
 }
 
@@ -89,7 +94,18 @@ impl GasMeter {
 
     /// Charges `gas` under `label`.
     pub fn charge(&mut self, label: &'static str, gas: u64) {
-        self.items.push(GasItem { label, gas });
+        self.gross += gas;
+        // a loop charging one label passes the same `&'static str` each
+        // time: compare pointers with the last entry before searching
+        let charged_last = |item: &GasItem| std::ptr::eq(item.label, label);
+        if !self.items.get(self.last).is_some_and(charged_last) {
+            let found = self.items.iter().position(|i| i.label == label);
+            self.last = found.unwrap_or_else(|| {
+                self.items.push(GasItem { label, gas: 0 });
+                self.items.len() - 1
+            });
+        }
+        self.items[self.last].gas += gas;
     }
 
     /// Registers a storage-clear refund.
@@ -100,32 +116,33 @@ impl GasMeter {
     /// Total gas charged, after applying the EIP-3529 refund cap
     /// (refunds at most 1/5 of gas used).
     pub fn total(&self) -> u64 {
-        let gross: u64 = self.items.iter().map(|i| i.gas).sum();
-        gross - self.refund.min(gross / 5)
+        self.gross - self.refund.min(self.gross / 5)
     }
 
     /// Gross gas before refunds.
     pub fn gross(&self) -> u64 {
-        self.items.iter().map(|i| i.gas).sum()
+        self.gross
     }
 
     /// Sum of the charges carrying `label`.
     pub fn total_for(&self, label: &str) -> u64 {
         self.items
             .iter()
-            .filter(|i| i.label == label)
-            .map(|i| i.gas)
-            .sum()
+            .find(|i| i.label == label)
+            .map_or(0, |i| i.gas)
     }
 
-    /// All recorded items in charge order.
+    /// The itemization: one [`GasItem`] per label holding the label's
+    /// running total, in the order the labels were first charged.
     pub fn items(&self) -> &[GasItem] {
         &self.items
     }
 
-    /// Merges another meter's charges into this one.
+    /// Merges another meter's charges and refunds into this one.
     pub fn absorb(&mut self, other: GasMeter) {
-        self.items.extend(other.items);
+        for item in other.items {
+            self.charge(item.label, item.gas);
+        }
         self.refund += other.refund;
     }
 }
@@ -156,12 +173,18 @@ mod tests {
     fn meter_itemization() {
         let mut m = GasMeter::new();
         m.charge("storage", SSTORE_NEW_WORD);
-        m.charge("storage", SSTORE_NEW_WORD);
         m.charge("pairing", pairing_cost(2));
+        m.charge("storage", SSTORE_NEW_WORD);
         assert_eq!(m.total_for("storage"), 44_200);
         assert_eq!(m.total_for("pairing"), 113_000);
+        assert_eq!(m.total_for("never charged"), 0);
         assert_eq!(m.total(), 157_200);
-        assert_eq!(m.items().len(), 3);
+        // one item per label, in first-charge order
+        let item = |label, gas| GasItem { label, gas };
+        assert_eq!(
+            m.items(),
+            [item("storage", 44_200), item("pairing", 113_000)]
+        );
     }
 
     #[test]
@@ -177,9 +200,95 @@ mod tests {
     fn absorb_merges() {
         let mut a = GasMeter::new();
         a.charge("a", 10);
+        a.charge("b", 5);
         let mut b = GasMeter::new();
         b.charge("b", 20);
+        b.charge("c", 1);
+        b.add_refund(2);
         a.absorb(b);
-        assert_eq!(a.total(), 30);
+        assert_eq!(a.total(), 34);
+        assert_eq!(a.total_for("b"), 25);
+        let labels: Vec<_> = a.items().iter().map(|i| i.label).collect();
+        assert_eq!(labels, ["a", "b", "c"]);
+    }
+
+    /// The meter this one replaced: one entry per charge, every query a
+    /// scan.
+    #[derive(Default)]
+    struct PerChargeMeter {
+        charges: Vec<(&'static str, u64)>,
+        refund: u64,
+    }
+
+    impl PerChargeMeter {
+        fn gross(&self) -> u64 {
+            self.charges.iter().map(|(_, gas)| gas).sum()
+        }
+
+        fn total(&self) -> u64 {
+            self.gross() - self.refund.min(self.gross() / 5)
+        }
+
+        fn total_for(&self, label: &str) -> u64 {
+            let carrying = self.charges.iter().filter(|(l, _)| *l == label);
+            carrying.map(|(_, gas)| gas).sum()
+        }
+
+        fn absorb(&mut self, other: PerChargeMeter) {
+            self.charges.extend(other.charges);
+            self.refund += other.refund;
+        }
+    }
+
+    const LABELS: [&str; 6] = ["payout", "auth", "vkc", "position", "pool", "log"];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn per_label_totals_match_the_per_charge_list(
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 0u64..100_000), 0..200),
+        ) {
+            // two meter pairs: ops 0/1 charge and refund the main pair,
+            // op 2 charges the side pair, op 3 absorbs it into the main one
+            let (mut meter, mut oracle) = (GasMeter::new(), PerChargeMeter::default());
+            let (mut side, mut side_oracle) = (GasMeter::new(), PerChargeMeter::default());
+            for (op, label, gas) in ops {
+                // same text, different address: the search path must
+                // merge what the pointer check cannot
+                let label = if gas % 2 == 0 {
+                    LABELS[label]
+                } else {
+                    &*String::from(LABELS[label]).leak()
+                };
+                match op {
+                    0 => {
+                        meter.charge(label, gas);
+                        oracle.charges.push((label, gas));
+                    }
+                    1 => {
+                        meter.add_refund(gas);
+                        oracle.refund += gas;
+                    }
+                    2 => {
+                        side.charge(label, gas);
+                        side.add_refund(gas / 7);
+                        side_oracle.charges.push((label, gas));
+                        side_oracle.refund += gas / 7;
+                    }
+                    _ => {
+                        meter.absorb(std::mem::take(&mut side));
+                        oracle.absorb(std::mem::take(&mut side_oracle));
+                    }
+                }
+                prop_assert_eq!(meter.total(), oracle.total());
+                prop_assert_eq!(meter.gross(), oracle.gross());
+                for l in LABELS {
+                    prop_assert_eq!(meter.total_for(l), oracle.total_for(l));
+                }
+                prop_assert!(meter.items().len() <= LABELS.len());
+            }
+        }
     }
 }

@@ -120,6 +120,71 @@ proptest! {
     }
 
     #[test]
+    fn reorg_and_censorship_match_a_replay_at_scale(
+        censored in proptest::collection::btree_set(0usize..10_000, 1..40),
+        depth in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        // 10⁴ dependency-chained submissions (approve ← approve ← deposit
+        // shape), a deep reorg, then censorship of still-pending ones: the
+        // totals must equal a chain that never saw the censored
+        // transactions and never reorged
+        let cfg = ChainConfig { gas_limit: 3_000_000, ..ChainConfig::default() };
+        let spec_of = |i: usize, depends_on| TxSpec {
+            label: "op".into(),
+            gas: 20_000 + (seed.wrapping_mul(i as u64 + 1) % 90_000),
+            size_bytes: 68 + i % 64,
+            depends_on,
+        };
+        let mut chain = Mainchain::new(cfg);
+        let mut ids = Vec::with_capacity(10_000);
+        for i in 0..10_000 {
+            let dep = (i % 3 != 0).then(|| ids[i - 1]);
+            ids.push(chain.submit(SimTime::from_secs(1), spec_of(i, dep)));
+        }
+        chain.advance_to(SimTime::from_secs(12 * 40));
+        chain.reorg(depth);
+        // censor only what is pending now, together with everything that
+        // (transitively) depends on it — a dependent of a censored
+        // transaction can never be mined on either chain
+        let mut gone = vec![false; ids.len()];
+        for &i in &censored {
+            if chain.confirmed_at(ids[i]).is_none() {
+                gone[i] = true;
+            }
+        }
+        for i in 0..ids.len() {
+            if i % 3 != 0 && gone[i - 1] {
+                gone[i] = true;
+            }
+        }
+        for (i, id) in ids.iter().enumerate() {
+            if gone[i] {
+                prop_assert!(chain.censor_pending(*id));
+            }
+        }
+        chain.advance_to(SimTime::from_secs(12 * 4_000));
+        prop_assert_eq!(chain.mempool_len(), 0);
+
+        let mut replay = Mainchain::new(cfg);
+        let mut replay_ids: Vec<Option<_>> = Vec::with_capacity(ids.len());
+        for i in 0..ids.len() {
+            let id = (!gone[i]).then(|| {
+                let dep = (i % 3 != 0).then(|| replay_ids[i - 1].expect("dependency kept"));
+                replay.submit(SimTime::from_secs(1), spec_of(i, dep))
+            });
+            replay_ids.push(id);
+        }
+        replay.advance_to(SimTime::from_secs(12 * 4_000));
+        prop_assert_eq!(replay.mempool_len(), 0);
+        prop_assert_eq!(chain.total_gas(), replay.total_gas());
+        prop_assert_eq!(chain.growth_bytes(), replay.growth_bytes());
+        for (i, id) in ids.iter().enumerate() {
+            prop_assert_eq!(chain.confirmed_at(*id).is_some(), !gone[i]);
+        }
+    }
+
+    #[test]
     fn abi_encoding_is_always_word_aligned(
         words in proptest::collection::vec(any::<u64>(), 0..20),
         blob in proptest::collection::vec(any::<u8>(), 0..100),

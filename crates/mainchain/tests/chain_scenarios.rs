@@ -11,7 +11,7 @@ use ammboost_mainchain::contracts::{Erc20, PayoutEntry, PoolUpdate, TokenBank};
 use ammboost_mainchain::gas::GasMeter;
 use ammboost_sim::time::SimTime;
 
-fn spec(label: &str, gas: u64) -> TxSpec {
+fn spec(label: &'static str, gas: u64) -> TxSpec {
     TxSpec {
         label: label.into(),
         gas,

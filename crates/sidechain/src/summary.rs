@@ -10,10 +10,10 @@
 //! (paper §IV-B).
 
 use ammboost_amm::types::{PoolId, PositionId};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, DigestMap};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A payout entry: the user's final deposit balance for the epoch
 /// (deduction, accrual and leftover refund all netted).
@@ -274,7 +274,7 @@ impl Slot {
 /// built on it (snapshots, state roots) see balances only.
 #[derive(Clone, Debug, Default)]
 pub struct Deposits {
-    slots: HashMap<Address, Slot>,
+    slots: DigestMap<Address, Slot>,
     /// Every user written since the epoch opened, with the balance they
     /// opened it with.
     opening: Vec<(Address, (u128, u128))>,
@@ -392,13 +392,17 @@ impl Deposits {
         Ok(())
     }
 
+    /// Every entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (Address, (u128, u128))> + '_ {
+        self.slots.iter().map(|(a, s)| (*a, s.balance))
+    }
+
     /// The ledger's entries sorted by address — the deterministic export
     /// used by the snapshot codec. Restore with
     /// [`Deposits::from_sorted_entries`].
     pub fn to_sorted_entries(&self) -> Vec<(Address, (u128, u128))> {
-        let mut out: Vec<(Address, (u128, u128))> =
-            self.slots.iter().map(|(a, s)| (*a, s.balance)).collect();
-        out.sort_by_key(|(a, _)| *a);
+        let mut out: Vec<(Address, (u128, u128))> = self.iter().collect();
+        out.sort_unstable_by_key(|(a, _)| *a);
         out
     }
 
@@ -438,6 +442,7 @@ impl Deposits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn a(i: u64) -> Address {
         Address::from_index(i)

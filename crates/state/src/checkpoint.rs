@@ -25,7 +25,7 @@ use crate::snapshot::{
 };
 use ammboost_amm::engines::Engine;
 use ammboost_amm::types::PoolId;
-use ammboost_crypto::H256;
+use ammboost_crypto::{Address, H256};
 use ammboost_sidechain::ledger::Ledger;
 use ammboost_sidechain::summary::Deposits;
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,7 +265,8 @@ impl Checkpointer {
         deposits: &Deposits,
         aux: Vec<(u8, Vec<u8>)>,
     ) -> CheckpointOutput {
-        let output = self.stage(epoch, pools, ledger, deposits, aux).commit();
+        let deposits = deposits.to_sorted_entries();
+        let output = self.stage(epoch, pools, ledger, &deposits, aux).commit();
         self.note_committed(output.stats.epoch, output.stats.root);
         output
     }
@@ -276,14 +277,19 @@ impl Checkpointer {
     /// performs **no hashing**. The returned [`StagedCheckpoint`] owns
     /// its sections, so its `commit` — the Merkle work — can be deferred
     /// or moved to another thread while the live state moves on.
+    ///
+    /// `deposits` is the deposit ledger's sorted export
+    /// ([`Deposits::to_sorted_entries`], or the merge of several): the
+    /// section's canonical encoding is ascending by address.
     pub fn stage(
         &mut self,
         epoch: u64,
         pools: &[(PoolId, &Engine)],
         ledger: &Ledger,
-        deposits: &Deposits,
+        deposits: &[(Address, (u128, u128))],
         mut aux: Vec<(u8, Vec<u8>)>,
     ) -> StagedCheckpoint {
+        debug_assert!(crate::codec::ensure_sorted_keys(deposits).is_ok());
         // a delta base exists iff the caller confirmed the commit of
         // exactly the stage the caches reflect
         let base = match self.committed.take() {
@@ -335,10 +341,7 @@ impl Checkpointer {
 
         let mut others = vec![
             (SectionKind::Ledger, ledger.export_state().encode_to_vec()),
-            (
-                SectionKind::Deposits,
-                deposits.to_sorted_entries().encode_to_vec(),
-            ),
+            (SectionKind::Deposits, deposits.encode_to_vec()),
         ];
         aux.sort_by_key(|(tag, _)| *tag);
         others.extend(
@@ -515,6 +518,7 @@ mod tests {
         let now = cp_now.checkpoint(2, &pools, &ledger, &deposits, vec![]);
 
         let mut cp_late = Checkpointer::new();
+        let deposits = deposits.to_sorted_entries();
         let staged = cp_late.stage(2, &[(PoolId(0), &pool)], &ledger, &deposits, vec![]);
         assert_eq!(staged.epoch(), 2);
         pool.swap(true, SwapKind::ExactInput(123_456), None)
@@ -608,6 +612,7 @@ mod tests {
     fn unconfirmed_commit_yields_no_delta() {
         let pool = pool_with_liquidity(1);
         let (ledger, deposits) = fixtures();
+        let deposits = deposits.to_sorted_entries();
         let mut cp = Checkpointer::new();
         // raw stage/commit without note_committed: the checkpointer must
         // not guess that the base landed
@@ -624,6 +629,7 @@ mod tests {
     fn stale_note_is_ignored() {
         let pool = pool_with_liquidity(1);
         let (ledger, deposits) = fixtures();
+        let deposits = deposits.to_sorted_entries();
         let mut cp = Checkpointer::new();
         let out1 = cp
             .stage(1, &[(PoolId(0), &pool)], &ledger, &deposits, vec![])

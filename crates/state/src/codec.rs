@@ -382,12 +382,18 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.len());
         for item in self {
             item.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.as_slice().encode(w);
     }
 }
 

@@ -4,7 +4,7 @@
 //! every pool is reconstructed through [`Pool::from_state`] — which
 //! regenerates the derived acceleration structures (`tick_bitmap`,
 //! `tick_cache`, swap scratch buffers) via `Pool::rebuild_tick_index`
-//! instead of shipping them — plus the ledger and the deposit map. The
+//! instead of shipping them — plus the ledger and the deposit entries. The
 //! caller then catches up by applying the blocks sealed after the
 //! snapshot epoch; the result is byte-identical to a node that replayed
 //! full history.
@@ -18,7 +18,6 @@ use ammboost_amm::types::PoolId;
 use ammboost_crypto::Address;
 use ammboost_crypto::H256;
 use ammboost_sidechain::ledger::{Ledger, LedgerState};
-use ammboost_sidechain::summary::Deposits;
 use std::fmt;
 
 /// Why a restore failed.
@@ -76,8 +75,9 @@ pub struct RestoredState {
     pub pools: Vec<(PoolId, Engine)>,
     /// The restored ledger (tip, summaries, unpruned meta-blocks).
     pub ledger: Ledger,
-    /// The restored deposit map.
-    pub deposits: Deposits,
+    /// The restored deposit ledger's entries, ascending by address
+    /// (checked: a duplicate or out-of-order key fails the restore).
+    pub deposits: Vec<(Address, (u128, u128))>,
     /// The snapshot's state root, re-derived from the restored content.
     pub root: H256,
 }
@@ -99,9 +99,8 @@ pub fn restore(snapshot: &Snapshot) -> Result<RestoredState, RestoreError> {
     let deposits_section = snapshot
         .section(SectionKind::Deposits)
         .ok_or(RestoreError::MissingSection("deposits"))?;
-    let entries = Vec::<(Address, (u128, u128))>::decode_all(&deposits_section.bytes)?;
-    crate::codec::ensure_sorted_keys(&entries)?;
-    let deposits = Deposits::from_sorted_entries(entries);
+    let deposits = Vec::<(Address, (u128, u128))>::decode_all(&deposits_section.bytes)?;
+    crate::codec::ensure_sorted_keys(&deposits)?;
 
     Ok(RestoredState {
         epoch: snapshot.epoch,
@@ -211,6 +210,7 @@ mod tests {
     use ammboost_amm::engines::EngineKind;
     use ammboost_amm::pool::SwapKind;
     use ammboost_amm::types::PositionId;
+    use ammboost_sidechain::summary::Deposits;
 
     fn traded_engine(kind: EngineKind) -> Engine {
         let mut e = Engine::new_standard(kind);
@@ -247,7 +247,7 @@ mod tests {
         let mut restored = restore_from_bytes(&snapshot.encode()).unwrap();
         assert_eq!(restored.epoch, 3);
         assert_eq!(restored.root, snapshot.root());
-        assert_eq!(restored.deposits.get(&Address::from_index(1)), (100, 200));
+        assert_eq!(restored.deposits, [(Address::from_index(1), (100, 200))]);
         let (_, rpool) = &mut restored.pools[0];
         // derived structures regenerated, behaviour bit-identical
         assert_eq!(

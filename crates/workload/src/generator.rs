@@ -17,7 +17,7 @@ use ammboost_amm::tx::{
     AmmTx, BurnTx, CollectTx, MintTx, RouteHop, RouteTx, SwapIntent, SwapTx, MAX_ROUTE_HOPS,
 };
 use ammboost_amm::types::{PoolId, PositionId};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, DigestMap};
 use ammboost_sim::rng::DetRng;
 use ammboost_sim::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -336,8 +336,11 @@ pub struct TrafficGenerator {
     positions: HashMap<PoolId, Vec<(Address, PositionId)>>,
     /// Cumulative, normalized pool-choice weights (one entry per pool).
     cumulative_weights: Vec<f64>,
+    /// `users[i]` = [`TrafficGenerator::user_address`]`(i)`: one Keccak
+    /// per user at construction, none per generated transaction.
+    users: Vec<Address>,
     /// Reverse map address → home pool, for deposit routing.
-    home_pools: HashMap<Address, PoolId>,
+    home_pools: DigestMap<Address, PoolId>,
 }
 
 impl TrafficGenerator {
@@ -367,13 +370,11 @@ impl TrafficGenerator {
                 acc
             })
             .collect();
-        let home_pools = (0..config.users)
-            .map(|i| {
-                (
-                    Self::user_address(i),
-                    config.pools[(i % config.pools.len() as u64) as usize],
-                )
-            })
+        let users: Vec<Address> = (0..config.users).map(Self::user_address).collect();
+        let home_pools = users
+            .iter()
+            .zip(config.pools.iter().cycle())
+            .map(|(user, pool)| (*user, *pool))
             .collect();
         TrafficGenerator {
             config,
@@ -382,13 +383,14 @@ impl TrafficGenerator {
             nonces,
             positions: HashMap::new(),
             cumulative_weights,
+            users,
             home_pools,
         }
     }
 
     /// The user population's addresses.
     pub fn users(&self) -> Vec<Address> {
-        (0..self.config.users).map(Self::user_address).collect()
+        self.users.clone()
     }
 
     /// Deterministic address of simulated user `i`.
@@ -576,7 +578,7 @@ impl TrafficGenerator {
         let p = self.config.pools.len() as u64;
         let k = self.rng.range_u64(0, self.users_in_pool(pi));
         let i = pi as u64 + k * p;
-        (i, Self::user_address(i))
+        (i, self.users[i as usize])
     }
 
     fn gen_swap(&mut self, round: u64, pi: usize) -> GeneratedTx {
@@ -888,7 +890,35 @@ mod tests {
         let g = TrafficGenerator::new(config(50_000, 7));
         let users = g.users();
         assert_eq!(users.len(), 100);
-        assert_eq!(users[3], TrafficGenerator::user_address(3));
+        for (i, user) in users.iter().enumerate() {
+            assert_eq!(*user, TrafficGenerator::user_address(i as u64));
+        }
+    }
+
+    #[test]
+    fn generated_stream_is_pinned() {
+        // the digest was taken before the generator cached its user
+        // table: the cache must not move a single generated byte
+        let mut g = TrafficGenerator::new(GeneratorConfig {
+            users: 1_000,
+            pools: pool_set(4),
+            skew: TrafficSkew::Zipf { exponent: 1.0 },
+            route_style: RouteStyle {
+                routed_share: 0.3,
+                ..RouteStyle::default()
+            },
+            ..config(1_000_000, 7)
+        });
+        let mut stream = Vec::new();
+        for i in 0..10_000 {
+            let t = g.next_tx(i / 100);
+            stream.extend_from_slice(&t.tx.user().0);
+            stream.extend_from_slice(format!("{:?}/{}", t.tx, t.wire_size).as_bytes());
+        }
+        assert_eq!(
+            ammboost_crypto::H256::hash(&stream).to_hex(),
+            "21940bef928377c152389b5554ee8c6961aa19093c2e15702b26cf7ab9376c36"
+        );
     }
 
     #[test]

@@ -429,10 +429,7 @@ fn same_pool_twice_rejected_with_typed_error() {
 
     // ... and the execution layer surfaces it as a stateless rejection
     let mut shards = seeded_shards(4);
-    shards.begin_epoch(
-        [(user(1), (DEPOSIT, DEPOSIT))].into_iter().collect(),
-        |_| Some(PoolId(0)),
-    );
+    shards.begin_epoch([(user(1), (DEPOSIT, DEPOSIT))], |_| Some(PoolId(0)));
     let wrapped = AmmTx::Route(tx);
     let out = shards.execute(&wrapped, 1072, 0);
     let TxEffect::Rejected { reason } = &out.effect else {
