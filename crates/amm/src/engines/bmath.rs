@@ -89,11 +89,11 @@ fn bsub_sign(a: u128, b: u128) -> (u128, bool) {
 /// `base^n` for integer `n` by square-and-multiply in fixed point.
 pub fn bpowi(base: u128, mut n: u128) -> Result<u128, AmmError> {
     let mut a = base;
-    let mut b = if n % 2 != 0 { base } else { BONE };
+    let mut b = if !n.is_multiple_of(2) { base } else { BONE };
     n /= 2;
     while n != 0 {
         a = bmul(a, a)?;
-        if n % 2 != 0 {
+        if !n.is_multiple_of(2) {
             b = bmul(b, a)?;
         }
         n /= 2;

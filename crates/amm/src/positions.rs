@@ -122,7 +122,7 @@ impl PositionRecords {
     /// snapshot wire). Validates only the stride and the strict id
     /// ordering — payload fields are left raw until someone reads them.
     pub fn from_sorted_raw(bytes: &[u8]) -> Result<PositionRecords, RecordsError> {
-        if bytes.len() % POSITION_RECORD_BYTES != 0 {
+        if !bytes.len().is_multiple_of(POSITION_RECORD_BYTES) {
             return Err(RecordsError::Stride { len: bytes.len() });
         }
         let count = bytes.len() / POSITION_RECORD_BYTES;

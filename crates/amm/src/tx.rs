@@ -4,8 +4,32 @@
 //! traffic analysis (Appendix D, Table VII).
 
 use crate::types::{Amount, PoolId, PositionId, Tick};
+use ammboost_crypto::keccak::{keccak256_x4, Keccak256};
 use ammboost_crypto::{Address, H256, U256};
 use serde::{Deserialize, Serialize};
+
+/// Where the wire encoding is written: a `Vec<u8>` keeps the bytes, a
+/// [`Keccak256`] absorbs them into its own (stack) rate buffer — an id
+/// needs the digest, not the bytes. The method names are `Vec`'s, so the
+/// encoder reads the same over either.
+trait Sink {
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    fn push(&mut self, byte: u8) {
+        self.extend_from_slice(&[byte]);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+impl Sink for Keccak256 {
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
 
 /// Exact-input vs exact-output trade intent with its slippage protection
 /// (paper §IV-B, "Swaps").
@@ -76,9 +100,30 @@ impl MintTx {
         if let Some(existing) = self.position {
             return existing;
         }
-        let mut bytes = Vec::with_capacity(96);
-        AmmTx::Mint(self.clone()).encode_into(&mut bytes);
-        PositionId::derive(&[b"mint-position", &bytes, self.user.as_bytes()])
+        let mut h = Keccak256::new();
+        h.update(b"mint-position");
+        self.encode(&mut h);
+        h.update(self.user.as_bytes());
+        PositionId(H256(h.finalize()))
+    }
+
+    /// The mint arm of the sidechain wire format.
+    fn encode(&self, out: &mut impl Sink) {
+        out.push(1);
+        out.extend_from_slice(self.user.as_bytes());
+        out.extend_from_slice(&self.pool.0.to_be_bytes());
+        match self.position {
+            Some(p) => {
+                out.push(1);
+                out.extend_from_slice(&p.0 .0);
+            }
+            None => out.push(0),
+        }
+        out.extend_from_slice(&self.tick_lower.to_be_bytes());
+        out.extend_from_slice(&self.tick_upper.to_be_bytes());
+        out.extend_from_slice(&self.amount0_desired.to_be_bytes());
+        out.extend_from_slice(&self.amount1_desired.to_be_bytes());
+        out.extend_from_slice(&self.nonce.to_be_bytes());
     }
 }
 
@@ -319,15 +364,43 @@ impl AmmTx {
     /// A stable transaction id (hash of the serialized payload).
     pub fn tx_id(&self) -> H256 {
         // serde_json would be heavyweight; hash a compact manual encoding.
-        let mut bytes = Vec::with_capacity(128);
-        self.encode_into(&mut bytes);
-        H256::hash(&bytes)
+        let mut h = Keccak256::new();
+        self.encode(&mut h);
+        H256(h.finalize())
+    }
+
+    /// [`AmmTx::tx_id`] of the transaction `tx` finds in each of `items`,
+    /// in order — the leaves of a block's transaction root. Four
+    /// encodings share one reused buffer and one interleaved Keccak
+    /// permutation (every well-formed encoding is 58–106 bytes, a single
+    /// rate block); the < 4 remainder goes through `tx_id`. Ids are
+    /// bit-identical to per-element `tx_id` calls.
+    pub fn ids_of<T>(items: &[T], tx: impl Fn(&T) -> &AmmTx) -> Vec<H256> {
+        let mut ids = Vec::with_capacity(items.len());
+        let mut buf = Vec::with_capacity(4 * 128);
+        let mut quads = items.chunks_exact(4);
+        for quad in &mut quads {
+            buf.clear();
+            let mut ends = [0usize; 4];
+            for (end, item) in ends.iter_mut().zip(quad) {
+                tx(item).encode_into(&mut buf);
+                *end = buf.len();
+            }
+            let [a, b, c, _] = ends;
+            ids.extend(keccak256_x4([&buf[..a], &buf[a..b], &buf[b..c], &buf[c..]]).map(H256));
+        }
+        ids.extend(quads.remainder().iter().map(|item| tx(item).tx_id()));
+        ids
     }
 
     /// Compact binary encoding — the *sidechain wire format*. Field-packed
     /// with no ABI padding, which is why sidechain entries are several times
     /// smaller than their mainchain counterparts (paper Table IV).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode(out);
+    }
+
+    fn encode(&self, out: &mut impl Sink) {
         match self {
             AmmTx::Swap(t) => {
                 out.push(0);
@@ -361,23 +434,7 @@ impl AmmTx {
                 }
                 out.extend_from_slice(&t.deadline_round.to_be_bytes());
             }
-            AmmTx::Mint(t) => {
-                out.push(1);
-                out.extend_from_slice(t.user.as_bytes());
-                out.extend_from_slice(&t.pool.0.to_be_bytes());
-                match t.position {
-                    Some(p) => {
-                        out.push(1);
-                        out.extend_from_slice(&p.0 .0);
-                    }
-                    None => out.push(0),
-                }
-                out.extend_from_slice(&t.tick_lower.to_be_bytes());
-                out.extend_from_slice(&t.tick_upper.to_be_bytes());
-                out.extend_from_slice(&t.amount0_desired.to_be_bytes());
-                out.extend_from_slice(&t.amount1_desired.to_be_bytes());
-                out.extend_from_slice(&t.nonce.to_be_bytes());
-            }
+            AmmTx::Mint(t) => t.encode(out),
             AmmTx::Burn(t) => {
                 out.push(2);
                 out.extend_from_slice(t.user.as_bytes());
@@ -474,6 +531,59 @@ mod tests {
             s.deadline_round = 78;
         }
         assert_ne!(a.tx_id(), b.tx_id());
+    }
+
+    fn sample_mint(position: Option<PositionId>) -> MintTx {
+        MintTx {
+            user: Address::from_index(3),
+            pool: PoolId(2),
+            position,
+            tick_lower: -120,
+            tick_upper: 180,
+            amount0_desired: 5_000,
+            amount1_desired: u128::MAX,
+            nonce: 9,
+        }
+    }
+
+    #[test]
+    fn streamed_ids_equal_the_hash_of_the_wire_bytes() {
+        let route = AmmTx::Route(sample_route(&[(2, false), (7, true), (3, false)]));
+        let mint = AmmTx::Mint(sample_mint(Some(PositionId::derive(&[b"p"]))));
+        for tx in [sample_swap(), mint, route] {
+            let mut wire = Vec::new();
+            tx.encode_into(&mut wire);
+            assert_eq!(tx.tx_id(), H256::hash(&wire));
+        }
+        // a new mint's position id: the tag, the wire bytes, the LP
+        let mint = sample_mint(None);
+        let mut wire = Vec::new();
+        AmmTx::Mint(mint.clone()).encode_into(&mut wire);
+        assert_eq!(
+            mint.derived_position_id(),
+            PositionId::derive(&[b"mint-position", &wire, mint.user.as_bytes()])
+        );
+        // a top-up keeps the id it names
+        let existing = PositionId::derive(&[b"p"]);
+        assert_eq!(sample_mint(Some(existing)).derived_position_id(), existing);
+    }
+
+    #[test]
+    fn ids_of_a_slice_match_tx_id_for_every_remainder() {
+        // a long route spills past one Keccak rate block
+        let long: Vec<(u32, bool)> = (0..40).map(|i| (i, i % 2 == 0)).collect();
+        let pool = [
+            sample_swap(),
+            AmmTx::Mint(sample_mint(None)),
+            AmmTx::Route(sample_route(&long)),
+            AmmTx::Route(sample_route(&[(0, true), (1, false)])),
+            AmmTx::Mint(sample_mint(Some(PositionId::derive(&[b"p"])))),
+        ];
+        let txs: Vec<AmmTx> = pool.iter().cycle().take(11).cloned().collect();
+        for n in 0..=txs.len() {
+            let want: Vec<H256> = txs[..n].iter().map(AmmTx::tx_id).collect();
+            assert_eq!(AmmTx::ids_of(&txs[..n], |tx| tx), want, "{n} transactions");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use ammboost_amm::types::PoolId;
 use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost_crypto::field::Fr;
-use ammboost_crypto::keccak::keccak256;
+use ammboost_crypto::keccak::{keccak256, keccak_f1600_x4};
 use ammboost_crypto::merkle::MerkleTree;
 use ammboost_crypto::tsqc::{combine, partial_sign, partial_sign_digest, QuorumCertificate};
 use ammboost_crypto::vrf::VrfSecretKey;
@@ -24,6 +24,11 @@ fn bench_keccak(c: &mut Criterion) {
     });
     c.bench_function("keccak256/64KiB", |b| {
         b.iter(|| black_box(keccak256(black_box(&data_64k))))
+    });
+    // four permutations per call, on whichever kernel this CPU selects
+    let mut states = [[0x0123_4567_89AB_CDEFu64; 4]; 25];
+    c.bench_function("keccak/f1600_x4", |b| {
+        b.iter(|| keccak_f1600_x4(black_box(&mut states)))
     });
 }
 

@@ -2,10 +2,12 @@
 //! processing rate, summary building, sync verification on TokenBank,
 //! PBFT agreement, a small end-to-end epoch, and the per-user substrate
 //! under a fat run (mainchain deposit chain, election, traffic
-//! generation).
+//! generation), and the batched short-hash paths (transaction root,
+//! ticket draw, page sealing).
 
+use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 use ammboost_amm::types::PoolId;
-use ammboost_consensus::election::{draw_ticket, elect_committee, MinerRecord};
+use ammboost_consensus::election::{draw_ticket, draw_tickets, elect_committee, MinerRecord};
 use ammboost_consensus::pbft::{run_consensus, Behavior};
 use ammboost_core::config::SystemConfig;
 use ammboost_core::processor::EpochProcessor;
@@ -16,7 +18,10 @@ use ammboost_crypto::{Address, H256};
 use ammboost_mainchain::chain::{ChainConfig, Mainchain, TxSpec};
 use ammboost_mainchain::contracts::{Erc20, TokenBank};
 use ammboost_mainchain::gas::{GasMeter, TX_BASE};
+use ammboost_sidechain::block::{ExecutedTx, MetaBlock, TxEffect};
 use ammboost_sim::time::SimTime;
+use ammboost_state::pages::{seal_pages, DEFAULT_PAGE_SIZE};
+use ammboost_state::SectionKind;
 use ammboost_workload::{GeneratorConfig, LiquidityStyle, TrafficGenerator};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -182,21 +187,74 @@ fn bench_deposit_chain(c: &mut Criterion) {
 fn bench_election(c: &mut Criterion) {
     let cfg = SystemConfig::default();
     let seed = H256::hash(b"epoch-seed");
-    let (miners, tickets): (Vec<_>, Vec<_>) = (0..cfg.miner_population as u64)
+    let (miners, sks): (Vec<_>, Vec<_>) = (0..cfg.miner_population as u64)
         .map(|id| {
             let sk = VrfSecretKey::from_entropy(H256::hash(&id.to_be_bytes()).0);
             let (vrf_pk, stake) = (sk.public_key(), 100 + (id % 17) * 10);
-            let record = MinerRecord { id, vrf_pk, stake };
-            (record, draw_ticket(&sk, id, &seed, 1))
+            (MinerRecord { id, vrf_pk, stake }, sk)
         })
         .unzip();
+    let drawn = miners.iter().zip(&sks);
+    let tickets: Vec<_> = drawn
+        .map(|(m, sk)| draw_ticket(sk, m.id, &seed, 1))
+        .collect();
     let mut group = c.benchmark_group("election");
     group.sample_size(10);
+    group.bench_function("draw_2000_tickets", |b| {
+        b.iter(|| black_box(draw_tickets(&sks, &miners, &seed, 1)))
+    });
     group.bench_function("elect_2000_of_2000", |b| {
         b.iter(|| {
             let seats = cfg.committee_size;
             black_box(elect_committee(&miners, &tickets, &seed, 1, seats)).expect("valid tickets")
         })
+    });
+    group.finish();
+}
+
+/// The transaction root of a full `paper_default` meta-block (the miner
+/// and the verifier each compute it once per round).
+fn bench_tx_root(c: &mut Criterion) {
+    let txs: Vec<ExecutedTx> = (0..1_000u64)
+        .map(|i| ExecutedTx {
+            tx: AmmTx::Swap(SwapTx {
+                user: Address::from_index(i % 100),
+                pool: PoolId(0),
+                zero_for_one: i % 2 == 0,
+                intent: SwapIntent::ExactInput {
+                    amount_in: 1_000 + u128::from(i),
+                    min_amount_out: 0,
+                },
+                sqrt_price_limit: None,
+                deadline_round: 1_000_000 + i,
+            }),
+            wire_size: 1_008,
+            effect: TxEffect::Swap {
+                amount_in: 1_000 + u128::from(i),
+                amount_out: 990,
+                zero_for_one: i % 2 == 0,
+            },
+        })
+        .collect();
+    c.bench_function("sidechain/tx_root_1000_swaps", |b| {
+        b.iter(|| black_box(MetaBlock::compute_tx_root(black_box(&txs))))
+    });
+}
+
+/// Sealing a 4 MiB section's worth of dirty 1 KiB pages (the hashing
+/// half of a delta checkpoint).
+fn bench_seal_pages(c: &mut Criterion) {
+    let raw: Vec<(u32, Vec<u8>)> = (0..4_096u32)
+        .map(|i| (i, vec![i as u8; DEFAULT_PAGE_SIZE]))
+        .collect();
+    let mut group = c.benchmark_group("state");
+    group.sample_size(10);
+    group.bench_function("seal_pages_4096x1KiB", |b| {
+        b.iter_batched(
+            || raw.clone(),
+            |raw| black_box(seal_pages(SectionKind::Pool(0), raw)),
+            BatchSize::LargeInput,
+        )
     });
     group.finish();
 }
@@ -221,6 +279,8 @@ criterion_group!(
     bench_small_system,
     bench_deposit_chain,
     bench_election,
+    bench_tx_root,
+    bench_seal_pages,
     bench_generator
 );
 criterion_main!(benches);

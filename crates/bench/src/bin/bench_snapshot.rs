@@ -123,7 +123,7 @@ fn median_ns<I, O>(
     }
     times.sort_unstable();
     let mid = times.len() / 2;
-    if times.len() % 2 == 0 {
+    if times.len().is_multiple_of(2) {
         (times[mid - 1] + times[mid]) as f64 / 2.0
     } else {
         times[mid] as f64

@@ -5,7 +5,7 @@
 //! committees attach when handing the next `vk_c` to their predecessor
 //! (§IV-C).
 
-use ammboost_crypto::vrf::{VrfProof, VrfPublicKey, VrfSecretKey};
+use ammboost_crypto::vrf::{VrfInput, VrfProof, VrfPublicKey, VrfSecretKey};
 use ammboost_crypto::H256;
 use serde::{Deserialize, Serialize};
 
@@ -76,15 +76,47 @@ fn election_input(seed: &H256, epoch: u64) -> Vec<u8> {
     v
 }
 
-/// Draws a miner's sortition ticket.
-pub fn draw_ticket(sk: &VrfSecretKey, miner_id: u64, seed: &H256, epoch: u64) -> ElectionProof {
-    let (output, proof) = sk.eval(&election_input(seed, epoch));
+fn ticket(miner: u64, epoch: u64, (output, proof): (H256, VrfProof)) -> ElectionProof {
     ElectionProof {
-        miner: miner_id,
+        miner,
         epoch,
         output,
         proof,
     }
+}
+
+/// Draws a miner's sortition ticket.
+pub fn draw_ticket(sk: &VrfSecretKey, miner_id: u64, seed: &H256, epoch: u64) -> ElectionProof {
+    ticket(miner_id, epoch, sk.eval(&election_input(seed, epoch)))
+}
+
+/// Draws the tickets of a whole population — `sks[i]` is the key of
+/// `miners[i]` — four miners per interleaved VRF evaluation, the election
+/// input hashed to its point once; the < 4 remainder goes through
+/// [`draw_ticket`], which is what a single miner runs. Tickets are
+/// bit-identical to one `draw_ticket` call per miner.
+pub fn draw_tickets(
+    sks: &[VrfSecretKey],
+    miners: &[MinerRecord],
+    seed: &H256,
+    epoch: u64,
+) -> Vec<ElectionProof> {
+    let bytes = election_input(seed, epoch);
+    let input = VrfInput::new(&bytes);
+    let n = sks.len().min(miners.len());
+    let mut tickets = Vec::with_capacity(n);
+    for (sk, quad) in sks[..n].chunks_exact(4).zip(miners.chunks_exact(4)) {
+        let evals = VrfSecretKey::eval_x4([&sk[0], &sk[1], &sk[2], &sk[3]], &input);
+        tickets.extend(
+            quad.iter()
+                .zip(evals)
+                .map(|(m, eval)| ticket(m.id, epoch, eval)),
+        );
+    }
+    let tail = tickets.len()..n;
+    let drawn = sks[tail.clone()].iter().zip(&miners[tail]);
+    tickets.extend(drawn.map(|(sk, m)| draw_ticket(sk, m.id, seed, epoch)));
+    tickets
 }
 
 /// Verifies one election proof against the miner's registered key.
@@ -378,6 +410,74 @@ mod tests {
             proptest::prop_assert_eq!(got.is_err(), variant == 1);
             if variant == 1 {
                 proptest::prop_assert_eq!(got, Err(ElectionError::BadTicket(5_000)));
+            }
+        }
+    }
+
+    #[test]
+    fn batched_draw_equals_one_draw_per_miner() {
+        let seed = H256::hash(b"epoch-seed");
+        for n in 0..=9 {
+            let (recs, sks) = setup(n);
+            let got = draw_tickets(&sks, &recs, &seed, 4);
+            let want = tickets(&recs, &sks, &seed, 4);
+            assert_eq!(got.len(), want.len(), "{n} miners");
+            for (g, w) in got.iter().zip(&want) {
+                let g = (g.miner, g.epoch, g.output, g.proof);
+                assert_eq!(g, (w.miner, w.epoch, w.output, w.proof), "{n} miners");
+            }
+        }
+        // keys beyond the registered miners draw nothing
+        let (recs, sks) = setup(6);
+        assert_eq!(draw_tickets(&sks, &recs[..5], &seed, 4).len(), 5);
+    }
+
+    #[test]
+    fn one_planted_ticket_at_any_position_is_the_error_reported() {
+        let (recs, sks) = setup(10);
+        let seed = H256::hash(b"epoch-seed");
+        let clean = draw_tickets(&sks, &recs, &seed, 2);
+        let (stranger, stranger_sk) = miner(77, 100);
+        for at in 0..10 {
+            let victim = clean[at].miner;
+            // a tampered proof, an unregistered miner, another epoch's
+            // (otherwise valid) ticket: all refused as bad, and exactly
+            // as the linear election refuses them
+            let mut forged = clean.clone();
+            forged[at].output = H256::hash(b"better-draw");
+            let mut unknown = clean.clone();
+            unknown[at] = draw_ticket(&stranger_sk, stranger.id, &seed, 2);
+            let mut stale = clean.clone();
+            stale[at] = draw_ticket(&sks[at], victim, &seed, 1);
+            let planted = [(forged, victim), (unknown, stranger.id), (stale, victim)];
+            for (t, offender) in planted {
+                let got = elect_committee(&recs, &t, &seed, 2, 4).map(|c| c.members);
+                assert_eq!(
+                    got,
+                    Err(ElectionError::BadTicket(offender)),
+                    "position {at}"
+                );
+                assert_eq!(got, find_based_election(&recs, &t, &seed, 2, 4));
+            }
+            // a second copy of an earlier ticket: the copy is the offender
+            for from in 0..at {
+                let mut twice = clean.clone();
+                twice[at] = clean[from].clone();
+                assert_eq!(
+                    elect_committee(&recs, &twice, &seed, 2, 4).unwrap_err(),
+                    ElectionError::DuplicateTicket(clean[from].miner),
+                    "copy of {from} at {at}"
+                );
+            }
+            // two offenders: the first in submission order is reported
+            if at > 0 {
+                let mut both = clean.clone();
+                both[at].output = H256::hash(b"better-draw");
+                both[at - 1] = draw_ticket(&stranger_sk, stranger.id, &seed, 2);
+                assert_eq!(
+                    elect_committee(&recs, &both, &seed, 2, 4).unwrap_err(),
+                    ElectionError::BadTicket(stranger.id)
+                );
             }
         }
     }

@@ -512,7 +512,7 @@ mod tests {
                     let ui = 1 + (global + i) % (2 * self.pools as u64);
                     let pool = ((ui - 1) % self.pools as u64) as u32;
                     let amt = 1_000_000 + global * 1000 + i * 7;
-                    let dir = (global + i) % 2 == 0;
+                    let dir = (global + i).is_multiple_of(2);
                     txs.push(self.shards.execute(
                         &swap_tx(user(ui), pool, amt as u128, dir),
                         1008,

@@ -23,7 +23,7 @@ use crate::view::QuoteView;
 use crate::workers::{JoinHandle, WorkerPool};
 use ammboost_amm::tx::AmmTx;
 use ammboost_amm::types::PoolId;
-use ammboost_consensus::election::{draw_ticket, elect_committee, Committee, MinerRecord};
+use ammboost_consensus::election::{draw_tickets, elect_committee, Committee, MinerRecord};
 use ammboost_consensus::latency::AgreementModel;
 use ammboost_consensus::pbft::{run_consensus, Behavior};
 use ammboost_crypto::bls::PublicKey;
@@ -602,12 +602,7 @@ impl System {
             &epoch.to_be_bytes(),
         ]);
         let committee_size = self.cfg.committee_size.min(self.miners.len());
-        let tickets: Vec<_> = self
-            .miners
-            .iter()
-            .zip(&self.miner_sks)
-            .map(|(m, sk)| draw_ticket(sk, m.id, &seed, epoch))
-            .collect();
+        let tickets = draw_tickets(&self.miner_sks, &self.miners, &seed, epoch);
         let committee = elect_committee(&self.miners, &tickets, &seed, epoch, committee_size)
             .expect("population exceeds committee size");
         self.committees.push(committee);
@@ -804,7 +799,8 @@ impl System {
     /// be dropped without waiting for the sync confirmation (a restarting
     /// node restores from the snapshot instead of replaying).
     fn maybe_checkpoint(&mut self, epoch: u64) {
-        if !self.cfg.snapshot.enabled() || epoch % self.cfg.snapshot.interval_epochs != 0 {
+        if !self.cfg.snapshot.enabled() || !epoch.is_multiple_of(self.cfg.snapshot.interval_epochs)
+        {
             return;
         }
         match self.checkpoint_mode {

@@ -93,44 +93,41 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
 ///
 /// Every θ/ρ/π/χ/ι operation runs across the four streams back-to-back,
 /// so the four permutations share one pass over the round structure and
-/// each `[u64; 4]` op is one 256-bit vector op. On x86-64 hosts with
-/// AVX2 (checked once at runtime; detection is cached by std) the call
-/// dispatches to a hand-scheduled intrinsics kernel; everywhere else a
-/// portable safe-Rust body runs, which auto-vectorizes on targets whose
-/// baseline has wide enough registers. All versions are bit-identical —
-/// integer ops only, no platform-dependent rounding anywhere.
+/// each `[u64; 4]` op is one 256-bit vector op. The kernel is chosen by
+/// what the CPU reports (detection is cached by std) and by nothing
+/// else: AVX-512VL, else AVX2, else a portable safe-Rust body that
+/// auto-vectorizes on targets whose baseline has wide enough registers.
+/// All versions are bit-identical — integer ops only, no
+/// platform-dependent rounding anywhere.
 pub fn keccak_f1600_x4(states: &mut [[u64; 4]; 25]) {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: the AVX2 kernel is only reached behind the runtime
-        // feature check. An AVX-512 variant was measured slower than
-        // AVX2 on the reference host (512-bit license downclocking), so
-        // AVX2 is the only dispatch target.
+        // The AVX-512VL kernel stays on 256-bit registers, so it pays no
+        // 512-bit licence downclock (a 512-bit variant measured slower
+        // than AVX2); what it gains is one instruction per rotation, χ
+        // and three-way XOR, and 32 registers for the 25-lane state.
+        if std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx512f")
+        {
+            // SAFETY: both features the kernel enables were just detected.
+            return unsafe { x86::keccak_f1600_x4_avx512vl(states) };
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { keccak_f1600_x4_avx2(states) };
+            // SAFETY: the feature the kernel enables was just detected.
+            return unsafe { x86::keccak_f1600_x4_avx2(states) };
         }
     }
     keccak_f1600_x4_portable(states)
 }
 
-/// Hand-scheduled AVX2 kernel: each `[u64; 4]` lane group is one ymm
-/// register, and a round is computed χ-plane by χ-plane — the five
-/// post-ρπ lanes a plane needs are built in registers (θ's d-application
-/// fused into ρ's rotate) and consumed immediately, ping-ponging between
-/// two 25-lane buffers across rounds. The 25-ymm working set cannot fit
-/// 16 registers, so the point of the schedule is to bound spills: only
-/// the buffers themselves live in memory, every temporary dies within
-/// its plane. Measured ~2× the auto-vectorized portable body, which
-/// keeps whole 25-lane intermediate arrays live and spill-thrashes.
-///
-/// Bit-identical to [`keccak_f1600_x4_portable`]: same θ/ρ/π/χ/ι
-/// algebra, integer ops only.
+/// The hand-scheduled x86-64 kernels: one round body over three
+/// primitives, instantiated for AVX2 and for 256-bit AVX-512VL.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn keccak_f1600_x4_avx2(states: &mut [[u64; 4]; 25]) {
+mod x86 {
+    use super::{RC, ROUNDS};
     use std::arch::x86_64::*;
 
-    macro_rules! rol {
+    macro_rules! rol_avx2 {
         ($v:expr, $r:literal) => {
             _mm256_or_si256(
                 _mm256_slli_epi64::<$r>($v),
@@ -138,106 +135,160 @@ unsafe fn keccak_f1600_x4_avx2(states: &mut [[u64; 4]; 25]) {
             )
         };
     }
-    macro_rules! xor {
-        ($a:expr, $b:expr) => {
-            _mm256_xor_si256($a, $b)
+    macro_rules! xor5_avx2 {
+        ($a:expr, $b:expr, $c:expr, $d:expr, $e:expr) => {
+            _mm256_xor_si256(
+                _mm256_xor_si256(_mm256_xor_si256($a, $b), _mm256_xor_si256($c, $d)),
+                $e,
+            )
         };
     }
     // χ on three consecutive-in-row lanes: b0 ^ (!b1 & b2)
-    macro_rules! chi {
+    macro_rules! chi_avx2 {
         ($b0:expr, $b1:expr, $b2:expr) => {
             _mm256_xor_si256($b0, _mm256_andnot_si256($b1, $b2))
         };
     }
-    // One full round from buffer `$a` into buffer `$e`. The (source
-    // lane, rotation) pairs per output plane are the standard fused
-    // θρπ tables — the same mapping the portable body walks via PI/RHO.
-    macro_rules! round {
-        ($a:ident, $e:ident, $rc:expr) => {{
-            let c0 = xor!(xor!(xor!($a[0], $a[5]), xor!($a[10], $a[15])), $a[20]);
-            let c1 = xor!(xor!(xor!($a[1], $a[6]), xor!($a[11], $a[16])), $a[21]);
-            let c2 = xor!(xor!(xor!($a[2], $a[7]), xor!($a[12], $a[17])), $a[22]);
-            let c3 = xor!(xor!(xor!($a[3], $a[8]), xor!($a[13], $a[18])), $a[23]);
-            let c4 = xor!(xor!(xor!($a[4], $a[9]), xor!($a[14], $a[19])), $a[24]);
-            let d0 = xor!(c4, rol!(c1, 1));
-            let d1 = xor!(c0, rol!(c2, 1));
-            let d2 = xor!(c1, rol!(c3, 1));
-            let d3 = xor!(c2, rol!(c4, 1));
-            let d4 = xor!(c3, rol!(c0, 1));
 
-            let b0 = xor!($a[0], d0);
-            let b1 = rol!(xor!($a[6], d1), 44);
-            let b2 = rol!(xor!($a[12], d2), 43);
-            let b3 = rol!(xor!($a[18], d3), 21);
-            let b4 = rol!(xor!($a[24], d4), 14);
-            $e[0] = xor!(chi!(b0, b1, b2), _mm256_set1_epi64x($rc as i64));
-            $e[1] = chi!(b1, b2, b3);
-            $e[2] = chi!(b2, b3, b4);
-            $e[3] = chi!(b3, b4, b0);
-            $e[4] = chi!(b4, b0, b1);
+    macro_rules! rol_avx512vl {
+        ($v:expr, $r:literal) => {
+            _mm256_rol_epi64::<$r>($v)
+        };
+    }
+    // truth table 0x96 is a ^ b ^ c
+    macro_rules! xor5_avx512vl {
+        ($a:expr, $b:expr, $c:expr, $d:expr, $e:expr) => {
+            _mm256_ternarylogic_epi64::<0x96>(_mm256_ternarylogic_epi64::<0x96>($a, $b, $c), $d, $e)
+        };
+    }
+    // truth table 0xD2 is a ^ (!b & c)
+    macro_rules! chi_avx512vl {
+        ($b0:expr, $b1:expr, $b2:expr) => {
+            _mm256_ternarylogic_epi64::<0xD2>($b0, $b1, $b2)
+        };
+    }
 
-            let b0 = rol!(xor!($a[3], d3), 28);
-            let b1 = rol!(xor!($a[9], d4), 20);
-            let b2 = rol!(xor!($a[10], d0), 3);
-            let b3 = rol!(xor!($a[16], d1), 45);
-            let b4 = rol!(xor!($a[22], d2), 61);
-            $e[5] = chi!(b0, b1, b2);
-            $e[6] = chi!(b1, b2, b3);
-            $e[7] = chi!(b2, b3, b4);
-            $e[8] = chi!(b3, b4, b0);
-            $e[9] = chi!(b4, b0, b1);
+    /// One full round from buffer `$a` into buffer `$e`, over the `$rol` /
+    /// `$xor5` / `$chi` primitives of one instruction set. The (source lane,
+    /// rotation) pairs per output plane are the standard fused θρπ tables —
+    /// the same mapping the portable body walks via PI/RHO.
+    macro_rules! round_x4 {
+        ($rol:ident, $xor5:ident, $chi:ident, $a:ident, $e:ident, $rc:expr) => {{
+            let c0 = $xor5!($a[0], $a[5], $a[10], $a[15], $a[20]);
+            let c1 = $xor5!($a[1], $a[6], $a[11], $a[16], $a[21]);
+            let c2 = $xor5!($a[2], $a[7], $a[12], $a[17], $a[22]);
+            let c3 = $xor5!($a[3], $a[8], $a[13], $a[18], $a[23]);
+            let c4 = $xor5!($a[4], $a[9], $a[14], $a[19], $a[24]);
+            let d0 = _mm256_xor_si256(c4, $rol!(c1, 1));
+            let d1 = _mm256_xor_si256(c0, $rol!(c2, 1));
+            let d2 = _mm256_xor_si256(c1, $rol!(c3, 1));
+            let d3 = _mm256_xor_si256(c2, $rol!(c4, 1));
+            let d4 = _mm256_xor_si256(c3, $rol!(c0, 1));
 
-            let b0 = rol!(xor!($a[1], d1), 1);
-            let b1 = rol!(xor!($a[7], d2), 6);
-            let b2 = rol!(xor!($a[13], d3), 25);
-            let b3 = rol!(xor!($a[19], d4), 8);
-            let b4 = rol!(xor!($a[20], d0), 18);
-            $e[10] = chi!(b0, b1, b2);
-            $e[11] = chi!(b1, b2, b3);
-            $e[12] = chi!(b2, b3, b4);
-            $e[13] = chi!(b3, b4, b0);
-            $e[14] = chi!(b4, b0, b1);
+            let b0 = _mm256_xor_si256($a[0], d0);
+            let b1 = $rol!(_mm256_xor_si256($a[6], d1), 44);
+            let b2 = $rol!(_mm256_xor_si256($a[12], d2), 43);
+            let b3 = $rol!(_mm256_xor_si256($a[18], d3), 21);
+            let b4 = $rol!(_mm256_xor_si256($a[24], d4), 14);
+            $e[0] = _mm256_xor_si256($chi!(b0, b1, b2), _mm256_set1_epi64x($rc as i64));
+            $e[1] = $chi!(b1, b2, b3);
+            $e[2] = $chi!(b2, b3, b4);
+            $e[3] = $chi!(b3, b4, b0);
+            $e[4] = $chi!(b4, b0, b1);
 
-            let b0 = rol!(xor!($a[4], d4), 27);
-            let b1 = rol!(xor!($a[5], d0), 36);
-            let b2 = rol!(xor!($a[11], d1), 10);
-            let b3 = rol!(xor!($a[17], d2), 15);
-            let b4 = rol!(xor!($a[23], d3), 56);
-            $e[15] = chi!(b0, b1, b2);
-            $e[16] = chi!(b1, b2, b3);
-            $e[17] = chi!(b2, b3, b4);
-            $e[18] = chi!(b3, b4, b0);
-            $e[19] = chi!(b4, b0, b1);
+            let b0 = $rol!(_mm256_xor_si256($a[3], d3), 28);
+            let b1 = $rol!(_mm256_xor_si256($a[9], d4), 20);
+            let b2 = $rol!(_mm256_xor_si256($a[10], d0), 3);
+            let b3 = $rol!(_mm256_xor_si256($a[16], d1), 45);
+            let b4 = $rol!(_mm256_xor_si256($a[22], d2), 61);
+            $e[5] = $chi!(b0, b1, b2);
+            $e[6] = $chi!(b1, b2, b3);
+            $e[7] = $chi!(b2, b3, b4);
+            $e[8] = $chi!(b3, b4, b0);
+            $e[9] = $chi!(b4, b0, b1);
 
-            let b0 = rol!(xor!($a[2], d2), 62);
-            let b1 = rol!(xor!($a[8], d3), 55);
-            let b2 = rol!(xor!($a[14], d4), 39);
-            let b3 = rol!(xor!($a[15], d0), 41);
-            let b4 = rol!(xor!($a[21], d1), 2);
-            $e[20] = chi!(b0, b1, b2);
-            $e[21] = chi!(b1, b2, b3);
-            $e[22] = chi!(b2, b3, b4);
-            $e[23] = chi!(b3, b4, b0);
-            $e[24] = chi!(b4, b0, b1);
+            let b0 = $rol!(_mm256_xor_si256($a[1], d1), 1);
+            let b1 = $rol!(_mm256_xor_si256($a[7], d2), 6);
+            let b2 = $rol!(_mm256_xor_si256($a[13], d3), 25);
+            let b3 = $rol!(_mm256_xor_si256($a[19], d4), 8);
+            let b4 = $rol!(_mm256_xor_si256($a[20], d0), 18);
+            $e[10] = $chi!(b0, b1, b2);
+            $e[11] = $chi!(b1, b2, b3);
+            $e[12] = $chi!(b2, b3, b4);
+            $e[13] = $chi!(b3, b4, b0);
+            $e[14] = $chi!(b4, b0, b1);
+
+            let b0 = $rol!(_mm256_xor_si256($a[4], d4), 27);
+            let b1 = $rol!(_mm256_xor_si256($a[5], d0), 36);
+            let b2 = $rol!(_mm256_xor_si256($a[11], d1), 10);
+            let b3 = $rol!(_mm256_xor_si256($a[17], d2), 15);
+            let b4 = $rol!(_mm256_xor_si256($a[23], d3), 56);
+            $e[15] = $chi!(b0, b1, b2);
+            $e[16] = $chi!(b1, b2, b3);
+            $e[17] = $chi!(b2, b3, b4);
+            $e[18] = $chi!(b3, b4, b0);
+            $e[19] = $chi!(b4, b0, b1);
+
+            let b0 = $rol!(_mm256_xor_si256($a[2], d2), 62);
+            let b1 = $rol!(_mm256_xor_si256($a[8], d3), 55);
+            let b2 = $rol!(_mm256_xor_si256($a[14], d4), 39);
+            let b3 = $rol!(_mm256_xor_si256($a[15], d0), 41);
+            let b4 = $rol!(_mm256_xor_si256($a[21], d1), 2);
+            $e[20] = $chi!(b0, b1, b2);
+            $e[21] = $chi!(b1, b2, b3);
+            $e[22] = $chi!(b2, b3, b4);
+            $e[23] = $chi!(b3, b4, b0);
+            $e[24] = $chi!(b4, b0, b1);
         }};
     }
 
-    // [[u64; 4]; 25] is exactly 25 unaligned ymm lane groups in memory.
-    let p = states.as_mut_ptr() as *mut __m256i;
-    let mut a = [_mm256_setzero_si256(); 25];
-    for (i, lane) in a.iter_mut().enumerate() {
-        *lane = _mm256_loadu_si256(p.add(i));
+    /// Instantiates the hand-scheduled x86-64 kernel for one instruction
+    /// set: each `[u64; 4]` lane group is one ymm register, and a round is
+    /// computed χ-plane by χ-plane — the five post-ρπ lanes a plane needs
+    /// are built in registers (θ's d-application fused into ρ's rotate) and
+    /// consumed immediately, ping-ponging between two 25-lane buffers across
+    /// rounds. Every temporary dies within its plane, which bounds spills
+    /// where the 25-ymm working set cannot fit the register file (AVX2's
+    /// 16; the auto-vectorized portable body, which keeps whole 25-lane
+    /// intermediate arrays live, spill-thrashes at ~2× the time).
+    ///
+    /// Bit-identical to [`keccak_f1600_x4_portable`]: same θ/ρ/π/χ/ι
+    /// algebra, integer ops only.
+    macro_rules! kernel_x4 {
+        ($name:ident, $features:literal, $rol:ident, $xor5:ident, $chi:ident) => {
+            /// # Safety
+            /// The CPU must support the target features this kernel enables.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $name(states: &mut [[u64; 4]; 25]) {
+                // [[u64; 4]; 25] is exactly 25 unaligned ymm lane groups in
+                // memory.
+                let p = states.as_mut_ptr() as *mut __m256i;
+                let mut a = [_mm256_setzero_si256(); 25];
+                for (i, lane) in a.iter_mut().enumerate() {
+                    *lane = _mm256_loadu_si256(p.add(i));
+                }
+                let mut e = [_mm256_setzero_si256(); 25];
+                let mut r = 0;
+                while r < ROUNDS {
+                    round_x4!($rol, $xor5, $chi, a, e, RC[r]);
+                    round_x4!($rol, $xor5, $chi, e, a, RC[r + 1]);
+                    r += 2;
+                }
+                for (i, lane) in a.iter().enumerate() {
+                    _mm256_storeu_si256(p.add(i), *lane);
+                }
+            }
+        };
     }
-    let mut e = [_mm256_setzero_si256(); 25];
-    let mut r = 0;
-    while r < ROUNDS {
-        round!(a, e, RC[r]);
-        round!(e, a, RC[r + 1]);
-        r += 2;
-    }
-    for (i, lane) in a.iter().enumerate() {
-        _mm256_storeu_si256(p.add(i), *lane);
-    }
+
+    kernel_x4!(keccak_f1600_x4_avx2, "avx2", rol_avx2, xor5_avx2, chi_avx2);
+    kernel_x4!(
+        keccak_f1600_x4_avx512vl,
+        "avx512f,avx512vl",
+        rol_avx512vl,
+        xor5_avx512vl,
+        chi_avx512vl
+    );
 }
 
 #[inline(always)]
@@ -595,6 +646,115 @@ mod tests {
         for s in 0..4 {
             for i in 0..25 {
                 assert_eq!(interleaved[i][s], scalar[s][i], "stream {s} lane {i}");
+            }
+        }
+    }
+
+    type Kernel = fn(&mut [[u64; 4]; 25]);
+
+    /// Every ×4 kernel this host can run, called directly rather than
+    /// through the dispatch (which would only ever reach the best one).
+    fn x4_kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", keccak_f1600_x4_portable)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 was just detected.
+                kernels.push(("avx2", |s| unsafe { x86::keccak_f1600_x4_avx2(s) }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx512f")
+            {
+                // SAFETY: avx512f and avx512vl were just detected.
+                kernels.push(("avx512vl", |s| unsafe { x86::keccak_f1600_x4_avx512vl(s) }));
+            }
+        }
+        kernels
+    }
+
+    #[test]
+    fn every_x4_kernel_matches_four_scalar_permutations() {
+        let kernels = x4_kernels();
+        let names: Vec<&str> = kernels.iter().map(|(name, _)| *name).collect();
+        println!(
+            "keccak x4 kernels covered on this host: {}",
+            names.join(", ")
+        );
+        // splitmix64: random states, chained so every trial differs
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for trial in 0..64 {
+            let mut scalar = [[0u64; 25]; 4];
+            let mut interleaved = [[0u64; 4]; 25];
+            for s in 0..4 {
+                for i in 0..25 {
+                    // the first trial is the all-zero state
+                    let v = if trial == 0 { 0 } else { next() };
+                    scalar[s][i] = v;
+                    interleaved[i][s] = v;
+                }
+            }
+            for state in scalar.iter_mut() {
+                keccak_f1600(state);
+            }
+            for (name, kernel) in &kernels {
+                let mut got = interleaved;
+                kernel(&mut got);
+                for s in 0..4 {
+                    for i in 0..25 {
+                        assert_eq!(got[i][s], scalar[s][i], "{name}: stream {s} lane {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn known_vectors_through_every_lane_of_every_x4_kernel() {
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470",
+            ),
+            (
+                b"abc",
+                "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45",
+            ),
+            (
+                b"The quick brown fox jumps over the lazy dog",
+                "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15",
+            ),
+        ];
+        for (name, kernel) in x4_kernels() {
+            for (msg, want) in vectors {
+                for slot in 0..4 {
+                    // the vector's one padded block in `slot`, different
+                    // traffic in the other three lanes
+                    let mut states = [[0u64; 4]; 25];
+                    for (i, lanes) in states.iter_mut().enumerate() {
+                        for (s, lane) in lanes.iter_mut().enumerate() {
+                            *lane = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 << s);
+                        }
+                    }
+                    let mut block = [0u8; KECCAK256_RATE];
+                    load_padded_block(&[msg], 0, msg.len(), &mut block);
+                    for (i, lanes) in states.iter_mut().enumerate() {
+                        lanes[slot] = match block.get(8 * i..8 * i + 8) {
+                            Some(b) => u64::from_le_bytes(b.try_into().unwrap()),
+                            None => 0,
+                        };
+                    }
+                    kernel(&mut states);
+                    let digest: Vec<u8> =
+                        (0..4).flat_map(|i| states[i][slot].to_le_bytes()).collect();
+                    assert_eq!(hex(&digest), want, "{name}: slot {slot}");
+                }
             }
         }
     }

@@ -117,9 +117,52 @@ impl NodeSponge4 {
     }
 }
 
+/// Replaces `level` by its parent level in place: parent `p` reads nodes
+/// `2p` and `2p + 1`, which lie at or past the slot it is written to.
+/// Four sibling pairs go through one interleaved permutation; the tail
+/// (< 4 pairs, or the odd duplicated node) goes through the scalar
+/// sponge — same digests either way.
+fn fold_level(level: &mut Vec<H256>, sponge: &mut NodeSponge, sponge4: &mut NodeSponge4) {
+    let parents = level.len().div_ceil(2);
+    let mut p = 0;
+    while 2 * (p + 4) <= level.len() {
+        let o: [H256; 8] = level[2 * p..2 * p + 8].try_into().expect("eight nodes");
+        let quad = sponge4.hash([
+            (&o[0], &o[1]),
+            (&o[2], &o[3]),
+            (&o[4], &o[5]),
+            (&o[6], &o[7]),
+        ]);
+        level[p..p + 4].copy_from_slice(&quad);
+        p += 4;
+    }
+    while p < parents {
+        let l = level[2 * p];
+        let r = level.get(2 * p + 1).copied().unwrap_or(l);
+        level[p] = sponge.hash(&l, &r);
+        p += 1;
+    }
+    level.truncate(parents);
+}
+
+/// The root [`MerkleTree::from_leaves`] would report, without keeping the
+/// levels: the leaf vector is folded in place, level by level. This is
+/// the form for callers that only commit (every block's transaction root,
+/// snapshot and page roots); build the tree when proofs are needed.
+pub fn merkle_root(mut leaves: Vec<H256>) -> H256 {
+    let mut sponge = NodeSponge::new();
+    let mut sponge4 = NodeSponge4::new();
+    while leaves.len() > 1 {
+        fold_level(&mut leaves, &mut sponge, &mut sponge4);
+    }
+    leaves.first().copied().unwrap_or(H256::ZERO)
+}
+
 /// A Merkle tree with all levels retained for proof generation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MerkleTree {
+    /// `levels[0]` holds the leaves (none for the empty tree), the last
+    /// level the root.
     levels: Vec<Vec<H256>>,
 }
 
@@ -136,46 +179,22 @@ impl MerkleTree {
     /// Builds a tree from pre-hashed leaves. An empty leaf set yields the
     /// all-zero root. Odd levels duplicate their last node.
     pub fn from_leaves(leaves: Vec<H256>) -> MerkleTree {
-        if leaves.is_empty() {
-            return MerkleTree {
-                levels: vec![vec![H256::ZERO]],
-            };
-        }
         // depth = ceil(log2(n)); the tree has depth + 1 levels, so the
-        // outer vector never reallocates while levels are pushed (this
-        // builds every block's tx root — it runs constantly).
+        // outer vector never reallocates while levels are pushed
         let depth = if leaves.len() <= 1 {
             0
         } else {
             (usize::BITS - (leaves.len() - 1).leading_zeros()) as usize
         };
         let mut levels = Vec::with_capacity(depth + 1);
-        levels.push(leaves);
+        let mut level = leaves;
         let mut sponge = NodeSponge::new();
         let mut sponge4 = NodeSponge4::new();
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            // four sibling pairs per interleaved permutation; the tail
-            // (< 4 pairs, or the odd duplicated node) goes through the
-            // scalar sponge — same digests either way
-            let mut octets = prev.chunks_exact(8);
-            for o in &mut octets {
-                let quad = sponge4.hash([
-                    (&o[0], &o[1]),
-                    (&o[2], &o[3]),
-                    (&o[4], &o[5]),
-                    (&o[6], &o[7]),
-                ]);
-                next.extend_from_slice(&quad);
-            }
-            for pair in octets.remainder().chunks(2) {
-                let l = &pair[0];
-                let r = pair.get(1).unwrap_or(l);
-                next.push(sponge.hash(l, r));
-            }
-            levels.push(next);
+        while level.len() > 1 {
+            levels.push(level.clone());
+            fold_level(&mut level, &mut sponge, &mut sponge4);
         }
+        levels.push(level);
         debug_assert_eq!(levels.len(), depth + 1, "depth formula exact");
         MerkleTree { levels }
     }
@@ -184,11 +203,6 @@ impl MerkleTree {
     /// differential oracle for the four-way batched build (and its bench
     /// baseline). Roots, levels and proofs are bit-identical.
     pub fn from_leaves_scalar(leaves: Vec<H256>) -> MerkleTree {
-        if leaves.is_empty() {
-            return MerkleTree {
-                levels: vec![vec![H256::ZERO]],
-            };
-        }
         let mut levels = vec![leaves];
         let mut sponge = NodeSponge::new();
         while levels.last().expect("non-empty").len() > 1 {
@@ -229,9 +243,10 @@ impl MerkleTree {
         MerkleTree::from_leaves_scalar(items.iter().map(|i| leaf_hash(i.as_ref())).collect())
     }
 
-    /// The Merkle root.
+    /// The Merkle root (all-zero for the empty tree).
     pub fn root(&self) -> H256 {
-        self.levels.last().expect("at least one level")[0]
+        let top = self.levels.last().expect("at least one level");
+        top.first().copied().unwrap_or(H256::ZERO)
     }
 
     /// Number of leaves.
@@ -241,20 +256,20 @@ impl MerkleTree {
 
     /// `true` when the tree was built from zero leaves.
     pub fn is_empty(&self) -> bool {
-        self.levels.len() == 1 && self.levels[0][0] == H256::ZERO
+        self.len() == 0
     }
 
     /// Produces an inclusion proof for leaf `index`.
     ///
     /// Returns `None` when the index is out of bounds.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.levels[0].len() || self.is_empty() {
+        if index >= self.len() {
             return None;
         }
         let mut siblings = Vec::new();
         let mut idx = index;
         for level in &self.levels[..self.levels.len() - 1] {
-            let sib = if idx % 2 == 0 {
+            let sib = if idx.is_multiple_of(2) {
                 level.get(idx + 1).unwrap_or(&level[idx])
             } else {
                 &level[idx - 1]
@@ -271,7 +286,7 @@ pub fn verify_proof(root: &H256, leaf: &H256, proof: &MerkleProof) -> bool {
     let mut acc = *leaf;
     let mut idx = proof.index;
     for sib in &proof.siblings {
-        acc = if idx % 2 == 0 {
+        acc = if idx.is_multiple_of(2) {
             node_hash(&acc, sib)
         } else {
             node_hash(sib, &acc)
@@ -294,7 +309,18 @@ mod tests {
         let t = MerkleTree::from_leaves(vec![]);
         assert_eq!(t.root(), H256::ZERO);
         assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t.prove(0).is_none());
+    }
+
+    #[test]
+    fn tree_of_one_zero_leaf_is_not_the_empty_tree() {
+        // same root as the empty tree, but it has a leaf and proves it
+        let t = MerkleTree::from_leaves(vec![H256::ZERO]);
+        assert_eq!((t.len(), t.is_empty()), (1, false));
+        let p = t.prove(0).expect("the one leaf");
+        assert!(verify_proof(&t.root(), &H256::ZERO, &p));
+        assert!(t.prove(1).is_none());
     }
 
     #[test]
@@ -391,6 +417,8 @@ mod tests {
             let scalar = MerkleTree::from_items_scalar(&data);
             assert_eq!(batched.root(), scalar.root(), "n={n}");
             assert_eq!(batched.levels, scalar.levels, "n={n} levels diverge");
+            let leaves = scalar.levels[0].clone();
+            assert_eq!(merkle_root(leaves), scalar.root(), "n={n} in-place fold");
             if n > 0 {
                 for i in [0, n / 2, n - 1] {
                     assert_eq!(batched.prove(i), scalar.prove(i), "n={n} proof {i}");

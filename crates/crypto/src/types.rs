@@ -3,7 +3,7 @@
 //! Keccak-256 hash of a public key), plus [`DigestMap`], the hash map
 //! every ledger keyed by such an identity uses.
 
-use crate::keccak::keccak256;
+use crate::keccak::{keccak256, keccak256_x4};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -79,7 +79,11 @@ impl Address {
     /// Derives an address from public-key bytes: the low 20 bytes of
     /// `keccak256(pk)`, as Ethereum does.
     pub fn from_pubkey_bytes(pk: &[u8]) -> Address {
-        let h = keccak256(pk);
+        Address::from_digest(keccak256(pk))
+    }
+
+    /// The low 20 bytes of a Keccak-256 digest.
+    fn from_digest(h: [u8; 32]) -> Address {
         let mut out = [0u8; 20];
         out.copy_from_slice(&h[12..]);
         Address(out)
@@ -87,10 +91,22 @@ impl Address {
 
     /// A deterministic test/demo address derived from an index.
     pub fn from_index(i: u64) -> Address {
-        let h = keccak256(&i.to_be_bytes());
-        let mut out = [0u8; 20];
-        out.copy_from_slice(&h[12..]);
-        Address(out)
+        Address::from_digest(keccak256(&i.to_be_bytes()))
+    }
+
+    /// [`Address::from_index`] of every index in `range`, in order: four
+    /// indices per interleaved Keccak permutation, the < 4 remainder
+    /// through `from_index` — how a simulated user population is built.
+    pub fn from_index_range(range: std::ops::Range<u64>) -> Vec<Address> {
+        let mut out = Vec::with_capacity(range.end.saturating_sub(range.start) as usize);
+        let mut i = range.start;
+        while range.end.saturating_sub(i) >= 4 {
+            let m = [i, i + 1, i + 2, i + 3].map(u64::to_be_bytes);
+            out.extend(keccak256_x4([&m[0], &m[1], &m[2], &m[3]]).map(Address::from_digest));
+            i += 4;
+        }
+        out.extend((i..range.end).map(Address::from_index));
+        out
     }
 
     /// Returns the raw bytes.
@@ -223,7 +239,7 @@ pub fn to_hex(bytes: &[u8]) -> String {
 /// Returns `None` on odd length or non-hex characters.
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     let s = s.strip_prefix("0x").unwrap_or(s);
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     let mut out = Vec::with_capacity(s.len() / 2);
@@ -260,6 +276,19 @@ mod tests {
     #[test]
     fn address_from_index_distinct() {
         assert_ne!(Address::from_index(0), Address::from_index(1));
+    }
+
+    #[test]
+    fn index_range_matches_from_index_for_every_remainder() {
+        for start in [0, 3, 0xA110_0000, u64::MAX - 9] {
+            for len in 0..=9 {
+                let want: Vec<Address> = (start..start + len).map(Address::from_index).collect();
+                assert_eq!(Address::from_index_range(start..start + len), want);
+            }
+        }
+        // an inverted range is empty, as it is for the iterator
+        let inverted = std::ops::Range { start: 5, end: 2 };
+        assert!(Address::from_index_range(inverted).is_empty());
     }
 
     #[test]

@@ -763,7 +763,7 @@ mod tests {
             fee_growth_inside1: u128::MAX - i as u128,
             tick_lower: -60,
             tick_upper: 60,
-            deleted: i % 7 == 0,
+            deleted: i.is_multiple_of(7),
         }
     }
 

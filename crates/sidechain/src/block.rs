@@ -6,7 +6,7 @@ use crate::codec;
 use crate::summary::{PayoutEntry, PoolUpdate, PositionEntry};
 use ammboost_amm::tx::AmmTx;
 use ammboost_amm::types::{PoolId, PositionId};
-use ammboost_crypto::merkle::MerkleTree;
+use ammboost_crypto::merkle::merkle_root;
 use ammboost_crypto::H256;
 use serde::{Deserialize, Serialize};
 
@@ -150,8 +150,7 @@ impl MetaBlock {
 
     /// The Merkle root over transaction ids.
     pub fn compute_tx_root(txs: &[ExecutedTx]) -> H256 {
-        let leaves: Vec<H256> = txs.iter().map(|t| t.tx.tx_id()).collect();
-        MerkleTree::from_leaves(leaves).root()
+        merkle_root(AmmTx::ids_of(txs, |t| &t.tx))
     }
 
     /// Block id: hash of header fields.

@@ -15,7 +15,7 @@ fn tx(i: u64, size: usize) -> ExecutedTx {
         tx: AmmTx::Swap(SwapTx {
             user: Address::from_index(i),
             pool: PoolId(0),
-            zero_for_one: i % 2 == 0,
+            zero_for_one: i.is_multiple_of(2),
             intent: SwapIntent::ExactInput {
                 amount_in: 100 + i as u128,
                 min_amount_out: 0,
@@ -27,7 +27,7 @@ fn tx(i: u64, size: usize) -> ExecutedTx {
         effect: TxEffect::Swap {
             amount_in: 100 + i as u128,
             amount_out: 99,
-            zero_for_one: i % 2 == 0,
+            zero_for_one: i.is_multiple_of(2),
         },
     }
 }

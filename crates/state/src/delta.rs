@@ -15,7 +15,7 @@
 //! the delta is even considered for application.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
-use crate::pages::{apply_pages, diff_pages, page_hash, seal_pages, PageDiff, PageError};
+use crate::pages::{apply_pages, diff_pages, hash_pages, seal_pages, PageDiff, PageError};
 use crate::snapshot::{Section, SectionKind, Snapshot};
 use ammboost_crypto::H256;
 use std::collections::BTreeMap;
@@ -374,15 +374,16 @@ impl DeltaSnapshot {
                 let index = r.take_u32()?;
                 let hash: H256 = r.get()?;
                 let len = r.take_len()?;
-                let page_bytes = r.take(len)?.to_vec();
-                if page_hash(kind, index, &page_bytes) != hash {
-                    return Err(DeltaError::PageHashMismatch { kind, index });
-                }
-                pages.push(PageDiff {
-                    index,
-                    hash,
-                    bytes: page_bytes,
-                });
+                let bytes = r.take(len)?.to_vec();
+                pages.push(PageDiff { index, hash, bytes });
+            }
+            // the section's pages are verified together, four per
+            // interleaved permutation
+            let views: Vec<(u32, &[u8])> = pages.iter().map(|p| (p.index, &p.bytes[..])).collect();
+            let hashes = hash_pages(kind, &views);
+            if let Some((bad, _)) = pages.iter().zip(&hashes).find(|(p, h)| p.hash != **h) {
+                let index = bad.index;
+                return Err(DeltaError::PageHashMismatch { kind, index });
             }
             deltas.push(SectionDelta {
                 kind,
@@ -503,6 +504,47 @@ mod tests {
                 "flip at byte {offset} applied cleanly"
             );
         }
+    }
+
+    #[test]
+    fn flipped_page_byte_names_its_page_in_every_batch_lane() {
+        // seven changed pages with distinct content: one full quad and a
+        // remainder of three, so a bad page sits in each of the four
+        // lanes and in the scalar tail
+        let page = |k: usize| -> Vec<u8> { (0..PS).map(|i| (16 * k + i) as u8).collect() };
+        let kind = SectionKind::Pool(3);
+        let base = snap(1, vec![(kind, vec![0xEE; 7 * PS])]);
+        let next = snap(2, vec![(kind, (0..7).flat_map(page).collect())]);
+        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        assert_eq!(delta.pages(), 7);
+        let clean = delta.encode();
+        assert_eq!(DeltaSnapshot::decode(&clean).unwrap(), delta);
+        for k in 0..7 {
+            let content = page(k);
+            let at = clean
+                .windows(PS)
+                .position(|w| w == content)
+                .expect("page on the wire");
+            let mut bytes = clean.clone();
+            bytes[at + k] ^= 0x40;
+            let index = k as u32;
+            assert_eq!(
+                DeltaSnapshot::decode(&bytes),
+                Err(DeltaError::PageHashMismatch { kind, index }),
+                "flip in page {k}"
+            );
+        }
+        // two bad pages: the first in page order is the one reported
+        let mut bytes = clean.clone();
+        for k in [5, 2] {
+            let content = page(k);
+            let at = clean.windows(PS).position(|w| w == content).unwrap();
+            bytes[at] ^= 1;
+        }
+        assert_eq!(
+            DeltaSnapshot::decode(&bytes),
+            Err(DeltaError::PageHashMismatch { kind, index: 2 })
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use crate::codec::Encode;
 use crate::snapshot::SectionKind;
-use ammboost_crypto::merkle::MerkleTree;
+use ammboost_crypto::keccak::keccak256_x4_concat;
+use ammboost_crypto::merkle::merkle_root;
 use ammboost_crypto::H256;
 
 /// Domain prefix of every page hash.
@@ -53,13 +54,37 @@ pub fn page_hash(kind: SectionKind, index: u32, bytes: &[u8]) -> H256 {
     ])
 }
 
+/// [`page_hash`] of a run of `(index, bytes)` pages of one section, in
+/// the order given, four pages per interleaved Keccak permutation (a
+/// section's pages are equally long but for its last, so the four
+/// streams finish together); the < 4 remainder goes through
+/// [`page_hash`]. Bit-identical to hashing each page alone.
+pub(crate) fn hash_pages(kind: SectionKind, pages: &[(u32, &[u8])]) -> Vec<H256> {
+    let kind_bytes = kind.encode_to_vec();
+    let mut hashes = Vec::with_capacity(pages.len());
+    let mut quads = pages.chunks_exact(4);
+    for q in &mut quads {
+        let index = [q[0].0, q[1].0, q[2].0, q[3].0].map(u32::to_be_bytes);
+        let digests = keccak256_x4_concat([
+            &[PAGE_DOMAIN, &kind_bytes, &index[0], q[0].1],
+            &[PAGE_DOMAIN, &kind_bytes, &index[1], q[1].1],
+            &[PAGE_DOMAIN, &kind_bytes, &index[2], q[2].1],
+            &[PAGE_DOMAIN, &kind_bytes, &index[3], q[3].1],
+        ]);
+        hashes.extend(digests.map(H256));
+    }
+    let tail = quads.remainder().iter();
+    hashes.extend(tail.map(|&(index, bytes)| page_hash(kind, index, bytes)));
+    hashes
+}
+
 /// [`page_hash`] over every page of a section encoding, in index order.
+///
+/// # Panics
+/// Panics when `page_size` is zero.
 pub fn page_hashes(kind: SectionKind, bytes: &[u8], page_size: usize) -> Vec<H256> {
-    bytes
-        .chunks(page_size)
-        .enumerate()
-        .map(|(i, chunk)| page_hash(kind, i as u32, chunk))
-        .collect()
+    let pages = bytes.chunks(page_size).enumerate();
+    hash_pages(kind, &pages.map(|(i, c)| (i as u32, c)).collect::<Vec<_>>())
 }
 
 /// The Merkle sub-root over a section's pages: a length leaf (domain,
@@ -75,7 +100,7 @@ pub fn page_root(kind: SectionKind, bytes: &[u8], page_size: usize) -> H256 {
         &(bytes.len() as u64).to_be_bytes(),
     ]));
     leaves.extend(page_hashes(kind, bytes, page_size));
-    MerkleTree::from_leaves(leaves).root()
+    merkle_root(leaves)
 }
 
 /// One replaced page in a section delta: the slot, its sub-leaf hash and
@@ -110,12 +135,11 @@ pub fn diff_pages(old: &[u8], new: &[u8], page_size: usize) -> Vec<(u32, Vec<u8>
 /// Attaches sub-leaf hashes to raw page diffs (the deferred hashing half
 /// of [`diff_pages`]).
 pub fn seal_pages(kind: SectionKind, raw: Vec<(u32, Vec<u8>)>) -> Vec<PageDiff> {
-    raw.into_iter()
-        .map(|(index, bytes)| PageDiff {
-            index,
-            hash: page_hash(kind, index, &bytes),
-            bytes,
-        })
+    let views: Vec<(u32, &[u8])> = raw.iter().map(|(i, b)| (*i, b.as_slice())).collect();
+    let hashes = hash_pages(kind, &views);
+    let sealed = raw.into_iter().zip(hashes);
+    sealed
+        .map(|((index, bytes), hash)| PageDiff { index, hash, bytes })
         .collect()
 }
 
@@ -258,6 +282,43 @@ mod tests {
         assert_ne!(h, page_hash(SectionKind::Pool(1), 0, b"abc"));
         assert_ne!(h, page_hash(SectionKind::Pool(0), 1, b"abc"));
         assert_ne!(h, page_hash(SectionKind::Pool(0), 0, b"abd"));
+    }
+
+    #[test]
+    fn batched_page_hashes_match_page_hash_around_every_page_boundary() {
+        // 0..=5 pages with lengths one short of, at and one past every
+        // multiple of the page size: every remainder of the four-page
+        // batching, the short last page and the empty section
+        let bytes: Vec<u8> = (0..5 * PS + 1).map(|i| (i * 31 % 251) as u8).collect();
+        for kind in [SectionKind::Pool(7), SectionKind::Deposits] {
+            for len in 0..=bytes.len() {
+                let section = &bytes[..len];
+                let want: Vec<H256> = section
+                    .chunks(PS)
+                    .enumerate()
+                    .map(|(i, chunk)| page_hash(kind, i as u32, chunk))
+                    .collect();
+                assert_eq!(want.len(), page_count(len, PS));
+                assert_eq!(page_hashes(kind, section, PS), want, "{kind:?} len {len}");
+                // sealing a diff against nothing hashes the same pages
+                let sealed = seal_pages(kind, diff_pages(&[], section, PS));
+                let hashes: Vec<H256> = sealed.iter().map(|p| p.hash).collect();
+                assert_eq!(hashes, want, "{kind:?} len {len} sealed");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_page_hashes_bind_the_given_index() {
+        // a sparse diff: slots that are not 0, 1, 2, … in the batch
+        let pages: Vec<(u32, Vec<u8>)> = [3u32, 9, 10, 40, 41, 77]
+            .iter()
+            .map(|&i| (i, vec![i as u8; PS]))
+            .collect();
+        for page in seal_pages(SectionKind::Ledger, pages) {
+            let want = page_hash(SectionKind::Ledger, page.index, &page.bytes);
+            assert_eq!(page.hash, want, "page {}", page.index);
+        }
     }
 
     #[test]

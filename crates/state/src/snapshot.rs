@@ -12,7 +12,7 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use ammboost_crypto::keccak::keccak256_x4_concat;
-use ammboost_crypto::merkle::MerkleTree;
+use ammboost_crypto::merkle::merkle_root;
 use ammboost_crypto::H256;
 
 /// Domain prefix of every section hash.
@@ -161,7 +161,7 @@ pub fn root_from_section_hashes(version: u16, epoch: u64, section_hashes: &[H256
         &epoch.to_be_bytes(),
     ]));
     leaves.extend_from_slice(section_hashes);
-    MerkleTree::from_leaves(leaves).root()
+    merkle_root(leaves)
 }
 
 /// A full-state checkpoint at an epoch boundary.

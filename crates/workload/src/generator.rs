@@ -321,6 +321,9 @@ pub struct GeneratedTx {
     pub wire_size: usize,
 }
 
+/// User `i`'s address is `Address::from_index(USER_INDEX_BASE + i)`.
+const USER_INDEX_BASE: u64 = 0xA110_0000;
+
 /// The deterministic traffic generator.
 #[derive(Clone, Debug)]
 pub struct TrafficGenerator {
@@ -332,15 +335,27 @@ pub struct TrafficGenerator {
     quote_rng: DetRng,
     nonces: Vec<u64>,
     /// Positions fed back from mints, indexed by pool so burns/collects
-    /// draw from the right pool in O(1) without scanning the fleet.
+    /// draw from the right pool in O(1) without scanning the fleet. A
+    /// position is tracked once; each vector keeps tracking order, which
+    /// is what `pick_position` indexes into.
     positions: HashMap<PoolId, Vec<(Address, PositionId)>>,
+    /// `owned[i]`: user `i`'s tracked positions on their home pool, in
+    /// the order `positions` holds them — what a mint past the per-user
+    /// cap tops up, without scanning the pool's vector for the owner.
+    owned: Vec<Vec<PositionId>>,
+    /// The pool each tracked position is on: `forget_position` goes to
+    /// the one vector that holds it, and returns at once for a position
+    /// already forgotten (the node feeds back every deleted position,
+    /// most of which the generator dropped when it issued the burn).
+    pool_of: DigestMap<PositionId, PoolId>,
     /// Cumulative, normalized pool-choice weights (one entry per pool).
     cumulative_weights: Vec<f64>,
     /// `users[i]` = [`TrafficGenerator::user_address`]`(i)`: one Keccak
     /// per user at construction, none per generated transaction.
     users: Vec<Address>,
-    /// Reverse map address → home pool, for deposit routing.
-    home_pools: DigestMap<Address, PoolId>,
+    /// Reverse map address → user index (hence home pool), for deposit
+    /// routing and for finding a position's `owned` list.
+    index_of: DigestMap<Address, u32>,
 }
 
 impl TrafficGenerator {
@@ -370,21 +385,19 @@ impl TrafficGenerator {
                 acc
             })
             .collect();
-        let users: Vec<Address> = (0..config.users).map(Self::user_address).collect();
-        let home_pools = users
-            .iter()
-            .zip(config.pools.iter().cycle())
-            .map(|(user, pool)| (*user, *pool))
-            .collect();
+        let users = Address::from_index_range(USER_INDEX_BASE..USER_INDEX_BASE + config.users);
+        let index_of = users.iter().zip(0..).map(|(user, i)| (*user, i)).collect();
         TrafficGenerator {
             config,
             rng,
             quote_rng,
             nonces,
             positions: HashMap::new(),
+            owned: vec![Vec::new(); users.len()],
+            pool_of: DigestMap::default(),
             cumulative_weights,
             users,
-            home_pools,
+            index_of,
         }
     }
 
@@ -395,7 +408,7 @@ impl TrafficGenerator {
 
     /// Deterministic address of simulated user `i`.
     pub fn user_address(i: u64) -> Address {
-        Address::from_index(0xA110_0000 + i)
+        Address::from_index(USER_INDEX_BASE + i)
     }
 
     /// The home pool of user index `i`.
@@ -407,7 +420,15 @@ impl TrafficGenerator {
     /// simulated population). This is the deposit-routing map the system
     /// uses to split a TokenBank snapshot across shards.
     pub fn pool_for(&self, user: &Address) -> Option<PoolId> {
-        self.home_pools.get(user).copied()
+        let i = *self.index_of.get(user)?;
+        Some(self.pool_of_index(u64::from(i)))
+    }
+
+    /// The `owned` list holding `owner`'s positions on `pool`: none for
+    /// an address outside the population or a pool that is not its home.
+    fn owned_on(&mut self, owner: &Address, pool: PoolId) -> Option<&mut Vec<PositionId>> {
+        let i = *self.index_of.get(owner)?;
+        (self.pool_of_index(u64::from(i)) == pool).then(|| &mut self.owned[i as usize])
     }
 
     /// The configured fleet with engine kinds assigned: one
@@ -425,19 +446,35 @@ impl TrafficGenerator {
 
     /// Number of positions currently known to the generator.
     pub fn tracked_positions(&self) -> usize {
-        self.positions.values().map(|v| v.len()).sum()
+        self.pool_of.len()
     }
 
     /// Informs the generator that a position exists (e.g. pre-seeded
     /// liquidity), so burns/collects can target it.
     pub fn register_position(&mut self, owner: Address, id: PositionId, pool: PoolId) {
+        let known = self.pool_of.insert(id, pool);
+        debug_assert!(known.is_none(), "position {id} registered twice");
         self.positions.entry(pool).or_default().push((owner, id));
+        if let Some(owned) = self.owned_on(&owner, pool) {
+            owned.push(id);
+        }
     }
 
-    /// Removes a position (after a full burn).
+    /// Removes a position (after a full burn); a no-op for one that is
+    /// not tracked.
     pub fn forget_position(&mut self, id: PositionId) {
-        for tracked in self.positions.values_mut() {
-            tracked.retain(|(_, p)| *p != id);
+        let Some(pool) = self.pool_of.remove(&id) else {
+            return;
+        };
+        let tracked = self
+            .positions
+            .get_mut(&pool)
+            .expect("pool of a tracked position");
+        let at = tracked.iter().position(|(_, p)| *p == id);
+        // order-preserving removal: `pick_position` indexes by position
+        let (owner, _) = tracked.remove(at.expect("tracked on its pool"));
+        if let Some(owned) = self.owned_on(&owner, pool) {
+            owned.retain(|p| *p != id);
         }
     }
 
@@ -654,19 +691,9 @@ impl TrafficGenerator {
         let pool = self.config.pools[pi];
         // past the per-user cap, mints top up an existing position (a
         // user's positions all live on their home pool)
-        let owned: Vec<PositionId> = self
-            .positions
-            .get(&pool)
-            .map(|tracked| {
-                tracked
-                    .iter()
-                    .filter(|(o, _)| *o == user)
-                    .map(|(_, id)| *id)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if owned.len() >= self.config.max_positions_per_user {
-            let pick = owned[self.rng.range_u64(0, owned.len() as u64) as usize];
+        let owned = self.owned[ui as usize].len();
+        if owned >= self.config.max_positions_per_user {
+            let pick = self.owned[ui as usize][self.rng.range_u64(0, owned as u64) as usize];
             self.nonces[ui as usize] += 1;
             let tx = MintTx {
                 user,
@@ -710,8 +737,7 @@ impl TrafficGenerator {
             nonce: self.nonces[ui as usize],
         };
         // track the would-be position so later burns/collects can hit it
-        let id = tx.derived_position_id();
-        self.positions.entry(pool).or_default().push((user, id));
+        self.register_position(user, tx.derived_position_id(), pool);
         self.wrap(AmmTx::Mint(tx))
     }
 
@@ -918,6 +944,45 @@ mod tests {
         assert_eq!(
             ammboost_crypto::H256::hash(&stream).to_hex(),
             "21940bef928377c152389b5554ee8c6961aa19093c2e15702b26cf7ab9376c36"
+        );
+    }
+
+    #[test]
+    fn mint_burn_heavy_stream_is_pinned() {
+        // the digest was taken while `gen_mint` and `forget_position`
+        // still scanned every tracked position: the per-owner lists must
+        // pick the same top-ups, and removal must keep tracking order
+        let mut g = TrafficGenerator::new(GeneratorConfig {
+            users: 200,
+            pools: pool_set(4),
+            mix: TrafficMix::from_tuple((60.0, 20.0, 10.0, 10.0)),
+            max_positions_per_user: 4,
+            ..config(1_000_000, 7)
+        });
+        let mut stream = Vec::new();
+        let (mut full_burns, mut top_ups) = (0, 0);
+        for i in 0..10_000 {
+            let t = g.next_tx(i / 100);
+            match &t.tx {
+                // the node feeds every deleted position back, although
+                // the generator forgot it when it issued the burn
+                AmmTx::Burn(b) if b.liquidity.is_none() => {
+                    g.forget_position(b.position);
+                    full_burns += 1;
+                }
+                AmmTx::Mint(m) if m.position.is_some() => top_ups += 1,
+                _ => {}
+            }
+            stream.extend_from_slice(format!("{:?}/{}", t.tx, t.wire_size).as_bytes());
+        }
+        assert_eq!((full_burns, top_ups), (511, 737));
+        // the three indexes agree on what is tracked
+        assert_eq!(g.tracked_positions(), 714);
+        assert_eq!(g.positions.values().map(Vec::len).sum::<usize>(), 714);
+        assert_eq!(g.owned.iter().map(Vec::len).sum::<usize>(), 714);
+        assert_eq!(
+            ammboost_crypto::H256::hash(&stream).to_hex(),
+            "0c71b3e6808ed94dbb97effb23999091b933e96e692963ddcc2494eb52f200a6"
         );
     }
 
