@@ -16,7 +16,7 @@
 //! section).
 
 use crate::error::AmmError;
-use crate::pool::{Pool, PoolState, PositionValuation, SwapKind, SwapResult, TickSearch};
+use crate::pool::{Pool, PoolState, PositionValuation, SwapKind, SwapResult};
 use crate::types::{Amount, AmountPair, Liquidity, PositionId, Tick};
 use ammboost_crypto::{Address, U256};
 use serde::{Deserialize, Serialize};
@@ -642,14 +642,6 @@ impl Engine {
         }
     }
 
-    /// Selects the CL swap loop's next-tick search strategy; a no-op on
-    /// engines without a tick grid.
-    pub fn set_tick_search(&mut self, search: TickSearch) {
-        if let Engine::Cl(p) = self {
-            p.set_tick_search(search);
-        }
-    }
-
     /// Pool token balances, owed amounts included.
     pub fn balances(&self) -> AmountPair {
         dispatch!(self, e => AmmEngine::balances(e))
@@ -929,14 +921,5 @@ mod tests {
                 Err(AmmError::NotPositionOwner(_))
             ));
         }
-    }
-
-    #[test]
-    fn set_tick_search_noop_on_share_engines() {
-        let mut e = seeded(EngineKind::ConstantProduct);
-        let before = e.export_state();
-        e.set_tick_search(TickSearch::BTreeOracle);
-        assert_eq!(e.export_state(), before);
-        assert!(e.as_cl().is_none());
     }
 }

@@ -293,19 +293,6 @@ impl Pool {
         self.positions.len()
     }
 
-    /// How many positions are held decoded in memory (the rest remain
-    /// raw snapshot records until first touch).
-    pub fn materialized_position_count(&self) -> usize {
-        self.positions.materialized()
-    }
-
-    /// Eagerly decodes every record-backed position — the restore-time
-    /// oracle that lazy materialization is benchmarked and differentially
-    /// tested against. Returns how many records were newly decoded.
-    pub fn materialize_positions(&mut self) -> usize {
-        self.positions.materialize_all()
-    }
-
     /// Number of initialized ticks.
     pub fn initialized_tick_count(&self) -> usize {
         self.ticks.len()

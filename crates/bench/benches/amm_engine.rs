@@ -2,6 +2,7 @@
 //! stepping, pool operations — the per-transaction costs that bound
 //! sidechain throughput.
 
+use ammboost_amm::engines::{Engine, EngineKind};
 use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
 use ammboost_amm::tick_bitmap::TickBitmap;
 use ammboost_amm::tick_math::{sqrt_ratio_at_tick, tick_at_sqrt_ratio};
@@ -64,6 +65,35 @@ fn bench_swaps(c: &mut Criterion) {
             )
         })
     });
+    // the same alternating pattern through the two share-based engines,
+    // dispatched through `Engine` as the node dispatches them
+    for (name, kind) in [
+        ("pool/swap_constant_product", EngineKind::ConstantProduct),
+        ("pool/swap_weighted", EngineKind::Weighted),
+    ] {
+        c.bench_function(name, |b| {
+            let mut engine = Engine::new_standard(kind);
+            engine
+                .mint(
+                    PositionId::derive(&[b"bench"]),
+                    Address::from_index(1),
+                    -6000,
+                    6000,
+                    10u128.pow(14),
+                    10u128.pow(14),
+                )
+                .expect("seed join");
+            let mut dir = false;
+            b.iter(|| {
+                dir = !dir;
+                black_box(
+                    engine
+                        .swap(dir, SwapKind::ExactInput(50_000), None)
+                        .expect("swap"),
+                )
+            })
+        });
+    }
 }
 
 fn bench_positions(c: &mut Criterion) {

@@ -133,6 +133,10 @@ fn bench_merkle(c: &mut Criterion) {
     c.bench_function("merkle/root_1000_leaves", |b| {
         b.iter(|| black_box(MerkleTree::from_leaves(black_box(leaves.clone())).root()))
     });
+    // the scalar reference the four-lane build is tested against
+    c.bench_function("merkle/root_1000_leaves_scalar", |b| {
+        b.iter(|| black_box(MerkleTree::from_leaves_scalar(black_box(leaves.clone())).root()))
+    });
 }
 
 criterion_group!(

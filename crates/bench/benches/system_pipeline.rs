@@ -5,6 +5,7 @@
 //! generation), and the batched short-hash paths (transaction root,
 //! ticket draw, page sealing).
 
+use ammboost_amm::pool::{Pool, TickSearch};
 use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 use ammboost_amm::types::PoolId;
 use ammboost_consensus::election::{draw_ticket, draw_tickets, elect_committee, MinerRecord};
@@ -259,6 +260,31 @@ fn bench_seal_pages(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Pool::from_state` of a fragmented pool (512 initialized ticks) with
+/// the persisted tick-price table and with the table stripped, which
+/// recomputes every boundary price — the restore-side gain the table's
+/// place in the wire format rests on.
+fn bench_restore_fragmented(c: &mut Criterion) {
+    let with_table = ammboost_bench::fragmented_ladder_pool(256, TickSearch::Bitmap).export_state();
+    assert!(with_table.ticks.len() >= 256 && !with_table.tick_prices.is_empty());
+    let mut recompute = with_table.clone();
+    recompute.tick_prices.clear();
+    let mut group = c.benchmark_group("state");
+    for (name, state) in [
+        ("restore_fragmented_with_table", with_table),
+        ("restore_fragmented_recompute", recompute),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || state.clone(),
+                |state| black_box(Pool::from_state(state).expect("exported state restores")),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// One round of `paper_default` traffic (2 026 transactions).
 fn bench_generator(c: &mut Criterion) {
     let mut generator = System::new(SystemConfig::default()).generator().clone();
@@ -281,6 +307,7 @@ criterion_group!(
     bench_election,
     bench_tx_root,
     bench_seal_pages,
+    bench_restore_fragmented,
     bench_generator
 );
 criterion_main!(benches);

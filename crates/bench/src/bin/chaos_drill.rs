@@ -25,7 +25,8 @@
 //!    refused, and page-granular delta sync from a stale snapshot heals
 //!    a tampered page off the honest provider.
 //!
-//! Usage: `chaos_drill [--seed N] [--pools N]`
+//! Usage: `chaos_drill [--seed N] [--pools N]` (anything else — unknown
+//! flag, missing or unparsable value — prints the usage line and exits 2).
 
 use ammboost_core::config::{SnapshotPolicy, SystemConfig};
 use ammboost_core::system::System;
@@ -61,21 +62,39 @@ fn run_system(cfg: SystemConfig) -> (System, ammboost_core::system::SystemReport
     (sys, report)
 }
 
+const USAGE: &str = "usage: chaos_drill [--seed N] [--pools N]";
+
+/// `(seed, pools)` from the command line; defaults 7 and 4.
+fn parse_args(args: &[String]) -> Result<(u64, u32), String> {
+    fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+        let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+        raw.parse()
+            .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+    }
+    let (mut seed, mut pools) = (7u64, 4u32);
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--seed" => seed = value(flag, rest.next())?,
+            "--pools" => pools = value(flag, rest.next())?,
+            unknown => return Err(format!("unknown argument: {unknown}")),
+        }
+    }
+    if pools < 2 {
+        return Err(format!(
+            "--pools {pools}: the drill needs at least two pools"
+        ));
+    }
+    Ok((seed, pools))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
-    let pools: u32 = args
-        .iter()
-        .position(|a| a == "--pools")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    assert!(pools >= 2, "drill needs at least two pools");
+    let (seed, pools) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let epochs = 6u64;
 
     ammboost_bench::header("Chaos drill: fault schedule vs clean run");
@@ -428,4 +447,25 @@ fn main() {
 
     println!();
     println!("chaos drill PASS ({pools} pools, {epochs} epochs, 7 fault kinds, delta chain)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(u64, u32), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parser_accepts_the_ci_invocation_and_nothing_else() {
+        assert_eq!(parse(&[]), Ok((7, 4)));
+        assert_eq!(parse(&["--seed", "7", "--pools", "4"]), Ok((7, 4)));
+        assert_eq!(parse(&["--pools", "6", "--seed", "11"]), Ok((11, 6)));
+        // a typo must not fall back to the default drill
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["--seed"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--seed", "seven"]).unwrap_err().contains("seven"));
+        assert!(parse(&["--pools", "1"]).unwrap_err().contains("two pools"));
+    }
 }

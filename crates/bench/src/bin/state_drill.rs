@@ -26,6 +26,9 @@
 //! byte-identical to the live node.
 //!
 //! Usage: `state_drill [--seed N] [--pools N] [--uniform] [--routed] [--quotes] [--delta]`
+//! (anything else — unknown flag, missing or unparsable value — prints
+//! the usage line and exits 2: CI must never run a drill other than the
+//! one its step names).
 
 use ammboost_amm::engines::Engine;
 use ammboost_amm::pool::{SwapKind, SwapResult};
@@ -38,7 +41,7 @@ use ammboost_sim::DetRng;
 use ammboost_state::{prune_to_snapshot, CheckpointStore, Checkpointer, RetentionPolicy, Snapshot};
 use ammboost_workload::{QuoteStyle, RouteStyle, TrafficSkew};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// One answered read-path query: the request plus the answer the reader
 /// thread got from the sealed view, kept for post-run re-verification.
@@ -54,8 +57,16 @@ const READER_CAP: usize = 20_000;
 /// Hammers `view` from [`READER_THREADS`] threads until `stop` is set
 /// (or every thread hits its cap), recording every answer. Quotes draw
 /// from per-thread deterministic RNG streams, so the drill is exactly
-/// reproducible for a given seed.
-fn hammer_view(view: &Arc<QuoteView>, seed: u64, stop: &AtomicBool) -> Vec<AnsweredQuote> {
+/// reproducible for a given seed. Every reader answers one quote and
+/// then waits on `running`; a writer that waits on it too starts only
+/// once all readers are mid-stream — a three-epoch run lasts a few
+/// milliseconds, less than it can take a reader thread to start.
+fn hammer_view(
+    view: &Arc<QuoteView>,
+    seed: u64,
+    stop: &AtomicBool,
+    running: &Barrier,
+) -> Vec<AnsweredQuote> {
     std::thread::scope(|s| {
         let readers: Vec<_> = (0..READER_THREADS)
             .map(|t| {
@@ -71,6 +82,9 @@ fn hammer_view(view: &Arc<QuoteView>, seed: u64, stop: &AtomicBool) -> Vec<Answe
                         let amount = rng.range_u128(1_000, 2_000_000);
                         let res = view.quote_swap(pool, dir, SwapKind::ExactInput(amount), None);
                         out.push((pool, dir, amount, res));
+                        if out.len() == 1 {
+                            running.wait();
+                        }
                     }
                     out
                 })
@@ -102,24 +116,66 @@ fn reverify(answers: &[AnsweredQuote], reference: impl Fn(PoolId) -> Engine) -> 
     answers.len()
 }
 
+const USAGE: &str =
+    "usage: state_drill [--seed N] [--pools N] [--uniform] [--routed] [--quotes] [--delta]";
+
+#[derive(Debug)]
+struct Options {
+    seed: u64,
+    pools: u32,
+    uniform: bool,
+    routed: bool,
+    quotes: bool,
+    delta: bool,
+}
+
+fn flag_value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+}
+
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        seed: 7,
+        pools: 8,
+        uniform: false,
+        routed: false,
+        quotes: false,
+        delta: false,
+    };
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--seed" => opts.seed = flag_value(flag, rest.next())?,
+            "--pools" => opts.pools = flag_value(flag, rest.next())?,
+            "--uniform" => opts.uniform = true,
+            "--routed" => opts.routed = true,
+            "--quotes" => opts.quotes = true,
+            "--delta" => opts.delta = true,
+            unknown => return Err(format!("unknown argument: {unknown}")),
+        }
+    }
+    if opts.pools < if opts.routed { 2 } else { 1 } {
+        return Err(format!("--pools {}: too few pools", opts.pools));
+    }
+    Ok(opts)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7u64);
-    let pools: u32 = args
-        .iter()
-        .position(|a| a == "--pools")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let uniform = args.iter().any(|a| a == "--uniform");
-    let routed = args.iter().any(|a| a == "--routed");
-    let quotes = args.iter().any(|a| a == "--quotes");
-    let delta = args.iter().any(|a| a == "--delta");
+    let Options {
+        seed,
+        pools,
+        uniform,
+        routed,
+        quotes,
+        delta,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
 
     ammboost_bench::header("State drill: checkpoint → prune → restore → verify");
     ammboost_bench::line("config/pools", pools);
@@ -138,7 +194,6 @@ fn main() {
         TrafficSkew::Zipf { exponent: 1.0 }
     };
     if routed {
-        assert!(pools >= 2, "--routed needs at least two pools");
         cfg.route_style = RouteStyle::routed(0.35, 4);
     }
     if quotes {
@@ -168,8 +223,10 @@ fn main() {
         .collect();
     let stop = AtomicBool::new(false);
     let (report, answered) = if quotes {
+        let running = Barrier::new(READER_THREADS + 1);
         std::thread::scope(|s| {
-            let reader = s.spawn(|| hammer_view(&genesis, seed, &stop));
+            let reader = s.spawn(|| hammer_view(&genesis, seed, &stop, &running));
+            running.wait();
             let report = sys.run();
             stop.store(true, Ordering::Relaxed);
             (report, reader.join().expect("hammer scope panicked"))
@@ -253,7 +310,12 @@ fn main() {
         let final_view = sys.quote_view().expect("final view published");
         assert_eq!(final_view.pool_count(), pools as usize);
         let stop = AtomicBool::new(false); // bounded round: readers run to their cap
-        let answered = hammer_view(&final_view, seed ^ 0x0F1E_2D3C_4B5A_6978, &stop);
+        let answered = hammer_view(
+            &final_view,
+            seed ^ 0x0F1E_2D3C_4B5A_6978,
+            &stop,
+            &Barrier::new(READER_THREADS),
+        );
         let n = reverify(&answered, |id| {
             Engine::from_state(
                 node.shards
@@ -379,4 +441,31 @@ fn main() {
         if quotes { ", concurrent quotes" } else { "" },
         if delta { ", delta chain" } else { "" }
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parser_accepts_the_ci_invocations_and_nothing_else() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.seed, defaults.pools), (7, 8));
+        let full = parse(&["--pools", "8", "--routed", "--quotes", "--seed", "9"]).unwrap();
+        assert_eq!((full.seed, full.pools), (9, 8));
+        assert!(full.routed && full.quotes && !full.delta && !full.uniform);
+        assert!(parse(&["--delta", "--uniform"]).unwrap().delta);
+        // a typo must not fall back to the default drill
+        assert!(parse(&["--pool", "1"]).unwrap_err().contains("--pool"));
+        assert!(parse(&["--pools", "x"]).unwrap_err().contains("\"x\""));
+        assert!(parse(&["--pools"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--pools", "-1"]).is_err());
+        assert!(parse(&["1"]).is_err());
+        assert!(parse(&["--pools", "0"]).is_err());
+        assert!(parse(&["--pools", "1", "--routed"]).is_err());
+    }
 }

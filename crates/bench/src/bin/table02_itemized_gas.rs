@@ -23,10 +23,7 @@ fn main() {
     cfg.epochs = 3;
     let mut sys = System::new(cfg);
     let _ = sys.run();
-    let receipt = sys
-        .last_sync_receipt
-        .as_ref()
-        .expect("a sync was submitted");
+    let receipt = sys.last_sync_receipt().expect("a sync was submitted");
 
     line("sync payload", format!("{} bytes", receipt.payload_bytes));
     let payout_each = if receipt.payouts_applied > 0 {

@@ -205,12 +205,12 @@ pub fn checkpoint_node(
     output
 }
 
-/// The synchronous half of [`checkpoint_node`]: observes the node's state
-/// at the epoch boundary (dirty flags, section encodings, shard metas)
-/// and returns a [`StagedCheckpoint`] that owns everything the expensive
-/// Merkle-hashing commit needs. Because the staged data is an owned copy,
-/// `commit()` may run on another thread while the node executes the next
-/// epoch — the resulting snapshot is byte-identical either way.
+/// The observing half of [`checkpoint_node`]: reads the node's state at
+/// the epoch boundary (dirty flags, section encodings, shard metas) and
+/// returns a [`StagedCheckpoint`] that owns everything the Merkle-hashing
+/// `commit()` needs, which makes the commit a pure function of those
+/// bytes. The node commits at once; the split exists so a caller (the
+/// benchmark's traced replica) can time the two halves as separate spans.
 pub fn stage_node(
     checkpointer: &mut Checkpointer,
     epoch: u64,

@@ -1,7 +1,6 @@
 //! System configuration: the paper's experiment knobs (§VI-A) plus the
 //! fault-injection plan for the interruption-handling drills (§IV-C).
 
-use crate::shard::ExecMode;
 use ammboost_mainchain::chain::ChainConfig;
 use ammboost_sim::time::SimDuration;
 use ammboost_workload::{
@@ -23,39 +22,6 @@ pub enum DepositPolicy {
     /// bounced to the wallet and re-pulled but stays locked, adds to the
     /// fresh deposit, and shows up summed in the next opening snapshot.
     PerEpoch,
-}
-
-/// How the Merkle hashing half of a checkpoint is scheduled relative to
-/// epoch execution. Output is byte-identical in both modes — the staged
-/// sections own their bytes, so where (and when) `commit` runs is a pure
-/// performance choice, exactly like [`ExecMode`] for batch scheduling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CheckpointMode {
-    /// Stage and commit inline at the epoch boundary — the epoch loop
-    /// waits for the snapshot's Merkle root before proceeding.
-    #[default]
-    Synchronous,
-    /// Stage inline, then submit the commit (hashing + assembly) to the
-    /// process-wide worker pool and start the next epoch immediately;
-    /// the in-flight checkpoint is joined at the next epoch boundary or
-    /// at any on-demand checkpoint/report/restore drain point.
-    Pipelined,
-}
-
-impl std::str::FromStr for CheckpointMode {
-    type Err = String;
-
-    /// Parses `synchronous` / `pipelined` (case-insensitive) — the
-    /// vocabulary of the `AMMBOOST_CHECKPOINT_MODE` environment override.
-    fn from_str(s: &str) -> Result<CheckpointMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "synchronous" | "sync" => Ok(CheckpointMode::Synchronous),
-            "pipelined" | "pipeline" => Ok(CheckpointMode::Pipelined),
-            other => Err(format!(
-                "unknown checkpoint mode {other:?} (expected synchronous|pipelined)"
-            )),
-        }
-    }
 }
 
 /// Checkpointing and snapshot-aware retention knobs (the
@@ -133,11 +99,6 @@ pub struct SystemConfig {
     /// served from the sealed epoch view (default: none — the paper's
     /// write-only workloads).
     pub quote_style: QuoteStyle,
-    /// How batches are scheduled across shards (results are bit-identical
-    /// in every mode). The `AMMBOOST_EXEC_MODE` environment variable
-    /// (`auto`|`sequential`|`parallel`) overrides this at run start — the
-    /// knob CI's exec-mode matrix drives.
-    pub exec_mode: ExecMode,
     /// Deposit cadence.
     pub deposit_policy: DepositPolicy,
     /// Deposit size per user per token, per deposit event.
@@ -158,12 +119,6 @@ pub struct SystemConfig {
     pub disable_pruning: bool,
     /// Checkpoint cadence + retention for the snapshot subsystem.
     pub snapshot: SnapshotPolicy,
-    /// Whether scheduled checkpoints hash inline at the epoch boundary or
-    /// overlap with the next epoch on the worker pool (byte-identical
-    /// output either way). The `AMMBOOST_CHECKPOINT_MODE` environment
-    /// variable (`synchronous`|`pipelined`) overrides this at run start —
-    /// the knob CI's checkpoint-mode matrix drives.
-    pub checkpoint_mode: CheckpointMode,
     /// Fault-injection plan.
     pub faults: FaultPlan,
     /// Root seed for all randomness.
@@ -188,7 +143,6 @@ impl Default for SystemConfig {
             route_style: RouteStyle::default(),
             liquidity_style: LiquidityStyle::default(),
             quote_style: QuoteStyle::default(),
-            exec_mode: ExecMode::default(),
             deposit_policy: DepositPolicy::OncePerRun,
             deposit_amount: 2_000_000_000_000,
             mainchain: ChainConfig::default(),
@@ -196,7 +150,6 @@ impl Default for SystemConfig {
             crypto_committee_faults: 4,
             disable_pruning: false,
             snapshot: SnapshotPolicy::default(),
-            checkpoint_mode: CheckpointMode::default(),
             faults: FaultPlan::default(),
             seed: 7,
         }
@@ -212,43 +165,6 @@ impl SystemConfig {
     /// Total simulated run length.
     pub fn run_duration(&self) -> SimDuration {
         self.epoch_duration().saturating_mul(self.epochs)
-    }
-
-    /// The batch-scheduling mode actually in force: the
-    /// `AMMBOOST_EXEC_MODE` environment variable
-    /// (`auto`|`sequential`|`parallel`) overrides the configured
-    /// [`SystemConfig::exec_mode`], so CI can force both scheduling paths
-    /// over the whole test suite without touching any test.
-    ///
-    /// # Panics
-    /// Panics on an unparsable override — a typo in a CI matrix must fail
-    /// loudly, not silently fall back to the default schedule.
-    pub fn effective_exec_mode(&self) -> ExecMode {
-        match std::env::var("AMMBOOST_EXEC_MODE") {
-            Ok(v) if !v.is_empty() => v
-                .parse()
-                .unwrap_or_else(|e| panic!("AMMBOOST_EXEC_MODE: {e}")),
-            _ => self.exec_mode,
-        }
-    }
-
-    /// The checkpoint-scheduling mode actually in force: the
-    /// `AMMBOOST_CHECKPOINT_MODE` environment variable
-    /// (`synchronous`|`pipelined`) overrides the configured
-    /// [`SystemConfig::checkpoint_mode`], so CI can force both
-    /// scheduling paths over the whole test suite without touching any
-    /// test.
-    ///
-    /// # Panics
-    /// Panics on an unparsable override — a typo in a CI matrix must fail
-    /// loudly, not silently fall back to the default schedule.
-    pub fn effective_checkpoint_mode(&self) -> CheckpointMode {
-        match std::env::var("AMMBOOST_CHECKPOINT_MODE") {
-            Ok(v) if !v.is_empty() => v
-                .parse()
-                .unwrap_or_else(|e| panic!("AMMBOOST_CHECKPOINT_MODE: {e}")),
-            _ => self.checkpoint_mode,
-        }
     }
 
     /// A small configuration for tests: committee of 5, short epochs,
@@ -320,28 +236,6 @@ mod tests {
         assert_eq!(c.users, 100);
         assert_eq!(c.epoch_duration().as_millis(), 210_000);
         assert_eq!(c.run_duration().as_millis(), 11 * 210_000);
-    }
-
-    #[test]
-    fn checkpoint_mode_parses_like_its_env_vocabulary() {
-        assert_eq!(
-            "synchronous".parse::<CheckpointMode>(),
-            Ok(CheckpointMode::Synchronous)
-        );
-        assert_eq!(
-            "SYNC".parse::<CheckpointMode>(),
-            Ok(CheckpointMode::Synchronous)
-        );
-        assert_eq!(
-            "pipelined".parse::<CheckpointMode>(),
-            Ok(CheckpointMode::Pipelined)
-        );
-        assert_eq!(
-            "Pipeline".parse::<CheckpointMode>(),
-            Ok(CheckpointMode::Pipelined)
-        );
-        assert!("async".parse::<CheckpointMode>().is_err());
-        assert_eq!(CheckpointMode::default(), CheckpointMode::Synchronous);
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub use checkpoint::{
     catch_up, checkpoint_node, recover_node, restore_node, stage_node, NodeRestore,
     NodeRestoreError,
 };
-pub use config::{CheckpointMode, DepositPolicy, FaultPlan, SystemConfig};
+pub use config::{DepositPolicy, FaultPlan, SystemConfig};
 pub use processor::{EpochProcessor, ProcessorState};
 pub use shard::{ExecMode, ShardMap};
 pub use system::{System, SystemReport};
 pub use txenv::{create_tx, verify_tx, SignedTx};
 pub use view::{QuoteError, QuoteView, RouteQuote, ViewPublishStats};
-pub use workers::{JoinHandle, WorkerPanic, WorkerPool};
+pub use workers::WorkerPool;

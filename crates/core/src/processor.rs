@@ -9,7 +9,7 @@
 
 use ammboost_amm::engines::{Engine, EngineKind, EngineState};
 use ammboost_amm::error::AmmError;
-use ammboost_amm::pool::{SwapKind, TickSearch};
+use ammboost_amm::pool::SwapKind;
 use ammboost_amm::tx::{AmmTx, BurnTx, CollectTx, MintTx, SwapIntent, SwapTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
 use ammboost_crypto::Address;
@@ -185,15 +185,6 @@ impl EpochProcessor {
     /// The engine kind this processor's pool runs.
     pub fn engine_kind(&self) -> EngineKind {
         self.pool.kind()
-    }
-
-    /// Selects the AMM engine's next-tick search strategy for this
-    /// processor's pool. Pinning [`TickSearch::BTreeOracle`] makes the
-    /// sidechain replay epochs on the seed scan — a system-level
-    /// differential check against the bitmap engine. No-op for engines
-    /// without tick structure (constant-product, weighted).
-    pub fn set_tick_search(&mut self, search: TickSearch) {
-        self.pool.set_tick_search(search);
     }
 
     /// Read access to the deposit ledger.
@@ -641,6 +632,7 @@ impl EpochProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ammboost_amm::pool::TickSearch;
 
     fn user(i: u64) -> Address {
         Address::from_index(i)
@@ -702,7 +694,10 @@ mod tests {
         // effects, deposits and pool state.
         let run = |search: TickSearch| {
             let mut p = processor_with_liquidity();
-            p.set_tick_search(search);
+            p.pool
+                .as_cl_mut()
+                .expect("the test pool is concentrated-liquidity")
+                .set_tick_search(search);
             p.begin_epoch(snapshot(&[
                 (user(1), (2_000_000, 2_000_000)),
                 (user(2), (500_000, 500_000)),

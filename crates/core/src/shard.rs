@@ -40,7 +40,6 @@ use crate::processor::{EpochProcessor, ProcessorState, ProcessorStats};
 use crate::view::{QuoteView, ViewPublishStats};
 use crate::workers::WorkerPool;
 use ammboost_amm::engines::{Engine, EngineKind};
-use ammboost_amm::pool::TickSearch;
 use ammboost_amm::tx::{AmmTx, RouteTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
 use ammboost_crypto::{Address, DigestMap};
@@ -56,42 +55,29 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// One shard's sorted deposit entries, as exported for checkpointing.
 pub type DepositEntries = Vec<(Address, (u128, u128))>;
 
-/// Below this batch size the scheduling overhead of scoped threads
-/// outweighs the per-shard work; such rounds execute sequentially even in
+/// Below this batch size the hand-off to the worker pool outweighs the
+/// per-shard work; such rounds execute sequentially under
 /// [`ExecMode::Auto`].
-const PARALLEL_MIN_BATCH: usize = 64;
+pub(crate) const PARALLEL_MIN_BATCH: usize = 64;
 
-/// How a batch is scheduled across shards. Results are bit-identical in
-/// every mode — scheduling is a pure performance choice.
+/// How a batch is scheduled across shards. Results are bit-identical
+/// in every mode. The node always runs [`ExecMode::Auto`] and offers no
+/// way to choose; the other two exist so that tests can pin a schedule
+/// and show exactly that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecMode {
-    /// Parallelize when more than one shard has work, the batch is large
-    /// enough to amortize thread startup, and the host has more than one
-    /// hardware thread.
+    /// Hand busy shards to the persistent worker pool when more than one
+    /// shard has work, the batch holds at least `PARALLEL_MIN_BATCH`
+    /// transactions and the host has more than one hardware thread;
+    /// otherwise run them on the calling thread.
     #[default]
     Auto,
     /// Always execute shard-by-shard on the calling thread.
     Sequential,
-    /// Spawn a scoped worker per busy shard whenever at least two shards
-    /// have work (benchmarking knob; ignores the batch-size gate).
+    /// Use the worker pool whenever at least two shards have work,
+    /// whatever the batch size or the host (test lever: reaches the
+    /// pooled path on batches `Auto` would keep inline).
     Parallel,
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    /// Parses `auto` / `sequential` / `parallel` (case-insensitive) —
-    /// the vocabulary of the `AMMBOOST_EXEC_MODE` environment override.
-    fn from_str(s: &str) -> Result<ExecMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(ExecMode::Auto),
-            "sequential" | "seq" => Ok(ExecMode::Sequential),
-            "parallel" | "par" => Ok(ExecMode::Parallel),
-            other => Err(format!(
-                "unknown exec mode {other:?} (expected auto|sequential|parallel)"
-            )),
-        }
-    }
 }
 
 fn hardware_threads() -> usize {
@@ -338,14 +324,6 @@ impl ShardMap {
             .iter()
             .map(|s| (s.pool_id(), s.engine_kind()))
             .collect()
-    }
-
-    /// Selects the tick-search engine on every CL shard (differential
-    /// replays); no-op on share-based shards.
-    pub fn set_tick_search(&mut self, search: TickSearch) {
-        for s in &mut self.shards {
-            s.set_tick_search(search);
-        }
     }
 
     /// Seeds standing liquidity on `pool`'s shard.

@@ -16,11 +16,10 @@
 //! 14 members, threshold 10) so that multi-million-transaction runs remain
 //! tractable. Every cryptographic check TokenBank performs is genuine.
 
-use crate::checkpoint::{checkpoint_node, stage_node};
-use crate::config::{CheckpointMode, DepositPolicy, SystemConfig};
+use crate::checkpoint::checkpoint_node;
+use crate::config::{DepositPolicy, SystemConfig};
 use crate::shard::{ExecMode, ShardMap};
 use crate::view::QuoteView;
-use crate::workers::{JoinHandle, WorkerPool};
 use ammboost_amm::tx::AmmTx;
 use ammboost_amm::types::PoolId;
 use ammboost_consensus::election::{draw_tickets, elect_committee, Committee, MinerRecord};
@@ -189,8 +188,8 @@ pub struct System {
     sync_gas: u64,
     deposit_gas: u64,
     max_summary_bytes: u64,
-    /// Batch-scheduling mode in force (config, possibly overridden by
-    /// `AMMBOOST_EXEC_MODE` at construction).
+    /// Batch schedule: [`ExecMode::Auto`] always; only the unit tests
+    /// below force the other two, to show the choice is unobservable.
     exec_mode: ExecMode,
     /// The current sealed-epoch quote view (epoch N's view while epoch
     /// N+1 executes; genesis view before epoch 1).
@@ -201,13 +200,6 @@ pub struct System {
     view_pools_reused: u64,
     view_pools_recloned: u64,
     checkpointer: Checkpointer,
-    /// Checkpoint scheduling in force (config, possibly overridden by
-    /// `AMMBOOST_CHECKPOINT_MODE` at construction).
-    checkpoint_mode: CheckpointMode,
-    /// A pipelined checkpoint's commit half, running on the worker pool
-    /// while the next epoch executes. Joined at the next checkpoint
-    /// boundary, at [`System::checkpoint`], and before the run report.
-    inflight_checkpoint: Option<JoinHandle<ammboost_state::CheckpointOutput>>,
     snapshots_taken: u64,
     last_checkpoint: Option<CheckpointStats>,
     /// The most recent node snapshot (kept for restart/fast-sync drills).
@@ -215,11 +207,8 @@ pub struct System {
     /// The delta the most recent checkpoint emitted against the previous
     /// one (absent on the first checkpoint and after restarts).
     last_delta: Option<ammboost_state::DeltaSnapshot>,
-    /// The most recent sync receipt (itemization source for Table II).
-    pub last_sync_receipt: Option<SyncReceipt>,
-    /// Every sync certificate issued, in submission order, with the
-    /// committee key it was issued (and checked by the bank) under.
-    pub sync_certificates: Vec<(PublicKey, QuorumCertificate)>,
+    last_sync_receipt: Option<SyncReceipt>,
+    sync_certificates: Vec<(PublicKey, QuorumCertificate)>,
 }
 
 impl System {
@@ -313,8 +302,6 @@ impl System {
         // seal genesis: readers can quote against the seeded pools before
         // epoch 1 executes
         let (genesis_view, view_stats) = shards.publish_view(0);
-        let exec_mode = cfg.effective_exec_mode();
-        let checkpoint_mode = cfg.effective_checkpoint_mode();
 
         let genesis_ref = H256::hash(b"mainchain-block-containing-token-bank");
         System {
@@ -350,7 +337,7 @@ impl System {
             sync_gas: 0,
             deposit_gas: 0,
             max_summary_bytes: 0,
-            exec_mode,
+            exec_mode: ExecMode::Auto,
             quote_view: Some(genesis_view),
             quotes_served: 0,
             quotes_failed: 0,
@@ -358,8 +345,6 @@ impl System {
             view_pools_reused: view_stats.reused as u64,
             view_pools_recloned: view_stats.recloned as u64,
             checkpointer: Checkpointer::new(),
-            checkpoint_mode,
-            inflight_checkpoint: None,
             snapshots_taken: 0,
             last_checkpoint: None,
             last_snapshot: None,
@@ -399,6 +384,17 @@ impl System {
     /// Read access to the traffic generator.
     pub fn generator(&self) -> &TrafficGenerator {
         &self.generator
+    }
+
+    /// The most recent sync receipt (itemization source for Table II).
+    pub fn last_sync_receipt(&self) -> Option<&SyncReceipt> {
+        self.last_sync_receipt.as_ref()
+    }
+
+    /// Every sync certificate issued, in submission order, with the
+    /// committee key it was issued (and checked by the bank) under.
+    pub fn sync_certificates(&self) -> &[(PublicKey, QuorumCertificate)] {
+        &self.sync_certificates
     }
 
     /// The current sealed-epoch quote view: epoch N's immutable state
@@ -492,10 +488,6 @@ impl System {
             .advance_to(drain_end + SimDuration::from_secs(120));
         self.handle_confirmations();
 
-        // the report reads the last checkpoint's stats — join any
-        // pipelined commit still in flight first
-        self.drain_checkpoint();
-
         let active_window = drain_end.since(t0);
         let throughput = if active_window.as_secs_f64() > 0.0 {
             self.accepted as f64 / active_window.as_secs_f64()
@@ -541,29 +533,10 @@ impl System {
         }
     }
 
-    /// Joins the in-flight pipelined checkpoint, if any, landing its
-    /// snapshot and stats exactly as a synchronous checkpoint would have.
-    /// Idempotent; cheap when nothing is in flight.
-    fn drain_checkpoint(&mut self) {
-        if let Some(handle) = self.inflight_checkpoint.take() {
-            let output = handle.join();
-            // confirm the commit to the checkpointer so the *next* stage
-            // can diff against it and emit a page-granular delta
-            self.checkpointer
-                .note_committed(output.stats.epoch, output.stats.root);
-            self.last_checkpoint = Some(output.stats);
-            self.last_delta = output.delta;
-            self.last_snapshot = Some(output.snapshot);
-        }
-    }
-
     /// Takes an on-demand Merkle-committed checkpoint of the sidechain
     /// node state (processor + ledger) and returns its stats. The
     /// snapshot itself stays retrievable via [`System::last_snapshot`].
-    /// Always synchronous — any in-flight pipelined checkpoint is joined
-    /// first, so the returned stats describe the state as of `epoch`.
     pub fn checkpoint(&mut self, epoch: u64) -> CheckpointStats {
-        self.drain_checkpoint();
         let output = checkpoint_node(
             &mut self.checkpointer,
             epoch,
@@ -592,6 +565,12 @@ impl System {
     /// Stats of the most recent checkpoint.
     pub fn last_checkpoint(&self) -> Option<&CheckpointStats> {
         self.last_checkpoint.as_ref()
+    }
+
+    /// Forces a batch schedule other than the node's own choice.
+    #[cfg(test)]
+    fn set_exec_mode(&mut self, mode: ExecMode) {
+        self.exec_mode = mode;
     }
 
     fn run_epoch(&mut self, epoch: u64, epoch_start: SimTime) {
@@ -803,30 +782,7 @@ impl System {
         {
             return;
         }
-        match self.checkpoint_mode {
-            CheckpointMode::Synchronous => {
-                self.checkpoint(epoch);
-            }
-            CheckpointMode::Pipelined => {
-                // stage observes the sealed epoch synchronously (cheap:
-                // dirty-flag sweep + section encoding), then the Merkle
-                // hashing + snapshot assembly commits off-thread while the
-                // next epoch executes. The staged data is an owned copy,
-                // so the snapshot is byte-identical to the synchronous
-                // path's. At most one checkpoint is in flight: the
-                // previous one is joined before the next is staged.
-                self.drain_checkpoint();
-                let staged = stage_node(
-                    &mut self.checkpointer,
-                    epoch,
-                    &mut self.shards,
-                    &self.ledger,
-                );
-                self.inflight_checkpoint =
-                    Some(WorkerPool::global().submit(move || staged.commit()));
-                self.snapshots_taken += 1;
-            }
-        }
+        self.checkpoint(epoch);
         if !self.cfg.disable_pruning {
             prune_to_snapshot(
                 &mut self.ledger,
@@ -1376,85 +1332,37 @@ mod tests {
         assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
     }
 
-    /// Runs the same config under both checkpoint modes and asserts the
-    /// pipelined run is indistinguishable from the synchronous one.
-    /// Modes are forced via the config field, not the env override —
-    /// env mutation is racy across parallel test threads. (Under a CI
-    /// `AMMBOOST_CHECKPOINT_MODE` override both runs collapse to the
-    /// same mode and the comparison holds trivially.)
-    fn assert_pipelined_matches_synchronous(base: SystemConfig) {
-        let mut sync_cfg = base.clone();
-        sync_cfg.checkpoint_mode = CheckpointMode::Synchronous;
-        let mut pipe_cfg = base;
-        pipe_cfg.checkpoint_mode = CheckpointMode::Pipelined;
-
-        let mut sync_sys = System::new(sync_cfg);
-        let sync_report = sync_sys.run();
-        let mut pipe_sys = System::new(pipe_cfg);
-        let pipe_report = pipe_sys.run();
-
-        assert_eq!(pipe_report.snapshots_taken, sync_report.snapshots_taken);
-        assert_eq!(pipe_report.last_state_root, sync_report.last_state_root);
-        assert_eq!(
-            pipe_report.last_snapshot_bytes,
-            sync_report.last_snapshot_bytes
-        );
-        assert_eq!(pipe_report.accepted, sync_report.accepted);
-        assert_eq!(
-            pipe_report.sidechain_pruned_bytes,
-            sync_report.sidechain_pruned_bytes
-        );
-        assert_eq!(pipe_report.sidechain_bytes, sync_report.sidechain_bytes);
-        // the snapshot wire encodings must match byte for byte
-        assert_eq!(
-            pipe_sys.last_snapshot().map(|s| s.encode()),
-            sync_sys.last_snapshot().map(|s| s.encode()),
-        );
-        // an on-demand (always synchronous) checkpoint over the end state
-        // agrees too — the pipelined run's node state did not drift
-        let sync_stats = sync_sys.checkpoint(sync_report.epochs + 1);
-        let pipe_stats = pipe_sys.checkpoint(pipe_report.epochs + 1);
-        assert_eq!(pipe_stats, sync_stats);
-    }
-
+    /// The batch schedule is unobservable: a mixed-engine, routed fleet
+    /// whose rounds are large enough for `Auto` to take the pooled path,
+    /// with worker panics planted, is indistinguishable under the three
+    /// schedules — same report, same snapshot and delta bytes, same
+    /// containment.
     #[test]
-    fn pipelined_checkpoints_byte_identical_to_synchronous() {
+    fn batch_schedule_is_unobservable_in_a_faulted_mixed_fleet() {
+        let points = vec![(0, 1), (2, 3), (3, 0)];
         let mut cfg = small();
+        cfg.pools = 4;
+        cfg.users = 32;
+        cfg.engine_mix = ammboost_workload::EngineMix::of(2, 1, 1);
+        cfg.route_style = ammboost_workload::RouteStyle::routed(0.25, 3);
+        cfg.daily_volume = 1_000_000; // 81 transactions per round
         cfg.snapshot = crate::config::SnapshotPolicy::every_epoch();
-        assert_pipelined_matches_synchronous(cfg);
-    }
-
-    #[test]
-    fn pipelined_checkpoints_survive_worker_panic_faults() {
-        // injected shard-worker panics share the worker pool with the
-        // pipelined commit jobs; containment and the resulting snapshots
-        // must be unaffected by the overlap
-        let mut cfg = small();
-        cfg.snapshot = crate::config::SnapshotPolicy::every_epoch();
-        cfg.faults = FaultPlan {
-            worker_panic_points: vec![(0, 1)],
-            ..FaultPlan::default()
+        cfg.faults.worker_panic_points = points.clone();
+        let run = |mode: ExecMode| {
+            let mut sys = System::new(cfg.clone());
+            sys.set_exec_mode(mode);
+            let report = sys.run();
+            assert!(report.routes_accepted > 0, "{report:?}");
+            assert_eq!(report.worker_panics_contained, points.len() as u64);
+            let rounds = cfg.epochs * cfg.rounds_per_epoch;
+            assert!(report.submitted / rounds >= crate::shard::PARALLEL_MIN_BATCH as u64);
+            let snapshot = sys.last_snapshot().expect("checkpoints taken").encode();
+            let delta = sys.last_delta().expect("second checkpoint on").encode();
+            (format!("{report:?}"), snapshot, delta)
         };
-        assert_pipelined_matches_synchronous(cfg);
-    }
-
-    #[test]
-    fn pipelined_checkpoint_restores_into_working_node() {
-        let mut cfg = small();
-        cfg.snapshot = crate::config::SnapshotPolicy {
-            interval_epochs: 1,
-            keep_epochs: u64::MAX,
-        };
-        cfg.checkpoint_mode = CheckpointMode::Pipelined;
-        let mut sys = System::new(cfg);
-        let report = sys.run();
-        assert!(report.snapshots_taken >= 3);
-        let stats = sys.checkpoint(report.epochs + 1);
-        let snapshot = sys.last_snapshot().expect("checkpoints taken");
-        let node = crate::checkpoint::restore_node(snapshot).unwrap();
-        assert_eq!(node.root, stats.root);
-        assert_eq!(node.shards.export_states(), sys.shards().export_states());
-        assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
+        let auto = run(ExecMode::Auto);
+        assert_eq!(run(ExecMode::Sequential), auto);
+        assert_eq!(run(ExecMode::Parallel), auto);
     }
 
     #[test]

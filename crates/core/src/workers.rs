@@ -47,21 +47,6 @@ struct ScopeState {
     panicked: bool,
 }
 
-/// Typed result of a scope whose job(s) panicked — what
-/// [`WorkerPool::try_scope`] returns instead of re-panicking, so callers
-/// can contain a poisoned job (roll the affected shard back, re-execute
-/// sequentially) rather than letting one bad job take the process down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerPanic;
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "a shard worker job panicked")
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
 /// The persistent pool. Obtain the process-wide instance with
 /// [`WorkerPool::global`].
 pub struct WorkerPool {
@@ -130,27 +115,8 @@ impl WorkerPool {
     ///
     /// # Panics
     /// Panics if any job panicked (after all jobs of the scope drained),
-    /// mirroring `std::thread::scope`'s join behaviour. Use
-    /// [`WorkerPool::try_scope`] to get the failure as a value instead.
+    /// mirroring `std::thread::scope`'s join behaviour.
     pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'env, '_>) -> R,
-    {
-        match self.try_scope(f) {
-            Ok(out) => out,
-            Err(WorkerPanic) => panic!("shard worker panicked"),
-        }
-    }
-
-    /// Like [`WorkerPool::scope`], but a panicking job surfaces as
-    /// `Err(`[`WorkerPanic`]`)` after the scope fully drains, instead of
-    /// re-panicking. Every job still runs to completion (panicked or
-    /// not) before this returns, so the borrow-safety barrier is
-    /// identical to `scope`'s; only the failure reporting differs.
-    ///
-    /// # Errors
-    /// [`WorkerPanic`] when at least one spawned job panicked.
-    pub fn try_scope<'env, F, R>(&self, f: F) -> Result<R, WorkerPanic>
     where
         F: FnOnce(&Scope<'env, '_>) -> R,
     {
@@ -171,112 +137,9 @@ impl WorkerPool {
         drop(drain); // normal-path drain; also runs if `f` unwound
         let panicked = scope.state.0.lock().expect("scope state poisoned").panicked;
         if panicked {
-            return Err(WorkerPanic);
+            panic!("shard worker panicked");
         }
-        Ok(out)
-    }
-}
-
-/// Result slot of one detached pool job: filled exactly once by the
-/// worker, awaited by [`JoinHandle::join`].
-struct TaskState<T> {
-    slot: Mutex<Option<std::thread::Result<T>>>,
-    done: Condvar,
-}
-
-/// Handle to a detached job submitted with [`WorkerPool::submit`] — the
-/// fire-and-forget counterpart of a scope, used to overlap long-lived
-/// owned work (e.g. a checkpoint commit) with whatever the caller does
-/// next. Dropping the handle without joining leaks the job's result but
-/// the job itself still runs.
-pub struct JoinHandle<T> {
-    state: Arc<TaskState<T>>,
-    shared: Arc<Shared>,
-}
-
-impl<T> std::fmt::Debug for JoinHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JoinHandle").finish_non_exhaustive()
-    }
-}
-
-impl<T> JoinHandle<T> {
-    /// Blocks until the job completed and returns its output. Like a
-    /// scope drain, the waiting thread helps execute queued jobs (its
-    /// own, or another scope's) instead of just parking, so a join can
-    /// never deadlock behind the very queue it is waiting on.
-    ///
-    /// # Panics
-    /// Resumes the job's panic on the joining thread, mirroring
-    /// `std::thread::JoinHandle` semantics.
-    pub fn join(self) -> T {
-        loop {
-            if let Some(result) = self.state.slot.lock().expect("task slot poisoned").take() {
-                match result {
-                    Ok(value) => return value,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            if let Some(job) = self.shared.pop() {
-                job();
-            } else {
-                let guard = self.state.slot.lock().expect("task slot poisoned");
-                if guard.is_none() {
-                    drop(
-                        self.state
-                            .done
-                            .wait_timeout(guard, std::time::Duration::from_millis(1))
-                            .expect("task slot poisoned"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// `true` once the job's result is ready (join would not block).
-    pub fn is_finished(&self) -> bool {
-        self.state
-            .slot
-            .lock()
-            .expect("task slot poisoned")
-            .is_some()
-    }
-}
-
-impl WorkerPool {
-    /// Submits an owned (`'static`) job and returns a [`JoinHandle`] for
-    /// its result. With zero pool workers the job runs inline right here
-    /// — a single-hardware-thread host degrades to the synchronous
-    /// schedule instead of queueing work nobody will pop.
-    pub fn submit<T, F>(&self, f: F) -> JoinHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let state = Arc::new(TaskState {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let task = Arc::clone(&state);
-        let job = move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            *task.slot.lock().expect("task slot poisoned") = Some(result);
-            task.done.notify_all();
-        };
-        if self.workers == 0 {
-            job();
-        } else {
-            self.shared
-                .queue
-                .lock()
-                .expect("worker queue poisoned")
-                .push_back(Box::new(job));
-            self.shared.job_ready.notify_one();
-        }
-        JoinHandle {
-            state,
-            shared: Arc::clone(&self.shared),
-        }
+        out
     }
 }
 
@@ -435,78 +298,6 @@ mod tests {
         assert!(result.is_err(), "closure panic must propagate");
         // every job ran to completion before scope unwound
         assert!(slots.iter().all(|&s| s > 0), "{slots:?}");
-    }
-
-    #[test]
-    fn try_scope_reports_panic_as_value_after_draining() {
-        let pool = WorkerPool::with_workers(2);
-        let mut slots = [0u64; 8];
-        let result = pool.try_scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    if i == 3 {
-                        panic!("poisoned job");
-                    }
-                    *slot = i as u64 + 1;
-                });
-            }
-        });
-        assert_eq!(result, Err(WorkerPanic));
-        // the barrier held: every non-panicking job still completed
-        for (i, &slot) in slots.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(slot, i as u64 + 1);
-            }
-        }
-        // and a clean scope afterwards succeeds
-        assert_eq!(pool.try_scope(|_| 7u32), Ok(7));
-    }
-
-    #[test]
-    fn submit_runs_detached_jobs_and_join_returns_results() {
-        let pool = WorkerPool::with_workers(2);
-        let handles: Vec<JoinHandle<u64>> =
-            (0..16u64).map(|i| pool.submit(move || i * i)).collect();
-        let got: Vec<u64> = handles.into_iter().map(JoinHandle::join).collect();
-        let want: Vec<u64> = (0..16u64).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn submit_on_zero_worker_pool_runs_inline() {
-        let pool = WorkerPool::with_workers(0);
-        let handle = pool.submit(|| 41 + 1);
-        assert!(handle.is_finished(), "inline job finished at submit");
-        assert_eq!(handle.join(), 42);
-    }
-
-    #[test]
-    fn submit_overlaps_with_scoped_work() {
-        // a detached job and a scope share the same queue and workers;
-        // both must complete regardless of interleaving
-        let pool = WorkerPool::with_workers(1);
-        let handle = pool.submit(|| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            7u32
-        });
-        let mut slots = [0u64; 8];
-        pool.scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || *slot = i as u64 + 1);
-            }
-        });
-        assert!(slots.iter().all(|&s| s > 0));
-        assert_eq!(handle.join(), 7);
-    }
-
-    #[test]
-    fn join_resumes_submitted_job_panic() {
-        let pool = WorkerPool::with_workers(1);
-        let handle = pool.submit(|| -> u32 { panic!("detached boom") });
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| handle.join()));
-        assert!(result.is_err(), "join must resume the job's panic");
-        // the worker survives and serves the next submission
-        assert_eq!(pool.submit(|| 5u8).join(), 5);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::contracts::erc20::{Erc20, Erc20Error};
 use crate::gas::{self, GasMeter};
-use ammboost_amm::pool::{Pool, SwapKind, SwapResult, TickSearch};
+use ammboost_amm::pool::{Pool, SwapKind, SwapResult};
 use ammboost_amm::tx::{BurnTx, CollectTx, MintTx, SwapIntent, SwapTx};
 use ammboost_amm::types::{Amount, AmountPair, PositionId};
 use ammboost_amm::AmmError;
@@ -130,14 +130,6 @@ impl UniswapBaseline {
     /// Read access to the pool.
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// Selects the AMM engine's next-tick search strategy. Gas metering is
-    /// unaffected — only the in-memory search changes — so pinning
-    /// [`TickSearch::BTreeOracle`] lets differential runs compare the
-    /// baseline against the bitmap engine bit-for-bit.
-    pub fn set_tick_search(&mut self, search: TickSearch) {
-        self.pool.set_tick_search(search);
     }
 
     /// `SwapRouter.exactInput/exactOutput`: executes the trade, pulls the

@@ -81,12 +81,13 @@ struct StagedDelta {
     entries: Vec<(usize, PageDiffs)>,
 }
 
-/// The synchronous half of a checkpoint: every section encoded, dirty
+/// The observing half of a checkpoint: every section encoded, dirty
 /// flags consumed, cache refreshed, page diffs cut — everything that
-/// must observe the live node state. What remains
+/// must read the live node state. What remains
 /// ([`StagedCheckpoint::commit`]) is pure hashing and assembly over data
-/// this struct *owns*, so it can run on a worker thread while the next
-/// epoch already mutates the pools.
+/// this struct *owns*: a function of these bytes and of nothing the node
+/// does afterwards, and a separately timed span for a caller that wants
+/// to tell encoding from hashing.
 #[derive(Debug)]
 pub struct StagedCheckpoint {
     epoch: u64,
@@ -108,8 +109,8 @@ impl StagedCheckpoint {
     /// (shared between the root and the delta's section hashes),
     /// assembles the [`Snapshot`], seals the staged page diffs into a
     /// [`DeltaSnapshot`] when a confirmed base exists, and reports
-    /// stats. Deterministic in the staged data alone — committing on
-    /// another thread, or an epoch later, yields byte-identical output
+    /// stats. Deterministic in the staged data alone — committing
+    /// after the live state has moved on yields byte-identical output
     /// to an inline commit.
     pub fn commit(self) -> CheckpointOutput {
         let hashes = section_hashes(&self.sections);
@@ -275,8 +276,8 @@ impl Checkpointer {
     /// dirty flags, (re-)encodes every section, refreshes the caches and
     /// cuts page diffs against the prior bytes (memcmp only), but
     /// performs **no hashing**. The returned [`StagedCheckpoint`] owns
-    /// its sections, so its `commit` — the Merkle work — can be deferred
-    /// or moved to another thread while the live state moves on.
+    /// its sections, so its `commit` — the Merkle work — depends on
+    /// nothing the live state does after this call returns.
     ///
     /// `deposits` is the deposit ledger's sorted export
     /// ([`Deposits::to_sorted_entries`], or the merge of several): the
@@ -508,8 +509,8 @@ mod tests {
     fn deferred_commit_is_byte_identical_to_immediate_checkpoint() {
         // stage at epoch 2, keep mutating the pool, then commit: the
         // staged sections own their bytes, so the late commit must equal
-        // an immediate checkpoint taken at stage time — the contract the
-        // pipelined checkpoint mode rests on
+        // an immediate checkpoint taken at stage time — the contract a
+        // caller that stages and commits in two steps relies on
         let mut pool = pool_with_liquidity(1);
         let (ledger, deposits) = fixtures();
         let pools = [(PoolId(0), &pool)];

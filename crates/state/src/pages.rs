@@ -118,8 +118,8 @@ pub struct PageDiff {
 
 /// Page indexes (with their new bytes) at which `new` differs from
 /// `old`, including every page past the end of `old`. Pure memcmp — no
-/// hashing — so it is safe inside the stage half of a pipelined
-/// checkpoint.
+/// hashing — so the stage half of a checkpoint stays encode-only and all
+/// hashing is the commit half's.
 pub fn diff_pages(old: &[u8], new: &[u8], page_size: usize) -> Vec<(u32, Vec<u8>)> {
     new.chunks(page_size)
         .enumerate()

@@ -100,7 +100,7 @@ fn run_certificates_verify_through_the_byte_slice_api() {
     // materialises the ABI payload and uses the byte-slice API.
     let mut sys = System::new(small(7));
     let report = sys.run();
-    let certs = &sys.sync_certificates;
+    let certs = sys.sync_certificates();
     assert_eq!(
         certs.len() as u64,
         report.epochs + 1,

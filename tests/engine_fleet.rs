@@ -239,10 +239,9 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
 }
 
 /// Full-system determinism over a mixed fleet: the same config produces
-/// byte-identical shard states however the epochs are scheduled. This is
-/// the test the CI exec-mode matrix leans on — `AMMBOOST_EXEC_MODE`
-/// forces every `System` here onto one scheduler per matrix leg, and the
-/// states must match a freshly-run reference in every leg.
+/// byte-identical shard states on every run. (That the batch schedule
+/// cannot change them either is `System`'s own unit test,
+/// `batch_schedule_is_unobservable_in_a_faulted_mixed_fleet`.)
 #[test]
 fn mixed_fleet_system_runs_deterministically() {
     let config = || {
