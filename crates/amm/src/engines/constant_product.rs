@@ -138,23 +138,14 @@ impl CpEngine {
         amount0_desired: Amount,
         amount1_desired: Amount,
     ) -> Result<(u128, AmountPair), AmmError> {
-        let (shares, used) = self.book.join(
+        self.book.join(
             id,
             owner,
-            self.reserve0,
-            self.reserve1,
+            &mut self.reserve0,
+            &mut self.reserve1,
             amount0_desired,
             amount1_desired,
-        )?;
-        self.reserve0 = self
-            .reserve0
-            .checked_add(used.amount0)
-            .ok_or(AmmError::BalanceOverflow)?;
-        self.reserve1 = self
-            .reserve1
-            .checked_add(used.amount1)
-            .ok_or(AmmError::BalanceOverflow)?;
-        Ok((shares, used))
+        )
     }
 
     /// Burns shares: pro-rata principal moves from the reserves into the
@@ -168,18 +159,8 @@ impl CpEngine {
         owner: Address,
         shares: u128,
     ) -> Result<AmountPair, AmmError> {
-        let out = self
-            .book
-            .exit(id, owner, self.reserve0, self.reserve1, shares)?;
-        self.reserve0 = self
-            .reserve0
-            .checked_sub(out.amount0)
-            .ok_or(AmmError::PoolInsolvent)?;
-        self.reserve1 = self
-            .reserve1
-            .checked_sub(out.amount1)
-            .ok_or(AmmError::PoolInsolvent)?;
-        Ok(out)
+        self.book
+            .exit(id, owner, &mut self.reserve0, &mut self.reserve1, shares)
     }
 
     /// Collects owed tokens out of the pool.
@@ -309,18 +290,13 @@ impl CpEngine {
         })
     }
 
-    fn result_from_plan(plan: CpPlan) -> Result<SwapResult, AmmError> {
-        Ok(SwapResult {
+    fn result_from_plan(plan: CpPlan) -> SwapResult {
+        SwapResult {
             amount_in: plan.amount_in,
             amount_out: plan.amount_out,
             fee_paid: plan.fee_paid,
-            sqrt_price_after: spot_sqrt_price_q96(
-                U256::from_u128(plan.reserve1),
-                U256::from_u128(plan.reserve0),
-            )?,
-            tick_after: 0,
             ticks_crossed: 0,
-        })
+        }
     }
 
     /// Quotes a swap without touching state — the exact [`SwapResult`]
@@ -343,7 +319,7 @@ impl CpEngine {
             min_amount_out,
             max_amount_in,
         )?;
-        Self::result_from_plan(plan)
+        Ok(Self::result_from_plan(plan))
     }
 
     /// Executes a swap with the trader's slippage bounds enforced before
@@ -369,11 +345,10 @@ impl CpEngine {
             min_amount_out,
             max_amount_in,
         )?;
-        let result = Self::result_from_plan(plan)?;
         // ---- commit ----
         self.reserve0 = plan.reserve0;
         self.reserve1 = plan.reserve1;
-        Ok(result)
+        Ok(Self::result_from_plan(plan))
     }
 
     // ---- state -----------------------------------------------------------
@@ -391,7 +366,8 @@ impl CpEngine {
     /// Rebuilds an engine from exported state.
     ///
     /// # Errors
-    /// [`AmmError::InvalidFee`] on an out-of-range fee.
+    /// [`AmmError::InvalidFee`] on an out-of-range fee; the share book's
+    /// [`ShareBook::from_entries`] errors.
     pub fn from_state(state: CpState) -> Result<CpEngine, AmmError> {
         if state.fee_pips >= PIPS_DENOMINATOR {
             return Err(AmmError::InvalidFee(state.fee_pips));
@@ -400,7 +376,7 @@ impl CpEngine {
             fee_pips: state.fee_pips,
             reserve0: state.reserve0,
             reserve1: state.reserve1,
-            book: ShareBook::from_entries(state.positions),
+            book: ShareBook::from_entries(state.positions)?,
         })
     }
 }

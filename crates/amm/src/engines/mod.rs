@@ -922,4 +922,80 @@ mod tests {
             ));
         }
     }
+
+    const SHARE_ENGINES: [EngineKind; 2] = [EngineKind::ConstantProduct, EngineKind::Weighted];
+
+    /// A restored reserve-pair state over the given LP positions.
+    fn share_state(kind: EngineKind, r0: u128, r1: u128, lps: &[(u8, u128, u128)]) -> EngineState {
+        let mut positions: Vec<_> = lps
+            .iter()
+            .map(|&(owner, shares, owed0)| {
+                let position = SharePosition {
+                    owner: Address::from_index(owner as u64),
+                    shares,
+                    owed0,
+                    owed1: 0,
+                };
+                (PositionId::derive(&[b"lp", &[owner]]), position)
+            })
+            .collect();
+        positions.sort_by_key(|(id, _)| *id);
+        match kind {
+            EngineKind::ConstantProduct => EngineState::Cp(CpState {
+                fee_pips: 3000,
+                reserve0: r0,
+                reserve1: r1,
+                positions,
+            }),
+            EngineKind::Weighted => EngineState::Weighted(WeightedState {
+                fee_pips: 3000,
+                weight0: 8 * bmath::BONE / 10,
+                weight1: 2 * bmath::BONE / 10,
+                reserve0: r0,
+                reserve1: r1,
+                positions,
+            }),
+            EngineKind::ConcentratedLiquidity => unreachable!("share engines only"),
+        }
+    }
+
+    #[test]
+    fn share_engine_overflowing_join_leaves_state_untouched() {
+        for kind in SHARE_ENGINES {
+            let state = share_state(kind, 1_000_000, u128::MAX - 5, &[(1, 1_000_000, 0)]);
+            let mut e = Engine::from_state(state.clone()).unwrap();
+            // 1 000 shares need ~u128::MAX / 1000 of token1: reserve1 overflows
+            let id = PositionId::derive(&[b"late-lp"]);
+            let err = e
+                .mint(id, Address::from_index(2), 0, 0, 1_000, u128::MAX)
+                .unwrap_err();
+            assert_eq!(err, AmmError::BalanceOverflow, "{kind}");
+            assert_eq!(e.export_state(), state, "{kind}");
+        }
+    }
+
+    #[test]
+    fn share_engine_overflowing_exit_leaves_state_untouched() {
+        for kind in SHARE_ENGINES {
+            let state = share_state(kind, 1_000_000, 1_000_000, &[(1, 1_000_000, u128::MAX - 1)]);
+            let mut e = Engine::from_state(state.clone()).unwrap();
+            // the exit's token0 credit overflows the position's owed balance
+            let id = PositionId::derive(&[b"lp", &[1]]);
+            let err = e.burn(id, Address::from_index(1), 10).unwrap_err();
+            assert_eq!(err, AmmError::BalanceOverflow, "{kind}");
+            assert_eq!(e.export_state(), state, "{kind}");
+        }
+    }
+
+    #[test]
+    fn share_engine_restore_rejects_share_total_past_u128() {
+        for kind in SHARE_ENGINES {
+            let state = share_state(kind, 1, 1, &[(1, u128::MAX, 0), (2, 2, 0)]);
+            assert_eq!(
+                Engine::from_state(state).unwrap_err(),
+                AmmError::BalanceOverflow,
+                "{kind}"
+            );
+        }
+    }
 }

@@ -6,6 +6,7 @@
 //! in place — the V2/Balancer fee model, unlike the CL engine's
 //! per-position fee-growth accounting).
 
+use super::bmath::{mul_add_div_u128, rounded_down, rounded_up};
 use crate::error::AmmError;
 use crate::types::{Amount, AmountPair, PositionId};
 use ammboost_crypto::{Address, U256};
@@ -26,37 +27,20 @@ pub struct SharePosition {
     pub owed1: Amount,
 }
 
-/// `floor(a * b / d)` over u128 via 256-bit intermediates.
+/// `floor(a * b / d)` over u128 via the 256-bit kernel.
 pub(crate) fn mul_div_u128(a: u128, b: u128, d: u128) -> Result<u128, AmmError> {
     if d == 0 {
         return Err(AmmError::ZeroLiquidity);
     }
-    U256::from_u128(a)
-        .full_mul(U256::from_u128(b))
-        .div_rem_u256(U256::from_u128(d))
-        .0
-        .to_u256()
-        .and_then(|v| v.to_u128())
-        .ok_or(AmmError::BalanceOverflow)
+    rounded_down(mul_add_div_u128(a, b, 0, d))
 }
 
-/// `ceil(a * b / d)` over u128 via 256-bit intermediates.
+/// `ceil(a * b / d)` over u128 via the 256-bit kernel.
 pub(crate) fn mul_div_ceil_u128(a: u128, b: u128, d: u128) -> Result<u128, AmmError> {
     if d == 0 {
         return Err(AmmError::ZeroLiquidity);
     }
-    let (q, r) = U256::from_u128(a)
-        .full_mul(U256::from_u128(b))
-        .div_rem_u256(U256::from_u128(d));
-    let q = q
-        .to_u256()
-        .and_then(|v| v.to_u128())
-        .ok_or(AmmError::BalanceOverflow)?;
-    if r.is_zero() {
-        Ok(q)
-    } else {
-        q.checked_add(1).ok_or(AmmError::BalanceOverflow)
-    }
+    rounded_up(mul_add_div_u128(a, b, 0, d))
 }
 
 /// Integer square root of `a * b` (exact floor), used for the initial
@@ -143,50 +127,58 @@ impl ShareBook {
         Ok((shares, AmountPair::new(used0, used1)))
     }
 
-    /// Commits a join quoted at the same reserves. Top-ups must come from
-    /// the existing position's owner.
+    /// Commits a join against reserves `(r0, r1)`: issues the quoted
+    /// shares and adds the amounts taken to the reserves. Top-ups must
+    /// come from the existing position's owner. Atomic: every sum is
+    /// checked before the book or either reserve moves.
     pub fn join(
         &mut self,
         id: PositionId,
         owner: Address,
-        r0: Amount,
-        r1: Amount,
+        r0: &mut Amount,
+        r1: &mut Amount,
         a0: Amount,
         a1: Amount,
     ) -> Result<(u128, AmountPair), AmmError> {
-        if let Some(existing) = self.positions.get(&id) {
-            if existing.owner != owner {
+        let held = match self.positions.get(&id) {
+            Some(existing) if existing.owner != owner => {
                 return Err(AmmError::NotPositionOwner(id));
             }
-        }
-        let (shares, used) = self.quote_join(r0, r1, a0, a1)?;
-        let pos = self.positions.entry(id).or_insert(SharePosition {
-            owner,
-            shares: 0,
-            owed0: 0,
-            owed1: 0,
-        });
-        pos.shares = pos
-            .shares
-            .checked_add(shares)
-            .ok_or(AmmError::BalanceOverflow)?;
-        self.total_shares = self
-            .total_shares
-            .checked_add(shares)
-            .ok_or(AmmError::BalanceOverflow)?;
+            Some(existing) => existing.shares,
+            None => 0,
+        };
+        let (shares, used) = self.quote_join(*r0, *r1, a0, a1)?;
+        let sum = |x: u128, y: u128| x.checked_add(y).ok_or(AmmError::BalanceOverflow);
+        let held = sum(held, shares)?;
+        let total = sum(self.total_shares, shares)?;
+        let new_r0 = sum(*r0, used.amount0)?;
+        let new_r1 = sum(*r1, used.amount1)?;
+        // ---- commit ----
+        self.positions
+            .entry(id)
+            .or_insert(SharePosition {
+                owner,
+                shares: 0,
+                owed0: 0,
+                owed1: 0,
+            })
+            .shares = held;
+        self.total_shares = total;
+        (*r0, *r1) = (new_r0, new_r1);
         Ok((shares, used))
     }
 
     /// Exits `shares` from a position against reserves `(r0, r1)`: the
     /// pro-rata amounts (floor — the pool keeps the dust) move from the
     /// reserves into the position's owed balance; collection is separate,
-    /// mirroring the CL engine's burn → collect flow.
+    /// mirroring the CL engine's burn → collect flow. Atomic, like
+    /// [`ShareBook::join`].
     pub fn exit(
         &mut self,
         id: PositionId,
         owner: Address,
-        r0: Amount,
-        r1: Amount,
+        r0: &mut Amount,
+        r1: &mut Amount,
         shares: u128,
     ) -> Result<AmountPair, AmmError> {
         let pos = self
@@ -205,18 +197,23 @@ impl ShareBook {
                 available: pos.shares,
             });
         }
-        let out0 = mul_div_u128(shares, r0, self.total_shares)?;
-        let out1 = mul_div_u128(shares, r1, self.total_shares)?;
-        pos.shares -= shares;
-        pos.owed0 = pos
+        let out0 = mul_div_u128(shares, *r0, self.total_shares)?;
+        let out1 = mul_div_u128(shares, *r1, self.total_shares)?;
+        let owed0 = pos
             .owed0
             .checked_add(out0)
             .ok_or(AmmError::BalanceOverflow)?;
-        pos.owed1 = pos
+        let owed1 = pos
             .owed1
             .checked_add(out1)
             .ok_or(AmmError::BalanceOverflow)?;
+        let new_r0 = r0.checked_sub(out0).ok_or(AmmError::PoolInsolvent)?;
+        let new_r1 = r1.checked_sub(out1).ok_or(AmmError::PoolInsolvent)?;
+        // ---- commit ----
+        pos.shares -= shares;
+        (pos.owed0, pos.owed1) = (owed0, owed1);
         self.total_shares -= shares;
+        (*r0, *r1) = (new_r0, new_r1);
         Ok(AmountPair::new(out0, out1))
     }
 
@@ -252,12 +249,21 @@ impl ShareBook {
     }
 
     /// Rebuilds a book from sorted entries, recomputing the share total.
-    pub fn from_entries(entries: Vec<(PositionId, SharePosition)>) -> ShareBook {
-        let total_shares = entries.iter().map(|(_, p)| p.shares).sum();
-        ShareBook {
-            positions: entries.into_iter().collect(),
-            total_shares,
+    ///
+    /// # Errors
+    /// [`AmmError::BalanceOverflow`] when the shares, or either owed
+    /// token, sum past 128 bits — no pool can have produced such a book.
+    pub fn from_entries(entries: Vec<(PositionId, SharePosition)>) -> Result<ShareBook, AmmError> {
+        let mut sums = [0u128; 3];
+        for (_, p) in &entries {
+            for (sum, v) in sums.iter_mut().zip([p.shares, p.owed0, p.owed1]) {
+                *sum = sum.checked_add(v).ok_or(AmmError::BalanceOverflow)?;
+            }
         }
+        Ok(ShareBook {
+            positions: entries.into_iter().collect(),
+            total_shares: sums[0],
+        })
     }
 
     /// Sum of owed token amounts across all positions.

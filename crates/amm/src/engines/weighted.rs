@@ -174,23 +174,14 @@ impl WeightedEngine {
         amount0_desired: Amount,
         amount1_desired: Amount,
     ) -> Result<(u128, AmountPair), AmmError> {
-        let (shares, used) = self.book.join(
+        self.book.join(
             id,
             owner,
-            self.reserve0,
-            self.reserve1,
+            &mut self.reserve0,
+            &mut self.reserve1,
             amount0_desired,
             amount1_desired,
-        )?;
-        self.reserve0 = self
-            .reserve0
-            .checked_add(used.amount0)
-            .ok_or(AmmError::BalanceOverflow)?;
-        self.reserve1 = self
-            .reserve1
-            .checked_add(used.amount1)
-            .ok_or(AmmError::BalanceOverflow)?;
-        Ok((shares, used))
+        )
     }
 
     /// Burns shares; principal moves to the position's owed balance.
@@ -203,18 +194,8 @@ impl WeightedEngine {
         owner: Address,
         shares: u128,
     ) -> Result<AmountPair, AmmError> {
-        let out = self
-            .book
-            .exit(id, owner, self.reserve0, self.reserve1, shares)?;
-        self.reserve0 = self
-            .reserve0
-            .checked_sub(out.amount0)
-            .ok_or(AmmError::PoolInsolvent)?;
-        self.reserve1 = self
-            .reserve1
-            .checked_sub(out.amount1)
-            .ok_or(AmmError::PoolInsolvent)?;
-        Ok(out)
+        self.book
+            .exit(id, owner, &mut self.reserve0, &mut self.reserve1, shares)
     }
 
     /// Collects owed tokens out of the pool.
@@ -394,22 +375,13 @@ impl WeightedEngine {
         })
     }
 
-    fn result_from_plan(&self, plan: WeightedPlan) -> Result<SwapResult, AmmError> {
-        Ok(SwapResult {
+    fn result_from_plan(plan: WeightedPlan) -> SwapResult {
+        SwapResult {
             amount_in: plan.amount_in,
             amount_out: plan.amount_out,
             fee_paid: plan.fee_paid,
-            sqrt_price_after: spot_sqrt_price_q96(
-                U256::from_u128(plan.reserve1)
-                    .checked_mul(U256::from_u128(self.weight0))
-                    .ok_or(AmmError::BalanceOverflow)?,
-                U256::from_u128(plan.reserve0)
-                    .checked_mul(U256::from_u128(self.weight1))
-                    .ok_or(AmmError::BalanceOverflow)?,
-            )?,
-            tick_after: 0,
             ticks_crossed: 0,
-        })
+        }
     }
 
     /// Quotes a swap without touching state.
@@ -431,7 +403,7 @@ impl WeightedEngine {
             min_amount_out,
             max_amount_in,
         )?;
-        self.result_from_plan(plan)
+        Ok(Self::result_from_plan(plan))
     }
 
     /// Executes a swap with slippage bounds enforced before committing.
@@ -455,11 +427,10 @@ impl WeightedEngine {
             min_amount_out,
             max_amount_in,
         )?;
-        let result = self.result_from_plan(plan)?;
         // ---- commit ----
         self.reserve0 = plan.reserve0;
         self.reserve1 = plan.reserve1;
-        Ok(result)
+        Ok(Self::result_from_plan(plan))
     }
 
     // ---- state -----------------------------------------------------------
@@ -479,7 +450,8 @@ impl WeightedEngine {
     /// Rebuilds an engine from exported state.
     ///
     /// # Errors
-    /// Fails on an out-of-range fee or weights that do not sum to BONE.
+    /// Fails on an out-of-range fee, weights that do not sum to BONE, or
+    /// a share book [`ShareBook::from_entries`] rejects.
     pub fn from_state(state: WeightedState) -> Result<WeightedEngine, AmmError> {
         if state.fee_pips >= PIPS_DENOMINATOR {
             return Err(AmmError::InvalidFee(state.fee_pips));
@@ -496,7 +468,7 @@ impl WeightedEngine {
             weight1: state.weight1,
             reserve0: state.reserve0,
             reserve1: state.reserve1,
-            book: ShareBook::from_entries(state.positions),
+            book: ShareBook::from_entries(state.positions)?,
         })
     }
 }

@@ -72,10 +72,6 @@ pub struct SwapResult {
     pub amount_out: Amount,
     /// The fee portion of `amount_in` (distributed to in-range LPs).
     pub fee_paid: Amount,
-    /// Price after the swap.
-    pub sqrt_price_after: U256,
-    /// Tick after the swap.
-    pub tick_after: Tick,
     /// Number of initialized ticks crossed.
     pub ticks_crossed: u32,
 }
@@ -962,8 +958,6 @@ impl Pool {
             amount_in: plan.amount_in,
             amount_out: plan.amount_out,
             fee_paid: plan.fee_total,
-            sqrt_price_after: plan.sqrt_price,
-            tick_after: plan.tick,
             ticks_crossed: crossings.len() as u32,
         })
     }
@@ -1023,8 +1017,6 @@ impl Pool {
             amount_in: plan.amount_in,
             amount_out: plan.amount_out,
             fee_paid: plan.fee_total,
-            sqrt_price_after: self.sqrt_price,
-            tick_after: self.tick,
             ticks_crossed,
         })
     }
@@ -1530,7 +1522,7 @@ mod tests {
         let res = pool
             .swap(true, SwapKind::ExactInput(u128::MAX >> 8), Some(limit))
             .unwrap();
-        assert_eq!(res.sqrt_price_after, limit);
+        assert_eq!(pool.sqrt_price(), limit);
         // budget not exhausted: the swap stopped at the limit
         assert!(res.amount_in < u128::MAX >> 8);
     }

@@ -1,16 +1,19 @@
 //! Criterion micro-benchmarks for the AMM engine: tick math, swap
-//! stepping, pool operations — the per-transaction costs that bound
-//! sidechain throughput.
+//! stepping, fixed-point math, pool operations and sealed-view quotes —
+//! the per-transaction costs that bound sidechain throughput.
 
+use ammboost_amm::engines::bmath::{bdiv, bmul, bpow, BONE};
 use ammboost_amm::engines::{Engine, EngineKind};
 use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
 use ammboost_amm::tick_bitmap::TickBitmap;
 use ammboost_amm::tick_math::{sqrt_ratio_at_tick, tick_at_sqrt_ratio};
-use ammboost_amm::types::PositionId;
+use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_bench::{fragmented_ladder_pool, ladder_pool, ladder_sweep, wide_pool};
+use ammboost_core::QuoteView;
 use ammboost_crypto::Address;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn pool_with_liquidity() -> Pool {
     let mut pool = Pool::new_standard();
@@ -90,6 +93,61 @@ fn bench_swaps(c: &mut Criterion) {
                     engine
                         .swap(dir, SwapKind::ExactInput(50_000), None)
                         .expect("swap"),
+                )
+            })
+        });
+    }
+}
+
+/// The weighted engine's fixed-point primitives at the operand shapes a
+/// swap feeds them: reserves in the 10¹⁵ range over `BONE`-scaled ratios.
+fn bench_bmath(c: &mut Criterion) {
+    let reserve = 4_000_000_000_123_457u128;
+    let ratio = 876_543_210_987_654_321u128;
+    c.bench_function("bmath/bmul", |b| {
+        b.iter(|| black_box(bmul(black_box(reserve), black_box(ratio)).unwrap()))
+    });
+    c.bench_function("bmath/bdiv", |b| {
+        b.iter(|| black_box(bdiv(black_box(reserve), black_box(reserve + 987_654_321)).unwrap()))
+    });
+    // exponent 0.25 (an 80/20 pool's w_out/w_in) runs the binomial
+    // series; exponent 4 (its w_in/w_out) is pure square-and-multiply
+    let base = 999_000_000_000_000_000u128;
+    c.bench_function("bmath/bpow_quarter", |b| {
+        b.iter(|| black_box(bpow(black_box(base), black_box(BONE / 4)).unwrap()))
+    });
+    c.bench_function("bmath/bpow_four", |b| {
+        b.iter(|| black_box(bpow(black_box(base), black_box(4 * BONE)).unwrap()))
+    });
+}
+
+/// The in-run quote path: `QuoteView::quote_swap` over a sealed pool of
+/// each engine, seeded as the fleet workloads seed them.
+fn bench_view_quotes(c: &mut Criterion) {
+    for (name, kind) in [
+        ("view/quote_swap_cl", EngineKind::ConcentratedLiquidity),
+        ("view/quote_swap_cp", EngineKind::ConstantProduct),
+        ("view/quote_swap_weighted", EngineKind::Weighted),
+    ] {
+        let mut engine = Engine::new_standard(kind);
+        engine
+            .mint(
+                PositionId::derive(&[b"bench"]),
+                Address::from_index(1),
+                -120_000,
+                120_000,
+                4_000_000_000_000_000,
+                4_000_000_000_000_000,
+            )
+            .expect("seed join");
+        let view = QuoteView::new(1, vec![(PoolId(0), Arc::new(engine))]);
+        c.bench_function(name, |b| {
+            let mut dir = false;
+            b.iter(|| {
+                dir = !dir;
+                black_box(
+                    view.quote_swap(PoolId(0), dir, SwapKind::ExactInput(1_000_000_000), None)
+                        .expect("quote"),
                 )
             })
         });
@@ -190,6 +248,8 @@ criterion_group!(
     benches,
     bench_tick_math,
     bench_swaps,
+    bench_bmath,
+    bench_view_quotes,
     bench_positions,
     bench_tick_bitmap,
     bench_crossing_swaps

@@ -241,7 +241,8 @@ mod tests {
         let b = ladder_sweep(&mut oracle, 64);
         assert_eq!(a, b, "engines diverged on the ladder sweep");
         assert!(a.ticks_crossed >= 64, "crossed {}", a.ticks_crossed);
-        assert_eq!(a.sqrt_price_after, ladder_sweep_limit(64));
+        assert_eq!(bitmap.sqrt_price(), ladder_sweep_limit(64));
+        assert_eq!(oracle.sqrt_price(), bitmap.sqrt_price());
     }
 
     #[test]
@@ -254,7 +255,8 @@ mod tests {
         let b = ladder_sweep(&mut oracle, 63);
         assert_eq!(a, b, "engines diverged on the fragmented sweep");
         assert_eq!(a.ticks_crossed, 64, "crossed {}", a.ticks_crossed);
-        assert_eq!(a.sqrt_price_after, ladder_sweep_limit(63));
+        assert_eq!(bitmap.sqrt_price(), ladder_sweep_limit(63));
+        assert_eq!(oracle.sqrt_price(), bitmap.sqrt_price());
     }
 
     #[test]
