@@ -4,7 +4,7 @@
 //! The swap surface keeps the CL engine's compute/commit split: every
 //! quote runs the exact staged computation the write path commits, so a
 //! `QuoteView` serving a constant-product pool is bit-identical to
-//! execution by construction. The [`reference`] module re-derives both
+//! execution by construction. The [`reference`](mod@reference) module re-derives both
 //! swap directions from the `k`-complement identity — a genuinely
 //! different integer computation that provably produces the same bits —
 //! and is the engine's differential oracle.

@@ -6,7 +6,7 @@
 //! weighted math).
 //!
 //! The compute/commit swap split is preserved: quotes run the exact
-//! staged computation the write path commits. The [`reference`] module
+//! staged computation the write path commits. The [`reference`](mod@reference) module
 //! re-derives both swap directions in `f64` — a genuinely different
 //! numeric domain — and bounds the fixed-point error as the engine's
 //! differential oracle.

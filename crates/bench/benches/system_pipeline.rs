@@ -256,7 +256,7 @@ fn bench_seal_pages(c: &mut Criterion) {
     let mut group = c.benchmark_group("state");
     group.sample_size(10);
     group.bench_function("seal_pages_4096x1KiB", |b| {
-        b.iter(|| black_box(seal_pages(SectionKind::Pool(0), &bytes, &pages, PAGE_SIZE)))
+        b.iter(|| black_box(seal_pages(SectionKind::Pool(0), &bytes, &pages)))
     });
     group.finish();
 }

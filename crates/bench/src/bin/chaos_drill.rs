@@ -2,7 +2,7 @@
 //! workload, asserting that every fault is either **contained** (the run
 //! completes with a state root byte-identical to a clean run) or
 //! **detected and healed** (corruption never silently restores; a single
-//! honest provider heals every quarantined section). Exits non-zero on
+//! honest provider heals every quarantined page). Exits non-zero on
 //! any divergence.
 //!
 //! The schedule exercises all seven fault kinds:
@@ -18,7 +18,7 @@
 //!    marked write forward), never to a torn state.
 //! 4. **provider drop / stale root / delay** — self-healing restore
 //!    against one dishonest provider and one honest provider quarantines
-//!    every bad section and heals it within the retry budget.
+//!    every bad page and heals it within the retry budget.
 //! 5. **delta-chain faults** — mid-delta-commit crashes recover to the
 //!    chain tip (discard torn, roll forward marked), corrupted delta
 //!    wire bytes never decode, a delta against the wrong base is
@@ -31,7 +31,10 @@
 use ammboost_core::config::{SnapshotPolicy, SystemConfig};
 use ammboost_core::system::System;
 use ammboost_sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
-use ammboost_state::heal::{delta_sync, heal_restore, RetryPolicy, SectionProvider, SimProvider};
+use ammboost_state::heal::{
+    delta_sync, fetch_manifest, heal_restore, RetryPolicy, SectionProvider, SimProvider,
+};
+use ammboost_state::pages::page_count;
 use ammboost_state::store::{CheckpointStore, CrashPoint, RecoveryOutcome, StoreError};
 use ammboost_state::{DeltaSnapshot, Snapshot, PAGE_SIZE};
 use std::sync::{Arc, Mutex};
@@ -230,7 +233,7 @@ fn main() {
 
     // -- fault 4: self-healing restore with one dishonest provider --------
     // A stale prefix run (same seed, one epoch short) gives the dishonest
-    // provider genuinely outdated sections to serve.
+    // provider genuinely outdated pages to serve.
     let (mut stale_sys, stale_report) = run_system(drill_config(seed, pools, epochs - 1));
     let stale_stats = stale_sys.checkpoint(stale_report.epochs + 1);
     assert_ne!(
@@ -239,46 +242,44 @@ fn main() {
     );
     let stale_snapshot = stale_sys.last_snapshot().expect("checkpoint taken").clone();
     // sections 0..pools are the pool sections; the scheduled stale-root
-    // fault must land on one that actually differs between the runs
-    assert_ne!(
-        clean_snapshot.leaves()[2],
-        stale_snapshot.leaves()[2],
-        "drill seed produced an unchanged pool section — pick another seed"
+    // fault lands on section 2's first page, which must actually differ
+    // between the runs
+    let (clean_pool, stale_pool) = (
+        &clean_snapshot.sections()[2].bytes,
+        &stale_snapshot.sections()[2].bytes,
     );
+    assert_ne!(
+        clean_pool.chunks(PAGE_SIZE).next(),
+        stale_pool.chunks(PAGE_SIZE).next(),
+        "drill seed produced an unchanged pool page — pick another seed"
+    );
+    // occurrence 0 is a stale manifest, refused by the explicit check
+    // below; 1 is the honest manifest the restore accepts, so provider 0
+    // is asked for every page first, from occurrence 2 on in canonical
+    // order — the first page of sections 0..4 each take one fault, and
+    // the page after the truncated one arrives late
+    let mut page_at = 2u64;
+    let first_pages: Vec<u64> = (clean_snapshot.sections().iter())
+        .map(|s| {
+            let at = page_at;
+            page_at += page_count(s.bytes.len()) as u64;
+            at
+        })
+        .collect();
     let mut provider_faults = FaultInjector::new(seed ^ 0x5EA1);
-    // occurrence 0 is the manifest call; 1.. are section fetches
-    provider_faults.schedule_all([
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 0,
-            kind: FaultKind::StaleRoot, // stale manifest, skipped
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 1,
-            kind: FaultKind::Drop, // section 0 dropped
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 2,
-            kind: FaultKind::BitFlip, // section 1 corrupted
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 3,
-            kind: FaultKind::StaleRoot, // section 2 served stale
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 4,
-            kind: FaultKind::Truncate, // section 3 truncated
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 5,
-            kind: FaultKind::Delay { millis: 40 }, // late but honest
-        },
-    ]);
+    let schedule = [
+        (0, FaultKind::StaleRoot), // stale manifest, skipped
+        (first_pages[0], FaultKind::Drop),
+        (first_pages[1], FaultKind::BitFlip),
+        (first_pages[2], FaultKind::StaleRoot),
+        (first_pages[3], FaultKind::Truncate),
+        (first_pages[3] + 1, FaultKind::Delay { millis: 40 }), // late but honest
+    ];
+    provider_faults.schedule_all(schedule.map(|(occurrence, kind)| FaultSpec {
+        point: InjectionPoint::Provider(0),
+        occurrence,
+        kind,
+    }));
     let mut dishonest = SimProvider::faulty(
         0,
         clean_snapshot.clone(),
@@ -287,9 +288,11 @@ fn main() {
     .with_stale(stale_snapshot.clone());
     let mut honest = SimProvider::honest(1, clean_snapshot.clone());
     let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut dishonest, &mut honest];
+    let (_, slot) = fetch_manifest(&mut providers, clean_stats.root).expect("honest manifest");
+    assert_eq!(slot, 1, "the stale manifest must be skipped");
     let policy = RetryPolicy::default();
-    let (restored, heal) =
-        heal_restore(&mut providers, clean_stats.root, &policy).expect("healing restore succeeds");
+    let (restored, heal) = heal_restore(None, &mut providers, clean_stats.root, &policy)
+        .expect("healing restore succeeds");
     assert_eq!(
         heal.quarantined.len(),
         4,
@@ -331,7 +334,7 @@ fn main() {
 
     // -- fault 5: delta-chain crashes, corruption, and page healing -------
     // The stale→clean pair from fault 4 gives a genuine dirty-page diff.
-    let delta = DeltaSnapshot::diff(&stale_snapshot, &clean_snapshot, PAGE_SIZE);
+    let delta = DeltaSnapshot::diff(&stale_snapshot, &clean_snapshot);
     assert!(
         !delta.deltas.is_empty(),
         "stale→clean delta carries no dirty pages — pick another seed"
@@ -404,11 +407,11 @@ fn main() {
         );
     }
     // page-granular delta sync: provider 0 flips a byte in a page reply
-    // (occurrence 0 is the manifest, 1 the page manifest, 2 the first page)
+    // (occurrence 0 is the manifest, 1 the first page)
     let mut page_faults = FaultInjector::new(seed ^ 0xDE17A);
     page_faults.schedule_all([FaultSpec {
         point: InjectionPoint::Provider(0),
-        occurrence: 2,
+        occurrence: 1,
         kind: FaultKind::BitFlip,
     }]);
     let mut bad_pages =
@@ -416,7 +419,7 @@ fn main() {
     let mut good_pages = SimProvider::honest(1, clean_snapshot.clone());
     let mut page_providers: Vec<&mut dyn SectionProvider> = vec![&mut bad_pages, &mut good_pages];
     let (synced, delta_heal) = delta_sync(
-        &stale_snapshot,
+        Some(&stale_snapshot),
         &mut page_providers,
         clean_stats.root,
         &policy,

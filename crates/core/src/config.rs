@@ -105,9 +105,6 @@ pub struct SystemConfig {
     pub deposit_amount: u128,
     /// Mainchain parameters (12 s blocks, 30M gas).
     pub mainchain: ChainConfig,
-    /// Whether to Schnorr-sign and verify every user transaction
-    /// (exercises `CreateTx`/`VerifyTx`; adds CPU cost at high `V_D`).
-    pub sign_transactions: bool,
     /// Fault budget `f` of the *concrete* threshold-crypto committee
     /// (`3f + 2` members run the real DKG/TSQC; committee latency is
     /// modelled at [`SystemConfig::committee_size`] — see `system`
@@ -146,7 +143,6 @@ impl Default for SystemConfig {
             deposit_policy: DepositPolicy::OncePerRun,
             deposit_amount: 2_000_000_000_000,
             mainchain: ChainConfig::default(),
-            sign_transactions: false,
             crypto_committee_faults: 4,
             disable_pruning: false,
             snapshot: SnapshotPolicy::default(),
@@ -177,7 +173,6 @@ impl SystemConfig {
             miner_population: 20,
             daily_volume: 50_000,
             users: 10,
-            sign_transactions: true,
             crypto_committee_faults: 1,
             ..SystemConfig::default()
         }

@@ -48,7 +48,7 @@ const PI: [usize; 24] = [
     10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
 ];
 
-/// The Keccak-f[1600] permutation.
+/// The Keccak-f\[1600\] permutation.
 pub fn keccak_f1600(state: &mut [u64; 25]) {
     for &rc in RC.iter() {
         // θ
@@ -88,7 +88,7 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
     }
 }
 
-/// The Keccak-f[1600] permutation over **four independent states** held
+/// The Keccak-f\[1600\] permutation over **four independent states** held
 /// as interleaved lanes: `states[i][s]` is lane `i` of hash stream `s`.
 ///
 /// Every θ/ρ/π/χ/ι operation runs across the four streams back-to-back,

@@ -9,10 +9,10 @@
 //! - [`abi`] — Ethereum-ABI word encoding for calldata/storage sizes.
 //! - [`chain`] — 12-second blocks, 30M-gas budget, FIFO mempool,
 //!   dependency-chained transactions, confirmation times, reorg injection.
-//! - [`contracts`] — [`Erc20`](contracts::Erc20) tokens, ammBoost's
-//!   [`TokenBank`](contracts::TokenBank) base contract with
+//! - [`contracts`] — [`Erc20`] tokens, ammBoost's
+//!   [`TokenBank`] base contract with
 //!   TSQC-authenticated `Sync`, and the full-on-chain
-//!   [`UniswapBaseline`](contracts::UniswapBaseline) the paper compares
+//!   [`UniswapBaseline`] the paper compares
 //!   against.
 //!
 //! Gas numbers are *derived* from the schedule, not asserted: Table II's

@@ -13,8 +13,8 @@
 //!
 //! The injector never decides *how* a subsystem degrades — it only
 //! perturbs bytes and control flow. Detection and recovery live with the
-//! subsystems themselves (snapshot root verification, section healing,
-//! the stage→commit checkpoint journal, shard-panic containment).
+//! subsystems themselves (snapshot root verification, page healing,
+//! shard-panic containment).
 
 use crate::rng::DetRng;
 use serde::{Deserialize, Serialize};
@@ -63,12 +63,8 @@ impl FaultKind {
 /// Where in the storage/sync pipeline a fault is injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum InjectionPoint {
-    /// The serialized output of a snapshot encode.
-    SnapshotEncode,
     /// A fast-sync provider's response, keyed by provider id.
     Provider(u32),
-    /// The staged byte write of a checkpoint commit.
-    CheckpointWrite,
     /// A shard worker job, keyed by pool id.
     Worker(u32),
 }
@@ -191,15 +187,6 @@ impl FaultInjector {
         }
     }
 
-    /// A deterministic crash offset inside a write of `len` bytes
-    /// (strictly before the end, so the write is always torn).
-    pub fn crash_offset(&mut self, len: usize) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        self.rng.range_u64(0, len as u64) as usize
-    }
-
     /// Every fault that fired so far, in firing order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.fired
@@ -282,15 +269,5 @@ mod tests {
         assert!(!inj.mutate(FaultKind::StaleRoot, &mut untouched));
         assert!(!inj.mutate(FaultKind::Delay { millis: 5 }, &mut untouched));
         assert_eq!(untouched, vec![9]);
-    }
-
-    #[test]
-    fn crash_offset_tears_the_write() {
-        let mut inj = FaultInjector::new(4);
-        for len in [1usize, 2, 100, 4096] {
-            let off = inj.crash_offset(len);
-            assert!(off < len, "crash at {off} must tear a {len}-byte write");
-        }
-        assert_eq!(inj.crash_offset(0), 0);
     }
 }

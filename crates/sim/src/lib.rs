@@ -3,7 +3,6 @@
 //! The deterministic simulation substrate all ammBoost experiments run on:
 //!
 //! - [`time`] — millisecond-resolution simulated clocks (no wall time).
-//! - [`engine`] — a deterministic discrete-event queue.
 //! - [`net`] — Δ-bounded, bandwidth-limited network cost model (the
 //!   paper's 1 Gbps cluster).
 //! - [`rng`] — seeded randomness with the sampling helpers workloads need.
@@ -17,14 +16,12 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod fault;
 pub mod metrics;
 pub mod net;
 pub mod rng;
 pub mod time;
 
-pub use engine::EventQueue;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultSpec, InjectionPoint};
 pub use metrics::{throughput, GrowthSeries, LatencyStats};
 pub use net::NetworkModel;

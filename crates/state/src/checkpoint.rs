@@ -152,8 +152,7 @@ impl StagedCheckpoint<'_> {
             let kind = kind.as_slice();
             if staged.cached.is_some() {
                 dirty.extend(
-                    (staged.changed.iter())
-                        .map(|&i| (kind, i, page_of(&section.bytes, i, PAGE_SIZE))),
+                    (staged.changed.iter()).map(|&i| (kind, i, page_of(&section.bytes, i))),
                 );
             } else {
                 let pages = section.bytes.chunks(PAGE_SIZE).enumerate();
@@ -169,13 +168,13 @@ impl StagedCheckpoint<'_> {
                 let pages = match staged.cached.take() {
                     Some(cached) if !staged.modified => return cached,
                     Some(PageHashes { mut pages, .. }) => {
-                        pages.resize(page_count(len, PAGE_SIZE), H256::ZERO);
+                        pages.resize(page_count(len), H256::ZERO);
                         for &i in &staged.changed {
                             pages[i as usize] = fresh.next().expect("a hash per changed page");
                         }
                         pages
                     }
-                    None => fresh.by_ref().take(page_count(len, PAGE_SIZE)).collect(),
+                    None => fresh.by_ref().take(page_count(len)).collect(),
                 };
                 let leaf = page_root_from_hashes(kind, len, &pages);
                 PageHashes { pages, leaf }
@@ -198,7 +197,7 @@ impl StagedCheckpoint<'_> {
                         .map(|&index| PageDiff {
                             index,
                             hash: hashes.pages[index as usize],
-                            bytes: page_of(&section.bytes, index, PAGE_SIZE).to_vec(),
+                            bytes: page_of(&section.bytes, index).to_vec(),
                         })
                         .collect(),
                 })
@@ -209,7 +208,6 @@ impl StagedCheckpoint<'_> {
                 epoch: snapshot.epoch(),
                 base_root,
                 root: snapshot.root(),
-                page_size: PAGE_SIZE as u32,
                 removed,
                 deltas,
             }
@@ -390,7 +388,7 @@ impl Checkpointer {
             let (changed, modified) = match fresh {
                 None => (Vec::new(), false),
                 Some(bytes) => {
-                    let changed = diff_pages(&cached.bytes, &bytes, PAGE_SIZE);
+                    let changed = diff_pages(&cached.bytes, &bytes);
                     let modified =
                         is_new || !changed.is_empty() || cached.bytes.len() != bytes.len();
                     cached.bytes = bytes;

@@ -3,7 +3,7 @@
 //! A [`DeltaSnapshot`] carries everything needed to turn the snapshot at
 //! `base_epoch` (identified by `base_root`) into the snapshot at `epoch`
 //! (identified by `root`): per-section page diffs ([`SectionDelta`]),
-//! the kinds that disappeared, and the page size the diff was cut at.
+//! and the kinds that disappeared, cut at the format's [`PAGE_SIZE`].
 //! [`DeltaSnapshot::apply`] is the proven-inverse of
 //! [`DeltaSnapshot::diff`] — it verifies the base root before touching
 //! anything, splices the pages, checks every rebuilt section against its
@@ -13,9 +13,13 @@
 //! The wire encoding (magic `ABDS`) re-verifies every page's sub-leaf
 //! hash on decode: a single flipped byte in any page is caught before
 //! the delta is even considered for application.
+//!
+//! [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
-use crate::pages::{apply_pages, diff_pages, hash_pages, seal_pages, PageDiff, PageError};
+use crate::pages::{
+    apply_pages, diff_pages, hash_pages, seal_pages, PageDiff, PageError, PAGE_SIZE,
+};
 use crate::snapshot::{section_leaves, Section, SectionKind, Snapshot};
 use ammboost_crypto::H256;
 use std::collections::BTreeMap;
@@ -26,9 +30,6 @@ pub const DELTA_MAGIC: [u8; 4] = *b"ABDS";
 
 /// Delta wire-format version.
 pub const DELTA_VERSION: u16 = 1;
-
-/// Largest page size a decoder accepts (guards hostile headers).
-const MAX_PAGE_SIZE: u32 = 1 << 24;
 
 /// Why a delta failed to decode or apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +131,8 @@ pub struct SectionDelta {
     pub kind: SectionKind,
     /// Byte length of the section's new encoding.
     pub new_len: u32,
-    /// [`Section::leaf`] of the rebuilt section — verified on apply.
+    /// The rebuilt section's leaf under `snapshot_version` — verified
+    /// on apply.
     pub new_hash: H256,
     /// Changed pages, ascending by index.
     pub pages: Vec<PageDiff>,
@@ -158,8 +160,6 @@ pub struct DeltaSnapshot {
     pub base_root: H256,
     /// Root of the snapshot this delta produces.
     pub root: H256,
-    /// Page size the diff was cut at.
-    pub page_size: u32,
     /// Sections present in base but gone in next, canonical order.
     pub removed: Vec<SectionKind>,
     /// Per-section page diffs, canonical order.
@@ -167,16 +167,15 @@ pub struct DeltaSnapshot {
 }
 
 impl DeltaSnapshot {
-    /// Diffs `next` against `base` at `page_size`. Both snapshots'
-    /// sections are walked in canonical order; byte-identical sections
-    /// contribute nothing. Roots and section leaves come from the sealed
-    /// snapshots; only the changed pages are hashed.
+    /// Diffs `next` against `base`. Both snapshots' sections are walked
+    /// in canonical order; byte-identical sections contribute nothing.
+    /// Roots and section leaves come from the sealed snapshots; only the
+    /// changed pages are hashed.
     ///
     /// # Panics
-    /// Panics when `page_size` is zero or the snapshots' format
-    /// versions differ (a delta never crosses format versions).
-    pub fn diff(base: &Snapshot, next: &Snapshot, page_size: usize) -> DeltaSnapshot {
-        assert!(page_size > 0, "page size must be positive");
+    /// Panics when the snapshots' format versions differ (a delta never
+    /// crosses format versions).
+    pub fn diff(base: &Snapshot, next: &Snapshot) -> DeltaSnapshot {
         assert_eq!(
             base.version(),
             next.version(),
@@ -193,12 +192,12 @@ impl DeltaSnapshot {
             if old == Some(section.bytes.as_slice()) {
                 continue;
             }
-            let changed = diff_pages(old.unwrap_or_default(), &section.bytes, page_size);
+            let changed = diff_pages(old.unwrap_or_default(), &section.bytes);
             deltas.push(SectionDelta {
                 kind: section.kind,
                 new_len: section.bytes.len() as u32,
                 new_hash: *leaf,
-                pages: seal_pages(section.kind, &section.bytes, &changed, page_size),
+                pages: seal_pages(section.kind, &section.bytes, &changed),
             });
         }
         let removed = base
@@ -213,7 +212,6 @@ impl DeltaSnapshot {
             epoch: next.epoch(),
             base_root: base.root(),
             root: next.root(),
-            page_size: page_size as u32,
             removed,
             deltas,
         }
@@ -264,16 +262,13 @@ impl DeltaSnapshot {
                 .remove(&delta.kind)
                 .map(|(b, _)| b)
                 .unwrap_or_default();
-            let bytes = apply_pages(
-                &old,
-                delta.new_len as usize,
-                &delta.pages,
-                self.page_size as usize,
-            )
-            .map_err(|error| DeltaError::Page {
-                kind: delta.kind,
-                error,
-            })?;
+            let bytes =
+                apply_pages(&old, delta.new_len as usize, &delta.pages).map_err(|error| {
+                    DeltaError::Page {
+                        kind: delta.kind,
+                        error,
+                    }
+                })?;
             rebuilt.push(Section {
                 kind: delta.kind,
                 bytes,
@@ -338,7 +333,7 @@ impl DeltaSnapshot {
         w.put_u64(self.epoch);
         self.base_root.encode(&mut w);
         self.root.encode(&mut w);
-        w.put_u32(self.page_size);
+        w.put_u32(PAGE_SIZE as u32);
         self.removed.encode(&mut w);
         w.put_len(self.deltas.len());
         for delta in &self.deltas {
@@ -356,8 +351,8 @@ impl DeltaSnapshot {
         w.into_bytes()
     }
 
-    /// Deserializes and *verifies* a delta: magic, versions, a sane page
-    /// size, and every page's sub-leaf hash against its bytes — a single
+    /// Deserializes and *verifies* a delta: magic, versions, the format's
+    /// page size, and every page's sub-leaf hash against its bytes — a single
     /// flipped byte anywhere in a page (or its hash) fails here, before
     /// the delta can be applied.
     ///
@@ -380,8 +375,7 @@ impl DeltaSnapshot {
         let epoch = r.take_u64()?;
         let base_root: H256 = r.get()?;
         let root: H256 = r.get()?;
-        let page_size = r.take_u32()?;
-        if page_size == 0 || page_size > MAX_PAGE_SIZE {
+        if r.take_u32()? != PAGE_SIZE as u32 {
             return Err(CodecError::InvalidTag {
                 what: "DeltaSnapshot page size",
                 tag: 0,
@@ -426,7 +420,6 @@ impl DeltaSnapshot {
             epoch,
             base_root,
             root,
-            page_size,
             removed,
             deltas,
         })
@@ -438,7 +431,7 @@ mod tests {
     use super::*;
     use crate::snapshot::SNAPSHOT_VERSION;
 
-    const PS: usize = 16;
+    const PS: usize = PAGE_SIZE;
 
     fn snap(epoch: u64, sections: Vec<(SectionKind, Vec<u8>)>) -> Snapshot {
         let sections = sections
@@ -452,14 +445,17 @@ mod tests {
         let base = snap(
             3,
             vec![
-                (SectionKind::Pool(0), (0..200).map(|i| i as u8).collect()),
+                (
+                    SectionKind::Pool(0),
+                    (0..3 * PS + 200).map(|i| i as u8).collect(),
+                ),
                 (SectionKind::Pool(7), vec![9u8; 50]),
                 (SectionKind::Ledger, vec![1, 2, 3]),
                 (SectionKind::Aux(1), vec![5u8; 20]),
             ],
         );
-        let mut pool0: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        pool0[100] ^= 0xAA; // one page dirtied
+        let mut pool0: Vec<u8> = (0..3 * PS + 200).map(|i| i as u8).collect();
+        pool0[PS + 100] ^= 0xAA; // one page dirtied
         let next = snap(
             4,
             vec![
@@ -476,7 +472,7 @@ mod tests {
     #[test]
     fn diff_apply_is_identity() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         assert_eq!(delta.base_root, base.root());
         assert_eq!(delta.root, next.root());
         assert_eq!(delta.removed, vec![SectionKind::Aux(1)]);
@@ -490,29 +486,49 @@ mod tests {
     #[test]
     fn sparse_change_ships_one_page() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let pool0 = delta
             .deltas
             .iter()
             .find(|d| d.kind == SectionKind::Pool(0))
             .unwrap();
         assert_eq!(pool0.pages.len(), 1, "one byte flip, one page");
-        assert_eq!(pool0.pages[0].index, 100 / PS as u32);
+        assert_eq!(pool0.pages[0].index, 1);
     }
 
     #[test]
     fn wire_roundtrip_and_exact_len() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let bytes = delta.encode();
         assert_eq!(bytes.len(), delta.encoded_len(), "size formula exact");
         assert_eq!(DeltaSnapshot::decode(&bytes).unwrap(), delta);
     }
 
     #[test]
+    fn decode_refuses_pages_of_any_other_size() {
+        // the u32 after magic, versions, epochs and roots is the page size
+        let (base, next) = base_next();
+        let clean = DeltaSnapshot::diff(&base, &next).encode();
+        let at = 4 + 2 + 2 + 8 + 8 + 32 + 32;
+        assert_eq!(clean[at..at + 4], (PS as u32).to_be_bytes());
+        for size in [0u32, 16, 2048, u32::MAX] {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&size.to_be_bytes());
+            assert!(
+                matches!(
+                    DeltaSnapshot::decode(&bytes),
+                    Err(DeltaError::Codec(CodecError::InvalidTag { .. }))
+                ),
+                "page size {size} accepted"
+            );
+        }
+    }
+
+    #[test]
     fn every_flipped_payload_byte_detected() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let clean = delta.encode();
         for offset in 0..clean.len() {
             let mut bytes = clean.clone();
@@ -539,7 +555,7 @@ mod tests {
         let kind = SectionKind::Pool(3);
         let base = snap(1, vec![(kind, vec![0xEE; 7 * PS])]);
         let next = snap(2, vec![(kind, (0..7).flat_map(page).collect())]);
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         assert_eq!(delta.pages(), 7);
         let clean = delta.encode();
         assert_eq!(DeltaSnapshot::decode(&clean).unwrap(), delta);
@@ -574,7 +590,7 @@ mod tests {
     #[test]
     fn apply_refuses_wrong_base() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let mut sections = base.clone().into_sections();
         sections[0].bytes[0] ^= 1;
         let wrong = Snapshot::seal(SNAPSHOT_VERSION, base.epoch(), sections).unwrap();
@@ -588,7 +604,7 @@ mod tests {
     fn delta_against_empty_base_carries_everything() {
         let (base, _) = base_next();
         let empty = snap(0, vec![]);
-        let delta = DeltaSnapshot::diff(&empty, &base, PS);
+        let delta = DeltaSnapshot::diff(&empty, &base);
         assert_eq!(delta.deltas.len(), base.sections().len());
         assert_eq!(delta.apply(&empty).unwrap(), base);
     }
@@ -602,7 +618,7 @@ mod tests {
             bytes: vec![],
         });
         let next = Snapshot::seal(SNAPSHOT_VERSION, 4, sections).unwrap();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         assert_eq!(delta.deltas.len(), 1, "an empty section is still new");
         assert_eq!(delta.apply(&base).unwrap(), next);
     }
@@ -624,7 +640,7 @@ mod tests {
             Snapshot::from_leaves(SNAPSHOT_VERSION, snap.epoch(), sections, leaves).unwrap()
         };
         let (base, next) = (bogus(&base), bogus(&next));
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let rebuilt = delta.apply(&base).unwrap();
         assert_eq!(rebuilt.leaves(), next.leaves());
         assert_eq!(rebuilt.root(), next.root());
@@ -645,7 +661,7 @@ mod tests {
     #[test]
     fn apply_refuses_a_base_of_another_version() {
         let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next, PS);
+        let delta = DeltaSnapshot::diff(&base, &next);
         let legacy = Snapshot::seal(3, base.epoch(), base.clone().into_sections()).unwrap();
         assert_eq!(
             delta.apply(&legacy),

@@ -1,47 +1,43 @@
-//! Section- and page-granular self-healing fast-sync.
+//! Page-granular self-healing fast sync.
 //!
-//! Plain [`restore`](crate::sync::restore) trusts one source and fails on
+//! Plain [`restore`] trusts one source and fails on
 //! the first bad byte. For a late-joiner on a real network that is not
 //! good enough: providers lag, drop requests, serve stale roots, or
-//! corrupt payloads in flight. This module turns fast-sync into a
-//! per-section protocol:
+//! corrupt payloads in flight. This module turns fast sync into a
+//! page-by-page protocol with one trust object:
 //!
-//! 1. A [`SyncManifest`] — the snapshot epoch plus each section's
-//!    `(kind, leaf)` — is fetched from any provider and verified against
-//!    a *trusted* root (from consensus) via [`root_from_leaves`]. A
-//!    provider whose manifest commits to a different root is rejected as
-//!    stale before any payload moves.
-//! 2. Each section is fetched independently and checked against its
-//!    manifest leaf. A mismatching, truncated, duplicated or dropped
-//!    section is **quarantined** — never restored — and re-fetched from
-//!    the next provider in rotation with bounded retries and
-//!    deterministic exponential backoff on simulated time.
-//! 3. The reassembled snapshot is sealed under the verified leaves, so
-//!    its root is the trusted root before
-//!    [`restore`](crate::sync::restore) runs.
+//! 1. A [`SyncManifest`] — the snapshot epoch plus each section's kind,
+//!    byte length and [`PAGE_SIZE`] page hashes — is fetched from any
+//!    provider. Each entry folds to its section's page root, which is the
+//!    section's v4 leaf, and the leaves fold to a root
+//!    ([`root_from_leaves`]). A manifest out of canonical order, with a
+//!    page-hash count that disagrees with its length, or folding to
+//!    anything but the *trusted* root (from consensus) is counted stale
+//!    before any page moves.
+//! 2. Every page the joiner does not already hold is fetched and checked
+//!    against its page hash. A mismatching, truncated, duplicated or
+//!    dropped page is **quarantined** — never used — and re-fetched from
+//!    the next provider in rotation, with bounded retries and
+//!    deterministic exponential backoff on simulated time. A cold joiner
+//!    holds nothing; one with a stale snapshot reuses every section whose
+//!    sealed leaf still matches and every page whose hash does.
+//! 3. The reassembled snapshot is sealed under the manifest's leaves, so
+//!    its root is the trusted root before [`restore`] runs.
 //!
-//! On top of that, [`delta_sync`] makes re-sync **page-granular** for v4
-//! snapshots: a late-joiner that already holds a stale snapshot reuses
-//! every section whose leaf still matches, and for changed sections asks
-//! providers for a [`PageManifest`] (the section's length and per-page
-//! sub-leaves) and fetches *only the pages whose hash differs locally*,
-//! verifying each fetched page against its sub-leaf. A v4 section leaf
-//! *is* the page root, so a page manifest is accepted only when its
-//! hashes and length fold to the trusted leaf — a lying manifest is
-//! refused before any page moves, and its provider is not asked for
-//! pages. A tampered page quarantines exactly like a tampered section and
-//! heals through provider rotation; a provider that does not speak the
-//! page protocol degrades that section to the full fetch path, and so
-//! does every section of a v2/v3 snapshot, whose flat leaves have no
-//! pages under them.
+//! Only v4 roots are healed toward: a v2/v3 leaf is a flat hash with no
+//! pages under it. v2/v3 snapshots still decode and restore, and a v3
+//! snapshot held locally lends its pages, its sections being encoded
+//! exactly as v4's.
 //!
 //! The result: a sync succeeds as long as *some* provider serves each
-//! section honestly, and every failure mode is a typed [`SyncError`], not
-//! a panic or abort. Providers are simulated ([`SectionProvider`]), with
+//! page honestly, and every failure mode is a typed [`SyncError`], not a
+//! panic or abort. Providers are simulated ([`SectionProvider`]), with
 //! [`SimProvider`] wiring byte faults from a shared
-//! [`FaultInjector`](ammboost_sim::FaultInjector) into its replies.
+//! [`FaultInjector`] into its replies.
 
-use crate::pages::{page_count, page_hash, page_hashes, page_of, page_root_from_hashes, PAGE_SIZE};
+use crate::pages::{
+    page_count, page_hash, page_hashes, page_root_from_hashes, section_page_hashes, PAGE_SIZE,
+};
 use crate::snapshot::{
     check_canonical, root_from_leaves, Section, SectionKind, Snapshot, SNAPSHOT_VERSION,
 };
@@ -64,21 +60,17 @@ pub enum SyncError {
     NoValidManifest {
         /// Providers asked.
         providers_tried: usize,
-        /// How many of them served a manifest for a *different* root.
+        /// How many of them served a malformed manifest or one for a
+        /// *different* root.
         stale: usize,
     },
-    /// A section could not be healed within the retry budget.
+    /// A page of a section could not be healed within the retry budget.
     HealExhausted {
         /// Index of the section in canonical order.
         section: usize,
-        /// Total fetch attempts spent on it.
+        /// Fetch attempts spent on the page.
         attempts: u32,
     },
-    /// The manifest a sync was asked to heal against cannot seal a
-    /// snapshot: its section kinds are out of canonical order or
-    /// repeated (unreachable through [`fetch_manifest`], which refuses
-    /// such a manifest).
-    RootMismatch,
     /// The healed snapshot restored with a non-byte-level error (missing
     /// section, invalid pool state, codec bug).
     Restore(RestoreError),
@@ -100,7 +92,6 @@ impl fmt::Display for SyncError {
             SyncError::HealExhausted { section, attempts } => {
                 write!(f, "section {section} unhealed after {attempts} attempts")
             }
-            SyncError::RootMismatch => write!(f, "healed snapshot root mismatch"),
             SyncError::Restore(e) => write!(f, "healed snapshot failed to restore: {e}"),
         }
     }
@@ -119,114 +110,60 @@ impl From<RestoreError> for SyncError {
     }
 }
 
-/// The per-section commitment list a late-joiner syncs against: epoch
-/// plus each section's `(kind, leaf)` in canonical order. These are the
-/// Merkle leaves of [`Snapshot::root`], so the manifest binds to a root
-/// without carrying any payload bytes.
+/// One section of a [`SyncManifest`]: what its v4 leaf is folded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncManifest {
-    /// Snapshot format version (committed in the root's header leaf, and
-    /// what tells restore how pool sections are encoded).
-    pub version: u16,
-    /// Snapshot epoch.
-    pub epoch: u64,
-    /// `(kind, section leaf)` per section, canonical order.
-    pub sections: Vec<(SectionKind, H256)>,
-}
-
-impl SyncManifest {
-    /// The manifest describing `snapshot` — its sealed leaves, nothing
-    /// re-hashed.
-    pub fn of(snapshot: &Snapshot) -> SyncManifest {
-        SyncManifest {
-            version: snapshot.version(),
-            epoch: snapshot.epoch(),
-            sections: snapshot
-                .sections()
-                .iter()
-                .zip(snapshot.leaves())
-                .map(|(s, leaf)| (s.kind, *leaf))
-                .collect(),
-        }
-    }
-
-    /// The root this manifest commits to.
-    pub fn root(&self) -> H256 {
-        let leaves: Vec<H256> = self.sections.iter().map(|(_, leaf)| *leaf).collect();
-        root_from_leaves(self.version, self.epoch, &leaves)
-    }
-
-    /// Whether `section` is a valid copy of entry `index`: kind and leaf
-    /// must both match the manifest's.
-    pub fn section_matches(&self, index: usize, section: &Section) -> bool {
-        self.sections.get(index).is_some_and(|(kind, leaf)| {
-            section.kind == *kind && section.leaf(self.version) == *leaf
-        })
-    }
-
-    /// Seals `sections`, each already checked against its entry, under
-    /// the manifest's leaves.
-    fn seal(&self, sections: Vec<Section>) -> Result<Snapshot, SyncError> {
-        let leaves = self.sections.iter().map(|(_, leaf)| *leaf).collect();
-        Snapshot::from_leaves(self.version, self.epoch, sections, leaves)
-            .map_err(|_| SyncError::RootMismatch)
-    }
-}
-
-/// A section's page-level sub-leaf list, served alongside the section
-/// leaf so a syncer can tell *which pages* of its stale copy changed.
-///
-/// Trust model: in a v4 snapshot the section leaf is the page root over
-/// the section's length and these sub-leaves, so the manifest is bound to
-/// the trusted root before any page moves — [`PageManifest::root`] must
-/// equal the trusted leaf — and each fetched page must then match its
-/// sub-leaf (catching in-flight tampering page by page).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PageManifest {
-    /// Section kind this manifest describes.
+pub struct ManifestEntry {
+    /// Section kind.
     pub kind: SectionKind,
     /// Byte length of the section encoding.
     pub len: u32,
-    /// [`page_hash`] sub-leaf per [`PAGE_SIZE`] page, in index order.
+    /// [`page_hash`] of every [`PAGE_SIZE`] page, in index order.
     pub page_hashes: Vec<H256>,
 }
 
-impl PageManifest {
-    /// Builds the page manifest of `section`.
-    pub fn of(section: &Section) -> PageManifest {
-        PageManifest {
-            kind: section.kind,
-            len: section.bytes.len() as u32,
-            page_hashes: page_hashes(section.kind, &section.bytes, PAGE_SIZE),
+/// What a late-joiner syncs against: the snapshot epoch and, per section
+/// in canonical order, its kind, length and page hashes. The entries fold
+/// to the v4 section leaves and those to the root, so one manifest binds
+/// every page to the trusted root without carrying any payload. It costs
+/// 32 B per KiB of state (≈ 3 %), and a joiner receives all of it, the
+/// entries of sections it already holds included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SyncManifest {
+    /// Snapshot epoch.
+    pub epoch: u64,
+    /// One entry per section, canonical order.
+    pub sections: Vec<ManifestEntry>,
+}
+
+impl SyncManifest {
+    /// The manifest of `snapshot`'s sections sealed as v4: every page of
+    /// every section hashed once, in one four-lane run.
+    pub fn of(snapshot: &Snapshot) -> SyncManifest {
+        let hashes = section_page_hashes(snapshot.sections());
+        let sections = (snapshot.sections().iter().zip(hashes))
+            .map(|(s, page_hashes)| ManifestEntry {
+                kind: s.kind,
+                len: s.bytes.len() as u32,
+                page_hashes,
+            })
+            .collect();
+        SyncManifest {
+            epoch: snapshot.epoch(),
+            sections,
         }
     }
 
-    /// Internal consistency: a sub-leaf per page.
-    pub fn is_consistent(&self) -> bool {
-        self.page_hashes.len() == page_count(self.len as usize, PAGE_SIZE)
+    /// Each section's v4 leaf: the page root its entry folds to.
+    fn leaves(&self) -> Vec<H256> {
+        (self.sections.iter())
+            .map(|e| page_root_from_hashes(e.kind, e.len as usize, &e.page_hashes))
+            .collect()
     }
 
-    /// The page root the advertised length and sub-leaves fold to — the
-    /// v4 section leaf they claim to sit under.
+    /// The v4 root this manifest commits to.
     pub fn root(&self) -> H256 {
-        page_root_from_hashes(self.kind, self.len as usize, &self.page_hashes)
+        root_from_leaves(SNAPSHOT_VERSION, self.epoch, &self.leaves())
     }
-}
-
-/// One provider reply to a section fetch.
-#[derive(Debug, Clone)]
-pub enum ProviderReply {
-    /// The section bytes, delivered immediately.
-    Section(Section),
-    /// The section bytes, delivered after a simulated delay.
-    Delayed {
-        /// Simulated delivery delay in milliseconds.
-        millis: u64,
-        /// The (possibly corrupt) section.
-        section: Section,
-    },
-    /// No reply (request dropped / provider offline).
-    Dropped,
 }
 
 /// One provider reply to a page fetch.
@@ -241,58 +178,42 @@ pub enum PageReply {
         /// The (possibly corrupt) page bytes.
         bytes: Vec<u8>,
     },
-    /// No reply (request dropped / page protocol unsupported).
+    /// No reply (request dropped / provider offline).
     Dropped,
 }
 
 /// A simulated snapshot provider a late-joiner can fetch from.
-///
-/// The page-granular methods have conservative defaults (no page
-/// manifest, every page fetch dropped) so a legacy provider transparently
-/// degrades [`delta_sync`] to full-section fetches.
 pub trait SectionProvider {
     /// Stable provider id (used for fault addressing and reporting).
     fn id(&self) -> u32;
     /// The provider's manifest, or `None` if it does not answer.
     fn manifest(&mut self) -> Option<SyncManifest>;
-    /// Fetches the section at canonical `index`.
-    fn fetch(&mut self, index: usize) -> ProviderReply;
-    /// The page manifest of section `index`, or `None` when the provider
-    /// does not speak the page protocol.
-    fn page_manifest(&mut self, index: usize) -> Option<PageManifest> {
-        let _ = index;
-        None
-    }
-    /// Fetches one page of section `index`.
-    fn fetch_page(&mut self, index: usize, page: u32) -> PageReply {
-        let _ = (index, page);
-        PageReply::Dropped
-    }
+    /// Fetches page `page` of the section at canonical `index`.
+    fn fetch_page(&mut self, index: usize, page: u32) -> PageReply;
 }
 
-/// A provider serving one snapshot (pages at [`PAGE_SIZE`]), optionally
-/// perturbed by a shared [`FaultInjector`] at
-/// [`InjectionPoint::Provider`]`(id)`. Each fetch —
-/// manifest, section, page manifest or page — visits the injection point
-/// once, so occurrence indexes address individual requests.
-/// [`FaultKind::StaleRoot`] serves the matching section of an older
-/// snapshot (a lagging replica) when one is configured — and applies to
-/// `manifest()` too, where the whole stale manifest is served;
-/// [`FaultKind::Panic`] is treated as a drop (a crashed provider looks
-/// like silence from the fetcher's side).
+/// A provider serving one snapshot, optionally perturbed by a shared
+/// [`FaultInjector`] at [`InjectionPoint::Provider`]`(id)`. Each request —
+/// manifest or page — visits the injection point once, so occurrence
+/// indexes address individual requests. [`FaultKind::StaleRoot`] serves
+/// the manifest, or the same page, of an older snapshot (a lagging
+/// replica) when one is configured; [`FaultKind::Panic`] is treated as a
+/// drop (a crashed provider looks like silence from the fetcher's side).
+/// Both manifests are built once, with the provider.
 pub struct SimProvider {
     id: u32,
-    snapshot: Snapshot,
-    stale: Option<Snapshot>,
+    fresh: (Snapshot, SyncManifest),
+    stale: Option<(Snapshot, SyncManifest)>,
     injector: Option<Arc<Mutex<FaultInjector>>>,
 }
 
 impl SimProvider {
     /// An honest provider serving `snapshot`.
     pub fn honest(id: u32, snapshot: Snapshot) -> SimProvider {
+        let manifest = SyncManifest::of(&snapshot);
         SimProvider {
             id,
-            snapshot,
+            fresh: (snapshot, manifest),
             stale: None,
             injector: None,
         }
@@ -309,7 +230,8 @@ impl SimProvider {
 
     /// Configures the older snapshot served when a stale-root fault fires.
     pub fn with_stale(mut self, stale: Snapshot) -> SimProvider {
-        self.stale = Some(stale);
+        let manifest = SyncManifest::of(&stale);
+        self.stale = Some((stale, manifest));
         self
     }
 
@@ -332,10 +254,10 @@ impl SimProvider {
         }
     }
 
-    fn source(&self, fault: Option<FaultKind>) -> &Snapshot {
+    fn source(&self, fault: Option<FaultKind>) -> &(Snapshot, SyncManifest) {
         match fault {
-            Some(FaultKind::StaleRoot) => self.stale.as_ref().unwrap_or(&self.snapshot),
-            _ => &self.snapshot,
+            Some(FaultKind::StaleRoot) => self.stale.as_ref().unwrap_or(&self.fresh),
+            _ => &self.fresh,
         }
     }
 }
@@ -348,49 +270,17 @@ impl SectionProvider for SimProvider {
     fn manifest(&mut self) -> Option<SyncManifest> {
         match self.fire() {
             Some(FaultKind::Drop) | Some(FaultKind::Panic) => None,
-            fault => Some(SyncManifest::of(self.source(fault))),
-        }
-    }
-
-    fn fetch(&mut self, index: usize) -> ProviderReply {
-        let fault = self.fire();
-        let Some(section) = self.source(fault).sections().get(index).cloned() else {
-            return ProviderReply::Dropped;
-        };
-        match fault {
-            Some(FaultKind::Drop) | Some(FaultKind::Panic) => ProviderReply::Dropped,
-            Some(FaultKind::Delay { millis }) => ProviderReply::Delayed { millis, section },
-            Some(kind @ (FaultKind::BitFlip | FaultKind::Truncate | FaultKind::Duplicate)) => {
-                let mut section = section;
-                self.mutate(kind, &mut section.bytes);
-                ProviderReply::Section(section)
-            }
-            Some(FaultKind::StaleRoot) | None => ProviderReply::Section(section),
-        }
-    }
-
-    fn page_manifest(&mut self, index: usize) -> Option<PageManifest> {
-        let fault = self.fire();
-        match fault {
-            Some(FaultKind::Drop) | Some(FaultKind::Panic) => None,
-            _ => self
-                .source(fault)
-                .sections()
-                .get(index)
-                .map(PageManifest::of),
+            fault => Some(self.source(fault).1.clone()),
         }
     }
 
     fn fetch_page(&mut self, index: usize, page: u32) -> PageReply {
         let fault = self.fire();
-        let Some(section) = self.source(fault).sections().get(index) else {
+        let section = self.source(fault).0.sections().get(index);
+        let Some(bytes) = section.and_then(|s| s.bytes.chunks(PAGE_SIZE).nth(page as usize)) else {
             return PageReply::Dropped;
         };
-        let start = page as usize * PAGE_SIZE;
-        if start >= section.bytes.len() && !(start == 0 && section.bytes.is_empty()) {
-            return PageReply::Dropped;
-        }
-        let mut bytes = page_of(&section.bytes, page, PAGE_SIZE).to_vec();
+        let mut bytes = bytes.to_vec();
         match fault {
             Some(FaultKind::Drop) | Some(FaultKind::Panic) => PageReply::Dropped,
             Some(FaultKind::Delay { millis }) => PageReply::Delayed { millis, bytes },
@@ -406,7 +296,7 @@ impl SectionProvider for SimProvider {
 /// Retry budget and backoff schedule for healing fetches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total fetch attempts per section (first try included).
+    /// Total fetch attempts per page (first try included).
     pub max_attempts: u32,
     /// Backoff before retry `k` is `base_backoff * 2^(k-1)` — exponential
     /// and fully deterministic on the simulated clock.
@@ -435,70 +325,70 @@ impl RetryPolicy {
     }
 }
 
-/// One quarantine event: a fetched section or page copy that failed
-/// verification (or never arrived) and was discarded.
+/// One quarantine event: a fetched page copy that failed verification
+/// (or never arrived) and was discarded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantine {
-    /// Canonical section index.
+    /// Canonical index of the page's section.
     pub section: usize,
     /// Provider that served the bad copy.
     pub provider: u32,
     /// Attempt number (0-based) at which it happened.
     pub attempt: u32,
-    /// What was wrong: `"dropped"`, `"hash-mismatch"`,
-    /// `"page-hash-mismatch"`, or `"page-manifest-mismatch"` for a page
-    /// manifest that does not fold to the trusted leaf.
+    /// What was wrong: `"dropped"` or `"page-hash-mismatch"`.
     pub reason: &'static str,
 }
 
-/// What a healing sync did: which sections needed healing, how much of
-/// the state moved as pages versus whole sections, how much retry/backoff
-/// budget it spent, and the simulated time that passed.
+/// What a healing sync did: which sections needed healing, how many pages
+/// moved and how many were reused, how much retry/backoff budget it
+/// spent, and the simulated time that passed.
 #[derive(Debug, Clone, Default)]
 pub struct HealReport {
     /// Every discarded bad copy, in fetch order.
     pub quarantined: Vec<Quarantine>,
-    /// Sections that needed more than one attempt — or any page work —
-    /// and ended verified.
+    /// Sections with a page that needed a retry, all ending verified.
     pub healed_sections: Vec<usize>,
-    /// Total fetch attempts across all sections and pages.
+    /// Total page fetch attempts.
     pub attempts: u64,
-    /// Total retries (attempts beyond the first per section or page).
+    /// Total retries (attempts beyond the first per page).
     pub retries: u64,
-    /// Sections reused wholesale from the local snapshot (leaf match).
+    /// Sections reused wholesale from the local snapshot (sealed v4 leaf
+    /// match).
     pub sections_reused: usize,
-    /// Pages fetched from providers during page-granular healing.
+    /// Pages fetched from providers.
     pub pages_fetched: u64,
-    /// Pages reused from the local stale copy during page-granular
-    /// healing.
+    /// Pages of the other sections reused from the local snapshot.
     pub pages_reused: u64,
     /// Simulated time consumed by backoff and delayed deliveries.
     pub sim_elapsed: SimDuration,
 }
 
 /// Fetches a manifest committing to `trusted_root` from the first
-/// provider that serves one, in order. Stale manifests (wrong root),
-/// manifests whose section kinds are out of canonical order or repeated,
-/// and silent providers are skipped.
+/// provider that serves one, in order, and returns it with that
+/// provider's slot. Silent providers are skipped. A manifest whose
+/// section kinds are out of canonical order or repeated, whose page-hash
+/// count disagrees with a section's length, or that folds to another
+/// root is counted stale and skipped.
 ///
 /// # Errors
 /// [`SyncError::NoValidManifest`] when every provider is silent or stale.
 pub fn fetch_manifest(
     providers: &mut [&mut dyn SectionProvider],
     trusted_root: H256,
-) -> Result<SyncManifest, SyncError> {
+) -> Result<(SyncManifest, usize), SyncError> {
     let mut stale = 0usize;
-    for provider in providers.iter_mut() {
-        match provider.manifest() {
-            None => {}
-            Some(manifest) => {
-                let canonical = check_canonical(manifest.sections.iter().map(|(k, _)| k));
-                if canonical.is_ok() && manifest.root() == trusted_root {
-                    return Ok(manifest);
-                }
-                stale += 1;
-            }
+    for (slot, provider) in providers.iter_mut().enumerate() {
+        let Some(manifest) = provider.manifest() else {
+            continue;
+        };
+        let entries = &manifest.sections;
+        let consistent = |e: &ManifestEntry| e.page_hashes.len() == page_count(e.len as usize);
+        let well_formed = check_canonical(entries.iter().map(|e| &e.kind)).is_ok()
+            && entries.iter().all(consistent);
+        if well_formed && manifest.root() == trusted_root {
+            return Ok((manifest, slot));
         }
+        stale += 1;
     }
     Err(SyncError::NoValidManifest {
         providers_tried: providers.len(),
@@ -506,275 +396,142 @@ pub fn fetch_manifest(
     })
 }
 
-/// Fetches one section with provider rotation, retries and quarantine:
-/// attempt `k` asks provider `k % n` after waiting
-/// [`RetryPolicy::backoff_before`]`(k)` on the simulated clock, and any
-/// copy whose kind or hash disagrees with the manifest leaf is
-/// quarantined.
-fn fetch_section(
-    manifest: &SyncManifest,
+/// Assembles section `index` from `entry`'s pages. A page whose hash the
+/// `local` bytes already satisfy is reused; any other is fetched —
+/// attempt `k` asks provider `(first + k) mod n` after waiting
+/// [`RetryPolicy::backoff_before`]`(k)` on the simulated clock — and a
+/// copy that is dropped or does not match its page hash is quarantined.
+/// Every page then matches a hash under the trusted root, so the section
+/// needs no further hashing.
+fn fetch_pages(
+    entry: &ManifestEntry,
     index: usize,
+    local: &[u8],
     providers: &mut [&mut dyn SectionProvider],
+    first: usize,
     policy: &RetryPolicy,
     report: &mut HealReport,
 ) -> Result<Section, SyncError> {
-    let n = providers.len().max(1);
-    for attempt in 0..policy.max_attempts {
-        report.sim_elapsed += policy.backoff_before(attempt);
-        report.attempts += 1;
-        if attempt > 0 {
-            report.retries += 1;
-        }
-        let provider = &mut providers[attempt as usize % n];
-        let pid = provider.id();
-        let (section, delay) = match provider.fetch(index) {
-            ProviderReply::Section(s) => (Some(s), 0),
-            ProviderReply::Delayed { millis, section } => (Some(section), millis),
-            ProviderReply::Dropped => (None, 0),
-        };
-        report.sim_elapsed += SimDuration::from_millis(delay);
-        match section {
-            Some(s) if manifest.section_matches(index, &s) => {
-                if attempt > 0 {
-                    report.healed_sections.push(index);
-                }
-                return Ok(s);
-            }
-            Some(_) => report.quarantined.push(Quarantine {
-                section: index,
-                provider: pid,
-                attempt,
-                reason: "hash-mismatch",
-            }),
-            None => report.quarantined.push(Quarantine {
-                section: index,
-                provider: pid,
-                attempt,
-                reason: "dropped",
-            }),
-        }
-    }
-    Err(SyncError::HealExhausted {
-        section: index,
-        attempts: policy.max_attempts,
-    })
-}
-
-/// Fetches and verifies every section of `manifest`, healing bad copies
-/// by provider rotation: a retry always moves to the *next* provider
-/// rather than re-asking the one that just served a bad copy.
-/// Deterministic given the providers' behaviour.
-///
-/// # Errors
-/// [`SyncError::HealExhausted`] when some section has no honest copy
-/// within the budget; [`SyncError::RootMismatch`] for a manifest whose
-/// section kinds are not in canonical order.
-pub fn heal_fetch(
-    manifest: &SyncManifest,
-    providers: &mut [&mut dyn SectionProvider],
-    policy: &RetryPolicy,
-) -> Result<(Snapshot, HealReport), SyncError> {
-    let mut report = HealReport::default();
-    let mut sections = Vec::with_capacity(manifest.sections.len());
-    for index in 0..manifest.sections.len() {
-        sections.push(fetch_section(
-            manifest,
-            index,
-            providers,
-            policy,
-            &mut report,
-        )?);
-    }
-    Ok((manifest.seal(sections)?, report))
-}
-
-/// Page-granular sync of one changed v4 section: obtains a page manifest
-/// whose page root is the trusted leaf (quarantining any that is not),
-/// reuses every page whose sub-leaf the local stale bytes already
-/// satisfy, and fetches the rest with the same rotation/retry/quarantine
-/// discipline as sections, starting at the provider whose manifest was
-/// accepted. Every page then matches a sub-leaf under the trusted leaf,
-/// so the assembled section needs no further hashing. Returns `None` when
-/// the section must fall back to a whole-section fetch (no bound page
-/// manifest within budget, or a page unhealed).
-fn sync_section_pages(
-    manifest: &SyncManifest,
-    index: usize,
-    local_bytes: &[u8],
-    providers: &mut [&mut dyn SectionProvider],
-    policy: &RetryPolicy,
-    report: &mut HealReport,
-) -> Option<Section> {
-    let (kind, leaf) = manifest.sections[index];
-    let n = providers.len().max(1);
-    let mut bound = None;
-    for attempt in 0..policy.max_attempts {
-        let slot = attempt as usize % n;
-        let provider = &mut providers[slot];
-        match provider.page_manifest(index) {
-            Some(m) if m.kind == kind && m.is_consistent() && m.root() == leaf => {
-                bound = Some((m, slot));
-                break;
-            }
-            Some(_) => report.quarantined.push(Quarantine {
-                section: index,
-                provider: provider.id(),
-                attempt,
-                reason: "page-manifest-mismatch",
-            }),
-            None => {}
-        }
-    }
-    let (pm, first) = bound?;
-    let len = pm.len as usize;
-    let local_hashes = page_hashes(kind, local_bytes, PAGE_SIZE);
-    let mut bytes = vec![0u8; len];
-    for (i, want) in pm.page_hashes.iter().enumerate() {
-        let start = i * PAGE_SIZE;
-        let slot_len = PAGE_SIZE.min(len - start);
-        if local_hashes.get(i) == Some(want) {
-            let chunk = page_of(local_bytes, i as u32, PAGE_SIZE);
-            if chunk.len() == slot_len {
-                bytes[start..start + slot_len].copy_from_slice(chunk);
+    let local_hashes = page_hashes(entry.kind, local);
+    let mut bytes = vec![0u8; entry.len as usize];
+    let mut retried = false;
+    let slots = entry.page_hashes.iter().zip(bytes.chunks_mut(PAGE_SIZE));
+    for (page, (want, slot)) in slots.enumerate() {
+        match local.chunks(PAGE_SIZE).nth(page) {
+            Some(held) if held.len() == slot.len() && local_hashes[page] == *want => {
+                slot.copy_from_slice(held);
                 report.pages_reused += 1;
                 continue;
             }
+            _ => {}
         }
-        let mut healed = false;
+        let page = page as u32;
+        let mut fetched = None;
         for attempt in 0..policy.max_attempts {
             report.sim_elapsed += policy.backoff_before(attempt);
             report.attempts += 1;
             if attempt > 0 {
                 report.retries += 1;
             }
-            let provider = &mut providers[(first + attempt as usize) % n];
-            let pid = provider.id();
-            let (got, delay) = match provider.fetch_page(index, i as u32) {
+            let provider = &mut providers[(first + attempt as usize) % providers.len()];
+            let (got, delay) = match provider.fetch_page(index, page) {
                 PageReply::Page(b) => (Some(b), 0),
                 PageReply::Delayed { millis, bytes } => (Some(bytes), millis),
                 PageReply::Dropped => (None, 0),
             };
             report.sim_elapsed += SimDuration::from_millis(delay);
-            match got {
-                Some(b) if b.len() == slot_len && page_hash(kind, i as u32, &b) == *want => {
-                    bytes[start..start + slot_len].copy_from_slice(&b);
-                    report.pages_fetched += 1;
-                    healed = true;
+            let reason = match got {
+                Some(b) if b.len() == slot.len() && page_hash(entry.kind, page, &b) == *want => {
+                    retried |= attempt > 0;
+                    fetched = Some(b);
                     break;
                 }
-                Some(_) => report.quarantined.push(Quarantine {
-                    section: index,
-                    provider: pid,
-                    attempt,
-                    reason: "page-hash-mismatch",
-                }),
-                None => report.quarantined.push(Quarantine {
-                    section: index,
-                    provider: pid,
-                    attempt,
-                    reason: "dropped",
-                }),
-            }
+                Some(_) => "page-hash-mismatch",
+                None => "dropped",
+            };
+            report.quarantined.push(Quarantine {
+                section: index,
+                provider: provider.id(),
+                attempt,
+                reason,
+            });
         }
-        if !healed {
-            return None;
-        }
+        let Some(b) = fetched else {
+            return Err(SyncError::HealExhausted {
+                section: index,
+                attempts: policy.max_attempts,
+            });
+        };
+        slot.copy_from_slice(&b);
+        report.pages_fetched += 1;
     }
-    report.healed_sections.push(index);
-    Some(Section { kind, bytes })
+    if retried {
+        report.healed_sections.push(index);
+    }
+    Ok(Section {
+        kind: entry.kind,
+        bytes,
+    })
 }
 
-/// Delta sync for a late-joiner that already holds `local` (a stale
-/// snapshot): fetches a manifest committing to `trusted_root`, reuses
-/// every section whose leaf is unchanged, page-syncs the changed ones of
-/// a v4 manifest — fetching and verifying only the pages whose sub-leaf
-/// differs locally — and falls back to whole-section healing
-/// ([`fetch_section`] semantics) for any section the page path cannot
-/// serve. The reassembled snapshot is sealed under the manifest's leaves,
+/// Fast sync toward `trusted_root`: fetches a manifest committing to it
+/// ([`fetch_manifest`]), then assembles every section page by page. A
+/// joiner holding a stale snapshot passes it as `local`: a v4 section
+/// whose sealed leaf equals the manifest's is reused without hashing, and
+/// any other local section lends every page whose hash matches — a v3
+/// snapshot's included. A cold joiner passes `None` and fetches every
+/// page. The reassembled snapshot is sealed under the manifest's leaves,
 /// so its root is the trusted root.
 ///
 /// # Errors
-/// Any [`SyncError`]; notably [`SyncError::HealExhausted`] when a section
-/// is unhealable through pages *and* whole-section fetches.
+/// [`SyncError::NoValidManifest`] when no provider serves a manifest for
+/// `trusted_root` (a v2/v3 root included: only v4 manifests exist);
+/// [`SyncError::HealExhausted`] when some page has no honest copy within
+/// the retry budget.
 pub fn delta_sync(
-    local: &Snapshot,
+    local: Option<&Snapshot>,
     providers: &mut [&mut dyn SectionProvider],
     trusted_root: H256,
     policy: &RetryPolicy,
 ) -> Result<(Snapshot, HealReport), SyncError> {
-    let manifest = fetch_manifest(providers, trusted_root)?;
-    let paged = manifest.version == SNAPSHOT_VERSION;
+    let (manifest, first) = fetch_manifest(providers, trusted_root)?;
+    let leaves = manifest.leaves();
     let mut report = HealReport::default();
-    let mut sections = Vec::with_capacity(manifest.sections.len());
-    for (index, (kind, leaf)) in manifest.sections.iter().enumerate() {
-        let local_section = local.sections().iter().position(|s| s.kind == *kind);
-        if let Some(at) = local_section {
-            let s = &local.sections()[at];
-            // the local leaves are sealed; only another format re-hashes
-            let local_leaf = if local.version() == manifest.version {
-                local.leaves()[at]
-            } else {
-                s.leaf(manifest.version)
-            };
-            if local_leaf == *leaf {
-                report.sections_reused += 1;
-                sections.push(s.clone());
-                continue;
-            }
+    let mut sections = Vec::with_capacity(leaves.len());
+    for (index, (entry, leaf)) in manifest.sections.iter().zip(&leaves).enumerate() {
+        let held = local.and_then(|snap| {
+            let at = snap.sections().iter().position(|s| s.kind == entry.kind)?;
+            let sealed = snap.version() == SNAPSHOT_VERSION && snap.leaves()[at] == *leaf;
+            Some((&snap.sections()[at], sealed))
+        });
+        if let Some((section, true)) = held {
+            report.sections_reused += 1;
+            sections.push(section.clone());
+            continue;
         }
-        let local_bytes = local_section.map_or(&[][..], |at| &local.sections()[at].bytes);
-        let paged_section = if paged {
-            sync_section_pages(
-                &manifest,
-                index,
-                local_bytes,
-                providers,
-                policy,
-                &mut report,
-            )
-        } else {
-            None
-        };
-        let section = match paged_section {
-            Some(section) => section,
-            None => fetch_section(&manifest, index, providers, policy, &mut report)?,
-        };
+        let bytes = held.map_or(&[][..], |(section, _)| &section.bytes);
+        let section = fetch_pages(entry, index, bytes, providers, first, policy, &mut report)?;
         sections.push(section);
     }
-    Ok((manifest.seal(sections)?, report))
+    let snapshot = Snapshot::from_leaves(SNAPSHOT_VERSION, manifest.epoch, sections, leaves)
+        .expect("fetch_manifest admits canonical manifests only");
+    Ok((snapshot, report))
 }
 
-/// Full self-healing sync: manifest fetch against `trusted_root`, healed
-/// section fetch, then [`restore`].
+/// [`delta_sync`] followed by [`restore`]: fast sync that ends on a fully
+/// verified working state.
 ///
 /// # Errors
 /// Any [`SyncError`]; notably decoder panics surface as
 /// [`SyncError::SectionDecodeFailed`], never as process aborts.
 pub fn heal_restore(
-    providers: &mut [&mut dyn SectionProvider],
-    trusted_root: H256,
-    policy: &RetryPolicy,
-) -> Result<(RestoredState, HealReport), SyncError> {
-    let manifest = fetch_manifest(providers, trusted_root)?;
-    let (snapshot, report) = heal_fetch(&manifest, providers, policy)?;
-    let restored = restore(&snapshot)?;
-    Ok((restored, report))
-}
-
-/// [`delta_sync`] followed by [`restore`]: the late-joiner path that
-/// moves only changed pages and ends on a fully verified working state.
-///
-/// # Errors
-/// Any [`SyncError`].
-pub fn delta_restore(
-    local: &Snapshot,
+    local: Option<&Snapshot>,
     providers: &mut [&mut dyn SectionProvider],
     trusted_root: H256,
     policy: &RetryPolicy,
 ) -> Result<(RestoredState, HealReport), SyncError> {
     let (snapshot, report) = delta_sync(local, providers, trusted_root, policy)?;
-    let restored = restore(&snapshot)?;
-    Ok((restored, report))
+    Ok((restore(&snapshot)?, report))
 }
 
 #[cfg(test)]
@@ -830,6 +587,16 @@ mod tests {
         Arc::new(Mutex::new(inj))
     }
 
+    /// Provider 0's occurrence index of the first page of `section` in a
+    /// cold sync that accepts its manifest (occurrence 0) and asks it for
+    /// every page first.
+    fn first_page_occurrence(snap: &Snapshot, section: usize) -> u64 {
+        let before = snap.sections()[..section].iter();
+        1 + before
+            .map(|s| page_count(s.bytes.len()) as u64)
+            .sum::<u64>()
+    }
+
     #[test]
     fn clean_sync_needs_no_healing() {
         let snap = snapshot_at(5, true);
@@ -837,12 +604,14 @@ mod tests {
         let mut p0 = SimProvider::honest(0, snap.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p0];
         let (restored, report) =
-            heal_restore(&mut providers, root, &RetryPolicy::default()).unwrap();
+            heal_restore(None, &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(restored.root, root);
         assert!(report.quarantined.is_empty());
         assert!(report.healed_sections.is_empty());
         assert_eq!(report.retries, 0);
         assert_eq!(report.sim_elapsed, SimDuration::ZERO);
+        let pages = snap.sections().iter().map(|s| page_count(s.bytes.len()));
+        assert_eq!(report.pages_fetched, pages.sum::<usize>() as u64);
     }
 
     #[test]
@@ -850,43 +619,34 @@ mod tests {
         let snap = snapshot_at(5, true);
         let stale = snapshot_at(4, false);
         let root = snap.root();
-        // provider 0 misbehaves on its first four fetches, four ways;
-        // stale-root targets a pool section (occurrence 1 = section 0,
-        // occurrence 0 being the manifest call) because only the pool
-        // sections differ between the fresh and the stale snapshot
-        let inj = injector(&[
-            FaultSpec {
+        // provider 0 misbehaves on the first page of each section, four
+        // ways; stale-root targets a pool header page because only the
+        // pool sections differ between the fresh and the stale snapshot
+        let kinds = [
+            FaultKind::StaleRoot,
+            FaultKind::BitFlip,
+            FaultKind::Truncate,
+            FaultKind::Duplicate,
+        ];
+        let specs: Vec<FaultSpec> = (kinds.iter().enumerate())
+            .map(|(section, &kind)| FaultSpec {
                 point: InjectionPoint::Provider(0),
-                occurrence: 1,
-                kind: FaultKind::StaleRoot,
-            },
-            FaultSpec {
-                point: InjectionPoint::Provider(0),
-                occurrence: 2,
-                kind: FaultKind::BitFlip,
-            },
-            FaultSpec {
-                point: InjectionPoint::Provider(0),
-                occurrence: 3,
-                kind: FaultKind::Truncate,
-            },
-            FaultSpec {
-                point: InjectionPoint::Provider(0),
-                occurrence: 4,
-                kind: FaultKind::Duplicate,
-            },
-        ]);
+                occurrence: first_page_occurrence(&snap, section),
+                kind,
+            })
+            .collect();
+        let inj = injector(&specs);
         let mut bad = SimProvider::faulty(0, snap.clone(), inj.clone()).with_stale(stale);
         let mut good = SimProvider::honest(1, snap.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut bad, &mut good];
         let (restored, report) =
-            heal_restore(&mut providers, root, &RetryPolicy::default()).unwrap();
+            heal_restore(None, &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(restored.root, root);
         assert_eq!(report.quarantined.len(), 4, "all four bad copies caught");
         assert!(report
             .quarantined
             .iter()
-            .all(|q| q.provider == 0 && q.reason == "hash-mismatch"));
+            .all(|q| q.provider == 0 && q.reason == "page-hash-mismatch"));
         assert_eq!(report.healed_sections, vec![0, 1, 2, 3]);
         assert!(report.sim_elapsed > SimDuration::ZERO, "backoff was paid");
         assert_eq!(inj.lock().unwrap().events().len(), 4);
@@ -912,7 +672,7 @@ mod tests {
         let mut good = SimProvider::honest(1, snap.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut flaky, &mut good];
         let (restored, report) =
-            heal_restore(&mut providers, root, &RetryPolicy::default()).unwrap();
+            heal_restore(None, &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(restored.root, root);
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].reason, "dropped");
@@ -928,7 +688,7 @@ mod tests {
             max_attempts: 3,
             base_backoff: SimDuration::from_millis(10),
         };
-        // section 0's three attempts land on providers 0, 1, 0 — at
+        // page 0's three attempts land on providers 0, 1, 0 — at
         // occurrences 1, 0, 2 respectively (provider 0's occurrence 0 is
         // the manifest call) — and every one of them drops
         let inj = injector(&[
@@ -951,7 +711,7 @@ mod tests {
         let mut a = SimProvider::faulty(0, snap.clone(), inj.clone());
         let mut b = SimProvider::faulty(1, snap.clone(), inj);
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut a, &mut b];
-        let got = heal_restore(&mut providers, root, &policy);
+        let got = heal_restore(None, &mut providers, root, &policy);
         assert_eq!(
             got.err(),
             Some(SyncError::HealExhausted {
@@ -974,8 +734,8 @@ mod tests {
         let mut lagging = SimProvider::faulty(0, snap.clone(), inj).with_stale(stale.clone());
         let mut fresh = SimProvider::honest(1, snap.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut lagging, &mut fresh];
-        let manifest = fetch_manifest(&mut providers, root).unwrap();
-        assert_eq!(manifest.root(), root);
+        let (manifest, slot) = fetch_manifest(&mut providers, root).unwrap();
+        assert_eq!((manifest.root(), slot), (root, 1));
 
         // with only the lagging provider the sync refuses to start
         let inj = injector(&[FaultSpec {
@@ -990,6 +750,14 @@ mod tests {
             Some(SyncError::NoValidManifest {
                 providers_tried: 1,
                 stale: 1
+            })
+        );
+        // and with no provider at all, likewise
+        assert_eq!(
+            delta_sync(None, &mut [], root, &RetryPolicy::default()).err(),
+            Some(SyncError::NoValidManifest {
+                providers_tried: 0,
+                stale: 0
             })
         );
     }
@@ -1008,11 +776,73 @@ mod tests {
     fn manifest_binds_kind_and_content() {
         let snap = snapshot_at(5, true);
         let manifest = SyncManifest::of(&snap);
-        let mut section = snap.sections()[0].clone();
-        assert!(manifest.section_matches(0, &section));
-        assert!(!manifest.section_matches(1, &section), "wrong index");
-        section.bytes.push(0);
-        assert!(!manifest.section_matches(0, &section), "content bound");
+        assert_eq!(manifest.root(), snap.root());
+        let mut kind = manifest.clone();
+        kind.sections[1].kind = SectionKind::Pool(7);
+        assert_ne!(kind.root(), snap.root(), "kind bound");
+        let mut content = manifest.clone();
+        content.sections[0].page_hashes[1].0[0] ^= 1;
+        assert_ne!(content.root(), snap.root(), "content bound");
+        let mut len = manifest.clone();
+        len.sections[0].len -= 1;
+        assert_ne!(len.root(), snap.root(), "length bound");
+        let mut epoch = manifest;
+        epoch.epoch += 1;
+        assert_ne!(epoch.root(), snap.root(), "epoch bound");
+    }
+
+    /// An otherwise honest provider whose manifest is edited by `lie`,
+    /// counting the pages it is asked for.
+    struct LyingManifestProvider {
+        inner: SimProvider,
+        lie: fn(&mut SyncManifest),
+        pages_asked: u32,
+    }
+
+    impl SectionProvider for LyingManifestProvider {
+        fn id(&self) -> u32 {
+            self.inner.id()
+        }
+        fn manifest(&mut self) -> Option<SyncManifest> {
+            let mut manifest = self.inner.manifest()?;
+            (self.lie)(&mut manifest);
+            Some(manifest)
+        }
+        fn fetch_page(&mut self, index: usize, page: u32) -> PageReply {
+            self.pages_asked += 1;
+            self.inner.fetch_page(index, page)
+        }
+    }
+
+    #[test]
+    fn inconsistent_manifest_counts_as_stale() {
+        // page-hash counts that disagree with the section length, one
+        // hash too many, one too few and none at all, are refused before
+        // the manifest is folded or any page moves
+        let snap = snapshot_at(5, true);
+        let lies: [fn(&mut SyncManifest); 3] = [
+            |m| m.sections[0].page_hashes.push(H256::ZERO),
+            |m| {
+                m.sections[0].page_hashes.pop();
+            },
+            |m| m.sections[2].page_hashes.clear(),
+        ];
+        for lie in lies {
+            let mut liar = LyingManifestProvider {
+                inner: SimProvider::honest(0, snap.clone()),
+                lie,
+                pages_asked: 0,
+            };
+            let mut only: Vec<&mut dyn SectionProvider> = vec![&mut liar];
+            assert_eq!(
+                delta_sync(None, &mut only, snap.root(), &RetryPolicy::default()).err(),
+                Some(SyncError::NoValidManifest {
+                    providers_tried: 1,
+                    stale: 1
+                })
+            );
+            assert_eq!(liar.pages_asked, 0);
+        }
     }
 
     #[test]
@@ -1027,13 +857,12 @@ mod tests {
         let mut p0 = SimProvider::honest(0, fresh.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p0];
         let (synced, report) =
-            delta_sync(&stale, &mut providers, root, &RetryPolicy::default()).unwrap();
+            delta_sync(Some(&stale), &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(synced.root(), root);
         assert_eq!(synced, fresh);
         // ledger + deposits are byte-identical across the two epochs
         assert_eq!(report.sections_reused, 2);
         // both pool sections were page-synced, mostly from local bytes
-        assert_eq!(report.healed_sections, vec![0, 1]);
         assert!(report.pages_fetched > 0);
         assert!(
             report.pages_reused > report.pages_fetched,
@@ -1043,6 +872,7 @@ mod tests {
             report.pages_fetched
         );
         assert!(report.quarantined.is_empty());
+        assert!(report.healed_sections.is_empty(), "nothing needed a retry");
     }
 
     #[test]
@@ -1051,17 +881,17 @@ mod tests {
         let fresh = snapshot_at(5, true);
         let root = fresh.root();
         // provider 0 flips a byte in its first page reply (occurrence 0
-        // is the manifest call, 1 the page manifest, 2 the first page)
+        // is the manifest call, 1 the first page)
         let inj = injector(&[FaultSpec {
             point: InjectionPoint::Provider(0),
-            occurrence: 2,
+            occurrence: 1,
             kind: FaultKind::BitFlip,
         }]);
         let mut bad = SimProvider::faulty(0, fresh.clone(), inj);
         let mut good = SimProvider::honest(1, fresh.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut bad, &mut good];
         let (synced, report) =
-            delta_sync(&stale, &mut providers, root, &RetryPolicy::default()).unwrap();
+            delta_sync(Some(&stale), &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(synced.root(), root);
         let bad_pages: Vec<&Quarantine> = report
             .quarantined
@@ -1071,64 +901,7 @@ mod tests {
         assert_eq!(bad_pages.len(), 1, "the flipped page was caught");
         assert_eq!(bad_pages[0].provider, 0);
         assert!(report.retries > 0, "the page was re-fetched elsewhere");
-    }
-
-    /// A provider that does not speak the page protocol: the trait
-    /// defaults answer its page calls.
-    struct LegacyProvider(SimProvider);
-
-    impl SectionProvider for LegacyProvider {
-        fn id(&self) -> u32 {
-            self.0.id()
-        }
-        fn manifest(&mut self) -> Option<SyncManifest> {
-            self.0.manifest()
-        }
-        fn fetch(&mut self, index: usize) -> ProviderReply {
-            self.0.fetch(index)
-        }
-    }
-
-    #[test]
-    fn legacy_provider_degrades_to_full_section_fetch() {
-        let stale = snapshot_at(4, false);
-        let fresh = snapshot_at(5, true);
-        let root = fresh.root();
-        let mut legacy = LegacyProvider(SimProvider::honest(0, fresh.clone()));
-        let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut legacy];
-        let (synced, report) =
-            delta_sync(&stale, &mut providers, root, &RetryPolicy::default()).unwrap();
-        assert_eq!(synced, fresh);
-        assert_eq!(report.pages_fetched, 0, "no page ever moved");
-        assert_eq!(report.sections_reused, 2, "unchanged sections still reused");
-    }
-
-    /// An otherwise honest provider whose page manifests lie about the
-    /// first page's sub-leaf, counting the pages it is asked for.
-    struct LyingManifestProvider {
-        inner: SimProvider,
-        pages_asked: u32,
-    }
-
-    impl SectionProvider for LyingManifestProvider {
-        fn id(&self) -> u32 {
-            self.inner.id()
-        }
-        fn manifest(&mut self) -> Option<SyncManifest> {
-            self.inner.manifest()
-        }
-        fn fetch(&mut self, index: usize) -> ProviderReply {
-            self.inner.fetch(index)
-        }
-        fn page_manifest(&mut self, index: usize) -> Option<PageManifest> {
-            let mut manifest = self.inner.page_manifest(index)?;
-            manifest.page_hashes[0].0[0] ^= 1;
-            Some(manifest)
-        }
-        fn fetch_page(&mut self, index: usize, page: u32) -> PageReply {
-            self.pages_asked += 1;
-            self.inner.fetch_page(index, page)
-        }
+        assert_eq!(report.healed_sections, vec![0]);
     }
 
     #[test]
@@ -1138,60 +911,64 @@ mod tests {
         let root = fresh.root();
         let mut liar = LyingManifestProvider {
             inner: SimProvider::honest(0, fresh.clone()),
+            lie: |m| m.sections[0].page_hashes[0].0[0] ^= 1,
             pages_asked: 0,
         };
         let mut honest = SimProvider::honest(1, fresh.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut liar, &mut honest];
         let (synced, report) =
-            delta_sync(&stale, &mut providers, root, &RetryPolicy::default()).unwrap();
+            delta_sync(Some(&stale), &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(synced, fresh);
         assert_eq!(liar.pages_asked, 0, "no page asked of the liar");
-        let refused: Vec<&Quarantine> = report
-            .quarantined
-            .iter()
-            .filter(|q| q.reason == "page-manifest-mismatch")
-            .collect();
-        assert_eq!(refused.len(), 2, "one lying manifest per changed pool");
-        assert!(refused.iter().all(|q| q.provider == 0));
+        assert!(report.quarantined.is_empty(), "no bad page ever arrived");
         assert!(
             report.pages_fetched > 0,
             "healed page by page off the honest peer"
         );
-        assert_eq!(report.healed_sections, vec![0, 1]);
+        assert_eq!(report.sections_reused, 2);
     }
 
     #[test]
-    fn legacy_snapshots_heal_section_by_section() {
-        // a v3 leaf is a flat hash with no pages under it, so a page
-        // manifest cannot be bound to it: changed sections move whole
+    fn v3_roots_are_refused_and_v3_local_snapshots_lend_pages() {
+        // a v3 leaf is a flat hash with no pages under it, so no manifest
+        // binds to a v3 root; a v3 snapshot held locally still lends its
+        // pages toward a v4 root
         let v3 = |snap: Snapshot| {
             let epoch = snap.epoch();
             Snapshot::seal(3, epoch, snap.into_sections()).unwrap()
         };
-        let (stale, fresh) = (v3(snapshot_at(4, false)), v3(snapshot_at(5, true)));
-        let mut p0 = SimProvider::honest(0, fresh.clone());
+        let (stale, fresh) = (snapshot_at(4, false), snapshot_at(5, true));
+        let policy = RetryPolicy::default();
+        let mut p0 = SimProvider::honest(0, v3(fresh.clone()));
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p0];
-        let (synced, report) = delta_sync(
-            &stale,
-            &mut providers,
-            fresh.root(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        assert_eq!(
+            delta_sync(None, &mut providers, v3(fresh.clone()).root(), &policy).err(),
+            Some(SyncError::NoValidManifest {
+                providers_tried: 1,
+                stale: 1
+            })
+        );
+
+        let mut p1 = SimProvider::honest(1, fresh.clone());
+        let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p1];
+        let local = v3(stale);
+        let (synced, report) =
+            delta_sync(Some(&local), &mut providers, fresh.root(), &policy).unwrap();
         assert_eq!(synced, fresh);
-        assert_eq!(report.sections_reused, 2);
-        assert_eq!((report.pages_fetched, report.pages_reused), (0, 0));
+        assert_eq!(report.sections_reused, 0, "no v3 leaf is a v4 leaf");
+        assert!(report.pages_reused > report.pages_fetched);
     }
 
     #[test]
-    fn delta_restore_lands_on_verified_state() {
+    fn heal_restore_from_a_stale_snapshot_lands_on_verified_state() {
         let stale = snapshot_at(4, false);
         let fresh = snapshot_at(5, true);
         let root = fresh.root();
         let mut p0 = SimProvider::honest(0, fresh);
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p0];
-        let (restored, _) =
-            delta_restore(&stale, &mut providers, root, &RetryPolicy::default()).unwrap();
+        let (restored, report) =
+            heal_restore(Some(&stale), &mut providers, root, &RetryPolicy::default()).unwrap();
         assert_eq!(restored.root, root);
+        assert!(report.pages_reused > 0);
     }
 }

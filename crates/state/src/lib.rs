@@ -26,10 +26,11 @@
 //!   history, reporting reclaimed bytes.
 //! - [`sync`] — fast-sync restore: snapshot → working pools (derived tick
 //!   indexes regenerated, never serialized) + ledger + deposits.
-//! - [`heal`] — section- and page-granular self-healing sync: per-section
-//!   manifest verification, page manifests bound to the trusted leaf,
-//!   quarantine of bad copies, provider rotation with bounded retries and
-//!   deterministic backoff on simulated time.
+//! - [`heal`] — page-granular self-healing sync: one page-hash manifest
+//!   bound to the trusted root before any page moves, reuse of a stale
+//!   local snapshot's matching pages, quarantine of bad copies, provider
+//!   rotation with bounded retries and deterministic backoff on simulated
+//!   time.
 //! - [`store`] — crash-consistent checkpoint persistence: a stage→mark→
 //!   install journal whose recovery always lands on the last committed
 //!   snapshot, whatever byte a simulated crash tore the write at.
@@ -51,9 +52,8 @@ pub use checkpoint::{CheckpointOutput, CheckpointStats, Checkpointer, StagedChec
 pub use codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 pub use delta::{DeltaError, DeltaSnapshot, SectionDelta, DELTA_MAGIC, DELTA_VERSION};
 pub use heal::{
-    delta_restore, delta_sync, fetch_manifest, heal_fetch, heal_restore, HealReport, PageManifest,
-    PageReply, ProviderReply, Quarantine, RetryPolicy, SectionProvider, SimProvider, SyncError,
-    SyncManifest,
+    delta_sync, fetch_manifest, heal_restore, HealReport, PageReply, Quarantine, RetryPolicy,
+    SectionProvider, SimProvider, SyncError, SyncManifest,
 };
 pub use pages::{page_hash, page_hashes, page_root, PageDiff, PAGE_SIZE};
 pub use prune::{prune_to_snapshot, PruneReport, RetentionPolicy};

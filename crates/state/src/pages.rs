@@ -6,7 +6,7 @@
 //! the page index and the page bytes, and [`page_root`] commits to the
 //! whole page vector (plus the byte length) with a Merkle tree. Since
 //! snapshot format v4 that page root *is* the section's leaf in the
-//! snapshot root, so the sub-leaves a delta or a page manifest carries
+//! snapshot root, so the sub-leaves a delta or a sync manifest carries
 //! are bound to the state root directly, and the page size is part of
 //! the format.
 //!
@@ -17,7 +17,7 @@
 //! update dirties exactly one page.
 
 use crate::codec::Encode;
-use crate::snapshot::SectionKind;
+use crate::snapshot::{Section, SectionKind};
 use ammboost_crypto::keccak::keccak256_x4_concat;
 use ammboost_crypto::merkle::merkle_root;
 use ammboost_crypto::H256;
@@ -29,7 +29,7 @@ const PAGE_DOMAIN: &[u8] = b"ammboost-snapshot-page";
 const PAGE_ROOT_DOMAIN: &[u8] = b"ammboost-page-root";
 
 /// The page size of snapshot format v4: section leaves, checkpoint deltas
-/// and page manifests all split sections at this many bytes.
+/// and sync manifests all split sections at this many bytes.
 ///
 /// Chosen so a sparse-dirty epoch stays sparse in *pages*: at 10⁵
 /// positions (172-byte records) a 1% random touch dirties ~1000 distinct
@@ -39,8 +39,8 @@ const PAGE_ROOT_DOMAIN: &[u8] = b"ammboost-page-root";
 pub const PAGE_SIZE: usize = 1024;
 
 /// Number of pages `len` bytes split into (an empty section has none).
-pub fn page_count(len: usize, page_size: usize) -> usize {
-    len.div_ceil(page_size)
+pub fn page_count(len: usize) -> usize {
+    len.div_ceil(PAGE_SIZE)
 }
 
 /// Domain-separated hash of one page, binding the owning section kind,
@@ -94,24 +94,39 @@ pub(crate) fn hash_pages(kind: SectionKind, pages: &[(u32, &[u8])]) -> Vec<H256>
 }
 
 /// [`page_hash`] over every page of a section encoding, in index order.
-///
-/// # Panics
-/// Panics when `page_size` is zero.
-pub fn page_hashes(kind: SectionKind, bytes: &[u8], page_size: usize) -> Vec<H256> {
-    let pages = bytes.chunks(page_size).enumerate();
+pub fn page_hashes(kind: SectionKind, bytes: &[u8]) -> Vec<H256> {
+    let pages = bytes.chunks(PAGE_SIZE).enumerate();
     hash_pages(kind, &pages.map(|(i, c)| (i as u32, c)).collect::<Vec<_>>())
+}
+
+/// [`page_hashes`] of every section, all pages in one four-lane run (so
+/// small sections share quads with large ones), split back per section.
+pub(crate) fn section_page_hashes(sections: &[Section]) -> Vec<Vec<H256>> {
+    let kinds: Vec<Vec<u8>> = sections.iter().map(|s| s.kind.encode_to_vec()).collect();
+    let refs: Vec<PageRef<'_>> = sections
+        .iter()
+        .zip(&kinds)
+        .flat_map(|(s, kind)| {
+            let pages = s.bytes.chunks(PAGE_SIZE).enumerate();
+            pages.map(move |(i, page)| (kind.as_slice(), i as u32, page))
+        })
+        .collect();
+    let mut hashes = hash_page_refs(&refs).into_iter();
+    (sections.iter())
+        .map(|s| hashes.by_ref().take(page_count(s.bytes.len())).collect())
+        .collect()
 }
 
 /// The Merkle root over a section's [`PAGE_SIZE`] pages: a length leaf
 /// (domain, kind, byte length) followed by every page hash. This is the
 /// section's leaf in a v4 snapshot root.
 pub fn page_root(kind: SectionKind, bytes: &[u8]) -> H256 {
-    page_root_from_hashes(kind, bytes.len(), &page_hashes(kind, bytes, PAGE_SIZE))
+    page_root_from_hashes(kind, bytes.len(), &page_hashes(kind, bytes))
 }
 
 /// [`page_root`] of a `len`-byte section whose page hashes are already
 /// known — the refold a checkpoint does after re-hashing only its dirty
-/// pages, and the check that binds a page manifest to a trusted leaf.
+/// pages, and the check that binds a sync manifest to a trusted root.
 pub(crate) fn page_root_from_hashes(kind: SectionKind, len: usize, page_hashes: &[H256]) -> H256 {
     let mut leaves = Vec::with_capacity(page_hashes.len() + 1);
     leaves.push(H256::hash_concat(&[
@@ -136,10 +151,10 @@ pub struct PageDiff {
     pub bytes: Vec<u8>,
 }
 
-/// The bytes of page `index` of `bytes` at `page_size`.
-pub(crate) fn page_of(bytes: &[u8], index: u32, page_size: usize) -> &[u8] {
-    let start = index as usize * page_size;
-    &bytes[start..(start + page_size).min(bytes.len())]
+/// The bytes of page `index` of `bytes`.
+pub(crate) fn page_of(bytes: &[u8], index: u32) -> &[u8] {
+    let start = index as usize * PAGE_SIZE;
+    &bytes[start..(start + PAGE_SIZE).min(bytes.len())]
 }
 
 /// Page indexes at which `new` differs from `old`, including every page
@@ -147,13 +162,13 @@ pub(crate) fn page_of(bytes: &[u8], index: u32, page_size: usize) -> &[u8] {
 /// a checkpoint stays encode-only and all hashing is the commit half's.
 /// A page not listed has the same bytes at the same slot, hence the same
 /// [`page_hash`].
-pub fn diff_pages(old: &[u8], new: &[u8], page_size: usize) -> Vec<u32> {
-    new.chunks(page_size)
+pub fn diff_pages(old: &[u8], new: &[u8]) -> Vec<u32> {
+    new.chunks(PAGE_SIZE)
         .enumerate()
         .filter(|(i, chunk)| {
-            let start = i * page_size;
+            let start = i * PAGE_SIZE;
             old.get(start..start + chunk.len()) != Some(*chunk)
-                || (chunk.len() < page_size && old.len() > start + chunk.len())
+                || (chunk.len() < PAGE_SIZE && old.len() > start + chunk.len())
         })
         .map(|(i, _)| i as u32)
         .collect()
@@ -161,16 +176,8 @@ pub fn diff_pages(old: &[u8], new: &[u8], page_size: usize) -> Vec<u32> {
 
 /// The pages of `bytes` at `indexes`, each with its sub-leaf hash (the
 /// hashing half of [`diff_pages`]).
-pub fn seal_pages(
-    kind: SectionKind,
-    bytes: &[u8],
-    indexes: &[u32],
-    page_size: usize,
-) -> Vec<PageDiff> {
-    let pages: Vec<(u32, &[u8])> = indexes
-        .iter()
-        .map(|&i| (i, page_of(bytes, i, page_size)))
-        .collect();
+pub fn seal_pages(kind: SectionKind, bytes: &[u8], indexes: &[u32]) -> Vec<PageDiff> {
+    let pages: Vec<(u32, &[u8])> = indexes.iter().map(|&i| (i, page_of(bytes, i))).collect();
     let hashes = hash_pages(kind, &pages);
     pages
         .into_iter()
@@ -194,7 +201,7 @@ pub enum PageError {
         pages: usize,
     },
     /// A page's byte length does not match its slot (every page is
-    /// `page_size` long except the final one).
+    /// [`PAGE_SIZE`] long except the final one).
     BadLength {
         /// The offending page slot.
         index: u32,
@@ -227,18 +234,13 @@ impl std::error::Error for PageError {}
 /// slot, and bytes past `base` must all be covered by diffed pages (a
 /// gap there survives as zeroes and fails the section-leaf check the
 /// caller performs). The inverse of [`diff_pages`]:
-/// `apply_pages(old, new.len(), seal_pages(k, new, diff_pages(old, new), ps), ps) == new`.
+/// `apply_pages(old, new.len(), &seal_pages(k, new, &diff_pages(old, new))) == new`.
 ///
 /// # Errors
 /// [`PageError`] on a page outside the new encoding or with the wrong
 /// length for its slot.
-pub fn apply_pages(
-    base: &[u8],
-    new_len: usize,
-    pages: &[PageDiff],
-    page_size: usize,
-) -> Result<Vec<u8>, PageError> {
-    let total = page_count(new_len, page_size);
+pub fn apply_pages(base: &[u8], new_len: usize, pages: &[PageDiff]) -> Result<Vec<u8>, PageError> {
+    let total = page_count(new_len);
     let mut out = vec![0u8; new_len];
     let shared = base.len().min(new_len);
     out[..shared].copy_from_slice(&base[..shared]);
@@ -250,8 +252,8 @@ pub fn apply_pages(
                 pages: total,
             });
         }
-        let start = index * page_size;
-        let expected = page_size.min(new_len - start);
+        let start = index * PAGE_SIZE;
+        let expected = PAGE_SIZE.min(new_len - start);
         if page.bytes.len() != expected {
             return Err(PageError::BadLength {
                 index: page.index,
@@ -268,38 +270,42 @@ pub fn apply_pages(
 mod tests {
     use super::*;
 
-    const PS: usize = 8;
+    const PS: usize = PAGE_SIZE;
+
+    /// `len` bytes of a pattern that differs from page to page.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
 
     fn apply_raw(old: &[u8], new: &[u8]) -> Vec<u8> {
-        let pages = seal_pages(SectionKind::Ledger, new, &diff_pages(old, new, PS), PS);
-        apply_pages(old, new.len(), &pages, PS).unwrap()
+        let pages = seal_pages(SectionKind::Ledger, new, &diff_pages(old, new));
+        apply_pages(old, new.len(), &pages).unwrap()
     }
 
     #[test]
     fn diff_apply_roundtrips_every_shape() {
-        let old: Vec<u8> = (0..37).collect();
+        let old = pattern(4 * PS + 5);
         // same length, one byte changed mid-page
         let mut new = old.clone();
-        new[19] ^= 0xFF;
+        new[2 * PS + 3] ^= 0xFF;
         assert_eq!(apply_raw(&old, &new), new);
         // growth (tail pages appended), shrink (truncation), from empty
-        let grown: Vec<u8> = (0..61).collect();
+        let grown = pattern(7 * PS + 5);
         assert_eq!(apply_raw(&old, &grown), grown);
-        let shrunk: Vec<u8> = (0..13).collect();
+        let shrunk = pattern(PS + 5);
         assert_eq!(apply_raw(&old, &shrunk), shrunk);
         assert_eq!(apply_raw(&[], &old), old);
         assert_eq!(apply_raw(&old, &[]), Vec::<u8>::new());
         // identical inputs diff to nothing
-        assert!(diff_pages(&old, &old, PS).is_empty());
+        assert!(diff_pages(&old, &old).is_empty());
     }
 
     #[test]
     fn single_byte_change_dirties_one_page() {
-        let old = vec![7u8; 64];
+        let old = vec![7u8; 8 * PS];
         let mut new = old.clone();
-        new[25] = 8;
-        let diff = diff_pages(&old, &new, PS);
-        assert_eq!(diff, vec![3], "byte 25 lives in page 3 at size 8");
+        new[3 * PS + 1] = 8;
+        assert_eq!(diff_pages(&old, &new), vec![3]);
     }
 
     #[test]
@@ -307,10 +313,9 @@ mod tests {
         // old ends mid-page; new truncates further into the same page —
         // the shared prefix is byte-equal, so only the length-aware
         // clause of diff_pages catches it
-        let old = vec![3u8; 12];
-        let new = vec![3u8; 10];
-        let diff = diff_pages(&old, &new, PS);
-        assert_eq!(diff, vec![1]);
+        let old = vec![3u8; PS + 4];
+        let new = vec![3u8; PS + 2];
+        assert_eq!(diff_pages(&old, &new), vec![1]);
         assert_eq!(apply_raw(&old, &new), new);
     }
 
@@ -327,23 +332,39 @@ mod tests {
         // 0..=5 pages with lengths one short of, at and one past every
         // multiple of the page size: every remainder of the four-page
         // batching, the short last page and the empty section
-        let bytes: Vec<u8> = (0..5 * PS + 1).map(|i| (i * 31 % 251) as u8).collect();
+        let bytes = pattern(5 * PS + 1);
+        let lens = (0..=5 * PS)
+            .step_by(PS)
+            .flat_map(|l| [l.saturating_sub(1), l, l + 1]);
         for kind in [SectionKind::Pool(7), SectionKind::Deposits] {
-            for len in 0..=bytes.len() {
+            for len in lens.clone() {
                 let section = &bytes[..len];
                 let want: Vec<H256> = section
                     .chunks(PS)
                     .enumerate()
                     .map(|(i, chunk)| page_hash(kind, i as u32, chunk))
                     .collect();
-                assert_eq!(want.len(), page_count(len, PS));
-                assert_eq!(page_hashes(kind, section, PS), want, "{kind:?} len {len}");
+                assert_eq!(want.len(), page_count(len));
+                assert_eq!(page_hashes(kind, section), want, "{kind:?} len {len}");
                 // sealing a diff against nothing hashes the same pages
-                let sealed = seal_pages(kind, section, &diff_pages(&[], section, PS), PS);
+                let sealed = seal_pages(kind, section, &diff_pages(&[], section));
                 let hashes: Vec<H256> = sealed.iter().map(|p| p.hash).collect();
                 assert_eq!(hashes, want, "{kind:?} len {len} sealed");
             }
         }
+        // and hashing several sections in one run splits back per section
+        let sections: Vec<Section> = [0, PS - 1, 3 * PS + 1, 1, 2 * PS]
+            .iter()
+            .enumerate()
+            .map(|(tag, &len)| Section {
+                kind: SectionKind::Aux(tag as u8),
+                bytes: bytes[..len].to_vec(),
+            })
+            .collect();
+        let each: Vec<Vec<H256>> = (sections.iter())
+            .map(|s| page_hashes(s.kind, &s.bytes))
+            .collect();
+        assert_eq!(section_page_hashes(&sections), each);
     }
 
     #[test]
@@ -351,7 +372,7 @@ mod tests {
         // a sparse diff: slots that are not 0, 1, 2, … in the batch
         let bytes: Vec<u8> = (0..78 * PS).map(|i| (i / PS) as u8).collect();
         let indexes = [3u32, 9, 10, 40, 41, 77];
-        for page in seal_pages(SectionKind::Ledger, &bytes, &indexes, PS) {
+        for page in seal_pages(SectionKind::Ledger, &bytes, &indexes) {
             let want = page_hash(SectionKind::Ledger, page.index, &page.bytes);
             assert_eq!(page.hash, want, "page {}", page.index);
             assert_eq!(page.bytes, vec![page.index as u8; PS]);
@@ -391,17 +412,11 @@ mod tests {
         assert_ne!(a, page_root(kind, &bytes), "content committed");
         // empty sections still have a well-defined root
         assert_ne!(page_root(kind, &[]), page_root(SectionKind::Ledger, &[]));
-        // the root over known hashes is the same fold, at the format's
-        // page size
-        let long: Vec<u8> = (0..3 * PAGE_SIZE + 5).map(|i| i as u8).collect();
+        // the root over known hashes is the same fold
+        let long = pattern(3 * PS + 5);
         assert_eq!(
             page_root(kind, &long),
-            page_root_from_hashes(kind, long.len(), &page_hashes(kind, &long, PAGE_SIZE))
-        );
-        assert_ne!(
-            page_root(kind, &long),
-            page_root_from_hashes(kind, long.len(), &page_hashes(kind, &long, PS)),
-            "the page size is part of the commitment"
+            page_root_from_hashes(kind, long.len(), &page_hashes(kind, &long))
         );
     }
 
@@ -413,7 +428,7 @@ mod tests {
             bytes: vec![0; PS],
         }];
         assert_eq!(
-            apply_pages(&[], 16, &pages, PS),
+            apply_pages(&[], 2 * PS, &pages),
             Err(PageError::OutOfBounds { index: 9, pages: 2 })
         );
         let pages = vec![PageDiff {
@@ -422,10 +437,10 @@ mod tests {
             bytes: vec![0; 3],
         }];
         assert_eq!(
-            apply_pages(&[], 16, &pages, PS),
+            apply_pages(&[], 2 * PS, &pages),
             Err(PageError::BadLength {
                 index: 1,
-                expected: 8,
+                expected: PS,
                 found: 3
             })
         );

@@ -9,10 +9,10 @@
 //! checks it, so a corrupt or tampered snapshot fails loud instead of
 //! restoring wrong state.
 //!
-//! Which leaf a section gets is fixed by the snapshot's own version byte
-//! ([`Section::leaf`]): format v4 uses the section's page root
+//! Which leaf a section gets is fixed by the snapshot's own version
+//! byte: format v4 uses the section's page root
 //! ([`page_root`]: a length leaf, then the hash of every [`PAGE_SIZE`]
-//! page — the sub-leaves deltas and page manifests carry) and a header
+//! page — the sub-leaves deltas and sync manifests carry) and a header
 //! leaf that also commits the section count; v2 and v3 keep the flat
 //! domain hash of the whole section and the count-free header they were
 //! sealed with.
@@ -25,9 +25,10 @@
 //! sections means [`Snapshot::into_sections`], then [`Snapshot::seal`].
 //!
 //! [`page_root`]: crate::pages::page_root
+//! [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
-use crate::pages::{hash_page_refs, page_count, page_root_from_hashes, PageRef, PAGE_SIZE};
+use crate::pages::{page_root_from_hashes, section_page_hashes};
 use ammboost_crypto::merkle::merkle_root;
 use ammboost_crypto::H256;
 
@@ -52,6 +53,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ABSS";
 ///
 /// [`EngineState`]: ammboost_amm::engines::EngineState
 /// [`PoolState`]: ammboost_amm::pool::PoolState
+/// [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
 pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Oldest snapshot format version decoders still accept. Version 2 pool
@@ -122,12 +124,6 @@ fn flat_leaves(version: u16) -> bool {
 }
 
 impl Section {
-    /// The section's leaf in a `version` snapshot root: the page root for
-    /// v4, the flat domain hash of kind and bytes for v2 and v3.
-    pub fn leaf(&self, version: u16) -> H256 {
-        section_leaves(version, std::slice::from_ref(self))[0]
-    }
-
     /// The legacy (v2/v3) leaf: one domain-separated hash over kind and
     /// the whole encoding.
     fn flat_leaf(&self) -> H256 {
@@ -135,32 +131,17 @@ impl Section {
     }
 }
 
-/// Every section's leaf under `version`. For v4 the pages of all sections
-/// are hashed in one run, four per interleaved permutation (so small
-/// sections share quads with large ones), then each section's page hashes
-/// are folded under its length leaf.
+/// Every section's leaf under `version`: the page root for v4, the flat
+/// domain hash of kind and bytes for v2 and v3. For v4 the pages of all
+/// sections are hashed in one run, four per interleaved permutation (so
+/// small sections share quads with large ones), then each section's page
+/// hashes are folded under its length leaf.
 pub(crate) fn section_leaves(version: u16, sections: &[Section]) -> Vec<H256> {
     if flat_leaves(version) {
         return sections.iter().map(Section::flat_leaf).collect();
     }
-    let kinds: Vec<Vec<u8>> = sections.iter().map(|s| s.kind.encode_to_vec()).collect();
-    let refs: Vec<PageRef<'_>> = sections
-        .iter()
-        .zip(&kinds)
-        .flat_map(|(s, kind)| {
-            let pages = s.bytes.chunks(PAGE_SIZE).enumerate();
-            pages.map(move |(i, page)| (kind.as_slice(), i as u32, page))
-        })
-        .collect();
-    let hashes = hash_page_refs(&refs);
-    let mut at = 0;
-    sections
-        .iter()
-        .map(|s| {
-            let pages = page_count(s.bytes.len(), PAGE_SIZE);
-            at += pages;
-            page_root_from_hashes(s.kind, s.bytes.len(), &hashes[at - pages..at])
-        })
+    (sections.iter().zip(section_page_hashes(sections)))
+        .map(|(s, hashes)| page_root_from_hashes(s.kind, s.bytes.len(), &hashes))
         .collect()
 }
 
@@ -183,9 +164,8 @@ impl Decode for Section {
 
 /// The snapshot state root for an epoch, computed from its section leaves
 /// (canonical order) without the sections themselves. This is what lets a
-/// fast-sync manifest — epoch + per-section leaves — be verified against a
-/// trusted root before any section bytes arrive, and each arriving
-/// section be checked independently against its leaf.
+/// fast-sync manifest — epoch + per-section page hashes, folded to leaves
+/// — be verified against a trusted root before any page arrives.
 /// [`Snapshot::root`] is exactly this over [`Snapshot::leaves`]. The
 /// format `version` is part of the header leaf, so a legacy snapshot keeps
 /// the root it was sealed with; from v4 on the header also commits the
@@ -389,7 +369,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pages::page_root;
+    use crate::pages::{page_root, PAGE_SIZE};
 
     fn sections() -> Vec<Section> {
         vec![
@@ -490,13 +470,11 @@ mod tests {
             let v4 = Snapshot::seal(SNAPSHOT_VERSION, 1, sections.clone()).unwrap();
             for (section, leaf) in sections.iter().zip(v4.leaves()) {
                 assert_eq!(*leaf, page_root(section.kind, &section.bytes), "n={n}");
-                assert_eq!(*leaf, section.leaf(SNAPSHOT_VERSION));
             }
             for version in [2, 3] {
                 let legacy = Snapshot::seal(version, 1, sections.clone()).unwrap();
                 for (section, leaf) in sections.iter().zip(legacy.leaves()) {
                     assert_eq!(*leaf, section.flat_leaf(), "n={n} v{version}");
-                    assert_eq!(*leaf, section.leaf(version));
                 }
             }
         }
@@ -508,7 +486,7 @@ mod tests {
         let leaves: Vec<H256> = snap
             .sections()
             .iter()
-            .map(|s| s.leaf(snap.version()))
+            .map(|s| page_root(s.kind, &s.bytes))
             .collect();
         assert_eq!(leaves, snap.leaves());
         assert_eq!(

@@ -38,7 +38,6 @@ use crate::codec::CodecError;
 use crate::delta::{DeltaError, DeltaSnapshot, DELTA_MAGIC};
 use crate::snapshot::Snapshot;
 use ammboost_crypto::H256;
-use ammboost_sim::{FaultInjector, FaultKind, InjectionPoint};
 use std::fmt;
 
 /// Delta-chain links after which the store folds the chain into a new
@@ -268,61 +267,6 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Commits `snapshot`, consulting `injector` at
-    /// [`InjectionPoint::CheckpointWrite`] for a scheduled crash. Fault
-    /// kinds map to crash points by severity: byte-level kinds
-    /// ([`FaultKind::BitFlip`], [`FaultKind::Truncate`],
-    /// [`FaultKind::Panic`]) tear the staged write at a deterministic
-    /// offset, [`FaultKind::Drop`] dies before the mark, and the
-    /// delivery kinds ([`FaultKind::Delay`], [`FaultKind::Duplicate`],
-    /// [`FaultKind::StaleRoot`]) die after the mark but before install.
-    ///
-    /// # Errors
-    /// [`StoreError::SimulatedCrash`] when a fault fires.
-    pub fn commit_with_injector(
-        &mut self,
-        snapshot: &Snapshot,
-        injector: &mut FaultInjector,
-    ) -> Result<u64, StoreError> {
-        let crash = self.injected_crash(injector, snapshot.encoded_len());
-        self.commit(snapshot, crash)
-    }
-
-    /// Delta counterpart of [`CheckpointStore::commit_with_injector`]:
-    /// the same fault-to-crash-point mapping applied to a delta commit.
-    ///
-    /// # Errors
-    /// As [`CheckpointStore::commit_delta`], plus
-    /// [`StoreError::SimulatedCrash`] when a fault fires.
-    pub fn commit_delta_with_injector(
-        &mut self,
-        delta: &DeltaSnapshot,
-        injector: &mut FaultInjector,
-    ) -> Result<u64, StoreError> {
-        let crash = self.injected_crash(injector, delta.encoded_len());
-        self.commit_delta(delta, crash)
-    }
-
-    fn injected_crash(
-        &mut self,
-        injector: &mut FaultInjector,
-        encoded_len: usize,
-    ) -> Option<CrashPoint> {
-        injector
-            .fire(InjectionPoint::CheckpointWrite)
-            .map(|kind| match kind {
-                FaultKind::BitFlip | FaultKind::Truncate | FaultKind::Panic => {
-                    CrashPoint::DuringStage {
-                        offset: injector.crash_offset(encoded_len),
-                    }
-                }
-                FaultKind::Drop => CrashPoint::BeforeMark,
-                FaultKind::Delay { .. } | FaultKind::Duplicate | FaultKind::StaleRoot => {
-                    CrashPoint::BeforeInstall
-                }
-            })
-    }
-
     /// Restores the journal invariant after a (possible) crash: a marked
     /// *and* byte-complete staged write — length, decode and root all
     /// agreeing with the mark (and, for a staged delta, its base
@@ -481,7 +425,6 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use crate::snapshot::{Section, SectionKind};
-    use ammboost_sim::FaultSpec;
 
     fn sections() -> Vec<Section> {
         vec![
@@ -509,7 +452,7 @@ mod tests {
     }
 
     fn delta(from: u64, to: u64) -> DeltaSnapshot {
-        DeltaSnapshot::diff(&evolving(from), &evolving(to), 16)
+        DeltaSnapshot::diff(&evolving(from), &evolving(to))
     }
 
     #[test]
@@ -590,34 +533,6 @@ mod tests {
         store.recover();
         assert_eq!(store.recover(), RecoveryOutcome::Clean);
         assert_eq!(store.latest().unwrap(), snap(2));
-    }
-
-    #[test]
-    fn injector_driven_crashes_are_deterministic() {
-        let run = |seed: u64| {
-            let mut inj = FaultInjector::new(seed);
-            inj.schedule(FaultSpec {
-                point: InjectionPoint::CheckpointWrite,
-                occurrence: 1,
-                kind: FaultKind::Truncate,
-            });
-            let mut store = CheckpointStore::new();
-            store.commit_with_injector(&snap(1), &mut inj).unwrap();
-            let err = store.commit_with_injector(&snap(2), &mut inj).unwrap_err();
-            (err, store)
-        };
-        let (e1, mut s1) = run(5);
-        let (e2, _) = run(5);
-        assert_eq!(e1, e2, "same seed, same torn offset");
-        assert!(matches!(
-            e1,
-            StoreError::SimulatedCrash(CrashPoint::DuringStage { .. })
-        ));
-        s1.recover();
-        assert_eq!(s1.committed_epoch(), Some(1));
-        // a third commit goes through untouched (occurrence 2 unscheduled)
-        let mut inj = FaultInjector::new(5);
-        assert_eq!(s1.commit_with_injector(&snap(3), &mut inj).unwrap(), 3);
     }
 
     #[test]
@@ -713,29 +628,5 @@ mod tests {
         assert_eq!(store.recover(), RecoveryOutcome::RolledForward { epoch: 2 });
         assert_eq!(store.latest().unwrap(), evolving(2));
         assert_eq!(store.chain_len(), 1);
-    }
-
-    #[test]
-    fn delta_injector_crash_then_full_resync() {
-        let mut inj = FaultInjector::new(9);
-        inj.schedule(FaultSpec {
-            point: InjectionPoint::CheckpointWrite,
-            occurrence: 0,
-            kind: FaultKind::Drop,
-        });
-        let mut store = CheckpointStore::new();
-        store.commit(&evolving(1), None).unwrap();
-        store
-            .commit_delta_with_injector(&delta(1, 2), &mut inj)
-            .unwrap_err();
-        assert!(matches!(
-            store.recover(),
-            RecoveryOutcome::DiscardedTorn { marked: false, .. }
-        ));
-        // the tip is still epoch 1, so the 1→2 delta re-commits cleanly
-        store
-            .commit_delta_with_injector(&delta(1, 2), &mut inj)
-            .unwrap();
-        assert_eq!(store.latest().unwrap(), evolving(2));
     }
 }

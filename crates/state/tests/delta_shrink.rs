@@ -9,7 +9,7 @@ use ammboost_amm::types::PositionId;
 use ammboost_crypto::Address;
 use ammboost_state::codec::Encode;
 use ammboost_state::snapshot::{Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
-use ammboost_state::{DeltaSnapshot, PAGE_SIZE};
+use ammboost_state::DeltaSnapshot;
 
 const POSITIONS: usize = 20_000;
 
@@ -69,7 +69,7 @@ fn sparse_dirty_delta_is_ten_times_smaller_than_the_section() {
             "in-place pokes must never shift section bytes"
         );
         let next_snapshot = pool_snapshot(2, next_bytes.clone());
-        let delta = DeltaSnapshot::diff(&base_snapshot, &next_snapshot, PAGE_SIZE);
+        let delta = DeltaSnapshot::diff(&base_snapshot, &next_snapshot);
         assert_eq!(
             delta.apply(&base_snapshot).expect("delta applies"),
             next_snapshot,

@@ -17,8 +17,7 @@ use ammboost_sidechain::summary::{Deposits, PayoutEntry, PoolUpdate, PositionEnt
 use ammboost_state::codec::{Decode, Encode};
 use ammboost_state::delta::{DeltaError, DeltaSnapshot};
 use ammboost_state::heal::{
-    delta_sync, heal_fetch, PageManifest, PageReply, ProviderReply, RetryPolicy, SectionProvider,
-    SimProvider, SyncManifest,
+    delta_sync, PageReply, RetryPolicy, SectionProvider, SimProvider, SyncManifest,
 };
 use ammboost_state::snapshot::{Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
 use ammboost_state::store::CheckpointStore;
@@ -587,46 +586,27 @@ proptest! {
         pos in any::<u32>(),
         mask in any::<u8>(),
     ) {
-        // a provider serving one section with any single byte flipped is
-        // quarantined on that section, and a second honest provider
-        // heals it — the reassembled snapshot always re-derives the
-        // trusted root
+        // a provider serving any single byte of one section flipped is
+        // quarantined on that page, and a second honest provider heals
+        // it — the cold-synced snapshot always re-derives the trusted
+        // root
         let snapshot = Snapshot::seal(SNAPSHOT_VERSION, epoch, vec![
             Section { kind: SectionKind::Pool(0), bytes: pool.encode_to_vec() },
             Section { kind: SectionKind::Aux(7), bytes: aux },
         ]).unwrap();
-        let manifest = SyncManifest::of(&snapshot);
         let target = sec as usize % snapshot.sections().len();
-        let mask = if mask == 0 { 1 } else { mask };
-
-        struct FlipProvider {
-            snap: Snapshot,
-            target: usize,
-            pos: u32,
-            mask: u8,
-        }
-        impl SectionProvider for FlipProvider {
-            fn id(&self) -> u32 {
-                0
-            }
-            fn manifest(&mut self) -> Option<SyncManifest> {
-                Some(SyncManifest::of(&self.snap))
-            }
-            fn fetch(&mut self, index: usize) -> ProviderReply {
-                let mut section = self.snap.sections()[index].clone();
-                if index == self.target {
-                    let i = self.pos as usize % section.bytes.len();
-                    section.bytes[i] ^= self.mask;
-                }
-                ProviderReply::Section(section)
-            }
-        }
-
-        let mut corrupt = FlipProvider { snap: snapshot.clone(), target, pos, mask };
+        let at = pos as usize % snapshot.sections()[target].bytes.len();
+        let mut corrupt = FlipPageProvider {
+            snap: snapshot.clone(),
+            target: (target, (at / PAGE_SIZE) as u32),
+            pos: (at % PAGE_SIZE) as u32,
+            mask: if mask == 0 { 1 } else { mask },
+        };
         let mut honest = SimProvider::honest(1, snapshot.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut corrupt, &mut honest];
-        let (healed, report) = heal_fetch(&manifest, &mut providers, &RetryPolicy::default())
-            .map_err(|e| TestCaseError::fail(format!("heal failed: {e}")))?;
+        let (healed, report) =
+            delta_sync(None, &mut providers, snapshot.root(), &RetryPolicy::default())
+                .map_err(|e| TestCaseError::fail(format!("heal failed: {e}")))?;
         prop_assert_eq!(healed.root(), snapshot.root());
         prop_assert!(
             report.quarantined.iter().any(|q| q.section == target),
@@ -703,9 +683,9 @@ fn checkpoint_fleet(
     cp.checkpoint(epoch, &refs, &ledger, &deposits, vec![])
 }
 
-/// An otherwise-honest page-protocol provider that flips one byte (or
-/// one sub-leaf hash bit) in a single page reply — the adversary the
-/// page-granular delta sync must quarantine.
+/// An otherwise-honest provider that flips byte `pos` (modulo the page's
+/// length) of a single page reply — the adversary fast sync must
+/// quarantine.
 struct FlipPageProvider {
     snap: Snapshot,
     target: (usize, u32),
@@ -720,18 +700,15 @@ impl SectionProvider for FlipPageProvider {
     fn manifest(&mut self) -> Option<SyncManifest> {
         Some(SyncManifest::of(&self.snap))
     }
-    fn fetch(&mut self, index: usize) -> ProviderReply {
-        ProviderReply::Section(self.snap.sections()[index].clone())
-    }
-    fn page_manifest(&mut self, index: usize) -> Option<PageManifest> {
-        self.snap.sections().get(index).map(PageManifest::of)
-    }
     fn fetch_page(&mut self, index: usize, page: u32) -> PageReply {
         let section = &self.snap.sections()[index];
-        let start = page as usize * PAGE_SIZE;
-        let end = (start + PAGE_SIZE).min(section.bytes.len());
-        let mut bytes = section.bytes[start..end].to_vec();
-        if (index, page) == self.target && !bytes.is_empty() {
+        let mut bytes = section
+            .bytes
+            .chunks(PAGE_SIZE)
+            .nth(page as usize)
+            .unwrap()
+            .to_vec();
+        if (index, page) == self.target {
             let i = self.pos as usize % bytes.len();
             bytes[i] ^= self.mask;
         }
@@ -752,7 +729,6 @@ proptest! {
     #[test]
     fn delta_chain_restore_matches_full_restore(
         epochs in vec(vec((0u8..2, 1u64..500), 0..4), 1..6),
-        page_size in prop_oneof![Just(64usize), Just(256usize), Just(1024usize)],
     ) {
         let mut fleet = delta_fleet();
         let mut cp = Checkpointer::new();
@@ -773,8 +749,8 @@ proptest! {
             let applied = delta.apply(&prev)
                 .map_err(|err| TestCaseError::fail(format!("delta apply failed: {err}")))?;
             prop_assert_eq!(&applied, &out.snapshot);
-            // an explicit diff at a random page size agrees as well
-            let rediff = DeltaSnapshot::diff(&prev, &out.snapshot, page_size);
+            // an explicit diff agrees as well
+            let rediff = DeltaSnapshot::diff(&prev, &out.snapshot);
             prop_assert_eq!(rediff.apply(&prev).unwrap(), out.snapshot.clone());
             store.commit_delta(&delta, None)
                 .map_err(|err| TestCaseError::fail(format!("delta commit failed: {err}")))?;
@@ -819,7 +795,7 @@ proptest! {
         let stale = checkpoint_fleet(&mut cp, 4, &fleet).snapshot;
         apply_ops(&mut fleet, &mut cp, 0, &ops);
         let fresh = checkpoint_fleet(&mut cp, 5, &fleet).snapshot;
-        let delta = DeltaSnapshot::diff(&stale, &fresh, PAGE_SIZE);
+        let delta = DeltaSnapshot::diff(&stale, &fresh);
         prop_assert!(delta.pages() > 0, "a mint must dirty at least one page");
 
         // -- decode rejects the flip ----------------------------------
@@ -860,7 +836,7 @@ proptest! {
         };
         let mut honest = SimProvider::honest(1, fresh.clone());
         let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut corrupt, &mut honest];
-        let (synced, report) = delta_sync(&stale, &mut providers, fresh.root(), &RetryPolicy::default())
+        let (synced, report) = delta_sync(Some(&stale), &mut providers, fresh.root(), &RetryPolicy::default())
             .map_err(|err| TestCaseError::fail(format!("delta sync failed: {err}")))?;
         prop_assert_eq!(synced.root(), fresh.root());
         prop_assert_eq!(&synced, &fresh);
@@ -971,7 +947,7 @@ proptest! {
             prop_assert_eq!(out.stats.root, sealed.root());
             match (&base, &out.delta) {
                 (Some(prev), Some(delta)) => {
-                    prop_assert_eq!(delta, &DeltaSnapshot::diff(prev, &sealed, PAGE_SIZE));
+                    prop_assert_eq!(delta, &DeltaSnapshot::diff(prev, &sealed));
                     prop_assert_eq!(&delta.apply(prev).unwrap(), &sealed);
                 }
                 (None, None) => {}

@@ -1,6 +1,6 @@
 //! Self-healing fast-sync and crash-consistent checkpoints, end to end:
 //! a late-joiner syncing from one dishonest and one honest provider must
-//! quarantine every bad section, heal it within the retry budget, and
+//! quarantine every bad page, heal it within the retry budget, and
 //! catch up to a state **byte-identical** to the peer that replayed full
 //! history; a checkpoint commit torn at any point must recover to the
 //! last committed snapshot and catch up to the same root.
@@ -15,10 +15,11 @@ use ammboost::sidechain::ledger::Ledger;
 use ammboost::sim::time::SimDuration;
 use ammboost::sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
 use ammboost::state::heal::{
-    fetch_manifest, heal_fetch, heal_restore, RetryPolicy, SectionProvider, SimProvider, SyncError,
+    delta_sync, fetch_manifest, heal_restore, RetryPolicy, SectionProvider, SimProvider, SyncError,
 };
+use ammboost::state::pages::page_count;
 use ammboost::state::store::{CheckpointStore, CrashPoint, RecoveryOutcome};
-use ammboost::state::{Checkpointer, Snapshot};
+use ammboost::state::{Checkpointer, Snapshot, PAGE_SIZE};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix,
 };
@@ -175,6 +176,20 @@ fn peer_with_snapshots_from(
     (full, stale.unwrap(), snap.unwrap())
 }
 
+/// Provider 0's occurrence index of each section's first page in a cold
+/// sync that accepted its manifest at occurrence `manifest_at`: the sync
+/// asks that provider for every page first, in canonical order.
+fn first_page_occurrences(snapshot: &Snapshot, manifest_at: u64) -> Vec<u64> {
+    let mut next = manifest_at + 1;
+    (snapshot.sections().iter())
+        .map(|s| {
+            let at = next;
+            next += page_count(s.bytes.len()) as u64;
+            at
+        })
+        .collect()
+}
+
 /// The Merkle root of a node's live state, via a throwaway checkpoint.
 fn root_of(shards: &mut ShardMap, ledger: &Ledger) -> H256 {
     let stats = checkpoint_node(&mut Checkpointer::new(), 99, shards, ledger).stats;
@@ -186,37 +201,38 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
     let (mut full, stale_snap, snapshot) = peer_with_snapshots(42, 1, 3);
     let trusted_root = snapshot.root();
 
-    // the dishonest provider serves a stale manifest, then drops,
-    // corrupts and lags individual section fetches (occurrence 0 is the
-    // manifest call; 1.. are section fetches in canonical order)
+    // the dishonest provider serves a stale manifest (occurrence 0), then
+    // an honest one for the sync itself (occurrence 1), so it is asked
+    // for every page first: it serves stale, drops, corrupts and cuts the
+    // first page of four sections (a pool header page, which the stale
+    // epoch does not share, takes the stale-root fault)
+    assert_ne!(
+        stale_snap.sections()[0].bytes.chunks(PAGE_SIZE).next(),
+        snapshot.sections()[0].bytes.chunks(PAGE_SIZE).next(),
+        "the stale pool header page must differ"
+    );
+    let first_pages = first_page_occurrences(&snapshot, 1);
     let mut faults = FaultInjector::new(0xD15);
-    faults.schedule_all([
-        FaultSpec {
+    faults.schedule(FaultSpec {
+        point: InjectionPoint::Provider(0),
+        occurrence: 0,
+        kind: FaultKind::StaleRoot,
+    });
+    faults.schedule_all(
+        [
+            FaultKind::StaleRoot,
+            FaultKind::Drop,
+            FaultKind::BitFlip,
+            FaultKind::Truncate,
+        ]
+        .into_iter()
+        .zip(&first_pages)
+        .map(|(kind, &occurrence)| FaultSpec {
             point: InjectionPoint::Provider(0),
-            occurrence: 0,
-            kind: FaultKind::StaleRoot,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 1,
-            kind: FaultKind::Drop,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 2,
-            kind: FaultKind::BitFlip,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 3,
-            kind: FaultKind::StaleRoot,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 4,
-            kind: FaultKind::Truncate,
-        },
-    ]);
+            occurrence,
+            kind,
+        }),
+    );
     let mut dishonest = SimProvider::faulty(0, snapshot.clone(), Arc::new(Mutex::new(faults)))
         .with_stale(stale_snap);
     let mut honest = SimProvider::honest(1, snapshot.clone());
@@ -224,12 +240,14 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
 
     // manifest: the dishonest provider's stale copy is rejected, the
     // honest provider's accepted
-    let manifest = fetch_manifest(&mut providers, trusted_root).expect("honest manifest found");
-    assert_eq!(manifest.root(), trusted_root);
+    let (manifest, slot) =
+        fetch_manifest(&mut providers, trusted_root).expect("honest manifest found");
+    assert_eq!((manifest.root(), slot), (trusted_root, 1));
 
-    // section fetch: every bad copy quarantined, healed from the peer
+    // page fetch: every bad copy quarantined, healed from the peer
     let policy = RetryPolicy::default();
-    let (healed, report) = heal_fetch(&manifest, &mut providers, &policy).expect("heal succeeds");
+    let (healed, report) =
+        delta_sync(None, &mut providers, trusted_root, &policy).expect("heal succeeds");
     assert_eq!(
         healed.root(),
         trusted_root,
@@ -322,8 +340,8 @@ fn exhausted_heal_fails_closed_with_typed_error() {
     let (_, _, snapshot) = peer_with_snapshots(11, 1, 3);
     let trusted_root = snapshot.root();
 
-    // a single provider that drops every section fetch: the manifest is
-    // served honestly, but no section ever arrives — the sync must fail
+    // a single provider that drops every page fetch: the manifest is
+    // served honestly, but no page ever arrives — the sync must fail
     // with a typed error after the retry budget, never hang or panic
     let policy = RetryPolicy::default();
     let mut faults = FaultInjector::new(0xDEAD);
@@ -336,7 +354,7 @@ fn exhausted_heal_fails_closed_with_typed_error() {
     );
     let mut lonely = SimProvider::faulty(0, snapshot.clone(), Arc::new(Mutex::new(faults)));
     let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut lonely];
-    let err = heal_restore(&mut providers, trusted_root, &policy).unwrap_err();
+    let err = heal_restore(None, &mut providers, trusted_root, &policy).unwrap_err();
     assert!(
         matches!(
             err,
@@ -365,34 +383,33 @@ fn mixed_fleet_heals_tampered_engine_sections() {
         );
     }
 
-    // occurrence 0 is the manifest; 1..=3 are the three pool sections in
-    // canonical order — corrupt each engine-tagged section differently
+    // occurrence 0 is the manifest; the three pool sections come first
+    // in canonical order — corrupt the first page of each engine-tagged
+    // section differently
+    let first_pages = first_page_occurrences(&snapshot, 0);
     let mut faults = FaultInjector::new(0xE16);
-    faults.schedule_all([
-        FaultSpec {
+    faults.schedule_all(
+        [
+            FaultKind::BitFlip,
+            FaultKind::Truncate,
+            FaultKind::StaleRoot,
+        ]
+        .into_iter()
+        .zip(&first_pages)
+        .map(|(kind, &occurrence)| FaultSpec {
             point: InjectionPoint::Provider(0),
-            occurrence: 1,
-            kind: FaultKind::BitFlip,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 2,
-            kind: FaultKind::Truncate,
-        },
-        FaultSpec {
-            point: InjectionPoint::Provider(0),
-            occurrence: 3,
-            kind: FaultKind::StaleRoot,
-        },
-    ]);
+            occurrence,
+            kind,
+        }),
+    );
     let mut dishonest = SimProvider::faulty(0, snapshot.clone(), Arc::new(Mutex::new(faults)))
         .with_stale(stale_snap);
     let mut honest = SimProvider::honest(1, snapshot.clone());
     let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut dishonest, &mut honest];
 
-    let manifest = fetch_manifest(&mut providers, trusted_root).expect("manifest found");
     let policy = RetryPolicy::default();
-    let (healed, report) = heal_fetch(&manifest, &mut providers, &policy).expect("heal succeeds");
+    let (healed, report) =
+        delta_sync(None, &mut providers, trusted_root, &policy).expect("heal succeeds");
     assert_eq!(healed.root(), trusted_root);
     assert_eq!(
         report.quarantined.len(),
