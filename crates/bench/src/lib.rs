@@ -1,16 +1,15 @@
 //! # ammboost-bench
 //!
-//! The experiment harness: one reproduction binary per table/figure of
-//! the paper (under `src/bin/`) plus Criterion micro-benchmarks (under
-//! `benches/`). This library holds the shared formatting and the
-//! paper-reference constants the binaries compare against.
+//! The experiment harness: the `repro` ledger of the paper's numbers,
+//! the state and chaos drills (under `src/bin/`) and Criterion
+//! micro-benchmarks (under `benches/`). This library holds the shared
+//! console formatting and the benchmark pool builders.
 
 #![warn(missing_docs)]
 
 use ammboost_amm::pool::{Pool, SwapKind, SwapResult, TickSearch};
 use ammboost_amm::tick_math::sqrt_ratio_at_tick;
 use ammboost_amm::types::PositionId;
-use ammboost_core::config::SystemConfig;
 use ammboost_crypto::{Address, U256};
 
 /// Top tick of the benchmark liquidity band. Real heavyweight pools sit
@@ -141,11 +140,6 @@ pub fn header(title: &str) {
     println!("==============================================================");
 }
 
-/// Prints one paper-vs-measured row.
-pub fn row(label: &str, paper: impl std::fmt::Display, measured: impl std::fmt::Display) {
-    println!("{label:<44} paper: {paper:>14}   measured: {measured:>14}");
-}
-
 /// Prints a plain key/value line.
 pub fn line(label: &str, value: impl std::fmt::Display) {
     println!("{label:<44} {value}");
@@ -174,52 +168,6 @@ pub fn fmt_gas(gas: u64) -> String {
         format!("{gas} gas")
     }
 }
-
-/// The paper's default experiment configuration (§VI-A), which binaries
-/// tweak per experiment.
-pub fn paper_default_config() -> SystemConfig {
-    SystemConfig::default()
-}
-
-/// Paper reference values for Table V (scalability).
-pub struct TableVRow {
-    /// Daily volume.
-    pub daily_volume: u64,
-    /// Paper throughput (tx/s).
-    pub throughput: f64,
-    /// Paper average sidechain latency (s).
-    pub sc_latency: f64,
-    /// Paper average payout latency (s).
-    pub payout_latency: f64,
-}
-
-/// Table V as published.
-pub const TABLE_V: [TableVRow; 4] = [
-    TableVRow {
-        daily_volume: 50_000,
-        throughput: 0.42,
-        sc_latency: 7.13,
-        payout_latency: 120.71,
-    },
-    TableVRow {
-        daily_volume: 500_000,
-        throughput: 3.41,
-        sc_latency: 7.13,
-        payout_latency: 120.71,
-    },
-    TableVRow {
-        daily_volume: 5_000_000,
-        throughput: 33.04,
-        sc_latency: 7.13,
-        payout_latency: 120.71,
-    },
-    TableVRow {
-        daily_volume: 25_000_000,
-        throughput: 138.06,
-        sc_latency: 231.52,
-        payout_latency: 346.49,
-    },
-];
 
 #[cfg(test)]
 mod tests {

@@ -4,10 +4,12 @@
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Collects latency samples and reports summary statistics.
+/// Averages latency samples: a count and a millisecond sum, so memory
+/// stays constant however many samples a run records.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LatencyStats {
-    samples_ms: Vec<u64>,
+    count: u64,
+    sum_ms: u128,
 }
 
 impl LatencyStats {
@@ -18,53 +20,21 @@ impl LatencyStats {
 
     /// Records one latency sample.
     pub fn record(&mut self, d: SimDuration) {
-        self.samples_ms.push(d.as_millis());
+        self.count += 1;
+        self.sum_ms += u128::from(d.as_millis());
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.samples_ms.len()
+        self.count as usize
     }
 
     /// Arithmetic mean in seconds (`0.0` when empty).
     pub fn mean_secs(&self) -> f64 {
-        if self.samples_ms.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        let sum: u128 = self.samples_ms.iter().map(|&x| x as u128).sum();
-        sum as f64 / self.samples_ms.len() as f64 / 1000.0
-    }
-
-    /// Percentile (0–100) in seconds, nearest-rank (`0.0` when empty).
-    pub fn percentile_secs(&self, p: f64) -> f64 {
-        if self.samples_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank.min(sorted.len() - 1)] as f64 / 1000.0
-    }
-
-    /// Maximum sample in seconds.
-    pub fn max_secs(&self) -> f64 {
-        self.samples_ms
-            .iter()
-            .max()
-            .map_or(0.0, |&x| x as f64 / 1000.0)
-    }
-
-    /// Minimum sample in seconds.
-    pub fn min_secs(&self) -> f64 {
-        self.samples_ms
-            .iter()
-            .min()
-            .map_or(0.0, |&x| x as f64 / 1000.0)
-    }
-
-    /// Merges another collector's samples into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples_ms.extend_from_slice(&other.samples_ms);
+        self.sum_ms as f64 / self.count as f64 / 1000.0
     }
 }
 
@@ -140,28 +110,13 @@ mod tests {
         }
         assert_eq!(s.count(), 5);
         assert!((s.mean_secs() - 0.3).abs() < 1e-9);
-        assert!((s.percentile_secs(50.0) - 0.3).abs() < 1e-9);
-        assert!((s.max_secs() - 0.5).abs() < 1e-9);
-        assert!((s.min_secs() - 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let s = LatencyStats::new();
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean_secs(), 0.0);
-        assert_eq!(s.percentile_secs(99.0), 0.0);
-        assert_eq!(s.max_secs(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = LatencyStats::new();
-        a.record(SimDuration::from_millis(100));
-        let mut b = LatencyStats::new();
-        b.record(SimDuration::from_millis(300));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_secs() - 0.2).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Property-based integration tests: random volumes, mixes, epoch shapes
 //! and fault plans must never violate the system's core invariants
 //! (accounting consistency, queue drain, payout delivery, pruning
-//! safety).
+//! safety), and the latency means every report quotes must equal the
+//! plain sample mean.
 
 use ammboost_core::config::{FaultPlan, SystemConfig};
 use ammboost_core::system::System;
+use ammboost_sim::metrics::LatencyStats;
+use ammboost_sim::time::SimDuration;
 use ammboost_workload::TrafficMix;
 use proptest::prelude::*;
 
@@ -70,5 +73,32 @@ proptest! {
 
         // TokenBank is ahead of all processed epochs
         prop_assert!(sys.bank().expected_epoch() > report.epochs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    // `LatencyStats` keeps a count and a sum; its mean must be the one
+    // the old every-sample `Vec` computed, bit for bit
+    #[test]
+    fn latency_mean_matches_the_sample_mean(
+        wide in proptest::collection::vec(any::<u64>(), 0..300),
+        narrow in proptest::collection::vec(0u64..10_000_000, 0..300),
+    ) {
+        for samples in [wide, narrow] {
+            let mut stats = LatencyStats::new();
+            for &ms in &samples {
+                stats.record(SimDuration::from_millis(ms));
+            }
+            let expected = if samples.is_empty() {
+                0.0
+            } else {
+                let sum: u128 = samples.iter().map(|&x| x as u128).sum();
+                sum as f64 / samples.len() as f64 / 1000.0
+            };
+            prop_assert_eq!(stats.count(), samples.len());
+            prop_assert_eq!(stats.mean_secs().to_bits(), expected.to_bits());
+        }
     }
 }
