@@ -15,7 +15,8 @@ use crate::sqrt_price_math::{amount0_delta, amount1_delta};
 use crate::swap_math::{compute_swap_step, Remaining, SwapStep};
 use crate::tick_bitmap::TickBitmap;
 use crate::tick_math::{
-    max_sqrt_ratio, min_sqrt_ratio, sqrt_ratio_at_tick, tick_at_sqrt_ratio, MAX_TICK, MIN_TICK,
+    max_sqrt_ratio, min_sqrt_ratio, sqrt_ratio_at_tick, tick_at_sqrt_ratio, tick_bound, MAX_TICK,
+    MIN_TICK,
 };
 use crate::types::{Amount, AmountPair, Liquidity, PositionId, Tick};
 use ammboost_crypto::{Address, U256};
@@ -88,6 +89,7 @@ struct SwapPlan {
     fee_total: Amount,
     sqrt_price: U256,
     tick: Tick,
+    tick_bounds: TickBounds,
     liquidity: Liquidity,
     fee_growth0: U256,
     fee_growth1: U256,
@@ -138,6 +140,68 @@ struct TickCache {
     liquidity_net: i128,
 }
 
+/// The sqrt prices that bound a tick: `lower = sqrt_ratio_at_tick(tick)`
+/// and `upper = sqrt_ratio_at_tick(tick + 1)` ([`tick_bound`]), so `tick`
+/// is the tick of every price in `[lower, upper)`. `None` marks a side not
+/// derived yet; deriving it gives `None` again only below `MIN_TICK`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct TickBounds {
+    lower: Option<U256>,
+    upper: Option<U256>,
+}
+
+impl TickBounds {
+    /// Neither side derived.
+    const UNKNOWN: TickBounds = TickBounds {
+        lower: None,
+        upper: None,
+    };
+
+    /// Both bounds of `tick`, derived.
+    fn of(tick: Tick) -> TickBounds {
+        TickBounds {
+            lower: tick_bound(tick),
+            upper: tick_bound(tick + 1),
+        }
+    }
+
+    /// The tick of `price` after a swap whose staged tick is `tick`, with
+    /// `self` its bounds, and the bounds of the tick returned as far as
+    /// they are known: `tick` when the price lies inside them; else the
+    /// neighbouring tick on the side the price left by, when the price is
+    /// within a tick's width of that side (one probe); else the bracketed
+    /// search, whose tick's bounds are derived when next needed. A pool
+    /// priced exactly on a boundary — a fresh pool, or one whose last swap
+    /// stopped at a crossing — thus pays one probe, not a search, for a
+    /// swap that leaves it.
+    fn tick_of(self, tick: Tick, price: U256) -> Result<(Tick, TickBounds), AmmError> {
+        let lower = self.lower.or_else(|| tick_bound(tick));
+        let upper = self.upper.or_else(|| tick_bound(tick + 1));
+        // adjacent sqrt ratios differ by a factor of √1.0001 < 1 + 2⁻¹⁴, so
+        // a price farther than 2⁻¹⁴ of a bound lies beyond the next tick
+        let found = match (lower, upper) {
+            (Some(lo), Some(hi)) if lo <= price && price < hi => Some((tick, lower, upper)),
+            (Some(lo), _) if price < lo && price >= lo - (lo >> 14) => tick_bound(tick - 1)
+                .filter(|below| *below <= price)
+                .map(|below| (tick - 1, Some(below), Some(lo))),
+            (_, Some(hi)) if price >= hi && price < hi + (hi >> 14) => tick_bound(tick + 2)
+                .filter(|above| price < *above)
+                .map(|above| (tick + 1, Some(hi), Some(above))),
+            _ => None,
+        };
+        let Some((out, lower, upper)) = found else {
+            return Ok((tick_at_sqrt_ratio(price)?, TickBounds::UNKNOWN));
+        };
+        debug_assert_eq!(
+            Ok(out),
+            tick_at_sqrt_ratio(price),
+            "bounds cache at tick {tick}"
+        );
+        debug_assert_eq!(TickBounds { lower, upper }, TickBounds::of(out));
+        Ok((out, TickBounds { lower, upper }))
+    }
+}
+
 /// The persistent state of a [`Pool`] — every field that must survive a
 /// snapshot/restore cycle, **excluding** derived data (`tick_bitmap`,
 /// `tick_cache`, swap scratch buffers), which [`Pool::from_state`]
@@ -186,6 +250,11 @@ pub struct Pool {
     pub tick_spacing: i32,
     sqrt_price: U256,
     tick: Tick,
+    /// The bounds of `tick`, so a swap that ends inside them keeps its tick
+    /// without a tick-math search. Derived from `tick`: set at construction
+    /// and restore, taken from the swap plan at each commit (a side the
+    /// swap did not need may be left underived), never exported.
+    tick_bounds: TickBounds,
     liquidity: Liquidity,
     ticks: BTreeMap<Tick, TickInfo>,
     positions: PositionTable,
@@ -226,6 +295,7 @@ impl Pool {
             tick_spacing,
             sqrt_price,
             tick,
+            tick_bounds: TickBounds::of(tick),
             liquidity: 0,
             ticks: BTreeMap::new(),
             positions: PositionTable::new(),
@@ -474,6 +544,7 @@ impl Pool {
             tick_spacing: state.tick_spacing,
             sqrt_price: state.sqrt_price,
             tick: state.tick,
+            tick_bounds: TickBounds::of(state.tick),
             liquidity: state.liquidity,
             ticks: state.ticks.into_iter().collect(),
             // O(1): the wire records become the table's base; positions
@@ -729,6 +800,10 @@ impl Pool {
             self.update_tick(tick_lower, delta, false)?;
             self.update_tick(tick_upper, delta, true)?;
         }
+        // read now: a burn that empties a boundary tick drops it from the
+        // cache below
+        let sqrt_lo = self.boundary_price(tick_lower)?;
+        let sqrt_hi = self.boundary_price(tick_upper)?;
 
         let (inside0, inside1) = self.fee_growth_inside(tick_lower, tick_upper);
 
@@ -772,8 +847,6 @@ impl Pool {
         pos.liquidity = add_delta(pos.liquidity, delta)?;
 
         // token amounts for the delta
-        let sqrt_lo = sqrt_ratio_at_tick(tick_lower)?;
-        let sqrt_hi = sqrt_ratio_at_tick(tick_upper)?;
         let abs = delta.unsigned_abs();
         let round_up = delta > 0;
         let amounts = if abs == 0 {
@@ -825,6 +898,19 @@ impl Pool {
         // removed here; `modify_position` clears them after the position's
         // fee settlement (matching Uniswap's update-then-clear order).
         Ok(())
+    }
+
+    /// The sqrt price of a position boundary: read from the tick cache
+    /// when the tick is initialized (as every boundary of a live position
+    /// is), derived otherwise.
+    fn boundary_price(&self, tick: Tick) -> Result<U256, AmmError> {
+        match self.tick_cache.get(&tick) {
+            Some(c) => {
+                debug_assert_eq!(Ok(c.sqrt_price), sqrt_ratio_at_tick(tick), "tick {tick}");
+                Ok(c.sqrt_price)
+            }
+            None => Ok(sqrt_ratio_at_tick(tick)?),
+        }
     }
 
     /// Fee growth inside `[lower, upper]` (Q128, wrapping arithmetic as in
@@ -881,20 +967,23 @@ impl Pool {
     /// Crossing bookkeeping shared by the glide and trade branches of the
     /// swap loop: journals the crossing, applies the tick's net liquidity
     /// (from the cache on the bitmap path, from the tick table on the
-    /// oracle path) and steps the staged tick past the boundary. Read-only
-    /// on the pool: all effects land in `crossings` and the staged locals.
+    /// oracle path) and steps the staged tick past the boundary, returning
+    /// the new staged tick's bounds as far as the crossing fixes them (the
+    /// boundary price on the side just crossed). Read-only on the pool: all
+    /// effects land in `crossings` and the staged locals.
     #[allow(clippy::too_many_arguments)]
     fn cross_tick(
         &self,
         crossings: &mut Vec<(Tick, U256, U256)>,
         boundary_tick: Tick,
+        boundary_price: U256,
         cached: Option<TickCache>,
         zero_for_one: bool,
         fee_growth0: U256,
         fee_growth1: U256,
         liquidity: &mut Liquidity,
         tick: &mut Tick,
-    ) -> Result<(), AmmError> {
+    ) -> Result<TickBounds, AmmError> {
         crossings.push((boundary_tick, fee_growth0, fee_growth1));
         let net = match cached {
             Some(c) => c.liquidity_net,
@@ -905,12 +994,34 @@ impl Pool {
                 .unwrap_or(0),
         };
         *liquidity = add_delta(*liquidity, if zero_for_one { -net } else { net })?;
-        *tick = if zero_for_one {
-            boundary_tick - 1
+        Ok(if zero_for_one {
+            *tick = boundary_tick - 1;
+            TickBounds {
+                lower: None,
+                upper: Some(boundary_price),
+            }
         } else {
-            boundary_tick
-        };
-        Ok(())
+            *tick = boundary_tick;
+            TickBounds {
+                lower: Some(boundary_price),
+                upper: None,
+            }
+        })
+    }
+
+    /// The tick of a swap's final `price` and its bounds, from the staged
+    /// `tick` and its `bounds` ([`TickBounds::tick_of`]); the oracle engine
+    /// keeps the seed's bracketed search.
+    fn tick_of_price(
+        &self,
+        bounds: TickBounds,
+        tick: Tick,
+        price: U256,
+    ) -> Result<(Tick, TickBounds), AmmError> {
+        match self.tick_search {
+            TickSearch::Bitmap => bounds.tick_of(tick, price),
+            TickSearch::BTreeOracle => Ok((tick_at_sqrt_ratio(price)?, TickBounds::UNKNOWN)),
+        }
     }
 
     /// Quotes a swap without touching state: the exact [`SwapResult`] that
@@ -1001,6 +1112,7 @@ impl Pool {
         self.balance1 = plan.balance1;
         self.sqrt_price = plan.sqrt_price;
         self.tick = plan.tick;
+        self.tick_bounds = plan.tick_bounds;
         self.liquidity = plan.liquidity;
         self.fee_growth_global0 = plan.fee_growth0;
         self.fee_growth_global1 = plan.fee_growth1;
@@ -1069,6 +1181,9 @@ impl Pool {
         let mut fee_total: Amount = 0;
         let mut sqrt_price = self.sqrt_price;
         let mut tick = self.tick;
+        // the staged tick's bounds: the pool's cached pair until a crossing,
+        // then the crossed boundary on one side
+        let mut bounds = self.tick_bounds;
         let mut liquidity = self.liquidity;
         let mut fee_growth0 = self.fee_growth_global0;
         let mut fee_growth1 = self.fee_growth_global1;
@@ -1157,9 +1272,10 @@ impl Pool {
                 }
                 sqrt_price = target;
                 if target == boundary_price {
-                    self.cross_tick(
+                    bounds = self.cross_tick(
                         crossings,
                         boundary_tick,
+                        boundary_price,
                         cached,
                         zero_for_one,
                         fee_growth0,
@@ -1168,7 +1284,7 @@ impl Pool {
                         &mut tick,
                     )?;
                 } else {
-                    tick = tick_at_sqrt_ratio(target)?;
+                    (tick, bounds) = self.tick_of_price(bounds, tick, target)?;
                     break; // hit the price limit
                 }
                 continue;
@@ -1213,9 +1329,10 @@ impl Pool {
                     &mut fee_growth0,
                     &mut fee_growth1,
                 );
-                self.cross_tick(
+                bounds = self.cross_tick(
                     crossings,
                     boundary_tick,
+                    boundary_price,
                     cached,
                     zero_for_one,
                     fee_growth0,
@@ -1224,7 +1341,7 @@ impl Pool {
                     &mut tick,
                 )?;
             } else if step.sqrt_price_next != boundary_price {
-                tick = tick_at_sqrt_ratio(step.sqrt_price_next)?;
+                (tick, bounds) = self.tick_of_price(bounds, tick, step.sqrt_price_next)?;
             }
         }
         flush_seg_fee(
@@ -1273,6 +1390,7 @@ impl Pool {
             fee_total,
             sqrt_price,
             tick,
+            tick_bounds: bounds,
             liquidity,
             fee_growth0,
             fee_growth1,
@@ -1298,8 +1416,8 @@ impl Pool {
         let principal = if pos.liquidity == 0 {
             AmountPair::ZERO
         } else {
-            let sqrt_lo = sqrt_ratio_at_tick(pos.tick_lower)?;
-            let sqrt_hi = sqrt_ratio_at_tick(pos.tick_upper)?;
+            let sqrt_lo = self.boundary_price(pos.tick_lower)?;
+            let sqrt_hi = self.boundary_price(pos.tick_upper)?;
             // burn credits round down; mirror that here
             if self.tick < pos.tick_lower {
                 AmountPair::new(amount0_delta(sqrt_lo, sqrt_hi, pos.liquidity, false)?, 0)

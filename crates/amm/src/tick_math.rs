@@ -163,6 +163,17 @@ pub fn tick_at_sqrt_ratio(sqrt_price: U256) -> Result<Tick, TickMathError> {
     Ok(result)
 }
 
+/// The lower sqrt-price bound of `tick`, which is also the exclusive
+/// upper bound of `tick - 1`: `sqrt_ratio_at_tick(tick)` in the tick
+/// domain, one above `max_sqrt_ratio()` at `MAX_TICK + 1`, `None`
+/// elsewhere.
+pub(crate) fn tick_bound(tick: Tick) -> Option<U256> {
+    if tick == MAX_TICK + 1 {
+        return Some(max_sqrt_ratio() + U256::ONE);
+    }
+    sqrt_ratio_at_tick(tick).ok()
+}
+
 /// Estimated tick for an in-range sqrt price: `2·log₂(sqrt_price / 2^96) /
 /// log₂(1.0001)`, with log₂ taken from the price's bit length plus the top
 /// 53 mantissa bits. Accurate to well under one tick across the domain.

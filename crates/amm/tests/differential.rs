@@ -7,12 +7,52 @@
 //! value *or* error) and the full observable pool state must match at
 //! every step. A final check rebuilds the bitmap index from the tick
 //! table and asserts it equals the incrementally maintained one.
+//!
+//! The two engines also recover a swap's final tick differently: the
+//! bitmap engine keeps the staged tick while the price stays inside its
+//! cached sqrt-price bounds, probes one tick when it leaves them by one,
+//! and only then runs the bracketed `tick_at_sqrt_ratio` search; the
+//! oracle engine runs the search on every swap. So the sequences reach
+//! the cases that cache must get right — limits exactly on and one unit
+//! past a tick boundary, swaps that stop on a crossing, glides to a limit
+//! through liquidity-free ranges, full-range positions and limits at
+//! `MIN_TICK` / `MAX_TICK`, amounts too small to move the price — and
+//! every step checks that the committed tick is the tick of the committed
+//! price. A pool restored from its exported state (which rebuilds the
+//! cache) must quote bit-identically. Debug builds also assert every
+//! cache answer against `tick_at_sqrt_ratio` inside the pool.
 
 use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
-use ammboost_amm::tick_math::sqrt_ratio_at_tick;
+use ammboost_amm::tick_math::{
+    max_sqrt_ratio, min_sqrt_ratio, sqrt_ratio_at_tick, tick_at_sqrt_ratio, MAX_TICK, MIN_TICK,
+};
 use ammboost_amm::types::{Amount, PositionId};
-use ammboost_crypto::Address;
+use ammboost_crypto::{Address, U256};
 use proptest::prelude::*;
+
+/// Spacing of the proptest pools: it divides 60 (the half-width unit of
+/// a mint) and 887 272, so `MIN_TICK` and `MAX_TICK` are usable position
+/// boundaries.
+const SPACING: i32 = 4;
+
+/// A swap's price limit.
+#[derive(Clone, Debug)]
+enum Limit {
+    None,
+    /// Exactly on the boundary of the tick this signed offset from the
+    /// current tick; deliberately sometimes on the wrong side so the
+    /// `InvalidPriceLimit` path is exercised on both engines.
+    OnBoundary(i32),
+    /// One unit above (`true`) or below that boundary, a few ticks away:
+    /// inside the tick the cache probes, or just past it.
+    BesideBoundary(i32, bool),
+    /// Exactly on the mint boundary `60 · k`, where a swap stops on a
+    /// crossing.
+    OnPositionBoundary(i32),
+    /// `min_sqrt_ratio()` or `max_sqrt_ratio()`, whichever the direction
+    /// allows.
+    DomainEdge,
+}
 
 /// One random pool operation, fully determined by its parameters so both
 /// engines replay exactly the same call sequence.
@@ -20,6 +60,7 @@ use proptest::prelude::*;
 enum Op {
     Mint {
         slot: u8,
+        /// The range is `±60 · half_width`; `0` is the full domain.
         half_width: i32,
         amount: u128,
     },
@@ -34,15 +75,44 @@ enum Op {
         zero_for_one: bool,
         exact_output: bool,
         amount: u128,
-        /// Price limit as a signed tick offset from the current tick;
-        /// `0` means no limit.
-        limit_offset: i32,
+        limit: Limit,
     },
+}
+
+fn limit_strategy() -> impl Strategy<Value = Limit> {
+    prop_oneof![
+        Just(Limit::None),
+        Just(Limit::None),
+        (-200i32..201).prop_map(Limit::OnBoundary),
+        (-200i32..201).prop_map(Limit::OnBoundary),
+        (-3i32..4, any::<bool>()).prop_map(|(offset, above)| Limit::BesideBoundary(offset, above)),
+        (-40i32..41).prop_map(Limit::OnPositionBoundary),
+        Just(Limit::DomainEdge),
+    ]
+}
+
+/// A swap of any width: most stay inside one tick, the widest glide to
+/// their limit, and the smallest do not move the price at all.
+fn swap_strategy() -> impl Strategy<Value = Op> {
+    let amount = prop_oneof![
+        1u128..4,
+        1_000u128..80_000_000,
+        1_000u128..80_000_000,
+        1u128 << 60..1u128 << 100,
+    ];
+    (any::<bool>(), any::<bool>(), amount, limit_strategy()).prop_map(
+        |(zero_for_one, exact_output, amount, limit)| Op::Swap {
+            zero_for_one,
+            exact_output,
+            amount,
+            limit,
+        },
+    )
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..4, 1i32..40, 50_000u128..50_000_000).prop_map(|(slot, half_width, amount)| {
+        (0u8..4, 0i32..40, 50_000u128..50_000_000).prop_map(|(slot, half_width, amount)| {
             Op::Mint {
                 slot,
                 half_width,
@@ -51,20 +121,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         (0u8..4, 1u16..10_001).prop_map(|(slot, fraction_bp)| Op::Burn { slot, fraction_bp }),
         (0u8..4).prop_map(|slot| Op::Collect { slot }),
-        (
-            any::<bool>(),
-            any::<bool>(),
-            1_000u128..80_000_000,
-            -200i32..201,
-        )
-            .prop_map(|(zero_for_one, exact_output, amount, limit_offset)| {
-                Op::Swap {
-                    zero_for_one,
-                    exact_output,
-                    amount,
-                    limit_offset,
-                }
-            }),
+        swap_strategy(),
+        swap_strategy(),
+        swap_strategy(),
     ]
 }
 
@@ -84,8 +143,11 @@ fn apply(pool: &mut Pool, op: &Op) -> String {
             half_width,
             amount,
         } => {
-            let lower = -60 * half_width;
-            let upper = 60 * half_width;
+            let (lower, upper) = if half_width == 0 {
+                (MIN_TICK, MAX_TICK)
+            } else {
+                (-60 * half_width, 60 * half_width)
+            };
             format!(
                 "{:?}",
                 pool.mint(pid(slot), owner(slot), lower, upper, amount, amount)
@@ -109,16 +171,23 @@ fn apply(pool: &mut Pool, op: &Op) -> String {
             zero_for_one,
             exact_output,
             amount,
-            limit_offset,
+            ref limit,
         } => {
-            let limit = if limit_offset == 0 {
-                None
-            } else {
-                // A limit a few ticks away in the direction of travel;
-                // deliberately sometimes on the wrong side so the
-                // InvalidPriceLimit path is exercised on both engines.
-                let t = (pool.tick() + limit_offset).clamp(-887_000, 887_000);
-                Some(sqrt_ratio_at_tick(t).expect("clamped tick in range"))
+            let boundary = |tick: i32| {
+                sqrt_ratio_at_tick(tick.clamp(MIN_TICK, MAX_TICK)).expect("clamped tick in range")
+            };
+            let limit = match *limit {
+                Limit::None => None,
+                Limit::OnBoundary(offset) => Some(boundary(pool.tick() + offset)),
+                Limit::BesideBoundary(offset, true) => {
+                    Some(boundary(pool.tick() + offset) + U256::ONE)
+                }
+                Limit::BesideBoundary(offset, false) => {
+                    Some(boundary(pool.tick() + offset) - U256::ONE)
+                }
+                Limit::OnPositionBoundary(k) => Some(boundary(60 * k)),
+                Limit::DomainEdge if zero_for_one => Some(min_sqrt_ratio()),
+                Limit::DomainEdge => Some(max_sqrt_ratio()),
             };
             let kind = if exact_output {
                 SwapKind::ExactOutput(amount)
@@ -148,15 +217,53 @@ fn state(pool: &Pool) -> String {
     )
 }
 
+/// The committed tick is the tick of the committed price, except after a
+/// zero-for-one swap that stopped exactly on a boundary: that leaves the
+/// tick just below it (the Uniswap convention).
+fn assert_tick_matches_price(pool: &Pool) {
+    let price = pool.sqrt_price();
+    let of_price = tick_at_sqrt_ratio(price).expect("price in range");
+    let on_boundary_below = of_price == pool.tick() + 1
+        && sqrt_ratio_at_tick(of_price).expect("tick in range") == price;
+    assert!(
+        pool.tick() == of_price || on_boundary_below,
+        "tick {} for price {price:?} (tick of price {of_price})",
+        pool.tick()
+    );
+}
+
+/// Quotes probe swaps each way on `pool` and on its restored copy.
+fn assert_restore_quotes_identically(pool: &Pool) {
+    let restored = Pool::from_state(pool.export_state()).expect("own state restores");
+    assert_eq!(restored.tick(), pool.tick());
+    for zero_for_one in [true, false] {
+        for kind in [
+            SwapKind::ExactInput(1),
+            SwapKind::ExactInput(1_000_000),
+            SwapKind::ExactOutput(1_000),
+            SwapKind::ExactInput(1 << 90),
+        ] {
+            assert_eq!(
+                format!("{:?}", restored.quote_swap(zero_for_one, kind, None)),
+                format!("{:?}", pool.quote_swap(zero_for_one, kind, None)),
+                "restored pool quotes differently: {zero_for_one} {kind:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn bitmap_engine_matches_btree_oracle(
+        start in -3_000i32..3_001,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
-        let mut bitmap = Pool::new_standard();
-        let mut oracle = Pool::new_standard();
+        // every start price lies exactly on a tick boundary
+        let price = sqrt_ratio_at_tick(start).unwrap();
+        let mut bitmap = Pool::new(3000, SPACING, price).unwrap();
+        let mut oracle = bitmap.clone();
         oracle.set_tick_search(TickSearch::BTreeOracle);
         prop_assert_eq!(bitmap.tick_search(), TickSearch::Bitmap);
 
@@ -170,7 +277,9 @@ proptest! {
                 bitmap.tick_bitmap().initialized_count(),
                 bitmap.initialized_tick_count()
             );
+            assert_tick_matches_price(&bitmap);
         }
+        assert_restore_quotes_identically(&bitmap);
 
         // the incrementally maintained index equals a from-scratch rebuild
         let mut rebuilt = bitmap.clone();
@@ -210,5 +319,100 @@ proptest! {
         let b = oracle.swap(zero_for_one, kind, limit);
         prop_assert_eq!(a, b);
         prop_assert_eq!(state(&bitmap), state(&oracle));
+    }
+}
+
+#[test]
+fn boundary_priced_pool_agrees_in_both_directions() {
+    // a fresh pool sits exactly on tick 0's lower bound: a zero-for-one
+    // swap leaves the cached bounds downward by one tick, a one-for-zero
+    // swap stays inside them
+    for zero_for_one in [true, false] {
+        let mut bitmap = Pool::new_standard();
+        bitmap
+            .mint(pid(0), owner(0), -600, 600, 10u128.pow(15), 10u128.pow(15))
+            .unwrap();
+        let mut oracle = bitmap.clone();
+        oracle.set_tick_search(TickSearch::BTreeOracle);
+        for amount in [1u128, 1_000, 1_000_000, 10u128.pow(12)] {
+            let kind = SwapKind::ExactInput(amount);
+            assert_eq!(
+                bitmap.quote_swap(zero_for_one, kind, None),
+                oracle.quote_swap(zero_for_one, kind, None)
+            );
+        }
+        let a = bitmap.swap(zero_for_one, SwapKind::ExactInput(1_000_000), None);
+        let b = oracle.swap(zero_for_one, SwapKind::ExactInput(1_000_000), None);
+        assert_eq!(a, b);
+        assert_eq!(state(&bitmap), state(&oracle));
+        assert_eq!(bitmap.tick(), if zero_for_one { -1 } else { 0 });
+    }
+}
+
+#[test]
+fn swaps_that_stop_on_a_crossing_keep_agreeing() {
+    // stop exactly on an initialized boundary (tick just below it after a
+    // zero-for-one crossing), then trade away from it both ways
+    let mut bitmap = Pool::new(3000, 60, sqrt_ratio_at_tick(30).unwrap()).unwrap();
+    bitmap
+        .mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
+        .unwrap();
+    bitmap
+        .mint(pid(2), owner(2), -120, 0, 10u128.pow(15), 10u128.pow(15))
+        .unwrap();
+    let mut oracle = bitmap.clone();
+    oracle.set_tick_search(TickSearch::BTreeOracle);
+    let steps = [
+        (true, SwapKind::ExactInput(1u128 << 100), Some(0)),
+        // too small to move the price, which stays on the boundary above
+        // the staged tick: the tick of the price is the one above
+        (true, SwapKind::ExactInput(1), None),
+        (true, SwapKind::ExactInput(1u128 << 100), Some(0)),
+        (false, SwapKind::ExactInput(1), None),
+        (true, SwapKind::ExactInput(1u128 << 100), Some(-120)),
+        (false, SwapKind::ExactInput(5_000), None),
+        (true, SwapKind::ExactOutput(5_000), None),
+        (true, SwapKind::ExactInput(1u128 << 100), Some(-120)),
+        (true, SwapKind::ExactInput(7_000), None),
+        (false, SwapKind::ExactInput(1u128 << 100), Some(-120)),
+        (false, SwapKind::ExactOutput(1), None),
+    ];
+    for (zero_for_one, kind, limit_tick) in steps {
+        let limit = limit_tick.map(|t| sqrt_ratio_at_tick(t).unwrap());
+        let a = bitmap.swap(zero_for_one, kind, limit);
+        let b = oracle.swap(zero_for_one, kind, limit);
+        assert_eq!(a, b, "{zero_for_one} {kind:?} {limit_tick:?}");
+        assert_eq!(state(&bitmap), state(&oracle));
+        assert_tick_matches_price(&bitmap);
+    }
+    assert_restore_quotes_identically(&bitmap);
+}
+
+#[test]
+fn limits_just_past_the_probed_tick_agree() {
+    // from inside tick 30, a limit one unit beyond the neighbouring tick
+    // (inside tick 28 going down, tick 32 going up) lies within the
+    // cache's one-probe window but outside the probed tick, so the swap
+    // must fall back to the search
+    for zero_for_one in [true, false] {
+        let price = sqrt_ratio_at_tick(30).unwrap() + U256::from_u64(1 << 40);
+        let mut bitmap = Pool::new(3000, 60, price).unwrap();
+        bitmap
+            .mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
+            .unwrap();
+        let mut oracle = bitmap.clone();
+        oracle.set_tick_search(TickSearch::BTreeOracle);
+        let limit = if zero_for_one {
+            sqrt_ratio_at_tick(29).unwrap() - U256::ONE
+        } else {
+            sqrt_ratio_at_tick(32).unwrap() + U256::ONE
+        };
+        let kind = SwapKind::ExactInput(1u128 << 100);
+        let a = bitmap.swap(zero_for_one, kind, Some(limit));
+        let b = oracle.swap(zero_for_one, kind, Some(limit));
+        assert_eq!(a, b);
+        assert_eq!(state(&bitmap), state(&oracle));
+        assert_eq!(bitmap.tick(), if zero_for_one { 28 } else { 32 });
+        assert_tick_matches_price(&bitmap);
     }
 }

@@ -5,6 +5,9 @@
 use ammboost_amm::engines::bmath::{bdiv, bmul, bpow, BONE};
 use ammboost_amm::engines::{Engine, EngineKind};
 use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
+use ammboost_amm::sqrt_price_math::{
+    amount0_delta, amount1_delta, next_sqrt_price_from_amount0, next_sqrt_price_from_amount1,
+};
 use ammboost_amm::tick_bitmap::TickBitmap;
 use ammboost_amm::tick_math::{sqrt_ratio_at_tick, tick_at_sqrt_ratio};
 use ammboost_amm::types::{PoolId, PositionId};
@@ -123,11 +126,26 @@ fn bench_bmath(c: &mut Criterion) {
 
 /// The in-run quote path: `QuoteView::quote_swap` over a sealed pool of
 /// each engine, seeded as the fleet workloads seed them.
+///
+/// A concentrated-liquidity pool sealed at its initial price sits exactly
+/// on tick 0's lower boundary, so every zero-for-one quote leaves the
+/// current tick's cached bounds: `view/quote_swap_cl` is the worst case.
+/// `view/quote_swap_cl_off_boundary` seals the same pool after one seeding
+/// swap, as a pool stands after any run.
 fn bench_view_quotes(c: &mut Criterion) {
-    for (name, kind) in [
-        ("view/quote_swap_cl", EngineKind::ConcentratedLiquidity),
-        ("view/quote_swap_cp", EngineKind::ConstantProduct),
-        ("view/quote_swap_weighted", EngineKind::Weighted),
+    for (name, kind, seeding_swap) in [
+        (
+            "view/quote_swap_cl",
+            EngineKind::ConcentratedLiquidity,
+            false,
+        ),
+        (
+            "view/quote_swap_cl_off_boundary",
+            EngineKind::ConcentratedLiquidity,
+            true,
+        ),
+        ("view/quote_swap_cp", EngineKind::ConstantProduct, false),
+        ("view/quote_swap_weighted", EngineKind::Weighted, false),
     ] {
         let mut engine = Engine::new_standard(kind);
         engine
@@ -140,6 +158,11 @@ fn bench_view_quotes(c: &mut Criterion) {
                 4_000_000_000_000_000,
             )
             .expect("seed join");
+        if seeding_swap {
+            engine
+                .swap(true, SwapKind::ExactInput(12_345_678_901), None)
+                .expect("seeding swap");
+        }
         let view = QuoteView::new(1, vec![(PoolId(0), Arc::new(engine))]);
         c.bench_function(name, |b| {
             let mut dir = false;
@@ -152,6 +175,60 @@ fn bench_view_quotes(c: &mut Criterion) {
             })
         });
     }
+}
+
+/// The sqrt-price kernels one swap step runs, at the operand shapes of
+/// the paper's pool: a price near tick 0, a neighbouring boundary, and
+/// the liquidity of the seed position above.
+fn bench_sqrt_price_math(c: &mut Criterion) {
+    let mut pool = Pool::new_standard();
+    pool.mint(
+        PositionId::derive(&[b"bench"]),
+        Address::from_index(1),
+        -120_000,
+        120_000,
+        4_000_000_000_000_000,
+        4_000_000_000_000_000,
+    )
+    .expect("seed mint");
+    pool.swap(true, SwapKind::ExactInput(12_345_678_901), None)
+        .expect("seeding swap");
+    let (price, liquidity) = (pool.sqrt_price(), pool.liquidity());
+    let below = sqrt_ratio_at_tick(-60).expect("tick in range");
+    let above = sqrt_ratio_at_tick(60).expect("tick in range");
+    let amount = 987_654_321u128;
+    c.bench_function("sqrt_price_math/amount0_delta", |b| {
+        let mut up = false;
+        b.iter(|| {
+            up = !up;
+            black_box(amount0_delta(below, black_box(price), liquidity, up).unwrap())
+        })
+    });
+    c.bench_function("sqrt_price_math/amount1_delta", |b| {
+        let mut up = false;
+        b.iter(|| {
+            up = !up;
+            black_box(amount1_delta(black_box(price), above, liquidity, up).unwrap())
+        })
+    });
+    c.bench_function("sqrt_price_math/next_sqrt_price_from_amount0", |b| {
+        let mut add = false;
+        b.iter(|| {
+            add = !add;
+            black_box(
+                next_sqrt_price_from_amount0(black_box(price), liquidity, amount, add).unwrap(),
+            )
+        })
+    });
+    c.bench_function("sqrt_price_math/next_sqrt_price_from_amount1", |b| {
+        let mut add = false;
+        b.iter(|| {
+            add = !add;
+            black_box(
+                next_sqrt_price_from_amount1(black_box(price), liquidity, amount, add).unwrap(),
+            )
+        })
+    });
 }
 
 fn bench_positions(c: &mut Criterion) {
@@ -250,6 +327,7 @@ criterion_group!(
     bench_swaps,
     bench_bmath,
     bench_view_quotes,
+    bench_sqrt_price_math,
     bench_positions,
     bench_tick_bitmap,
     bench_crossing_swaps
