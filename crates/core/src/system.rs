@@ -46,7 +46,9 @@ use ammboost_state::{prune_to_snapshot, CheckpointStats, Checkpointer, Retention
 use ammboost_workload::{GeneratorConfig, QuoteRequest, TrafficGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 
 /// Everything a run measures (the §VI-A metric list).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -109,10 +111,13 @@ pub struct SystemReport {
     /// State root of the last checkpoint.
     pub last_state_root: Option<H256>,
     /// Read-path queries answered from sealed epoch views (0 when
-    /// [`SystemConfig::quote_style`] emits no quote traffic).
+    /// [`SystemConfig::quote_style`] emits no quote traffic). Counted on
+    /// the node's quote reader thread, which [`System::run`] joins
+    /// before it returns.
     pub quotes_served: u64,
     /// Read-path queries that errored (e.g. a valuation referencing a
-    /// position the sealed epoch had not yet created).
+    /// position the sealed epoch had not yet created). Counted on the
+    /// quote reader, like `quotes_served`.
     pub quotes_failed: u64,
     /// Quote views published (one per sealed epoch, plus genesis).
     pub view_publications: u64,
@@ -147,6 +152,90 @@ struct RollbackBackup {
     token1: Erc20,
     registered_shares: DkgOutput,
     synced_through: u64,
+}
+
+/// Rounds of quote traffic the reader's channel holds before the main
+/// thread waits for it.
+const QUOTE_READER_DEPTH: usize = 4;
+
+/// One round's quote traffic and the sealed view it is answered from.
+type QuoteBatch = (Arc<QuoteView>, Vec<QuoteRequest>);
+
+/// The in-run read path: a dedicated thread that answers each round's
+/// quote requests from the sealed view they were generated under, while
+/// the main thread executes the round. It is its own thread rather than
+/// a [`crate::workers::WorkerPool`] job, which on a two-core host would
+/// take the pool's only worker away from execution.
+struct QuoteReader {
+    batches: SyncSender<QuoteBatch>,
+    handle: JoinHandle<(u64, u64)>,
+}
+
+impl QuoteReader {
+    fn spawn() -> QuoteReader {
+        let (batches, inbox) = sync_channel::<QuoteBatch>(QUOTE_READER_DEPTH);
+        let handle = thread::Builder::new()
+            .name("quote-reader".into())
+            .spawn(move || {
+                let reader = Address::from_pubkey_bytes(b"quote-reader");
+                let (mut served, mut failed) = (0, 0);
+                for (view, requests) in inbox {
+                    let (s, f) = answer_quotes(&view, requests, reader);
+                    served += s;
+                    failed += f;
+                }
+                (served, failed)
+            })
+            .expect("spawn the quote reader thread");
+        QuoteReader { batches, handle }
+    }
+
+    /// Closes the channel and joins the reader once it has answered every
+    /// batch sent: `(served, failed)`. A panic on the reader resumes here.
+    fn finish(self) -> (u64, u64) {
+        drop(self.batches);
+        self.handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+/// Answers one round's quote requests from `view`: `(served, failed)`.
+/// `reader` is the user routes are simulated for.
+fn answer_quotes(view: &QuoteView, requests: Vec<QuoteRequest>, reader: Address) -> (u64, u64) {
+    let total = requests.len() as u64;
+    let mut served = 0;
+    for req in requests {
+        let ok = match req {
+            QuoteRequest::Swap {
+                pool,
+                zero_for_one,
+                amount_in,
+            } => view
+                .quote_swap(
+                    pool,
+                    zero_for_one,
+                    ammboost_amm::pool::SwapKind::ExactInput(amount_in),
+                    None,
+                )
+                .is_ok(),
+            QuoteRequest::Route { hops, amount_in } => {
+                let route = ammboost_amm::tx::RouteTx {
+                    user: reader,
+                    hops,
+                    amount_in,
+                    min_amount_out: 0,
+                    deadline_round: u64::MAX,
+                };
+                view.simulate_route(&route).is_ok()
+            }
+            QuoteRequest::Valuation { pool, position } => {
+                view.value_position(pool, &position).is_ok()
+            }
+        };
+        served += u64::from(ok);
+    }
+    (served, total - served)
 }
 
 /// The assembled system.
@@ -194,8 +283,16 @@ pub struct System {
     /// The current sealed-epoch quote view (epoch N's view while epoch
     /// N+1 executes; genesis view before epoch 1).
     quote_view: Option<Arc<QuoteView>>,
+    /// Answers in-run quote traffic beside execution; started on the
+    /// first round with quote requests, joined by [`System::run`].
+    quote_reader: Option<QuoteReader>,
+    /// Quote counts of joined readers (and of the inline test oracle).
     quotes_served: u64,
     quotes_failed: u64,
+    /// Answers quotes on the main thread instead of the reader: the
+    /// oracle the unit tests below compare the reader against.
+    #[cfg(test)]
+    inline_quotes: bool,
     view_publications: u64,
     view_pools_reused: u64,
     view_pools_recloned: u64,
@@ -339,8 +436,11 @@ impl System {
             max_summary_bytes: 0,
             exec_mode: ExecMode::Auto,
             quote_view: Some(genesis_view),
+            quote_reader: None,
             quotes_served: 0,
             quotes_failed: 0,
+            #[cfg(test)]
+            inline_quotes: false,
             view_publications: 1,
             view_pools_reused: view_stats.reused as u64,
             view_pools_recloned: view_stats.recloned as u64,
@@ -415,50 +515,44 @@ impl System {
         self.view_pools_recloned += stats.recloned as u64;
     }
 
-    /// Serves this round's generated quote traffic from the current
-    /// sealed view. Readers never touch the live shards — a quote
-    /// observes exactly the last sealed epoch, never a partially-executed
-    /// one.
+    /// Generates this round's quote traffic and hands it, with the
+    /// current sealed view, to the quote reader, which answers it while
+    /// this thread executes the round. Readers never touch the live
+    /// shards — a quote observes exactly the last sealed epoch, never a
+    /// partially-executed one. The reader is spawned on the first round
+    /// that has quote requests, so a run without quote traffic never
+    /// starts it.
     fn serve_quotes(&mut self) {
-        if !self.cfg.quote_style.active() {
+        // generated here, not on the reader: requests depend on generator
+        // state (tracked positions) and must keep their order
+        let requests = self.generator.next_quotes();
+        if requests.is_empty() {
             return;
         }
-        let Some(view) = self.quote_view.clone() else {
+        let view = Arc::clone(self.quote_view.as_ref().expect("genesis publishes a view"));
+        #[cfg(test)]
+        if self.inline_quotes {
+            let reader = Address::from_pubkey_bytes(b"quote-reader");
+            let (served, failed) = answer_quotes(&view, requests, reader);
+            self.quotes_served += served;
+            self.quotes_failed += failed;
             return;
-        };
-        for req in self.generator.next_quotes() {
-            let ok = match req {
-                QuoteRequest::Swap {
-                    pool,
-                    zero_for_one,
-                    amount_in,
-                } => view
-                    .quote_swap(
-                        pool,
-                        zero_for_one,
-                        ammboost_amm::pool::SwapKind::ExactInput(amount_in),
-                        None,
-                    )
-                    .is_ok(),
-                QuoteRequest::Route { hops, amount_in } => {
-                    let route = ammboost_amm::tx::RouteTx {
-                        user: Address::from_pubkey_bytes(b"quote-reader"),
-                        hops,
-                        amount_in,
-                        min_amount_out: 0,
-                        deadline_round: u64::MAX,
-                    };
-                    view.simulate_route(&route).is_ok()
-                }
-                QuoteRequest::Valuation { pool, position } => {
-                    view.value_position(pool, &position).is_ok()
-                }
-            };
-            if ok {
-                self.quotes_served += 1;
-            } else {
-                self.quotes_failed += 1;
-            }
+        }
+        let reader = self.quote_reader.get_or_insert_with(QuoteReader::spawn);
+        if reader.batches.send((view, requests)).is_err() {
+            // the reader hangs up only by panicking: joining re-raises it
+            self.join_quote_reader();
+        }
+    }
+
+    /// Closes the quote reader's channel, waits for it to answer every
+    /// queued batch and adds its counts to the run's; re-raises a panic
+    /// on the reader. A no-op when no reader was started.
+    fn join_quote_reader(&mut self) {
+        if let Some(reader) = self.quote_reader.take() {
+            let (served, failed) = reader.finish();
+            self.quotes_served += served;
+            self.quotes_failed += failed;
         }
     }
 
@@ -487,6 +581,8 @@ impl System {
         self.chain
             .advance_to(drain_end + SimDuration::from_secs(120));
         self.handle_confirmations();
+
+        self.join_quote_reader();
 
         let active_window = drain_end.since(t0);
         let throughput = if active_window.as_secs_f64() > 0.0 {
@@ -571,6 +667,12 @@ impl System {
     #[cfg(test)]
     fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
+    }
+
+    /// Answers quotes inline on the main thread instead of on the reader.
+    #[cfg(test)]
+    fn set_inline_quotes(&mut self) {
+        self.inline_quotes = true;
     }
 
     fn run_epoch(&mut self, epoch: u64, epoch_start: SimTime) {
@@ -1332,14 +1434,9 @@ mod tests {
         assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
     }
 
-    /// The batch schedule is unobservable: a mixed-engine, routed fleet
-    /// whose rounds are large enough for `Auto` to take the pooled path,
-    /// with worker panics planted, is indistinguishable under the three
-    /// schedules — same report, same snapshot and delta bytes, same
-    /// containment.
-    #[test]
-    fn batch_schedule_is_unobservable_in_a_faulted_mixed_fleet() {
-        let points = vec![(0, 1), (2, 3), (3, 0)];
+    /// A mixed-engine, routed fleet whose rounds are large enough for
+    /// `Auto` to take the pooled path, with worker panics planted.
+    fn faulted_mixed_fleet() -> SystemConfig {
         let mut cfg = small();
         cfg.pools = 4;
         cfg.users = 32;
@@ -1347,13 +1444,23 @@ mod tests {
         cfg.route_style = ammboost_workload::RouteStyle::routed(0.25, 3);
         cfg.daily_volume = 1_000_000; // 81 transactions per round
         cfg.snapshot = crate::config::SnapshotPolicy::every_epoch();
-        cfg.faults.worker_panic_points = points.clone();
+        cfg.faults.worker_panic_points = vec![(0, 1), (2, 3), (3, 0)];
+        cfg
+    }
+
+    /// The batch schedule is unobservable: the faulted mixed fleet is
+    /// indistinguishable under the three schedules — same report, same
+    /// snapshot and delta bytes, same containment.
+    #[test]
+    fn batch_schedule_is_unobservable_in_a_faulted_mixed_fleet() {
+        let cfg = faulted_mixed_fleet();
         let run = |mode: ExecMode| {
             let mut sys = System::new(cfg.clone());
             sys.set_exec_mode(mode);
             let report = sys.run();
             assert!(report.routes_accepted > 0, "{report:?}");
-            assert_eq!(report.worker_panics_contained, points.len() as u64);
+            let panics = cfg.faults.worker_panic_points.len() as u64;
+            assert_eq!(report.worker_panics_contained, panics);
             let rounds = cfg.epochs * cfg.rounds_per_epoch;
             assert!(report.submitted / rounds >= crate::shard::PARALLEL_MIN_BATCH as u64);
             let snapshot = sys.last_snapshot().expect("checkpoints taken").encode();
@@ -1363,6 +1470,73 @@ mod tests {
         let auto = run(ExecMode::Auto);
         assert_eq!(run(ExecMode::Sequential), auto);
         assert_eq!(run(ExecMode::Parallel), auto);
+    }
+
+    /// The quote reader is unobservable: with quote traffic on the
+    /// faulted mixed fleet, the run reports the same whether the reader
+    /// or the main thread answers the quotes, and every generated request
+    /// is counted exactly once.
+    #[test]
+    fn quote_reader_matches_inline_quotes_in_a_faulted_mixed_fleet() {
+        let mut cfg = faulted_mixed_fleet();
+        cfg.quote_style = ammboost_workload::QuoteStyle::per_tx(1.0);
+        let run = |inline: bool| {
+            let mut sys = System::new(cfg.clone());
+            if inline {
+                sys.set_inline_quotes();
+            }
+            let report = sys.run();
+            assert!(sys.quote_reader.is_none(), "run joins the reader");
+            (report, sys.generator.txs_per_round())
+        };
+        let (report, txs_per_round) = run(false);
+        let per_round = (cfg.quote_style.quotes_per_tx * txs_per_round as f64).ceil() as u64;
+        assert_eq!(
+            report.quotes_served + report.quotes_failed,
+            cfg.epochs * cfg.rounds_per_epoch * per_round
+        );
+        assert!(
+            report.quotes_served > 0 && report.quotes_failed > 0,
+            "{report:?}"
+        );
+        let (inline, _) = run(true);
+        assert_eq!(format!("{report:?}"), format!("{inline:?}"));
+    }
+
+    #[test]
+    fn quote_reader_without_batches_counts_nothing_and_exits() {
+        assert_eq!(QuoteReader::spawn().finish(), (0, 0));
+    }
+
+    /// Sixteen times the channel's depth in batches, each with a known
+    /// mix of answerable and unknown-pool quotes: the sender blocks on a
+    /// full channel until the reader drains it, and `finish` returns
+    /// every batch's counts once.
+    #[test]
+    fn quote_reader_counts_every_batch_once_past_its_channel_depth() {
+        let view = System::new(small()).quote_view().expect("genesis view");
+        let pool = view.pool_ids()[0];
+        let reader = QuoteReader::spawn();
+        let (mut served, mut failed) = (0, 0);
+        for round in 0..16 * QUOTE_READER_DEPTH as u64 {
+            let swap = |pool| QuoteRequest::Swap {
+                pool,
+                zero_for_one: round % 2 == 0,
+                amount_in: 1_000 + u128::from(round),
+            };
+            let (ok, unknown) = (1 + round % 5, round % 3);
+            let requests = (0..ok)
+                .map(|_| swap(pool))
+                .chain((0..unknown).map(|_| swap(PoolId(u32::MAX))))
+                .collect();
+            reader
+                .batches
+                .send((Arc::clone(&view), requests))
+                .expect("reader alive");
+            served += ok;
+            failed += unknown;
+        }
+        assert_eq!(reader.finish(), (served, failed));
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //!    readers are never blocked and never observe a partially-executed
 //!    epoch.
 //!
+//! Inside [`crate::System::run`], one dedicated reader thread answers each
+//! round's generated quote traffic from the view current when the round
+//! began, while the main thread executes that round;
+//! `SystemReport::{quotes_served, quotes_failed}` are its counts, joined
+//! before `run` returns.
+//!
 //! Quotes are **bit-identical** to execution by construction: the view
 //! calls the same staged compute ([`Engine::quote_swap`]) that the write
 //! path commits — whatever engine kind the pool runs.
@@ -35,7 +41,6 @@ use ammboost_amm::tx::{RouteError, RouteTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
 use ammboost_amm::AmmError;
 use ammboost_crypto::U256;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -104,28 +109,29 @@ pub struct QuoteView {
     epoch: u64,
     /// Per-pool sealed engine state, ascending by pool id (shard order).
     pools: Vec<Arc<Engine>>,
+    /// Strictly ascending, aligned with `pools`: [`QuoteView::pool`]
+    /// binary-searches it.
     pool_ids: Vec<PoolId>,
-    index: HashMap<PoolId, usize>,
 }
 
 impl QuoteView {
-    /// Assembles a view over sealed per-pool states. `pools` must be in
-    /// ascending pool-id order (the shard order); callers outside
-    /// [`crate::shard::ShardMap::publish_view`] are typically tests.
+    /// Assembles a view over sealed per-pool states. `entries` must be in
+    /// strictly ascending pool-id order (the shard order); callers
+    /// outside [`crate::shard::ShardMap::publish_view`] are typically
+    /// tests.
+    ///
+    /// # Panics
+    /// If the pool ids are not strictly ascending (unsorted or repeated).
     pub fn new(epoch: u64, entries: Vec<(PoolId, Arc<Engine>)>) -> QuoteView {
-        let mut index = HashMap::with_capacity(entries.len());
-        let mut pool_ids = Vec::with_capacity(entries.len());
-        let mut pools = Vec::with_capacity(entries.len());
-        for (i, (id, pool)) in entries.into_iter().enumerate() {
-            index.insert(id, i);
-            pool_ids.push(id);
-            pools.push(pool);
-        }
+        let (pool_ids, pools): (Vec<PoolId>, Vec<Arc<Engine>>) = entries.into_iter().unzip();
+        assert!(
+            pool_ids.windows(2).all(|w| w[0] < w[1]),
+            "quote view pool ids must be strictly ascending: {pool_ids:?}"
+        );
         QuoteView {
             epoch,
             pools,
             pool_ids,
-            index,
         }
     }
 
@@ -147,7 +153,10 @@ impl QuoteView {
     /// The sealed state of one pool, if covered. The returned `Arc` may
     /// be cloned out and read from any thread.
     pub fn pool(&self, id: PoolId) -> Option<&Arc<Engine>> {
-        self.index.get(&id).map(|i| &self.pools[*i])
+        self.pool_ids
+            .binary_search(&id)
+            .ok()
+            .map(|i| &self.pools[i])
     }
 
     /// Quotes a swap against the sealed epoch state — the exact
@@ -224,5 +233,49 @@ impl QuoteView {
     ) -> Result<PositionValuation, QuoteError> {
         let p = self.pool(pool).ok_or(QuoteError::UnknownPool(pool))?;
         Ok(p.value_position(id)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ammboost_amm::engines::EngineKind;
+
+    fn entries(ids: &[u32]) -> Vec<(PoolId, Arc<Engine>)> {
+        ids.iter()
+            .map(|&id| {
+                let engine = Engine::new_standard(EngineKind::ConstantProduct);
+                (PoolId(id), Arc::new(engine))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_covered_pool_is_found_and_a_missing_one_is_rejected() {
+        let ids = [0, 3, 4, 9, 17];
+        let view = QuoteView::new(1, entries(&ids));
+        for (i, id) in ids.iter().enumerate() {
+            let found = view.pool(PoolId(*id)).expect("covered pool");
+            assert!(Arc::ptr_eq(found, &view.pools[i]), "pool {id}");
+        }
+        for missing in [1, 5, 16, 18, u32::MAX] {
+            let id = PoolId(missing);
+            assert!(view.pool(id).is_none(), "pool {missing}");
+            let quote = view.quote_swap(id, true, SwapKind::ExactInput(1_000), None);
+            assert!(matches!(quote, Err(QuoteError::UnknownPool(p)) if p == id));
+        }
+        assert!(QuoteView::new(1, Vec::new()).pool(PoolId(0)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_pool_ids_are_refused() {
+        QuoteView::new(1, entries(&[0, 2, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn repeated_pool_ids_are_refused() {
+        QuoteView::new(1, entries(&[0, 1, 1, 2]));
     }
 }
