@@ -177,7 +177,6 @@ fn main() {
 
     // -- fault 3: mid-checkpoint crash recovers to last committed ---------
     let later_snapshot = Snapshot::seal(
-        clean_snapshot.version(),
         clean_snapshot.epoch() + 1,
         clean_snapshot.sections().to_vec(),
     )

@@ -179,6 +179,7 @@ impl std::error::Error for ElectionError {}
 /// # Errors
 /// Fails when a ticket does not verify, a miner submits two tickets, or
 /// too few tickets were submitted.
+#[doc(alias = "Elect")]
 pub fn elect_committee(
     miners: &[MinerRecord],
     tickets: &[ElectionProof],

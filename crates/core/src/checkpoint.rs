@@ -439,19 +439,19 @@ pub fn recover_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
     use ammboost_crypto::H256;
-    use ammboost_sidechain::block::MetaBlock;
     use ammboost_state::snapshot::Section;
     use ammboost_state::PAGE_SIZE;
     use std::collections::HashMap;
 
     /// `snapshot` with its sections edited and sealed again.
     fn resealed(snapshot: Snapshot, edit: impl FnOnce(&mut Vec<Section>)) -> Snapshot {
-        let (version, epoch) = (snapshot.version(), snapshot.epoch());
+        let epoch = snapshot.epoch();
         let mut sections = snapshot.into_sections();
         edit(&mut sections);
-        Snapshot::seal(version, epoch, sections).unwrap()
+        Snapshot::seal(epoch, sections).unwrap()
     }
 
     fn user(i: u64) -> Address {
@@ -472,100 +472,75 @@ mod tests {
         })
     }
 
-    /// A tiny sharded node driver: executes rounds of swaps into
-    /// meta-blocks and seals each epoch with a summary block. Users
-    /// 1..=3·pools are homed round-robin on the pool set; the last
-    /// `pools` of them never trade, so every summary lists a strict
-    /// subset of the depositors.
-    struct Node {
-        shards: ShardMap,
-        ledger: Ledger,
-        pools: u32,
-    }
-
     const ROUNDS: u64 = 3;
 
-    impl Node {
-        fn new(pools: u32) -> Node {
-            let mut shards = ShardMap::new((0..pools).map(PoolId));
-            for p in 0..pools {
-                shards.seed_liquidity(
-                    PoolId(p),
-                    user(99),
-                    -60_000,
-                    60_000,
-                    10u128.pow(13),
-                    10u128.pow(13),
-                );
-            }
-            let mut snapshot = HashMap::new();
-            for i in 1..=(3 * pools as u64) {
-                snapshot.insert(user(i), (5_000_000_000u128, 5_000_000_000u128));
-            }
-            shards.begin_epoch(snapshot, |a| {
-                (1..=3 * pools as u64)
-                    .find(|i| user(*i) == *a)
-                    .map(|i| PoolId(((i - 1) % pools as u64) as u32))
-            });
-            Node {
-                shards,
-                ledger: Ledger::new(H256::hash(b"genesis")),
-                pools,
-            }
+    /// A tiny sharded node: users 1..=3·pools are homed round-robin on the
+    /// pool set; the last `pools` of them never trade, so every summary
+    /// lists a strict subset of the depositors.
+    fn new_node(pools: u32) -> Node {
+        let mut shards = ShardMap::new((0..pools).map(PoolId));
+        for p in 0..pools {
+            shards.seed_liquidity(
+                PoolId(p),
+                user(99),
+                -60_000,
+                60_000,
+                10u128.pow(13),
+                10u128.pow(13),
+            );
         }
+        let mut node = Node::new(shards, Ledger::new(H256::hash(b"genesis")));
+        let users = 3 * pools as u64;
+        let bucket = (1..=users)
+            .map(|i| (user(i), (5_000_000_000u128, 5_000_000_000u128)))
+            .collect();
+        node.begin_epoch(Some(bucket), |a| {
+            (1..=users)
+                .find(|i| user(*i) == *a)
+                .map(|i| PoolId(((i - 1) % pools as u64) as u32))
+        });
+        node
+    }
 
-        fn run_epoch(&mut self, epoch: u64) {
-            if epoch > 1 {
-                self.shards.carry_over_epoch();
-            }
-            for round in 0..ROUNDS {
-                let global = (epoch - 1) * ROUNDS + round;
-                let mut txs = Vec::new();
-                for i in 0..4u64 {
-                    let ui = 1 + (global + i) % (2 * self.pools as u64);
-                    let pool = ((ui - 1) % self.pools as u64) as u32;
+    /// Executes `epoch`'s rounds of swaps into meta-blocks and seals it.
+    fn run_epoch(node: &mut Node, epoch: u64) {
+        let pools = node.shards().len() as u64;
+        if epoch > 1 {
+            node.begin_epoch(None, |_| None);
+        }
+        for round in 0..ROUNDS {
+            let global = (epoch - 1) * ROUNDS + round;
+            let txs: Vec<AmmTx> = (0..4u64)
+                .map(|i| {
+                    let ui = 1 + (global + i) % (2 * pools);
                     let amt = 1_000_000 + global * 1000 + i * 7;
                     let dir = (global + i).is_multiple_of(2);
-                    txs.push(self.shards.execute(
-                        &swap_tx(user(ui), pool, amt as u128, dir),
-                        1008,
-                        global,
-                    ));
-                }
-                let block = MetaBlock::new(epoch, round, self.ledger.tip(), txs);
-                self.ledger.append_meta(block).unwrap();
-            }
-            let (payouts, positions, pools) = self.shards.end_epoch();
-            assert!(!payouts.is_empty() && payouts.len() <= 2 * self.pools as usize);
-            let summary = SummaryBlock {
-                epoch,
-                parent: self.ledger.tip(),
-                meta_refs: self
-                    .ledger
-                    .meta_blocks(epoch)
-                    .iter()
-                    .map(|m| m.id())
-                    .collect(),
-                payouts,
-                positions,
-                pools,
-            };
-            self.ledger.append_summary(summary).unwrap();
+                    swap_tx(user(ui), ((ui - 1) % pools) as u32, amt as u128, dir)
+                })
+                .collect();
+            let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|tx| (tx, 1008)).collect();
+            node.step_round(epoch, round, global, &batch);
         }
+        let sealed = node.close_epoch(epoch);
+        assert!(!sealed.payouts.is_empty() && sealed.payouts.len() <= 2 * pools as usize);
+    }
+
+    /// Checkpoints `node` at `epoch` and returns the snapshot.
+    fn snapshot_at(node: &mut Node, epoch: u64) -> Snapshot {
+        node.checkpoint(epoch);
+        node.last_snapshot().expect("just taken").clone()
     }
 
     #[test]
     fn restored_node_catches_up_byte_identically() {
         // full-history node: 5 epochs, checkpoint after epoch 2
-        let mut full = Node::new(1);
-        let mut cp = Checkpointer::new();
+        let mut full = new_node(1);
         let mut mid_snapshot = None;
         for epoch in 1..=5 {
-            full.run_epoch(epoch);
+            run_epoch(&mut full, epoch);
             if epoch == 2 {
-                let out = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger);
-                assert_eq!(out.stats.pools_reencoded, 1);
-                mid_snapshot = Some(out.snapshot);
+                assert_eq!(full.checkpoint(epoch).pools_reencoded, 1);
+                mid_snapshot = full.last_snapshot().cloned();
             }
         }
 
@@ -573,39 +548,37 @@ mod tests {
         let snap = mid_snapshot.unwrap();
         let mut node = restore_node(&Snapshot::decode(&snap.encode()).unwrap()).unwrap();
         assert_eq!(node.epoch, 2);
-        let applied = catch_up(&mut node, &full.ledger, ROUNDS).unwrap();
+        let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 3);
 
         // byte-identical: same ledger state, same shard states, same
         // state root as the uninterrupted node
-        assert_eq!(node.ledger.export_state(), full.ledger.export_state());
-        assert_eq!(node.shards.export_states(), full.shards.export_states());
+        assert_eq!(node.ledger.export_state(), full.ledger().export_state());
+        assert_eq!(node.shards.export_states(), full.shards().export_states());
         let a = checkpoint_node(&mut Checkpointer::new(), 5, &mut node.shards, &node.ledger);
-        let b = checkpoint_node(&mut Checkpointer::new(), 5, &mut full.shards, &full.ledger);
-        assert_eq!(a.stats.root, b.stats.root, "state roots diverge");
+        assert_eq!(a.stats.root, full.checkpoint(5).root, "state roots diverge");
     }
 
     #[test]
     fn multi_pool_node_checkpoints_and_catches_up() {
         // the same drill across 4 shards: one snapshot covers all pools
-        let mut full = Node::new(4);
-        let mut cp = Checkpointer::new();
+        let mut full = new_node(4);
         let mut mid = None;
         for epoch in 1..=4 {
-            full.run_epoch(epoch);
+            run_epoch(&mut full, epoch);
             if epoch == 2 {
-                let out = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger);
-                assert_eq!(out.stats.pools_total, 4);
-                assert_eq!(out.snapshot.pool_sections().count(), 4);
-                mid = Some(out.snapshot);
+                let snap = snapshot_at(&mut full, epoch);
+                assert_eq!(full.last_checkpoint().unwrap().pools_total, 4);
+                assert_eq!(snap.pool_sections().count(), 4);
+                mid = Some(snap);
             }
         }
         let mut node = restore_node(&Snapshot::decode(&mid.unwrap().encode()).unwrap()).unwrap();
         assert_eq!(node.shards.len(), 4);
-        let applied = catch_up(&mut node, &full.ledger, ROUNDS).unwrap();
+        let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 2);
-        assert_eq!(node.shards.export_states(), full.shards.export_states());
-        assert_eq!(node.ledger.export_state(), full.ledger.export_state());
+        assert_eq!(node.shards.export_states(), full.shards().export_states());
+        assert_eq!(node.ledger.export_state(), full.ledger().export_state());
     }
 
     #[test]
@@ -615,16 +588,14 @@ mod tests {
         // while writing the epoch-2 one — at several torn byte offsets
         // and at each journal step — and must always come back, catch up
         // epochs 3..=4 from a peer, and land on the uninterrupted root
-        let mut full = Node::new(2);
-        let mut cp = Checkpointer::new();
-        full.run_epoch(1);
-        let snap1 = checkpoint_node(&mut cp, 1, &mut full.shards, &full.ledger).snapshot;
-        full.run_epoch(2);
-        let snap2 = checkpoint_node(&mut cp, 2, &mut full.shards, &full.ledger).snapshot;
-        full.run_epoch(3);
-        full.run_epoch(4);
-        let ref_snap =
-            checkpoint_node(&mut Checkpointer::new(), 4, &mut full.shards, &full.ledger).snapshot;
+        let mut full = new_node(2);
+        run_epoch(&mut full, 1);
+        let snap1 = snapshot_at(&mut full, 1);
+        run_epoch(&mut full, 2);
+        let snap2 = snapshot_at(&mut full, 2);
+        run_epoch(&mut full, 3);
+        run_epoch(&mut full, 4);
+        let ref_root = full.checkpoint(4).root;
 
         let torn_len = snap2.encode().len();
         let crashes = [
@@ -643,7 +614,7 @@ mod tests {
             store.commit(&snap1, None).unwrap();
             store.commit(&snap2, Some(crash)).unwrap_err();
             let (mut node, outcome, applied) =
-                recover_node(&mut store, &full.ledger, ROUNDS).unwrap();
+                recover_node(&mut store, full.ledger(), ROUNDS).unwrap();
             match crash {
                 CrashPoint::BeforeInstall => {
                     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 2 });
@@ -656,7 +627,7 @@ mod tests {
             }
             let got = checkpoint_node(&mut Checkpointer::new(), 4, &mut node.shards, &node.ledger)
                 .snapshot;
-            assert_eq!(got.root(), ref_snap.root(), "{crash:?} diverged");
+            assert_eq!(got.root(), ref_root, "{crash:?} diverged");
         }
 
         // a first-ever checkpoint torn before anything was committed
@@ -666,24 +637,23 @@ mod tests {
             .commit(&snap1, Some(CrashPoint::BeforeMark))
             .unwrap_err();
         assert_eq!(
-            recover_node(&mut empty, &full.ledger, ROUNDS).err(),
+            recover_node(&mut empty, full.ledger(), ROUNDS).err(),
             Some(NodeRestoreError::Store(StoreError::NothingCommitted))
         );
     }
 
     #[test]
     fn catch_up_reports_missing_summary_typed() {
-        let mut full = Node::new(1);
-        full.run_epoch(1);
-        let snap =
-            checkpoint_node(&mut Checkpointer::new(), 1, &mut full.shards, &full.ledger).snapshot;
-        full.run_epoch(2);
-        full.run_epoch(3);
+        let mut full = new_node(1);
+        run_epoch(&mut full, 1);
+        let snap = snapshot_at(&mut full, 1);
+        run_epoch(&mut full, 2);
+        run_epoch(&mut full, 3);
         // corrupt source: epoch 2's summary vanishes while epoch 3's
         // survives, so epoch 2 still counts as sealed
-        let mut state = full.ledger.export_state();
+        let mut state = full.ledger().export_state();
         state.summaries.retain(|s| s.epoch != 2);
-        let source = ammboost_sidechain::ledger::Ledger::from_state(state);
+        let source = Ledger::from_state(state);
         let mut node = restore_node(&snap).unwrap();
         assert_eq!(
             catch_up(&mut node, &source, ROUNDS).err(),
@@ -693,17 +663,16 @@ mod tests {
 
     #[test]
     fn catch_up_rejects_overpruned_source() {
-        let mut full = Node::new(1);
-        let mut cp = Checkpointer::new();
-        full.run_epoch(1);
-        let snap = checkpoint_node(&mut cp, 1, &mut full.shards, &full.ledger).snapshot;
-        full.run_epoch(2);
-        full.run_epoch(3);
+        let mut full = new_node(1);
+        run_epoch(&mut full, 1);
+        let snap = snapshot_at(&mut full, 1);
+        run_epoch(&mut full, 2);
+        run_epoch(&mut full, 3);
         // the source drops epoch 2's raw history before the node synced
-        full.ledger.prune_epoch(2).unwrap();
+        full.prune_epoch(2).unwrap();
         let mut node = restore_node(&snap).unwrap();
         assert!(matches!(
-            catch_up(&mut node, &full.ledger, ROUNDS),
+            catch_up(&mut node, full.ledger(), ROUNDS),
             Err(NodeRestoreError::BadChain(_))
         ));
     }
@@ -712,36 +681,23 @@ mod tests {
     fn clean_shards_reuse_cached_pool_sections() {
         // 3 shards; only pool 1 trades after the first checkpoint — the
         // next checkpoint re-encodes exactly that shard
-        let mut node = Node::new(3);
-        let mut cp = Checkpointer::new();
-        node.run_epoch(1);
-        let s1 = checkpoint_node(&mut cp, 1, &mut node.shards, &node.ledger).stats;
+        let mut node = new_node(3);
+        run_epoch(&mut node, 1);
+        let s1 = node.checkpoint(1);
         assert_eq!(s1.pools_reencoded, 3, "first checkpoint encodes all");
 
-        node.shards.carry_over_epoch();
-        let out = node
-            .shards
-            .execute(&swap_tx(user(2), 1, 1_000_000, true), 1008, 99);
-        assert!(out.accepted());
-        let (payouts, positions, pools) = node.shards.end_epoch();
-        let summary = SummaryBlock {
-            epoch: 2,
-            parent: node.ledger.tip(),
-            meta_refs: vec![],
-            payouts,
-            positions,
-            pools,
-        };
-        node.ledger.append_summary(summary).unwrap();
-        let out = checkpoint_node(&mut cp, 2, &mut node.shards, &node.ledger);
-        assert_eq!(
-            out.stats.pools_reencoded, 1,
-            "only the traded shard re-encodes"
-        );
-        assert_eq!(out.stats.pools_reused, 2);
-        let delta = out.delta.expect("second checkpoint carries a delta");
+        node.begin_epoch(None, |_| None);
+        let tx = swap_tx(user(2), 1, 1_000_000, true);
+        assert_eq!(node.step_round(2, 0, 99, &[(&tx, 1008)]).accepted(), 1);
+        node.close_epoch(2);
+        let stats = node.checkpoint(2);
+        assert_eq!(stats.pools_reencoded, 1, "only the traded shard re-encodes");
+        assert_eq!(stats.pools_reused, 2);
+        let delta = node
+            .last_delta()
+            .expect("second checkpoint carries a delta");
         assert_eq!(delta.base_epoch, 1);
-        assert_eq!(delta.root, out.stats.root);
+        assert_eq!(delta.root, stats.root);
     }
 
     #[test]
@@ -778,11 +734,9 @@ mod tests {
 
     #[test]
     fn restore_rejects_missing_shard_pool_section() {
-        let mut node = Node::new(2);
-        node.run_epoch(1);
-        let snap =
-            checkpoint_node(&mut Checkpointer::new(), 1, &mut node.shards, &node.ledger).snapshot;
-        let snap = resealed(snap, |sections| {
+        let mut node = new_node(2);
+        run_epoch(&mut node, 1);
+        let snap = resealed(snapshot_at(&mut node, 1), |sections| {
             sections.retain(|s| s.kind != SectionKind::Pool(1))
         });
         assert!(matches!(
@@ -796,11 +750,10 @@ mod tests {
         // a joining node decodes a snapshot off the wire and restores it:
         // the restored root is the one the wire declares, and a flipped
         // byte in any page of any section is caught at decode
-        let mut node = Node::new(2);
-        node.run_epoch(1);
-        node.run_epoch(2);
-        let snap =
-            checkpoint_node(&mut Checkpointer::new(), 2, &mut node.shards, &node.ledger).snapshot;
+        let mut node = new_node(2);
+        run_epoch(&mut node, 1);
+        run_epoch(&mut node, 2);
+        let snap = snapshot_at(&mut node, 2);
         let wire = snap.encode();
         let declared = H256(wire[14..46].try_into().unwrap());
         let restored = restore_node(&Snapshot::decode(&wire).unwrap()).unwrap();

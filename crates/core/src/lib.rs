@@ -14,17 +14,18 @@
 //!   netting barrier).
 //! - [`workers`] — the persistent shard worker pool backing parallel
 //!   execution (threads spawned once per process, not per round).
-//! - [`system`] — the full runner: election → DKG → rounds of meta-blocks
-//!   → summary → TSQC-authenticated sync → pruning, plus interruption
+//! - [`node`] — the sidechain node: the paper's two `UpdateState` steps
+//!   (execute a round into a meta-block; seal the epoch into a summary
+//!   block and a quote view) composed once, stepped one round at a time.
+//! - [`system`] — the world that drives the node: traffic, election → DKG,
+//!   TSQC-authenticated sync to TokenBank, pruning, plus interruption
 //!   recovery (view change, mass-sync, rollbacks; §IV-C).
 //! - [`view`] — epoch-sealed, `Arc`-shared quote views: the concurrent
-//!   read path (quote / simulate-route / value-position) served while
-//!   the worker pool executes the next epoch.
+//!   read path (quote / simulate-route / value-position), answered on the
+//!   node's quote-reader thread while the next round executes.
 //! - [`checkpoint`] — node-level snapshot / restore / fast-sync catch-up
 //!   over the `ammboost-state` subsystem.
 //! - [`baseline`] — the all-on-mainchain Uniswap baseline for comparison.
-//! - [`api`] — the paper's §III functionality list (`SystemSetup` …
-//!   `Prune`) as concrete entry points.
 //!
 //! ```no_run
 //! use ammboost_core::config::SystemConfig;
@@ -36,10 +37,10 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod baseline;
 pub mod checkpoint;
 pub mod config;
+pub mod node;
 pub mod processor;
 pub mod shard;
 pub mod system;
@@ -53,6 +54,7 @@ pub use checkpoint::{
     NodeRestoreError,
 };
 pub use config::{DepositPolicy, FaultPlan, SystemConfig};
+pub use node::{EpochOutput, Node, NodeCounters, RoundOutput};
 pub use processor::{EpochProcessor, ProcessorState};
 pub use shard::{ExecMode, ShardMap};
 pub use system::{System, SystemReport};

@@ -16,9 +16,9 @@
 //! 14 members, threshold 10) so that multi-million-transaction runs remain
 //! tractable. Every cryptographic check TokenBank performs is genuine.
 
-use crate::checkpoint::checkpoint_node;
 use crate::config::{DepositPolicy, SystemConfig};
-use crate::shard::{ExecMode, ShardMap};
+use crate::node::{EpochOutput, Node, RoundOutput};
+use crate::shard::ShardMap;
 use crate::view::QuoteView;
 use ammboost_amm::tx::AmmTx;
 use ammboost_amm::types::PoolId;
@@ -34,21 +34,18 @@ use ammboost_mainchain::chain::{Mainchain, TxId, TxSpec};
 use ammboost_mainchain::contracts::token_bank::{SyncInput, SyncReceipt};
 use ammboost_mainchain::contracts::{Erc20, TokenBank};
 use ammboost_mainchain::gas::GasMeter;
-use ammboost_sidechain::block::{MetaBlock, SummaryBlock};
 use ammboost_sidechain::ledger::Ledger;
-use ammboost_sidechain::summary::{Deposits, PayoutEntry, PoolUpdate, PositionEntry};
+use ammboost_sidechain::summary::{Deposits, PayoutEntry, PositionEntry};
 use ammboost_sim::metrics::LatencyStats;
 use ammboost_sim::rng::DetRng;
 use ammboost_sim::time::{SimDuration, SimTime};
 use ammboost_sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
 use ammboost_state::snapshot::Snapshot;
-use ammboost_state::{prune_to_snapshot, CheckpointStats, Checkpointer, RetentionPolicy};
-use ammboost_workload::{GeneratorConfig, QuoteRequest, TrafficGenerator};
+use ammboost_state::{CheckpointStats, RetentionPolicy};
+use ammboost_workload::{GeneratorConfig, TrafficGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 
 /// Everything a run measures (the §VI-A metric list).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -134,14 +131,12 @@ pub struct SystemReport {
     pub worker_panics_contained: u64,
 }
 
-/// One epoch's not-yet-synced summary material: epoch number, payout
-/// list, position entries, per-pool reserve sections.
-type UnsyncedEpoch = (u64, Vec<PayoutEntry>, Vec<PositionEntry>, Vec<PoolUpdate>);
-
-enum PendingOp {
-    /// A sync covering every epoch up to and including `through_epoch`;
-    /// `rollback` marks the planned fork-loss fault.
-    Sync { through_epoch: u64, rollback: bool },
+/// A submitted sync covering every epoch up to and including
+/// `through_epoch`; `rollback` marks the planned fork-loss fault.
+struct PendingSync {
+    tx: TxId,
+    through_epoch: u64,
+    rollback: bool,
 }
 
 /// Snapshot taken before applying a sync scheduled to be rolled back, so
@@ -154,99 +149,18 @@ struct RollbackBackup {
     synced_through: u64,
 }
 
-/// Rounds of quote traffic the reader's channel holds before the main
-/// thread waits for it.
-const QUOTE_READER_DEPTH: usize = 4;
-
-/// One round's quote traffic and the sealed view it is answered from.
-type QuoteBatch = (Arc<QuoteView>, Vec<QuoteRequest>);
-
-/// The in-run read path: a dedicated thread that answers each round's
-/// quote requests from the sealed view they were generated under, while
-/// the main thread executes the round. It is its own thread rather than
-/// a [`crate::workers::WorkerPool`] job, which on a two-core host would
-/// take the pool's only worker away from execution.
-struct QuoteReader {
-    batches: SyncSender<QuoteBatch>,
-    handle: JoinHandle<(u64, u64)>,
-}
-
-impl QuoteReader {
-    fn spawn() -> QuoteReader {
-        let (batches, inbox) = sync_channel::<QuoteBatch>(QUOTE_READER_DEPTH);
-        let handle = thread::Builder::new()
-            .name("quote-reader".into())
-            .spawn(move || {
-                let reader = Address::from_pubkey_bytes(b"quote-reader");
-                let (mut served, mut failed) = (0, 0);
-                for (view, requests) in inbox {
-                    let (s, f) = answer_quotes(&view, requests, reader);
-                    served += s;
-                    failed += f;
-                }
-                (served, failed)
-            })
-            .expect("spawn the quote reader thread");
-        QuoteReader { batches, handle }
-    }
-
-    /// Closes the channel and joins the reader once it has answered every
-    /// batch sent: `(served, failed)`. A panic on the reader resumes here.
-    fn finish(self) -> (u64, u64) {
-        drop(self.batches);
-        self.handle
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-    }
-}
-
-/// Answers one round's quote requests from `view`: `(served, failed)`.
-/// `reader` is the user routes are simulated for.
-fn answer_quotes(view: &QuoteView, requests: Vec<QuoteRequest>, reader: Address) -> (u64, u64) {
-    let total = requests.len() as u64;
-    let mut served = 0;
-    for req in requests {
-        let ok = match req {
-            QuoteRequest::Swap {
-                pool,
-                zero_for_one,
-                amount_in,
-            } => view
-                .quote_swap(
-                    pool,
-                    zero_for_one,
-                    ammboost_amm::pool::SwapKind::ExactInput(amount_in),
-                    None,
-                )
-                .is_ok(),
-            QuoteRequest::Route { hops, amount_in } => {
-                let route = ammboost_amm::tx::RouteTx {
-                    user: reader,
-                    hops,
-                    amount_in,
-                    min_amount_out: 0,
-                    deadline_round: u64::MAX,
-                };
-                view.simulate_route(&route).is_ok()
-            }
-            QuoteRequest::Valuation { pool, position } => {
-                view.value_position(pool, &position).is_ok()
-            }
-        };
-        served += u64::from(ok);
-    }
-    (served, total - served)
-}
-
-/// The assembled system.
+/// The world a [`Node`] runs in: traffic, miners and the election, the
+/// mainchain with TokenBank and both ERC-20s, the committee keys and the
+/// syncs they certify, the clock and the fault plan. [`System::run`]
+/// feeds the node round by round and settles each sealed epoch on the
+/// mainchain.
 pub struct System {
     cfg: SystemConfig,
+    pub(crate) node: Node,
     chain: Mainchain,
     bank: TokenBank,
     token0: Erc20,
     token1: Erc20,
-    shards: ShardMap,
-    ledger: Ledger,
     generator: TrafficGenerator,
     miners: Vec<MinerRecord>,
     miner_sks: Vec<VrfSecretKey>,
@@ -256,10 +170,11 @@ pub struct System {
     /// DKG for the next committee (its vk rides the next sync).
     next_dkg: DkgOutput,
     committees: Vec<Committee>,
-    queue: VecDeque<(SimTime, ammboost_amm::tx::AmmTx, usize)>,
+    queue: VecDeque<(SimTime, AmmTx, usize)>,
     awaiting_payout: BTreeMap<u64, Vec<SimTime>>,
-    unsynced: Vec<UnsyncedEpoch>,
-    pending_ops: Vec<(TxId, PendingOp)>,
+    /// Sealed epochs no applied sync covers yet.
+    unsynced: Vec<(u64, EpochOutput)>,
+    pending_syncs: Vec<PendingSync>,
     rollback_backup: Option<RollbackBackup>,
     /// Highest epoch covered by a submitted (not reverted) sync.
     synced_through: u64,
@@ -277,33 +192,6 @@ pub struct System {
     sync_gas: u64,
     deposit_gas: u64,
     max_summary_bytes: u64,
-    /// Batch schedule: [`ExecMode::Auto`] always; only the unit tests
-    /// below force the other two, to show the choice is unobservable.
-    exec_mode: ExecMode,
-    /// The current sealed-epoch quote view (epoch N's view while epoch
-    /// N+1 executes; genesis view before epoch 1).
-    quote_view: Option<Arc<QuoteView>>,
-    /// Answers in-run quote traffic beside execution; started on the
-    /// first round with quote requests, joined by [`System::run`].
-    quote_reader: Option<QuoteReader>,
-    /// Quote counts of joined readers (and of the inline test oracle).
-    quotes_served: u64,
-    quotes_failed: u64,
-    /// Answers quotes on the main thread instead of the reader: the
-    /// oracle the unit tests below compare the reader against.
-    #[cfg(test)]
-    inline_quotes: bool,
-    view_publications: u64,
-    view_pools_reused: u64,
-    view_pools_recloned: u64,
-    checkpointer: Checkpointer,
-    snapshots_taken: u64,
-    last_checkpoint: Option<CheckpointStats>,
-    /// The most recent node snapshot (kept for restart/fast-sync drills).
-    last_snapshot: Option<Snapshot>,
-    /// The delta the most recent checkpoint emitted against the previous
-    /// one (absent on the first checkpoint and after restarts).
-    last_delta: Option<ammboost_state::DeltaSnapshot>,
     last_sync_receipt: Option<SyncReceipt>,
     sync_certificates: Vec<(PublicKey, QuorumCertificate)>,
 }
@@ -311,6 +199,7 @@ pub struct System {
 impl System {
     /// Builds a system from a configuration: deploys contracts, funds
     /// users, seeds pool liquidity, registers the genesis committee.
+    #[doc(alias = "SystemSetup")]
     pub fn new(cfg: SystemConfig) -> System {
         let mut rng = DetRng::new(cfg.seed);
         let crypto_cfg = DkgConfig::for_faults(cfg.crypto_committee_faults);
@@ -396,18 +285,15 @@ impl System {
             miner_sks.push(sk);
         }
 
-        // seal genesis: readers can quote against the seeded pools before
-        // epoch 1 executes
-        let (genesis_view, view_stats) = shards.publish_view(0);
-
+        // the node seals genesis: readers can quote against the seeded
+        // pools before epoch 1 executes
         let genesis_ref = H256::hash(b"mainchain-block-containing-token-bank");
         System {
+            node: Node::new(shards, Ledger::new(genesis_ref)),
             chain: Mainchain::new(cfg.mainchain),
             bank,
             token0,
             token1,
-            shards,
-            ledger: Ledger::new(genesis_ref),
             generator,
             miners,
             miner_sks,
@@ -418,7 +304,7 @@ impl System {
             queue: VecDeque::new(),
             awaiting_payout: BTreeMap::new(),
             unsynced: Vec::new(),
-            pending_ops: Vec::new(),
+            pending_syncs: Vec::new(),
             rollback_backup: None,
             synced_through: 0,
             sc_latency: LatencyStats::new(),
@@ -434,21 +320,6 @@ impl System {
             sync_gas: 0,
             deposit_gas: 0,
             max_summary_bytes: 0,
-            exec_mode: ExecMode::Auto,
-            quote_view: Some(genesis_view),
-            quote_reader: None,
-            quotes_served: 0,
-            quotes_failed: 0,
-            #[cfg(test)]
-            inline_quotes: false,
-            view_publications: 1,
-            view_pools_reused: view_stats.reused as u64,
-            view_pools_recloned: view_stats.recloned as u64,
-            checkpointer: Checkpointer::new(),
-            snapshots_taken: 0,
-            last_checkpoint: None,
-            last_snapshot: None,
-            last_delta: None,
             last_sync_receipt: None,
             sync_certificates: Vec::new(),
             cfg,
@@ -467,7 +338,7 @@ impl System {
 
     /// Read access to the sidechain ledger.
     pub fn ledger(&self) -> &Ledger {
-        &self.ledger
+        self.node.ledger()
     }
 
     /// Read access to the mainchain.
@@ -478,7 +349,7 @@ impl System {
     /// Read access to the execution shards (one processor per pool; for
     /// single-pool configurations, `shards().first()` is the processor).
     pub fn shards(&self) -> &ShardMap {
-        &self.shards
+        self.node.shards()
     }
 
     /// Read access to the traffic generator.
@@ -501,59 +372,7 @@ impl System {
     /// while epoch N+1 executes (the genesis view before epoch 1). Clone
     /// the `Arc` out to serve reads from any thread.
     pub fn quote_view(&self) -> Option<Arc<QuoteView>> {
-        self.quote_view.clone()
-    }
-
-    /// Seals `epoch` for readers: publishes the post-epoch [`QuoteView`]
-    /// (re-cloning only the pools the epoch touched) and rolls the
-    /// publication counters.
-    fn publish_view(&mut self, epoch: u64) {
-        let (view, stats) = self.shards.publish_view(epoch);
-        self.quote_view = Some(view);
-        self.view_publications += 1;
-        self.view_pools_reused += stats.reused as u64;
-        self.view_pools_recloned += stats.recloned as u64;
-    }
-
-    /// Generates this round's quote traffic and hands it, with the
-    /// current sealed view, to the quote reader, which answers it while
-    /// this thread executes the round. Readers never touch the live
-    /// shards — a quote observes exactly the last sealed epoch, never a
-    /// partially-executed one. The reader is spawned on the first round
-    /// that has quote requests, so a run without quote traffic never
-    /// starts it.
-    fn serve_quotes(&mut self) {
-        // generated here, not on the reader: requests depend on generator
-        // state (tracked positions) and must keep their order
-        let requests = self.generator.next_quotes();
-        if requests.is_empty() {
-            return;
-        }
-        let view = Arc::clone(self.quote_view.as_ref().expect("genesis publishes a view"));
-        #[cfg(test)]
-        if self.inline_quotes {
-            let reader = Address::from_pubkey_bytes(b"quote-reader");
-            let (served, failed) = answer_quotes(&view, requests, reader);
-            self.quotes_served += served;
-            self.quotes_failed += failed;
-            return;
-        }
-        let reader = self.quote_reader.get_or_insert_with(QuoteReader::spawn);
-        if reader.batches.send((view, requests)).is_err() {
-            // the reader hangs up only by panicking: joining re-raises it
-            self.join_quote_reader();
-        }
-    }
-
-    /// Closes the quote reader's channel, waits for it to answer every
-    /// queued batch and adds its counts to the run's; re-raises a panic
-    /// on the reader. A no-op when no reader was started.
-    fn join_quote_reader(&mut self) {
-        if let Some(reader) = self.quote_reader.take() {
-            let (served, failed) = reader.finish();
-            self.quotes_served += served;
-            self.quotes_failed += failed;
-        }
+        Some(self.node.quote_view())
     }
 
     /// Runs the configured number of epochs (plus queue drain) and
@@ -582,7 +401,8 @@ impl System {
             .advance_to(drain_end + SimDuration::from_secs(120));
         self.handle_confirmations();
 
-        self.join_quote_reader();
+        self.node.join_quote_reader();
+        let node = self.node.counters();
 
         let active_window = drain_end.since(t0);
         let throughput = if active_window.as_secs_f64() > 0.0 {
@@ -603,9 +423,9 @@ impl System {
             sync_gas: self.sync_gas,
             deposit_gas: self.deposit_gas,
             mainchain_growth_bytes: self.chain.growth_bytes(),
-            sidechain_bytes: self.ledger.size_bytes(),
-            sidechain_peak_bytes: self.ledger.peak_bytes(),
-            sidechain_pruned_bytes: self.ledger.pruned_bytes(),
+            sidechain_bytes: self.ledger().size_bytes(),
+            sidechain_peak_bytes: self.ledger().peak_bytes(),
+            sidechain_pruned_bytes: self.ledger().pruned_bytes(),
             syncs_confirmed: self.syncs_confirmed,
             mass_syncs: self.mass_syncs,
             view_changes: self.view_changes,
@@ -617,15 +437,15 @@ impl System {
             epochs: self.cfg.epochs,
             routes_accepted: self.routes_accepted,
             route_legs_executed: self.route_legs_executed,
-            snapshots_taken: self.snapshots_taken,
-            last_snapshot_bytes: self.last_checkpoint.map(|c| c.snapshot_bytes).unwrap_or(0),
-            last_state_root: self.last_checkpoint.map(|c| c.root),
-            quotes_served: self.quotes_served,
-            quotes_failed: self.quotes_failed,
-            view_publications: self.view_publications,
-            view_pools_reused: self.view_pools_reused,
-            view_pools_recloned: self.view_pools_recloned,
-            worker_panics_contained: self.shards.panics_contained(),
+            snapshots_taken: node.snapshots_taken,
+            last_snapshot_bytes: self.last_checkpoint().map_or(0, |c| c.snapshot_bytes),
+            last_state_root: self.last_checkpoint().map(|c| c.root),
+            quotes_served: node.quotes_served,
+            quotes_failed: node.quotes_failed,
+            view_publications: node.view_publications,
+            view_pools_reused: node.view_pools_reused,
+            view_pools_recloned: node.view_pools_recloned,
+            worker_panics_contained: self.shards().panics_contained(),
         }
     }
 
@@ -633,46 +453,23 @@ impl System {
     /// node state (processor + ledger) and returns its stats. The
     /// snapshot itself stays retrievable via [`System::last_snapshot`].
     pub fn checkpoint(&mut self, epoch: u64) -> CheckpointStats {
-        let output = checkpoint_node(
-            &mut self.checkpointer,
-            epoch,
-            &mut self.shards,
-            &self.ledger,
-        );
-        self.snapshots_taken += 1;
-        let stats = output.stats;
-        self.last_checkpoint = Some(stats);
-        self.last_delta = output.delta;
-        self.last_snapshot = Some(output.snapshot);
-        stats
+        self.node.checkpoint(epoch)
     }
 
     /// The most recent node snapshot, if any checkpoint was taken.
     pub fn last_snapshot(&self) -> Option<&Snapshot> {
-        self.last_snapshot.as_ref()
+        self.node.last_snapshot()
     }
 
     /// The page-granular delta the most recent checkpoint emitted against
     /// its predecessor, if any (the first checkpoint has no base).
     pub fn last_delta(&self) -> Option<&ammboost_state::DeltaSnapshot> {
-        self.last_delta.as_ref()
+        self.node.last_delta()
     }
 
     /// Stats of the most recent checkpoint.
     pub fn last_checkpoint(&self) -> Option<&CheckpointStats> {
-        self.last_checkpoint.as_ref()
-    }
-
-    /// Forces a batch schedule other than the node's own choice.
-    #[cfg(test)]
-    fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// Answers quotes inline on the main thread instead of on the reader.
-    #[cfg(test)]
-    fn set_inline_quotes(&mut self) {
-        self.inline_quotes = true;
+        self.node.last_checkpoint()
     }
 
     fn run_epoch(&mut self, epoch: u64, epoch_start: SimTime) {
@@ -688,16 +485,7 @@ impl System {
             .expect("population exceeds committee size");
         self.committees.push(committee);
 
-        // --- SnapshotBank (or carry-over when the previous epoch's sync
-        // is missing and a mass-sync is owed, paper §IV-C) ---
-        if self.synced_through >= epoch - 1 {
-            let snapshot = self.bank.snapshot_deposits(epoch);
-            let generator = &self.generator;
-            self.shards
-                .begin_epoch(snapshot, |user| generator.pool_for(user));
-        } else {
-            self.shards.carry_over_epoch();
-        }
+        self.begin_node_epoch(epoch);
 
         // --- per-epoch deposits for the next epoch ---
         if self.cfg.deposit_policy == DepositPolicy::PerEpoch && epoch < self.cfg.epochs {
@@ -752,11 +540,15 @@ impl System {
 
             // read traffic rides along: quotes are answered from the last
             // sealed epoch's view, never from the live shards this round
-            // is mutating
-            self.serve_quotes();
+            // is mutating (requests depend on generator state, so they
+            // are generated here, in order)
+            let requests = self.generator.next_quotes();
+            self.node.serve_quotes(requests);
 
             if round < self.cfg.rounds_per_epoch - 1 {
-                self.mine_meta_block(epoch, round, global_round, round_end);
+                self.feed_node(Some(round_end), round_end, epoch, |node, batch| {
+                    node.step_round(epoch, round, global_round, batch)
+                });
             }
             self.chain.advance_to(round_end);
             self.handle_confirmations();
@@ -767,19 +559,28 @@ impl System {
         self.close_epoch(epoch, epoch_end);
     }
 
-    /// Pops queued transactions under the meta-block byte budget — and,
-    /// when `arrival_cutoff` is given, arriving before it — executes the
-    /// batch across the shards (per-pool sub-batches on scoped threads,
-    /// effects back in submission order) and applies acceptance
-    /// bookkeeping against `payout_epoch`. Shared by in-run rounds and
-    /// the end-of-run drain so their accounting can never drift apart.
-    fn execute_queued_batch(
+    /// `SnapshotBank` for `epoch`, or carry-over when the previous
+    /// epoch's sync is missing and a mass-sync is owed (paper §IV-C).
+    fn begin_node_epoch(&mut self, epoch: u64) {
+        let bucket = (self.synced_through >= epoch - 1).then(|| self.bank.snapshot_deposits(epoch));
+        let generator = &self.generator;
+        self.node
+            .begin_epoch(bucket, |user| generator.pool_for(user));
+    }
+
+    /// Pops queued transactions under the meta-block byte budget (and,
+    /// with an `arrival_cutoff`, arriving before it), hands the batch to
+    /// the node through `step`, and applies the round's output: latencies
+    /// and payouts owed against `payout_epoch`, and deleted positions fed
+    /// back to the generator. In-run rounds and the drain share it, so
+    /// their accounting cannot drift apart.
+    fn feed_node(
         &mut self,
         arrival_cutoff: Option<SimTime>,
         round_end: SimTime,
-        global_round: u64,
         payout_epoch: u64,
-    ) -> Vec<ammboost_sidechain::block::ExecutedTx> {
+        step: impl FnOnce(&mut Node, &[(&AmmTx, usize)]) -> RoundOutput,
+    ) {
         let mut popped: Vec<(SimTime, AmmTx, usize)> = Vec::new();
         let mut bytes = 0usize;
         while let Some((arrival, _, size)) = self.queue.front() {
@@ -792,107 +593,49 @@ impl System {
             popped.push(entry);
         }
         let batch: Vec<(&AmmTx, usize)> = popped.iter().map(|(_, tx, size)| (tx, *size)).collect();
-        let executed = self
-            .shards
-            .execute_batch(&batch, global_round, self.exec_mode);
-        for ((arrival, _, _), out) in popped.iter().zip(&executed) {
-            if out.accepted() {
+        let out = step(&mut self.node, &batch);
+        for ((arrival, _, _), accepted) in popped.iter().zip(&out.acceptance) {
+            if *accepted {
                 self.accepted += 1;
                 self.sc_latency.record(round_end.since(*arrival));
                 self.awaiting_payout
                     .entry(payout_epoch)
                     .or_default()
                     .push(*arrival);
-                match &out.effect {
-                    // feed back deleted positions so traffic stops
-                    // referencing them
-                    ammboost_sidechain::block::TxEffect::Burn {
-                        position,
-                        deleted: true,
-                        ..
-                    } => {
-                        self.generator.forget_position(*position);
-                    }
-                    ammboost_sidechain::block::TxEffect::Route { legs, .. } => {
-                        self.routes_accepted += 1;
-                        self.route_legs_executed += legs.len() as u64;
-                    }
-                    _ => {}
-                }
             } else {
                 self.rejected += 1;
             }
         }
-        executed
-    }
-
-    fn mine_meta_block(&mut self, epoch: u64, round: u64, global_round: u64, round_end: SimTime) {
-        let executed = self.execute_queued_batch(Some(round_end), round_end, global_round, epoch);
-        let block = MetaBlock::new(epoch, round, self.ledger.tip(), executed);
-        self.ledger
-            .append_meta(block)
-            .expect("locally mined meta-block chains correctly");
+        self.routes_accepted += out.routes;
+        self.route_legs_executed += out.route_legs;
+        for position in out.deleted_positions {
+            self.generator.forget_position(position);
+        }
     }
 
     fn close_epoch(&mut self, epoch: u64, epoch_end: SimTime) {
-        let (payouts, positions, pool_updates) = self.shards.end_epoch();
-        // the epoch is sealed: publish its state for concurrent readers
-        // before anything else mutates the shards
-        self.publish_view(epoch);
-        let summary = SummaryBlock {
-            epoch,
-            parent: self.ledger.tip(),
-            meta_refs: self
-                .ledger
-                .meta_blocks(epoch)
-                .iter()
-                .map(|m| m.id())
-                .collect(),
-            payouts: payouts.clone(),
-            positions: positions.clone(),
-            pools: pool_updates.clone(),
-        };
+        let sealed = self.node.close_epoch(epoch);
+        let summary = self.ledger().summaries().last().expect("just appended");
         self.max_summary_bytes = self.max_summary_bytes.max(summary.size_bytes() as u64);
-        self.ledger
-            .append_summary(summary)
-            .expect("locally built summary chains correctly");
-
-        if self.cfg.faults.invalid_sync_epochs.contains(&epoch) {
-            // the leader proposed invalid Sync inputs; the committee
-            // refuses to certify — no sync this epoch, mass-sync next.
-            // Checkpointing is node-local and proceeds regardless.
-            self.unsynced
-                .push((epoch, payouts, positions, pool_updates));
-            self.maybe_checkpoint(epoch);
-            return;
+        self.unsynced.push((epoch, sealed));
+        // an invalid Sync proposal goes uncertified: no sync this epoch,
+        // a mass-sync next; checkpointing is node-local and goes on
+        if !self.cfg.faults.invalid_sync_epochs.contains(&epoch) {
+            let rollback = self.cfg.faults.rollback_epochs.contains(&epoch);
+            self.submit_sync(epoch, epoch_end, rollback);
         }
-
-        self.unsynced
-            .push((epoch, payouts, positions, pool_updates));
-        let rollback = self.cfg.faults.rollback_epochs.contains(&epoch);
-        self.submit_sync(epoch, epoch_end, rollback);
-        self.maybe_checkpoint(epoch);
-    }
-
-    /// Checkpoints the node per the snapshot policy and applies
-    /// snapshot-aware retention pruning: once an epoch is covered by both
-    /// a sealed summary and a committed snapshot, its raw meta-blocks can
-    /// be dropped without waiting for the sync confirmation (a restarting
-    /// node restores from the snapshot instead of replaying).
-    fn maybe_checkpoint(&mut self, epoch: u64) {
-        if !self.cfg.snapshot.enabled() || !epoch.is_multiple_of(self.cfg.snapshot.interval_epochs)
-        {
-            return;
-        }
-        self.checkpoint(epoch);
-        if !self.cfg.disable_pruning {
-            prune_to_snapshot(
-                &mut self.ledger,
-                epoch,
-                RetentionPolicy {
-                    keep_epochs: self.cfg.snapshot.keep_epochs,
-                },
-            );
+        // checkpoint per the snapshot policy, then snapshot-aware
+        // retention: an epoch covered by a sealed summary and a committed
+        // snapshot drops its raw meta-blocks without waiting for the sync
+        // to confirm (a restarting node restores instead of replaying)
+        let policy = self.cfg.snapshot;
+        if policy.enabled() && epoch.is_multiple_of(policy.interval_epochs) {
+            self.node.checkpoint(epoch);
+            if !self.cfg.disable_pruning {
+                let keep_epochs = policy.keep_epochs;
+                self.node
+                    .prune_to_snapshot(epoch, RetentionPolicy { keep_epochs });
+            }
         }
     }
 
@@ -910,13 +653,13 @@ impl System {
         // sections (every epoch reports all pools)
         let mut payouts: BTreeMap<_, PayoutEntry> = BTreeMap::new();
         let mut merged: BTreeMap<_, PositionEntry> = BTreeMap::new();
-        for (epoch, epoch_payouts, positions, _) in &self.unsynced {
+        for (epoch, sealed) in &self.unsynced {
             if *epoch > self.synced_through {
-                payouts.extend(epoch_payouts.iter().map(|p| (p.user, *p)));
+                payouts.extend(sealed.payouts.iter().map(|p| (p.user, *p)));
             }
-            merged.extend(positions.iter().map(|p| (p.id, *p)));
+            merged.extend(sealed.positions.iter().map(|p| (p.id, *p)));
         }
-        let pools = self.unsynced.last().expect("non-empty").3.clone();
+        let pools = self.unsynced.last().expect("non-empty").1.pools.clone();
         let input = SyncInput {
             epoch: through_epoch,
             payouts: payouts.into_values().collect(),
@@ -964,7 +707,7 @@ impl System {
             }
             debug_assert!(
                 Deposits::from_snapshot(self.bank.snapshot_deposits(through_epoch + 1))
-                    == self.shards.merged_deposits(),
+                    == self.shards().merged_deposits(),
                 "the bank's next bucket must mirror the sidechain ledger for every user"
             );
             #[cfg(test)]
@@ -974,7 +717,7 @@ impl System {
             );
         }
 
-        let tx_id = self.chain.submit(
+        let tx = self.chain.submit(
             at,
             TxSpec {
                 label: "sync".into(),
@@ -987,13 +730,11 @@ impl System {
         self.last_sync_receipt = Some(receipt);
         self.sync_certificates
             .push((self.registered_shares.group_public_key, qc));
-        self.pending_ops.push((
-            tx_id,
-            PendingOp::Sync {
-                through_epoch,
-                rollback,
-            },
-        ));
+        self.pending_syncs.push(PendingSync {
+            tx,
+            through_epoch,
+            rollback,
+        });
         // rotate committee keys: the next committee's shares will match
         // the vk just recorded
         self.registered_shares = self.next_dkg.clone();
@@ -1026,7 +767,7 @@ impl System {
             amount0,
             amount1,
         };
-        let deposits = self.shards.merged_deposits().to_sorted_entries();
+        let deposits = self.shards().merged_deposits().to_sorted_entries();
         let full = SyncInput {
             payouts: deposits.into_iter().map(entry).collect(),
             ..dirty.clone()
@@ -1051,117 +792,83 @@ impl System {
 
     fn handle_confirmations(&mut self) {
         let mut remaining = Vec::new();
-        for (tx_id, op) in std::mem::take(&mut self.pending_ops) {
-            let Some(confirmed_at) = self.chain.confirmed_at(tx_id) else {
-                remaining.push((tx_id, op));
+        for sync in std::mem::take(&mut self.pending_syncs) {
+            let Some(confirmed_at) = self.chain.confirmed_at(sync.tx) else {
+                remaining.push(sync);
                 continue;
             };
-            match op {
-                PendingOp::Sync {
-                    through_epoch,
-                    rollback,
-                } => {
-                    if rollback {
-                        // The fork containing the sync is abandoned: undo
-                        // the block, censor the transaction, restore bank,
-                        // token ledgers and committee keys. `unsynced` is
-                        // kept — the next epoch mass-syncs (paper §IV-C).
-                        self.chain.reorg(1);
-                        self.chain.censor_pending(tx_id);
-                        // the censored sync's gas never lands on-chain
-                        if let Some(rec) = self.chain.tx(tx_id) {
-                            self.sync_gas -= rec.spec.gas;
-                        }
-                        let backup = self
-                            .rollback_backup
-                            .take()
-                            .expect("backup stored at submission");
-                        self.bank = backup.bank;
-                        self.token0 = backup.token0;
-                        self.token1 = backup.token1;
-                        self.registered_shares = backup.registered_shares;
-                        self.synced_through = backup.synced_through;
-                        continue;
-                    }
-                    // durable: record payout latencies, prune epochs
-                    self.syncs_confirmed += 1;
-                    let epochs: Vec<u64> = self
-                        .awaiting_payout
-                        .range(..=through_epoch)
-                        .map(|(e, _)| *e)
-                        .collect();
-                    for e in epochs {
-                        if let Some(arrivals) = self.awaiting_payout.remove(&e) {
-                            for a in arrivals {
-                                self.payout_latency.record(confirmed_at.since(a));
-                            }
-                        }
-                    }
-                    for (e, _, _, _) in self.unsynced.drain(..) {
-                        if !self.cfg.disable_pruning {
-                            let _ = self.ledger.prune_epoch(e);
-                        }
-                    }
+            if sync.rollback {
+                // The fork containing the sync is abandoned: undo the
+                // block, censor the transaction, restore bank, token
+                // ledgers and committee keys. `unsynced` is kept — the
+                // next epoch mass-syncs (paper §IV-C).
+                self.chain.reorg(1);
+                self.chain.censor_pending(sync.tx);
+                // the censored sync's gas never lands on-chain
+                if let Some(rec) = self.chain.tx(sync.tx) {
+                    self.sync_gas -= rec.spec.gas;
+                }
+                let backup = self
+                    .rollback_backup
+                    .take()
+                    .expect("backup stored at submission");
+                self.bank = backup.bank;
+                self.token0 = backup.token0;
+                self.token1 = backup.token1;
+                self.registered_shares = backup.registered_shares;
+                self.synced_through = backup.synced_through;
+                continue;
+            }
+            // durable: record payout latencies, prune epochs
+            self.syncs_confirmed += 1;
+            let later = self.awaiting_payout.split_off(&(sync.through_epoch + 1));
+            let settled = std::mem::replace(&mut self.awaiting_payout, later);
+            for arrival in settled.into_values().flatten() {
+                self.payout_latency.record(confirmed_at.since(arrival));
+            }
+            for (e, _) in self.unsynced.drain(..) {
+                if !self.cfg.disable_pruning {
+                    let _ = self.node.prune_epoch(e);
                 }
             }
         }
-        self.pending_ops = remaining;
+        self.pending_syncs = remaining;
     }
 
     /// Submits the deposit chains (2 approvals + deposit per user) backing
     /// `for_epoch`; token movement applies immediately, gas/latency flow
     /// through the mainchain.
     fn submit_deposits(&mut self, at: SimTime, for_epoch: u64) {
-        let users = self.generator.users();
+        use ammboost_mainchain::gas::TX_BASE;
         let amount = self.cfg.deposit_amount;
-        for user in users {
-            let mut m_a0 = GasMeter::new();
+        let spec = |label: &'static str, gas, size_bytes, depends_on| TxSpec {
+            label: label.into(),
+            gas,
+            size_bytes,
+            depends_on,
+        };
+        for user in self.generator.users() {
+            let (mut m_a0, mut m_a1, mut m_dep) =
+                (GasMeter::new(), GasMeter::new(), GasMeter::new());
             self.token0
                 .approve(user, self.bank.address, amount, &mut m_a0);
-            let a0 = self.chain.submit(
-                at,
-                TxSpec {
-                    label: "approve".into(),
-                    gas: m_a0.total() + ammboost_mainchain::gas::TX_BASE,
-                    size_bytes: 68,
-                    depends_on: None,
-                },
-            );
-            let mut m_a1 = GasMeter::new();
             self.token1
                 .approve(user, self.bank.address, amount, &mut m_a1);
-            let a1 = self.chain.submit(
-                at,
-                TxSpec {
-                    label: "approve".into(),
-                    gas: m_a1.total() + ammboost_mainchain::gas::TX_BASE,
-                    size_bytes: 68,
-                    depends_on: Some(a0),
-                },
+            let (t0, t1) = (&mut self.token0, &mut self.token1);
+            let deposit = self
+                .bank
+                .deposit(user, amount, amount, for_epoch, t0, t1, &mut m_dep);
+            deposit.expect("faucet funded users");
+            let (a0, a1, dep) = (
+                m_a0.total() + TX_BASE,
+                m_a1.total() + TX_BASE,
+                m_dep.total(),
             );
-            let mut m_dep = GasMeter::new();
-            self.bank
-                .deposit(
-                    user,
-                    amount,
-                    amount,
-                    for_epoch,
-                    &mut self.token0,
-                    &mut self.token1,
-                    &mut m_dep,
-                )
-                .expect("faucet funded users");
-            self.chain.submit(
-                at,
-                TxSpec {
-                    label: "deposit".into(),
-                    gas: m_dep.total(),
-                    size_bytes: 132,
-                    depends_on: Some(a1),
-                },
-            );
-            self.deposit_gas +=
-                m_a0.total() + m_a1.total() + 2 * ammboost_mainchain::gas::TX_BASE + m_dep.total();
+            let first = self.chain.submit(at, spec("approve", a0, 68, None));
+            let second = self.chain.submit(at, spec("approve", a1, 68, Some(first)));
+            self.chain
+                .submit(at, spec("deposit", dep, 132, Some(second)));
+            self.deposit_gas += a0 + a1 + dep;
         }
     }
 
@@ -1176,14 +883,7 @@ impl System {
         // fresh deposit snapshot for the drain epoch (rollover or placed
         // deposits) so payouts stay backed by locked tokens; carry over
         // when the final epochs are still awaiting a mass-sync
-        if self.synced_through >= self.cfg.epochs {
-            let snapshot = self.bank.snapshot_deposits(drain_epoch);
-            let generator = &self.generator;
-            self.shards
-                .begin_epoch(snapshot, |user| generator.pool_for(user));
-        } else {
-            self.shards.carry_over_epoch();
-        }
+        self.begin_node_epoch(drain_epoch);
 
         let mut t = run_end;
         let mut round = self.cfg.epochs * self.cfg.rounds_per_epoch;
@@ -1191,7 +891,9 @@ impl System {
             let round_end = t + self.cfg.round_duration;
             // drained rounds take everything under the byte budget — the
             // run is over, so there is no arrival cutoff
-            self.execute_queued_batch(None, round_end, round, drain_epoch);
+            self.feed_node(None, round_end, drain_epoch, |node, batch| {
+                node.execute(round, batch).0
+            });
             round += 1;
             t = round_end;
         }
@@ -1199,10 +901,8 @@ impl System {
         // confirm first, then submit the drain epoch's sync
         self.chain.advance_to(t + SimDuration::from_secs(60));
         self.handle_confirmations();
-        let (payouts, positions, pool_updates) = self.shards.end_epoch();
-        self.publish_view(drain_epoch);
-        self.unsynced
-            .push((drain_epoch, payouts, positions, pool_updates));
+        let sealed = self.node.seal(drain_epoch);
+        self.unsynced.push((drain_epoch, sealed));
         self.submit_sync(drain_epoch, t + SimDuration::from_secs(60), false);
         self.chain.advance_to(t + SimDuration::from_secs(120));
         self.handle_confirmations();
@@ -1342,29 +1042,41 @@ mod tests {
         }
     }
 
+    /// Each epoch's summary, and the sync of the drain epoch after them,
+    /// list only the users whose deposit moved: at most one per accepted
+    /// transaction, never one per depositor.
     #[test]
     fn payout_list_is_bounded_by_activity_not_users() {
         let mut cfg = small();
         cfg.users = 5_000;
         cfg.daily_volume = 40_000;
+        // keep every meta-block, so each epoch's acceptances stay countable
+        cfg.disable_pruning = true;
         let mut sys = System::new(cfg.clone());
-        let t0 = SimTime::ZERO + SimDuration::from_secs(60);
-        sys.submit_deposits(SimTime::ZERO, 1);
-        sys.chain.advance_to(t0);
-        sys.handle_confirmations();
-        for epoch in 1..=cfg.epochs {
-            let before = sys.accepted;
-            sys.run_epoch(epoch, t0 + cfg.epoch_duration().saturating_mul(epoch - 1));
-            let accepted = (sys.accepted - before) as usize;
-            let receipt = sys.last_sync_receipt.as_ref().unwrap();
+        let report = sys.run();
+        let summaries = sys.ledger().summaries();
+        assert_eq!(summaries.len() as u64, cfg.epochs);
+        let mut mined = 0;
+        for summary in summaries {
+            let accepted: usize = (sys.ledger().meta_blocks(summary.epoch).iter())
+                .map(|m| m.accepted_count())
+                .sum();
             assert!(
-                accepted > 0 && receipt.payouts_applied <= accepted,
-                "epoch {epoch}: {} listed, {accepted} accepted",
-                receipt.payouts_applied
+                accepted > 0 && summary.payouts.len() <= accepted,
+                "epoch {}: {} listed, {accepted} accepted",
+                summary.epoch,
+                summary.payouts.len()
             );
-            let summary = sys.ledger.summaries().last().unwrap();
-            assert_eq!(summary.payouts.len(), receipt.payouts_applied);
+            mined += accepted;
         }
+        // the drain epoch mines no blocks; its sync is the run's last
+        let drained = report.accepted as usize - mined;
+        let listed = sys.last_sync_receipt().unwrap().payouts_applied;
+        assert_eq!(sys.sync_certificates().len() as u64, cfg.epochs + 1);
+        assert!(
+            drained > 0 && listed <= drained,
+            "drain: {listed} listed, {drained} accepted"
+        );
     }
 
     #[test]
@@ -1434,122 +1146,12 @@ mod tests {
         assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
     }
 
-    /// A mixed-engine, routed fleet whose rounds are large enough for
-    /// `Auto` to take the pooled path, with worker panics planted.
-    fn faulted_mixed_fleet() -> SystemConfig {
-        let mut cfg = small();
-        cfg.pools = 4;
-        cfg.users = 32;
-        cfg.engine_mix = ammboost_workload::EngineMix::of(2, 1, 1);
-        cfg.route_style = ammboost_workload::RouteStyle::routed(0.25, 3);
-        cfg.daily_volume = 1_000_000; // 81 transactions per round
-        cfg.snapshot = crate::config::SnapshotPolicy::every_epoch();
-        cfg.faults.worker_panic_points = vec![(0, 1), (2, 3), (3, 0)];
-        cfg
-    }
-
-    /// The batch schedule is unobservable: the faulted mixed fleet is
-    /// indistinguishable under the three schedules — same report, same
-    /// snapshot and delta bytes, same containment.
-    #[test]
-    fn batch_schedule_is_unobservable_in_a_faulted_mixed_fleet() {
-        let cfg = faulted_mixed_fleet();
-        let run = |mode: ExecMode| {
-            let mut sys = System::new(cfg.clone());
-            sys.set_exec_mode(mode);
-            let report = sys.run();
-            assert!(report.routes_accepted > 0, "{report:?}");
-            let panics = cfg.faults.worker_panic_points.len() as u64;
-            assert_eq!(report.worker_panics_contained, panics);
-            let rounds = cfg.epochs * cfg.rounds_per_epoch;
-            assert!(report.submitted / rounds >= crate::shard::PARALLEL_MIN_BATCH as u64);
-            let snapshot = sys.last_snapshot().expect("checkpoints taken").encode();
-            let delta = sys.last_delta().expect("second checkpoint on").encode();
-            (format!("{report:?}"), snapshot, delta)
-        };
-        let auto = run(ExecMode::Auto);
-        assert_eq!(run(ExecMode::Sequential), auto);
-        assert_eq!(run(ExecMode::Parallel), auto);
-    }
-
-    /// The quote reader is unobservable: with quote traffic on the
-    /// faulted mixed fleet, the run reports the same whether the reader
-    /// or the main thread answers the quotes, and every generated request
-    /// is counted exactly once.
-    #[test]
-    fn quote_reader_matches_inline_quotes_in_a_faulted_mixed_fleet() {
-        let mut cfg = faulted_mixed_fleet();
-        cfg.quote_style = ammboost_workload::QuoteStyle::per_tx(1.0);
-        let run = |inline: bool| {
-            let mut sys = System::new(cfg.clone());
-            if inline {
-                sys.set_inline_quotes();
-            }
-            let report = sys.run();
-            assert!(sys.quote_reader.is_none(), "run joins the reader");
-            (report, sys.generator.txs_per_round())
-        };
-        let (report, txs_per_round) = run(false);
-        let per_round = (cfg.quote_style.quotes_per_tx * txs_per_round as f64).ceil() as u64;
-        assert_eq!(
-            report.quotes_served + report.quotes_failed,
-            cfg.epochs * cfg.rounds_per_epoch * per_round
-        );
-        assert!(
-            report.quotes_served > 0 && report.quotes_failed > 0,
-            "{report:?}"
-        );
-        let (inline, _) = run(true);
-        assert_eq!(format!("{report:?}"), format!("{inline:?}"));
-    }
-
-    #[test]
-    fn quote_reader_without_batches_counts_nothing_and_exits() {
-        assert_eq!(QuoteReader::spawn().finish(), (0, 0));
-    }
-
-    /// Sixteen times the channel's depth in batches, each with a known
-    /// mix of answerable and unknown-pool quotes: the sender blocks on a
-    /// full channel until the reader drains it, and `finish` returns
-    /// every batch's counts once.
-    #[test]
-    fn quote_reader_counts_every_batch_once_past_its_channel_depth() {
-        let view = System::new(small()).quote_view().expect("genesis view");
-        let pool = view.pool_ids()[0];
-        let reader = QuoteReader::spawn();
-        let (mut served, mut failed) = (0, 0);
-        for round in 0..16 * QUOTE_READER_DEPTH as u64 {
-            let swap = |pool| QuoteRequest::Swap {
-                pool,
-                zero_for_one: round % 2 == 0,
-                amount_in: 1_000 + u128::from(round),
-            };
-            let (ok, unknown) = (1 + round % 5, round % 3);
-            let requests = (0..ok)
-                .map(|_| swap(pool))
-                .chain((0..unknown).map(|_| swap(PoolId(u32::MAX))))
-                .collect();
-            reader
-                .batches
-                .send((Arc::clone(&view), requests))
-                .expect("reader alive");
-            served += ok;
-            failed += unknown;
-        }
-        assert_eq!(reader.finish(), (served, failed));
-    }
-
     #[test]
     fn committees_rotate_every_epoch() {
-        // drive two epochs manually and compare the elected committees
-        let cfg = small();
-        let mut sys = System::new(cfg.clone());
-        let t0 = SimTime::ZERO + SimDuration::from_secs(60);
-        sys.submit_deposits(SimTime::ZERO, 1);
-        sys.chain.advance_to(t0);
-        sys.handle_confirmations();
-        sys.run_epoch(1, t0);
-        sys.run_epoch(2, t0 + cfg.epoch_duration());
+        let mut cfg = small();
+        cfg.epochs = 2;
+        let mut sys = System::new(cfg);
+        sys.run();
         let committees = sys.committees();
         assert_eq!(committees.len(), 2);
         assert_ne!(

@@ -59,6 +59,7 @@ impl std::fmt::Display for TxError {
 impl std::error::Error for TxError {}
 
 /// `CreateTx`: signs a transaction with the issuer's key.
+#[doc(alias = "CreateTx")]
 pub fn create_tx(keypair: &Keypair, tx: AmmTx) -> SignedTx {
     let mut bytes = Vec::with_capacity(128);
     tx.encode_into(&mut bytes);
@@ -75,6 +76,7 @@ pub fn create_tx(keypair: &Keypair, tx: AmmTx) -> SignedTx {
 ///
 /// # Errors
 /// Returns the first violated rule.
+#[doc(alias = "VerifyTx")]
 pub fn verify_tx(signed: &SignedTx) -> Result<(), TxError> {
     // syntactic checks per type
     match &signed.tx {

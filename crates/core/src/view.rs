@@ -25,11 +25,11 @@
 //!    readers are never blocked and never observe a partially-executed
 //!    epoch.
 //!
-//! Inside [`crate::System::run`], one dedicated reader thread answers each
-//! round's generated quote traffic from the view current when the round
-//! began, while the main thread executes that round;
-//! `SystemReport::{quotes_served, quotes_failed}` are its counts, joined
-//! before `run` returns.
+//! In a run, [`crate::Node::serve_quotes`] hands each round's generated
+//! quote traffic, with the view current when the round began, to one
+//! dedicated reader thread that answers it while the main thread executes
+//! that round; `SystemReport::{quotes_served, quotes_failed}` are its
+//! counts, joined before [`crate::System::run`] returns.
 //!
 //! Quotes are **bit-identical** to execution by construction: the view
 //! calls the same staged compute ([`Engine::quote_swap`]) that the write

@@ -54,6 +54,7 @@ impl Keypair {
     }
 
     /// Deterministic keypair for simulated user `index` under `seed`.
+    #[doc(alias = "PartySetup")]
     pub fn from_seed(seed: u64, index: u64) -> Keypair {
         Keypair::from_entropy(keccak256_concat(&[
             b"AMMBOOST-USER",

@@ -70,6 +70,7 @@ fn hash_x1(parts: [&[&[u8]]; 1]) -> [[u8; 32]; 1] {
 
 impl VrfSecretKey {
     /// Derives a key from 32 bytes of entropy.
+    #[doc(alias = "PartySetup")]
     pub fn from_entropy(entropy: [u8; 32]) -> VrfSecretKey {
         let mut fr = Fr::from_entropy(entropy);
         if fr.is_zero() {

@@ -185,6 +185,7 @@ impl Ledger {
     ///
     /// # Errors
     /// Returns the specific chaining/content violation.
+    #[doc(alias = "VerifyBlock")]
     pub fn verify_meta(&self, block: &MetaBlock) -> Result<(), BlockError> {
         if block.parent != self.tip {
             return Err(BlockError::BadParent {
@@ -234,6 +235,7 @@ impl Ledger {
     ///
     /// # Errors
     /// Returns the specific violation.
+    #[doc(alias = "VerifyBlock")]
     pub fn verify_summary(&self, block: &SummaryBlock) -> Result<(), BlockError> {
         if block.parent != self.tip {
             return Err(BlockError::BadParent {
@@ -279,6 +281,7 @@ impl Ledger {
     /// # Errors
     /// Refuses when the epoch has no summary block yet — pruning before
     /// the summary exists would destroy the only record of the epoch.
+    #[doc(alias = "Prune")]
     pub fn prune_epoch(&mut self, epoch: u64) -> Result<u64, BlockError> {
         if !self.summaries.iter().any(|s| s.epoch == epoch) {
             return Err(BlockError::NoSummaryForEpoch(epoch));
@@ -363,12 +366,21 @@ mod tests {
         let l = ledger_with_epoch();
         assert_eq!(l.meta_block_count(), 3);
         assert!(l.size_bytes() > 3000);
+        // `VerifyBlock` alone: an empty block on the tip verifies
+        assert_eq!(
+            l.verify_meta(&MetaBlock::new(1, 3, l.tip(), vec![])),
+            Ok(())
+        );
     }
 
     #[test]
     fn wrong_parent_rejected() {
         let mut l = ledger_with_epoch();
         let bad = MetaBlock::new(1, 3, H256::hash(b"fork"), vec![tx(9)]);
+        assert!(matches!(
+            l.verify_meta(&bad),
+            Err(BlockError::BadParent { .. })
+        ));
         assert!(matches!(
             l.append_meta(bad),
             Err(BlockError::BadParent { .. })

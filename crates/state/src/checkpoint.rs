@@ -28,7 +28,7 @@ use crate::pages::{
     diff_pages, hash_page_refs, page_count, page_of, page_root_from_hashes, PageDiff, PageRef,
     PAGE_SIZE,
 };
-use crate::snapshot::{check_canonical, Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
+use crate::snapshot::{check_canonical, Section, SectionKind, Snapshot};
 use ammboost_amm::engines::Engine;
 use ammboost_amm::types::PoolId;
 use ammboost_crypto::{Address, H256};
@@ -183,7 +183,7 @@ impl StagedCheckpoint<'_> {
 
         let leaves = hashes.iter().map(|h| h.leaf).collect();
         let pages_total: usize = hashes.iter().map(|h| h.pages.len()).sum();
-        let snapshot = Snapshot::from_leaves(SNAPSHOT_VERSION, self.epoch, self.sections, leaves)
+        let snapshot = Snapshot::from_leaves(self.epoch, self.sections, leaves)
             .expect("stage emits sections in canonical order");
         let delta = self.base.map(|(base_epoch, base_root, removed)| {
             let sections = snapshot.sections().iter().zip(&staged).zip(&hashes);
@@ -203,7 +203,6 @@ impl StagedCheckpoint<'_> {
                 })
                 .collect();
             DeltaSnapshot {
-                snapshot_version: SNAPSHOT_VERSION,
                 base_epoch,
                 epoch: snapshot.epoch(),
                 base_root,
@@ -527,7 +526,6 @@ mod tests {
             (PoolId(2), &weighted),
         ];
         let out = Checkpointer::new().checkpoint(4, &pools, &ledger, &deposits, vec![]);
-        assert_eq!(out.snapshot.version(), SNAPSHOT_VERSION);
         assert_eq!(out.stats.pools_reencoded, 3);
         // every pool section leads with its engine-kind tag
         for ((_, engine), (_, section)) in pools.iter().zip(out.snapshot.pool_sections()) {
@@ -708,7 +706,7 @@ mod tests {
         let mut cp = Checkpointer::new();
         let check = |out: &CheckpointOutput| {
             let sections = out.snapshot.sections().to_vec();
-            let sealed = Snapshot::seal(SNAPSHOT_VERSION, out.stats.epoch, sections).unwrap();
+            let sealed = Snapshot::seal(out.stats.epoch, sections).unwrap();
             assert_eq!(out.snapshot, sealed, "epoch {}", out.stats.epoch);
             assert_eq!(out.stats.root, sealed.root());
         };

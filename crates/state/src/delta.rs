@@ -20,7 +20,7 @@ use crate::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use crate::pages::{
     apply_pages, diff_pages, hash_pages, seal_pages, PageDiff, PageError, PAGE_SIZE,
 };
-use crate::snapshot::{section_leaves, Section, SectionKind, Snapshot};
+use crate::snapshot::{section_leaves, Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
 use ammboost_crypto::H256;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -50,14 +50,6 @@ pub enum DeltaError {
         kind: SectionKind,
         /// What the splice rejected.
         error: PageError,
-    },
-    /// The snapshot the delta is applied to has another format version
-    /// than the one the delta produces (a delta never crosses versions).
-    BaseVersionMismatch {
-        /// Version the delta expects.
-        expected: u16,
-        /// Version of the snapshot actually supplied.
-        found: u16,
     },
     /// The snapshot the delta is applied to is not the one it was
     /// diffed against.
@@ -90,12 +82,6 @@ impl fmt::Display for DeltaError {
                 write!(f, "page hash mismatch at {kind:?} page {index}")
             }
             DeltaError::Page { kind, error } => write!(f, "page splice at {kind:?}: {error}"),
-            DeltaError::BaseVersionMismatch { expected, found } => {
-                write!(
-                    f,
-                    "delta for snapshot version {expected} applied to version {found}"
-                )
-            }
             DeltaError::BaseRootMismatch { expected, found } => {
                 write!(f, "delta base root {expected:?} applied to {found:?}")
             }
@@ -131,8 +117,7 @@ pub struct SectionDelta {
     pub kind: SectionKind,
     /// Byte length of the section's new encoding.
     pub new_len: u32,
-    /// The rebuilt section's leaf under `snapshot_version` — verified
-    /// on apply.
+    /// The rebuilt section's leaf (its page root) — verified on apply.
     pub new_hash: H256,
     /// Changed pages, ascending by index.
     pub pages: Vec<PageDiff>,
@@ -149,9 +134,6 @@ impl SectionDelta {
 /// verifiable page by page. See the module docs for the trust chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSnapshot {
-    /// Snapshot format version of the *result* (the base may not be
-    /// older — a delta never crosses format versions).
-    pub snapshot_version: u16,
     /// Epoch of the snapshot this delta starts from.
     pub base_epoch: u64,
     /// Epoch of the snapshot this delta produces.
@@ -171,16 +153,7 @@ impl DeltaSnapshot {
     /// in canonical order; byte-identical sections contribute nothing.
     /// Roots and section leaves come from the sealed snapshots; only the
     /// changed pages are hashed.
-    ///
-    /// # Panics
-    /// Panics when the snapshots' format versions differ (a delta never
-    /// crosses format versions).
     pub fn diff(base: &Snapshot, next: &Snapshot) -> DeltaSnapshot {
-        assert_eq!(
-            base.version(),
-            next.version(),
-            "delta cannot cross snapshot format versions"
-        );
         let base_bytes: BTreeMap<SectionKind, &[u8]> = base
             .sections()
             .iter()
@@ -207,7 +180,6 @@ impl DeltaSnapshot {
             .filter(|kind| next.section(*kind).is_none())
             .collect();
         DeltaSnapshot {
-            snapshot_version: next.version(),
             base_epoch: base.epoch(),
             epoch: next.epoch(),
             base_root: base.root(),
@@ -218,7 +190,7 @@ impl DeltaSnapshot {
     }
 
     /// Rebuilds the full snapshot at `epoch` from `base`, verifying the
-    /// base (version, epoch, root) first, every rebuilt section's leaf
+    /// base (epoch, root) first, every rebuilt section's leaf
     /// next, and the final root last — byte-identical to the snapshot the
     /// delta was diffed from, or an error. Sections the delta does not
     /// touch keep the leaves `base` was sealed with; only the rebuilt
@@ -227,12 +199,6 @@ impl DeltaSnapshot {
     /// # Errors
     /// Any [`DeltaError`]; the base snapshot is never modified.
     pub fn apply(&self, base: &Snapshot) -> Result<Snapshot, DeltaError> {
-        if base.version() != self.snapshot_version {
-            return Err(DeltaError::BaseVersionMismatch {
-                expected: self.snapshot_version,
-                found: base.version(),
-            });
-        }
         if base.epoch() != self.base_epoch {
             return Err(DeltaError::BaseEpochMismatch {
                 expected: self.base_epoch,
@@ -274,7 +240,7 @@ impl DeltaSnapshot {
                 bytes,
             });
         }
-        let leaves = section_leaves(self.snapshot_version, &rebuilt);
+        let leaves = section_leaves(&rebuilt);
         for ((section, leaf), delta) in rebuilt.into_iter().zip(leaves).zip(&self.deltas) {
             if leaf != delta.new_hash {
                 return Err(DeltaError::SectionHashMismatch(delta.kind));
@@ -287,7 +253,7 @@ impl DeltaSnapshot {
             .into_iter()
             .map(|(kind, (bytes, leaf))| (Section { kind, bytes }, leaf))
             .unzip();
-        let snapshot = Snapshot::from_leaves(self.snapshot_version, self.epoch, sections, leaves)?;
+        let snapshot = Snapshot::from_leaves(self.epoch, sections, leaves)?;
         if snapshot.root() != self.root {
             return Err(DeltaError::RootMismatch);
         }
@@ -328,7 +294,7 @@ impl DeltaSnapshot {
         let mut w = ByteWriter::with_capacity(self.encoded_len());
         w.put_bytes(&DELTA_MAGIC);
         w.put_u16(DELTA_VERSION);
-        w.put_u16(self.snapshot_version);
+        w.put_u16(SNAPSHOT_VERSION);
         w.put_u64(self.base_epoch);
         w.put_u64(self.epoch);
         self.base_root.encode(&mut w);
@@ -371,6 +337,9 @@ impl DeltaSnapshot {
             return Err(CodecError::UnsupportedVersion(version).into());
         }
         let snapshot_version = r.take_u16()?;
+        if snapshot_version != SNAPSHOT_VERSION {
+            return Err(CodecError::UnsupportedVersion(snapshot_version).into());
+        }
         let base_epoch = r.take_u64()?;
         let epoch = r.take_u64()?;
         let base_root: H256 = r.get()?;
@@ -415,7 +384,6 @@ impl DeltaSnapshot {
         }
         r.finish()?;
         Ok(DeltaSnapshot {
-            snapshot_version,
             base_epoch,
             epoch,
             base_root,
@@ -429,7 +397,6 @@ impl DeltaSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SNAPSHOT_VERSION;
 
     const PS: usize = PAGE_SIZE;
 
@@ -438,7 +405,7 @@ mod tests {
             .into_iter()
             .map(|(kind, bytes)| Section { kind, bytes })
             .collect();
-        Snapshot::seal(SNAPSHOT_VERSION, epoch, sections).unwrap()
+        Snapshot::seal(epoch, sections).unwrap()
     }
 
     fn base_next() -> (Snapshot, Snapshot) {
@@ -503,6 +470,14 @@ mod tests {
         let bytes = delta.encode();
         assert_eq!(bytes.len(), delta.encoded_len(), "size formula exact");
         assert_eq!(DeltaSnapshot::decode(&bytes).unwrap(), delta);
+        // the snapshot version after magic and delta version: a delta
+        // producing a retired snapshot format does not decode
+        let mut retired = bytes.clone();
+        retired[6..8].copy_from_slice(&3u16.to_be_bytes());
+        assert_eq!(
+            DeltaSnapshot::decode(&retired),
+            Err(DeltaError::Codec(CodecError::UnsupportedVersion(3)))
+        );
     }
 
     #[test]
@@ -593,7 +568,7 @@ mod tests {
         let delta = DeltaSnapshot::diff(&base, &next);
         let mut sections = base.clone().into_sections();
         sections[0].bytes[0] ^= 1;
-        let wrong = Snapshot::seal(SNAPSHOT_VERSION, base.epoch(), sections).unwrap();
+        let wrong = Snapshot::seal(base.epoch(), sections).unwrap();
         assert!(matches!(
             delta.apply(&wrong),
             Err(DeltaError::BaseRootMismatch { .. })
@@ -617,7 +592,7 @@ mod tests {
             kind: SectionKind::Aux(9),
             bytes: vec![],
         });
-        let next = Snapshot::seal(SNAPSHOT_VERSION, 4, sections).unwrap();
+        let next = Snapshot::seal(4, sections).unwrap();
         let delta = DeltaSnapshot::diff(&base, &next);
         assert_eq!(delta.deltas.len(), 1, "an empty section is still new");
         assert_eq!(delta.apply(&base).unwrap(), next);
@@ -637,7 +612,7 @@ mod tests {
                 .position(|s| s.kind == SectionKind::Pool(7));
             leaves[at.unwrap()] = H256::hash(b"not this section's leaf");
             let sections = snap.clone().into_sections();
-            Snapshot::from_leaves(SNAPSHOT_VERSION, snap.epoch(), sections, leaves).unwrap()
+            Snapshot::from_leaves(snap.epoch(), sections, leaves).unwrap()
         };
         let (base, next) = (bogus(&base), bogus(&next));
         let delta = DeltaSnapshot::diff(&base, &next);
@@ -656,19 +631,5 @@ mod tests {
         let mut wrong_root = delta.clone();
         wrong_root.root = H256::hash(b"wrong");
         assert_eq!(wrong_root.apply(&base), Err(DeltaError::RootMismatch));
-    }
-
-    #[test]
-    fn apply_refuses_a_base_of_another_version() {
-        let (base, next) = base_next();
-        let delta = DeltaSnapshot::diff(&base, &next);
-        let legacy = Snapshot::seal(3, base.epoch(), base.clone().into_sections()).unwrap();
-        assert_eq!(
-            delta.apply(&legacy),
-            Err(DeltaError::BaseVersionMismatch {
-                expected: SNAPSHOT_VERSION,
-                found: 3
-            })
-        );
     }
 }

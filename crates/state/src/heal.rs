@@ -24,11 +24,6 @@
 //! 3. The reassembled snapshot is sealed under the manifest's leaves, so
 //!    its root is the trusted root before [`restore`] runs.
 //!
-//! Only v4 roots are healed toward: a v2/v3 leaf is a flat hash with no
-//! pages under it. v2/v3 snapshots still decode and restore, and a v3
-//! snapshot held locally lends its pages, its sections being encoded
-//! exactly as v4's.
-//!
 //! The result: a sync succeeds as long as *some* provider serves each
 //! page honestly, and every failure mode is a typed [`SyncError`], not a
 //! panic or abort. Providers are simulated ([`SectionProvider`]), with
@@ -38,9 +33,7 @@
 use crate::pages::{
     page_count, page_hash, page_hashes, page_root_from_hashes, section_page_hashes, PAGE_SIZE,
 };
-use crate::snapshot::{
-    check_canonical, root_from_leaves, Section, SectionKind, Snapshot, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{check_canonical, root_from_leaves, Section, SectionKind, Snapshot};
 use crate::sync::{restore, RestoreError, RestoredState};
 use ammboost_crypto::H256;
 use ammboost_sim::{FaultInjector, FaultKind, InjectionPoint, SimDuration};
@@ -162,7 +155,7 @@ impl SyncManifest {
 
     /// The v4 root this manifest commits to.
     pub fn root(&self) -> H256 {
-        root_from_leaves(SNAPSHOT_VERSION, self.epoch, &self.leaves())
+        root_from_leaves(self.epoch, &self.leaves())
     }
 }
 
@@ -476,16 +469,15 @@ fn fetch_pages(
 
 /// Fast sync toward `trusted_root`: fetches a manifest committing to it
 /// ([`fetch_manifest`]), then assembles every section page by page. A
-/// joiner holding a stale snapshot passes it as `local`: a v4 section
-/// whose sealed leaf equals the manifest's is reused without hashing, and
-/// any other local section lends every page whose hash matches — a v3
-/// snapshot's included. A cold joiner passes `None` and fetches every
-/// page. The reassembled snapshot is sealed under the manifest's leaves,
+/// joiner holding a stale snapshot passes it as `local`: a section whose
+/// sealed leaf equals the manifest's is reused without hashing, and any
+/// other local section lends every page whose hash matches. A cold joiner
+/// passes `None` and fetches every page. The reassembled snapshot is sealed under the manifest's leaves,
 /// so its root is the trusted root.
 ///
 /// # Errors
 /// [`SyncError::NoValidManifest`] when no provider serves a manifest for
-/// `trusted_root` (a v2/v3 root included: only v4 manifests exist);
+/// `trusted_root`;
 /// [`SyncError::HealExhausted`] when some page has no honest copy within
 /// the retry budget.
 pub fn delta_sync(
@@ -501,7 +493,7 @@ pub fn delta_sync(
     for (index, (entry, leaf)) in manifest.sections.iter().zip(&leaves).enumerate() {
         let held = local.and_then(|snap| {
             let at = snap.sections().iter().position(|s| s.kind == entry.kind)?;
-            let sealed = snap.version() == SNAPSHOT_VERSION && snap.leaves()[at] == *leaf;
+            let sealed = snap.leaves()[at] == *leaf;
             Some((&snap.sections()[at], sealed))
         });
         if let Some((section, true)) = held {
@@ -513,7 +505,7 @@ pub fn delta_sync(
         let section = fetch_pages(entry, index, bytes, providers, first, policy, &mut report)?;
         sections.push(section);
     }
-    let snapshot = Snapshot::from_leaves(SNAPSHOT_VERSION, manifest.epoch, sections, leaves)
+    let snapshot = Snapshot::from_leaves(manifest.epoch, sections, leaves)
         .expect("fetch_manifest admits canonical manifests only");
     Ok((snapshot, report))
 }
@@ -926,37 +918,6 @@ mod tests {
             "healed page by page off the honest peer"
         );
         assert_eq!(report.sections_reused, 2);
-    }
-
-    #[test]
-    fn v3_roots_are_refused_and_v3_local_snapshots_lend_pages() {
-        // a v3 leaf is a flat hash with no pages under it, so no manifest
-        // binds to a v3 root; a v3 snapshot held locally still lends its
-        // pages toward a v4 root
-        let v3 = |snap: Snapshot| {
-            let epoch = snap.epoch();
-            Snapshot::seal(3, epoch, snap.into_sections()).unwrap()
-        };
-        let (stale, fresh) = (snapshot_at(4, false), snapshot_at(5, true));
-        let policy = RetryPolicy::default();
-        let mut p0 = SimProvider::honest(0, v3(fresh.clone()));
-        let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p0];
-        assert_eq!(
-            delta_sync(None, &mut providers, v3(fresh.clone()).root(), &policy).err(),
-            Some(SyncError::NoValidManifest {
-                providers_tried: 1,
-                stale: 1
-            })
-        );
-
-        let mut p1 = SimProvider::honest(1, fresh.clone());
-        let mut providers: Vec<&mut dyn SectionProvider> = vec![&mut p1];
-        let local = v3(stale);
-        let (synced, report) =
-            delta_sync(Some(&local), &mut providers, fresh.root(), &policy).unwrap();
-        assert_eq!(synced, fresh);
-        assert_eq!(report.sections_reused, 0, "no v3 leaf is a v4 leaf");
-        assert!(report.pages_reused > report.pages_fetched);
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub use heal::{
 pub use pages::{page_hash, page_hashes, page_root, PageDiff, PAGE_SIZE};
 pub use prune::{prune_to_snapshot, PruneReport, RetentionPolicy};
 pub use snapshot::{
-    root_from_leaves, Section, SectionKind, Snapshot, LEGACY_SNAPSHOT_VERSION, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    root_from_leaves, Section, SectionKind, Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use store::{CheckpointStore, CrashPoint, RecoveryOutcome, StoreError};
 pub use sync::{restore, restore_from_bytes, RestoreError, RestoredState};

@@ -272,7 +272,7 @@ impl Decode for WeightedState {
 }
 
 /// Engine state is tagged with the stable [`EngineKind::tag`] byte, so a
-/// v3 pool section is self-describing: decoders dispatch on the leading
+/// pool section is self-describing: decoders dispatch on the leading
 /// tag without out-of-band metadata.
 impl Encode for EngineState {
     fn encode(&self, w: &mut ByteWriter) {

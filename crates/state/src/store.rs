@@ -440,7 +440,7 @@ mod tests {
     }
 
     fn snap(epoch: u64) -> Snapshot {
-        Snapshot::seal(crate::snapshot::SNAPSHOT_VERSION, epoch, sections()).unwrap()
+        Snapshot::seal(epoch, sections()).unwrap()
     }
 
     /// `snap(epoch)` with one pool byte varied per epoch, so consecutive
@@ -448,7 +448,7 @@ mod tests {
     fn evolving(epoch: u64) -> Snapshot {
         let mut sections = sections();
         sections[0].bytes[0] = epoch as u8;
-        Snapshot::seal(crate::snapshot::SNAPSHOT_VERSION, epoch, sections).unwrap()
+        Snapshot::seal(epoch, sections).unwrap()
     }
 
     fn delta(from: u64, to: u64) -> DeltaSnapshot {

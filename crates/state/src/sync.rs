@@ -1,7 +1,7 @@
 //! Fast-sync: rebuilding a live node from a snapshot.
 //!
 //! [`restore`] decodes a verified [`Snapshot`] back into working state:
-//! every pool is reconstructed through [`Pool::from_state`] — which
+//! every pool is reconstructed through [`Engine::from_state`] — which
 //! regenerates the derived acceleration structures (`tick_bitmap`,
 //! `tick_cache`, swap scratch buffers) via `Pool::rebuild_tick_index`
 //! instead of shipping them — plus the ledger and the deposit entries. The
@@ -10,10 +10,9 @@
 //! full history.
 
 use crate::codec::{CodecError, Decode};
-use crate::snapshot::{SectionKind, Snapshot, LEGACY_SNAPSHOT_VERSION};
+use crate::snapshot::{SectionKind, Snapshot};
 use ammboost_amm::engines::{Engine, EngineState};
 use ammboost_amm::error::AmmError;
-use ammboost_amm::pool::{Pool, PoolState};
 use ammboost_amm::types::PoolId;
 use ammboost_crypto::Address;
 use ammboost_crypto::H256;
@@ -90,7 +89,7 @@ pub struct RestoredState {
 /// state the AMM engine rejects.
 pub fn restore(snapshot: &Snapshot) -> Result<RestoredState, RestoreError> {
     let sections: Vec<(u32, &crate::snapshot::Section)> = snapshot.pool_sections().collect();
-    let pools = decode_pool_sections(snapshot.version(), &sections)?;
+    let pools = decode_pool_sections(&sections)?;
 
     let ledger_section = snapshot
         .section(SectionKind::Ledger)
@@ -131,7 +130,6 @@ static PANIC_ON_POOL: std::sync::atomic::AtomicI64 = std::sync::atomic::AtomicI6
 /// scoped-thread join no longer re-raises, so one poisoned section can
 /// never take down the process.
 fn decode_pool_sections(
-    version: u16,
     sections: &[(u32, &crate::snapshot::Section)],
 ) -> Result<Vec<(PoolId, Engine)>, RestoreError> {
     let decode_one = |&(id, section): &(u32, &crate::snapshot::Section)| {
@@ -141,16 +139,8 @@ fn decode_pool_sections(
                 if PANIC_ON_POOL.load(std::sync::atomic::Ordering::Relaxed) == i64::from(id) {
                     panic!("injected decoder panic for pool {id}");
                 }
-                // v2 pool sections are bare CL state; v3 and v4 sections
-                // carry the engine-kind tag up front
-                let engine = if version == LEGACY_SNAPSHOT_VERSION {
-                    let state = PoolState::decode_all(&section.bytes)?;
-                    Engine::Cl(Pool::from_state(state)?)
-                } else {
-                    let state = EngineState::decode_all(&section.bytes)?;
-                    Engine::from_state(state)?
-                };
-                Ok((PoolId(id), engine))
+                let state = EngineState::decode_all(&section.bytes)?;
+                Ok((PoolId(id), Engine::from_state(state)?))
             },
         ));
         match attempt {
@@ -207,7 +197,6 @@ pub fn restore_from_bytes(bytes: &[u8]) -> Result<RestoredState, RestoreError> {
 mod tests {
     use super::*;
     use crate::checkpoint::Checkpointer;
-    use crate::codec::Encode;
     use ammboost_amm::engines::EngineKind;
     use ammboost_amm::pool::SwapKind;
     use ammboost_amm::types::PositionId;
@@ -286,58 +275,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_v2_sections_restore_as_cl_engines() {
-        // hand-build a v2 snapshot: bare CL pool-state bytes, no engine
-        // tag, legacy version in the header leaf
-        let pool = traded_pool();
-        let cl_bytes = pool.as_cl().unwrap().export_state().encode_to_vec();
-        let ledger = Ledger::new(H256::hash(b"genesis"));
-        let deposits = Deposits::new();
-        let sections = vec![
-            crate::snapshot::Section {
-                kind: SectionKind::Pool(0),
-                bytes: cl_bytes,
-            },
-            crate::snapshot::Section {
-                kind: SectionKind::Ledger,
-                bytes: ledger.export_state().encode_to_vec(),
-            },
-            crate::snapshot::Section {
-                kind: SectionKind::Deposits,
-                bytes: deposits.to_sorted_entries().encode_to_vec(),
-            },
-        ];
-        let snapshot = Snapshot::seal(LEGACY_SNAPSHOT_VERSION, 2, sections).unwrap();
-        let restored = restore_from_bytes(&snapshot.encode()).unwrap();
-        assert_eq!(restored.root, snapshot.root());
-        let (_, engine) = &restored.pools[0];
-        assert!(engine.as_cl().is_some(), "v2 sections are CL by definition");
-        assert_eq!(engine.export_state(), pool.export_state());
-    }
-
     /// `snapshot` with its sections edited and sealed again.
     fn resealed(
         snapshot: Snapshot,
         edit: impl FnOnce(&mut Vec<crate::snapshot::Section>),
     ) -> Snapshot {
-        let (version, epoch) = (snapshot.version(), snapshot.epoch());
+        let epoch = snapshot.epoch();
         let mut sections = snapshot.into_sections();
         edit(&mut sections);
-        Snapshot::seal(version, epoch, sections).unwrap()
-    }
-
-    #[test]
-    fn v3_sections_restore_as_tagged_engines() {
-        // v3 and v4 share the section encoding: the same sections sealed
-        // as v3 restore to the same engines
-        let pool = traded_engine(EngineKind::Weighted);
-        let v4 = node_snapshot(&pool);
-        let v3 = Snapshot::seal(3, v4.epoch(), v4.clone().into_sections()).unwrap();
-        let restored = restore_from_bytes(&v3.encode()).unwrap();
-        assert_eq!(restored.root, v3.root());
-        assert_ne!(restored.root, v4.root(), "the leaf rule is the version's");
-        assert_eq!(restored.pools[0].1.export_state(), pool.export_state());
+        Snapshot::seal(epoch, sections).unwrap()
     }
 
     #[test]

@@ -8,7 +8,7 @@ use ammboost_amm::positions::PositionTable;
 use ammboost_amm::types::PositionId;
 use ammboost_crypto::Address;
 use ammboost_state::codec::Encode;
-use ammboost_state::snapshot::{Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
+use ammboost_state::snapshot::{Section, SectionKind, Snapshot};
 use ammboost_state::DeltaSnapshot;
 
 const POSITIONS: usize = 20_000;
@@ -52,7 +52,7 @@ fn pool_snapshot(epoch: u64, bytes: Vec<u8>) -> Snapshot {
         kind: SectionKind::Pool(0),
         bytes,
     };
-    Snapshot::seal(SNAPSHOT_VERSION, epoch, vec![section]).expect("one section seals")
+    Snapshot::seal(epoch, vec![section]).expect("one section seals")
 }
 
 #[test]

@@ -19,7 +19,7 @@ use ammboost_state::delta::{DeltaError, DeltaSnapshot};
 use ammboost_state::heal::{
     delta_sync, PageReply, RetryPolicy, SectionProvider, SimProvider, SyncManifest,
 };
-use ammboost_state::snapshot::{Section, SectionKind, Snapshot, SNAPSHOT_VERSION};
+use ammboost_state::snapshot::{Section, SectionKind, Snapshot};
 use ammboost_state::store::CheckpointStore;
 use ammboost_state::sync::restore;
 use ammboost_state::{Checkpointer, PAGE_SIZE};
@@ -534,7 +534,7 @@ proptest! {
         pool in arb_pool_state(),
         aux in vec(any::<u8>(), 0..32),
     ) {
-        let snapshot = Snapshot::seal(SNAPSHOT_VERSION, epoch, vec![
+        let snapshot = Snapshot::seal(epoch, vec![
             Section { kind: SectionKind::Pool(0), bytes: pool.encode_to_vec() },
             Section { kind: SectionKind::Aux(7), bytes: aux },
         ]).unwrap();
@@ -563,7 +563,7 @@ proptest! {
         // flipping any byte of a snapshot's wire form anywhere — header,
         // embedded root, section lengths or payload — must be detected
         // by decode; corruption never silently restores
-        let snapshot = Snapshot::seal(SNAPSHOT_VERSION, epoch, vec![
+        let snapshot = Snapshot::seal(epoch, vec![
             Section { kind: SectionKind::Pool(0), bytes: pool.encode_to_vec() },
             Section { kind: SectionKind::Aux(7), bytes: aux },
         ]).unwrap();
@@ -590,7 +590,7 @@ proptest! {
         // quarantined on that page, and a second honest provider heals
         // it — the cold-synced snapshot always re-derives the trusted
         // root
-        let snapshot = Snapshot::seal(SNAPSHOT_VERSION, epoch, vec![
+        let snapshot = Snapshot::seal(epoch, vec![
             Section { kind: SectionKind::Pool(0), bytes: pool.encode_to_vec() },
             Section { kind: SectionKind::Aux(7), bytes: aux },
         ]).unwrap();
@@ -941,7 +941,7 @@ proptest! {
             }
             let out = staged.commit();
             let sections = out.snapshot.sections().to_vec();
-            let sealed = Snapshot::seal(SNAPSHOT_VERSION, epoch, sections).unwrap();
+            let sealed = Snapshot::seal(epoch, sections).unwrap();
             prop_assert_eq!(&out.snapshot, &sealed);
             prop_assert_eq!(out.snapshot.leaves(), sealed.leaves());
             prop_assert_eq!(out.stats.root, sealed.root());

@@ -4,21 +4,23 @@
 //! survive the full snapshot → restore → catch-up cycle to the same
 //! Merkle root as a peer that replayed full history.
 
+mod common;
+
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::tx::{AmmTx, RouteHop, RouteTx};
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, restore_node};
 use ammboost::core::config::SystemConfig;
 use ammboost::core::shard::{ExecMode, ShardMap};
 use ammboost::core::system::System;
-use ammboost::crypto::{Address, H256};
-use ammboost::sidechain::block::{MetaBlock, SummaryBlock, TxEffect};
-use ammboost::sidechain::ledger::Ledger;
+use ammboost::crypto::Address;
+use ammboost::sidechain::block::TxEffect;
 use ammboost::sim::time::SimDuration;
-use ammboost::state::{Checkpointer, Snapshot};
+use ammboost::state::Snapshot;
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
 };
+use common::{root_of, Peer};
 use std::collections::HashMap;
 
 const ROUNDS_PER_EPOCH: u64 = 5;
@@ -116,85 +118,30 @@ fn cross_engine_route_is_exec_mode_invariant() {
     assert_eq!(seq.export_states(), par.export_states());
 }
 
-/// A peer node running routed traffic over the mixed fleet.
-struct Node {
-    shards: ShardMap,
-    ledger: Ledger,
-    generator: TrafficGenerator,
-}
-
-impl Node {
-    fn new(seed: u64) -> Node {
-        let mut shards = mixed_shards();
-        let generator = TrafficGenerator::new(GeneratorConfig {
-            daily_volume: 200_000,
-            mix: TrafficMix::uniswap_2023(),
-            users: 12,
-            round_duration: SimDuration::from_secs(7),
-            pools: FLEET.iter().map(|(id, _)| *id).collect(),
-            skew: ammboost::workload::TrafficSkew::Zipf { exponent: 1.0 },
-            route_style: RouteStyle::routed(0.35, 3),
-            deadline_slack_rounds: 1_000_000,
-            max_positions_per_user: 1,
-            liquidity_style: LiquidityStyle::default(),
-            quote_style: Default::default(),
-            engine_mix: EngineMix::of(1, 1, 1),
-            seed,
-        });
-        assert_eq!(generator.fleet(), FLEET.to_vec());
-        let mut deposits = HashMap::new();
-        for user in generator.users() {
-            deposits.insert(user, (2_000_000_000_000u128, 2_000_000_000_000u128));
-        }
-        let route = |user: &Address| generator.pool_for(user);
-        shards.begin_epoch(deposits, route);
-        Node {
-            shards,
-            ledger: Ledger::new(H256::hash(b"engine-fleet-genesis")),
-            generator,
-        }
-    }
-
-    fn run_epoch(&mut self, epoch: u64) {
-        if epoch > 1 {
-            self.shards.carry_over_epoch();
-        }
-        for round in 0..ROUNDS_PER_EPOCH {
-            let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
-            // mine the whole round as one batch so routed transactions go
-            // through the same wave schedule `catch_up` replays them under
-            let gtxs = self.generator.next_round(global);
-            let batch: Vec<(&AmmTx, usize)> = gtxs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            let txs = self.shards.execute_batch(&batch, global, ExecMode::Auto);
-            for out in &txs {
-                if let TxEffect::Burn {
-                    position, deleted, ..
-                } = &out.effect
-                {
-                    if *deleted {
-                        self.generator.forget_position(*position);
-                    }
-                }
-            }
-            let block = MetaBlock::new(epoch, round, self.ledger.tip(), txs);
-            self.ledger.append_meta(block).expect("block chains");
-        }
-        let (payouts, positions, pools) = self.shards.end_epoch();
-        let summary = SummaryBlock {
-            epoch,
-            parent: self.ledger.tip(),
-            meta_refs: self
-                .ledger
-                .meta_blocks(epoch)
-                .iter()
-                .map(|m| m.id())
-                .collect(),
-            payouts,
-            positions,
-            pools,
-        };
-        self.ledger.append_summary(summary).expect("summary chains");
-    }
+/// A peer running routed traffic over the mixed fleet.
+fn peer(seed: u64) -> Peer {
+    let generator = TrafficGenerator::new(GeneratorConfig {
+        daily_volume: 200_000,
+        mix: TrafficMix::uniswap_2023(),
+        users: 12,
+        round_duration: SimDuration::from_secs(7),
+        pools: FLEET.iter().map(|(id, _)| *id).collect(),
+        skew: ammboost::workload::TrafficSkew::Zipf { exponent: 1.0 },
+        route_style: RouteStyle::routed(0.35, 3),
+        deadline_slack_rounds: 1_000_000,
+        max_positions_per_user: 1,
+        liquidity_style: LiquidityStyle::default(),
+        quote_style: Default::default(),
+        engine_mix: EngineMix::of(1, 1, 1),
+        seed,
+    });
+    assert_eq!(generator.fleet(), FLEET.to_vec());
+    Peer::new(
+        mixed_shards(),
+        generator,
+        b"engine-fleet-genesis",
+        ROUNDS_PER_EPOCH,
+    )
 }
 
 /// The fast-sync differential over a heterogeneous fleet: a node
@@ -203,18 +150,16 @@ impl Node {
 /// engine kinds, shard states, ledger, Merkle root.
 #[test]
 fn mixed_fleet_survives_snapshot_restore_catch_up() {
-    let mut full = Node::new(4242);
-    let mut cp = Checkpointer::new();
+    let mut full = peer(4242);
     let mut wire = None;
     for epoch in 1..=6 {
         full.run_epoch(epoch);
         if epoch == 3 {
-            let out = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger);
-            assert_eq!(out.stats.pools_total, 3);
-            wire = Some(out.snapshot.encode());
+            wire = Some(full.snapshot_at(epoch).encode());
+            assert_eq!(full.node.last_checkpoint().unwrap().pools_total, 3);
         }
     }
-    let stats = full.shards.stats();
+    let stats = full.node.shards().stats();
     assert!(stats.accepted > 0, "traffic must flow");
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
@@ -226,21 +171,28 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
     let mut node = restore_node(&snapshot).expect("tagged snapshot restores");
     assert_eq!(node.epoch, 3);
     assert_eq!(node.shards.engine_kinds(), FLEET.to_vec());
-    let applied = catch_up(&mut node, &full.ledger, ROUNDS_PER_EPOCH).expect("catch-up verifies");
+    let applied =
+        catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
 
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
-    assert_eq!(node.ledger.export_state(), full.ledger.export_state());
-    let restored =
-        checkpoint_node(&mut Checkpointer::new(), 99, &mut node.shards, &node.ledger).stats;
-    let replayed =
-        checkpoint_node(&mut Checkpointer::new(), 99, &mut full.shards, &full.ledger).stats;
-    assert_eq!(restored.root, replayed.root, "state roots diverge");
+    assert_eq!(
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
+    assert_eq!(
+        node.ledger.export_state(),
+        full.node.ledger().export_state()
+    );
+    assert_eq!(
+        root_of(&mut node, 99),
+        full.node.checkpoint(99).root,
+        "state roots diverge"
+    );
 }
 
 /// Full-system determinism over a mixed fleet: the same config produces
 /// byte-identical shard states on every run. (That the batch schedule
-/// cannot change them either is `System`'s own unit test,
+/// cannot change them either is the node's own unit test,
 /// `batch_schedule_is_unobservable_in_a_faulted_mixed_fleet`.)
 #[test]
 fn mixed_fleet_system_runs_deterministically() {

@@ -4,17 +4,18 @@
 //! full history — same shard states, same ledger state, same Merkle
 //! state root — and must execute subsequent traffic identically.
 
+mod common;
+
+use ammboost::amm::tx::AmmTx;
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, restore_node};
 use ammboost::core::shard::ShardMap;
+use ammboost::core::Node;
 use ammboost::crypto::Address;
-use ammboost::crypto::H256;
-use ammboost::sidechain::block::{MetaBlock, SummaryBlock, TxEffect};
-use ammboost::sidechain::ledger::Ledger;
 use ammboost::sim::time::SimDuration;
-use ammboost::state::{Checkpointer, Snapshot};
+use ammboost::state::Snapshot;
 use ammboost::workload::{GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix};
-use std::collections::HashMap;
+use common::{root_of, Peer};
 
 const ROUNDS_PER_EPOCH: u64 = 5;
 
@@ -36,131 +37,82 @@ fn generator_config(seed: u64) -> GeneratorConfig {
     }
 }
 
-/// A standalone sidechain node fed by the Uniswap-2023-calibrated traffic
-/// generator: executes rounds into meta-blocks, seals epochs with
-/// summaries — the restart-and-catch-up scenario harness.
-struct Node {
-    shards: ShardMap,
-    ledger: Ledger,
-    generator: TrafficGenerator,
-}
-
-impl Node {
-    fn new(seed: u64) -> Node {
-        let mut shards = ShardMap::new([PoolId(0)]);
-        shards.seed_liquidity(
-            PoolId(0),
-            Address::from_pubkey_bytes(b"drill-genesis-lp"),
-            -120_000,
-            120_000,
-            4_000_000_000_000_000,
-            4_000_000_000_000_000,
-        );
-        let generator = TrafficGenerator::new(generator_config(seed));
-        let mut deposits = HashMap::new();
-        for user in generator.users() {
-            deposits.insert(user, (2_000_000_000_000u128, 2_000_000_000_000u128));
-        }
-        let route = |user: &Address| generator.pool_for(user);
-        shards.begin_epoch(deposits, route);
-        Node {
-            shards,
-            ledger: Ledger::new(H256::hash(b"fast-sync-genesis")),
-            generator,
-        }
-    }
-
-    fn run_epoch(&mut self, epoch: u64) {
-        if epoch > 1 {
-            self.shards.carry_over_epoch();
-        }
-        for round in 0..ROUNDS_PER_EPOCH {
-            let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
-            let mut txs = Vec::new();
-            for gtx in self.generator.next_round(global) {
-                let out = self.shards.execute(&gtx.tx, gtx.wire_size, global);
-                if let TxEffect::Burn {
-                    position, deleted, ..
-                } = &out.effect
-                {
-                    if *deleted {
-                        self.generator.forget_position(*position);
-                    }
-                }
-                txs.push(out);
-            }
-            let block = MetaBlock::new(epoch, round, self.ledger.tip(), txs);
-            self.ledger
-                .append_meta(block)
-                .expect("locally mined block chains");
-        }
-        let (payouts, positions, pools) = self.shards.end_epoch();
-        let summary = SummaryBlock {
-            epoch,
-            parent: self.ledger.tip(),
-            meta_refs: self
-                .ledger
-                .meta_blocks(epoch)
-                .iter()
-                .map(|m| m.id())
-                .collect(),
-            payouts,
-            positions,
-            pools,
-        };
-        self.ledger.append_summary(summary).expect("summary chains");
-    }
+/// A single-pool peer fed by the Uniswap-2023-calibrated traffic
+/// generator — the restart-and-catch-up scenario harness.
+fn peer(seed: u64) -> Peer {
+    let mut shards = ShardMap::new([PoolId(0)]);
+    shards.seed_liquidity(
+        PoolId(0),
+        Address::from_pubkey_bytes(b"drill-genesis-lp"),
+        -120_000,
+        120_000,
+        4_000_000_000_000_000,
+        4_000_000_000_000_000,
+    );
+    let generator = TrafficGenerator::new(generator_config(seed));
+    Peer::new(shards, generator, b"fast-sync-genesis", ROUNDS_PER_EPOCH)
 }
 
 #[test]
 fn restored_node_is_byte_identical_to_full_replay() {
     // the uninterrupted node runs 6 epochs, checkpointing after epoch 3
-    let mut full = Node::new(42);
-    let mut cp = Checkpointer::new();
+    let mut full = peer(42);
     let mut snapshot_bytes = None;
     for epoch in 1..=6 {
         full.run_epoch(epoch);
         if epoch == 3 {
-            let out = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger);
-            let (snapshot, stats) = (out.snapshot, out.stats);
-            assert!(stats.snapshot_bytes > 0);
+            let snapshot = full.snapshot_at(epoch);
+            assert!(full.node.last_checkpoint().unwrap().snapshot_bytes > 0);
             // ship the snapshot through its serialized (verified) form
             snapshot_bytes = Some(snapshot.encode());
         }
     }
-    assert!(full.shards.stats().accepted > 0, "traffic must flow");
+    assert!(full.node.shards().stats().accepted > 0, "traffic must flow");
 
     // the late joiner restores from the wire snapshot…
     let snapshot = Snapshot::decode(&snapshot_bytes.unwrap()).expect("root verifies");
     let mut node = restore_node(&snapshot).expect("snapshot restores");
     assert_eq!(node.epoch, 3);
     // …and fast-syncs the remaining epochs from the peer's blocks
-    let applied = catch_up(&mut node, &full.ledger, ROUNDS_PER_EPOCH).expect("catch-up verifies");
+    let applied =
+        catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
 
     // byte-identical state
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
-    assert_eq!(node.ledger.export_state(), full.ledger.export_state());
+    assert_eq!(
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
+    assert_eq!(
+        node.ledger.export_state(),
+        full.node.ledger().export_state()
+    );
 
     // identical state roots
-    let (_, restored_root) = root_of(&mut node.shards, &node.ledger);
-    let (_, full_root) = root_of(&mut full.shards, &full.ledger);
-    assert_eq!(restored_root, full_root, "state roots diverge");
+    assert_eq!(
+        root_of(&mut node, 6),
+        full.node.checkpoint(6).root,
+        "state roots diverge"
+    );
 
-    // identical behaviour for the *next* epoch's traffic
-    let mut tail = TrafficGenerator::new(generator_config(1234));
-    node.shards.carry_over_epoch();
-    full.shards.carry_over_epoch();
-    for gtx in tail.next_round(6 * ROUNDS_PER_EPOCH) {
-        let a = node
-            .shards
-            .execute(&gtx.tx, gtx.wire_size, 6 * ROUNDS_PER_EPOCH);
-        let b = full
-            .shards
-            .execute(&gtx.tx, gtx.wire_size, 6 * ROUNDS_PER_EPOCH);
-        assert_eq!(a.effect, b.effect);
+    // identical behaviour for the *next* epoch's traffic: the same round
+    // mines the same meta-block on both
+    let mut node = Node::new(node.shards, node.ledger);
+    let round = 6 * ROUNDS_PER_EPOCH;
+    let txs = TrafficGenerator::new(generator_config(1234)).next_round(round);
+    let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
+    for n in [&mut node, &mut full.node] {
+        n.begin_epoch(None, |_| None);
+        n.step_round(7, 0, round, &batch);
     }
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
+    assert_eq!(
+        node.ledger().meta_blocks(7),
+        full.node.ledger().meta_blocks(7)
+    );
+    assert_eq!(
+        node.shards().export_states(),
+        full.node.shards().export_states()
+    );
 }
 
 #[test]
@@ -168,47 +120,39 @@ fn snapshot_plus_pruned_peer_still_serves_recent_epochs() {
     // the peer prunes everything its epoch-4 snapshot covers; a node
     // restored from that same snapshot needs only epochs > 4, which the
     // peer still has
-    let mut full = Node::new(7);
-    let mut cp = Checkpointer::new();
+    let mut full = peer(7);
     let mut snapshot = None;
     for epoch in 1..=5 {
         full.run_epoch(epoch);
         if epoch == 4 {
-            let snap = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger).snapshot;
-            let report = ammboost::state::prune_to_snapshot(
-                &mut full.ledger,
-                epoch,
-                ammboost::state::RetentionPolicy::default(),
-            );
+            let snap = full.snapshot_at(epoch);
+            let report = full
+                .node
+                .prune_to_snapshot(epoch, ammboost::state::RetentionPolicy::default());
             assert_eq!(report.epochs_pruned, 4);
             assert!(report.reclaimed_bytes > 0);
             snapshot = Some(snap);
         }
     }
     let mut node = restore_node(&snapshot.unwrap()).unwrap();
-    let applied = catch_up(&mut node, &full.ledger, ROUNDS_PER_EPOCH).unwrap();
+    let applied = catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).unwrap();
     assert_eq!(applied, 1);
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
-}
-
-/// Convenience: a fresh checkpoint's (bytes, root) for comparison.
-fn root_of(shards: &mut ShardMap, ledger: &Ledger) -> (u64, H256) {
-    let stats = checkpoint_node(&mut Checkpointer::new(), 0, shards, ledger).stats;
-    (stats.snapshot_bytes, stats.root)
+    assert_eq!(
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
 }
 
 #[test]
 fn positions_survive_restore() {
     // positions created by workload mints exist in the restored pool with
     // identical fee accounting
-    let mut full = Node::new(99);
+    let mut full = peer(99);
     for epoch in 1..=3 {
         full.run_epoch(epoch);
     }
-    let snapshot =
-        checkpoint_node(&mut Checkpointer::new(), 3, &mut full.shards, &full.ledger).snapshot;
-    let node = restore_node(&snapshot).unwrap();
-    let full_pool = full.shards.first().pool();
+    let node = restore_node(&full.snapshot_at(3)).unwrap();
+    let full_pool = full.node.shards().first().pool();
     let restored_pool = node.shards.first().pool();
     assert_eq!(restored_pool.position_count(), full_pool.position_count());
     for id in full_pool.position_ids() {

@@ -5,13 +5,13 @@
 //! history; a checkpoint commit torn at any point must recover to the
 //! last committed snapshot and catch up to the same root.
 
+mod common;
+
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, checkpoint_node, recover_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, recover_node, restore_node};
 use ammboost::core::shard::ShardMap;
-use ammboost::crypto::{Address, H256};
-use ammboost::sidechain::block::{MetaBlock, SummaryBlock, TxEffect};
-use ammboost::sidechain::ledger::Ledger;
+use ammboost::crypto::Address;
 use ammboost::sim::time::SimDuration;
 use ammboost::sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
 use ammboost::state::heal::{
@@ -19,11 +19,11 @@ use ammboost::state::heal::{
 };
 use ammboost::state::pages::page_count;
 use ammboost::state::store::{CheckpointStore, CrashPoint, RecoveryOutcome};
-use ammboost::state::{Checkpointer, Snapshot, PAGE_SIZE};
+use ammboost::state::{Snapshot, PAGE_SIZE};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix,
 };
-use std::collections::HashMap;
+use common::{root_of, Peer};
 use std::sync::{Arc, Mutex};
 
 const ROUNDS_PER_EPOCH: u64 = 5;
@@ -58,121 +58,59 @@ fn generator_config(
     }
 }
 
-/// A standalone two-pool sidechain node fed by the calibrated traffic
-/// generator — the peer whose snapshots the healing scenarios sync from.
-struct Node {
-    shards: ShardMap,
-    ledger: Ledger,
-    generator: TrafficGenerator,
+/// A two-pool peer fed by the calibrated traffic generator — the peer
+/// whose snapshots the healing scenarios sync from.
+fn peer(seed: u64) -> Peer {
+    let fleet = [
+        (PoolId(0), EngineKind::ConcentratedLiquidity),
+        (PoolId(1), EngineKind::ConcentratedLiquidity),
+    ];
+    peer_with_fleet(seed, &fleet, EngineMix::default())
 }
 
-impl Node {
-    fn new(seed: u64) -> Node {
-        let fleet = [
-            (PoolId(0), EngineKind::ConcentratedLiquidity),
-            (PoolId(1), EngineKind::ConcentratedLiquidity),
-        ];
-        Node::with_fleet(seed, &fleet, EngineMix::default())
-    }
+fn mixed_peer(seed: u64) -> Peer {
+    peer_with_fleet(seed, &MIXED_FLEET, EngineMix::of(1, 1, 1))
+}
 
-    fn new_mixed(seed: u64) -> Node {
-        Node::with_fleet(seed, &MIXED_FLEET, EngineMix::of(1, 1, 1))
+fn peer_with_fleet(seed: u64, fleet: &[(PoolId, EngineKind)], engine_mix: EngineMix) -> Peer {
+    let mut shards = ShardMap::new_with_engines(fleet.iter().copied());
+    for (pool, _) in fleet {
+        shards.seed_liquidity(
+            *pool,
+            Address::from_pubkey_bytes(b"heal-genesis-lp"),
+            -120_000,
+            120_000,
+            4_000_000_000_000_000,
+            4_000_000_000_000_000,
+        );
     }
-
-    fn with_fleet(seed: u64, fleet: &[(PoolId, EngineKind)], engine_mix: EngineMix) -> Node {
-        let mut shards = ShardMap::new_with_engines(fleet.iter().copied());
-        for (pool, _) in fleet {
-            shards.seed_liquidity(
-                *pool,
-                Address::from_pubkey_bytes(b"heal-genesis-lp"),
-                -120_000,
-                120_000,
-                4_000_000_000_000_000,
-                4_000_000_000_000_000,
-            );
-        }
-        let generator = TrafficGenerator::new(generator_config(seed, fleet, engine_mix));
-        let mut deposits = HashMap::new();
-        for user in generator.users() {
-            deposits.insert(user, (2_000_000_000_000u128, 2_000_000_000_000u128));
-        }
-        let route = |user: &Address| generator.pool_for(user);
-        shards.begin_epoch(deposits, route);
-        Node {
-            shards,
-            ledger: Ledger::new(H256::hash(b"healing-sync-genesis")),
-            generator,
-        }
-    }
-
-    fn run_epoch(&mut self, epoch: u64) {
-        if epoch > 1 {
-            self.shards.carry_over_epoch();
-        }
-        for round in 0..ROUNDS_PER_EPOCH {
-            let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
-            let mut txs = Vec::new();
-            for gtx in self.generator.next_round(global) {
-                let out = self.shards.execute(&gtx.tx, gtx.wire_size, global);
-                if let TxEffect::Burn {
-                    position, deleted, ..
-                } = &out.effect
-                {
-                    if *deleted {
-                        self.generator.forget_position(*position);
-                    }
-                }
-                txs.push(out);
-            }
-            let block = MetaBlock::new(epoch, round, self.ledger.tip(), txs);
-            self.ledger
-                .append_meta(block)
-                .expect("locally mined block chains");
-        }
-        let (payouts, positions, pools) = self.shards.end_epoch();
-        let summary = SummaryBlock {
-            epoch,
-            parent: self.ledger.tip(),
-            meta_refs: self
-                .ledger
-                .meta_blocks(epoch)
-                .iter()
-                .map(|m| m.id())
-                .collect(),
-            payouts,
-            positions,
-            pools,
-        };
-        self.ledger.append_summary(summary).expect("summary chains");
-    }
+    let generator = TrafficGenerator::new(generator_config(seed, fleet, engine_mix));
+    Peer::new(shards, generator, b"healing-sync-genesis", ROUNDS_PER_EPOCH)
 }
 
 /// Runs a peer for 6 epochs, checkpointing after `stale_epoch` and
 /// `snap_epoch`; returns the peer plus both snapshots.
-fn peer_with_snapshots(seed: u64, stale_epoch: u64, snap_epoch: u64) -> (Node, Snapshot, Snapshot) {
-    peer_with_snapshots_from(Node::new(seed), stale_epoch, snap_epoch)
+fn peer_with_snapshots(seed: u64, stale_epoch: u64, snap_epoch: u64) -> (Peer, Snapshot, Snapshot) {
+    peer_with_snapshots_from(peer(seed), stale_epoch, snap_epoch)
 }
 
 fn peer_with_snapshots_from(
-    mut full: Node,
+    mut full: Peer,
     stale_epoch: u64,
     snap_epoch: u64,
-) -> (Node, Snapshot, Snapshot) {
-    let mut cp = Checkpointer::new();
+) -> (Peer, Snapshot, Snapshot) {
     let mut stale = None;
     let mut snap = None;
     for epoch in 1..=6 {
         full.run_epoch(epoch);
         if epoch == stale_epoch {
-            let s = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger).snapshot;
-            stale = Some(s);
+            stale = Some(full.snapshot_at(epoch));
         }
         if epoch == snap_epoch {
-            let s = checkpoint_node(&mut cp, epoch, &mut full.shards, &full.ledger).snapshot;
-            snap = Some(s);
+            snap = Some(full.snapshot_at(epoch));
         }
     }
-    assert!(full.shards.stats().accepted > 0, "traffic must flow");
+    assert!(full.node.shards().stats().accepted > 0, "traffic must flow");
     (full, stale.unwrap(), snap.unwrap())
 }
 
@@ -188,12 +126,6 @@ fn first_page_occurrences(snapshot: &Snapshot, manifest_at: u64) -> Vec<u64> {
             at
         })
         .collect()
-}
-
-/// The Merkle root of a node's live state, via a throwaway checkpoint.
-fn root_of(shards: &mut ShardMap, ledger: &Ledger) -> H256 {
-    let stats = checkpoint_node(&mut Checkpointer::new(), 99, shards, ledger).stats;
-    stats.root
 }
 
 #[test]
@@ -273,13 +205,20 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
     // the healed snapshot fast-syncs exactly like a clean one
     let mut node = restore_node(&healed).expect("healed snapshot restores");
     assert_eq!(node.epoch, 3);
-    let applied = catch_up(&mut node, &full.ledger, ROUNDS_PER_EPOCH).expect("catch-up verifies");
+    let applied =
+        catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
-    assert_eq!(node.ledger.export_state(), full.ledger.export_state());
     assert_eq!(
-        root_of(&mut node.shards, &node.ledger),
-        root_of(&mut full.shards, &full.ledger),
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
+    assert_eq!(
+        node.ledger.export_state(),
+        full.node.ledger().export_state()
+    );
+    assert_eq!(
+        root_of(&mut node, 99),
+        full.node.checkpoint(99).root,
         "state roots diverge"
     );
 }
@@ -287,7 +226,7 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
 #[test]
 fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
     let (mut full, snap3, snap5) = peer_with_snapshots(7, 3, 5);
-    let full_root = root_of(&mut full.shards, &full.ledger);
+    let full_root = full.node.checkpoint(99).root;
 
     let wire_len = snap5.encode().len();
     for crash in [
@@ -306,7 +245,7 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
         // the restarted node: recover the journal, restore the last
         // committed snapshot, replay the missing epochs from the peer
         let (node, outcome, applied) =
-            recover_node(&mut store, &full.ledger, ROUNDS_PER_EPOCH).expect("node recovers");
+            recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
         assert!(
             matches!(outcome, RecoveryOutcome::DiscardedTorn { .. }),
             "torn write must be discarded ({crash:?}), got {outcome:?}"
@@ -314,11 +253,14 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
         assert_eq!(applied, 3, "epochs 4..=6 replayed from the peer");
         let mut node = node;
         assert_eq!(
-            root_of(&mut node.shards, &node.ledger),
+            root_of(&mut node, 99),
             full_root,
             "recovery after {crash:?} diverged"
         );
-        assert_eq!(node.shards.export_states(), full.shards.export_states());
+        assert_eq!(
+            node.shards.export_states(),
+            full.node.shards().export_states()
+        );
     }
 
     // staged and marked but not installed: recovery rolls forward to the
@@ -329,10 +271,10 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
         .commit(&snap5, Some(CrashPoint::BeforeInstall))
         .unwrap_err();
     let (mut node, outcome, applied) =
-        recover_node(&mut store, &full.ledger, ROUNDS_PER_EPOCH).expect("node recovers");
+        recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 5 });
     assert_eq!(applied, 1, "only epoch 6 left to replay");
-    assert_eq!(root_of(&mut node.shards, &node.ledger), full_root);
+    assert_eq!(root_of(&mut node, 99), full_root);
 }
 
 #[test]
@@ -373,7 +315,7 @@ fn exhausted_heal_fails_closed_with_typed_error() {
 /// restore the exact engine mix and catch up byte-identically.
 #[test]
 fn mixed_fleet_heals_tampered_engine_sections() {
-    let (mut full, stale_snap, snapshot) = peer_with_snapshots_from(Node::new_mixed(23), 1, 3);
+    let (mut full, stale_snap, snapshot) = peer_with_snapshots_from(mixed_peer(23), 1, 3);
     let trusted_root = snapshot.root();
     for ((_, kind), (_, section)) in MIXED_FLEET.iter().zip(snapshot.pool_sections()) {
         assert_eq!(
@@ -420,12 +362,16 @@ fn mixed_fleet_heals_tampered_engine_sections() {
 
     let mut node = restore_node(&healed).expect("healed mixed snapshot restores");
     assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
-    let applied = catch_up(&mut node, &full.ledger, ROUNDS_PER_EPOCH).expect("catch-up verifies");
+    let applied =
+        catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
     assert_eq!(
-        root_of(&mut node.shards, &node.ledger),
-        root_of(&mut full.shards, &full.ledger),
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
+    assert_eq!(
+        root_of(&mut node, 99),
+        full.node.checkpoint(99).root,
         "mixed-fleet state roots diverge"
     );
 }
@@ -435,8 +381,8 @@ fn mixed_fleet_heals_tampered_engine_sections() {
 /// last committed mixed-fleet snapshot, and replays to the peer's root.
 #[test]
 fn mixed_fleet_torn_commit_recovers_and_catches_up() {
-    let (mut full, snap3, snap5) = peer_with_snapshots_from(Node::new_mixed(31), 3, 5);
-    let full_root = root_of(&mut full.shards, &full.ledger);
+    let (mut full, snap3, snap5) = peer_with_snapshots_from(mixed_peer(31), 3, 5);
+    let full_root = full.node.checkpoint(99).root;
     let wire_len = snap5.encode().len();
 
     let mut store = CheckpointStore::new();
@@ -450,12 +396,15 @@ fn mixed_fleet_torn_commit_recovers_and_catches_up() {
         )
         .unwrap_err();
     let (mut node, outcome, applied) =
-        recover_node(&mut store, &full.ledger, ROUNDS_PER_EPOCH).expect("node recovers");
+        recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert!(matches!(outcome, RecoveryOutcome::DiscardedTorn { .. }));
     assert_eq!(applied, 3, "epochs 4..=6 replayed from the peer");
     assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
-    assert_eq!(root_of(&mut node.shards, &node.ledger), full_root);
-    assert_eq!(node.shards.export_states(), full.shards.export_states());
+    assert_eq!(root_of(&mut node, 99), full_root);
+    assert_eq!(
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
 
     // staged and marked but not installed: roll forward to the newer
     // engine-tagged snapshot instead
@@ -465,9 +414,9 @@ fn mixed_fleet_torn_commit_recovers_and_catches_up() {
         .commit(&snap5, Some(CrashPoint::BeforeInstall))
         .unwrap_err();
     let (mut node, outcome, applied) =
-        recover_node(&mut store, &full.ledger, ROUNDS_PER_EPOCH).expect("node recovers");
+        recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 5 });
     assert_eq!(applied, 1, "only epoch 6 left to replay");
     assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
-    assert_eq!(root_of(&mut node.shards, &node.ledger), full_root);
+    assert_eq!(root_of(&mut node, 99), full_root);
 }

@@ -14,6 +14,8 @@
 //!    → restore) under one state root, and a restored node fast-syncs to
 //!    byte-identical state.
 
+mod common;
+
 use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
@@ -21,7 +23,7 @@ use ammboost::core::processor::EpochProcessor;
 use ammboost::core::shard::{ExecMode, ShardMap};
 use ammboost::core::system::System;
 use ammboost::crypto::{Address, H256};
-use ammboost::sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock, TxEffect};
+use ammboost::sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock};
 use ammboost::sidechain::ledger::Ledger;
 use ammboost::sim::time::SimDuration;
 use ammboost::state::snapshot::SectionKind;
@@ -30,6 +32,7 @@ use ammboost::workload::{
     GeneratedTx, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
     TrafficSkew,
 };
+use common::{root_of, Peer};
 use std::collections::HashMap;
 
 const ROUNDS_PER_EPOCH: u64 = 4;
@@ -322,50 +325,20 @@ fn multi_pool_fast_sync_restart() {
     const POOLS: u32 = 8;
     const USERS: u64 = 24;
     const EPOCHS: u64 = 5;
-    let mut gen = generator(POOLS, USERS, 4242);
-    let route_gen = generator(POOLS, USERS, 4242);
-
-    let mut shards = seeded_shards(POOLS);
-    shards.begin_epoch(deposits_for(&route_gen), |u| route_gen.pool_for(u));
-    let mut ledger = Ledger::new(H256::hash(b"restart-genesis"));
-    let mut cp = Checkpointer::new();
+    let gen = generator(POOLS, USERS, 4242);
+    let mut full = Peer::new(
+        seeded_shards(POOLS),
+        gen,
+        b"restart-genesis",
+        ROUNDS_PER_EPOCH,
+    );
     let mut wire = None;
     for epoch in 1..=EPOCHS {
-        if epoch > 1 {
-            shards.carry_over_epoch();
-        }
-        for round in 0..ROUNDS_PER_EPOCH {
-            let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
-            let mut txs = Vec::new();
-            for gtx in gen.next_round(global) {
-                let out = shards.execute(&gtx.tx, gtx.wire_size, global);
-                if let TxEffect::Burn {
-                    position, deleted, ..
-                } = &out.effect
-                {
-                    if *deleted {
-                        gen.forget_position(*position);
-                    }
-                }
-                txs.push(out);
-            }
-            let block = MetaBlock::new(epoch, round, ledger.tip(), txs);
-            ledger.append_meta(block).unwrap();
-        }
-        let (payouts, positions, pools) = shards.end_epoch();
-        let summary = SummaryBlock {
-            epoch,
-            parent: ledger.tip(),
-            meta_refs: ledger.meta_blocks(epoch).iter().map(|m| m.id()).collect(),
-            payouts,
-            positions,
-            pools,
-        };
-        ledger.append_summary(summary).unwrap();
+        full.run_epoch(epoch);
         if epoch == 2 {
-            let out = checkpoint_node(&mut cp, epoch, &mut shards, &ledger);
-            assert_eq!(out.stats.pools_total, POOLS as usize);
-            wire = Some(out.snapshot.encode());
+            wire = Some(full.snapshot_at(epoch).encode());
+            let stats = full.node.last_checkpoint().unwrap();
+            assert_eq!(stats.pools_total, POOLS as usize);
         }
     }
 
@@ -373,17 +346,20 @@ fn multi_pool_fast_sync_restart() {
     let mut node = restore_node(&snapshot).expect("multi-pool snapshot restores");
     assert_eq!(node.epoch, 2);
     assert_eq!(node.shards.len(), POOLS as usize);
-    let applied = catch_up(&mut node, &ledger, ROUNDS_PER_EPOCH).expect("catch-up verifies");
+    let applied =
+        catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
-    assert_eq!(node.shards.export_states(), shards.export_states());
-    assert_eq!(node.ledger.export_state(), ledger.export_state());
-    let a = checkpoint_node(
-        &mut Checkpointer::new(),
-        EPOCHS,
-        &mut node.shards,
-        &node.ledger,
-    )
-    .stats;
-    let b = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut shards, &ledger).stats;
-    assert_eq!(a.root, b.root, "state roots diverge after catch-up");
+    assert_eq!(
+        node.shards.export_states(),
+        full.node.shards().export_states()
+    );
+    assert_eq!(
+        node.ledger.export_state(),
+        full.node.ledger().export_state()
+    );
+    assert_eq!(
+        root_of(&mut node, EPOCHS),
+        full.node.checkpoint(EPOCHS).root,
+        "state roots diverge after catch-up"
+    );
 }

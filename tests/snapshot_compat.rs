@@ -1,19 +1,10 @@
-//! Backward compatibility of the tagged-section snapshot codec: a
-//! committed pre-bump (v2, CL-only) snapshot fixture must keep decoding,
-//! keep its original Merkle root bit-for-bit, and restore into a working
-//! heterogeneous-capable node whose pools all come back as CL engines.
-//!
-//! The fixture bytes were produced by the v2 codec (untagged `PoolState`
-//! pool sections) and are never regenerated — this test is the contract
-//! that a node upgraded across the format bump can still fast-sync from
-//! snapshots its peers took before the upgrade.
-//!
-//! Beside it sits a v3 fixture (tagged sections, all three engines, a
-//! routed run, flat section leaves) written at commit aa6ab53,
-//! now frozen the same way, and a v4 fixture of the same run under the
-//! current format (page-root section leaves, a counted header) that
-//! `write_v4_fixture` rewrites: a check across commits rather than inside
-//! one process that snapshot bytes and roots have not moved.
+//! The snapshot format across commits: a committed v4 fixture (a routed
+//! run over four pools of all three engine kinds, page-root section
+//! leaves, a counted header) must keep decoding to its recorded root and
+//! restoring into a working node. `write_v4_fixture` rewrites it from the
+//! same run, so a diff of the fixture shows a commit that moved a
+//! snapshot byte or the root — a check across commits rather than inside
+//! one process.
 
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::pool::SwapKind;
@@ -21,72 +12,15 @@ use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::restore_node;
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
 use ammboost::core::system::System;
-use ammboost::state::{SectionKind, Snapshot, LEGACY_SNAPSHOT_VERSION, SNAPSHOT_VERSION};
+use ammboost::state::Snapshot;
 use ammboost::workload::{EngineMix, RouteStyle};
 
-const FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v2_cl.bin");
-const FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v2_cl.root");
-const V3_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v3_mixed.bin");
-const V3_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v3_mixed.root");
 const V4_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v4_mixed.bin");
 const V4_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v4_mixed.root");
 
-#[test]
-fn v2_fixture_decodes_with_original_root() {
-    let snapshot = Snapshot::decode(FIXTURE).expect("committed v2 fixture decodes");
-    assert_eq!(snapshot.version(), LEGACY_SNAPSHOT_VERSION);
-    assert!(
-        snapshot.version() < SNAPSHOT_VERSION,
-        "fixture predates the bump"
-    );
-    assert_eq!(snapshot.epoch(), 5);
-    // the root is version-salted, so re-rooting the decoded sections
-    // under the new codec must reproduce the committed v2 root exactly
-    assert_eq!(format!("{}", snapshot.root()), FIXTURE_ROOT.trim());
-}
-
-#[test]
-fn v2_fixture_restores_as_all_cl_fleet() {
-    let snapshot = Snapshot::decode(FIXTURE).expect("committed v2 fixture decodes");
-    let node = restore_node(&snapshot).expect("v2 snapshot restores on the v3 codec");
-    assert_eq!(format!("{}", node.root), FIXTURE_ROOT.trim());
-    assert_eq!(node.epoch, 5);
-    assert_eq!(node.shards.len(), 3);
-    // untagged v2 pool sections can only describe the CL engine
-    for (id, kind) in node.shards.engine_kinds() {
-        assert_eq!(kind, EngineKind::ConcentratedLiquidity, "pool {id:?}");
-    }
-    // the restored fleet is live: every pool serves quotes
-    for p in 0..3u32 {
-        let pool = node.shards.get(PoolId(p)).expect("restored shard").pool();
-        let quote = pool
-            .quote_swap(true, SwapKind::ExactInput(1_000_000), None)
-            .expect("restored pool quotes");
-        assert!(quote.amount_out > 0);
-    }
-}
-
-#[test]
-fn v2_sections_are_untagged_pool_states() {
-    // belt and braces: the fixture's pool sections must NOT lead with an
-    // engine tag — they are raw `PoolState` bytes, which is exactly what
-    // the version dispatch keys on
-    let snapshot = Snapshot::decode(FIXTURE).expect("committed v2 fixture decodes");
-    let pool_sections: Vec<_> = snapshot.pool_sections().collect();
-    assert_eq!(pool_sections.len(), 3);
-    for (id, section) in pool_sections {
-        assert!(!section.bytes.is_empty(), "pool {id} section empty");
-        assert!(
-            matches!(section.kind, SectionKind::Pool(_)),
-            "pool sections keep their kind"
-        );
-    }
-}
-
 /// Writes `fixtures/snapshot_v4_mixed.{bin,root}`: the last scheduled
 /// checkpoint of a run over four pools (CL, CL, constant-product,
-/// weighted) with a quarter of the swaps routed — the run the v3 fixture
-/// was taken from. Run on purpose only (`cargo test --test
+/// weighted) with a quarter of the swaps routed. Run on purpose only (`cargo test --test
 /// snapshot_compat -- --ignored write_v4_fixture`; CI runs it and fails
 /// on a `git diff` of the fixture): a diff shows the commit changed a
 /// snapshot byte or the root.
@@ -114,23 +48,8 @@ fn write_v4_fixture() {
 }
 
 #[test]
-fn v3_fixture_decodes_reencodes_and_restores_to_its_root() {
-    let snapshot = Snapshot::decode(V3_FIXTURE).expect("committed v3 fixture decodes");
-    assert_eq!(snapshot.version(), 3);
-    assert_eq!(snapshot.epoch(), 3);
-    assert_eq!(format!("{}", snapshot.root()), V3_FIXTURE_ROOT.trim());
-    assert_eq!(
-        snapshot.encode(),
-        V3_FIXTURE,
-        "decode → encode is the identity"
-    );
-    assert_restores_mixed_fleet(&snapshot, V3_FIXTURE_ROOT);
-}
-
-#[test]
 fn v4_fixture_decodes_reencodes_and_restores_to_its_root() {
     let snapshot = Snapshot::decode(V4_FIXTURE).expect("committed v4 fixture decodes");
-    assert_eq!(snapshot.version(), SNAPSHOT_VERSION);
     assert_eq!(snapshot.epoch(), 3);
     assert_eq!(format!("{}", snapshot.root()), V4_FIXTURE_ROOT.trim());
     assert_eq!(
@@ -139,12 +58,6 @@ fn v4_fixture_decodes_reencodes_and_restores_to_its_root() {
         "decode → encode is the identity"
     );
     assert_restores_mixed_fleet(&snapshot, V4_FIXTURE_ROOT);
-    // the pool sections encode exactly as in v3: only the leaves and the
-    // header moved with the format
-    let v3 = Snapshot::decode(V3_FIXTURE).expect("committed v3 fixture decodes");
-    for ((_, v4_pool), (_, v3_pool)) in snapshot.pool_sections().zip(v3.pool_sections()) {
-        assert_eq!(v4_pool.bytes, v3_pool.bytes, "{:?}", v4_pool.kind);
-    }
 }
 
 /// Restores a fixture of the four-pool mixed run and checks the node's
