@@ -19,7 +19,7 @@
 use crate::processor::EpochProcessor;
 use crate::shard::ShardMap;
 use ammboost_amm::types::{PoolId, PositionId};
-use ammboost_crypto::{Address, DigestMap};
+use ammboost_crypto::Address;
 use ammboost_sidechain::block::SummaryBlock;
 use ammboost_sidechain::ledger::Ledger;
 use ammboost_sidechain::summary::Deposits;
@@ -30,23 +30,49 @@ use ammboost_state::sync::RestoreError;
 use ammboost_state::{CheckpointOutput, Checkpointer};
 use std::fmt;
 
-/// Aux-section tag carrying the per-shard epoch bookkeeping (everything
-/// in a shard's [`crate::processor::ProcessorState`] not already covered
-/// by the pool and deposits sections, plus each shard's deposit *user
-/// list* — the routing that splits the global deposits section back
-/// across shards on restore).
+/// Aux-section tag carrying the node's processor meta: which shard
+/// owns each deposit, plus each shard's epoch bookkeeping (everything in
+/// a shard's [`crate::processor::ProcessorState`] not already covered by
+/// the pool and deposits sections).
 pub const AUX_PROCESSOR_META: u8 = 1;
 
-/// One shard's epoch bookkeeping, riding next to the pool sections. The
-/// aux section holds one record per shard, ascending by pool id.
+/// The processor-meta aux section. Shard membership is stored once: the
+/// deposits section holds each depositor's address and balance, and
+/// `shard_of` holds one fixed-width shard index per entry of that
+/// section, in its address order. The index list comes first, so a change
+/// in length of the per-shard lists behind it never shifts it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ProcessorMeta {
+    /// For the deposits section's `i`-th entry, the position in `shards`
+    /// of the shard that owns it (a node has at most 65 536 shards).
+    shard_of: Vec<u16>,
+    /// One record per shard, strictly ascending by pool id — the order
+    /// `shard_of` indexes.
+    shards: Vec<ShardMeta>,
+}
+
+impl Encode for ProcessorMeta {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.shard_of.encode(w);
+        self.shards.encode(w);
+    }
+}
+
+impl Decode for ProcessorMeta {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(ProcessorMeta {
+            shard_of: r.get()?,
+            shards: r.get()?,
+        })
+    }
+}
+
+/// One shard's epoch bookkeeping, riding next to the pool sections. Which
+/// users the shard holds deposits for is not here but in
+/// [`ProcessorMeta::shard_of`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ShardMeta {
     pool_id: PoolId,
-    /// The addresses whose deposits this shard owns, ascending. Balances
-    /// live only in the snapshot's global deposits section; restore
-    /// pulls each listed user's entry out of it, so the two can never
-    /// drift and the table is stored once.
-    users: Vec<Address>,
     touched: Vec<PositionId>,
     deleted: Vec<(PositionId, Address)>,
     preexisting: Vec<PositionId>,
@@ -57,7 +83,6 @@ struct ShardMeta {
 impl Encode for ShardMeta {
     fn encode(&self, w: &mut ByteWriter) {
         self.pool_id.encode(w);
-        self.users.encode(w);
         self.touched.encode(w);
         self.deleted.encode(w);
         self.preexisting.encode(w);
@@ -70,7 +95,6 @@ impl Decode for ShardMeta {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ShardMeta {
             pool_id: r.get()?,
-            users: r.get()?,
             touched: r.get()?,
             deleted: r.get()?,
             preexisting: r.get()?,
@@ -88,13 +112,24 @@ pub enum NodeRestoreError {
     /// The snapshot has no pool section for a shard named in the
     /// processor meta.
     MissingPool(PoolId),
-    /// The shard metas and the global deposits section disagree about
-    /// which users hold deposits — the snapshot is internally
-    /// inconsistent.
-    InconsistentDeposits {
-        /// What went wrong.
-        detail: String,
+    /// The shard-index list does not hold exactly one index per entry of
+    /// the deposits section.
+    MembershipLength {
+        /// Indices in the processor meta.
+        indices: usize,
+        /// Entries in the deposits section.
+        deposits: usize,
     },
+    /// A shard index names no shard.
+    UnknownShard {
+        /// The offending index.
+        index: u16,
+        /// Shards the processor meta describes.
+        shards: usize,
+    },
+    /// The shard metas are not strictly ascending by pool id, the order
+    /// the shard indices refer to.
+    UnsortedShardMetas,
     /// The snapshot carries a pool section no shard meta claims —
     /// restoring would silently drop that pool's state.
     UnclaimedPool(PoolId),
@@ -131,8 +166,14 @@ impl fmt::Display for NodeRestoreError {
             NodeRestoreError::MissingPool(id) => {
                 write!(f, "snapshot has no section for {id}")
             }
-            NodeRestoreError::InconsistentDeposits { detail } => {
-                write!(f, "shard metas disagree with deposits section: {detail}")
+            NodeRestoreError::MembershipLength { indices, deposits } => {
+                write!(f, "{indices} shard indices for {deposits} deposit entries")
+            }
+            NodeRestoreError::UnknownShard { index, shards } => {
+                write!(f, "shard index {index} names none of {shards} shards")
+            }
+            NodeRestoreError::UnsortedShardMetas => {
+                write!(f, "shard metas not strictly ascending by pool id")
             }
             NodeRestoreError::UnclaimedPool(id) => {
                 write!(f, "snapshot section for {id} is claimed by no shard")
@@ -227,21 +268,22 @@ pub fn stage_node<'a>(
     }
     // bookkeeping only — no pool clone, so a clean shard's checkpoint
     // cost stays proportional to its (small) epoch metadata; the shard
-    // user lists and the global deposits section come from one pass
-    let (per_shard_entries, deposits) = shards.deposit_export();
-    let metas: Vec<ShardMeta> = shards
-        .iter()
-        .zip(per_shard_entries)
-        .map(|(shard, entries)| ShardMeta {
-            pool_id: shard.pool_id(),
-            users: entries.into_iter().map(|(user, _)| user).collect(),
-            touched: shard.touched_positions(),
-            deleted: shard.deleted_positions(),
-            preexisting: shard.preexisting_positions(),
-            accepted: shard.stats().accepted,
-            rejected: shard.stats().rejected,
-        })
-        .collect();
+    // indices and the global deposits section come from one sort
+    let (shard_of, deposits) = shards.deposit_export();
+    let meta = ProcessorMeta {
+        shard_of,
+        shards: shards
+            .iter()
+            .map(|shard| ShardMeta {
+                pool_id: shard.pool_id(),
+                touched: shard.touched_positions(),
+                deleted: shard.deleted_positions(),
+                preexisting: shard.preexisting_positions(),
+                accepted: shard.stats().accepted,
+                rejected: shard.stats().rejected,
+            })
+            .collect(),
+    };
     let pools: Vec<(PoolId, &ammboost_amm::Engine)> = shards
         .iter()
         .map(|shard| (shard.pool_id(), shard.pool()))
@@ -251,7 +293,7 @@ pub fn stage_node<'a>(
         &pools,
         ledger,
         &deposits,
-        vec![(AUX_PROCESSOR_META, metas.encode_to_vec())],
+        vec![(AUX_PROCESSOR_META, meta.encode_to_vec())],
     )
 }
 
@@ -259,55 +301,79 @@ pub fn stage_node<'a>(
 /// via the persisted tick-price table when present), per-shard deposits
 /// and epoch bookkeeping, and the ledger.
 ///
+/// Shard membership is read in one pass: the processor meta's shard
+/// indices are zipped with the deposits section (both in address order)
+/// into one sorted run per shard, each run becomes its shard's
+/// [`Deposits`], and [`ShardMap::from_processors`] derives the
+/// user → home-shard routing from those. No other address-keyed map is
+/// built. A deposit can therefore belong to exactly one shard by
+/// construction; what restore checks is that the indices fit.
+///
 /// # Errors
-/// Fails on missing/malformed sections or invalid pool state.
+/// Fails on missing/malformed sections or invalid pool state; on a shard
+/// index list whose length differs from the deposits count
+/// ([`NodeRestoreError::MembershipLength`]) or an index that names no
+/// shard ([`NodeRestoreError::UnknownShard`]); on shard metas not strictly
+/// ascending by pool id ([`NodeRestoreError::UnsortedShardMetas`]); and on a
+/// shard meta without its pool section or a pool section without its
+/// shard meta.
 pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError> {
     let meta_section = snapshot
         .section(SectionKind::Aux(AUX_PROCESSOR_META))
         .ok_or(NodeRestoreError::Restore(RestoreError::MissingSection(
             "processor meta",
         )))?;
-    let metas = Vec::<ShardMeta>::decode_all(&meta_section.bytes)?;
-    if metas.is_empty() {
+    let ProcessorMeta { shard_of, shards } = ProcessorMeta::decode_all(&meta_section.bytes)?;
+    if shards.is_empty() {
         return Err(NodeRestoreError::Restore(RestoreError::MissingSection(
             "shard meta records",
         )));
+    }
+    if shards.windows(2).any(|w| w[0].pool_id >= w[1].pool_id) {
+        return Err(NodeRestoreError::UnsortedShardMetas);
+    }
+    let mut run_len = vec![0usize; shards.len()];
+    for &index in &shard_of {
+        *run_len
+            .get_mut(usize::from(index))
+            .ok_or(NodeRestoreError::UnknownShard {
+                index,
+                shards: shards.len(),
+            })? += 1;
     }
 
     // the state subsystem owns section decoding, validation (including
     // sorted-key checks) and pool reconstruction — one restore path
     let restored = ammboost_state::sync::restore(snapshot)?;
-    let mut pools: Vec<(PoolId, Option<ammboost_amm::Engine>)> = restored
-        .pools
-        .into_iter()
-        .map(|(id, pool)| (id, Some(pool)))
-        .collect();
+    if shard_of.len() != restored.deposits.len() {
+        return Err(NodeRestoreError::MembershipLength {
+            indices: shard_of.len(),
+            deposits: restored.deposits.len(),
+        });
+    }
+    // the deposits section is ascending by address, so each shard's run
+    // comes out ascending too
+    let mut runs: Vec<Vec<(Address, (u128, u128))>> =
+        run_len.into_iter().map(Vec::with_capacity).collect();
+    for (&index, entry) in shard_of.iter().zip(restored.deposits) {
+        runs[usize::from(index)].push(entry);
+    }
 
-    // split the global deposits section across shards by each meta's
-    // user list; every listed user must exist and no entry may be left
-    // unclaimed — anything else marks an internally inconsistent snapshot
-    let mut unclaimed: DigestMap<Address, (u128, u128)> = restored.deposits.into_iter().collect();
-    let mut processors = Vec::with_capacity(metas.len());
-    for meta in metas {
-        let pool = pools
-            .iter_mut()
-            .find(|(id, pool)| *id == meta.pool_id && pool.is_some())
-            .and_then(|(_, pool)| pool.take())
-            .ok_or(NodeRestoreError::MissingPool(meta.pool_id))?;
-        let mut entries = Vec::with_capacity(meta.users.len());
-        for user in meta.users {
-            let balance =
-                unclaimed
-                    .remove(&user)
-                    .ok_or_else(|| NodeRestoreError::InconsistentDeposits {
-                        detail: format!("{} claims {user} twice or without an entry", meta.pool_id),
-                    })?;
-            entries.push((user, balance));
+    // pool sections and shard metas are both ascending by pool id, so one
+    // walk pairs them; a section left over would drop a shard's state
+    let mut pools = restored.pools.into_iter().peekable();
+    let mut processors = Vec::with_capacity(shards.len());
+    for (meta, run) in shards.into_iter().zip(runs) {
+        if let Some((id, _)) = pools.next_if(|(id, _)| *id < meta.pool_id) {
+            return Err(NodeRestoreError::UnclaimedPool(id));
         }
+        let (_, pool) = pools
+            .next_if(|(id, _)| *id == meta.pool_id)
+            .ok_or(NodeRestoreError::MissingPool(meta.pool_id))?;
         processors.push(EpochProcessor::from_restored(
             pool,
             meta.pool_id,
-            Deposits::from_sorted_entries(entries),
+            Deposits::from_sorted_entries(run),
             meta.touched,
             meta.deleted,
             meta.preexisting,
@@ -317,15 +383,8 @@ pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError
             },
         ));
     }
-    if !unclaimed.is_empty() {
-        return Err(NodeRestoreError::InconsistentDeposits {
-            detail: format!("{} deposit entries claimed by no shard", unclaimed.len()),
-        });
-    }
-    // every pool section must belong to a shard — a leftover section
-    // means shard state would be silently dropped
-    if let Some((id, _)) = pools.iter().find(|(_, pool)| pool.is_some()) {
-        return Err(NodeRestoreError::UnclaimedPool(*id));
+    if let Some((id, _)) = pools.next() {
+        return Err(NodeRestoreError::UnclaimedPool(id));
     }
 
     Ok(NodeRestore {
@@ -452,6 +511,26 @@ mod tests {
         let mut sections = snapshot.into_sections();
         edit(&mut sections);
         Snapshot::seal(epoch, sections).unwrap()
+    }
+
+    /// `snapshot` with its processor-meta bytes edited and sealed again.
+    fn with_meta_bytes(snapshot: Snapshot, edit: impl FnOnce(&mut Vec<u8>)) -> Snapshot {
+        resealed(snapshot, |sections| {
+            let section = sections
+                .iter_mut()
+                .find(|s| s.kind == SectionKind::Aux(AUX_PROCESSOR_META))
+                .expect("processor meta section");
+            edit(&mut section.bytes);
+        })
+    }
+
+    /// `snapshot` with its processor meta edited and sealed again.
+    fn with_meta(snapshot: Snapshot, edit: impl FnOnce(&mut ProcessorMeta)) -> Snapshot {
+        with_meta_bytes(snapshot, |bytes| {
+            let mut meta = ProcessorMeta::decode_all(bytes).unwrap();
+            edit(&mut meta);
+            *bytes = meta.encode_to_vec();
+        })
     }
 
     fn user(i: u64) -> Address {
@@ -711,25 +790,70 @@ mod tests {
         shards.begin_epoch(snapshot, |_| Some(PoolId(0)));
         let ledger = Ledger::new(H256::hash(b"unclaimed"));
         let snap = checkpoint_node(&mut Checkpointer::new(), 1, &mut shards, &ledger).snapshot;
-        let metas = Vec::<ShardMeta>::decode_all(
-            &snap
-                .section(SectionKind::Aux(AUX_PROCESSOR_META))
-                .unwrap()
-                .bytes,
-        )
-        .unwrap();
-        let stripped = vec![metas[0].clone()];
-        let snap = resealed(snap, |sections| {
-            for section in sections {
-                if section.kind == SectionKind::Aux(AUX_PROCESSOR_META) {
-                    section.bytes = stripped.encode_to_vec();
-                }
-            }
+        let snap = with_meta(snap, |meta| {
+            meta.shards.pop();
         });
         assert!(matches!(
             restore_node(&snap),
             Err(NodeRestoreError::UnclaimedPool(PoolId(1)))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_malformed_shard_membership_typed() {
+        // 3 shards, 9 depositors: each crafted and re-sealed snapshot
+        // passes the root check and must fail restore with its own error
+        let mut node = new_node(3);
+        run_epoch(&mut node, 1);
+        let snap = snapshot_at(&mut node, 1);
+        assert!(restore_node(&snap).is_ok());
+        let restore =
+            |edit: &dyn Fn(&mut ProcessorMeta)| restore_node(&with_meta(snap.clone(), edit)).err();
+        let length = |indices| {
+            Some(NodeRestoreError::MembershipLength {
+                indices,
+                deposits: 9,
+            })
+        };
+        assert_eq!(
+            restore(&|m| {
+                m.shard_of.pop();
+            }),
+            length(8)
+        );
+        assert_eq!(restore(&|m| m.shard_of.push(0)), length(10));
+        for index in [3, u16::MAX] {
+            assert_eq!(
+                restore(&|m| m.shard_of[4] = index),
+                Some(NodeRestoreError::UnknownShard { index, shards: 3 })
+            );
+        }
+        let unsorted = Some(NodeRestoreError::UnsortedShardMetas);
+        assert_eq!(restore(&|m| m.shards.swap(0, 2)), unsorted);
+        assert_eq!(restore(&|m| m.shards[1] = m.shards[0].clone()), unsorted);
+        assert_eq!(restore(&|m| m.shards[2] = m.shards[1].clone()), unsorted);
+    }
+
+    #[test]
+    fn restore_rejects_every_truncated_processor_meta() {
+        let mut node = new_node(2);
+        run_epoch(&mut node, 1);
+        let snap = snapshot_at(&mut node, 1);
+        let len = snap
+            .section(SectionKind::Aux(AUX_PROCESSOR_META))
+            .unwrap()
+            .bytes
+            .len();
+        for cut in 0..len {
+            let torn = with_meta_bytes(snap.clone(), |bytes| bytes.truncate(cut));
+            assert!(
+                matches!(
+                    restore_node(&torn),
+                    Err(NodeRestoreError::Restore(RestoreError::Codec(_)))
+                ),
+                "cut at {cut} of {len}"
+            );
+        }
     }
 
     #[test]

@@ -204,6 +204,7 @@ impl ShardMap {
             "duplicate pool ids in shard map"
         );
         let mut home = DigestMap::default();
+        home.reserve(processors.iter().map(|p| p.deposits().len()).sum());
         for (idx, shard) in processors.iter().enumerate() {
             home.extend(shard.deposits().iter().map(|(user, _)| (user, idx)));
         }
@@ -825,21 +826,26 @@ impl ShardMap {
         (payouts, positions, pools)
     }
 
-    /// One pass over every shard's deposit ledger: the per-shard sorted
-    /// entry lists (ascending by pool id) plus their global union, sorted
-    /// as well — the checkpoint's shard user lists and deposits section
-    /// come from the same computation, so the two can never disagree.
-    pub fn deposit_export(&self) -> (Vec<DepositEntries>, DepositEntries) {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        let mut merged: DepositEntries = Vec::new();
-        for shard in &self.shards {
-            let entries = shard.deposits().to_sorted_entries();
-            merged.extend(entries.iter().copied());
-            per_shard.push(entries);
+    /// One pass over every shard's deposit ledger: the global union of
+    /// the entries, ascending by address (the checkpoint's deposits
+    /// section), and beside each entry the index of the shard that owns
+    /// it (the checkpoint's shard membership). Both come from one sort of
+    /// the shard-tagged entries, so the two can never disagree.
+    ///
+    /// # Panics
+    /// Panics when the map has more shards than a `u16` index can name.
+    pub fn deposit_export(&self) -> (Vec<u16>, DepositEntries) {
+        let total = self.shards.iter().map(|s| s.deposits().len()).sum();
+        let mut tagged: Vec<(Address, (u128, u128), u16)> = Vec::with_capacity(total);
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let idx = u16::try_from(idx).expect("shard index fits u16");
+            tagged.extend(shard.deposits().iter().map(|(user, b)| (user, b, idx)));
         }
-        // a merge of sorted runs, which the stable sort detects
-        merged.sort_by_key(|(user, _)| *user);
-        (per_shard, merged)
+        // addresses are unique across shards, so any sort is the one order
+        tagged.sort_unstable_by_key(|(user, _, _)| *user);
+        let shard_of = tagged.iter().map(|&(_, _, idx)| idx).collect();
+        let merged = tagged.into_iter().map(|(user, b, _)| (user, b)).collect();
+        (shard_of, merged)
     }
 
     /// The union of all shards' deposit ledgers (user sets are disjoint
@@ -1067,6 +1073,14 @@ mod tests {
         for i in 0..6 {
             assert_eq!(merged.get(&user(i)), (1_000_000_000, 1_000_000_000));
         }
+        // the export's shard index beside each entry names its home shard
+        let (shard_of, entries) = shards.deposit_export();
+        assert_eq!(shard_of.len(), entries.len());
+        for (index, (user, _)) in shard_of.iter().zip(&entries) {
+            let home = shards.home_shard_of(user);
+            assert_eq!(home, Some(shards.shards[usize::from(*index)].pool_id()));
+        }
+        assert!(shard_of.contains(&0) && shard_of.contains(&1));
     }
 
     #[test]

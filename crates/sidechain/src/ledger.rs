@@ -136,6 +136,22 @@ impl Ledger {
         self.meta.get(&epoch).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
+    /// Every epoch that still holds unpruned meta-blocks with those
+    /// blocks, ascending by epoch — [`LedgerState::meta`] by reference.
+    pub fn meta_by_epoch(&self) -> impl ExactSizeIterator<Item = (u64, &[MetaBlock])> {
+        self.meta.iter().map(|(e, b)| (*e, b.as_slice()))
+    }
+
+    /// Epoch the tip belongs to.
+    pub fn tip_epoch(&self) -> u64 {
+        self.tip_epoch
+    }
+
+    /// Round of the tip meta-block (`None` right after a summary).
+    pub fn tip_round(&self) -> Option<u64> {
+        self.tip_round
+    }
+
     /// Epochs that still hold unpruned meta-blocks, ascending.
     pub fn meta_epochs(&self) -> Vec<u64> {
         self.meta.keys().copied().collect()

@@ -4,7 +4,7 @@
 //! A [`Checkpointer`] owns the encoded form of every section from the
 //! previous checkpoint and, once that checkpoint was committed, the hash
 //! of every [`PAGE_SIZE`] page of it — the leaves under each section's
-//! page root (snapshot format v4). Pools are re-encoded only when they
+//! page root (each section's leaf). Pools are re-encoded only when they
 //! were marked dirty since; clean pools reuse their cached bytes. Staging
 //! diffs every re-encoded section against its cached bytes page by page
 //! (pure memcmp — no hashing in the stage half); committing hashes only
@@ -352,10 +352,7 @@ impl Checkpointer {
             };
             next.push((SectionKind::Pool(id.0), bytes));
         }
-        next.push((
-            SectionKind::Ledger,
-            Some(ledger.export_state().encode_to_vec()),
-        ));
+        next.push((SectionKind::Ledger, Some(ledger.encode_to_vec())));
         next.push((SectionKind::Deposits, Some(deposits.encode_to_vec())));
         aux.sort_by_key(|(tag, _)| *tag);
         next.extend(

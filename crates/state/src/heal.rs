@@ -9,7 +9,7 @@
 //! 1. A [`SyncManifest`] — the snapshot epoch plus each section's kind,
 //!    byte length and [`PAGE_SIZE`] page hashes — is fetched from any
 //!    provider. Each entry folds to its section's page root, which is the
-//!    section's v4 leaf, and the leaves fold to a root
+//!    section's leaf, and the leaves fold to a root
 //!    ([`root_from_leaves`]). A manifest out of canonical order, with a
 //!    page-hash count that disagrees with its length, or folding to
 //!    anything but the *trusted* root (from consensus) is counted stale
@@ -103,7 +103,7 @@ impl From<RestoreError> for SyncError {
     }
 }
 
-/// One section of a [`SyncManifest`]: what its v4 leaf is folded from.
+/// One section of a [`SyncManifest`]: what its leaf is folded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// Section kind.
@@ -116,7 +116,7 @@ pub struct ManifestEntry {
 
 /// What a late-joiner syncs against: the snapshot epoch and, per section
 /// in canonical order, its kind, length and page hashes. The entries fold
-/// to the v4 section leaves and those to the root, so one manifest binds
+/// to the section leaves and those to the root, so one manifest binds
 /// every page to the trusted root without carrying any payload. It costs
 /// 32 B per KiB of state (≈ 3 %), and a joiner receives all of it, the
 /// entries of sections it already holds included.
@@ -129,7 +129,7 @@ pub struct SyncManifest {
 }
 
 impl SyncManifest {
-    /// The manifest of `snapshot`'s sections sealed as v4: every page of
+    /// The manifest of `snapshot`'s sections as sealed: every page of
     /// every section hashed once, in one four-lane run.
     pub fn of(snapshot: &Snapshot) -> SyncManifest {
         let hashes = section_page_hashes(snapshot.sections());
@@ -146,14 +146,14 @@ impl SyncManifest {
         }
     }
 
-    /// Each section's v4 leaf: the page root its entry folds to.
+    /// Each section's leaf: the page root its entry folds to.
     fn leaves(&self) -> Vec<H256> {
         (self.sections.iter())
             .map(|e| page_root_from_hashes(e.kind, e.len as usize, &e.page_hashes))
             .collect()
     }
 
-    /// The v4 root this manifest commits to.
+    /// The root this manifest commits to.
     pub fn root(&self) -> H256 {
         root_from_leaves(self.epoch, &self.leaves())
     }
@@ -345,7 +345,7 @@ pub struct HealReport {
     pub attempts: u64,
     /// Total retries (attempts beyond the first per page).
     pub retries: u64,
-    /// Sections reused wholesale from the local snapshot (sealed v4 leaf
+    /// Sections reused wholesale from the local snapshot (sealed leaf
     /// match).
     pub sections_reused: usize,
     /// Pages fetched from providers.

@@ -18,7 +18,7 @@
 //!   pools and re-hash only changed pages, and each commit also emits a
 //!   page-granular delta against the previous checkpoint.
 //! - [`pages`] — fixed-size page decomposition of section encodings; a
-//!   section's page root is its leaf in a v4 snapshot root.
+//!   section's page root is its leaf in the snapshot root.
 //! - [`delta`] — [`DeltaSnapshot`]: the page-granular difference between
 //!   two committed snapshots, with `apply` proven byte-identical to a
 //!   full re-encode and tamper detection down to single page bytes.

@@ -28,7 +28,7 @@ const PAGE_DOMAIN: &[u8] = b"ammboost-snapshot-page";
 /// Domain prefix of the page-root length leaf.
 const PAGE_ROOT_DOMAIN: &[u8] = b"ammboost-page-root";
 
-/// The page size of snapshot format v4: section leaves, checkpoint deltas
+/// The page size of the snapshot format: section leaves, checkpoint deltas
 /// and sync manifests all split sections at this many bytes.
 ///
 /// Chosen so a sparse-dirty epoch stays sparse in *pages*: at 10⁵
@@ -119,7 +119,7 @@ pub(crate) fn section_page_hashes(sections: &[Section]) -> Vec<Vec<H256>> {
 
 /// The Merkle root over a section's [`PAGE_SIZE`] pages: a length leaf
 /// (domain, kind, byte length) followed by every page hash. This is the
-/// section's leaf in a v4 snapshot root.
+/// section's leaf in the snapshot root.
 pub fn page_root(kind: SectionKind, bytes: &[u8]) -> H256 {
     page_root_from_hashes(kind, bytes.len(), &page_hashes(kind, bytes))
 }

@@ -14,7 +14,7 @@ use ammboost_amm::tx::{
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::{Address, H256, U256};
 use ammboost_sidechain::block::{ExecutedTx, MetaBlock, RouteLeg, SummaryBlock, TxEffect};
-use ammboost_sidechain::ledger::LedgerState;
+use ammboost_sidechain::ledger::{Ledger, LedgerState};
 use ammboost_sidechain::summary::{PayoutEntry, PoolUpdate, PositionEntry};
 
 // ---- crypto value types ----------------------------------------------------
@@ -682,6 +682,26 @@ impl Encode for LedgerState {
     }
 }
 
+/// The bytes of [`Ledger::export_state`]'s encoding, read straight off
+/// the ledger: a checkpoint encodes every unpruned meta-block without
+/// cloning it first.
+impl Encode for Ledger {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_len(self.meta_by_epoch().len());
+        for (epoch, blocks) in self.meta_by_epoch() {
+            w.put_u64(epoch);
+            blocks.encode(w);
+        }
+        self.summaries().encode(w);
+        self.tip().encode(w);
+        w.put_u64(self.tip_epoch());
+        self.tip_round().encode(w);
+        w.put_u64(self.size_bytes());
+        w.put_u64(self.peak_bytes());
+        w.put_u64(self.pruned_bytes());
+    }
+}
+
 impl Decode for LedgerState {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let state = LedgerState {
@@ -805,5 +825,117 @@ mod tests {
         state.ticks.reverse();
         let bytes = state.encode_to_vec();
         assert_eq!(PoolState::decode_all(&bytes), Err(CodecError::UnsortedKeys));
+    }
+
+    #[test]
+    fn ledger_encodes_by_reference_to_its_exported_bytes() {
+        let user = Address::from_index(5);
+        let pool = PoolId(2);
+        let position = PositionId::derive(&[b"burned"]);
+        let route = ExecutedTx {
+            tx: AmmTx::Route(RouteTx {
+                user,
+                hops: vec![
+                    RouteHop {
+                        pool,
+                        zero_for_one: true,
+                    },
+                    RouteHop {
+                        pool: PoolId(4),
+                        zero_for_one: false,
+                    },
+                ],
+                amount_in: 10_000,
+                min_amount_out: 9_000,
+                deadline_round: 40,
+            }),
+            wire_size: 412,
+            effect: TxEffect::Route {
+                legs: vec![RouteLeg {
+                    pool,
+                    zero_for_one: true,
+                    amount_in: 10_000,
+                    amount_out: 9_950,
+                }],
+                amount_in: 10_000,
+                amount_out: 9_950,
+                completed: false,
+            },
+        };
+        let rejected = ExecutedTx {
+            tx: AmmTx::Swap(SwapTx {
+                user,
+                pool,
+                zero_for_one: false,
+                intent: SwapIntent::ExactInput {
+                    amount_in: u128::MAX,
+                    min_amount_out: 0,
+                },
+                sqrt_price_limit: None,
+                deadline_round: 3,
+            }),
+            wire_size: 1008,
+            effect: TxEffect::Rejected {
+                reason: "insufficient deposit".into(),
+            },
+        };
+        let burn = ExecutedTx {
+            tx: AmmTx::Burn(BurnTx {
+                user,
+                pool,
+                position,
+                liquidity: None,
+            }),
+            wire_size: 240,
+            effect: TxEffect::Burn {
+                position,
+                liquidity: 77,
+                amount0: 5,
+                amount1: 6,
+                deleted: true,
+            },
+        };
+        let tip = H256::hash(b"tip");
+        let summary = |epoch| SummaryBlock {
+            epoch,
+            parent: H256::hash(&epoch.to_be_bytes()),
+            meta_refs: vec![H256::hash(b"meta")],
+            payouts: vec![PayoutEntry {
+                user,
+                amount0: 1,
+                amount1: 2,
+            }],
+            positions: Vec::new(),
+            pools: vec![PoolUpdate {
+                pool,
+                reserve0: 3,
+                reserve1: 4,
+            }],
+        };
+        let state = LedgerState {
+            meta: vec![
+                (
+                    2,
+                    vec![
+                        MetaBlock::new(2, 0, tip, vec![route, rejected]),
+                        MetaBlock::new(2, 1, tip, vec![burn]),
+                    ],
+                ),
+                (3, vec![MetaBlock::new(3, 0, tip, Vec::new())]),
+            ],
+            summaries: vec![summary(1), summary(2)],
+            tip,
+            tip_epoch: 3,
+            tip_round: Some(0),
+            current_bytes: 9_000,
+            peak_bytes: 12_000,
+            pruned_bytes_total: 3_000,
+        };
+        let ledger = Ledger::from_state(state.clone());
+        assert_eq!(
+            ledger.encode_to_vec(),
+            ledger.export_state().encode_to_vec()
+        );
+        assert_eq!(ledger.encode_to_vec(), state.encode_to_vec());
     }
 }

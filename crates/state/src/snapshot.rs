@@ -38,13 +38,16 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ABSS";
 /// The snapshot format version: the only one the node writes and the
 /// only one decoders accept.
 ///
-/// Version 4: pool sections are engine-tagged ([`EngineState`] with a
+/// Version 5: pool sections are engine-tagged ([`EngineState`] with a
 /// leading engine-kind byte), a section's leaf is its page root at
-/// [`PAGE_SIZE`], and the header leaf commits the section count.
+/// [`PAGE_SIZE`], and the header leaf commits the section count (all as
+/// in version 4). New in 5: the node's processor-meta aux section stores
+/// shard membership once, as one shard index per deposits-section entry,
+/// instead of a per-shard copy of every depositor's address.
 ///
 /// [`EngineState`]: ammboost_amm::engines::EngineState
 /// [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
-pub const SNAPSHOT_VERSION: u16 = 4;
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// What a section holds. The ordering (pools ascending, then ledger,
 /// deposits, aux by tag) is the canonical section order.
@@ -383,8 +386,8 @@ mod tests {
             Err(CodecError::BadMagic(_))
         ));
         // the version sits big-endian after the magic: 99 is from the
-        // future, 2 and 3 are the retired formats
-        for version in [99, 2, 3] {
+        // future, 2, 3 and 4 are the retired formats
+        for version in [99, 2, 3, 4] {
             let mut bytes = sample().encode();
             bytes[4..6].copy_from_slice(&u16::to_be_bytes(version));
             assert_eq!(

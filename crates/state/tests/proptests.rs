@@ -515,6 +515,9 @@ proptest! {
             pruned_bytes_total: counters.2,
         };
         roundtrip(&state)?;
+        // a checkpoint encodes the live ledger by reference, to these bytes
+        let by_ref = Ledger::from_state(state.clone()).encode_to_vec();
+        prop_assert_eq!(by_ref, state.encode_to_vec());
     }
 
     #[test]

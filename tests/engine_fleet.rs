@@ -152,11 +152,13 @@ fn peer(seed: u64) -> Peer {
 fn mixed_fleet_survives_snapshot_restore_catch_up() {
     let mut full = peer(4242);
     let mut wire = None;
+    let mut live_at_3 = None;
     for epoch in 1..=6 {
         full.run_epoch(epoch);
         if epoch == 3 {
             wire = Some(full.snapshot_at(epoch).encode());
             assert_eq!(full.node.last_checkpoint().unwrap().pools_total, 3);
+            live_at_3 = Some(full.node.shards().clone());
         }
     }
     let stats = full.node.shards().stats();
@@ -171,6 +173,16 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
     let mut node = restore_node(&snapshot).expect("tagged snapshot restores");
     assert_eq!(node.epoch, 3);
     assert_eq!(node.shards.engine_kinds(), FLEET.to_vec());
+    // shard membership comes back as the live node held it: every shard's
+    // deposits, and every depositor's home shard
+    let live = live_at_3.unwrap();
+    for (restored, shard) in node.shards.iter().zip(live.iter()) {
+        assert_eq!(restored.deposits(), shard.deposits(), "{}", shard.pool_id());
+        for (user, _) in shard.deposits().iter() {
+            assert_eq!(node.shards.home_shard_of(&user), Some(shard.pool_id()));
+            assert_eq!(live.home_shard_of(&user), Some(shard.pool_id()));
+        }
+    }
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);

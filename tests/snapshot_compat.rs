@@ -1,10 +1,10 @@
-//! The snapshot format across commits: a committed v4 fixture (a routed
+//! The snapshot format across commits: a committed v5 fixture (a routed
 //! run over four pools of all three engine kinds, page-root section
-//! leaves, a counted header) must keep decoding to its recorded root and
-//! restoring into a working node. `write_v4_fixture` rewrites it from the
-//! same run, so a diff of the fixture shows a commit that moved a
-//! snapshot byte or the root — a check across commits rather than inside
-//! one process.
+//! leaves, a counted header, shard membership stored once) must keep
+//! decoding to its recorded root and restoring into a working node.
+//! `write_v5_fixture` rewrites it from the same run, so a diff of the
+//! fixture shows a commit that moved a snapshot byte or the root — a
+//! check across commits rather than inside one process.
 
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::pool::SwapKind;
@@ -12,21 +12,21 @@ use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::restore_node;
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
 use ammboost::core::system::System;
-use ammboost::state::Snapshot;
+use ammboost::state::{CodecError, Snapshot};
 use ammboost::workload::{EngineMix, RouteStyle};
 
-const V4_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v4_mixed.bin");
-const V4_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v4_mixed.root");
+const V5_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v5_mixed.bin");
+const V5_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v5_mixed.root");
 
-/// Writes `fixtures/snapshot_v4_mixed.{bin,root}`: the last scheduled
+/// Writes `fixtures/snapshot_v5_mixed.{bin,root}`: the last scheduled
 /// checkpoint of a run over four pools (CL, CL, constant-product,
-/// weighted) with a quarter of the swaps routed. Run on purpose only (`cargo test --test
-/// snapshot_compat -- --ignored write_v4_fixture`; CI runs it and fails
-/// on a `git diff` of the fixture): a diff shows the commit changed a
-/// snapshot byte or the root.
+/// weighted) with a quarter of the swaps routed. Run on purpose only
+/// (`cargo test --test snapshot_compat -- --ignored write_v5_fixture`;
+/// CI runs it and fails on a `git diff` of the fixture): a diff shows the
+/// commit changed a snapshot byte or the root.
 #[test]
-#[ignore = "rewrites the committed v4 fixture"]
-fn write_v4_fixture() {
+#[ignore = "rewrites the committed v5 fixture"]
+fn write_v5_fixture() {
     let mut cfg = SystemConfig::small_test();
     cfg.pools = 4;
     cfg.users = 16;
@@ -39,25 +39,37 @@ fn write_v4_fixture() {
     assert!(report.routes_accepted > 0, "the fixture run must route");
     let snapshot = sys.last_snapshot().expect("checkpoints every epoch");
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    std::fs::write(format!("{dir}/snapshot_v4_mixed.bin"), snapshot.encode()).unwrap();
+    std::fs::write(format!("{dir}/snapshot_v5_mixed.bin"), snapshot.encode()).unwrap();
     std::fs::write(
-        format!("{dir}/snapshot_v4_mixed.root"),
+        format!("{dir}/snapshot_v5_mixed.root"),
         format!("{}\n", snapshot.root()),
     )
     .unwrap();
 }
 
 #[test]
-fn v4_fixture_decodes_reencodes_and_restores_to_its_root() {
-    let snapshot = Snapshot::decode(V4_FIXTURE).expect("committed v4 fixture decodes");
+fn v5_fixture_decodes_reencodes_and_restores_to_its_root() {
+    let snapshot = Snapshot::decode(V5_FIXTURE).expect("committed v5 fixture decodes");
     assert_eq!(snapshot.epoch(), 3);
-    assert_eq!(format!("{}", snapshot.root()), V4_FIXTURE_ROOT.trim());
+    assert_eq!(format!("{}", snapshot.root()), V5_FIXTURE_ROOT.trim());
     assert_eq!(
         snapshot.encode(),
-        V4_FIXTURE,
+        V5_FIXTURE,
         "decode → encode is the identity"
     );
-    assert_restores_mixed_fleet(&snapshot, V4_FIXTURE_ROOT);
+    assert_restores_mixed_fleet(&snapshot, V5_FIXTURE_ROOT);
+}
+
+#[test]
+fn v4_header_is_refused_not_misparsed() {
+    // the fixture's bytes under the retired version: v4 stored a copy of
+    // every depositor's address per shard, so a v5 decoder must not read it
+    let mut bytes = V5_FIXTURE.to_vec();
+    bytes[4..6].copy_from_slice(&4u16.to_be_bytes());
+    assert_eq!(
+        Snapshot::decode(&bytes),
+        Err(CodecError::UnsupportedVersion(4))
+    );
 }
 
 /// Restores a fixture of the four-pool mixed run and checks the node's
