@@ -50,9 +50,6 @@ pub enum AmmError {
     BalanceOverflow,
     /// Internal accounting would drive a pool balance negative.
     PoolInsolvent,
-    /// A restored snapshot's persisted tick→sqrt-price table is corrupt
-    /// (wrong length, non-monotonic, or outside the sqrt-price domain).
-    CorruptTickPriceTable,
     /// A fixed-point computation left its convergent range (e.g. a
     /// weighted-math `pow` base outside `[1 wei, 2·BONE)`); no state was
     /// changed.
@@ -93,9 +90,6 @@ impl std::fmt::Display for AmmError {
             AmmError::FlashNotRepaid => write!(f, "flash loan not repaid with fee"),
             AmmError::BalanceOverflow => write!(f, "balance overflow"),
             AmmError::PoolInsolvent => write!(f, "pool accounting would go negative"),
-            AmmError::CorruptTickPriceTable => {
-                write!(f, "persisted tick-price table is corrupt")
-            }
             AmmError::MathRange(what) => write!(f, "fixed-point range exceeded: {what}"),
             AmmError::TickMath(e) => write!(f, "tick math: {e}"),
             AmmError::PriceMath(e) => write!(f, "price math: {e}"),

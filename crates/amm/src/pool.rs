@@ -23,13 +23,6 @@ use ammboost_crypto::{Address, U256};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
-/// Minimum initialized-tick count before [`Pool::from_state`] consumes a
-/// persisted tick-price table. The table is always *validated* when
-/// present (a corrupt one still fails the restore closed); below this
-/// density, deriving the handful of boundary prices directly is cheaper
-/// than adopting the table, so small pools skip it.
-pub const TICK_TABLE_MIN_TICKS: usize = 256;
-
 /// Per-tick state (Uniswap `Tick.Info`).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TickInfo {
@@ -232,13 +225,6 @@ pub struct PoolState {
     /// Live positions as wire-format records, ascending by id. Kept raw
     /// so a restore adopts them zero-copy and decodes lazily.
     pub positions: PositionRecords,
-    /// Compact tick→sqrt-price table: `tick_prices[i]` is the boundary
-    /// sqrt price (Q64.96) of `ticks[i].0`. Persisting it lets
-    /// [`Pool::from_state`] rebuild the tick index without re-deriving
-    /// `sqrt_ratio_at_tick` per tick — the dominant cost of snapshot
-    /// restores on tick-dense pools. An empty table means "recompute"
-    /// (hand-built states stay valid).
-    pub tick_prices: Vec<U256>,
 }
 
 /// A concentrated-liquidity pool for one token pair.
@@ -391,34 +377,12 @@ impl Pool {
     /// Fails only if a stored tick is out of tick-math range (corrupt
     /// snapshot).
     pub fn rebuild_tick_index(&mut self) -> Result<(), AmmError> {
-        self.build_tick_index(None)
-    }
-
-    /// Rebuilds the tick bitmap and boundary-price cache, taking the
-    /// boundary prices from `prices` when given (the snapshot's persisted
-    /// tick→sqrt-price table, aligned with `self.ticks`) instead of
-    /// re-deriving each via `sqrt_ratio_at_tick`.
-    fn build_tick_index(&mut self, prices: Option<&[U256]>) -> Result<(), AmmError> {
-        if let Some(p) = prices {
-            debug_assert_eq!(p.len(), self.ticks.len(), "price table misaligned");
-        }
         let mut bitmap = TickBitmap::new(self.tick_spacing);
         let mut cache = HashMap::with_capacity_and_hasher(self.ticks.len(), Default::default());
-        for (i, (t, info)) in self.ticks.iter().enumerate() {
-            // establish the boundary price first: it is the range check,
-            // and must fail (not panic in the bitmap) on a corrupt tick
-            let sqrt_price = match prices {
-                Some(p) => {
-                    let price = p[i];
-                    debug_assert_eq!(
-                        price,
-                        sqrt_ratio_at_tick(*t)?,
-                        "persisted tick price diverges from tick math at tick {t}"
-                    );
-                    price
-                }
-                None => sqrt_ratio_at_tick(*t)?,
-            };
+        for (t, info) in &self.ticks {
+            // derive the boundary price first: it is the range check, and
+            // must fail (not panic in the bitmap) on a corrupt tick
+            let sqrt_price = sqrt_ratio_at_tick(*t)?;
             bitmap.set(*t);
             cache.insert(
                 *t,
@@ -439,16 +403,6 @@ impl Pool {
         // zero-copy when no position was touched since restore; otherwise
         // one sorted merge of the record base and the decoded overlay
         let positions = self.positions.export_records();
-        // the boundary prices are already materialized in the tick cache;
-        // exporting them costs lookups, not tick-math derivations
-        let tick_prices = self
-            .ticks
-            .keys()
-            .map(|t| match self.tick_cache.get(t) {
-                Some(c) => c.sqrt_price,
-                None => sqrt_ratio_at_tick(*t).expect("initialized tick in range"),
-            })
-            .collect();
         PoolState {
             fee_pips: self.fee_pips,
             tick_spacing: self.tick_spacing,
@@ -461,7 +415,6 @@ impl Pool {
             balance1: self.balance1,
             ticks: self.ticks.iter().map(|(t, i)| (*t, i.clone())).collect(),
             positions,
-            tick_prices,
         }
     }
 
@@ -500,44 +453,12 @@ impl Pool {
             }
         }
         // ticks must be strictly ascending: the BTreeMap below would
-        // silently collapse duplicates, misaligning every later entry of
-        // the tick-price table against the surviving tick set
+        // silently collapse duplicates
         if let Some(pair) = state.ticks.windows(2).find(|w| w[0].0 >= w[1].0) {
             return Err(AmmError::InvalidTickRange {
                 lower: pair[0].0,
                 upper: pair[1].0,
             });
-        }
-        // a persisted tick-price table must align with the tick set and
-        // be strictly increasing within the sqrt-price domain; anything
-        // else marks a corrupt snapshot. (Exact agreement with tick math
-        // is debug-asserted when the table is consumed below.)
-        let table_present = !state.tick_prices.is_empty();
-        if table_present {
-            if state.tick_prices.len() != state.ticks.len() {
-                return Err(AmmError::CorruptTickPriceTable);
-            }
-            let (min, max) = (min_sqrt_ratio(), max_sqrt_ratio());
-            for pair in state.tick_prices.windows(2) {
-                if pair[0] >= pair[1] {
-                    return Err(AmmError::CorruptTickPriceTable);
-                }
-            }
-            for p in &state.tick_prices {
-                if *p < min || *p > max {
-                    return Err(AmmError::CorruptTickPriceTable);
-                }
-            }
-            // O(1) release-mode anchors: derive the first and last
-            // entries exactly — a whole-table shift or misalignment
-            // shows up at the edges, without paying the per-tick
-            // derivation the table exists to avoid (full agreement is
-            // debug-asserted when the table is consumed below)
-            for i in [0, state.ticks.len() - 1] {
-                if state.tick_prices[i] != sqrt_ratio_at_tick(state.ticks[i].0)? {
-                    return Err(AmmError::CorruptTickPriceTable);
-                }
-            }
         }
         let mut pool = Pool {
             fee_pips: state.fee_pips,
@@ -559,13 +480,7 @@ impl Pool {
             tick_search: TickSearch::default(),
             crossings_buf: Vec::with_capacity(16),
         };
-        // consume the (already validated) table only past the density
-        // threshold: below it, recomputing beats the table's cache churn
-        if table_present && pool.ticks.len() >= TICK_TABLE_MIN_TICKS {
-            pool.build_tick_index(Some(&state.tick_prices))?;
-        } else {
-            pool.rebuild_tick_index()?;
-        }
+        pool.rebuild_tick_index()?;
         Ok(pool)
     }
 
@@ -1975,69 +1890,14 @@ mod tests {
                 upper: 90
             })
         ));
-        // duplicate ticks would collapse in the BTreeMap and misalign the
-        // tick-price table against the surviving tick set: fail closed
+        // duplicate ticks would silently collapse in the BTreeMap: fail
+        // closed
         let mut duplicated = good;
         let first = duplicated.ticks[0].clone();
         duplicated.ticks.insert(1, first);
-        duplicated.tick_prices.insert(1, duplicated.tick_prices[0]);
         assert!(matches!(
             Pool::from_state(duplicated),
             Err(AmmError::InvalidTickRange { .. })
-        ));
-    }
-
-    #[test]
-    fn persisted_tick_price_table_restores_identically_to_recompute() {
-        let mut pool = pool_with_liquidity();
-        pool.mint(pid(2), addr(2), -1200, -600, 5_000_000, 5_000_000)
-            .unwrap();
-        pool.swap(true, SwapKind::ExactInput(7_000_000), None)
-            .unwrap();
-        let state = pool.export_state();
-        assert_eq!(state.tick_prices.len(), state.ticks.len());
-        for (i, (t, _)) in state.ticks.iter().enumerate() {
-            assert_eq!(state.tick_prices[i], sqrt_ratio_at_tick(*t).unwrap());
-        }
-        // table-fed restore ≡ recompute restore, bit for bit
-        let mut stripped = state.clone();
-        stripped.tick_prices.clear();
-        let mut with_table = Pool::from_state(state).unwrap();
-        let mut recomputed = Pool::from_state(stripped).unwrap();
-        assert_eq!(with_table.tick_bitmap(), recomputed.tick_bitmap());
-        assert_eq!(with_table.export_state(), recomputed.export_state());
-        let a = with_table.swap(false, SwapKind::ExactInput(2_000_000), None);
-        let b = recomputed.swap(false, SwapKind::ExactInput(2_000_000), None);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn corrupt_tick_price_table_fails_closed() {
-        let mut pool = pool_with_liquidity();
-        pool.mint(pid(2), addr(2), -1200, -600, 5_000_000, 5_000_000)
-            .unwrap();
-        let good = pool.export_state();
-        // wrong length
-        let mut short = good.clone();
-        short.tick_prices.pop();
-        assert!(matches!(
-            Pool::from_state(short),
-            Err(AmmError::CorruptTickPriceTable)
-        ));
-        // non-monotonic
-        let mut swapped = good.clone();
-        swapped.tick_prices.swap(0, 1);
-        assert!(matches!(
-            Pool::from_state(swapped),
-            Err(AmmError::CorruptTickPriceTable)
-        ));
-        // outside the sqrt-price domain
-        let mut huge = good;
-        let last = huge.tick_prices.len() - 1;
-        huge.tick_prices[last] = U256::MAX;
-        assert!(matches!(
-            Pool::from_state(huge),
-            Err(AmmError::CorruptTickPriceTable)
         ));
     }
 

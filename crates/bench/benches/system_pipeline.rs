@@ -349,29 +349,19 @@ fn bench_fat_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Pool::from_state` of a fragmented pool (512 initialized ticks) with
-/// the persisted tick-price table and with the table stripped, which
-/// recomputes every boundary price — the restore-side gain the table's
-/// place in the wire format rests on.
+/// `Pool::from_state` of a fragmented pool (512 initialized ticks): the
+/// restore derives every boundary price from tick math while it rebuilds
+/// the tick index.
 fn bench_restore_fragmented(c: &mut Criterion) {
-    let with_table = ammboost_bench::fragmented_ladder_pool(256, TickSearch::Bitmap).export_state();
-    assert!(with_table.ticks.len() >= 256 && !with_table.tick_prices.is_empty());
-    let mut recompute = with_table.clone();
-    recompute.tick_prices.clear();
-    let mut group = c.benchmark_group("state");
-    for (name, state) in [
-        ("restore_fragmented_with_table", with_table),
-        ("restore_fragmented_recompute", recompute),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || state.clone(),
-                |state| black_box(Pool::from_state(state).expect("exported state restores")),
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
+    let state = ammboost_bench::fragmented_ladder_pool(256, TickSearch::Bitmap).export_state();
+    assert!(state.ticks.len() >= 256);
+    c.bench_function("state/restore_fragmented", |b| {
+        b.iter_batched(
+            || state.clone(),
+            |state| black_box(Pool::from_state(state).expect("exported state restores")),
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 /// One round of `paper_default` traffic (2 026 transactions).

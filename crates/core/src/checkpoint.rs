@@ -8,8 +8,7 @@
 //!   covering **all shards** through a [`Checkpointer`] (clean pools
 //!   reuse their cached encoding; only dirty shards are re-encoded);
 //! - [`restore_node`] — rebuilds a working shard map + ledger from a
-//!   snapshot, with each pool's derived tick index regenerated (from the
-//!   persisted tick-price table when present);
+//!   snapshot, with each pool's derived tick index regenerated;
 //! - [`catch_up`] — fast-sync: a node restored at epoch *k* re-executes
 //!   the meta-blocks sealed after *k* from a peer's ledger — routing each
 //!   transaction to its shard — and verifies each recorded effect and
@@ -23,7 +22,9 @@ use ammboost_crypto::Address;
 use ammboost_sidechain::block::SummaryBlock;
 use ammboost_sidechain::ledger::Ledger;
 use ammboost_sidechain::summary::Deposits;
-use ammboost_state::codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+use ammboost_state::codec::{
+    ensure_sorted_keys, ByteReader, ByteWriter, CodecError, Decode, Encode,
+};
 use ammboost_state::snapshot::{SectionKind, Snapshot};
 use ammboost_state::store::{CheckpointStore, RecoveryOutcome, StoreError};
 use ammboost_state::sync::RestoreError;
@@ -78,6 +79,10 @@ struct ShardMeta {
     preexisting: Vec<PositionId>,
     accepted: u64,
     rejected: u64,
+    /// While an epoch is open, its first-touch record
+    /// ([`Deposits::opening_balances`]), ascending by address; empty at
+    /// an epoch boundary, where the next epoch's start drops it anyway.
+    opening: Vec<(Address, (u128, u128))>,
 }
 
 impl Encode for ShardMeta {
@@ -88,19 +93,23 @@ impl Encode for ShardMeta {
         self.preexisting.encode(w);
         w.put_u64(self.accepted);
         w.put_u64(self.rejected);
+        self.opening.encode(w);
     }
 }
 
 impl Decode for ShardMeta {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(ShardMeta {
+        let meta = ShardMeta {
             pool_id: r.get()?,
             touched: r.get()?,
             deleted: r.get()?,
             preexisting: r.get()?,
             accepted: r.take_u64()?,
             rejected: r.take_u64()?,
-        })
+            opening: r.get()?,
+        };
+        ensure_sorted_keys(&meta.opening)?;
+        Ok(meta)
     }
 }
 
@@ -133,6 +142,14 @@ pub enum NodeRestoreError {
     /// The snapshot carries a pool section no shard meta claims —
     /// restoring would silently drop that pool's state.
     UnclaimedPool(PoolId),
+    /// A shard's first-touch record names a user the shard holds no
+    /// deposit for.
+    OpeningWithoutDeposit {
+        /// The shard.
+        pool: PoolId,
+        /// The user.
+        user: Address,
+    },
     /// A replayed transaction's effect diverged from the one recorded in
     /// the meta-block — the snapshot or the block stream is inconsistent.
     EffectMismatch {
@@ -148,13 +165,6 @@ pub enum NodeRestoreError {
     },
     /// A block did not chain onto the restored ledger.
     BadChain(String),
-    /// The source ledger seals this epoch (it is ≤ the last summary
-    /// epoch) yet carries no summary block for it — a corrupt or
-    /// internally inconsistent source.
-    MissingSummary {
-        /// The epoch whose summary is absent.
-        epoch: u64,
-    },
     /// The checkpoint store had nothing usable to restore from.
     Store(StoreError),
 }
@@ -178,6 +188,12 @@ impl fmt::Display for NodeRestoreError {
             NodeRestoreError::UnclaimedPool(id) => {
                 write!(f, "snapshot section for {id} is claimed by no shard")
             }
+            NodeRestoreError::OpeningWithoutDeposit { pool, user } => {
+                write!(
+                    f,
+                    "{pool} opened the epoch for {user}, who has no deposit there"
+                )
+            }
             NodeRestoreError::EffectMismatch { epoch, round } => {
                 write!(f, "replayed effect diverges in epoch {epoch} round {round}")
             }
@@ -185,9 +201,6 @@ impl fmt::Display for NodeRestoreError {
                 write!(f, "replayed summary diverges in epoch {epoch}")
             }
             NodeRestoreError::BadChain(detail) => write!(f, "block does not chain: {detail}"),
-            NodeRestoreError::MissingSummary { epoch } => {
-                write!(f, "source ledger has no summary for sealed epoch {epoch}")
-            }
             NodeRestoreError::Store(e) => write!(f, "checkpoint store: {e}"),
         }
     }
@@ -270,6 +283,9 @@ pub fn stage_node<'a>(
     // cost stays proportional to its (small) epoch metadata; the shard
     // indices and the global deposits section come from one sort
     let (shard_of, deposits) = shards.deposit_export();
+    // an epoch is open once its first meta-block is in; its summary will
+    // need the first-touch record
+    let epoch_open = !ledger.retained_meta().is_empty();
     let meta = ProcessorMeta {
         shard_of,
         shards: shards
@@ -281,6 +297,11 @@ pub fn stage_node<'a>(
                 preexisting: shard.preexisting_positions(),
                 accepted: shard.stats().accepted,
                 rejected: shard.stats().rejected,
+                opening: if epoch_open {
+                    shard.deposits().opening_balances()
+                } else {
+                    Vec::new()
+                },
             })
             .collect(),
     };
@@ -297,9 +318,9 @@ pub fn stage_node<'a>(
     )
 }
 
-/// Rebuilds a node from a snapshot: every pool (tick index regenerated,
-/// via the persisted tick-price table when present), per-shard deposits
-/// and epoch bookkeeping, and the ledger.
+/// Rebuilds a node from a snapshot: every pool (tick index regenerated),
+/// per-shard deposits and epoch bookkeeping, and the ledger as retention
+/// left it (summaries and the open epoch's meta-blocks).
 ///
 /// Shard membership is read in one pass: the processor meta's shard
 /// indices are zipped with the deposits section (both in address order)
@@ -314,9 +335,12 @@ pub fn stage_node<'a>(
 /// index list whose length differs from the deposits count
 /// ([`NodeRestoreError::MembershipLength`]) or an index that names no
 /// shard ([`NodeRestoreError::UnknownShard`]); on shard metas not strictly
-/// ascending by pool id ([`NodeRestoreError::UnsortedShardMetas`]); and on a
+/// ascending by pool id ([`NodeRestoreError::UnsortedShardMetas`]); on a
 /// shard meta without its pool section or a pool section without its
-/// shard meta.
+/// shard meta; on a shard's first-touch record naming a user it holds no
+/// deposit for ([`NodeRestoreError::OpeningWithoutDeposit`]); and on a
+/// ledger section that contradicts itself
+/// ([`RestoreError::InvalidLedger`]).
 pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError> {
     let meta_section = snapshot
         .section(SectionKind::Aux(AUX_PROCESSOR_META))
@@ -370,10 +394,17 @@ pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError
         let (_, pool) = pools
             .next_if(|(id, _)| *id == meta.pool_id)
             .ok_or(NodeRestoreError::MissingPool(meta.pool_id))?;
+        let mut deposits = Deposits::from_sorted_entries(run);
+        deposits
+            .reopen(meta.opening)
+            .map_err(|user| NodeRestoreError::OpeningWithoutDeposit {
+                pool: meta.pool_id,
+                user,
+            })?;
         processors.push(EpochProcessor::from_restored(
             pool,
             meta.pool_id,
-            Deposits::from_sorted_entries(run),
+            deposits,
             meta.touched,
             meta.deleted,
             meta.preexisting,
@@ -450,11 +481,10 @@ pub fn catch_up(
                 .append_meta(block.clone())
                 .map_err(|e| NodeRestoreError::BadChain(e.to_string()))?;
         }
-        let sealed: &SummaryBlock = source
-            .summaries()
-            .iter()
-            .find(|s| s.epoch == epoch)
-            .ok_or(NodeRestoreError::MissingSummary { epoch })?;
+        // a ledger's summaries seal epochs 1, 2, … in order (it is built
+        // by appends or by a checked `Ledger::from_state`), so this
+        // epoch's is at `epoch - 1`
+        let sealed: &SummaryBlock = &source.summaries()[(epoch - 1) as usize];
         // the node's own summary rules must reproduce the sealed block
         let (payouts, positions, pools) = node.shards.end_epoch();
         if payouts != sealed.payouts || positions != sealed.positions || pools != sealed.pools {
@@ -501,6 +531,7 @@ mod tests {
     use crate::node::Node;
     use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
     use ammboost_crypto::H256;
+    use ammboost_sidechain::ledger::{LedgerState, LedgerStateError};
     use ammboost_state::snapshot::Section;
     use ammboost_state::PAGE_SIZE;
     use std::collections::HashMap;
@@ -511,6 +542,19 @@ mod tests {
         let mut sections = snapshot.into_sections();
         edit(&mut sections);
         Snapshot::seal(epoch, sections).unwrap()
+    }
+
+    /// `snapshot` with its ledger section edited and sealed again.
+    fn with_ledger(snapshot: Snapshot, edit: impl FnOnce(&mut LedgerState)) -> Snapshot {
+        resealed(snapshot, |sections| {
+            let section = sections
+                .iter_mut()
+                .find(|s| s.kind == SectionKind::Ledger)
+                .expect("ledger section");
+            let mut state = LedgerState::decode_all(&section.bytes).unwrap();
+            edit(&mut state);
+            section.bytes = state.encode_to_vec();
+        })
     }
 
     /// `snapshot` with its processor-meta bytes edited and sealed again.
@@ -630,9 +674,10 @@ mod tests {
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 3);
 
-        // byte-identical: same ledger state, same shard states, same
-        // state root as the uninterrupted node
-        assert_eq!(node.ledger.export_state(), full.ledger().export_state());
+        // byte-identical: same shard states, same state root as the
+        // uninterrupted node, which never pruned; the ledgers agree on
+        // what retention leaves of them
+        assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
         assert_eq!(node.shards.export_states(), full.shards().export_states());
         let a = checkpoint_node(&mut Checkpointer::new(), 5, &mut node.shards, &node.ledger);
         assert_eq!(a.stats.root, full.checkpoint(5).root, "state roots diverge");
@@ -657,7 +702,7 @@ mod tests {
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 2);
         assert_eq!(node.shards.export_states(), full.shards().export_states());
-        assert_eq!(node.ledger.export_state(), full.ledger().export_state());
+        assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
     }
 
     #[test]
@@ -718,25 +763,6 @@ mod tests {
         assert_eq!(
             recover_node(&mut empty, full.ledger(), ROUNDS).err(),
             Some(NodeRestoreError::Store(StoreError::NothingCommitted))
-        );
-    }
-
-    #[test]
-    fn catch_up_reports_missing_summary_typed() {
-        let mut full = new_node(1);
-        run_epoch(&mut full, 1);
-        let snap = snapshot_at(&mut full, 1);
-        run_epoch(&mut full, 2);
-        run_epoch(&mut full, 3);
-        // corrupt source: epoch 2's summary vanishes while epoch 3's
-        // survives, so epoch 2 still counts as sealed
-        let mut state = full.ledger().export_state();
-        state.summaries.retain(|s| s.epoch != 2);
-        let source = Ledger::from_state(state);
-        let mut node = restore_node(&snap).unwrap();
-        assert_eq!(
-            catch_up(&mut node, &source, ROUNDS).err(),
-            Some(NodeRestoreError::MissingSummary { epoch: 2 })
         );
     }
 
@@ -832,6 +858,14 @@ mod tests {
         assert_eq!(restore(&|m| m.shards.swap(0, 2)), unsorted);
         assert_eq!(restore(&|m| m.shards[1] = m.shards[0].clone()), unsorted);
         assert_eq!(restore(&|m| m.shards[2] = m.shards[1].clone()), unsorted);
+        // a first-touch record for a user the shard holds nothing for
+        assert_eq!(
+            restore(&|m| m.shards[1].opening.push((user(999), (0, 0)))),
+            Some(NodeRestoreError::OpeningWithoutDeposit {
+                pool: PoolId(1),
+                user: user(999)
+            })
+        );
     }
 
     #[test]
@@ -857,6 +891,153 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_inconsistent_ledger_section_typed() {
+        // a node that kept every block: epochs 1 and 2 sealed, then two
+        // rounds of epoch 3 (see `mid_epoch_checkpoint_keeps_the_open_epoch`)
+        let mut node = new_node(2);
+        run_epoch(&mut node, 1);
+        run_epoch(&mut node, 2);
+        node.begin_epoch(None, |_| None);
+        for round in 0..2 {
+            let tx = swap_tx(user(1), 0, 1_000_000 + round as u128, true);
+            node.step_round(3, round, 2 * ROUNDS + round, &[(&tx, 1008)]);
+        }
+        let snap = snapshot_at(&mut node, 3);
+        assert!(restore_node(&snap).is_ok());
+        let invalid = |edit: &dyn Fn(&mut LedgerState)| match restore_node(&with_ledger(
+            snap.clone(),
+            edit,
+        )) {
+            Err(NodeRestoreError::Restore(RestoreError::InvalidLedger(e))) => e,
+            other => panic!("expected a ledger error, got {other:?}"),
+        };
+        // a summarised epoch's blocks, which retention drops
+        let sealed = node.ledger().meta_blocks(2).to_vec();
+        assert_eq!(
+            invalid(&|state| state.meta.insert(0, (2, sealed.clone()))),
+            LedgerStateError::MetaOutsideOpenEpoch {
+                epoch: 2,
+                open_epoch: 3
+            }
+        );
+        // summaries out of order, or with a gap
+        assert_eq!(
+            invalid(&|state| state.summaries.swap(0, 1)),
+            LedgerStateError::SummaryOutOfSequence {
+                index: 0,
+                epoch: 2,
+                expected: 1
+            }
+        );
+        assert_eq!(
+            invalid(&|state| {
+                state.summaries.remove(0);
+            }),
+            LedgerStateError::SummaryOutOfSequence {
+                index: 0,
+                epoch: 2,
+                expected: 1
+            }
+        );
+        // the tip is the last block's id and is not stored; a genesis
+        // reference stands in for it only while the ledger holds no block
+        let misplaced = LedgerStateError::MisplacedGenesis;
+        assert_eq!(
+            invalid(&|state| state.genesis = Some(H256::hash(b"fork"))),
+            misplaced
+        );
+        let mut fresh = ShardMap::new([PoolId(0)]);
+        let ledger = Ledger::new(H256::hash(b"genesis"));
+        let empty = checkpoint_node(&mut Checkpointer::new(), 0, &mut fresh, &ledger).snapshot;
+        assert_eq!(restore_node(&empty).unwrap().ledger.tip(), ledger.tip());
+        assert_eq!(
+            restore_node(&with_ledger(empty, |state| state.genesis = None)).err(),
+            Some(NodeRestoreError::Restore(RestoreError::InvalidLedger(
+                misplaced
+            )))
+        );
+        // a size that is not what the blocks add up to
+        let declared = node.ledger().retained_bytes().current;
+        assert_eq!(
+            invalid(&|state| state.current_bytes -= 1),
+            LedgerStateError::SizeMismatch {
+                declared: declared - 1,
+                computed: declared
+            }
+        );
+    }
+
+    #[test]
+    fn restore_rejects_every_truncated_ledger_section() {
+        let mut node = new_node(1);
+        run_epoch(&mut node, 1);
+        let snap = snapshot_at(&mut node, 1);
+        let len = snap.section(SectionKind::Ledger).unwrap().bytes.len();
+        for cut in 0..len {
+            let torn = resealed(snap.clone(), |sections| {
+                let section = sections
+                    .iter_mut()
+                    .find(|s| s.kind == SectionKind::Ledger)
+                    .unwrap();
+                section.bytes.truncate(cut);
+            });
+            assert!(
+                matches!(
+                    restore_node(&torn),
+                    Err(NodeRestoreError::Restore(RestoreError::Codec(_)))
+                ),
+                "cut at {cut} of {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn mid_epoch_checkpoint_keeps_the_open_epoch() {
+        // two nodes run epochs 1..=2, pruning behind each checkpoint as
+        // `System` does, then two rounds of epoch 3; an on-demand
+        // checkpoint there keeps those rounds' blocks
+        let txs: Vec<AmmTx> = (0..ROUNDS)
+            .map(|round| swap_tx(user(1 + round), 0, 2_000_000 + round as u128, round == 1))
+            .collect();
+        let step = |node: &mut Node, round: u64| {
+            let batch = [(&txs[round as usize], 1008)];
+            node.step_round(3, round, 2 * ROUNDS + round, &batch);
+        };
+        let mut live = new_node(2);
+        for epoch in 1..=2 {
+            run_epoch(&mut live, epoch);
+            live.checkpoint(epoch);
+            live.prune_to_snapshot(epoch, ammboost_state::RetentionPolicy::default());
+        }
+        live.begin_epoch(None, |_| None);
+        for round in 0..2 {
+            step(&mut live, round);
+        }
+        let snap = snapshot_at(&mut live, 3);
+        let state =
+            LedgerState::decode_all(&snap.section(SectionKind::Ledger).unwrap().bytes).unwrap();
+        assert_eq!(state.meta.len(), 1);
+        assert_eq!(state.meta[0].0, 3);
+        assert_eq!(state.meta[0].1, live.ledger().meta_blocks(3));
+
+        // the restored node finishes the epoch and seals the same summary
+        let restored = restore_node(&snap).unwrap();
+        assert_eq!(restored.ledger.retained_meta().len(), 2);
+        let mut node = Node::new(restored.shards, restored.ledger);
+        for n in [&mut live, &mut node] {
+            for round in 2..ROUNDS {
+                step(n, round);
+            }
+        }
+        assert_eq!(node.close_epoch(3), live.close_epoch(3));
+        let summary = node.ledger().summaries().last().unwrap();
+        assert_eq!(summary, live.ledger().summaries().last().unwrap());
+        assert_eq!(summary.meta_refs.len(), ROUNDS as usize);
+        assert_eq!(node.ledger().export_state(), live.ledger().export_state());
+        assert_eq!(node.checkpoint(3).root, live.checkpoint(3).root);
+    }
+
+    #[test]
     fn restore_rejects_missing_shard_pool_section() {
         let mut node = new_node(2);
         run_epoch(&mut node, 1);
@@ -875,9 +1056,10 @@ mod tests {
         // the restored root is the one the wire declares, and a flipped
         // byte in any page of any section is caught at decode
         let mut node = new_node(2);
-        run_epoch(&mut node, 1);
-        run_epoch(&mut node, 2);
-        let snap = snapshot_at(&mut node, 2);
+        for epoch in 1..=3 {
+            run_epoch(&mut node, epoch);
+        }
+        let snap = snapshot_at(&mut node, 3);
         let wire = snap.encode();
         let declared = H256(wire[14..46].try_into().unwrap());
         let restored = restore_node(&Snapshot::decode(&wire).unwrap()).unwrap();

@@ -627,7 +627,10 @@ impl System {
         // checkpoint per the snapshot policy, then snapshot-aware
         // retention: an epoch covered by a sealed summary and a committed
         // snapshot drops its raw meta-blocks without waiting for the sync
-        // to confirm (a restarting node restores instead of replaying)
+        // to confirm (a restarting node restores instead of replaying).
+        // The checkpoint already commits the ledger as this prune leaves
+        // it; pruning second means no crash loses history that no
+        // snapshot covers yet
         let policy = self.cfg.snapshot;
         if policy.enabled() && epoch.is_multiple_of(policy.interval_epochs) {
             self.node.checkpoint(epoch);
@@ -1129,7 +1132,7 @@ mod tests {
         let mut cfg = small();
         cfg.snapshot = crate::config::SnapshotPolicy {
             interval_epochs: 1,
-            // keep all raw history so the restored node could also catch up
+            // a raw-history margin is node-local: no snapshot commits it
             keep_epochs: u64::MAX,
         };
         let mut sys = System::new(cfg);
@@ -1143,7 +1146,8 @@ mod tests {
         assert_eq!(node.root, stats.root);
         // the restored shards carry the live pool state
         assert_eq!(node.shards.export_states(), sys.shards().export_states());
-        assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
+        // and the restored ledger is the live one as retention leaves it
+        assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
     }
 
     #[test]

@@ -270,8 +270,10 @@ impl Slot {
 /// balances that moved as the payout list at epoch end.
 ///
 /// The first-touch record behind [`Deposits::to_payouts`] is epoch
-/// bookkeeping, not state: equality, the sorted export and everything
-/// built on it (snapshots, state roots) see balances only.
+/// bookkeeping, not state: equality and the sorted export see balances
+/// only. A checkpoint taken while an epoch is open commits the record
+/// beside them ([`Deposits::opening_balances`], [`Deposits::reopen`]), so
+/// a node restored from it lists the same payouts when the epoch ends.
 #[derive(Clone, Debug, Default)]
 pub struct Deposits {
     slots: DigestMap<Address, Slot>,
@@ -411,6 +413,28 @@ impl Deposits {
         Deposits::from_snapshot(entries)
     }
 
+    /// The epoch's first-touch record: every user written since the epoch
+    /// opened, with the balance they opened it with, ascending by address.
+    pub fn opening_balances(&self) -> Vec<(Address, (u128, u128))> {
+        let mut out = self.opening.clone();
+        out.sort_unstable_by_key(|(user, _)| *user);
+        out
+    }
+
+    /// Reinstates a first-touch record [`Deposits::opening_balances`]
+    /// exported, on a ledger rebuilt from the same balances.
+    ///
+    /// # Errors
+    /// Returns the first user in `opening` with no entry here; the ledger
+    /// is then only fit to be dropped.
+    pub fn reopen(&mut self, opening: Vec<(Address, (u128, u128))>) -> Result<(), Address> {
+        for (user, _) in &opening {
+            self.slots.get_mut(user).ok_or(*user)?.touched = true;
+        }
+        self.opening = opening;
+        Ok(())
+    }
+
     /// Emits the payout list: the closing balance of every user whose
     /// balance differs from the one they opened the epoch with, sorted by
     /// address for determinism — one entry per *active* user, so the list
@@ -446,6 +470,24 @@ mod tests {
 
     fn a(i: u64) -> Address {
         Address::from_index(i)
+    }
+
+    #[test]
+    fn reopened_ledger_lists_the_same_payouts() {
+        let mut d = Deposits::from_snapshot([(a(1), (10, 10)), (a(2), (5, 5)), (a(3), (7, 7))]);
+        d.debit(a(3), 1, 0).unwrap();
+        d.credit(a(1), 0, 4).unwrap();
+        let mut back = Deposits::from_sorted_entries(d.to_sorted_entries());
+        assert!(back.to_payouts().is_empty(), "balances alone list nothing");
+        back.reopen(d.opening_balances()).unwrap();
+        // both go on the same way and list the same payouts
+        for ledger in [&mut d, &mut back] {
+            ledger.debit(a(1), 2, 0).unwrap();
+            ledger.credit(a(2), 1, 1).unwrap();
+        }
+        assert_eq!(back.to_payouts(), d.to_payouts());
+        assert_eq!(back.to_payouts().len(), 3);
+        assert_eq!(back.reopen(vec![(a(9), (0, 0))]), Err(a(9)));
     }
 
     #[test]

@@ -15,7 +15,8 @@ use ammboost_sidechain::ledger::Ledger;
 pub struct RetentionPolicy {
     /// Number of fully-covered epochs whose meta-blocks are kept anyway
     /// (a safety margin for auditors replaying recent history). `0`
-    /// (the default) prunes everything the snapshot covers.
+    /// (the default) prunes everything the snapshot covers. The margin is
+    /// node-local: a snapshot never commits those blocks.
     pub keep_epochs: u64,
 }
 
@@ -32,34 +33,24 @@ pub struct PruneReport {
 
 /// Drops the meta-blocks of every epoch that is covered by a sealed
 /// summary **and** by the snapshot taken at `snapshot_epoch`, minus the
-/// policy's safety margin. Epochs without a summary are never touched
-/// (the ledger refuses; a summary-less epoch has no durable record yet).
+/// policy's safety margin. Epochs without a summary are never touched (a
+/// summary-less epoch has no durable record yet). With no margin and a
+/// snapshot at the last summary, the ledger is left as its snapshot
+/// committed it ([`Ledger::retained_meta`]).
 pub fn prune_to_snapshot(
     ledger: &mut Ledger,
     snapshot_epoch: u64,
     policy: RetentionPolicy,
 ) -> PruneReport {
-    let covered = snapshot_epoch.min(ledger.last_summary_epoch());
-    let cutoff = covered.saturating_sub(policy.keep_epochs);
-    let mut report = PruneReport {
+    let cutoff = snapshot_epoch
+        .min(ledger.last_summary_epoch())
+        .saturating_sub(policy.keep_epochs);
+    let (epochs_pruned, reclaimed_bytes) = ledger.prune_covered(cutoff);
+    PruneReport {
+        epochs_pruned,
+        reclaimed_bytes,
         cutoff_epoch: cutoff,
-        ..PruneReport::default()
-    };
-    for epoch in ledger.meta_epochs() {
-        if epoch > cutoff || !ledger.has_summary(epoch) {
-            continue;
-        }
-        // deliberate invariant-expect: `prune_epoch` only fails for an
-        // unsealed epoch, and the `has_summary` guard above filters those
-        let freed = ledger
-            .prune_epoch(epoch)
-            .expect("summary existence checked above");
-        if freed > 0 {
-            report.epochs_pruned += 1;
-            report.reclaimed_bytes += freed;
-        }
     }
-    report
 }
 
 #[cfg(test)]

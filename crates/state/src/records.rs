@@ -176,7 +176,6 @@ impl Encode for PoolState {
         // Byte-identical to encoding each (id, Position) pair in order.
         w.put_len(self.positions.len());
         w.put_bytes(self.positions.raw());
-        self.tick_prices.encode(w);
     }
 }
 
@@ -194,7 +193,6 @@ impl Decode for PoolState {
             balance1: r.take_u128()?,
             ticks: r.get()?,
             positions: decode_position_records(r)?,
-            tick_prices: r.get()?,
         };
         ensure_sorted_keys(&state.ticks)?;
         Ok(state)
@@ -669,53 +667,59 @@ impl Decode for SummaryBlock {
     }
 }
 
+/// The v6 ledger section: the summaries, then the open epoch's
+/// meta-blocks as one flat list, then the genesis reference (present only
+/// while the ledger holds no block) and the byte counters. The summaries
+/// come first, so sealing an epoch appends to them and leaves every
+/// earlier byte in place.
 impl Encode for LedgerState {
     fn encode(&self, w: &mut ByteWriter) {
-        self.meta.encode(w);
         self.summaries.encode(w);
-        self.tip.encode(w);
-        w.put_u64(self.tip_epoch);
-        self.tip_round.encode(w);
+        w.put_len(self.meta.iter().map(|(_, blocks)| blocks.len()).sum());
+        for block in self.meta.iter().flat_map(|(_, blocks)| blocks) {
+            block.encode(w);
+        }
+        self.genesis.encode(w);
         w.put_u64(self.current_bytes);
-        w.put_u64(self.peak_bytes);
         w.put_u64(self.pruned_bytes_total);
     }
 }
 
-/// The bytes of [`Ledger::export_state`]'s encoding, read straight off
-/// the ledger: a checkpoint encodes every unpruned meta-block without
-/// cloning it first.
+/// The ledger as retention leaves it ([`Ledger::retained_state`]), read
+/// straight off the ledger: the bytes of its [`LedgerState`] once every
+/// summarised epoch is pruned, whatever margin of those epochs this node
+/// keeps.
 impl Encode for Ledger {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_len(self.meta_by_epoch().len());
-        for (epoch, blocks) in self.meta_by_epoch() {
-            w.put_u64(epoch);
-            blocks.encode(w);
-        }
+        let bytes = self.retained_bytes();
         self.summaries().encode(w);
-        self.tip().encode(w);
-        w.put_u64(self.tip_epoch());
-        self.tip_round().encode(w);
-        w.put_u64(self.size_bytes());
-        w.put_u64(self.peak_bytes());
-        w.put_u64(self.pruned_bytes());
+        self.retained_meta().encode(w);
+        self.genesis().encode(w);
+        w.put_u64(bytes.current);
+        w.put_u64(bytes.pruned_total);
     }
 }
 
+/// Reads the v6 ledger section, grouping the flat meta-block list by each
+/// block's epoch. Whether those blocks are the open epoch's is
+/// [`Ledger::from_state`]'s check.
 impl Decode for LedgerState {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let state = LedgerState {
-            meta: r.get()?,
-            summaries: r.get()?,
-            tip: r.get()?,
-            tip_epoch: r.take_u64()?,
-            tip_round: r.get()?,
+        let summaries = r.get()?;
+        let mut meta: Vec<(u64, Vec<MetaBlock>)> = Vec::new();
+        for block in Vec::<MetaBlock>::decode(r)? {
+            match meta.last_mut() {
+                Some((epoch, blocks)) if *epoch == block.epoch => blocks.push(block),
+                _ => meta.push((block.epoch, vec![block])),
+            }
+        }
+        Ok(LedgerState {
+            meta,
+            summaries,
+            genesis: r.get()?,
             current_bytes: r.take_u64()?,
-            peak_bytes: r.take_u64()?,
             pruned_bytes_total: r.take_u64()?,
-        };
-        ensure_sorted_keys(&state.meta)?;
-        Ok(state)
+        })
     }
 }
 
@@ -895,47 +899,57 @@ mod tests {
                 deleted: true,
             },
         };
-        let tip = H256::hash(b"tip");
-        let summary = |epoch| SummaryBlock {
-            epoch,
-            parent: H256::hash(&epoch.to_be_bytes()),
-            meta_refs: vec![H256::hash(b"meta")],
-            payouts: vec![PayoutEntry {
-                user,
-                amount0: 1,
-                amount1: 2,
-            }],
-            positions: Vec::new(),
-            pools: vec![PoolUpdate {
-                pool,
-                reserve0: 3,
-                reserve1: 4,
-            }],
+        // epochs 1 and 2 sealed and still held (an audit margin), epoch 3
+        // open with two blocks
+        let mut ledger = Ledger::new(H256::hash(b"genesis"));
+        let seal = |ledger: &mut Ledger| {
+            let epoch = ledger.tip_epoch();
+            let summary = SummaryBlock {
+                epoch,
+                parent: ledger.tip(),
+                meta_refs: ledger.meta_blocks(epoch).iter().map(|m| m.id()).collect(),
+                payouts: vec![PayoutEntry {
+                    user,
+                    amount0: 1,
+                    amount1: 2,
+                }],
+                positions: Vec::new(),
+                pools: vec![PoolUpdate {
+                    pool,
+                    reserve0: 3,
+                    reserve1: 4,
+                }],
+            };
+            ledger.append_summary(summary).unwrap();
         };
-        let state = LedgerState {
-            meta: vec![
-                (
-                    2,
-                    vec![
-                        MetaBlock::new(2, 0, tip, vec![route, rejected]),
-                        MetaBlock::new(2, 1, tip, vec![burn]),
-                    ],
-                ),
-                (3, vec![MetaBlock::new(3, 0, tip, Vec::new())]),
-            ],
-            summaries: vec![summary(1), summary(2)],
-            tip,
-            tip_epoch: 3,
-            tip_round: Some(0),
-            current_bytes: 9_000,
-            peak_bytes: 12_000,
-            pruned_bytes_total: 3_000,
-        };
-        let ledger = Ledger::from_state(state.clone());
-        assert_eq!(
-            ledger.encode_to_vec(),
-            ledger.export_state().encode_to_vec()
-        );
-        assert_eq!(ledger.encode_to_vec(), state.encode_to_vec());
+        let blocks = [
+            (1, 0, vec![route.clone()]),
+            (2, 0, vec![route, rejected]),
+            (2, 1, vec![burn.clone()]),
+            (3, 0, Vec::new()),
+            (3, 1, vec![burn]),
+        ];
+        for (epoch, round, txs) in blocks {
+            if epoch > ledger.tip_epoch() {
+                seal(&mut ledger);
+            }
+            let block = MetaBlock::new(epoch, round, ledger.tip(), txs);
+            ledger.append_meta(block).unwrap();
+        }
+        assert_eq!(ledger.meta_epochs(), vec![1, 2, 3]);
+
+        // the bytes are those of the export once retention has pruned
+        let mut pruned = ledger.clone();
+        assert_eq!(pruned.prune_covered(u64::MAX).0, 2);
+        assert_eq!(pruned.meta_epochs(), vec![3]);
+        let bytes = ledger.encode_to_vec();
+        assert_eq!(bytes, pruned.export_state().encode_to_vec());
+        assert_eq!(bytes, ledger.retained_state().encode_to_vec());
+        // and restore to that ledger
+        let state = LedgerState::decode_all(&bytes).unwrap();
+        assert_eq!(state, pruned.export_state());
+        let restored = Ledger::from_state(state).unwrap();
+        assert_eq!(restored.export_state(), pruned.export_state());
+        assert_eq!(restored.encode_to_vec(), bytes);
     }
 }

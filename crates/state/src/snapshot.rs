@@ -38,16 +38,19 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ABSS";
 /// The snapshot format version: the only one the node writes and the
 /// only one decoders accept.
 ///
-/// Version 5: pool sections are engine-tagged ([`EngineState`] with a
+/// Version 6: pool sections are engine-tagged ([`EngineState`] with a
 /// leading engine-kind byte), a section's leaf is its page root at
-/// [`PAGE_SIZE`], and the header leaf commits the section count (all as
-/// in version 4). New in 5: the node's processor-meta aux section stores
-/// shard membership once, as one shard index per deposits-section entry,
-/// instead of a per-shard copy of every depositor's address.
+/// [`PAGE_SIZE`], the header leaf commits the section count, and the
+/// node's processor-meta aux section stores shard membership once (all
+/// as in version 5). New in 6: the ledger section holds the ledger as
+/// retention leaves it — summaries, then the open epoch's meta-blocks
+/// only ([`Ledger::retained_meta`]), then the tip and the byte counters,
+/// with no peak size — and a pool section carries no tick-price table.
 ///
 /// [`EngineState`]: ammboost_amm::engines::EngineState
 /// [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
-pub const SNAPSHOT_VERSION: u16 = 5;
+/// [`Ledger::retained_meta`]: ammboost_sidechain::ledger::Ledger::retained_meta
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 /// What a section holds. The ordering (pools ascending, then ledger,
 /// deposits, aux by tag) is the canonical section order.
@@ -386,8 +389,8 @@ mod tests {
             Err(CodecError::BadMagic(_))
         ));
         // the version sits big-endian after the magic: 99 is from the
-        // future, 2, 3 and 4 are the retired formats
-        for version in [99, 2, 3, 4] {
+        // future, 2 to 5 are the retired formats
+        for version in [99, 2, 3, 4, 5] {
             let mut bytes = sample().encode();
             bytes[4..6].copy_from_slice(&u16::to_be_bytes(version));
             assert_eq!(

@@ -16,7 +16,7 @@ use ammboost_amm::error::AmmError;
 use ammboost_amm::types::PoolId;
 use ammboost_crypto::Address;
 use ammboost_crypto::H256;
-use ammboost_sidechain::ledger::{Ledger, LedgerState};
+use ammboost_sidechain::ledger::{Ledger, LedgerState, LedgerStateError};
 use std::fmt;
 
 /// Why a restore failed.
@@ -28,6 +28,9 @@ pub enum RestoreError {
     MissingSection(&'static str),
     /// A decoded pool state failed the AMM engine's validation.
     InvalidPool(AmmError),
+    /// The decoded ledger section contradicts itself (see
+    /// [`Ledger::from_state`]).
+    InvalidLedger(LedgerStateError),
     /// A pool-section decoder panicked. The panic is contained — the
     /// restore fails closed with this typed error instead of poisoning
     /// the process — and `section` names the offending pool id.
@@ -43,6 +46,7 @@ impl fmt::Display for RestoreError {
             RestoreError::Codec(e) => write!(f, "snapshot decode failed: {e}"),
             RestoreError::MissingSection(s) => write!(f, "snapshot missing section: {s}"),
             RestoreError::InvalidPool(e) => write!(f, "restored pool state invalid: {e}"),
+            RestoreError::InvalidLedger(e) => write!(f, "restored ledger invalid: {e}"),
             RestoreError::SectionDecodeFailed { section } => {
                 write!(f, "pool section {section} decoder panicked")
             }
@@ -55,6 +59,12 @@ impl std::error::Error for RestoreError {}
 impl From<CodecError> for RestoreError {
     fn from(e: CodecError) -> Self {
         RestoreError::Codec(e)
+    }
+}
+
+impl From<LedgerStateError> for RestoreError {
+    fn from(e: LedgerStateError) -> Self {
+        RestoreError::InvalidLedger(e)
     }
 }
 
@@ -72,7 +82,8 @@ pub struct RestoredState {
     /// Restored engines (CL pools with regenerated tick indexes),
     /// ascending by id.
     pub pools: Vec<(PoolId, Engine)>,
-    /// The restored ledger (tip, summaries, unpruned meta-blocks).
+    /// The restored ledger (tip, summaries, the open epoch's
+    /// meta-blocks).
     pub ledger: Ledger,
     /// The restored deposit ledger's entries, ascending by address
     /// (checked: a duplicate or out-of-order key fails the restore).
@@ -94,7 +105,7 @@ pub fn restore(snapshot: &Snapshot) -> Result<RestoredState, RestoreError> {
     let ledger_section = snapshot
         .section(SectionKind::Ledger)
         .ok_or(RestoreError::MissingSection("ledger"))?;
-    let ledger = Ledger::from_state(LedgerState::decode_all(&ledger_section.bytes)?);
+    let ledger = Ledger::from_state(LedgerState::decode_all(&ledger_section.bytes)?)?;
 
     let deposits_section = snapshot
         .section(SectionKind::Deposits)

@@ -22,7 +22,7 @@ use ammboost_state::heal::{
 use ammboost_state::snapshot::{Section, SectionKind, Snapshot};
 use ammboost_state::store::CheckpointStore;
 use ammboost_state::sync::restore;
-use ammboost_state::{Checkpointer, PAGE_SIZE};
+use ammboost_state::{prune_to_snapshot, Checkpointer, RetentionPolicy, PAGE_SIZE};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -332,6 +332,15 @@ fn arb_pool_update() -> impl Strategy<Value = PoolUpdate> {
     })
 }
 
+/// Appends one meta-block per transaction list as rounds 0, 1, … of
+/// `epoch`.
+fn append_blocks(ledger: &mut Ledger, epoch: u64, blocks: Vec<Vec<ExecutedTx>>) {
+    for (round, txs) in blocks.into_iter().enumerate() {
+        let block = MetaBlock::new(epoch, round as u64, ledger.tip(), txs);
+        ledger.append_meta(block).unwrap();
+    }
+}
+
 fn arb_meta_block() -> impl Strategy<Value = MetaBlock> {
     (
         any::<u64>(),
@@ -499,25 +508,68 @@ proptest! {
     fn roundtrip_ledger_state(
         metas in vec(arb_meta_block(), 0..3),
         summaries in vec(arb_summary_block(), 0..3),
-        tip in arb_h256(),
-        counters in (any::<u64>(), any::<u64>(), any::<u64>()),
-        tip_epoch in any::<u64>(),
-        tip_round in prop_oneof![Just(None), any::<u64>().prop_map(Some)],
+        genesis in prop_oneof![Just(None), arb_h256().prop_map(Some)],
+        counters in (any::<u64>(), any::<u64>()),
     ) {
+        // the section lists meta-blocks flat and the decoder keys them by
+        // their own epoch
+        let meta = metas
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut m)| {
+                m.epoch = i as u64;
+                (i as u64, vec![m])
+            })
+            .collect();
         let state = LedgerState {
-            meta: metas.into_iter().enumerate().map(|(i, m)| (i as u64, vec![m])).collect(),
+            meta,
             summaries,
-            tip,
-            tip_epoch,
-            tip_round,
+            genesis,
             current_bytes: counters.0,
-            peak_bytes: counters.1,
-            pruned_bytes_total: counters.2,
+            pruned_bytes_total: counters.1,
         };
         roundtrip(&state)?;
-        // a checkpoint encodes the live ledger by reference, to these bytes
-        let by_ref = Ledger::from_state(state.clone()).encode_to_vec();
-        prop_assert_eq!(by_ref, state.encode_to_vec());
+    }
+
+    #[test]
+    fn ledger_encodes_as_retention_leaves_it(
+        sealed in vec(vec(vec(arb_executed_tx(), 0..3), 1..3), 0..4),
+        open in vec(vec(arb_executed_tx(), 0..3), 0..3),
+        payouts in vec(arb_payout(), 0..3),
+        keep_epochs in 0u64..3,
+    ) {
+        // sealed epochs pruned behind a margin, then an open epoch
+        let mut ledger = Ledger::new(H256::hash(b"genesis"));
+        for (i, blocks) in sealed.into_iter().enumerate() {
+            let epoch = i as u64 + 1;
+            append_blocks(&mut ledger, epoch, blocks);
+            let summary = SummaryBlock {
+                epoch,
+                parent: ledger.tip(),
+                meta_refs: ledger.meta_blocks(epoch).iter().map(|m| m.id()).collect(),
+                payouts: payouts.clone(),
+                positions: Vec::new(),
+                pools: vec![PoolUpdate { pool: PoolId(0), reserve0: 1, reserve1: 2 }],
+            };
+            ledger.append_summary(summary).unwrap();
+            prune_to_snapshot(&mut ledger, epoch, RetentionPolicy { keep_epochs });
+        }
+        let open_epoch = ledger.tip_epoch();
+        append_blocks(&mut ledger, open_epoch, open);
+
+        // a checkpoint encodes the live ledger by reference, to the bytes
+        // of its export once no margin is kept…
+        let by_ref = ledger.encode_to_vec();
+        let mut pruned = ledger.clone();
+        let report = prune_to_snapshot(&mut pruned, u64::MAX, RetentionPolicy::default());
+        prop_assert_eq!(report.reclaimed_bytes, ledger.retained_bytes().pruned_total - ledger.pruned_bytes());
+        prop_assert_eq!(pruned.retained_meta(), ledger.retained_meta());
+        prop_assert_eq!(&by_ref, &pruned.export_state().encode_to_vec());
+        prop_assert_eq!(ledger.retained_state(), pruned.export_state());
+        // …and those bytes restore to that ledger
+        let restored = Ledger::from_state(LedgerState::decode_all(&by_ref).unwrap()).unwrap();
+        prop_assert_eq!(restored.export_state(), pruned.export_state());
+        prop_assert_eq!(restored.encode_to_vec(), by_ref);
     }
 
     #[test]

@@ -15,8 +15,9 @@ use ammboost::core::shard::{ExecMode, ShardMap};
 use ammboost::core::system::System;
 use ammboost::crypto::Address;
 use ammboost::sidechain::block::TxEffect;
+use ammboost::sidechain::ledger::LedgerState;
 use ammboost::sim::time::SimDuration;
-use ammboost::state::Snapshot;
+use ammboost::state::{prune_to_snapshot, Decode, RetentionPolicy, SectionKind, Snapshot};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
 };
@@ -120,10 +121,15 @@ fn cross_engine_route_is_exec_mode_invariant() {
 
 /// A peer running routed traffic over the mixed fleet.
 fn peer(seed: u64) -> Peer {
+    peer_of(seed, 12)
+}
+
+/// [`peer`] over `users` traders.
+fn peer_of(seed: u64, users: u64) -> Peer {
     let generator = TrafficGenerator::new(GeneratorConfig {
         daily_volume: 200_000,
         mix: TrafficMix::uniswap_2023(),
-        users: 12,
+        users,
         round_duration: SimDuration::from_secs(7),
         pools: FLEET.iter().map(|(id, _)| *id).collect(),
         skew: ammboost::workload::TrafficSkew::Zipf { exponent: 1.0 },
@@ -192,14 +198,91 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
         full.node.shards().export_states()
     );
     assert_eq!(
-        node.ledger.export_state(),
-        full.node.ledger().export_state()
+        node.ledger.retained_state(),
+        full.node.ledger().retained_state()
     );
     assert_eq!(
         root_of(&mut node, 99),
         full.node.checkpoint(99).root,
         "state roots diverge"
     );
+}
+
+/// A routed mixed fleet checkpointed every epoch on `System`'s schedule
+/// (checkpoint, then retention prune). Every in-run snapshot holds state,
+/// not history: no meta-block of a summarised epoch, whatever margin of
+/// them the node keeps, and each delta no larger than its snapshot. A
+/// node restored from any of them and caught up lands on the ledger and
+/// the root of the live node after its retention prune.
+#[test]
+fn in_run_snapshots_hold_state_not_history() {
+    const EPOCHS: u64 = 5;
+    // `lean` keeps no margin; `audit` keeps every summarised epoch's
+    // blocks, so it can serve catch-up from any snapshot. A delta pays
+    // 40 B per page it ships, so it can only undercut its snapshot when an
+    // epoch rewrites part of the state, not all of it: 400 traders under
+    // Zipf traffic leave most deposits untouched each epoch
+    let mut lean = peer_of(77, 400);
+    let mut audit = peer_of(77, 400);
+    let mut snapshots = Vec::new();
+    for epoch in 1..=EPOCHS {
+        for (peer, keep_epochs) in [(&mut lean, 0), (&mut audit, u64::MAX)] {
+            peer.run_epoch(epoch);
+            peer.node.checkpoint(epoch);
+            peer.node
+                .prune_to_snapshot(epoch, RetentionPolicy { keep_epochs });
+        }
+        let snapshot = lean.node.last_snapshot().unwrap().clone();
+        assert_eq!(
+            audit.node.last_snapshot().unwrap().encode(),
+            snapshot.encode(),
+            "epoch {epoch}: the margin is node-local"
+        );
+        let ledger =
+            LedgerState::decode_all(&snapshot.section(SectionKind::Ledger).unwrap().bytes).unwrap();
+        assert!(ledger.meta.is_empty(), "epoch {epoch} commits history");
+        assert_eq!(ledger.summaries.len() as u64, epoch);
+        match lean.node.last_delta() {
+            Some(delta) => assert!(
+                delta.encoded_len() <= snapshot.encoded_len(),
+                "epoch {epoch}: delta {} > snapshot {}",
+                delta.encoded_len(),
+                snapshot.encoded_len()
+            ),
+            None => assert_eq!(epoch, 1, "only the first checkpoint has no base"),
+        }
+        snapshots.push(snapshot);
+    }
+    assert!(
+        audit.node.shards().stats().accepted > 0,
+        "traffic must flow"
+    );
+    assert_eq!(lean.node.ledger().meta_block_count(), 0);
+    assert!(audit.node.ledger().meta_block_count() > 0);
+
+    let live_root = lean.node.last_checkpoint().unwrap().root;
+    for snapshot in &snapshots[..snapshots.len() - 1] {
+        let mut node = restore_node(snapshot).expect("in-run snapshot restores");
+        let applied =
+            catch_up(&mut node, audit.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
+        assert_eq!(node.epoch, EPOCHS);
+        assert_eq!(applied, EPOCHS - snapshot.epoch());
+        prune_to_snapshot(&mut node.ledger, EPOCHS, RetentionPolicy::default());
+        assert_eq!(
+            node.ledger.export_state(),
+            lean.node.ledger().export_state()
+        );
+        assert_eq!(
+            node.shards.export_states(),
+            lean.node.shards().export_states()
+        );
+        assert_eq!(
+            root_of(&mut node, EPOCHS),
+            live_root,
+            "from {}",
+            snapshot.epoch()
+        );
+    }
 }
 
 /// Full-system determinism over a mixed fleet: the same config produces

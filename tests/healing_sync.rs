@@ -213,8 +213,8 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
         full.node.shards().export_states()
     );
     assert_eq!(
-        node.ledger.export_state(),
-        full.node.ledger().export_state()
+        node.ledger.retained_state(),
+        full.node.ledger().retained_state()
     );
     assert_eq!(
         root_of(&mut node, 99),

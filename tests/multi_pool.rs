@@ -310,7 +310,7 @@ fn eight_pool_system_runs_end_to_end_under_one_state_root() {
     let node = restore_node(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
     assert_eq!(node.shards.len(), 8);
     assert_eq!(node.shards.export_states(), sys.shards().export_states());
-    assert_eq!(node.ledger.export_state(), sys.ledger().export_state());
+    assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
 
     // the state commitment is reproducible bit-for-bit
     let again = System::new(cfg).run();
@@ -354,8 +354,8 @@ fn multi_pool_fast_sync_restart() {
         full.node.shards().export_states()
     );
     assert_eq!(
-        node.ledger.export_state(),
-        full.node.ledger().export_state()
+        node.ledger.retained_state(),
+        full.node.ledger().retained_state()
     );
     assert_eq!(
         root_of(&mut node, EPOCHS),

@@ -351,7 +351,7 @@ fn routes_replay_bit_identically_through_fast_sync() {
     let applied = catch_up(&mut node, &ledger, ROUNDS_PER_EPOCH).expect("routed catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
     assert_eq!(node.shards.export_states(), shards.export_states());
-    assert_eq!(node.ledger.export_state(), ledger.export_state());
+    assert_eq!(node.ledger.retained_state(), ledger.retained_state());
     let a = checkpoint_node(
         &mut Checkpointer::new(),
         EPOCHS,
