@@ -37,6 +37,7 @@
 //! # Ok::<(), ammboost_amm::error::AmmError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engines;

@@ -1,25 +1,22 @@
-//! CI chaos drill: a seeded schedule of storage/sync faults over a full
-//! workload, asserting that every fault is either **contained** (the run
-//! completes with a state root byte-identical to a clean run) or
-//! **detected and healed** (corruption never silently restores; a single
-//! honest provider heals every quarantined page). Exits non-zero on
-//! any divergence.
+//! CI chaos drill: a seeded schedule of storage/sync faults against the
+//! checkpoints of a full workload, asserting that every fault is
+//! **detected** (corruption never silently restores), **recovered** (a
+//! torn commit falls back to the last committed state or rolls the
+//! marked write forward) or **healed** (a single honest provider heals
+//! every quarantined page). Exits non-zero on any divergence.
 //!
-//! The schedule exercises all seven fault kinds:
+//! The schedule exercises all six fault kinds:
 //!
-//! 1. **worker panic** — `FaultPlan::worker_panic_points` poisons shard
-//!    jobs mid-epoch; containment rolls the shard back and re-executes,
-//!    and the final checkpoint root must equal the clean run's.
-//! 2. **bit-flip / truncation / duplication** of the snapshot wire form —
+//! 1. **bit-flip / truncation / duplication** of the snapshot wire form —
 //!    `Snapshot::decode` must reject every mutation (never silently
 //!    restore).
-//! 3. **mid-checkpoint crash** — `CheckpointStore` commits torn at every
+//! 2. **mid-checkpoint crash** — `CheckpointStore` commits torn at every
 //!    crash point recover to the last committed snapshot (or roll the
 //!    marked write forward), never to a torn state.
-//! 4. **provider drop / stale root / delay** — self-healing restore
+//! 3. **provider drop / stale root / delay** — self-healing restore
 //!    against one dishonest provider and one honest provider quarantines
 //!    every bad page and heals it within the retry budget.
-//! 5. **delta-chain faults** — mid-delta-commit crashes recover to the
+//! 4. **delta-chain faults** — mid-delta-commit crashes recover to the
 //!    chain tip (discard torn, roll forward marked), corrupted delta
 //!    wire bytes never decode, a delta against the wrong base is
 //!    refused, and page-granular delta sync from a stale snapshot heals
@@ -42,7 +39,7 @@ use std::sync::{Arc, Mutex};
 /// Builds the drill's system config: `small_test` sized, checkpoints
 /// every epoch, traffic across `pools` pools running a *heterogeneous*
 /// engine fleet (CL, CL, constant-product, weighted, repeating) — every
-/// fault in the schedule has to contain/heal engine-tagged sections of
+/// fault in the schedule has to detect/heal engine-tagged sections of
 /// all three kinds.
 fn drill_config(seed: u64, pools: u32, epochs: u64) -> SystemConfig {
     let mut cfg = SystemConfig::small_test();
@@ -114,50 +111,7 @@ fn main() {
     ammboost_bench::line("clean/accepted_txs", clean_report.accepted);
     ammboost_bench::line("clean/root", clean_stats.root);
 
-    // -- fault 1: injected worker panics, contained -----------------------
-    // Each (pool, occurrence) pair panics that pool's shard job mid-batch
-    // on its occurrence-th dispatch; containment rolls the shard back and
-    // re-executes it sequentially, so the run must end bit-identical.
-    let mut chaos_cfg = drill_config(seed, pools, epochs);
-    chaos_cfg.faults.worker_panic_points = vec![(0, 1), (1, 2), (2, 3)];
-    let scheduled_panics = chaos_cfg.faults.worker_panic_points.len() as u64;
-    // injected worker panics unwind through the default hook — silence
-    // just those so the drill's own assertion failures stay loud
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(|s| s.contains("injected worker panic"))
-            .unwrap_or(false);
-        if !injected {
-            prev_hook(info);
-        }
-    }));
-    let (mut chaos_sys, chaos_report) = run_system(chaos_cfg);
-    let _ = std::panic::take_hook(); // restore default panic reporting
-    assert_eq!(
-        chaos_report.worker_panics_contained, scheduled_panics,
-        "every scheduled worker panic must fire and be contained"
-    );
-    assert_eq!(
-        chaos_report.accepted, clean_report.accepted,
-        "containment changed accepted traffic"
-    );
-    let chaos_stats = chaos_sys.checkpoint(label_epoch);
-    assert_eq!(
-        chaos_stats.root, clean_stats.root,
-        "worker-panic containment diverged from the clean run"
-    );
-    assert_eq!(
-        chaos_sys.shards().export_states(),
-        clean_sys.shards().export_states(),
-        "contained run's shard state diverges byte-wise"
-    );
-    ammboost_bench::line("panic/contained", chaos_report.worker_panics_contained);
-    ammboost_bench::line("panic/root", chaos_stats.root);
-
-    // -- fault 2: wire corruption is always detected ----------------------
+    // -- fault 1: wire corruption is always detected ----------------------
     let wire = clean_snapshot.encode();
     let mut injector = FaultInjector::new(seed);
     for kind in [
@@ -175,7 +129,7 @@ fn main() {
     }
     ammboost_bench::line("corruption/detected", "bit-flip, truncate, duplicate");
 
-    // -- fault 3: mid-checkpoint crash recovers to last committed ---------
+    // -- fault 2: mid-checkpoint crash recovers to last committed ---------
     let later_snapshot = Snapshot::seal(
         clean_snapshot.epoch() + 1,
         clean_snapshot.sections().to_vec(),
@@ -230,7 +184,7 @@ fn main() {
     ammboost_bench::line("crash/recoveries", store.recoveries());
     ammboost_bench::line("crash/commits", store.commits());
 
-    // -- fault 4: self-healing restore with one dishonest provider --------
+    // -- fault 3: self-healing restore with one dishonest provider --------
     // A stale prefix run (same seed, one epoch short) gives the dishonest
     // provider genuinely outdated pages to serve.
     let (mut stale_sys, stale_report) = run_system(drill_config(seed, pools, epochs - 1));
@@ -331,8 +285,8 @@ fn main() {
     ammboost_bench::line("heal/retries", heal.retries);
     ammboost_bench::line("heal/sim_elapsed_ms", heal.sim_elapsed.as_millis());
 
-    // -- fault 5: delta-chain crashes, corruption, and page healing -------
-    // The stale→clean pair from fault 4 gives a genuine dirty-page diff.
+    // -- fault 4: delta-chain crashes, corruption, and page healing -------
+    // The stale→clean pair from fault 3 gives a genuine dirty-page diff.
     let delta = DeltaSnapshot::diff(&stale_snapshot, &clean_snapshot);
     assert!(
         !delta.deltas.is_empty(),
@@ -448,7 +402,7 @@ fn main() {
     ammboost_bench::line("delta/pages_reused", delta_heal.pages_reused);
 
     println!();
-    println!("chaos drill PASS ({pools} pools, {epochs} epochs, 7 fault kinds, delta chain)");
+    println!("chaos drill PASS ({pools} pools, {epochs} epochs, 6 fault kinds, delta chain)");
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! micro-benchmarks (under `benches/`). This library holds the shared
 //! console formatting and the benchmark pool builders.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ammboost_amm::pool::{Pool, SwapKind, SwapResult, TickSearch};

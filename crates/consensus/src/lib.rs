@@ -10,6 +10,7 @@
 //! - [`latency`] — the agreement-latency model calibrated against the
 //!   paper's Table XII (committee size → agreement seconds).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod election;

@@ -466,9 +466,9 @@ pub fn catch_up(
             let global_round = (epoch - 1) * rounds_per_epoch + block.round;
             let batch: Vec<(&ammboost_amm::tx::AmmTx, usize)> =
                 block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
-            let replayed =
-                node.shards
-                    .execute_batch(&batch, global_round, crate::shard::ExecMode::Auto);
+            let replayed = node
+                .shards
+                .execute_batch(&batch, global_round, crate::shard::ExecMode);
             for (replay, recorded) in replayed.iter().zip(&block.txs) {
                 if replay.effect != recorded.effect {
                     return Err(NodeRestoreError::EffectMismatch {

@@ -195,14 +195,6 @@ pub struct FaultPlan {
     /// Epochs whose confirmed sync is lost to a mainchain rollback
     /// (→ mass-sync in the next epoch).
     pub rollback_epochs: BTreeSet<u64>,
-    /// Worker-panic injections: `(pool_id, occurrence)` pairs. The
-    /// shard map fires one `Worker(pool_id)` injection occurrence per
-    /// busy shard per phase-1a dispatch (one dispatch per round that
-    /// touches the pool), so `occurrence` selects *which* dispatch of
-    /// that pool's shard panics mid-batch. The panic is contained: the
-    /// poisoned shard rolls back and re-executes sequentially, counted
-    /// in `SystemReport::worker_panics_contained`.
-    pub worker_panic_points: Vec<(u32, u64)>,
 }
 
 impl FaultPlan {
@@ -212,7 +204,6 @@ impl FaultPlan {
             && self.invalid_proposal_epochs.is_empty()
             && self.invalid_sync_epochs.is_empty()
             && self.rollback_epochs.is_empty()
-            && self.worker_panic_points.is_empty()
     }
 }
 

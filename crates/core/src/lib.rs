@@ -9,11 +9,8 @@
 //! - [`processor`] — pool-snapshot-based, delayed-token-payout execution
 //!   with epoch deposits (§IV-B, Fig. 4).
 //! - [`shard`] — `PoolId` as a routing key: one processor per pool,
-//!   parallel per-pool batch execution, deterministic effect merging,
-//!   and the two-phase routed epoch (shard-parallel hop waves + the
-//!   netting barrier).
-//! - [`workers`] — the persistent shard worker pool backing parallel
-//!   execution (threads spawned once per process, not per round).
+//!   per-pool batch execution, deterministic effect merging, and the
+//!   two-phase routed epoch (hop waves + the netting barrier).
 //! - [`node`] — the sidechain node: the paper's two `UpdateState` steps
 //!   (execute a round into a meta-block; seal the epoch into a summary
 //!   block and a quote view) composed once, stepped one round at a time.
@@ -35,6 +32,7 @@
 //! println!("throughput: {:.2} tx/s", report.throughput_tps);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
@@ -46,7 +44,6 @@ pub mod shard;
 pub mod system;
 pub mod txenv;
 pub mod view;
-pub mod workers;
 
 pub use baseline::{BaselineConfig, BaselineReport, BaselineRunner};
 pub use checkpoint::{
@@ -60,4 +57,3 @@ pub use shard::{ExecMode, ShardMap};
 pub use system::{System, SystemReport};
 pub use txenv::{create_tx, verify_tx, SignedTx};
 pub use view::{QuoteError, QuoteView, RouteQuote, ViewPublishStats};
-pub use workers::WorkerPool;

@@ -109,9 +109,7 @@ type QuoteBatch = (Arc<QuoteView>, Vec<QuoteRequest>);
 
 /// The in-run read path: a dedicated thread that answers each round's
 /// quote requests from the sealed view they were generated under, while
-/// the caller executes the round. It is its own thread rather than a
-/// [`crate::workers::WorkerPool`] job, which on a two-core host would
-/// take the pool's only worker away from execution.
+/// the calling thread executes the round.
 struct QuoteReader {
     batches: SyncSender<QuoteBatch>,
     handle: JoinHandle<(u64, u64)>,
@@ -233,9 +231,6 @@ pub struct Node {
     /// Started by the first [`Node::serve_quotes`] with requests.
     quote_reader: Option<QuoteReader>,
     counters: NodeCounters,
-    /// [`ExecMode::Auto`] always; only unit tests pin the other two, to
-    /// show the batch schedule is unobservable.
-    exec_mode: ExecMode,
     /// Unit tests answer quotes on the calling thread instead: the oracle
     /// the reader is compared against.
     #[cfg(test)]
@@ -260,7 +255,6 @@ impl Node {
                 view_pools_recloned: stats.recloned as u64,
                 ..NodeCounters::default()
             },
-            exec_mode: ExecMode::Auto,
             #[cfg(test)]
             inline_quotes: false,
         }
@@ -312,9 +306,7 @@ impl Node {
         global_round: u64,
         batch: &[(&AmmTx, usize)],
     ) -> (RoundOutput, Vec<ExecutedTx>) {
-        let executed = self
-            .shards
-            .execute_batch(batch, global_round, self.exec_mode);
+        let executed = self.shards.execute_batch(batch, global_round, ExecMode);
         (RoundOutput::of(&executed), executed)
     }
 
@@ -477,9 +469,8 @@ mod tests {
     use crate::config::SystemConfig;
     use crate::System;
 
-    /// A mixed-engine, routed fleet whose rounds are large enough for
-    /// `Auto` to take the pooled path, with worker panics planted.
-    fn faulted_mixed_fleet() -> SystemConfig {
+    /// A mixed-engine, routed fleet that checkpoints every epoch.
+    fn mixed_routed_fleet() -> SystemConfig {
         let mut cfg = SystemConfig::small_test();
         cfg.pools = 4;
         cfg.users = 32;
@@ -487,41 +478,16 @@ mod tests {
         cfg.route_style = ammboost_workload::RouteStyle::routed(0.25, 3);
         cfg.daily_volume = 1_000_000; // 81 transactions per round
         cfg.snapshot = crate::config::SnapshotPolicy::every_epoch();
-        cfg.faults.worker_panic_points = vec![(0, 1), (2, 3), (3, 0)];
         cfg
     }
 
-    /// The batch schedule is unobservable: the faulted mixed fleet is
-    /// indistinguishable under the three schedules — same report, same
-    /// snapshot and delta bytes, same containment.
-    #[test]
-    fn batch_schedule_is_unobservable_in_a_faulted_mixed_fleet() {
-        let cfg = faulted_mixed_fleet();
-        let run = |mode: ExecMode| {
-            let mut sys = System::new(cfg.clone());
-            sys.node.exec_mode = mode;
-            let report = sys.run();
-            assert!(report.routes_accepted > 0, "{report:?}");
-            let panics = cfg.faults.worker_panic_points.len() as u64;
-            assert_eq!(report.worker_panics_contained, panics);
-            let rounds = cfg.epochs * cfg.rounds_per_epoch;
-            assert!(report.submitted / rounds >= crate::shard::PARALLEL_MIN_BATCH as u64);
-            let snapshot = sys.last_snapshot().expect("checkpoints taken").encode();
-            let delta = sys.last_delta().expect("second checkpoint on").encode();
-            (format!("{report:?}"), snapshot, delta)
-        };
-        let auto = run(ExecMode::Auto);
-        assert_eq!(run(ExecMode::Sequential), auto);
-        assert_eq!(run(ExecMode::Parallel), auto);
-    }
-
     /// The quote reader is unobservable: with quote traffic on the
-    /// faulted mixed fleet, the run reports the same whether the reader
+    /// mixed routed fleet, the run reports the same whether the reader
     /// or the main thread answers the quotes, and every generated request
     /// is counted exactly once.
     #[test]
-    fn quote_reader_matches_inline_quotes_in_a_faulted_mixed_fleet() {
-        let mut cfg = faulted_mixed_fleet();
+    fn quote_reader_matches_inline_quotes_in_a_mixed_routed_fleet() {
+        let mut cfg = mixed_routed_fleet();
         cfg.quote_style = ammboost_workload::QuoteStyle::per_tx(1.0);
         let run = |inline: bool| {
             let mut sys = System::new(cfg.clone());

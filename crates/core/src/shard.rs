@@ -3,32 +3,27 @@
 //! A [`ShardMap`] owns one [`EpochProcessor`] per pool and routes every
 //! [`AmmTx`] by its `pool` field. Because the system's traffic model pins
 //! each user to a home pool (deposits are routed the same way at epoch
-//! start), the shards share no mutable state — an epoch's per-pool
-//! batches can execute on independent worker threads (the persistent
-//! [`WorkerPool`]) and still produce results bit-identical to sequential
-//! execution. Per-pool effects are merged deterministically (shards
-//! iterate ascending by `PoolId`; payouts re-sorted by user) into one
-//! epoch summary, one ledger entry and one Merkle-committed checkpoint
-//! covering all shards.
+//! start), the shards share no mutable state: a round executes shard by
+//! shard on the calling thread, and each shard sees only its own pool's
+//! transactions, in submission order. Per-pool effects are merged
+//! deterministically (shards iterate ascending by `PoolId`; payouts
+//! re-sorted by user) into one epoch summary, one ledger entry and one
+//! Merkle-committed checkpoint covering all shards.
 //!
 //! ## Cross-pool routing: the two-phase batch
 //!
 //! Multi-hop routes ([`AmmTx::Route`]) break the "every transaction
 //! touches one pool" assumption, so [`ShardMap::execute_batch`] runs a
-//! **two-phase** schedule with a canonical, scheduling-independent
-//! order:
+//! **two-phase** schedule with a canonical order:
 //!
 //! 1. **Admission** (sequential, batch order): each route is
 //!    shape-validated, its pools resolved, and its worst-case input
 //!    *reserved* from the user's home-shard deposit — one deterministic
 //!    coverage point before any leg executes.
-//! 2. **Phase 1** — plain transactions execute per shard as before;
-//!    then routes execute in *hop waves*: wave *k* carries hop *k* of
-//!    every live route. A route's pools are distinct, so each route has
-//!    at most one leg per shard per wave and the per-shard leg lists
-//!    (ordered by batch index) execute on parallel workers exactly like
-//!    plain sub-batches. A barrier between waves hands each route's
-//!    output forward as the next hop's input.
+//! 2. **Phase 1** — plain transactions execute shard by shard; then
+//!    routes execute in *hop waves*: wave *k* carries hop *k* of every
+//!    live route, in batch order. A barrier between waves hands each
+//!    route's output forward as the next hop's input.
 //! 3. **Phase 2** — the **netting barrier** (sequential, batch order):
 //!    every route's per-hop flows fold into per-(user, token) net
 //!    deltas ([`NettingLedger`]); only the net credit (plus any
@@ -38,7 +33,6 @@
 
 use crate::processor::{EpochProcessor, ProcessorState, ProcessorStats};
 use crate::view::{QuoteView, ViewPublishStats};
-use crate::workers::WorkerPool;
 use ammboost_amm::engines::{Engine, EngineKind};
 use ammboost_amm::tx::{AmmTx, RouteTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
@@ -47,47 +41,17 @@ use ammboost_sidechain::block::{ExecutedTx, RouteLeg, TxEffect};
 use ammboost_sidechain::summary::{
     Deposits, NettingLedger, PayoutEntry, PoolUpdate, PositionEntry,
 };
-use ammboost_sim::{FaultInjector, FaultKind, InjectionPoint};
-use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// One shard's sorted deposit entries, as exported for checkpointing.
 pub type DepositEntries = Vec<(Address, (u128, u128))>;
 
-/// Below this batch size the hand-off to the worker pool outweighs the
-/// per-shard work; such rounds execute sequentially under
-/// [`ExecMode::Auto`].
-pub(crate) const PARALLEL_MIN_BATCH: usize = 64;
-
-/// How a batch is scheduled across shards. Results are bit-identical
-/// in every mode. The node always runs [`ExecMode::Auto`] and offers no
-/// way to choose; the other two exist so that tests can pin a schedule
-/// and show exactly that.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// Hand busy shards to the persistent worker pool when more than one
-    /// shard has work, the batch holds at least `PARALLEL_MIN_BATCH`
-    /// transactions and the host has more than one hardware thread;
-    /// otherwise run them on the calling thread.
-    #[default]
-    Auto,
-    /// Always execute shard-by-shard on the calling thread.
-    Sequential,
-    /// Use the worker pool whenever at least two shards have work,
-    /// whatever the batch size or the host (test lever: reaches the
-    /// pooled path on batches `Auto` would keep inline).
-    Parallel,
-}
-
-fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
+/// The schedule argument of [`ShardMap::execute_batch`]. It has no
+/// fields and selects nothing: every round executes shard by shard on
+/// the calling thread. It remains only because nodebench's replica
+/// passes `ExecMode::default()`; ROADMAP item 1(b) deletes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecMode;
 
 /// A routing map of per-pool epoch processors, ascending by [`PoolId`].
 #[derive(Clone, Debug)]
@@ -107,26 +71,7 @@ pub struct ShardMap {
     /// clear reuses its cached `Arc`; only the pools the sealed epoch
     /// touched are re-cloned. Derived data — never checkpointed.
     view_cache: Vec<Option<Arc<Engine>>>,
-    /// Fault injector armed by [`ShardMap::arm_chaos`]. When set, every
-    /// busy shard's phase-1a sub-batch runs under panic containment:
-    /// a job that panics (injected via [`InjectionPoint::Worker`] or
-    /// otherwise) poisons only its own shard, which is rolled back to
-    /// its pre-dispatch state and re-executed sequentially. `None` in
-    /// production — the containment machinery is entirely off the hot
-    /// path.
-    chaos: Option<Arc<Mutex<FaultInjector>>>,
-    /// Count of shard jobs that panicked and were contained (rolled
-    /// back + re-executed). Diagnostic, reported via `SystemReport`.
-    panics_contained: u64,
 }
-
-/// One wave leg awaiting execution: the admitted route's slot, the
-/// hop's direction, its input amount, and the final-hop slippage floor.
-type WaveLeg = (usize, bool, u128, Option<u128>);
-
-/// One executed wave leg: the route slot and the realized `(in, out)`
-/// amounts (or the failure reason).
-type WaveResult = (usize, Result<(u128, u128), String>);
 
 /// In-flight state of one admitted route inside a batch.
 struct RouteRun<'b> {
@@ -182,8 +127,6 @@ impl ShardMap {
             home: DigestMap::default(),
             netting: NettingLedger::new(),
             view_cache,
-            chaos: None,
-            panics_contained: 0,
         }
     }
 
@@ -214,29 +157,7 @@ impl ShardMap {
             home,
             netting: NettingLedger::new(),
             view_cache,
-            chaos: None,
-            panics_contained: 0,
         }
-    }
-
-    /// Arms deterministic worker-fault injection: subsequent
-    /// [`ShardMap::execute_batch`] calls fire one
-    /// [`InjectionPoint::Worker`]`(pool_id)` occurrence per busy shard
-    /// per phase-1a dispatch (ascending pool id, so occurrence counting
-    /// is identical under sequential and parallel execution), and a
-    /// [`FaultKind::Panic`] verdict makes that shard's job panic inside
-    /// the worker. The panic is contained: the shard rolls back to its
-    /// pre-dispatch state and re-executes sequentially, the other
-    /// shards' results stand, and the epoch completes with effects
-    /// bit-identical to a fault-free run.
-    pub fn arm_chaos(&mut self, injector: Arc<Mutex<FaultInjector>>) {
-        self.chaos = Some(injector);
-    }
-
-    /// Number of shard jobs that panicked and were contained (rolled
-    /// back and re-executed sequentially) since construction.
-    pub fn panics_contained(&self) -> u64 {
-        self.panics_contained
     }
 
     /// Number of shards.
@@ -290,7 +211,7 @@ impl ShardMap {
     /// `Arc`-shared [`QuoteView`] tagged with `epoch`. Call at epoch seal
     /// — after the epoch's last batch has committed and before the next
     /// epoch begins — so readers on other threads serve quotes from it
-    /// while the worker pool executes the next epoch.
+    /// while the next epoch executes.
     ///
     /// Per-shard staleness tracking keeps publication proportional to the
     /// write set: only pools the sealed epoch actually touched are
@@ -351,8 +272,8 @@ impl ShardMap {
     /// land on the first shard so no deposit silently disappears.
     ///
     /// `route` must assign each user to exactly one pool — the
-    /// disjointness that makes parallel shard execution and the payout
-    /// merge exact.
+    /// disjointness that keeps shards independent and the payout merge
+    /// exact.
     pub fn begin_epoch(
         &mut self,
         snapshot: impl IntoIterator<Item = (Address, (u128, u128))>,
@@ -402,28 +323,15 @@ impl ShardMap {
         &self.netting
     }
 
-    /// Executes one transaction on the shard its `pool` field routes to.
-    /// Transactions addressing a pool outside the map are rejected
-    /// without touching any shard. Routes run through the two-phase
-    /// machinery as a batch of one, so a single-tx caller (tests, the
-    /// fast-sync driver) sees exactly the batch semantics.
+    /// Executes one transaction as a batch of one, so a single-transaction
+    /// caller sees exactly the batch semantics: the shard its `pool` field
+    /// routes to executes it, a route runs the two-phase schedule, and a
+    /// transaction addressing a pool outside the map is rejected without
+    /// touching any shard.
     pub fn execute(&mut self, tx: &AmmTx, wire_size: usize, round: u64) -> ExecutedTx {
-        if matches!(tx, AmmTx::Route(_)) {
-            return self
-                .execute_batch(&[(tx, wire_size)], round, ExecMode::Sequential)
-                .pop()
-                .expect("one transaction in, one effect out");
-        }
-        match self.get_mut(tx.pool()) {
-            Some(shard) => shard.execute(tx, wire_size, round),
-            None => ExecutedTx {
-                tx: tx.clone(),
-                wire_size,
-                effect: TxEffect::Rejected {
-                    reason: format!("unknown pool {}", tx.pool()),
-                },
-            },
-        }
+        self.execute_batch(&[(tx, wire_size)], round, ExecMode)
+            .pop()
+            .expect("one transaction in, one effect out")
     }
 
     /// Admits one route: deadline, shape, pool membership, then the
@@ -458,26 +366,19 @@ impl ShardMap {
         Ok(home)
     }
 
-    /// Executes a round's batch, routing each transaction by pool and
-    /// preserving per-pool submission order; routed transactions run the
-    /// two-phase schedule (admission → plain sub-batches → hop waves →
-    /// netting barrier, see the module docs). Under [`ExecMode::Auto`] /
-    /// [`ExecMode::Parallel`] the busy shards of every phase run on the
-    /// persistent worker pool; the returned effects are in the batch's
-    /// original order and bit-identical to sequential execution
-    /// regardless of mode.
+    /// Executes a round's batch on the calling thread, routing each
+    /// transaction by pool and preserving per-pool submission order;
+    /// routed transactions run the two-phase schedule (admission → plain
+    /// sub-batches → hop waves → netting barrier, see the module docs).
+    /// The returned effects are in the batch's original order. `_mode`
+    /// selects nothing (see [`ExecMode`]).
     pub fn execute_batch(
         &mut self,
         batch: &[(&AmmTx, usize)],
         round: u64,
-        mode: ExecMode,
+        _mode: ExecMode,
     ) -> Vec<ExecutedTx> {
         let mut out: Vec<Option<ExecutedTx>> = batch.iter().map(|_| None).collect();
-        let parallel_allowed = match mode {
-            ExecMode::Sequential => false,
-            ExecMode::Parallel => true,
-            ExecMode::Auto => batch.len() >= PARALLEL_MIN_BATCH && hardware_threads() > 1,
-        };
 
         // --- admission: partition plain txs by shard, reserve routes ---
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
@@ -520,118 +421,16 @@ impl ShardMap {
             }
         }
 
-        // --- phase 1a: plain per-pool sub-batches ---
-        // the one sub-batch body both schedules run — keeping parallel
-        // and sequential on literally the same code path
-        let sub_batch = |shard: &mut EpochProcessor, indices: &Vec<usize>| {
-            indices
-                .iter()
-                .map(|&i| {
-                    let (tx, size) = batch[i];
-                    (i, shard.execute(tx, size, round))
-                })
-                .collect::<Vec<(usize, ExecutedTx)>>()
-        };
-        let busy = per_shard.iter().filter(|v| !v.is_empty()).count();
-        let mut chunks: Vec<Vec<(usize, ExecutedTx)>> = vec![Vec::new(); busy];
-        if let Some(injector) = self.chaos.clone() {
-            // chaos path: contained execution. Fire one Worker(pool_id)
-            // occurrence per busy shard *before* dispatch, in ascending
-            // pool-id order — the verdicts (and so the injector's
-            // occurrence counters and event log) are then identical
-            // whether the jobs run sequentially or on the pool.
-            let busy_idx: Vec<usize> = per_shard
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(s, _)| s)
-                .collect();
-            let verdicts: Vec<Option<FaultKind>> = {
-                let mut inj = injector.lock().expect("fault injector poisoned");
-                busy_idx
-                    .iter()
-                    .map(|&s| inj.fire(InjectionPoint::Worker(self.shards[s].pool_id().0)))
-                    .collect()
-            };
-            // pre-dispatch backups: a poisoned shard may be torn
-            // mid-transaction, so containment restores it wholesale
-            let backups: Vec<EpochProcessor> =
-                busy_idx.iter().map(|&s| self.shards[s].clone()).collect();
-            let mut slots: Vec<Option<Vec<(usize, ExecutedTx)>>> = vec![None; busy];
-            let busy_shards = self
-                .shards
-                .iter_mut()
-                .zip(&per_shard)
-                .filter(|(_, indices)| !indices.is_empty());
-            // the contained job body: the panic is caught *inside* the
-            // job, so the scope itself never sees a failure and the
-            // other shards' results are preserved
-            let contained =
-                |shard: &mut EpochProcessor, indices: &Vec<usize>, verdict: Option<FaultKind>| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if matches!(verdict, Some(FaultKind::Panic)) {
-                            panic!("injected worker panic on pool {}", shard.pool_id());
-                        }
-                        sub_batch(shard, indices)
-                    }))
-                    .ok()
-                };
-            if parallel_allowed && busy > 1 {
-                WorkerPool::global().scope(|scope| {
-                    for (((shard, indices), slot), verdict) in
-                        busy_shards.zip(slots.iter_mut()).zip(verdicts)
-                    {
-                        let contained = &contained;
-                        scope.spawn(move || *slot = contained(shard, indices, verdict));
-                    }
-                });
-            } else {
-                for (((shard, indices), slot), verdict) in
-                    busy_shards.zip(slots.iter_mut()).zip(verdicts)
-                {
-                    *slot = contained(shard, indices, verdict);
-                }
-            }
-            // containment: every poisoned shard rolls back to its
-            // pre-dispatch state and re-executes sequentially (no
-            // second fault fire — the occurrence was already consumed),
-            // so the epoch completes bit-identical to a fault-free run
-            for ((slot, &s), backup) in slots.iter_mut().zip(&busy_idx).zip(backups) {
-                if slot.is_none() {
-                    self.shards[s] = backup;
-                    *slot = Some(sub_batch(&mut self.shards[s], &per_shard[s]));
-                    self.panics_contained += 1;
-                }
-            }
-            for (chunk, slot) in chunks.iter_mut().zip(slots) {
-                *chunk = slot.expect("every poisoned shard re-executed");
-            }
-        } else {
-            let busy_shards = self
-                .shards
-                .iter_mut()
-                .zip(&per_shard)
-                .filter(|(_, indices)| !indices.is_empty());
-            if parallel_allowed && busy > 1 {
-                WorkerPool::global().scope(|scope| {
-                    for ((shard, indices), chunk) in busy_shards.zip(chunks.iter_mut()) {
-                        scope.spawn(move || *chunk = sub_batch(shard, indices));
-                    }
-                });
-            } else {
-                for ((shard, indices), chunk) in busy_shards.zip(chunks.iter_mut()) {
-                    *chunk = sub_batch(shard, indices);
-                }
-            }
-        }
-        for chunk in chunks {
-            for (i, executed) in chunk {
-                out[i] = Some(executed);
+        // --- phase 1a: plain per-pool sub-batches, shard by shard ---
+        for (shard, indices) in self.shards.iter_mut().zip(&per_shard) {
+            for &i in indices {
+                let (tx, size) = batch[i];
+                out[i] = Some(shard.execute(tx, size, round));
             }
         }
 
         // --- phase 1b: hop waves ---
-        self.run_route_waves(&mut routes, parallel_allowed);
+        self.run_route_waves(&mut routes);
 
         // --- phase 2: the netting barrier ---
         let mut netting = NettingLedger::new();
@@ -647,16 +446,12 @@ impl ShardMap {
     }
 
     /// Phase 1b: executes every admitted route's hops in waves. Wave `k`
-    /// carries hop `k` of each live route; a route's pools are distinct,
-    /// so the wave's legs group into per-shard lists (ordered by batch
-    /// index) that execute on parallel workers exactly like plain
-    /// sub-batches. The inter-wave barrier hands each route's output
-    /// forward as its next hop's input.
-    fn run_route_waves(&mut self, routes: &mut [RouteRun<'_>], parallel_allowed: bool) {
+    /// carries hop `k` of each live route, in batch order; the inter-wave
+    /// barrier hands each route's output forward as its next hop's input.
+    fn run_route_waves(&mut self, routes: &mut [RouteRun<'_>]) {
         let max_hops = routes.iter().map(|r| r.tx.hops.len()).max().unwrap_or(0);
         for wave in 0..max_hops {
-            let mut legs: Vec<Vec<WaveLeg>> = vec![Vec::new(); self.shards.len()];
-            for (slot, run) in routes.iter().enumerate() {
+            for run in routes.iter_mut() {
                 if run.failure.is_some() || wave >= run.tx.hops.len() {
                     continue;
                 }
@@ -664,47 +459,11 @@ impl ShardMap {
                 let shard = self.index_of(hop.pool).expect("pools checked at admission");
                 let final_min_out =
                     (wave + 1 == run.tx.hops.len()).then_some(run.tx.min_amount_out);
-                legs[shard].push((slot, hop.zero_for_one, run.next_amount, final_min_out));
-            }
-            let busy = legs.iter().filter(|l| !l.is_empty()).count();
-            if busy == 0 {
-                break;
-            }
-            // one wave-leg body for both schedules
-            let run_legs = |shard: &mut EpochProcessor, shard_legs: &Vec<WaveLeg>| {
-                shard_legs
-                    .iter()
-                    .map(|&(r, dir, amount, min_out)| {
-                        (
-                            r,
-                            shard
-                                .execute_route_leg(dir, amount, min_out)
-                                .map_err(|e| e.to_string()),
-                        )
-                    })
-                    .collect::<Vec<WaveResult>>()
-            };
-            let mut results: Vec<Vec<WaveResult>> = vec![Vec::new(); busy];
-            let busy_shards = self
-                .shards
-                .iter_mut()
-                .zip(&legs)
-                .filter(|(_, l)| !l.is_empty());
-            if parallel_allowed && busy > 1 {
-                WorkerPool::global().scope(|scope| {
-                    for ((shard, shard_legs), slot) in busy_shards.zip(results.iter_mut()) {
-                        scope.spawn(move || *slot = run_legs(shard, shard_legs));
-                    }
-                });
-            } else {
-                for ((shard, shard_legs), slot) in busy_shards.zip(results.iter_mut()) {
-                    *slot = run_legs(shard, shard_legs);
-                }
-            }
-            for (slot, result) in results.into_iter().flatten() {
-                let run = &mut routes[slot];
-                let hop = run.tx.hops[wave];
-                match result {
+                match self.shards[shard].execute_route_leg(
+                    hop.zero_for_one,
+                    run.next_amount,
+                    final_min_out,
+                ) {
                     Ok((amount_in, amount_out)) => {
                         run.legs.push(RouteLeg {
                             pool: hop.pool,
@@ -714,7 +473,7 @@ impl ShardMap {
                         });
                         run.next_amount = amount_out;
                     }
-                    Err(e) => run.failure = Some(e),
+                    Err(e) => run.failure = Some(e.to_string()),
                 }
             }
         }
@@ -960,90 +719,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_bit_for_bit() {
-        let txs = batch_for(16, 4, 300);
-        let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1008)).collect();
-
-        let mut seq = shard_map(4);
-        begin(&mut seq, 16, 4);
-        let a = seq.execute_batch(&batch, 0, ExecMode::Sequential);
-
-        let mut par = shard_map(4);
-        begin(&mut par, 16, 4);
-        let b = par.execute_batch(&batch, 0, ExecMode::Parallel);
-
-        assert_eq!(a, b, "scheduling changed results");
-        assert_eq!(seq.end_epoch(), par.end_epoch());
-        assert_eq!(seq.export_states(), par.export_states());
-    }
-
-    #[test]
-    fn injected_worker_panic_is_contained_and_bit_identical() {
-        use ammboost_sim::FaultSpec;
-        let txs = batch_for(16, 4, 300);
-        let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1008)).collect();
-
-        let mut clean = shard_map(4);
-        begin(&mut clean, 16, 4);
-        let reference = clean.execute_batch(&batch, 0, ExecMode::Sequential);
-        let clean_epoch = clean.end_epoch();
-
-        // the panic verdict fires before dispatch in ascending pool-id
-        // order, so sequential and parallel runs consume the same
-        // occurrence and contain the same shard
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let mut chaos = shard_map(4);
-            begin(&mut chaos, 16, 4);
-            let mut injector = FaultInjector::new(7);
-            injector.schedule(FaultSpec {
-                point: InjectionPoint::Worker(2),
-                occurrence: 0,
-                kind: FaultKind::Panic,
-            });
-            chaos.arm_chaos(Arc::new(Mutex::new(injector)));
-            let out = chaos.execute_batch(&batch, 0, mode);
-            assert_eq!(out, reference, "containment changed results ({mode:?})");
-            assert_eq!(chaos.panics_contained(), 1, "one shard poisoned");
-            assert_eq!(chaos.end_epoch(), clean_epoch);
-            assert_eq!(chaos.export_states(), clean.export_states());
-        }
-    }
-
-    #[test]
-    fn armed_chaos_without_panics_changes_nothing() {
-        use ammboost_sim::FaultSpec;
-        let txs = batch_for(8, 2, 100);
-        let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1008)).collect();
-
-        let mut clean = shard_map(2);
-        begin(&mut clean, 8, 2);
-        let reference = clean.execute_batch(&batch, 0, ExecMode::Sequential);
-
-        // a non-Panic kind at a Worker point consumes the occurrence
-        // but executes normally (delivery-style kinds have no meaning
-        // inside a shard job)
-        let mut chaos = shard_map(2);
-        begin(&mut chaos, 8, 2);
-        let mut injector = FaultInjector::new(7);
-        injector.schedule(FaultSpec {
-            point: InjectionPoint::Worker(1),
-            occurrence: 0,
-            kind: FaultKind::Delay { millis: 5 },
-        });
-        chaos.arm_chaos(Arc::new(Mutex::new(injector)));
-        let out = chaos.execute_batch(&batch, 0, ExecMode::Parallel);
-        assert_eq!(out, reference);
-        assert_eq!(chaos.panics_contained(), 0);
-        assert_eq!(chaos.export_states(), clean.export_states());
-    }
-
-    #[test]
     fn batch_preserves_submission_order_per_pool() {
         let mut shards = shard_map(2);
         begin(&mut shards, 4, 2);
         let txs = batch_for(4, 2, 10);
         let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1008)).collect();
-        let out = shards.execute_batch(&batch, 0, ExecMode::Parallel);
+        let out = shards.execute_batch(&batch, 0, ExecMode);
         assert_eq!(out.len(), txs.len());
         for (i, executed) in out.iter().enumerate() {
             assert_eq!(&executed.tx, &txs[i], "order scrambled at {i}");
@@ -1222,44 +903,6 @@ mod tests {
         }
         assert_eq!(shards.get(PoolId(0)).unwrap().stats().rejected, 4);
         assert_eq!(shards.epoch_netting().route_count(), 0);
-    }
-
-    #[test]
-    fn routed_batch_parallel_matches_sequential() {
-        // a mixed batch: plain swaps interleaved with routes whose waves
-        // overlap on the same pools
-        let txs: Vec<AmmTx> = (0..60u64)
-            .flat_map(|i| {
-                let u = i % 12;
-                vec![
-                    swap(user(u), (u % 4) as u32, 10_000 + i as u128, i % 2 == 0),
-                    route(
-                        user(u),
-                        &[(u % 4) as u32, ((u + 1) % 4) as u32, ((u + 2) % 4) as u32],
-                        i % 2 == 1,
-                        20_000 + i as u128,
-                    ),
-                ]
-            })
-            .collect();
-        let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1040)).collect();
-
-        let mut seq = shard_map(4);
-        begin(&mut seq, 12, 4);
-        let a = seq.execute_batch(&batch, 0, ExecMode::Sequential);
-
-        let mut par = shard_map(4);
-        begin(&mut par, 12, 4);
-        let b = par.execute_batch(&batch, 0, ExecMode::Parallel);
-
-        assert!(
-            a.iter().any(|e| matches!(e.effect, TxEffect::Route { .. })),
-            "routes must flow"
-        );
-        assert_eq!(a, b, "scheduling changed routed results");
-        assert_eq!(seq.end_epoch(), par.end_epoch());
-        assert_eq!(seq.export_states(), par.export_states());
-        assert_eq!(seq.epoch_netting(), par.epoch_netting());
     }
 
     #[test]

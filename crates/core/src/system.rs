@@ -39,13 +39,12 @@ use ammboost_sidechain::summary::{Deposits, PayoutEntry, PositionEntry};
 use ammboost_sim::metrics::LatencyStats;
 use ammboost_sim::rng::DetRng;
 use ammboost_sim::time::{SimDuration, SimTime};
-use ammboost_sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
 use ammboost_state::snapshot::Snapshot;
 use ammboost_state::{CheckpointStats, RetentionPolicy};
 use ammboost_workload::{GeneratorConfig, TrafficGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything a run measures (the §VI-A metric list).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -124,11 +123,6 @@ pub struct SystemReport {
     /// Per-pool views re-cloned at publication (pools the sealed epoch
     /// touched — the dirty-tracking write set).
     pub view_pools_recloned: u64,
-    /// Shard worker jobs that panicked (injected via
-    /// `FaultPlan::worker_panic_points`) and were contained — the
-    /// poisoned shard rolled back and re-executed sequentially, the
-    /// epoch completed normally.
-    pub worker_panics_contained: u64,
 }
 
 /// A submitted sync covering every epoch up to and including
@@ -246,21 +240,6 @@ impl System {
         token1.mint(bank.address, seed_liquidity * 2 * cfg.pools as u128);
 
         let mut shards = ShardMap::new_with_engines(generator.fleet());
-        if !cfg.faults.worker_panic_points.is_empty() {
-            // arm deterministic worker-panic injection: each (pool,
-            // occurrence) pair panics that pool's shard job on its
-            // `occurrence`-th phase-1a dispatch; the shard map contains
-            // the panic and the run completes (graceful degradation)
-            let mut injector = FaultInjector::new(cfg.seed ^ 0xC8A0);
-            injector.schedule_all(cfg.faults.worker_panic_points.iter().map(
-                |&(pool, occurrence)| FaultSpec {
-                    point: InjectionPoint::Worker(pool),
-                    occurrence,
-                    kind: FaultKind::Panic,
-                },
-            ));
-            shards.arm_chaos(Arc::new(Mutex::new(injector)));
-        }
         for pool in &pool_ids {
             shards.seed_liquidity(
                 *pool,
@@ -445,7 +424,6 @@ impl System {
             view_publications: node.view_publications,
             view_pools_reused: node.view_pools_reused,
             view_pools_recloned: node.view_pools_recloned,
-            worker_panics_contained: self.shards().panics_contained(),
         }
     }
 

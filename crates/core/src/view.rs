@@ -7,8 +7,8 @@
 //! publishes an immutable, [`Arc`]-shared [`QuoteView`] over every pool's
 //! sealed state. Readers — on any number of threads — serve
 //! [`QuoteView::quote_swap`], [`QuoteView::simulate_route`] and
-//! [`QuoteView::value_position`] from it while the worker pool executes
-//! the *next* epoch against the live shards.
+//! [`QuoteView::value_position`] from it while the node executes the
+//! *next* epoch against the live shards.
 //!
 //! The lifecycle is seal → publish → invalidate:
 //!

@@ -20,6 +20,7 @@
 //! per payout, ~105,392 per deposit) falls out of the contracts' storage
 //! access patterns.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abi;

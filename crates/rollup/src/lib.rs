@@ -6,6 +6,7 @@
 //! *visible* when their batch is processed, and token payouts finalize
 //! only after the 7-day contestation period.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ammboost_sim::metrics::LatencyStats;

@@ -13,6 +13,7 @@
 //! - [`ledger`] — chain validation, epoch sequencing, and block
 //!   suppression (pruning).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -3,18 +3,16 @@
 //! The consensus layer's `FaultPlan` schedules *protocol* faults (silent
 //! leaders, invalid proposals, mainchain rollbacks). This module is its
 //! storage-layer counterpart: a seeded [`FaultInjector`] that corrupts,
-//! truncates, drops, delays or duplicates byte streams — and panics
-//! worker jobs — at precisely addressed places. Every fault is named by
-//! an [`InjectionPoint`] (where in the pipeline) plus an **occurrence
-//! index** (the Nth time that point is reached), so a fault schedule is a
-//! plain data structure and a faulty run replays bit-for-bit from its
-//! seed. The injector keeps a log of every fault that actually fired,
+//! truncates, drops, delays or duplicates byte streams at precisely
+//! addressed places. Every fault is named by an [`InjectionPoint`]
+//! (where in the pipeline) plus an **occurrence index** (the Nth time
+//! that point is reached), so a fault schedule is a plain data structure
+//! and a faulty run replays bit-for-bit from its seed. The injector keeps a log of every fault that actually fired,
 //! which drills assert against.
 //!
 //! The injector never decides *how* a subsystem degrades — it only
-//! perturbs bytes and control flow. Detection and recovery live with the
-//! subsystems themselves (snapshot root verification, page healing,
-//! shard-panic containment).
+//! perturbs bytes and their delivery. Detection and recovery live with the
+//! subsystems themselves (snapshot root verification, page healing).
 
 use crate::rng::DetRng;
 use serde::{Deserialize, Serialize};
@@ -40,9 +38,6 @@ pub enum FaultKind {
     /// Serve content from an older state root (a lagging or equivocating
     /// provider).
     StaleRoot,
-    /// Panic the executing worker job (storage-layer analogue of a
-    /// crashing shard thread).
-    Panic,
 }
 
 impl FaultKind {
@@ -55,7 +50,6 @@ impl FaultKind {
             FaultKind::Delay { .. } => "delay",
             FaultKind::Duplicate => "duplicate",
             FaultKind::StaleRoot => "stale-root",
-            FaultKind::Panic => "panic",
         }
     }
 }
@@ -65,8 +59,6 @@ impl FaultKind {
 pub enum InjectionPoint {
     /// A fast-sync provider's response, keyed by provider id.
     Provider(u32),
-    /// A shard worker job, keyed by pool id.
-    Worker(u32),
 }
 
 /// One scheduled fault: fire `kind` the `occurrence`-th time (0-based)
@@ -181,9 +173,7 @@ impl FaultInjector {
                 bytes.extend(copy);
                 true
             }
-            FaultKind::Drop | FaultKind::Delay { .. } | FaultKind::StaleRoot | FaultKind::Panic => {
-                false
-            }
+            FaultKind::Drop | FaultKind::Delay { .. } | FaultKind::StaleRoot => false,
         }
     }
 
@@ -228,12 +218,15 @@ mod tests {
     fn points_count_independently() {
         let mut inj = FaultInjector::new(2);
         inj.schedule(FaultSpec {
-            point: InjectionPoint::Worker(3),
+            point: InjectionPoint::Provider(3),
             occurrence: 0,
-            kind: FaultKind::Panic,
+            kind: FaultKind::StaleRoot,
         });
-        assert_eq!(inj.fire(InjectionPoint::Worker(2)), None);
-        assert_eq!(inj.fire(InjectionPoint::Worker(3)), Some(FaultKind::Panic));
+        assert_eq!(inj.fire(InjectionPoint::Provider(2)), None);
+        assert_eq!(
+            inj.fire(InjectionPoint::Provider(3)),
+            Some(FaultKind::StaleRoot)
+        );
     }
 
     #[test]

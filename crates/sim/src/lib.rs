@@ -8,12 +8,13 @@
 //! - [`rng`] — seeded randomness with the sampling helpers workloads need.
 //! - [`metrics`] — latency statistics, throughput and chain-growth series.
 //! - [`fault`] — deterministic storage/sync fault injection (bit-flips,
-//!   truncation, drops, delays, stale roots, worker panics) addressable
-//!   by injection point and occurrence index.
+//!   truncation, drops, delays, duplicates, stale roots) addressable by
+//!   injection point and occurrence index.
 //!
 //! Everything is seedable and free of wall-clock reads, so each experiment
 //! binary reproduces its numbers bit-for-bit from its seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

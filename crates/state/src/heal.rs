@@ -190,9 +190,8 @@ pub trait SectionProvider {
 /// manifest or page — visits the injection point once, so occurrence
 /// indexes address individual requests. [`FaultKind::StaleRoot`] serves
 /// the manifest, or the same page, of an older snapshot (a lagging
-/// replica) when one is configured; [`FaultKind::Panic`] is treated as a
-/// drop (a crashed provider looks like silence from the fetcher's side).
-/// Both manifests are built once, with the provider.
+/// replica) when one is configured. Both manifests are built once, with
+/// the provider.
 pub struct SimProvider {
     id: u32,
     fresh: (Snapshot, SyncManifest),
@@ -262,7 +261,7 @@ impl SectionProvider for SimProvider {
 
     fn manifest(&mut self) -> Option<SyncManifest> {
         match self.fire() {
-            Some(FaultKind::Drop) | Some(FaultKind::Panic) => None,
+            Some(FaultKind::Drop) => None,
             fault => Some(self.source(fault).1.clone()),
         }
     }
@@ -275,7 +274,7 @@ impl SectionProvider for SimProvider {
         };
         let mut bytes = bytes.to_vec();
         match fault {
-            Some(FaultKind::Drop) | Some(FaultKind::Panic) => PageReply::Dropped,
+            Some(FaultKind::Drop) => PageReply::Dropped,
             Some(FaultKind::Delay { millis }) => PageReply::Delayed { millis, bytes },
             Some(kind @ (FaultKind::BitFlip | FaultKind::Truncate | FaultKind::Duplicate)) => {
                 self.mutate(kind, &mut bytes);

@@ -35,6 +35,7 @@
 //!   install journal whose recovery always lands on the last committed
 //!   snapshot, whatever byte a simulated crash tore the write at.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

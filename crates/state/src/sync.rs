@@ -122,23 +122,21 @@ pub fn restore(snapshot: &Snapshot) -> Result<RestoredState, RestoreError> {
     })
 }
 
-/// Test hook: pool id whose decoder panics (simulates a decoder bug).
-/// A plain atomic — not thread-local — because decoders run on scoped
-/// worker threads.
 #[cfg(test)]
-static PANIC_ON_POOL: std::sync::atomic::AtomicI64 = std::sync::atomic::AtomicI64::new(-1);
+thread_local! {
+    /// Test hook: pool id whose decoder panics (simulates a decoder bug).
+    /// Thread-local, like the decode it steers: decoders run on the
+    /// thread that calls [`restore`], so one test's hook never reaches
+    /// another's.
+    static PANIC_ON_POOL: std::cell::Cell<i64> = const { std::cell::Cell::new(-1) };
+}
 
-/// Decodes and rebuilds every pool section. Sections are independent
-/// byte ranges, so with more than one section on a multi-threaded host
-/// the decode + `Pool::from_state` work (the cold-start bottleneck at
-/// 10⁶-position scale) is spread across scoped threads; results are
-/// reassembled in section order and the first error — in that same
-/// order — wins, so the outcome is identical to the sequential path.
+/// Decodes and rebuilds every pool section, in section order; the first
+/// error wins.
 ///
 /// A decoder panic (a bug, not bad input — bad input yields `Err`) is
-/// contained with `catch_unwind` on both the sequential and parallel
-/// paths and surfaces as [`RestoreError::SectionDecodeFailed`]; the
-/// scoped-thread join no longer re-raises, so one poisoned section can
+/// contained with `catch_unwind` and surfaces as
+/// [`RestoreError::SectionDecodeFailed`], so one poisoned section can
 /// never take down the process.
 fn decode_pool_sections(
     sections: &[(u32, &crate::snapshot::Section)],
@@ -147,7 +145,7 @@ fn decode_pool_sections(
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<(PoolId, Engine), RestoreError> {
                 #[cfg(test)]
-                if PANIC_ON_POOL.load(std::sync::atomic::Ordering::Relaxed) == i64::from(id) {
+                if PANIC_ON_POOL.get() == i64::from(id) {
                     panic!("injected decoder panic for pool {id}");
                 }
                 let state = EngineState::decode_all(&section.bytes)?;
@@ -159,39 +157,7 @@ fn decode_pool_sections(
             Err(_) => Err(RestoreError::SectionDecodeFailed { section: id }),
         }
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(sections.len());
-    if threads < 2 {
-        return sections.iter().map(decode_one).collect();
-    }
-    let chunk_len = sections.len().div_ceil(threads);
-    let decoded: Vec<Result<(PoolId, Engine), RestoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sections
-            .chunks(chunk_len)
-            .map(|chunk| {
-                (
-                    chunk,
-                    scope.spawn(move || chunk.iter().map(decode_one).collect::<Vec<_>>()),
-                )
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|(chunk, h)| match h.join() {
-                Ok(results) => results,
-                // Each item is individually caught above, so a panicked
-                // chunk thread is out-of-band (e.g. stack overflow in the
-                // unwind machinery); fail its whole chunk closed.
-                Err(_) => chunk
-                    .iter()
-                    .map(|&(id, _)| Err(RestoreError::SectionDecodeFailed { section: id }))
-                    .collect(),
-            })
-            .collect()
-    });
-    decoded.into_iter().collect()
+    sections.iter().map(decode_one).collect()
 }
 
 /// Convenience: decodes the serialized form (verifying magic, version and
@@ -311,7 +277,6 @@ mod tests {
 
     #[test]
     fn decoder_panic_contained_as_typed_error() {
-        use std::sync::atomic::Ordering;
         let pool = traded_pool();
         let ledger = Ledger::new(H256::hash(b"genesis"));
         let deposits = Deposits::new();
@@ -319,9 +284,9 @@ mod tests {
         let snapshot = Checkpointer::new()
             .checkpoint(1, &pools, &ledger, &deposits, vec![])
             .snapshot;
-        PANIC_ON_POOL.store(7772, Ordering::Relaxed);
+        PANIC_ON_POOL.set(7772);
         let got = restore(&snapshot);
-        PANIC_ON_POOL.store(-1, Ordering::Relaxed);
+        PANIC_ON_POOL.set(-1);
         assert_eq!(
             got.err().map(|e| e.to_string()),
             Some("pool section 7772 decoder panicked".into())

@@ -10,6 +10,7 @@
 //! - [`generator`] — the deterministic generator: constant arrival rate
 //!   `ρ = ⌈V_D · bt / 86400⌉` per round, position-aware burns/collects.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generator;

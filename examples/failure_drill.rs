@@ -72,7 +72,6 @@ fn main() {
             invalid_proposal_epochs: [3].into(),
             invalid_sync_epochs: [2].into(),
             rollback_epochs: [3].into(),
-            ..FaultPlan::default()
         },
     );
 

@@ -106,49 +106,6 @@ fn back_to_back_faults_still_recover() {
 }
 
 #[test]
-fn worker_panics_are_contained_and_execution_is_identical() {
-    // a shard job that panics mid-epoch poisons only its own shard: the
-    // shard map rolls it back, re-executes it sequentially, and the run
-    // completes with a checkpoint root byte-identical to a clean run.
-    // `small_test()`'s ≈ 4 transactions per round always execute inline;
-    // the second volume puts ≥ 64 in every round, where the node hands
-    // shards to the worker pool on any host with more than one hardware
-    // thread, so containment is also checked inside pooled jobs.
-    for (daily_volume, per_round) in [(50_000, 1), (1_000_000, 64)] {
-        let sharded = |faults: FaultPlan| SystemConfig {
-            pools: 4,
-            users: 16,
-            daily_volume,
-            ..cfg(faults, 42)
-        };
-        let mut clean_sys = System::new(sharded(FaultPlan::default()));
-        let clean = clean_sys.run();
-        let rounds = clean.epochs * SystemConfig::small_test().rounds_per_epoch;
-        assert!(clean.submitted / rounds >= per_round, "{clean:?}");
-        let mut faulty_sys = System::new(sharded(FaultPlan {
-            worker_panic_points: vec![(0, 1), (1, 3), (3, 2)],
-            ..FaultPlan::default()
-        }));
-        let faulty = faulty_sys.run();
-        assert_eq!(
-            faulty.worker_panics_contained, 3,
-            "every scheduled worker panic must fire and be contained"
-        );
-        assert_eq!(clean.worker_panics_contained, 0);
-        assert_eq!(faulty.submitted, clean.submitted);
-        assert_eq!(faulty.accepted, clean.accepted);
-        assert_eq!(faulty.rejected, clean.rejected);
-        assert_eq!(faulty.leftover_queue, 0);
-        let epoch = clean.epochs + 1;
-        assert_eq!(
-            faulty_sys.checkpoint(epoch).root,
-            clean_sys.checkpoint(epoch).root,
-            "containment diverged from the clean run"
-        );
-    }
-}
-
-#[test]
 fn faults_do_not_change_processed_traffic() {
     // safety: the sidechain's execution is identical with and without
     // sync-layer faults (they only delay mainchain settlement)

@@ -1,15 +1,13 @@
 //! Multi-pool sharding acceptance tests.
 //!
-//! The heart of the PR-4 refactor: `PoolId` is a real routing key. These
-//! tests prove the three properties the design rests on:
+//! `PoolId` is a real routing key. These tests prove the two properties
+//! the design rests on:
 //!
 //! 1. **Sharded ≡ independent** — an N-pool sharded node is
 //!    byte-identical (pool section bytes, processor state, payouts, pool
 //!    updates, per-pool effects) to N independent single-pool nodes fed
 //!    the same per-pool traffic.
-//! 2. **Scheduling-free determinism** — parallel shard execution produces
-//!    bit-identical results to sequential execution.
-//! 3. **One checkpoint covers all shards** — a `pool_count ≥ 8` system
+//! 2. **One checkpoint covers all shards** — a `pool_count ≥ 8` system
 //!    runs end-to-end (traffic → epochs → summaries → checkpoint → prune
 //!    → restore) under one state root, and a restored node fast-syncs to
 //!    byte-identical state.
@@ -112,7 +110,7 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
             let batch_src = &traffic[global as usize];
             let batch: Vec<(&ammboost::amm::tx::AmmTx, usize)> =
                 batch_src.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            let executed = shards.execute_batch(&batch, global, ExecMode::Parallel);
+            let executed = shards.execute_batch(&batch, global, ExecMode);
             let block = MetaBlock::new(epoch, round, ledger.tip(), executed);
             ledger.append_meta(block).unwrap();
         }
@@ -231,40 +229,6 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
             }
         }
     }
-}
-
-#[test]
-fn parallel_epochs_replay_identically_to_sequential() {
-    // workload-driven (swaps + mints + burns + collects) determinism
-    // check: forced-parallel scheduling produces the same meta-blocks,
-    // summaries and state as forced-sequential
-    const POOLS: u32 = 8;
-    const USERS: u64 = 32;
-    let traffic = recorded_traffic(POOLS, USERS, 99, 2);
-    let gen = generator(POOLS, USERS, 99);
-
-    let run = |mode: ExecMode| {
-        let mut shards = seeded_shards(POOLS);
-        shards.begin_epoch(deposits_for(&gen), |u| gen.pool_for(u));
-        let mut all_effects = Vec::new();
-        for (global, round_txs) in traffic.iter().enumerate() {
-            if global as u64 == ROUNDS_PER_EPOCH {
-                shards.carry_over_epoch();
-            }
-            let batch: Vec<(&ammboost::amm::tx::AmmTx, usize)> =
-                round_txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            all_effects.extend(shards.execute_batch(&batch, global as u64, mode));
-        }
-        (all_effects, shards.end_epoch(), shards.export_states())
-    };
-
-    let (fx_seq, end_seq, states_seq) = run(ExecMode::Sequential);
-    let (fx_par, end_par, states_par) = run(ExecMode::Parallel);
-    assert_eq!(fx_seq.len(), fx_par.len());
-    assert!(fx_seq.iter().any(|e| e.accepted()), "traffic must flow");
-    assert_eq!(fx_seq, fx_par, "scheduling changed recorded effects");
-    assert_eq!(end_seq, end_par, "scheduling changed the epoch summary");
-    assert_eq!(states_seq, states_par, "scheduling changed shard state");
 }
 
 #[test]

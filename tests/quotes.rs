@@ -198,7 +198,7 @@ fn held_view_is_immutable_and_invalidation_is_exact() {
 
     // Epoch 1 mutates pool 0 only, while the epoch-0 view is held.
     let tx = swap_tx(user(0), 0, 250_000);
-    let fx = shards.execute_batch(&[(&tx, 200)], 0, ExecMode::Sequential);
+    let fx = shards.execute_batch(&[(&tx, 200)], 0, ExecMode);
     assert!(
         matches!(fx[0].effect, ammboost_sidechain::TxEffect::Swap { .. }),
         "swap must land: {:?}",

@@ -1,13 +1,11 @@
 //! Cross-pool routing acceptance tests.
 //!
-//! The heart of the PR-5 refactor: multi-hop routes execute as
-//! shard-parallel hop waves inside a two-phase epoch and settle through
-//! the netting barrier. These tests prove the properties the design
-//! rests on:
+//! Multi-hop routes execute as hop waves inside a two-phase epoch and
+//! settle through the netting barrier. These tests prove the properties
+//! the design rests on:
 //!
-//! 1. **Scheduling-free determinism** — a routed epoch's effects, state
-//!    root, payouts and `SyncInput` bytes are identical whether hops
-//!    execute shard-parallel or forced-sequential.
+//! 1. **Pinned settlement** — a routed epoch's state root and `SyncInput`
+//!    bytes are pinned, so a change that moves any leg shows.
 //! 2. **Routed ≡ legs + netting ledger** — a routed epoch is
 //!    byte-identical to the same legs applied to independent bare pools
 //!    in wave order, with deposits reconciled through an explicit
@@ -120,7 +118,6 @@ fn run_routed_node(
     users: u64,
     seed: u64,
     epochs: u64,
-    mode: ExecMode,
     checkpoint_at: Option<u64>,
 ) -> (ShardMap, Ledger, Vec<SummaryBlock>, Option<Vec<u8>>) {
     let mut gen = routed_generator(pools, users, seed, 0.4);
@@ -140,7 +137,7 @@ fn run_routed_node(
             let round_txs: Vec<GeneratedTx> = gen.next_round(global);
             let batch: Vec<(&AmmTx, usize)> =
                 round_txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            let executed = shards.execute_batch(&batch, global, mode);
+            let executed = shards.execute_batch(&batch, global, ExecMode);
             for out in &executed {
                 if let TxEffect::Burn {
                     position, deleted, ..
@@ -173,52 +170,58 @@ fn run_routed_node(
     (shards, ledger, summaries, wire)
 }
 
+/// The state root and each epoch's `SyncInput` ABI payload of a routed
+/// run are pinned (the payload by its hash). A snapshot-format bump
+/// re-pins the root, as it rewrites `tests/fixtures/snapshot_v6_mixed.*`.
 #[test]
 fn routed_epoch_is_scheduling_free_down_to_sync_bytes() {
     const POOLS: u32 = 6;
     const USERS: u64 = 24;
-    let (mut seq_shards, seq_ledger, seq_summaries, _) =
-        run_routed_node(POOLS, USERS, 2024, 2, ExecMode::Sequential, None);
-    let (mut par_shards, par_ledger, par_summaries, _) =
-        run_routed_node(POOLS, USERS, 2024, 2, ExecMode::Parallel, None);
+    let (mut shards, ledger, summaries, _) = run_routed_node(POOLS, USERS, 2024, 2, None);
 
     // routes actually flowed
-    let routed: usize = seq_ledger
+    let routed: usize = ledger
         .meta_epochs()
         .iter()
-        .flat_map(|e| seq_ledger.meta_blocks(*e))
+        .flat_map(|e| ledger.meta_blocks(*e))
         .flat_map(|b| &b.txs)
         .filter(|t| matches!(t.effect, TxEffect::Route { .. }))
         .count();
     assert!(routed > 10, "only {routed} routes executed");
 
-    // identical effects, summaries, shard states and netting
-    assert_eq!(seq_ledger.export_state(), par_ledger.export_state());
-    assert_eq!(seq_summaries, par_summaries);
-    assert_eq!(seq_shards.export_states(), par_shards.export_states());
-    assert_eq!(seq_shards.epoch_netting(), par_shards.epoch_netting());
+    let root = checkpoint_node(&mut Checkpointer::new(), 2, &mut shards, &ledger)
+        .stats
+        .root;
+    assert_eq!(
+        root.to_hex(),
+        "7a41905816b8c38eb311199a8f6b4d8e9599ebb42d8aa86bfb0643464162dcd8",
+        "state root moved"
+    );
 
-    // identical Merkle state roots
-    let a = checkpoint_node(&mut Checkpointer::new(), 2, &mut seq_shards, &seq_ledger).stats;
-    let b = checkpoint_node(&mut Checkpointer::new(), 2, &mut par_shards, &par_ledger).stats;
-    assert_eq!(a.root, b.root, "state roots diverge");
-
-    // identical settlement bytes: the SyncInput ABI payload is built
-    // from the sealed summary and must be byte-identical
+    // the SyncInput ABI payload is built from the sealed summary
     let vk = run_ceremony(DkgConfig::for_faults(1), 7).group_public_key;
-    let sync_bytes = |summary: &SummaryBlock| {
-        SyncInput {
-            epoch: summary.epoch,
-            payouts: summary.payouts.clone(),
-            positions: summary.positions.clone(),
-            pools: summary.pools.clone(),
-            next_vk: vk,
-        }
-        .abi_payload()
-    };
-    for (s, p) in seq_summaries.iter().zip(&par_summaries) {
-        assert_eq!(sync_bytes(s), sync_bytes(p), "SyncInput bytes diverge");
-    }
+    let sync_hashes: Vec<String> = summaries
+        .iter()
+        .map(|summary| {
+            let payload = SyncInput {
+                epoch: summary.epoch,
+                payouts: summary.payouts.clone(),
+                positions: summary.positions.clone(),
+                pools: summary.pools.clone(),
+                next_vk: vk,
+            }
+            .abi_payload();
+            H256::hash(&payload).to_hex()
+        })
+        .collect();
+    assert_eq!(
+        sync_hashes,
+        [
+            "ceaaea40b96859841ecd17995612de7d5683bfbd5a221b28d0bcaf23bcb9aff1",
+            "7efc530cfcf5885997870efac915620d23c5b565d4c9c1627ea0e54f060c4fea",
+        ],
+        "SyncInput bytes moved"
+    );
 }
 
 #[test]
@@ -248,7 +251,7 @@ fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
         })
         .collect();
     let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1072)).collect();
-    let executed = shards.execute_batch(&batch, 0, ExecMode::Parallel);
+    let executed = shards.execute_batch(&batch, 0, ExecMode);
     assert!(executed.iter().all(|e| e.accepted()), "all routes accepted");
 
     // ... must equal the same legs applied to independent bare pools in
@@ -342,8 +345,7 @@ fn routes_replay_bit_identically_through_fast_sync() {
     const POOLS: u32 = 6;
     const USERS: u64 = 24;
     const EPOCHS: u64 = 4;
-    let (mut shards, ledger, _, wire) =
-        run_routed_node(POOLS, USERS, 99, EPOCHS, ExecMode::Parallel, Some(2));
+    let (mut shards, ledger, _, wire) = run_routed_node(POOLS, USERS, 99, EPOCHS, Some(2));
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
     let mut node = restore_node(&snapshot).expect("routed snapshot restores");
@@ -373,7 +375,7 @@ fn netted_settlement_is_strictly_smaller_per_route() {
     let mut gen = gen;
     let round_txs = gen.next_round(0);
     let batch: Vec<(&AmmTx, usize)> = round_txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-    let executed = shards.execute_batch(&batch, 0, ExecMode::Sequential);
+    let executed = shards.execute_batch(&batch, 0, ExecMode);
     let mut seen = 0;
     for out in executed {
         let TxEffect::Route { legs, .. } = &out.effect else {
@@ -534,7 +536,7 @@ proptest! {
             })
             .collect();
         let batch: Vec<(&AmmTx, usize)> = routes.iter().map(|t| (t, 1072)).collect();
-        let executed = shards.execute_batch(&batch, 0, ExecMode::Sequential);
+        let executed = shards.execute_batch(&batch, 0, ExecMode);
 
         // (a) ledger-internal conservation: net totals == flow totals
         let ledger = shards.epoch_netting();

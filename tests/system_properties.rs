@@ -27,7 +27,6 @@ fn arb_faults() -> impl Strategy<Value = FaultPlan> {
             invalid_proposal_epochs: Default::default(),
             invalid_sync_epochs: bad_sync,
             rollback_epochs: rollback,
-            worker_panic_points: Vec::new(),
         })
 }
 
