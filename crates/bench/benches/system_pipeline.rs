@@ -14,7 +14,6 @@ use ammboost_consensus::pbft::{run_consensus, Behavior};
 use ammboost_core::checkpoint::{checkpoint_node, restore_node};
 use ammboost_core::config::SystemConfig;
 use ammboost_core::processor::EpochProcessor;
-use ammboost_core::shard::ShardMap;
 use ammboost_core::system::System;
 use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost_crypto::vrf::VrfSecretKey;
@@ -37,8 +36,9 @@ fn bench_processor_throughput(c: &mut Criterion) {
         ..GeneratorConfig::default()
     });
     let batch: Vec<_> = (0..1000).map(|_| generator.next_tx(0)).collect();
-    let mut base = EpochProcessor::new(PoolId(0));
+    let mut base = EpochProcessor::new([PoolId(0)]);
     base.seed_liquidity(
+        PoolId(0),
         Address::from_index(999),
         -120_000,
         120_000,
@@ -54,7 +54,7 @@ fn bench_processor_throughput(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut p = base.clone();
-                p.begin_epoch(snapshot.clone());
+                p.snapshot_bank(snapshot.clone());
                 p
             },
             |mut p| {
@@ -83,8 +83,9 @@ fn bench_processor_fragmented_liquidity(c: &mut Criterion) {
     // warm-up batch populates the fragmented tick ladder via mints
     let warmup: Vec<_> = (0..2000).map(|_| generator.next_tx(0)).collect();
     let batch: Vec<_> = (0..1000).map(|_| generator.next_tx(1)).collect();
-    let mut base = EpochProcessor::new(PoolId(0));
+    let mut base = EpochProcessor::new([PoolId(0)]);
     base.seed_liquidity(
+        PoolId(0),
         Address::from_index(999),
         -120_000,
         120_000,
@@ -96,7 +97,7 @@ fn bench_processor_fragmented_liquidity(c: &mut Criterion) {
         .into_iter()
         .map(|u| (u, (10u128.pow(13), 10u128.pow(13))))
         .collect();
-    base.begin_epoch(snapshot);
+    base.snapshot_bank(snapshot);
     for (i, gtx) in warmup.iter().enumerate() {
         base.execute(&gtx.tx, gtx.wire_size, i as u64);
     }
@@ -264,29 +265,26 @@ fn bench_seal_pages(c: &mut Criterion) {
 /// Positions per pool of the fat node: 15 000 172-byte records.
 const FAT_POSITIONS: u64 = 15_000;
 
-/// Depositors of the fat node, split across its two pools.
+/// Depositors of the fat node.
 const FAT_USERS: u64 = 50_000;
 
 /// A node of `fat_busy`'s shape: two CL pools of [`FAT_POSITIONS`]
 /// positions over 200 overlapping ranges, and [`FAT_USERS`] depositors.
-/// Its snapshot has five sections (two pools, ledger, deposits, shard
-/// metadata) and is ≈ 10 MB.
-fn fat_node() -> (ShardMap, Ledger) {
-    let mut shards = ShardMap::new([PoolId(0), PoolId(1)]);
+/// Its snapshot has five sections (two pools, ledger, deposits,
+/// processor metadata) and is ≈ 10 MB.
+fn fat_node() -> (EpochProcessor, Ledger) {
+    let mut processor = EpochProcessor::new([PoolId(0), PoolId(1)]);
     for pool in [PoolId(0), PoolId(1)] {
         for i in 0..FAT_POSITIONS {
             let (lower, upper) = fat_range(i);
             let amount = 1_000_000_000;
-            shards.seed_liquidity(pool, Address::from_index(i), lower, upper, amount, amount);
+            processor.seed_liquidity(pool, Address::from_index(i), lower, upper, amount, amount);
         }
     }
-    let deposits: std::collections::HashMap<_, _> = (0..FAT_USERS)
-        .map(|i| (Address::from_index(i), (10u128.pow(12), 10u128.pow(12))))
-        .collect();
-    shards.begin_epoch(deposits, |user| {
-        Some(PoolId(u32::from(user.as_bytes()[19] & 1)))
-    });
-    (shards, Ledger::new(H256::hash(b"fat-node")))
+    processor.snapshot_bank(
+        (0..FAT_USERS).map(|i| (Address::from_index(i), (10u128.pow(12), 10u128.pow(12)))),
+    );
+    (processor, Ledger::new(H256::hash(b"fat-node")))
 }
 
 /// The tick range of fat-node position `i`.
@@ -297,11 +295,11 @@ fn fat_range(i: u64) -> (i32, i32) {
 
 /// Tops up every hundredth position of both pools: 1 % of the position
 /// records change in place, and the ticks under them.
-fn dirty_one_percent(shards: &mut ShardMap) {
+fn dirty_one_percent(processor: &mut EpochProcessor) {
     for pool in [PoolId(0), PoolId(1)] {
         for i in (0..FAT_POSITIONS).step_by(100) {
             let (lower, upper) = fat_range(i);
-            shards.seed_liquidity(pool, Address::from_index(i), lower, upper, 1_000, 1_000);
+            processor.seed_liquidity(pool, Address::from_index(i), lower, upper, 1_000, 1_000);
         }
     }
 }
@@ -313,12 +311,12 @@ fn dirty_one_percent(shards: &mut ShardMap) {
 /// on a checkpointer primed by the previous epoch), and what applying that
 /// epoch's delta costs (`delta_apply`).
 fn bench_fat_snapshot(c: &mut Criterion) {
-    let (mut shards, ledger) = fat_node();
+    let (mut processor, ledger) = fat_node();
     let mut primed = Checkpointer::new();
-    let base = checkpoint_node(&mut primed, 1, &mut shards, &ledger).snapshot;
+    let base = checkpoint_node(&mut primed, 1, &mut processor, &ledger).snapshot;
     let wire = base.encode();
     assert_eq!(base.sections().len(), 5);
-    let mut dirty = shards.clone();
+    let mut dirty = processor.clone();
     dirty_one_percent(&mut dirty);
     let delta = checkpoint_node(&mut primed, 2, &mut dirty.clone(), &ledger)
         .delta
@@ -336,7 +334,7 @@ fn bench_fat_snapshot(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut cp = Checkpointer::new();
-                checkpoint_node(&mut cp, 1, &mut shards.clone(), &ledger);
+                checkpoint_node(&mut cp, 1, &mut processor.clone(), &ledger);
                 (cp, dirty.clone())
             },
             |(mut cp, mut node)| black_box(checkpoint_node(&mut cp, 2, &mut node, &ledger)),

@@ -269,10 +269,9 @@ fn main() {
     );
     for (id, pool) in &restored.pools {
         let reference = clean_sys
-            .shards()
-            .get(*id)
+            .processor()
+            .pool(*id)
             .expect("restored pool exists on the clean node")
-            .pool()
             .export_state();
         assert_eq!(
             pool.export_state(),

@@ -1,9 +1,9 @@
 //! CI smoke drill for the `ammboost-state` subsystem, multi-pool
-//! edition: run a **sharded** system (default: 8 pools under
-//! Zipf-skewed traffic), **checkpoint** all shards into one
+//! edition: run a **multi-pool** system (default: 8 pools under
+//! Zipf-skewed traffic), **checkpoint** all pools into one
 //! Merkle-committed snapshot, **prune** the raw history the snapshot
 //! covers, **restore** a fresh node from the serialized snapshot, and
-//! **re-verify** the state root plus byte-identical per-shard state.
+//! **re-verify** the state root plus byte-identical per-pool state.
 //! Exits non-zero on any divergence.
 //!
 //! `--routed` turns a share of the swap traffic into multi-hop
@@ -13,14 +13,14 @@
 //!
 //! `--quotes` adds the concurrent read-path drill: reader threads hammer
 //! the sealed epoch-0 [`QuoteView`] **while** the epochs execute on the
-//! live shards, every answer is recorded, and after the run each one is
+//! live pools, every answer is recorded, and after the run each one is
 //! re-verified bit-for-bit against the frozen view bytes (a reader that
 //! ever saw a partially-executed epoch would diverge here). A second
 //! hammer round runs against the final sealed view and is re-verified
 //! against the post-epoch restored snapshot.
 //!
 //! `--delta` appends the delta-chain drill: after the full cycle, a run
-//! of synthetic single-shard epochs journals only page-granular
+//! of synthetic single-pool epochs journals only page-granular
 //! [`ammboost_state::DeltaSnapshot`]s into a [`CheckpointStore`], the
 //! chain compacts at its threshold, and the folded tip must restore
 //! byte-identical to the live node.
@@ -213,7 +213,7 @@ fn main() {
 
     // -- run, with reader threads hammering the sealed genesis view -------
     // The readers hold the epoch-0 view while every epoch executes on the
-    // live shards: any write-path leakage into a published view would be
+    // live pools: any write-path leakage into a published view would be
     // caught by the re-verification below.
     let genesis = sys.quote_view().expect("genesis view published");
     let frozen_genesis: Vec<_> = genesis
@@ -275,7 +275,7 @@ fn main() {
     let stats = sys.checkpoint(epoch);
     assert_eq!(
         stats.pools_total, pools as usize,
-        "snapshot must cover every shard"
+        "snapshot must cover every pool"
     );
     ammboost_bench::line(
         "checkpoint/bytes",
@@ -289,18 +289,22 @@ fn main() {
     let decoded = Snapshot::decode(&wire).expect("snapshot root verifies");
     let mut node = restore_node(&decoded).expect("snapshot restores");
     assert_eq!(node.root, stats.root, "restored root diverges");
-    assert_eq!(node.shards.len(), pools as usize, "shard count diverges");
     assert_eq!(
-        node.shards.export_states(),
-        sys.shards().export_states(),
-        "restored shards diverge"
+        node.shards.pool_ids().len(),
+        pools as usize,
+        "pool count diverges"
+    );
+    assert_eq!(
+        node.shards.export_state(),
+        sys.processor().export_state(),
+        "restored processor diverges"
     );
     assert_eq!(
         node.ledger.export_state(),
         sys.ledger().retained_state(),
         "restored ledger is not the live one as retention leaves it"
     );
-    ammboost_bench::line("restore/state", "byte-identical across all shards");
+    ammboost_bench::line("restore/state", "byte-identical across all pools");
 
     // -- quote drill round 2: final sealed view vs post-epoch snapshot ----
     // Hammer the last published view, then re-verify every answer against
@@ -317,14 +321,8 @@ fn main() {
             &Barrier::new(READER_THREADS),
         );
         let n = reverify(&answered, |id| {
-            Engine::from_state(
-                node.shards
-                    .get(id)
-                    .expect("restored shard")
-                    .pool()
-                    .export_state(),
-            )
-            .expect("snapshot bytes restore")
+            Engine::from_state(node.shards.pool(id).expect("restored pool").export_state())
+                .expect("snapshot bytes restore")
         });
         assert!(n > 0, "final-view quote drill answered nothing");
         ammboost_bench::line("quotes/final_view_reverified", n);
@@ -370,14 +368,14 @@ fn main() {
     assert_eq!(node2.root, stats2.root);
     assert_eq!(stats2.root, stats.root, "the prune moved a committed byte");
     assert_eq!(
-        node2.shards.export_states(),
-        node.shards.export_states(),
+        node2.shards.export_state(),
+        node.shards.export_state(),
         "post-prune restore diverges"
     );
     ammboost_bench::line("reverify/root", stats2.root);
 
     // -- delta mode: checkpoint → delta chain → compact → restore ---------
-    // Each synthetic epoch touches exactly one shard, checkpoints, and
+    // Each synthetic epoch touches exactly one pool, checkpoints, and
     // journals only the page-granular delta. The chain compacts at the
     // threshold; the folded tip must restore byte-identical to the node
     // that was checkpointed.
@@ -394,7 +392,7 @@ fn main() {
         let mut full_bytes = 0u64;
         let mut last_root = base.stats.root;
         for i in 0..rounds {
-            // touch one shard: a fresh LP range marks exactly that pool
+            // touch one pool: a fresh LP range marks exactly that pool
             // dirty, so the delta stays sparse
             let p = PoolId((i % pools as u64) as u32);
             node.shards.seed_liquidity(
@@ -422,8 +420,8 @@ fn main() {
         assert_eq!(folded.root(), last_root, "folded tip root diverges");
         let delta_node = restore_node(&folded).expect("folded tip restores");
         assert_eq!(
-            delta_node.shards.export_states(),
-            node.shards.export_states(),
+            delta_node.shards.export_state(),
+            node.shards.export_state(),
             "delta-chain restore diverges from the live node"
         );
         // the chain is recoverable from its persisted journal too

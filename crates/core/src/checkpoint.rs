@@ -1,22 +1,21 @@
 //! Node-level checkpoint, restore and fast-sync catch-up.
 //!
-//! A sidechain node's durable state is its [`ShardMap`] (one pool +
-//! deposit ledger + epoch bookkeeping per shard) and its [`Ledger`]. This
-//! module maps that state onto the `ammboost-state` snapshot format:
+//! A sidechain node's durable state is its [`EpochProcessor`] (every pool,
+//! the one deposit book and the epoch's bookkeeping) and its [`Ledger`].
+//! This module maps that state onto the `ammboost-state` snapshot format:
 //!
 //! - [`checkpoint_node`] — builds one Merkle-committed [`Snapshot`]
-//!   covering **all shards** through a [`Checkpointer`] (clean pools
-//!   reuse their cached encoding; only dirty shards are re-encoded);
-//! - [`restore_node`] — rebuilds a working shard map + ledger from a
+//!   covering **all pools** through a [`Checkpointer`] (clean pools
+//!   reuse their cached encoding; only dirty pools are re-encoded);
+//! - [`restore_node`] — rebuilds a working processor + ledger from a
 //!   snapshot, with each pool's derived tick index regenerated;
 //! - [`catch_up`] — fast-sync: a node restored at epoch *k* re-executes
-//!   the meta-blocks sealed after *k* from a peer's ledger — routing each
-//!   transaction to its shard — and verifies each recorded effect and
-//!   each summary block against its own re-execution, ending
-//!   byte-identical to a node that replayed full history.
+//!   the meta-blocks sealed after *k* from a peer's ledger and verifies
+//!   each recorded effect and each summary block against its own
+//!   re-execution, ending byte-identical to a node that replayed full
+//!   history.
 
-use crate::processor::EpochProcessor;
-use crate::shard::ShardMap;
+use crate::processor::{EpochProcessor, ExecMode, PoolSlot, ProcessorStats};
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::Address;
 use ammboost_sidechain::block::SummaryBlock;
@@ -31,85 +30,75 @@ use ammboost_state::sync::RestoreError;
 use ammboost_state::{CheckpointOutput, Checkpointer};
 use std::fmt;
 
-/// Aux-section tag carrying the node's processor meta: which shard
-/// owns each deposit, plus each shard's epoch bookkeeping (everything in
-/// a shard's [`crate::processor::ProcessorState`] not already covered by
-/// the pool and deposits sections).
+/// Aux-section tag carrying the node's processor meta: everything in a
+/// [`crate::processor::ProcessorState`] not already covered by the pool
+/// and deposits sections.
 pub const AUX_PROCESSOR_META: u8 = 1;
 
-/// The processor-meta aux section. Shard membership is stored once: the
-/// deposits section holds each depositor's address and balance, and
-/// `shard_of` holds one fixed-width shard index per entry of that
-/// section, in its address order. The index list comes first, so a change
-/// in length of the per-shard lists behind it never shifts it.
+/// The processor-meta aux section: the epoch's counters and first-touch
+/// record, then one record per pool. The fixed-width counters come first,
+/// so a change in length of the lists behind them never shifts them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct ProcessorMeta {
-    /// For the deposits section's `i`-th entry, the position in `shards`
-    /// of the shard that owns it (a node has at most 65 536 shards).
-    shard_of: Vec<u16>,
-    /// One record per shard, strictly ascending by pool id — the order
-    /// `shard_of` indexes.
-    shards: Vec<ShardMeta>,
-}
-
-impl Encode for ProcessorMeta {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.shard_of.encode(w);
-        self.shards.encode(w);
-    }
-}
-
-impl Decode for ProcessorMeta {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(ProcessorMeta {
-            shard_of: r.get()?,
-            shards: r.get()?,
-        })
-    }
-}
-
-/// One shard's epoch bookkeeping, riding next to the pool sections. Which
-/// users the shard holds deposits for is not here but in
-/// [`ProcessorMeta::shard_of`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ShardMeta {
-    pool_id: PoolId,
-    touched: Vec<PositionId>,
-    deleted: Vec<(PositionId, Address)>,
-    preexisting: Vec<PositionId>,
     accepted: u64,
     rejected: u64,
     /// While an epoch is open, its first-touch record
     /// ([`Deposits::opening_balances`]), ascending by address; empty at
     /// an epoch boundary, where the next epoch's start drops it anyway.
     opening: Vec<(Address, (u128, u128))>,
+    /// One record per pool, strictly ascending by pool id — the order of
+    /// the pool sections.
+    pools: Vec<PoolMeta>,
 }
 
-impl Encode for ShardMeta {
+impl Encode for ProcessorMeta {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.accepted);
+        w.put_u64(self.rejected);
+        self.opening.encode(w);
+        self.pools.encode(w);
+    }
+}
+
+impl Decode for ProcessorMeta {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let meta = ProcessorMeta {
+            accepted: r.take_u64()?,
+            rejected: r.take_u64()?,
+            opening: r.get()?,
+            pools: r.get()?,
+        };
+        ensure_sorted_keys(&meta.opening)?;
+        Ok(meta)
+    }
+}
+
+/// One pool's epoch bookkeeping, riding next to its pool section.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PoolMeta {
+    pool_id: PoolId,
+    touched: Vec<PositionId>,
+    deleted: Vec<(PositionId, Address)>,
+    preexisting: Vec<PositionId>,
+}
+
+impl Encode for PoolMeta {
     fn encode(&self, w: &mut ByteWriter) {
         self.pool_id.encode(w);
         self.touched.encode(w);
         self.deleted.encode(w);
         self.preexisting.encode(w);
-        w.put_u64(self.accepted);
-        w.put_u64(self.rejected);
-        self.opening.encode(w);
     }
 }
 
-impl Decode for ShardMeta {
+impl Decode for PoolMeta {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let meta = ShardMeta {
+        Ok(PoolMeta {
             pool_id: r.get()?,
             touched: r.get()?,
             deleted: r.get()?,
             preexisting: r.get()?,
-            accepted: r.take_u64()?,
-            rejected: r.take_u64()?,
-            opening: r.get()?,
-        };
-        ensure_sorted_keys(&meta.opening)?;
-        Ok(meta)
+        })
     }
 }
 
@@ -118,35 +107,15 @@ impl Decode for ShardMeta {
 pub enum NodeRestoreError {
     /// The snapshot failed to restore.
     Restore(RestoreError),
-    /// The snapshot has no pool section for a shard named in the
-    /// processor meta.
+    /// The snapshot has no pool section for a pool named in the processor
+    /// meta, in the meta's order (a meta repeated or out of order names a
+    /// section already paired).
     MissingPool(PoolId),
-    /// The shard-index list does not hold exactly one index per entry of
-    /// the deposits section.
-    MembershipLength {
-        /// Indices in the processor meta.
-        indices: usize,
-        /// Entries in the deposits section.
-        deposits: usize,
-    },
-    /// A shard index names no shard.
-    UnknownShard {
-        /// The offending index.
-        index: u16,
-        /// Shards the processor meta describes.
-        shards: usize,
-    },
-    /// The shard metas are not strictly ascending by pool id, the order
-    /// the shard indices refer to.
-    UnsortedShardMetas,
-    /// The snapshot carries a pool section no shard meta claims —
-    /// restoring would silently drop that pool's state.
+    /// The snapshot carries a pool section no pool meta claims, in the
+    /// meta's order — restoring would silently drop that pool's state.
     UnclaimedPool(PoolId),
-    /// A shard's first-touch record names a user the shard holds no
-    /// deposit for.
+    /// The first-touch record names a user with no deposit.
     OpeningWithoutDeposit {
-        /// The shard.
-        pool: PoolId,
         /// The user.
         user: Address,
     },
@@ -176,23 +145,11 @@ impl fmt::Display for NodeRestoreError {
             NodeRestoreError::MissingPool(id) => {
                 write!(f, "snapshot has no section for {id}")
             }
-            NodeRestoreError::MembershipLength { indices, deposits } => {
-                write!(f, "{indices} shard indices for {deposits} deposit entries")
-            }
-            NodeRestoreError::UnknownShard { index, shards } => {
-                write!(f, "shard index {index} names none of {shards} shards")
-            }
-            NodeRestoreError::UnsortedShardMetas => {
-                write!(f, "shard metas not strictly ascending by pool id")
-            }
             NodeRestoreError::UnclaimedPool(id) => {
-                write!(f, "snapshot section for {id} is claimed by no shard")
+                write!(f, "snapshot section for {id} is claimed by no pool meta")
             }
-            NodeRestoreError::OpeningWithoutDeposit { pool, user } => {
-                write!(
-                    f,
-                    "{pool} opened the epoch for {user}, who has no deposit there"
-                )
+            NodeRestoreError::OpeningWithoutDeposit { user } => {
+                write!(f, "the epoch opened for {user}, who has no deposit")
             }
             NodeRestoreError::EffectMismatch { epoch, round } => {
                 write!(f, "replayed effect diverges in epoch {epoch} round {round}")
@@ -232,203 +189,166 @@ impl From<StoreError> for NodeRestoreError {
 pub struct NodeRestore {
     /// The epoch the snapshot covered.
     pub epoch: u64,
-    /// The restored execution shards (all pools).
-    pub shards: ShardMap,
+    /// The restored processor (all pools and the deposit book). The field
+    /// keeps its former name only for nodebench's replica; ROADMAP item
+    /// 1(b0) renames it.
+    pub shards: EpochProcessor,
     /// The restored ledger.
     pub ledger: Ledger,
     /// The verified state root the node was restored from.
     pub root: ammboost_crypto::H256,
 }
 
-/// Takes one Merkle-committed checkpoint of a node (all shards + ledger)
-/// at `epoch`. Each shard's pool section is re-encoded only when that
-/// shard reports its pool dirty; clean shards reuse the checkpointer's
-/// cached bytes, so the per-epoch snapshot cost scales with the *touched*
-/// shards, not the fleet size. From the second checkpoint on, the output
-/// also carries the page-granular [`ammboost_state::DeltaSnapshot`]
-/// against the previous one, ready for a
-/// [`CheckpointStore::commit_delta`] journal append.
+/// Takes one Merkle-committed checkpoint of a node (all pools + ledger)
+/// at `epoch`. Each pool section is re-encoded only when the processor
+/// reports that pool dirty; clean pools reuse the checkpointer's cached
+/// bytes, so the per-epoch snapshot cost scales with the *touched* pools,
+/// not the fleet size. From the second checkpoint on, the output also
+/// carries the page-granular [`ammboost_state::DeltaSnapshot`] against
+/// the previous one, ready for a [`CheckpointStore::commit_delta`]
+/// journal append.
 pub fn checkpoint_node(
     checkpointer: &mut Checkpointer,
     epoch: u64,
-    shards: &mut ShardMap,
+    processor: &mut EpochProcessor,
     ledger: &Ledger,
 ) -> CheckpointOutput {
-    let output = stage_node(checkpointer, epoch, shards, ledger).commit();
+    let output = stage_node(checkpointer, epoch, processor, ledger).commit();
     checkpointer.note_committed(output.stats.epoch, output.stats.root);
     output
 }
 
 /// The observing half of [`checkpoint_node`]: reads the node's state at
-/// the epoch boundary (dirty flags, section encodings, shard metas) and
-/// returns a [`StagedCheckpoint`] that owns every byte the Merkle-hashing
-/// `commit()` needs, which makes the commit a pure function of those
-/// bytes and the checkpointer's page-hash cache. The node commits at once;
-/// the split exists so a caller (the benchmark's traced replica) can time
-/// the two halves as separate spans.
+/// the epoch boundary (dirty flags, section encodings, processor meta)
+/// and returns a [`StagedCheckpoint`] that owns every byte the
+/// Merkle-hashing `commit()` needs, which makes the commit a pure
+/// function of those bytes and the checkpointer's page-hash cache. The
+/// node commits at once; the split exists so a caller (the benchmark's
+/// traced replica) can time the two halves as separate spans.
 ///
 /// [`StagedCheckpoint`]: ammboost_state::StagedCheckpoint
 pub fn stage_node<'a>(
     checkpointer: &'a mut Checkpointer,
     epoch: u64,
-    shards: &mut ShardMap,
+    processor: &mut EpochProcessor,
     ledger: &Ledger,
 ) -> ammboost_state::StagedCheckpoint<'a> {
-    for shard in shards.iter_mut() {
-        if shard.take_pool_dirty() {
-            checkpointer.mark_dirty(shard.pool_id());
-        }
+    for pool in processor.take_dirty_pools() {
+        checkpointer.mark_dirty(pool);
     }
-    // bookkeeping only — no pool clone, so a clean shard's checkpoint
-    // cost stays proportional to its (small) epoch metadata; the shard
-    // indices and the global deposits section come from one sort
-    let (shard_of, deposits) = shards.deposit_export();
     // an epoch is open once its first meta-block is in; its summary will
     // need the first-touch record
     let epoch_open = !ledger.retained_meta().is_empty();
+    let stats = processor.stats();
+    // bookkeeping only — no pool clone, so a clean pool's checkpoint cost
+    // stays proportional to its (small) epoch metadata
     let meta = ProcessorMeta {
-        shard_of,
-        shards: shards
+        accepted: stats.accepted,
+        rejected: stats.rejected,
+        opening: if epoch_open {
+            processor.deposits().opening_balances()
+        } else {
+            Vec::new()
+        },
+        pools: processor
+            .pool_slots()
             .iter()
-            .map(|shard| ShardMeta {
-                pool_id: shard.pool_id(),
-                touched: shard.touched_positions(),
-                deleted: shard.deleted_positions(),
-                preexisting: shard.preexisting_positions(),
-                accepted: shard.stats().accepted,
-                rejected: shard.stats().rejected,
-                opening: if epoch_open {
-                    shard.deposits().opening_balances()
-                } else {
-                    Vec::new()
-                },
+            .map(|pool| PoolMeta {
+                pool_id: pool.id,
+                touched: pool.touched.iter().copied().collect(),
+                deleted: pool.deleted.iter().map(|(id, a)| (*id, *a)).collect(),
+                preexisting: pool.preexisting.iter().copied().collect(),
             })
             .collect(),
     };
-    let pools: Vec<(PoolId, &ammboost_amm::Engine)> = shards
+    let pools: Vec<(PoolId, &ammboost_amm::Engine)> = processor
+        .pool_slots()
         .iter()
-        .map(|shard| (shard.pool_id(), shard.pool()))
+        .map(|pool| (pool.id, &pool.engine))
         .collect();
     checkpointer.stage(
         epoch,
         &pools,
         ledger,
-        &deposits,
+        &processor.deposits().to_sorted_entries(),
         vec![(AUX_PROCESSOR_META, meta.encode_to_vec())],
     )
 }
 
 /// Rebuilds a node from a snapshot: every pool (tick index regenerated),
-/// per-shard deposits and epoch bookkeeping, and the ledger as retention
-/// left it (summaries and the open epoch's meta-blocks).
+/// the deposit book with the open epoch's first-touch record, the
+/// epoch's bookkeeping, and the ledger as retention left it (summaries
+/// and the open epoch's meta-blocks).
 ///
-/// Shard membership is read in one pass: the processor meta's shard
-/// indices are zipped with the deposits section (both in address order)
-/// into one sorted run per shard, each run becomes its shard's
-/// [`Deposits`], and [`ShardMap::from_processors`] derives the
-/// user → home-shard routing from those. No other address-keyed map is
-/// built. A deposit can therefore belong to exactly one shard by
-/// construction; what restore checks is that the indices fit.
+/// Pool metas and pool sections are paired in one walk, both ascending
+/// by pool id, so a meta list that is not strictly ascending, a meta
+/// without its section and a section without its meta all fail typed.
 ///
 /// # Errors
-/// Fails on missing/malformed sections or invalid pool state; on a shard
-/// index list whose length differs from the deposits count
-/// ([`NodeRestoreError::MembershipLength`]) or an index that names no
-/// shard ([`NodeRestoreError::UnknownShard`]); on shard metas not strictly
-/// ascending by pool id ([`NodeRestoreError::UnsortedShardMetas`]); on a
-/// shard meta without its pool section or a pool section without its
-/// shard meta; on a shard's first-touch record naming a user it holds no
-/// deposit for ([`NodeRestoreError::OpeningWithoutDeposit`]); and on a
-/// ledger section that contradicts itself
-/// ([`RestoreError::InvalidLedger`]).
+/// Fails on missing/malformed sections or invalid pool state; on a pool
+/// meta without its pool section, or a repeated or out-of-order meta
+/// ([`NodeRestoreError::MissingPool`]); on a pool section without its
+/// meta ([`NodeRestoreError::UnclaimedPool`]); on a first-touch record
+/// naming a user with no deposit
+/// ([`NodeRestoreError::OpeningWithoutDeposit`]); and on a ledger section
+/// that contradicts itself ([`RestoreError::InvalidLedger`]).
 pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError> {
     let meta_section = snapshot
         .section(SectionKind::Aux(AUX_PROCESSOR_META))
         .ok_or(NodeRestoreError::Restore(RestoreError::MissingSection(
             "processor meta",
         )))?;
-    let ProcessorMeta { shard_of, shards } = ProcessorMeta::decode_all(&meta_section.bytes)?;
-    if shards.is_empty() {
+    let meta = ProcessorMeta::decode_all(&meta_section.bytes)?;
+    if meta.pools.is_empty() {
         return Err(NodeRestoreError::Restore(RestoreError::MissingSection(
-            "shard meta records",
+            "pool meta records",
         )));
-    }
-    if shards.windows(2).any(|w| w[0].pool_id >= w[1].pool_id) {
-        return Err(NodeRestoreError::UnsortedShardMetas);
-    }
-    let mut run_len = vec![0usize; shards.len()];
-    for &index in &shard_of {
-        *run_len
-            .get_mut(usize::from(index))
-            .ok_or(NodeRestoreError::UnknownShard {
-                index,
-                shards: shards.len(),
-            })? += 1;
     }
 
     // the state subsystem owns section decoding, validation (including
     // sorted-key checks) and pool reconstruction — one restore path
     let restored = ammboost_state::sync::restore(snapshot)?;
-    if shard_of.len() != restored.deposits.len() {
-        return Err(NodeRestoreError::MembershipLength {
-            indices: shard_of.len(),
-            deposits: restored.deposits.len(),
-        });
-    }
-    // the deposits section is ascending by address, so each shard's run
-    // comes out ascending too
-    let mut runs: Vec<Vec<(Address, (u128, u128))>> =
-        run_len.into_iter().map(Vec::with_capacity).collect();
-    for (&index, entry) in shard_of.iter().zip(restored.deposits) {
-        runs[usize::from(index)].push(entry);
-    }
+    let mut deposits = Deposits::from_sorted_entries(restored.deposits);
+    deposits
+        .reopen(meta.opening)
+        .map_err(|user| NodeRestoreError::OpeningWithoutDeposit { user })?;
 
-    // pool sections and shard metas are both ascending by pool id, so one
-    // walk pairs them; a section left over would drop a shard's state
-    let mut pools = restored.pools.into_iter().peekable();
-    let mut processors = Vec::with_capacity(shards.len());
-    for (meta, run) in shards.into_iter().zip(runs) {
-        if let Some((id, _)) = pools.next_if(|(id, _)| *id < meta.pool_id) {
+    // a section left over would drop a pool's state
+    let mut sections = restored.pools.into_iter().peekable();
+    let mut pools = Vec::with_capacity(meta.pools.len());
+    for pool in meta.pools {
+        if let Some((id, _)) = sections.next_if(|(id, _)| *id < pool.pool_id) {
             return Err(NodeRestoreError::UnclaimedPool(id));
         }
-        let (_, pool) = pools
-            .next_if(|(id, _)| *id == meta.pool_id)
-            .ok_or(NodeRestoreError::MissingPool(meta.pool_id))?;
-        let mut deposits = Deposits::from_sorted_entries(run);
-        deposits
-            .reopen(meta.opening)
-            .map_err(|user| NodeRestoreError::OpeningWithoutDeposit {
-                pool: meta.pool_id,
-                user,
-            })?;
-        processors.push(EpochProcessor::from_restored(
-            pool,
-            meta.pool_id,
-            deposits,
-            meta.touched,
-            meta.deleted,
-            meta.preexisting,
-            crate::processor::ProcessorStats {
-                accepted: meta.accepted,
-                rejected: meta.rejected,
-            },
+        let (_, engine) = sections
+            .next_if(|(id, _)| *id == pool.pool_id)
+            .ok_or(NodeRestoreError::MissingPool(pool.pool_id))?;
+        pools.push(PoolSlot::restored(
+            pool.pool_id,
+            engine,
+            pool.touched,
+            pool.deleted,
+            pool.preexisting,
         ));
     }
-    if let Some((id, _)) = pools.next() {
+    if let Some((id, _)) = sections.next() {
         return Err(NodeRestoreError::UnclaimedPool(id));
     }
 
+    let stats = ProcessorStats {
+        accepted: meta.accepted,
+        rejected: meta.rejected,
+    };
     Ok(NodeRestore {
         epoch: restored.epoch,
-        shards: ShardMap::from_processors(processors),
+        shards: EpochProcessor::from_restored(pools, deposits, stats),
         ledger: restored.ledger,
         root: restored.root,
     })
 }
 
 /// Fast-sync catch-up: re-executes every epoch sealed after the node's
-/// snapshot epoch from `source`'s retained blocks — routing every
-/// transaction to its shard — verifying each recorded transaction effect
+/// snapshot epoch from `source`'s retained blocks, verifying each recorded transaction effect
 /// and each summary block against the node's own re-execution, and
 /// appending the blocks to the node's ledger.
 ///
@@ -459,16 +379,13 @@ pub fn catch_up(
             )));
         }
         for block in metas {
-            // replay the block as one batch: plain transactions keep
-            // their per-pool order and routed transactions re-enter the
-            // same two-phase wave schedule they were mined under, so the
-            // replay is bit-identical to live execution
+            // replay the block as one batch: routed transactions
+            // re-enter the same two-phase wave schedule they were mined
+            // under, so the replay is bit-identical to live execution
             let global_round = (epoch - 1) * rounds_per_epoch + block.round;
             let batch: Vec<(&ammboost_amm::tx::AmmTx, usize)> =
                 block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
-            let replayed = node
-                .shards
-                .execute_batch(&batch, global_round, crate::shard::ExecMode);
+            let replayed = node.shards.execute_batch(&batch, global_round, ExecMode);
             for (replay, recorded) in replayed.iter().zip(&block.txs) {
                 if replay.effect != recorded.effect {
                     return Err(NodeRestoreError::EffectMismatch {
@@ -534,7 +451,6 @@ mod tests {
     use ammboost_sidechain::ledger::{LedgerState, LedgerStateError};
     use ammboost_state::snapshot::Section;
     use ammboost_state::PAGE_SIZE;
-    use std::collections::HashMap;
 
     /// `snapshot` with its sections edited and sealed again.
     fn resealed(snapshot: Snapshot, edit: impl FnOnce(&mut Vec<Section>)) -> Snapshot {
@@ -597,13 +513,13 @@ mod tests {
 
     const ROUNDS: u64 = 3;
 
-    /// A tiny sharded node: users 1..=3·pools are homed round-robin on the
-    /// pool set; the last `pools` of them never trade, so every summary
-    /// lists a strict subset of the depositors.
+    /// A tiny node over `pools` pools: users 1..=3·pools trade on pool
+    /// (user − 1) mod pools; the last `pools` of them never trade, so
+    /// every summary lists a strict subset of the depositors.
     fn new_node(pools: u32) -> Node {
-        let mut shards = ShardMap::new((0..pools).map(PoolId));
+        let mut processor = EpochProcessor::new((0..pools).map(PoolId));
         for p in 0..pools {
-            shards.seed_liquidity(
+            processor.seed_liquidity(
                 PoolId(p),
                 user(99),
                 -60_000,
@@ -612,24 +528,20 @@ mod tests {
                 10u128.pow(13),
             );
         }
-        let mut node = Node::new(shards, Ledger::new(H256::hash(b"genesis")));
+        let mut node = Node::new(processor, Ledger::new(H256::hash(b"genesis")));
         let users = 3 * pools as u64;
         let bucket = (1..=users)
             .map(|i| (user(i), (5_000_000_000u128, 5_000_000_000u128)))
             .collect();
-        node.begin_epoch(Some(bucket), |a| {
-            (1..=users)
-                .find(|i| user(*i) == *a)
-                .map(|i| PoolId(((i - 1) % pools as u64) as u32))
-        });
+        node.begin_epoch(Some(bucket));
         node
     }
 
     /// Executes `epoch`'s rounds of swaps into meta-blocks and seals it.
     fn run_epoch(node: &mut Node, epoch: u64) {
-        let pools = node.shards().len() as u64;
+        let pools = node.processor().pool_ids().len() as u64;
         if epoch > 1 {
-            node.begin_epoch(None, |_| None);
+            node.begin_epoch(None);
         }
         for round in 0..ROUNDS {
             let global = (epoch - 1) * ROUNDS + round;
@@ -674,18 +586,18 @@ mod tests {
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 3);
 
-        // byte-identical: same shard states, same state root as the
+        // byte-identical: same processor state, same state root as the
         // uninterrupted node, which never pruned; the ledgers agree on
         // what retention leaves of them
         assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
-        assert_eq!(node.shards.export_states(), full.shards().export_states());
+        assert_eq!(node.shards.export_state(), full.processor().export_state());
         let a = checkpoint_node(&mut Checkpointer::new(), 5, &mut node.shards, &node.ledger);
         assert_eq!(a.stats.root, full.checkpoint(5).root, "state roots diverge");
     }
 
     #[test]
     fn multi_pool_node_checkpoints_and_catches_up() {
-        // the same drill across 4 shards: one snapshot covers all pools
+        // the same drill across 4 pools: one snapshot covers them all
         let mut full = new_node(4);
         let mut mid = None;
         for epoch in 1..=4 {
@@ -698,10 +610,10 @@ mod tests {
             }
         }
         let mut node = restore_node(&Snapshot::decode(&mid.unwrap().encode()).unwrap()).unwrap();
-        assert_eq!(node.shards.len(), 4);
+        assert_eq!(node.shards.pool_ids().len(), 4);
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 2);
-        assert_eq!(node.shards.export_states(), full.shards().export_states());
+        assert_eq!(node.shards.export_state(), full.processor().export_state());
         assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
     }
 
@@ -784,19 +696,19 @@ mod tests {
 
     #[test]
     fn clean_shards_reuse_cached_pool_sections() {
-        // 3 shards; only pool 1 trades after the first checkpoint — the
-        // next checkpoint re-encodes exactly that shard
+        // 3 pools; only pool 1 trades after the first checkpoint — the
+        // next checkpoint re-encodes exactly that pool
         let mut node = new_node(3);
         run_epoch(&mut node, 1);
         let s1 = node.checkpoint(1);
         assert_eq!(s1.pools_reencoded, 3, "first checkpoint encodes all");
 
-        node.begin_epoch(None, |_| None);
+        node.begin_epoch(None);
         let tx = swap_tx(user(2), 1, 1_000_000, true);
         assert_eq!(node.step_round(2, 0, 99, &[(&tx, 1008)]).accepted(), 1);
         node.close_epoch(2);
         let stats = node.checkpoint(2);
-        assert_eq!(stats.pools_reencoded, 1, "only the traded shard re-encodes");
+        assert_eq!(stats.pools_reencoded, 1, "only the traded pool re-encodes");
         assert_eq!(stats.pools_reused, 2);
         let delta = node
             .last_delta()
@@ -807,17 +719,15 @@ mod tests {
 
     #[test]
     fn restore_rejects_pool_section_claimed_by_no_shard() {
-        // shards {0, 1}, all deposits routed to pool 0; stripping pool
-        // 1's meta leaves its section unclaimed — restore must fail
-        // closed instead of silently dropping the shard's state
-        let mut shards = ShardMap::new([PoolId(0), PoolId(1)]);
-        let mut snapshot = HashMap::new();
-        snapshot.insert(user(1), (1_000u128, 1_000u128));
-        shards.begin_epoch(snapshot, |_| Some(PoolId(0)));
+        // pools {0, 1}; stripping pool 1's meta leaves its section
+        // unclaimed — restore must fail closed instead of silently
+        // dropping the pool's state
+        let mut processor = EpochProcessor::new([PoolId(0), PoolId(1)]);
+        processor.snapshot_bank([(user(1), (1_000u128, 1_000u128))]);
         let ledger = Ledger::new(H256::hash(b"unclaimed"));
-        let snap = checkpoint_node(&mut Checkpointer::new(), 1, &mut shards, &ledger).snapshot;
+        let snap = checkpoint_node(&mut Checkpointer::new(), 1, &mut processor, &ledger).snapshot;
         let snap = with_meta(snap, |meta| {
-            meta.shards.pop();
+            meta.pools.pop();
         });
         assert!(matches!(
             restore_node(&snap),
@@ -826,8 +736,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_malformed_shard_membership_typed() {
-        // 3 shards, 9 depositors: each crafted and re-sealed snapshot
+    fn restore_rejects_malformed_processor_meta_typed() {
+        // 3 pools, 9 depositors: each crafted and re-sealed snapshot
         // passes the root check and must fail restore with its own error
         let mut node = new_node(3);
         run_epoch(&mut node, 1);
@@ -835,36 +745,30 @@ mod tests {
         assert!(restore_node(&snap).is_ok());
         let restore =
             |edit: &dyn Fn(&mut ProcessorMeta)| restore_node(&with_meta(snap.clone(), edit)).err();
-        let length = |indices| {
-            Some(NodeRestoreError::MembershipLength {
-                indices,
-                deposits: 9,
-            })
-        };
+        // pool metas out of order or repeated pair with the wrong section
         assert_eq!(
-            restore(&|m| {
-                m.shard_of.pop();
-            }),
-            length(8)
+            restore(&|m| m.pools.swap(0, 2)),
+            Some(NodeRestoreError::UnclaimedPool(PoolId(0)))
         );
-        assert_eq!(restore(&|m| m.shard_of.push(0)), length(10));
-        for index in [3, u16::MAX] {
-            assert_eq!(
-                restore(&|m| m.shard_of[4] = index),
-                Some(NodeRestoreError::UnknownShard { index, shards: 3 })
-            );
-        }
-        let unsorted = Some(NodeRestoreError::UnsortedShardMetas);
-        assert_eq!(restore(&|m| m.shards.swap(0, 2)), unsorted);
-        assert_eq!(restore(&|m| m.shards[1] = m.shards[0].clone()), unsorted);
-        assert_eq!(restore(&|m| m.shards[2] = m.shards[1].clone()), unsorted);
-        // a first-touch record for a user the shard holds nothing for
         assert_eq!(
-            restore(&|m| m.shards[1].opening.push((user(999), (0, 0)))),
-            Some(NodeRestoreError::OpeningWithoutDeposit {
-                pool: PoolId(1),
-                user: user(999)
-            })
+            restore(&|m| m.pools[1] = m.pools[0].clone()),
+            Some(NodeRestoreError::MissingPool(PoolId(0)))
+        );
+        assert_eq!(
+            restore(&|m| m.pools[2] = m.pools[1].clone()),
+            Some(NodeRestoreError::MissingPool(PoolId(1)))
+        );
+        // no pool meta at all
+        assert_eq!(
+            restore(&|m| m.pools.clear()),
+            Some(NodeRestoreError::Restore(RestoreError::MissingSection(
+                "pool meta records"
+            )))
+        );
+        // a first-touch record for a user with no deposit
+        assert_eq!(
+            restore(&|m| m.opening.push((user(999), (0, 0)))),
+            Some(NodeRestoreError::OpeningWithoutDeposit { user: user(999) })
         );
     }
 
@@ -897,7 +801,7 @@ mod tests {
         let mut node = new_node(2);
         run_epoch(&mut node, 1);
         run_epoch(&mut node, 2);
-        node.begin_epoch(None, |_| None);
+        node.begin_epoch(None);
         for round in 0..2 {
             let tx = swap_tx(user(1), 0, 1_000_000 + round as u128, true);
             node.step_round(3, round, 2 * ROUNDS + round, &[(&tx, 1008)]);
@@ -946,7 +850,7 @@ mod tests {
             invalid(&|state| state.genesis = Some(H256::hash(b"fork"))),
             misplaced
         );
-        let mut fresh = ShardMap::new([PoolId(0)]);
+        let mut fresh = EpochProcessor::new([PoolId(0)]);
         let ledger = Ledger::new(H256::hash(b"genesis"));
         let empty = checkpoint_node(&mut Checkpointer::new(), 0, &mut fresh, &ledger).snapshot;
         assert_eq!(restore_node(&empty).unwrap().ledger.tip(), ledger.tip());
@@ -1009,7 +913,7 @@ mod tests {
             live.checkpoint(epoch);
             live.prune_to_snapshot(epoch, ammboost_state::RetentionPolicy::default());
         }
-        live.begin_epoch(None, |_| None);
+        live.begin_epoch(None);
         for round in 0..2 {
             step(&mut live, round);
         }

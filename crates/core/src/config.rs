@@ -77,7 +77,7 @@ pub struct SystemConfig {
     pub users: u64,
     /// Number of pools the node serves (the paper's experiments use 1;
     /// real deployments serve fleets). TokenBank creates `PoolId(0..pools)`
-    /// at deployment and the sidechain executes one shard per pool.
+    /// at deployment and the sidechain's processor executes them all.
     pub pools: u32,
     /// How per-transaction traffic distributes across the pool set
     /// (uniform, or Zipf-skewed as real AMM fleets are).

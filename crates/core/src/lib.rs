@@ -7,10 +7,9 @@
 //!   fault-injection plan.
 //! - [`txenv`] — the `CreateTx` / `VerifyTx` API of §III.
 //! - [`processor`] — pool-snapshot-based, delayed-token-payout execution
-//!   with epoch deposits (§IV-B, Fig. 4).
-//! - [`shard`] — `PoolId` as a routing key: one processor per pool,
-//!   per-pool batch execution, deterministic effect merging, and the
-//!   two-phase routed epoch (hop waves + the netting barrier).
+//!   over every pool and one epoch deposit book (§IV-B, Fig. 4), with
+//!   `PoolId` as the routing key and the two-phase routed epoch (hop
+//!   waves + the netting barrier).
 //! - [`node`] — the sidechain node: the paper's two `UpdateState` steps
 //!   (execute a round into a meta-block; seal the epoch into a summary
 //!   block and a quote view) composed once, stepped one round at a time.
@@ -40,7 +39,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod node;
 pub mod processor;
-pub mod shard;
 pub mod system;
 pub mod txenv;
 pub mod view;
@@ -52,8 +50,7 @@ pub use checkpoint::{
 };
 pub use config::{DepositPolicy, FaultPlan, SystemConfig};
 pub use node::{EpochOutput, Node, NodeCounters, RoundOutput};
-pub use processor::{EpochProcessor, ProcessorState};
-pub use shard::{ExecMode, ShardMap};
+pub use processor::{EpochProcessor, ExecMode, ProcessorState, ShardMap};
 pub use system::{System, SystemReport};
 pub use txenv::{create_tx, verify_tx, SignedTx};
 pub use view::{QuoteError, QuoteView, RouteQuote, ViewPublishStats};

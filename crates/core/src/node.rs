@@ -1,17 +1,18 @@
 //! The sidechain node: the paper's two `UpdateState` steps (§III–IV),
 //! composed once. A [`Node`] owns what a sidechain miner holds — the
-//! shards, the ledger, the checkpointer and the sealed [`QuoteView`] — and
-//! is stepped one round at a time: [`Node::begin_epoch`], then
-//! [`Node::step_round`] per round (a meta-block), then
-//! [`Node::close_epoch`] (the summary block and the next quote view). It
-//! never calls back into the world that feeds it: a [`RoundOutput`] says
-//! what that world must learn, and [`crate::System`] — the world of the
-//! paper's experiments — applies it.
+//! processor (every pool and the deposit book), the ledger, the
+//! checkpointer and the sealed [`QuoteView`] — and is stepped one round
+//! at a time: [`Node::begin_epoch`], then [`Node::step_round`] per round
+//! (a meta-block), then [`Node::close_epoch`] (the summary block and the
+//! next quote view). It never calls back into the world that feeds it: a
+//! [`RoundOutput`] says what that world must learn, and
+//! [`crate::System`] — the world of the paper's experiments — applies
+//! it.
 
-use crate::shard::{ExecMode, ShardMap};
+use crate::processor::{EpochProcessor, ExecMode};
 use crate::view::QuoteView;
 use ammboost_amm::tx::AmmTx;
-use ammboost_amm::types::{PoolId, PositionId};
+use ammboost_amm::types::PositionId;
 use ammboost_crypto::Address;
 use ammboost_mainchain::contracts::token_bank::DepositBucket;
 use ammboost_sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock, TxEffect};
@@ -188,17 +189,16 @@ fn answer_quotes(view: &QuoteView, requests: Vec<QuoteRequest>, reader: Address)
 /// ```
 /// # use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 /// # use ammboost_amm::types::PoolId;
-/// # use ammboost_core::{Node, ShardMap};
+/// # use ammboost_core::{EpochProcessor, Node};
 /// # use ammboost_crypto::{Address, H256};
 /// # use ammboost_sidechain::ledger::Ledger;
 /// let (pools, users) = ([PoolId(0), PoolId(1)], [Address::from_index(0), Address::from_index(1)]);
-/// let mut shards = ShardMap::new(pools);
+/// let mut processor = EpochProcessor::new(pools);
 /// for pool in pools {
-///     shards.seed_liquidity(pool, Address::from_index(9), -60_000, 60_000, 1 << 40, 1 << 40);
+///     processor.seed_liquidity(pool, Address::from_index(9), -60_000, 60_000, 1 << 40, 1 << 40);
 /// }
-/// let mut node = Node::new(shards, Ledger::new(H256::hash(b"genesis")));
-/// let home = |u: &Address| pools.into_iter().find(|p| users[p.0 as usize] == *u);
-/// node.begin_epoch(Some(users.map(|u| (u, (1 << 30, 1 << 30))).into_iter().collect()), home);
+/// let mut node = Node::new(processor, Ledger::new(H256::hash(b"genesis")));
+/// node.begin_epoch(Some(users.map(|u| (u, (1 << 30, 1 << 30))).into_iter().collect()));
 /// for epoch in 1..=2 {
 ///     for round in 0..3 {
 ///         let swap = |pool: PoolId| AmmTx::Swap(SwapTx {
@@ -217,11 +217,11 @@ fn answer_quotes(view: &QuoteView, requests: Vec<QuoteRequest>, reader: Address)
 ///     let mined: Vec<H256> = node.ledger().meta_blocks(epoch).iter().map(|m| m.id()).collect();
 ///     assert_eq!(mined.len(), 3);
 ///     assert_eq!(node.ledger().summaries()[epoch as usize - 1].meta_refs, mined);
-///     node.begin_epoch(None, home); // the next epoch carries the deposits over
+///     node.begin_epoch(None); // the next epoch carries the deposits over
 /// }
 /// ```
 pub struct Node {
-    shards: ShardMap,
+    processor: EpochProcessor,
     ledger: Ledger,
     checkpointer: Checkpointer,
     /// The most recent checkpoint (kept for restart and fast-sync drills).
@@ -238,12 +238,12 @@ pub struct Node {
 }
 
 impl Node {
-    /// A node over `shards` (liquidity already seeded) and `ledger`; the
-    /// shards' current state is published as the genesis quote view.
-    pub fn new(mut shards: ShardMap, ledger: Ledger) -> Node {
-        let (quote_view, stats) = shards.publish_view(0);
+    /// A node over `processor` (liquidity already seeded) and `ledger`;
+    /// the pools' current state is published as the genesis quote view.
+    pub fn new(mut processor: EpochProcessor, ledger: Ledger) -> Node {
+        let (quote_view, stats) = processor.publish_view(0);
         Node {
-            shards,
+            processor,
             ledger,
             checkpointer: Checkpointer::new(),
             last_checkpoint: None,
@@ -261,17 +261,13 @@ impl Node {
     }
 
     /// Opens an epoch. With `Some(bucket)` (TokenBank's `SnapshotBank`)
-    /// every deposit goes to the shard `home` names for its owner; with
-    /// `None` the previous epoch's deposits carry over, as when the last
-    /// sync is missing and a mass-sync is owed (§IV-C).
-    pub fn begin_epoch(
-        &mut self,
-        bucket: Option<DepositBucket>,
-        home: impl Fn(&Address) -> Option<PoolId>,
-    ) {
+    /// the bucket becomes the epoch's deposit book; with `None` the
+    /// previous epoch's deposits carry over, as when the last sync is
+    /// missing and a mass-sync is owed (§IV-C).
+    pub fn begin_epoch(&mut self, bucket: Option<DepositBucket>) {
         match bucket {
-            Some(bucket) => self.shards.begin_epoch(bucket, home),
-            None => self.shards.carry_over_epoch(),
+            Some(bucket) => self.processor.snapshot_bank(bucket),
+            None => self.processor.carry_over_epoch(),
         }
     }
 
@@ -306,11 +302,11 @@ impl Node {
         global_round: u64,
         batch: &[(&AmmTx, usize)],
     ) -> (RoundOutput, Vec<ExecutedTx>) {
-        let executed = self.shards.execute_batch(batch, global_round, ExecMode);
+        let executed = self.processor.execute_batch(batch, global_round, ExecMode);
         (RoundOutput::of(&executed), executed)
     }
 
-    /// Seals `epoch`: ends it on every shard, publishes its state as the
+    /// Seals `epoch`: ends it on every pool, publishes its state as the
     /// next quote view, and appends the summary block referencing every
     /// meta-block mined in the epoch.
     ///
@@ -338,13 +334,13 @@ impl Node {
         out
     }
 
-    /// Ends the epoch on the shards and publishes the sealed state for
+    /// Ends the epoch on the processor and publishes the sealed state for
     /// readers before anything else can mutate it. [`crate::System`]'s
     /// drain calls it directly, appending no summary block; ROADMAP item
     /// 4(b) makes it private again.
     pub(crate) fn seal(&mut self, epoch: u64) -> EpochOutput {
-        let (payouts, positions, pools) = self.shards.end_epoch();
-        let (view, stats) = self.shards.publish_view(epoch);
+        let (payouts, positions, pools) = self.processor.end_epoch();
+        let (view, stats) = self.processor.publish_view(epoch);
         self.quote_view = view;
         self.counters.view_publications += 1;
         self.counters.view_pools_reused += stats.reused as u64;
@@ -359,7 +355,7 @@ impl Node {
     /// Hands one round's quote requests, with the current sealed view, to
     /// the quote reader (spawned by the first call with requests), which
     /// answers them while the caller executes the round: a quote observes
-    /// exactly the last sealed epoch, never the live shards.
+    /// exactly the last sealed epoch, never the live pools.
     pub fn serve_quotes(&mut self, requests: Vec<QuoteRequest>) {
         if requests.is_empty() {
             return;
@@ -398,7 +394,7 @@ impl Node {
         let output = crate::checkpoint::checkpoint_node(
             &mut self.checkpointer,
             epoch,
-            &mut self.shards,
+            &mut self.processor,
             &self.ledger,
         );
         self.counters.snapshots_taken += 1;
@@ -425,9 +421,9 @@ impl Node {
         self.ledger.prune_epoch(epoch)
     }
 
-    /// The execution shards (one processor per pool).
-    pub fn shards(&self) -> &ShardMap {
-        &self.shards
+    /// The transaction processor (every pool and the deposit book).
+    pub fn processor(&self) -> &EpochProcessor {
+        &self.processor
     }
 
     /// The sidechain ledger.
@@ -468,6 +464,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::System;
+    use ammboost_amm::types::PoolId;
 
     /// A mixed-engine, routed fleet that checkpoints every epoch.
     fn mixed_routed_fleet() -> SystemConfig {

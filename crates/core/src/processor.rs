@@ -1,22 +1,56 @@
-//! The sidechain transaction processor: executes swaps, mints, burns and
-//! collects against the AMM engine using **pool-snapshot-based, delayed
-//! token-payout trading** (paper §IV-B).
+//! The sidechain transaction processor: executes swaps, mints, burns,
+//! collects and multi-hop routes against the node's pools using
+//! **pool-snapshot-based, delayed token-payout trading** (paper §IV-B).
 //!
-//! At epoch start the processor snapshots user deposits from TokenBank
-//! (`SnapshotBank`); every accepted transaction is backed by deposit
-//! coverage, newly accrued tokens are immediately tradable, and the
-//! deposits that moved become the epoch's payout list (Fig. 4).
+//! An [`EpochProcessor`] holds every pool, ascending by [`PoolId`], and
+//! one deposit book. At epoch start it snapshots the users' deposits from
+//! TokenBank (`SnapshotBank`, [`EpochProcessor::snapshot_bank`]) exactly
+//! as the bank keeps them: one balance pair per user, whichever pool the
+//! user trades on (every pool trades the same token pair). Every accepted
+//! transaction is backed by deposit coverage, newly accrued tokens are
+//! immediately tradable, and the deposits that moved become the epoch's
+//! payout list (Fig. 4). A transaction is routed to its pool by its
+//! `pool` field; one addressing a pool outside the processor is rejected
+//! without touching any state.
+//!
+//! ## Cross-pool routing: the two-phase batch
+//!
+//! Multi-hop routes ([`AmmTx::Route`]) touch several pools, so
+//! [`EpochProcessor::execute_batch`] runs a **two-phase** schedule with a
+//! canonical order:
+//!
+//! 1. **Admission** (batch order): each route is shape-validated, its
+//!    pools resolved, and its worst-case input *reserved* from the user's
+//!    deposit — one deterministic coverage point before any transaction
+//!    of the batch executes.
+//! 2. **Phase 1** — plain transactions execute in batch order; then
+//!    routes execute in *hop waves*: wave *k* carries hop *k* of every
+//!    live route, in batch order. A barrier between waves hands each
+//!    route's output forward as the next hop's input.
+//! 3. **Phase 2** — the **netting barrier** (batch order): every route's
+//!    per-hop flows fold into per-(user, token) net deltas
+//!    ([`NettingLedger`]); only the net credit (plus any unconsumed input
+//!    refund) lands on the user's deposit. Payouts, summary blocks and
+//!    `Sync` therefore carry **netted** amounts — per-hop transfers never
+//!    reach the settlement layer.
+//!
+//! Per-pool effects merge deterministically into one epoch summary, one
+//! ledger entry and one Merkle-committed checkpoint covering every pool.
 
+use crate::view::{QuoteView, ViewPublishStats};
 use ammboost_amm::engines::{Engine, EngineKind, EngineState};
 use ammboost_amm::error::AmmError;
 use ammboost_amm::pool::SwapKind;
-use ammboost_amm::tx::{AmmTx, BurnTx, CollectTx, MintTx, SwapIntent, SwapTx};
+use ammboost_amm::tx::{AmmTx, BurnTx, CollectTx, MintTx, RouteTx, SwapIntent, SwapTx};
 use ammboost_amm::types::{Amount, PoolId, PositionId};
 use ammboost_crypto::Address;
-use ammboost_sidechain::block::{ExecutedTx, TxEffect};
-use ammboost_sidechain::summary::{Deposits, PayoutEntry, PoolUpdate, PositionEntry};
+use ammboost_sidechain::block::{ExecutedTx, RouteLeg, TxEffect};
+use ammboost_sidechain::summary::{
+    Deposits, NettingLedger, PayoutEntry, PoolUpdate, PositionEntry,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Execution statistics per epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,363 +61,138 @@ pub struct ProcessorStats {
     pub rejected: u64,
 }
 
-/// The persistent state of an [`EpochProcessor`] — everything a restored
-/// node needs to continue the epoch bit-identically. Collections are
-/// sorted for deterministic encoding. Excluded by design: the cumulative
-/// `reject_reasons` monitoring map (a debugging aid with no effect on
-/// execution) and the pool's derived tick index (regenerated on restore).
+/// The schedule argument of [`EpochProcessor::execute_batch`]. It has no
+/// fields and selects nothing: every round executes on the calling
+/// thread. Kept only for nodebench's replica, which passes
+/// `ExecMode::default()`; ROADMAP item 1(b0) deletes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecMode;
+
+/// The processor's name from when each pool had a processor of its own.
+/// Kept only for nodebench's replica, which still names it; ROADMAP item
+/// 1(b0) deletes it.
+pub type ShardMap = EpochProcessor;
+
+/// One pool's persistent slice of a [`ProcessorState`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProcessorState {
-    /// The pool engine's persistent state (engine-tagged).
-    pub pool: EngineState,
+pub struct ProcessorPoolState {
     /// The pool's id.
     pub pool_id: PoolId,
-    /// Deposit ledger entries, sorted by address.
-    pub deposits: Vec<(Address, (u128, u128))>,
+    /// The pool engine's persistent state (engine-tagged).
+    pub pool: EngineState,
     /// Positions touched this epoch, ascending.
     pub touched: Vec<PositionId>,
     /// Positions deleted this epoch with their last owner, ascending.
     pub deleted: Vec<(PositionId, Address)>,
     /// Positions that existed at epoch start, ascending.
     pub preexisting: Vec<PositionId>,
+}
+
+/// The persistent state of an [`EpochProcessor`] — everything a restored
+/// node needs to continue the epoch bit-identically. Collections are
+/// sorted for deterministic encoding. Excluded by design: each pool's
+/// derived tick index (regenerated on restore) and the epoch's
+/// first-touch record, which the checkpoint commits beside it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProcessorState {
+    /// Every pool, ascending by id.
+    pub pools: Vec<ProcessorPoolState>,
+    /// Deposit ledger entries, sorted by address.
+    pub deposits: Vec<(Address, (u128, u128))>,
     /// Epoch accept/reject counters.
     pub stats: ProcessorStats,
 }
 
-/// The per-epoch sidechain execution engine. The AMM pool state persists
-/// across epochs (the sidechain computes evolving balances itself and only
-/// reports them back in syncs); deposits are re-snapshotted every epoch.
+/// One pool the processor executes against, with the pool's epoch
+/// bookkeeping. Deposits are not here: they live in the processor's one
+/// book, which each execution borrows.
 #[derive(Clone, Debug)]
-pub struct EpochProcessor {
-    pool: Engine,
-    pool_id: PoolId,
-    deposits: Deposits,
-    touched: BTreeSet<PositionId>,
-    deleted: BTreeMap<PositionId, Address>,
+pub(crate) struct PoolSlot {
+    pub(crate) id: PoolId,
+    pub(crate) engine: Engine,
+    pub(crate) touched: BTreeSet<PositionId>,
+    pub(crate) deleted: BTreeMap<PositionId, Address>,
     /// Positions that existed when the epoch began (and therefore exist
     /// in TokenBank state). Deletions of positions created *within* the
     /// epoch are not reported — TokenBank never knew them.
-    preexisting: BTreeSet<PositionId>,
-    stats: ProcessorStats,
-    reject_reasons: HashMap<String, u64>,
+    pub(crate) preexisting: BTreeSet<PositionId>,
     /// Set when an accepted transaction (or a liquidity seed) mutated the
     /// pool; consumed by the checkpointer's dirty-pool tracking.
-    pool_dirty: bool,
-    /// Set at exactly the same mutation points as `pool_dirty`, but
-    /// consumed by quote-view publication instead of the checkpointer —
-    /// the two consumers drain independently, so checkpointing an epoch
-    /// cannot mask a stale cached view (or vice versa).
-    view_stale: bool,
+    dirty: bool,
+    /// The pool's sealed state from the last
+    /// [`EpochProcessor::publish_view`], dropped by every mutation, so a
+    /// publication re-clones exactly the pools written since the last
+    /// one. Derived data — never checkpointed.
+    view: Option<Arc<Engine>>,
 }
 
-impl EpochProcessor {
-    /// Creates a processor over a fresh standard concentrated-liquidity
-    /// pool.
-    pub fn new(pool_id: PoolId) -> EpochProcessor {
-        Self::with_engine(pool_id, EngineKind::ConcentratedLiquidity)
+impl PoolSlot {
+    fn new(id: PoolId, kind: EngineKind) -> PoolSlot {
+        PoolSlot::restored(id, Engine::new_standard(kind), [], [], [])
     }
 
-    /// Creates a processor over a fresh standard pool of the given engine
-    /// kind — the entry point for heterogeneous fleets.
-    pub fn with_engine(pool_id: PoolId, kind: EngineKind) -> EpochProcessor {
-        EpochProcessor {
-            pool: Engine::new_standard(kind),
-            pool_id,
-            deposits: Deposits::new(),
-            touched: BTreeSet::new(),
-            deleted: BTreeMap::new(),
-            preexisting: BTreeSet::new(),
-            stats: ProcessorStats::default(),
-            reject_reasons: HashMap::new(),
-            pool_dirty: false,
-            view_stale: true,
-        }
-    }
-
-    /// The id of the pool this processor executes against.
-    pub fn pool_id(&self) -> PoolId {
-        self.pool_id
-    }
-
-    /// Returns and clears the pool-dirty flag: `true` when the pool was
-    /// mutated since the flag was last taken. Feeds the checkpointer's
-    /// dirty-pool tracking so clean pools are not re-encoded.
-    pub fn take_pool_dirty(&mut self) -> bool {
-        std::mem::take(&mut self.pool_dirty)
-    }
-
-    /// Returns and clears the view-stale flag: `true` when the pool was
-    /// mutated since the last quote-view publication. Feeds
-    /// [`crate::shard::ShardMap::publish_view`] so an epoch invalidates
-    /// exactly the cached per-pool views it touched.
-    pub fn take_view_stale(&mut self) -> bool {
-        std::mem::take(&mut self.view_stale)
-    }
-
-    /// Exports the processor's persistent state for checkpointing.
-    pub fn export_state(&self) -> ProcessorState {
-        ProcessorState {
-            pool: self.pool.export_state(),
-            pool_id: self.pool_id,
-            deposits: self.deposits.to_sorted_entries(),
-            touched: self.touched.iter().copied().collect(),
-            deleted: self.deleted.iter().map(|(id, a)| (*id, *a)).collect(),
-            preexisting: self.preexisting.iter().copied().collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Reconstructs a processor from checkpointed state, regenerating the
-    /// pool's derived tick index. The restored processor executes
-    /// subsequent transactions bit-identically to the exported one.
-    ///
-    /// # Errors
-    /// Propagates pool-state validation failures (corrupt snapshot).
-    pub fn from_state(state: ProcessorState) -> Result<EpochProcessor, AmmError> {
-        Ok(Self::from_restored(
-            Engine::from_state(state.pool)?,
-            state.pool_id,
-            Deposits::from_sorted_entries(state.deposits),
-            state.touched,
-            state.deleted,
-            state.preexisting,
-            state.stats,
-        ))
-    }
-
-    /// Reassembles a processor from parts the state subsystem already
-    /// validated and rebuilt (the `restore_node` path, where the pool
-    /// comes out of `ammboost_state::sync::restore`).
-    pub fn from_restored(
-        pool: Engine,
-        pool_id: PoolId,
-        deposits: Deposits,
-        touched: Vec<PositionId>,
-        deleted: Vec<(PositionId, Address)>,
-        preexisting: Vec<PositionId>,
-        stats: ProcessorStats,
-    ) -> EpochProcessor {
-        EpochProcessor {
-            pool,
-            pool_id,
-            deposits,
+    /// Reassembles a pool from parts the state subsystem already
+    /// validated and rebuilt (the `restore_node` path).
+    pub(crate) fn restored(
+        id: PoolId,
+        engine: Engine,
+        touched: impl IntoIterator<Item = PositionId>,
+        deleted: impl IntoIterator<Item = (PositionId, Address)>,
+        preexisting: impl IntoIterator<Item = PositionId>,
+    ) -> PoolSlot {
+        PoolSlot {
+            id,
+            engine,
             touched: touched.into_iter().collect(),
             deleted: deleted.into_iter().collect(),
             preexisting: preexisting.into_iter().collect(),
-            stats,
-            reject_reasons: HashMap::new(),
-            pool_dirty: false,
-            view_stale: true,
+            dirty: false,
+            view: None,
         }
     }
 
-    /// Read access to the pool engine.
-    pub fn pool(&self) -> &Engine {
-        &self.pool
+    /// Records a mutation: the checkpointer re-encodes the pool and the
+    /// next publication re-clones it.
+    fn mutated(&mut self) {
+        self.dirty = true;
+        self.view = None;
     }
 
-    /// The engine kind this processor's pool runs.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.pool.kind()
-    }
-
-    /// Read access to the deposit ledger.
-    pub fn deposits(&self) -> &Deposits {
-        &self.deposits
-    }
-
-    /// Positions touched this epoch, ascending — checkpoint metadata,
-    /// exported without cloning the pool.
-    pub fn touched_positions(&self) -> Vec<PositionId> {
-        self.touched.iter().copied().collect()
-    }
-
-    /// Positions deleted this epoch with their last owner, ascending.
-    pub fn deleted_positions(&self) -> Vec<(PositionId, Address)> {
-        self.deleted.iter().map(|(id, a)| (*id, *a)).collect()
-    }
-
-    /// Positions that existed at epoch start, ascending.
-    pub fn preexisting_positions(&self) -> Vec<PositionId> {
-        self.preexisting.iter().copied().collect()
-    }
-
-    /// Current epoch statistics.
-    pub fn stats(&self) -> ProcessorStats {
-        self.stats
-    }
-
-    /// Cumulative rejection reasons (across all epochs) — a debugging and
-    /// monitoring aid.
-    pub fn reject_reasons(&self) -> &HashMap<String, u64> {
-        &self.reject_reasons
-    }
-
-    /// Seeds standing liquidity outside the deposit flow (the pool's
-    /// genesis liquidity, analogous to the paper deploying a funded pool
-    /// before the experiment).
-    ///
-    /// # Panics
-    /// Panics if the seed mint is invalid — a configuration error.
-    pub fn seed_liquidity(
-        &mut self,
-        owner: Address,
-        tick_lower: i32,
-        tick_upper: i32,
-        amount0: Amount,
-        amount1: Amount,
-    ) -> PositionId {
-        let id = PositionId::derive(&[
-            b"genesis-liquidity",
-            owner.as_bytes(),
-            &tick_lower.to_be_bytes(),
-            &tick_upper.to_be_bytes(),
-        ]);
-        self.pool
-            .mint(id, owner, tick_lower, tick_upper, amount0, amount1)
-            .expect("genesis liquidity mint must be valid");
-        self.pool_dirty = true;
-        self.view_stale = true;
-        id
-    }
-
-    /// `SnapshotBank`: installs the deposit snapshot retrieved from
-    /// TokenBank at the start of an epoch and resets per-epoch state. The
-    /// snapshot is the baseline the epoch's payout list is measured
-    /// against.
-    pub fn begin_epoch(&mut self, snapshot: HashMap<Address, (u128, u128)>) {
-        self.begin_epoch_with(Deposits::from_snapshot(snapshot));
-    }
-
-    /// [`EpochProcessor::begin_epoch`] over an already-built ledger.
-    pub(crate) fn begin_epoch_with(&mut self, snapshot: Deposits) {
-        self.deposits = snapshot;
-        self.reset_epoch_tracking();
-    }
-
-    /// Begins an epoch **without** re-snapshotting TokenBank: used when
-    /// the previous epoch's sync never reached the mainchain (invalid
-    /// sync inputs or a rollback) — the sidechain's own deposit tracking
-    /// carries forward and the new committee will mass-sync (paper
-    /// §IV-C). The carried balances are the new epoch's payout baseline,
-    /// so each epoch's list stands on its own and a replay from any
-    /// checkpoint reproduces it.
-    pub fn carry_over_epoch(&mut self) {
-        self.deposits.open_epoch();
-        self.reset_epoch_tracking();
+    fn export_state(&self) -> ProcessorPoolState {
+        ProcessorPoolState {
+            pool_id: self.id,
+            pool: self.engine.export_state(),
+            touched: self.touched.iter().copied().collect(),
+            deleted: self.deleted.iter().map(|(id, a)| (*id, *a)).collect(),
+            preexisting: self.preexisting.iter().copied().collect(),
+        }
     }
 
     fn reset_epoch_tracking(&mut self) {
         self.touched.clear();
         self.deleted.clear();
-        self.preexisting = self.pool.position_ids().into_iter().collect();
-        self.stats = ProcessorStats::default();
+        self.preexisting = self.engine.position_ids().into_iter().collect();
     }
 
-    /// Executes one transaction at sidechain round `round` (for deadline
-    /// checks), returning the recorded effect. Rejections never mutate
-    /// state.
-    pub fn execute(&mut self, tx: &AmmTx, wire_size: usize, round: u64) -> ExecutedTx {
+    /// Executes one plain (single-pool) transaction against `deposits`.
+    /// Rejections never mutate state.
+    fn execute(&mut self, deposits: &mut Deposits, tx: &AmmTx, round: u64) -> TxEffect {
         let effect = match tx {
-            AmmTx::Swap(s) => self.exec_swap(s, round),
-            AmmTx::Mint(m) => self.exec_mint(m),
-            AmmTx::Burn(b) => self.exec_burn(b),
-            AmmTx::Collect(c) => self.exec_collect(c),
-            // routes span pools: only the shard map's two-phase epoch
-            // (hop waves + netting barrier) can execute them
-            AmmTx::Route(_) => Self::reject("route submitted to a single shard"),
+            AmmTx::Swap(s) => self.swap(deposits, s, round),
+            AmmTx::Mint(m) => self.mint(deposits, m),
+            AmmTx::Burn(b) => self.burn(deposits, b),
+            AmmTx::Collect(c) => self.collect(deposits, c),
+            AmmTx::Route(_) => unreachable!("routes settle through the netting barrier"),
         };
-        match &effect {
-            TxEffect::Rejected { reason } => {
-                self.stats.rejected += 1;
-                *self.reject_reasons.entry(reason.clone()).or_insert(0) += 1;
-            }
-            _ => {
-                self.stats.accepted += 1;
-                self.pool_dirty = true;
-                self.view_stale = true;
-            }
+        if !matches!(effect, TxEffect::Rejected { .. }) {
+            self.mutated();
         }
-        ExecutedTx {
-            tx: tx.clone(),
-            wire_size,
-            effect,
-        }
+        effect
     }
 
-    fn reject(reason: impl Into<String>) -> TxEffect {
-        TxEffect::Rejected {
-            reason: reason.into(),
-        }
-    }
-
-    // ---- routed-swap hooks (driven by `ShardMap`'s two-phase epoch) -----
-
-    /// Reserves a route's worst-case input from `user`'s deposit on this
-    /// shard (the user's *home* shard — where `begin_epoch` routed their
-    /// balance). Returns `false` without mutating when coverage is
-    /// insufficient. Called during batch admission, before any leg
-    /// executes, so coverage is checked at one deterministic point.
-    pub fn reserve_route_input(&mut self, user: Address, need0: u128, need1: u128) -> bool {
-        if !self.deposits.can_cover(&user, need0, need1) {
-            return false;
-        }
-        self.deposits
-            .debit(user, need0, need1)
-            .expect("coverage checked above");
-        true
-    }
-
-    /// Credits a route's output (or refunds its reserved input when no
-    /// leg executed) to `user`'s deposit on this shard — the netting
-    /// barrier's only deposit write per route.
-    pub fn credit_route_output(&mut self, user: Address, amount0: u128, amount1: u128) {
-        self.deposits
-            .credit(user, amount0, amount1)
-            .expect("credit within u128 token supplies");
-    }
-
-    /// Executes one route leg against this shard's pool: an exact-input
-    /// swap with no intra-route slippage bounds (`final_min_out` is set
-    /// on the route's last hop only). Deposits are untouched — flows
-    /// settle at the netting barrier.
-    ///
-    /// # Errors
-    /// Propagates pool failures (state untouched — swaps are atomic).
-    pub fn execute_route_leg(
-        &mut self,
-        zero_for_one: bool,
-        amount_in: u128,
-        final_min_out: Option<u128>,
-    ) -> Result<(u128, u128), AmmError> {
-        let result = self.pool.swap_with_protection(
-            zero_for_one,
-            SwapKind::ExactInput(amount_in),
-            None,
-            final_min_out.unwrap_or(0),
-            Amount::MAX,
-        )?;
-        self.pool_dirty = true;
-        self.view_stale = true;
-        Ok((result.amount_in, result.amount_out))
-    }
-
-    /// Books an accepted route into this shard's epoch counters (the
-    /// user's home shard owns the route for accounting, exactly as it
-    /// owns their deposit).
-    pub fn note_route_accepted(&mut self) {
-        self.stats.accepted += 1;
-    }
-
-    /// Books a rejected route into this shard's epoch counters.
-    pub fn note_route_rejected(&mut self, reason: &str) {
-        self.stats.rejected += 1;
-        *self.reject_reasons.entry(reason.to_string()).or_insert(0) += 1;
-    }
-
-    fn exec_swap(&mut self, s: &SwapTx, round: u64) -> TxEffect {
+    fn swap(&mut self, deposits: &mut Deposits, s: &SwapTx, round: u64) -> TxEffect {
         if round > s.deadline_round {
-            return Self::reject("deadline exceeded");
+            return reject("deadline exceeded");
         }
         let (kind, min_out, max_in, cover) = match s.intent {
             SwapIntent::ExactInput {
@@ -411,10 +220,10 @@ impl EpochProcessor {
         } else {
             (0, cover)
         };
-        if !self.deposits.can_cover(&s.user, need0, need1) {
-            return Self::reject("insufficient deposit for swap input");
+        if !deposits.can_cover(&s.user, need0, need1) {
+            return reject("insufficient deposit for swap input");
         }
-        let result = match self.pool.swap_with_protection(
+        let result = match self.engine.swap_with_protection(
             s.zero_for_one,
             kind,
             s.sqrt_price_limit,
@@ -422,7 +231,7 @@ impl EpochProcessor {
             max_in,
         ) {
             Ok(r) => r,
-            Err(e) => return Self::reject(format!("swap failed: {e}")),
+            Err(e) => return reject(format!("swap failed: {e}")),
         };
         // debit actual input, credit output — accrued tokens usable
         // immediately
@@ -431,10 +240,10 @@ impl EpochProcessor {
         } else {
             (0, result.amount_in, result.amount_out, 0)
         };
-        self.deposits
+        deposits
             .debit(s.user, in0, in1)
             .expect("coverage checked above");
-        self.deposits
+        deposits
             .credit(s.user, out0, out1)
             .expect("credit cannot overflow within u128 supplies");
         // swap fees accrue inside the engine's fee-growth accounting; the
@@ -447,36 +256,34 @@ impl EpochProcessor {
         }
     }
 
-    fn exec_mint(&mut self, m: &MintTx) -> TxEffect {
+    fn mint(&mut self, deposits: &mut Deposits, m: &MintTx) -> TxEffect {
         let id = m.derived_position_id();
         // top-ups use the existing position's range (the transaction's
         // ticks are advisory); new positions use the transaction's range
         let (tick_lower, tick_upper) = match m.position {
-            Some(existing) => match self.pool.position_info(&existing) {
+            Some(existing) => match self.engine.position_info(&existing) {
                 Some(p) if p.owner != m.user => {
-                    return Self::reject("not the position owner");
+                    return reject("not the position owner");
                 }
                 Some(p) => (p.tick_lower, p.tick_upper),
-                None => return Self::reject("position not found"),
+                None => return reject("position not found"),
             },
             None => (m.tick_lower, m.tick_upper),
         };
-        let (liquidity, amounts) =
-            match self
-                .pool
-                .quote_mint(tick_lower, tick_upper, m.amount0_desired, m.amount1_desired)
-            {
-                Ok(q) => q,
-                Err(e) => return Self::reject(format!("mint failed: {e}")),
-            };
-        if !self
-            .deposits
-            .can_cover(&m.user, amounts.amount0, amounts.amount1)
-        {
-            return Self::reject("insufficient deposit for mint");
+        let (liquidity, amounts) = match self.engine.quote_mint(
+            tick_lower,
+            tick_upper,
+            m.amount0_desired,
+            m.amount1_desired,
+        ) {
+            Ok(q) => q,
+            Err(e) => return reject(format!("mint failed: {e}")),
+        };
+        if !deposits.can_cover(&m.user, amounts.amount0, amounts.amount1) {
+            return reject("insufficient deposit for mint");
         }
-        let created = self.pool.position_info(&id).is_none();
-        let (minted, actual) = match self.pool.mint(
+        let created = self.engine.position_info(&id).is_none();
+        let (minted, actual) = match self.engine.mint(
             id,
             m.user,
             tick_lower,
@@ -485,11 +292,11 @@ impl EpochProcessor {
             m.amount1_desired,
         ) {
             Ok(a) => a,
-            Err(e) => return Self::reject(format!("mint failed: {e}")),
+            Err(e) => return reject(format!("mint failed: {e}")),
         };
         debug_assert_eq!(minted, liquidity, "quote must match execution");
         debug_assert_eq!(actual, amounts, "quote must match execution");
-        self.deposits
+        deposits
             .debit(m.user, actual.amount0, actual.amount1)
             .expect("coverage checked above");
         self.touched.insert(id);
@@ -503,20 +310,20 @@ impl EpochProcessor {
         }
     }
 
-    fn exec_burn(&mut self, b: &BurnTx) -> TxEffect {
-        let held = match self.pool.position_info(&b.position) {
+    fn burn(&mut self, deposits: &mut Deposits, b: &BurnTx) -> TxEffect {
+        let held = match self.engine.position_info(&b.position) {
             Some(p) if p.owner == b.user => p.liquidity,
-            Some(_) => return Self::reject("not the position owner"),
-            None => return Self::reject("position not found"),
+            Some(_) => return reject("not the position owner"),
+            None => return reject("position not found"),
         };
         let to_burn = b.liquidity.unwrap_or(held).min(held);
         if to_burn == 0 {
-            return Self::reject("nothing to burn");
+            return reject("nothing to burn");
         }
         let full = to_burn == held;
-        let principal = match self.pool.burn(b.position, b.user, to_burn) {
+        let principal = match self.engine.burn(b.position, b.user, to_burn) {
             Ok(a) => a,
-            Err(e) => return Self::reject(format!("burn failed: {e}")),
+            Err(e) => return reject(format!("burn failed: {e}")),
         };
         // withdraw from the pool into the LP's deposit: the principal, and
         // for a full burn also any accrued fees (paper §IV-B "Burns")
@@ -526,21 +333,13 @@ impl EpochProcessor {
             (principal.amount0, principal.amount1)
         };
         let out = self
-            .pool
+            .engine
             .collect(b.position, b.user, take0, take1)
             .expect("collect of just-burned principal cannot fail");
-        self.deposits
+        deposits
             .credit(b.user, out.amount0, out.amount1)
             .expect("credit within supply");
-        let deleted = self.pool.position_info(&b.position).is_none();
-        if deleted {
-            self.touched.remove(&b.position);
-            if self.preexisting.contains(&b.position) {
-                self.deleted.insert(b.position, b.user);
-            }
-        } else {
-            self.touched.insert(b.position);
-        }
+        let deleted = self.note_position(b.position, b.user);
         TxEffect::Burn {
             position: b.position,
             liquidity: to_burn,
@@ -550,27 +349,23 @@ impl EpochProcessor {
         }
     }
 
-    fn exec_collect(&mut self, c: &CollectTx) -> TxEffect {
-        match self.pool.position_info(&c.position) {
+    fn collect(&mut self, deposits: &mut Deposits, c: &CollectTx) -> TxEffect {
+        match self.engine.position_info(&c.position) {
             Some(p) if p.owner == c.user => {}
-            Some(_) => return Self::reject("not the position owner"),
-            None => return Self::reject("position not found"),
+            Some(_) => return reject("not the position owner"),
+            None => return reject("position not found"),
         }
-        let out = match self.pool.collect(c.position, c.user, c.amount0, c.amount1) {
+        let out = match self
+            .engine
+            .collect(c.position, c.user, c.amount0, c.amount1)
+        {
             Ok(a) => a,
-            Err(e) => return Self::reject(format!("collect failed: {e}")),
+            Err(e) => return reject(format!("collect failed: {e}")),
         };
-        self.deposits
+        deposits
             .credit(c.user, out.amount0, out.amount1)
             .expect("credit within supply");
-        if self.pool.position_info(&c.position).is_none() {
-            self.touched.remove(&c.position);
-            if self.preexisting.contains(&c.position) {
-                self.deleted.insert(c.position, c.user);
-            }
-        } else {
-            self.touched.insert(c.position);
-        }
+        self.note_position(c.position, c.user);
         TxEffect::Collect {
             position: c.position,
             amount0: out.amount0,
@@ -578,15 +373,51 @@ impl EpochProcessor {
         }
     }
 
-    /// Ends the epoch, producing the summary material (Fig. 4):
-    /// the payout list (closing deposits of the users whose balance
-    /// moved), the touched/deleted position entries, and the updated pool
-    /// reserves.
-    pub fn end_epoch(&mut self) -> (Vec<PayoutEntry>, Vec<PositionEntry>, PoolUpdate) {
-        let payouts = self.deposits.to_payouts();
-        let mut positions = Vec::with_capacity(self.touched.len() + self.deleted.len());
+    /// Books a position a burn or collect of `owner` just wrote: touched
+    /// while it exists, deleted (when TokenBank knew it) once it is gone.
+    /// Returns whether it is gone.
+    fn note_position(&mut self, position: PositionId, owner: Address) -> bool {
+        let gone = self.engine.position_info(&position).is_none();
+        if gone {
+            self.touched.remove(&position);
+            if self.preexisting.contains(&position) {
+                self.deleted.insert(position, owner);
+            }
+        } else {
+            self.touched.insert(position);
+        }
+        gone
+    }
+
+    /// Executes one route leg: an exact-input swap with no intra-route
+    /// slippage bounds (`final_min_out` is set on the route's last hop
+    /// only). Deposits are untouched — flows settle at the netting
+    /// barrier.
+    ///
+    /// # Errors
+    /// Propagates pool failures (state untouched — swaps are atomic).
+    fn route_leg(
+        &mut self,
+        zero_for_one: bool,
+        amount_in: u128,
+        final_min_out: Option<u128>,
+    ) -> Result<(u128, u128), AmmError> {
+        let result = self.engine.swap_with_protection(
+            zero_for_one,
+            SwapKind::ExactInput(amount_in),
+            None,
+            final_min_out.unwrap_or(0),
+            Amount::MAX,
+        )?;
+        self.mutated();
+        Ok((result.amount_in, result.amount_out))
+    }
+
+    /// The pool's summary material: touched and deleted position entries,
+    /// and its reserves.
+    fn end_epoch(&self, positions: &mut Vec<PositionEntry>) -> PoolUpdate {
         for id in &self.touched {
-            if let Some(p) = self.pool.position_info(id) {
+            if let Some(p) = self.engine.position_info(id) {
                 positions.push(PositionEntry {
                     id: *id,
                     owner: p.owner,
@@ -619,13 +450,487 @@ impl EpochProcessor {
                 deleted: true,
             });
         }
-        let balances = self.pool.balances();
-        let pool_update = PoolUpdate {
-            pool: self.pool_id,
+        let balances = self.engine.balances();
+        PoolUpdate {
+            pool: self.id,
             reserve0: balances.amount0,
             reserve1: balances.amount1,
+        }
+    }
+}
+
+fn reject(reason: impl Into<String>) -> TxEffect {
+    TxEffect::Rejected {
+        reason: reason.into(),
+    }
+}
+
+/// A route's input as a `(token0, token1)` pair: what admission reserves.
+fn route_input(r: &RouteTx) -> (u128, u128) {
+    if r.input_is_token0() {
+        (r.amount_in, 0)
+    } else {
+        (0, r.amount_in)
+    }
+}
+
+/// In-flight state of one admitted route inside a batch.
+struct RouteRun<'b> {
+    batch_index: usize,
+    tx: &'b RouteTx,
+    /// Legs executed so far, in hop order.
+    legs: Vec<RouteLeg>,
+    /// Input of the next hop (the previous hop's output).
+    next_amount: u128,
+    /// Set when a hop failed; remaining hops are skipped.
+    failure: Option<String>,
+}
+
+/// The per-epoch sidechain execution engine over every pool of the node
+/// and one deposit book (see the module docs). Pool state persists across
+/// epochs (the sidechain computes evolving balances itself and only
+/// reports them back in syncs); deposits are re-snapshotted every epoch.
+#[derive(Clone, Debug)]
+pub struct EpochProcessor {
+    /// The pools, strictly ascending by id.
+    pools: Vec<PoolSlot>,
+    /// Every user's deposit, whichever pool they trade on.
+    deposits: Deposits,
+    stats: ProcessorStats,
+    /// Per-epoch netting ledger: every routed flow folded this epoch.
+    /// Diagnostic/reporting state, reset at epoch start — the consensus
+    /// state it summarizes lives entirely in pools and deposits.
+    netting: NettingLedger,
+}
+
+impl EpochProcessor {
+    /// A processor over a fresh standard concentrated-liquidity pool per
+    /// id.
+    ///
+    /// # Panics
+    /// Panics on an empty or duplicate-carrying pool set — a
+    /// configuration error.
+    pub fn new(pool_ids: impl IntoIterator<Item = PoolId>) -> EpochProcessor {
+        Self::new_with_engines(
+            pool_ids
+                .into_iter()
+                .map(|id| (id, EngineKind::ConcentratedLiquidity)),
+        )
+    }
+
+    /// A heterogeneous processor: a fresh standard pool of the named
+    /// engine kind per id. This is how a mixed fleet comes up —
+    /// concentrated-liquidity, constant-product and weighted pools side
+    /// by side behind the same routing, batching and checkpointing.
+    ///
+    /// # Panics
+    /// Panics on an empty or duplicate-carrying pool set — a
+    /// configuration error.
+    pub fn new_with_engines(
+        pools: impl IntoIterator<Item = (PoolId, EngineKind)>,
+    ) -> EpochProcessor {
+        let mut entries: Vec<(PoolId, EngineKind)> = pools.into_iter().collect();
+        entries.sort_by_key(|(id, _)| *id);
+        let pools = entries
+            .into_iter()
+            .map(|(id, kind)| PoolSlot::new(id, kind))
+            .collect();
+        Self::from_restored(pools, Deposits::new(), ProcessorStats::default())
+    }
+
+    /// Reassembles a processor from restored pools (ascending by id), the
+    /// deposit book and the epoch's counters.
+    ///
+    /// # Panics
+    /// Panics on an empty or not strictly ascending pool list.
+    pub(crate) fn from_restored(
+        pools: Vec<PoolSlot>,
+        deposits: Deposits,
+        stats: ProcessorStats,
+    ) -> EpochProcessor {
+        assert!(!pools.is_empty(), "a processor needs at least one pool");
+        assert!(
+            pools.windows(2).all(|w| w[0].id < w[1].id),
+            "duplicate pool ids in processor"
+        );
+        EpochProcessor {
+            pools,
+            deposits,
+            stats,
+            netting: NettingLedger::new(),
+        }
+    }
+
+    /// The pool ids, ascending.
+    pub fn pool_ids(&self) -> Vec<PoolId> {
+        self.pools.iter().map(|p| p.id).collect()
+    }
+
+    /// The engine kind of each pool, ascending by pool id.
+    pub fn engine_kinds(&self) -> Vec<(PoolId, EngineKind)> {
+        self.pools.iter().map(|p| (p.id, p.engine.kind())).collect()
+    }
+
+    /// Read access to `pool`'s engine.
+    pub fn pool(&self, pool: PoolId) -> Option<&Engine> {
+        self.index_of(pool).map(|i| &self.pools[i].engine)
+    }
+
+    /// The pools, ascending by id.
+    pub(crate) fn pool_slots(&self) -> &[PoolSlot] {
+        &self.pools
+    }
+
+    fn index_of(&self, pool: PoolId) -> Option<usize> {
+        self.pools.binary_search_by_key(&pool, |p| p.id).ok()
+    }
+
+    /// Read access to the deposit book.
+    pub fn deposits(&self) -> &Deposits {
+        &self.deposits
+    }
+
+    /// Current epoch statistics.
+    pub fn stats(&self) -> ProcessorStats {
+        self.stats
+    }
+
+    /// The epoch's netting ledger: every routed flow folded since the
+    /// epoch began, with netted-vs-naive settlement accounting.
+    pub fn epoch_netting(&self) -> &NettingLedger {
+        &self.netting
+    }
+
+    /// The pools mutated since this was last called, ascending; clears
+    /// their dirty flags. Feeds the checkpointer's dirty-pool tracking
+    /// so clean pools are not re-encoded.
+    pub(crate) fn take_dirty_pools(&mut self) -> Vec<PoolId> {
+        self.pools
+            .iter_mut()
+            .filter_map(|p| std::mem::take(&mut p.dirty).then_some(p.id))
+            .collect()
+    }
+
+    /// Publishes the sealed state of every pool as an immutable,
+    /// `Arc`-shared [`QuoteView`] tagged with `epoch`. Call at epoch seal
+    /// — after the epoch's last batch has committed and before the next
+    /// epoch begins — so readers on other threads serve quotes from it
+    /// while the next epoch executes.
+    ///
+    /// Publication is proportional to the write set: only pools mutated
+    /// since the previous publication are re-cloned; every other pool
+    /// reuses its cached `Arc`. The returned [`ViewPublishStats`] reports
+    /// that split.
+    pub fn publish_view(&mut self, epoch: u64) -> (Arc<QuoteView>, ViewPublishStats) {
+        let mut stats = ViewPublishStats::default();
+        let mut entries = Vec::with_capacity(self.pools.len());
+        for pool in &mut self.pools {
+            let view = match &pool.view {
+                Some(cached) => {
+                    stats.reused += 1;
+                    Arc::clone(cached)
+                }
+                None => {
+                    stats.recloned += 1;
+                    Arc::clone(pool.view.insert(Arc::new(pool.engine.clone())))
+                }
+            };
+            entries.push((pool.id, view));
+        }
+        (Arc::new(QuoteView::new(epoch, entries)), stats)
+    }
+
+    /// Seeds standing liquidity on `pool` outside the deposit flow (the
+    /// pool's genesis liquidity, analogous to the paper deploying a funded
+    /// pool before the experiment).
+    ///
+    /// # Panics
+    /// Panics on an unknown pool or an invalid seed mint — a
+    /// configuration error.
+    pub fn seed_liquidity(
+        &mut self,
+        pool: PoolId,
+        owner: Address,
+        tick_lower: i32,
+        tick_upper: i32,
+        amount0: Amount,
+        amount1: Amount,
+    ) -> PositionId {
+        let index = self
+            .index_of(pool)
+            .unwrap_or_else(|| panic!("seeding liquidity on unknown {pool}"));
+        let slot = &mut self.pools[index];
+        let id = PositionId::derive(&[
+            b"genesis-liquidity",
+            owner.as_bytes(),
+            &tick_lower.to_be_bytes(),
+            &tick_upper.to_be_bytes(),
+        ]);
+        slot.engine
+            .mint(id, owner, tick_lower, tick_upper, amount0, amount1)
+            .expect("genesis liquidity mint must be valid");
+        slot.mutated();
+        id
+    }
+
+    /// `SnapshotBank`: installs the deposit snapshot retrieved from
+    /// TokenBank at the start of an epoch and resets per-epoch state. The
+    /// snapshot is the baseline the epoch's payout list is measured
+    /// against.
+    pub fn snapshot_bank(&mut self, bucket: impl IntoIterator<Item = (Address, (u128, u128))>) {
+        self.deposits = Deposits::from_snapshot(bucket);
+        self.reset_epoch_tracking();
+    }
+
+    /// [`EpochProcessor::snapshot_bank`] under its former two-argument
+    /// form; `_route` is ignored. Kept only for nodebench's replica;
+    /// ROADMAP item 1(b0) deletes it.
+    pub fn begin_epoch(
+        &mut self,
+        bucket: impl IntoIterator<Item = (Address, (u128, u128))>,
+        _route: impl Fn(&Address) -> Option<PoolId>,
+    ) {
+        self.snapshot_bank(bucket);
+    }
+
+    /// Begins an epoch **without** re-snapshotting TokenBank: used when
+    /// the previous epoch's sync never reached the mainchain (invalid
+    /// sync inputs or a rollback) — the sidechain's own deposit tracking
+    /// carries forward and the new committee will mass-sync (paper
+    /// §IV-C). The carried balances are the new epoch's payout baseline,
+    /// so each epoch's list stands on its own and a replay from any
+    /// checkpoint reproduces it.
+    pub fn carry_over_epoch(&mut self) {
+        self.deposits.open_epoch();
+        self.reset_epoch_tracking();
+    }
+
+    fn reset_epoch_tracking(&mut self) {
+        for pool in &mut self.pools {
+            pool.reset_epoch_tracking();
+        }
+        self.stats = ProcessorStats::default();
+        self.netting = NettingLedger::new();
+    }
+
+    /// Executes one transaction as a batch of one, so a single-transaction
+    /// caller sees exactly the batch semantics.
+    pub fn execute(&mut self, tx: &AmmTx, wire_size: usize, round: u64) -> ExecutedTx {
+        self.execute_batch(&[(tx, wire_size)], round, ExecMode)
+            .pop()
+            .expect("one transaction in, one effect out")
+    }
+
+    /// Executes a round's batch at sidechain round `round` (for deadline
+    /// checks) on the calling thread: the two-phase schedule of the
+    /// module docs (admission → plain transactions → hop waves → netting
+    /// barrier). The returned effects are in the batch's order. `_mode`
+    /// selects nothing (see [`ExecMode`]).
+    pub fn execute_batch(
+        &mut self,
+        batch: &[(&AmmTx, usize)],
+        round: u64,
+        _mode: ExecMode,
+    ) -> Vec<ExecutedTx> {
+        let mut effects: Vec<Option<TxEffect>> = batch.iter().map(|_| None).collect();
+
+        // --- admission: reserve every route's input ---
+        let mut routes: Vec<RouteRun<'_>> = Vec::new();
+        for (i, (tx, _)) in batch.iter().enumerate() {
+            if let AmmTx::Route(r) = tx {
+                match self.admit_route(r, round) {
+                    Ok(()) => routes.push(RouteRun {
+                        batch_index: i,
+                        tx: r,
+                        legs: Vec::new(),
+                        next_amount: r.amount_in,
+                        failure: None,
+                    }),
+                    Err(reason) => {
+                        self.stats.rejected += 1;
+                        effects[i] = Some(reject(reason));
+                    }
+                }
+            }
+        }
+
+        // --- phase 1a: plain transactions, in batch order ---
+        for (i, (tx, _)) in batch.iter().enumerate() {
+            if matches!(tx, AmmTx::Route(_)) {
+                continue;
+            }
+            let Some(index) = self.index_of(tx.pool()) else {
+                effects[i] = Some(reject(format!("unknown pool {}", tx.pool())));
+                continue;
+            };
+            let effect = self.pools[index].execute(&mut self.deposits, tx, round);
+            match effect {
+                TxEffect::Rejected { .. } => self.stats.rejected += 1,
+                _ => self.stats.accepted += 1,
+            }
+            effects[i] = Some(effect);
+        }
+
+        // --- phase 1b: hop waves ---
+        self.run_route_waves(&mut routes);
+
+        // --- phase 2: the netting barrier ---
+        for run in routes {
+            let index = run.batch_index;
+            effects[index] = Some(self.settle_route(run));
+        }
+
+        batch
+            .iter()
+            .zip(effects)
+            .map(|((tx, wire_size), effect)| ExecutedTx {
+                tx: (*tx).clone(),
+                wire_size: *wire_size,
+                effect: effect.expect("every transaction executed"),
+            })
+            .collect()
+    }
+
+    /// Admits one route: deadline, shape, pool membership, then the
+    /// deterministic coverage point — reserving the worst-case input on
+    /// the user's deposit. Returns the rejection reason otherwise.
+    fn admit_route(&mut self, r: &RouteTx, round: u64) -> Result<(), String> {
+        if round > r.deadline_round {
+            return Err("deadline exceeded".into());
+        }
+        if let Err(e) = r.validate() {
+            return Err(format!("invalid route: {e}"));
+        }
+        if let Some(hop) = r.hops.iter().find(|h| self.index_of(h.pool).is_none()) {
+            return Err(format!("unknown pool {}", hop.pool));
+        }
+        let (need0, need1) = route_input(r);
+        self.deposits
+            .debit(r.user, need0, need1)
+            .map_err(|_| "insufficient deposit for route input".to_string())
+    }
+
+    /// Phase 1b: executes every admitted route's hops in waves. Wave `k`
+    /// carries hop `k` of each live route, in batch order; the inter-wave
+    /// barrier hands each route's output forward as its next hop's input.
+    fn run_route_waves(&mut self, routes: &mut [RouteRun<'_>]) {
+        let max_hops = routes.iter().map(|r| r.tx.hops.len()).max().unwrap_or(0);
+        for wave in 0..max_hops {
+            for run in routes.iter_mut() {
+                if run.failure.is_some() || wave >= run.tx.hops.len() {
+                    continue;
+                }
+                let hop = run.tx.hops[wave];
+                let index = self.index_of(hop.pool).expect("pools checked at admission");
+                let final_min_out =
+                    (wave + 1 == run.tx.hops.len()).then_some(run.tx.min_amount_out);
+                match self.pools[index].route_leg(hop.zero_for_one, run.next_amount, final_min_out)
+                {
+                    Ok((amount_in, amount_out)) => {
+                        run.legs.push(RouteLeg {
+                            pool: hop.pool,
+                            zero_for_one: hop.zero_for_one,
+                            amount_in,
+                            amount_out,
+                        });
+                        run.next_amount = amount_out;
+                    }
+                    Err(e) => run.failure = Some(e.to_string()),
+                }
+            }
+        }
+    }
+
+    /// Phase 2 for one route: folds its flows into the netting ledger,
+    /// applies the single net credit — the last leg's output plus any
+    /// unconsumed input at *every* hop boundary (an exact-input swap can
+    /// consume less than its budget when the pool's liquidity runs out,
+    /// so each boundary's leftover intermediate tokens stay the user's)
+    /// — to the user's deposit, and returns the recorded effect. The
+    /// deposit write equals the ledger's net delta for the route exactly.
+    /// A route whose *first* hop already failed refunds its full
+    /// reservation and is recorded as rejected — pools and deposits end
+    /// untouched.
+    fn settle_route(&mut self, run: RouteRun<'_>) -> TxEffect {
+        let user = run.tx.user;
+        let (Some(first), Some(last)) = (run.legs.first(), run.legs.last()) else {
+            let (reserved0, reserved1) = route_input(run.tx);
+            self.credit(user, reserved0, reserved1);
+            self.stats.rejected += 1;
+            return reject(format!(
+                "route failed: {}",
+                run.failure.as_deref().unwrap_or("no hop executed")
+            ));
         };
-        (payouts, positions, pool_update)
+
+        self.netting.record_route();
+        for leg in &run.legs {
+            self.netting
+                .record_leg(user, leg.zero_for_one, leg.amount_in, leg.amount_out);
+        }
+        // unconsumed input stays the user's at every boundary: the
+        // reservation minus what hop 0 took, and each intermediate
+        // leftover where hop k absorbed less than hop k-1 produced
+        let (mut credit0, mut credit1) = (0u128, 0u128);
+        let mut leftover = |amount: u128, on_token1: bool| {
+            if on_token1 {
+                credit1 += amount;
+            } else {
+                credit0 += amount;
+            }
+        };
+        leftover(
+            run.tx.amount_in - first.amount_in,
+            !run.tx.input_is_token0(),
+        );
+        for pair in run.legs.windows(2) {
+            leftover(pair[0].amount_out - pair[1].amount_in, pair[0].zero_for_one);
+        }
+        leftover(last.amount_out, last.zero_for_one);
+        let (amount_in, amount_out) = (first.amount_in, last.amount_out);
+        self.credit(user, credit0, credit1);
+        self.stats.accepted += 1;
+        let completed = run.failure.is_none()
+            && run.legs.len() == run.tx.hops.len()
+            && run
+                .legs
+                .windows(2)
+                .all(|pair| pair[0].amount_out == pair[1].amount_in);
+        TxEffect::Route {
+            amount_in,
+            amount_out,
+            completed,
+            legs: run.legs,
+        }
+    }
+
+    fn credit(&mut self, user: Address, amount0: u128, amount1: u128) {
+        self.deposits
+            .credit(user, amount0, amount1)
+            .expect("credit within u128 token supplies");
+    }
+
+    /// Ends the epoch, producing the summary material (Fig. 4): the
+    /// payout list (closing deposits of the users whose balance moved,
+    /// sorted by user), the touched/deleted position entries in pool
+    /// order, and one [`PoolUpdate`] per pool ascending by pool id.
+    pub fn end_epoch(&mut self) -> (Vec<PayoutEntry>, Vec<PositionEntry>, Vec<PoolUpdate>) {
+        let mut positions = Vec::new();
+        let pools = self
+            .pools
+            .iter()
+            .map(|pool| pool.end_epoch(&mut positions))
+            .collect();
+        (self.deposits.to_payouts(), positions, pools)
+    }
+
+    /// Exports the processor's persistent state.
+    pub fn export_state(&self) -> ProcessorState {
+        ProcessorState {
+            pools: self.pools.iter().map(PoolSlot::export_state).collect(),
+            deposits: self.deposits.to_sorted_entries(),
+            stats: self.stats,
+        }
     }
 }
 
@@ -633,33 +938,33 @@ impl EpochProcessor {
 mod tests {
     use super::*;
     use ammboost_amm::pool::TickSearch;
+    use ammboost_amm::tx::RouteHop;
 
     fn user(i: u64) -> Address {
         Address::from_index(i)
     }
 
+    // ---- one pool -----------------------------------------------------------
+
     fn processor_with_liquidity() -> EpochProcessor {
-        let mut p = EpochProcessor::new(PoolId(0));
-        p.seed_liquidity(user(999), -6000, 6000, 10u128.pow(12), 10u128.pow(12));
+        let mut p = EpochProcessor::new([PoolId(0)]);
+        p.seed_liquidity(
+            PoolId(0),
+            user(999),
+            -6000,
+            6000,
+            10u128.pow(12),
+            10u128.pow(12),
+        );
         p
     }
 
-    fn snapshot(entries: &[(Address, (u128, u128))]) -> HashMap<Address, (u128, u128)> {
-        entries.iter().copied().collect()
+    fn engine(p: &EpochProcessor) -> &Engine {
+        p.pool(PoolId(0)).expect("pool 0")
     }
 
     fn swap_tx(u: Address, amount: u128, zero_for_one: bool) -> AmmTx {
-        AmmTx::Swap(SwapTx {
-            user: u,
-            pool: PoolId(0),
-            zero_for_one,
-            intent: SwapIntent::ExactInput {
-                amount_in: amount,
-                min_amount_out: 0,
-            },
-            sqrt_price_limit: None,
-            deadline_round: 1000,
-        })
+        swap(u, 0, amount, zero_for_one)
     }
 
     fn mint_tx(u: Address, nonce: u64) -> MintTx {
@@ -678,7 +983,7 @@ mod tests {
     #[test]
     fn swap_debits_and_credits_deposit() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (1_000_000, 0))]));
+        p.snapshot_bank([(user(1), (1_000_000, 0))]);
         let out = p.execute(&swap_tx(user(1), 500_000, true), 1008, 0);
         assert!(out.accepted());
         let (d0, d1) = p.deposits().get(&user(1));
@@ -694,14 +999,15 @@ mod tests {
         // effects, deposits and pool state.
         let run = |search: TickSearch| {
             let mut p = processor_with_liquidity();
-            p.pool
+            p.pools[0]
+                .engine
                 .as_cl_mut()
                 .expect("the test pool is concentrated-liquidity")
                 .set_tick_search(search);
-            p.begin_epoch(snapshot(&[
+            p.snapshot_bank([
                 (user(1), (2_000_000, 2_000_000)),
                 (user(2), (500_000, 500_000)),
-            ]));
+            ]);
             let effects = vec![
                 p.execute(&swap_tx(user(1), 900_000, true), 1008, 0),
                 p.execute(&AmmTx::Mint(mint_tx(user(2), 1)), 1008, 0),
@@ -723,7 +1029,7 @@ mod tests {
     #[test]
     fn swap_without_deposit_rejected() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (100, 0))]));
+        p.snapshot_bank([(user(1), (100, 0))]);
         let out = p.execute(&swap_tx(user(1), 500_000, true), 1008, 0);
         assert!(!out.accepted());
         assert_eq!(p.deposits().get(&user(1)), (100, 0));
@@ -733,7 +1039,7 @@ mod tests {
     #[test]
     fn expired_deadline_rejected() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (1_000_000, 0))]));
+        p.snapshot_bank([(user(1), (1_000_000, 0))]);
         let mut tx = swap_tx(user(1), 1000, true);
         if let AmmTx::Swap(s) = &mut tx {
             s.deadline_round = 5;
@@ -746,7 +1052,7 @@ mod tests {
     fn accrued_tokens_immediately_tradable() {
         // paper §IV-B: swap output is usable for further trades in-epoch
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (1_000_000, 0))]));
+        p.snapshot_bank([(user(1), (1_000_000, 0))]);
         let first = p.execute(&swap_tx(user(1), 1_000_000, true), 1008, 0);
         let got = match first.effect {
             TxEffect::Swap { amount_out, .. } => amount_out,
@@ -760,7 +1066,7 @@ mod tests {
     #[test]
     fn mint_then_burn_roundtrips_deposit() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(2), (200_000, 200_000))]));
+        p.snapshot_bank([(user(2), (200_000, 200_000))]);
         let mint = mint_tx(user(2), 1);
         let out = p.execute(&AmmTx::Mint(mint.clone()), 814, 0);
         let (position, spent0, spent1) = match out.effect {
@@ -800,10 +1106,7 @@ mod tests {
     #[test]
     fn burn_of_foreign_position_rejected() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[
-            (user(2), (200_000, 200_000)),
-            (user(3), (200_000, 200_000)),
-        ]));
+        p.snapshot_bank([(user(2), (200_000, 200_000)), (user(3), (200_000, 200_000))]);
         let mint = mint_tx(user(2), 1);
         let out = p.execute(&AmmTx::Mint(mint), 814, 0);
         let position = match out.effect {
@@ -822,10 +1125,10 @@ mod tests {
     #[test]
     fn collect_pulls_fees_into_deposit() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[
+        p.snapshot_bank([
             (user(2), (10_000_000, 10_000_000)),
             (user(4), (80_000_000, 80_000_000)),
-        ]));
+        ]);
         let mint = MintTx {
             amount0_desired: 10_000_000,
             amount1_desired: 10_000_000,
@@ -863,9 +1166,9 @@ mod tests {
     #[test]
     fn end_epoch_summary_matches_fig4() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (1_000_000, 500_000))]));
+        p.snapshot_bank([(user(1), (1_000_000, 500_000))]);
         p.execute(&swap_tx(user(1), 400_000, true), 1008, 0);
-        let (payouts, positions, pool_update) = p.end_epoch();
+        let (payouts, positions, pool_updates) = p.end_epoch();
         // sumPayouts = ΔDeposits: user 1's final balance
         let entry = payouts.iter().find(|e| e.user == user(1)).unwrap();
         assert_eq!(entry.amount0, 600_000);
@@ -874,15 +1177,15 @@ mod tests {
         // position entries
         assert!(positions.is_empty());
         // pool reserves reported from engine balances
-        let b = p.pool().balances();
-        assert_eq!(pool_update.reserve0, b.amount0);
-        assert_eq!(pool_update.reserve1, b.amount1);
+        let b = engine(&p).balances();
+        assert_eq!(pool_updates[0].reserve0, b.amount0);
+        assert_eq!(pool_updates[0].reserve1, b.amount1);
     }
 
     #[test]
     fn deleted_positions_reported_only_when_known_to_bank() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(2), (400_000, 400_000))]));
+        p.snapshot_bank([(user(2), (400_000, 400_000))]);
         // created AND deleted within the same epoch: TokenBank never saw
         // it, so the summary must not report a deletion
         let out = p.execute(&AmmTx::Mint(mint_tx(user(2), 1)), 814, 0);
@@ -912,7 +1215,7 @@ mod tests {
 
         // next epoch: the survivor is now bank state; deleting it must be
         // reported
-        p.begin_epoch(snapshot(&[(user(2), (400_000, 400_000))]));
+        p.snapshot_bank([(user(2), (400_000, 400_000))]);
         p.execute(
             &AmmTx::Burn(BurnTx {
                 user: user(2),
@@ -931,8 +1234,8 @@ mod tests {
     #[test]
     fn rejections_never_mutate_state() {
         let mut p = processor_with_liquidity();
-        p.begin_epoch(snapshot(&[(user(1), (100, 100))]));
-        let pool_before = p.pool().balances();
+        p.snapshot_bank([(user(1), (100, 100))]);
+        let pool_before = engine(&p).balances();
         let deposits_before = p.deposits().clone();
         // all of these must be rejected
         p.execute(&swap_tx(user(1), 10_000, true), 1008, 0);
@@ -948,7 +1251,332 @@ mod tests {
             0,
         );
         assert_eq!(p.stats().rejected, 3);
-        assert_eq!(p.pool().balances(), pool_before);
+        assert_eq!(engine(&p).balances(), pool_before);
         assert_eq!(p.deposits(), &deposits_before);
+    }
+
+    // ---- many pools ---------------------------------------------------------
+
+    fn processor(pools: u32) -> EpochProcessor {
+        let mut p = EpochProcessor::new((0..pools).map(PoolId));
+        for pool in 0..pools {
+            p.seed_liquidity(
+                PoolId(pool),
+                user(900 + pool as u64),
+                -60_000,
+                60_000,
+                10u128.pow(13),
+                10u128.pow(13),
+            );
+        }
+        p
+    }
+
+    fn swap(u: Address, pool: u32, amount: u128, dir: bool) -> AmmTx {
+        AmmTx::Swap(SwapTx {
+            user: u,
+            pool: PoolId(pool),
+            zero_for_one: dir,
+            intent: SwapIntent::ExactInput {
+                amount_in: amount,
+                min_amount_out: 0,
+            },
+            sqrt_price_limit: None,
+            deadline_round: 1_000_000,
+        })
+    }
+
+    /// Deposits for users 0..n.
+    fn begin(p: &mut EpochProcessor, users: u64) {
+        p.snapshot_bank((0..users).map(|i| (user(i), (1_000_000_000u128, 1_000_000_000u128))));
+    }
+
+    /// `n` swaps, user `i % users` on pool `user % pools`.
+    fn batch_for(users: u64, pools: u32, n: usize) -> Vec<AmmTx> {
+        (0..n as u64)
+            .map(|i| {
+                let u = i % users;
+                swap(
+                    user(u),
+                    (u % pools as u64) as u32,
+                    10_000 + i as u128,
+                    i % 2 == 0,
+                )
+            })
+            .collect()
+    }
+
+    fn balances(p: &EpochProcessor, pool: u32) -> (u128, u128) {
+        let b = p.pool(PoolId(pool)).unwrap().balances();
+        (b.amount0, b.amount1)
+    }
+
+    #[test]
+    fn routes_by_pool_id() {
+        let mut p = processor(4);
+        begin(&mut p, 8);
+        let before: Vec<_> = (0..4).map(|pool| balances(&p, pool)).collect();
+        let out = p.execute(&swap(user(2), 2, 50_000, true), 1008, 0);
+        assert!(out.accepted());
+        assert_eq!(p.stats().accepted, 1);
+        for pool in 0..4u32 {
+            let moved = balances(&p, pool) != before[pool as usize];
+            assert_eq!(moved, pool == 2, "pool {pool}");
+        }
+    }
+
+    #[test]
+    fn unknown_pool_rejected_without_state_change() {
+        let mut p = processor(2);
+        begin(&mut p, 4);
+        let before = p.export_state();
+        let out = p.execute(&swap(user(1), 9, 50_000, true), 1008, 0);
+        assert!(!out.accepted());
+        assert_eq!(p.export_state(), before, "no pool or deposit touched");
+    }
+
+    #[test]
+    fn batch_preserves_submission_order_per_pool() {
+        let mut p = processor(2);
+        begin(&mut p, 4);
+        let txs = batch_for(4, 2, 10);
+        let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1008)).collect();
+        let out = p.execute_batch(&batch, 0, ExecMode);
+        assert_eq!(out.len(), txs.len());
+        for (i, executed) in out.iter().enumerate() {
+            assert_eq!(&executed.tx, &txs[i], "order scrambled at {i}");
+        }
+    }
+
+    #[test]
+    fn end_epoch_merges_sorted_payouts_and_pool_updates() {
+        let mut p = processor(3);
+        begin(&mut p, 9);
+        for tx in batch_for(9, 3, 30) {
+            assert!(p.execute(&tx, 1008, 0).accepted());
+        }
+        let (payouts, _, pools) = p.end_epoch();
+        assert_eq!(payouts.len(), 9, "one payout per depositor");
+        assert!(payouts.windows(2).all(|w| w[0].user < w[1].user));
+        assert_eq!(pools.len(), 3, "one update per pool");
+        assert!(pools.windows(2).all(|w| w[0].pool < w[1].pool));
+    }
+
+    #[test]
+    fn one_book_holds_every_deposit() {
+        let mut p = processor(2);
+        begin(&mut p, 6);
+        assert_eq!(p.deposits().len(), 6);
+        for i in 0..6 {
+            assert_eq!(p.deposits().get(&user(i)), (1_000_000_000, 1_000_000_000));
+        }
+        assert_eq!(p.export_state().deposits, p.deposits().to_sorted_entries());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate pool ids")]
+    fn duplicate_pools_rejected() {
+        EpochProcessor::new([PoolId(1), PoolId(1)]);
+    }
+
+    // ---- cross-pool routing -------------------------------------------------
+
+    fn route(u: Address, path: &[u32], first_dir: bool, amount: u128) -> AmmTx {
+        let mut dir = first_dir;
+        AmmTx::Route(RouteTx {
+            user: u,
+            hops: path
+                .iter()
+                .map(|&p| {
+                    let hop = RouteHop {
+                        pool: PoolId(p),
+                        zero_for_one: dir,
+                    };
+                    dir = !dir;
+                    hop
+                })
+                .collect(),
+            amount_in: amount,
+            min_amount_out: 0,
+            deadline_round: 1_000_000,
+        })
+    }
+
+    #[test]
+    fn route_executes_hops_across_shards_and_nets_deposits() {
+        let mut p = processor(3);
+        begin(&mut p, 6);
+        let tx = route(user(0), &[0, 1, 2], true, 100_000);
+        let out = p.execute(&tx, 1072, 0);
+        let TxEffect::Route {
+            legs,
+            amount_in,
+            amount_out,
+            completed,
+        } = &out.effect
+        else {
+            panic!("expected a route effect, got {:?}", out.effect);
+        };
+        assert!(completed);
+        assert_eq!(legs.len(), 3);
+        assert_eq!(*amount_in, 100_000);
+        // legs chain: hop k's output is hop k+1's input
+        assert_eq!(legs[0].amount_out, legs[1].amount_in);
+        assert_eq!(legs[1].amount_out, legs[2].amount_in);
+        assert_eq!(legs[2].amount_out, *amount_out);
+        // all three pools were touched
+        for pool in 0..3u32 {
+            assert_ne!(
+                balances(&p, pool),
+                (10u128.pow(13), 10u128.pow(13)),
+                "pool {pool} untouched"
+            );
+        }
+        // the deposit is netted: -in on token0, +out on token1 (3 hops:
+        // 0→1, 1→0, 0→1)
+        let (d0, d1) = p.deposits().get(&user(0));
+        assert_eq!(d0, 1_000_000_000 - 100_000);
+        assert_eq!(d1, 1_000_000_000 + amount_out);
+        assert_eq!(p.stats().accepted, 1);
+        // the netting ledger folded 6 flows into 1 net entry
+        assert_eq!(p.epoch_netting().route_count(), 1);
+        assert_eq!(p.epoch_netting().flow_count(), 6);
+        assert_eq!(p.epoch_netting().net_entry_count(), 1);
+        assert!(
+            p.epoch_netting().netted_settlement_bytes()
+                < p.epoch_netting().naive_settlement_bytes()
+        );
+    }
+
+    #[test]
+    fn route_rejections_are_typed_and_stateless() {
+        let mut p = processor(3);
+        begin(&mut p, 6);
+        let before = p.export_state();
+
+        // duplicate pool → the typed DuplicatePool shape error
+        let dup = route(user(0), &[0, 1, 0], true, 10_000);
+        let out = p.execute(&dup, 1072, 0);
+        let TxEffect::Rejected { reason } = &out.effect else {
+            panic!("duplicate-pool route must be rejected");
+        };
+        assert!(reason.contains("visits pool:0 twice"), "reason: {reason}");
+
+        // broken direction chain
+        let broken = AmmTx::Route(RouteTx {
+            user: user(0),
+            hops: vec![
+                RouteHop {
+                    pool: PoolId(0),
+                    zero_for_one: true,
+                },
+                RouteHop {
+                    pool: PoolId(1),
+                    zero_for_one: true,
+                },
+            ],
+            amount_in: 10_000,
+            min_amount_out: 0,
+            deadline_round: 1_000_000,
+        });
+        let out = p.execute(&broken, 1072, 0);
+        assert!(!out.accepted());
+
+        // unknown pool
+        let stray = route(user(0), &[0, 9], true, 10_000);
+        let out = p.execute(&stray, 1072, 0);
+        let TxEffect::Rejected { reason } = &out.effect else {
+            panic!()
+        };
+        assert!(reason.contains("unknown pool"), "reason: {reason}");
+
+        // insufficient deposit
+        let broke = route(user(0), &[0, 1], true, u128::MAX >> 8);
+        let out = p.execute(&broke, 1072, 0);
+        let TxEffect::Rejected { reason } = &out.effect else {
+            panic!()
+        };
+        assert!(reason.contains("insufficient deposit"), "reason: {reason}");
+
+        // none of the rejections touched pool or deposit state; only the
+        // rejection counter moved
+        let after = p.export_state();
+        assert_eq!(before.pools, after.pools, "pool state mutated");
+        assert_eq!(before.deposits, after.deposits, "deposits mutated");
+        assert_eq!(after.stats.rejected, 4);
+        assert_eq!(p.epoch_netting().route_count(), 0);
+    }
+
+    /// Global deposit ↔ pool conservation: `user`'s deposit moved by
+    /// exactly what the pools moved the other way.
+    fn assert_conserved(
+        p: &EpochProcessor,
+        user: Address,
+        deposit: u128,
+        pools_before: &[(u128, u128)],
+    ) {
+        let (d0, d1) = p.deposits().get(&user);
+        let (mut pool_delta0, mut pool_delta1) = (0i128, 0i128);
+        for (pool, before) in pools_before.iter().enumerate() {
+            let after = balances(p, pool as u32);
+            pool_delta0 += after.0 as i128 - before.0 as i128;
+            pool_delta1 += after.1 as i128 - before.1 as i128;
+        }
+        assert_eq!(
+            d0 as i128 - deposit as i128,
+            -pool_delta0,
+            "token0 stranded"
+        );
+        assert_eq!(
+            d1 as i128 - deposit as i128,
+            -pool_delta1,
+            "token1 stranded"
+        );
+    }
+
+    #[test]
+    fn partial_mid_route_fill_strands_no_tokens() {
+        // pool 1's liquidity is microscopic: hop 0's output overwhelms
+        // it, so hop 1 consumes only part of its input. The unconsumed
+        // intermediate tokens must come back to the user — global
+        // deposit ↔ pool conservation holds and the deposit write
+        // equals the netting ledger's net delta exactly.
+        let mut p = EpochProcessor::new([PoolId(0), PoolId(1)]);
+        p.seed_liquidity(
+            PoolId(0),
+            user(900),
+            -60_000,
+            60_000,
+            10u128.pow(13),
+            10u128.pow(13),
+        );
+        p.seed_liquidity(PoolId(1), user(901), -600, 600, 2_000, 2_000);
+        let deposit = 1_000_000_000u128;
+        p.snapshot_bank([(user(0), (deposit, deposit))]);
+        let pools_before = [balances(&p, 0), balances(&p, 1)];
+
+        let tx = route(user(0), &[0, 1], true, 50_000_000);
+        let out = p.execute(&tx, 1040, 0);
+        let TxEffect::Route {
+            legs, completed, ..
+        } = &out.effect
+        else {
+            panic!("expected route, got {:?}", out.effect);
+        };
+        assert_eq!(legs.len(), 2);
+        assert!(
+            legs[1].amount_in < legs[0].amount_out,
+            "test needs a partial mid-route fill: {legs:?}"
+        );
+        assert!(!completed, "partial fill must not report completed");
+        assert_conserved(&p, user(0), deposit, &pools_before);
+
+        // the deposit write equals the ledger's net delta
+        let (d0, d1) = p.deposits().get(&user(0));
+        let nets = p.epoch_netting().net_entries();
+        assert_eq!(nets.len(), 1);
+        let (_, (n0, n1)) = nets[0];
+        assert_eq!(d0 as i128, deposit as i128 + n0);
+        assert_eq!(d1 as i128, deposit as i128 + n1);
     }
 }

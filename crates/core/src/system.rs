@@ -18,7 +18,7 @@
 
 use crate::config::{DepositPolicy, SystemConfig};
 use crate::node::{EpochOutput, Node, RoundOutput};
-use crate::shard::ShardMap;
+use crate::processor::EpochProcessor;
 use crate::view::QuoteView;
 use ammboost_amm::tx::AmmTx;
 use ammboost_amm::types::PoolId;
@@ -239,9 +239,9 @@ impl System {
         token0.mint(bank.address, seed_liquidity * 2 * cfg.pools as u128);
         token1.mint(bank.address, seed_liquidity * 2 * cfg.pools as u128);
 
-        let mut shards = ShardMap::new_with_engines(generator.fleet());
+        let mut processor = EpochProcessor::new_with_engines(generator.fleet());
         for pool in &pool_ids {
-            shards.seed_liquidity(
+            processor.seed_liquidity(
                 *pool,
                 Address::from_pubkey_bytes(b"genesis-lp"),
                 -120_000,
@@ -268,7 +268,7 @@ impl System {
         // pools before epoch 1 executes
         let genesis_ref = H256::hash(b"mainchain-block-containing-token-bank");
         System {
-            node: Node::new(shards, Ledger::new(genesis_ref)),
+            node: Node::new(processor, Ledger::new(genesis_ref)),
             chain: Mainchain::new(cfg.mainchain),
             bank,
             token0,
@@ -325,10 +325,10 @@ impl System {
         &self.chain
     }
 
-    /// Read access to the execution shards (one processor per pool; for
-    /// single-pool configurations, `shards().first()` is the processor).
-    pub fn shards(&self) -> &ShardMap {
-        self.node.shards()
+    /// Read access to the transaction processor (every pool and the
+    /// deposit book).
+    pub fn processor(&self) -> &EpochProcessor {
+        self.node.processor()
     }
 
     /// Read access to the traffic generator.
@@ -517,7 +517,7 @@ impl System {
             }
 
             // read traffic rides along: quotes are answered from the last
-            // sealed epoch's view, never from the live shards this round
+            // sealed epoch's view, never from the live pools this round
             // is mutating (requests depend on generator state, so they
             // are generated here, in order)
             let requests = self.generator.next_quotes();
@@ -541,9 +541,7 @@ impl System {
     /// epoch's sync is missing and a mass-sync is owed (paper §IV-C).
     fn begin_node_epoch(&mut self, epoch: u64) {
         let bucket = (self.synced_through >= epoch - 1).then(|| self.bank.snapshot_deposits(epoch));
-        let generator = &self.generator;
-        self.node
-            .begin_epoch(bucket, |user| generator.pool_for(user));
+        self.node.begin_epoch(bucket);
     }
 
     /// Pops queued transactions under the meta-block byte budget (and,
@@ -688,7 +686,7 @@ impl System {
             }
             debug_assert!(
                 Deposits::from_snapshot(self.bank.snapshot_deposits(through_epoch + 1))
-                    == self.shards().merged_deposits(),
+                    == *self.processor().deposits(),
                 "the bank's next bucket must mirror the sidechain ledger for every user"
             );
             #[cfg(test)]
@@ -748,7 +746,7 @@ impl System {
             amount0,
             amount1,
         };
-        let deposits = self.shards().merged_deposits().to_sorted_entries();
+        let deposits = self.processor().deposits().to_sorted_entries();
         let full = SyncInput {
             payouts: deposits.into_iter().map(entry).collect(),
             ..dirty.clone()
@@ -1122,8 +1120,8 @@ mod tests {
         let snapshot = sys.last_snapshot().expect("checkpoints taken");
         let node = crate::checkpoint::restore_node(snapshot).unwrap();
         assert_eq!(node.root, stats.root);
-        // the restored shards carry the live pool state
-        assert_eq!(node.shards.export_states(), sys.shards().export_states());
+        // the restored processor carries the live pool and deposit state
+        assert_eq!(node.shards.export_state(), sys.processor().export_state());
         // and the restored ledger is the live one as retention leaves it
         assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
     }

@@ -3,24 +3,24 @@
 //! A production AMM node answers orders of magnitude more price-quote /
 //! simulate-swap queries than it executes trades. This module gives the
 //! sidechain that read path without ever letting a reader near the write
-//! path: when an epoch seals, [`crate::shard::ShardMap::publish_view`]
+//! path: when an epoch seals, [`crate::EpochProcessor::publish_view`]
 //! publishes an immutable, [`Arc`]-shared [`QuoteView`] over every pool's
 //! sealed state. Readers — on any number of threads — serve
 //! [`QuoteView::quote_swap`], [`QuoteView::simulate_route`] and
 //! [`QuoteView::value_position`] from it while the node executes the
-//! *next* epoch against the live shards.
+//! *next* epoch against the live pools.
 //!
 //! The lifecycle is seal → publish → invalidate:
 //!
-//! 1. **Seal.** An epoch's last batch commits; the shards now hold the
+//! 1. **Seal.** An epoch's last batch commits; the pools now hold the
 //!    epoch-N state and nothing mutates them until epoch N+1 begins.
-//! 2. **Publish.** `publish_view(N)` snapshots each pool behind an `Arc`.
-//!    Per-shard staleness tracking (a `view_stale` flag set at exactly
-//!    the same points as the checkpointer's dirty-pool flag) means only
-//!    the pools epoch N actually touched are re-cloned; every clean
-//!    pool's `Arc` is reused from the previous view.
-//! 3. **Invalidate.** Epoch N+1's writes set `view_stale` on the shards
-//!    they touch; the next publication re-clones exactly those. Old
+//! 2. **Publish.** `publish_view(N)` snapshots each pool behind an `Arc`
+//!    and caches it beside the pool. Only the pools epoch N actually
+//!    touched are re-cloned; every clean pool's `Arc` is reused from the
+//!    previous view.
+//! 3. **Invalidate.** Epoch N+1's writes drop the cached `Arc` of the
+//!    pools they touch (at exactly the points that mark a pool dirty for
+//!    the checkpointer); the next publication re-clones exactly those. Old
 //!    views stay alive for as long as any reader holds the `Arc` —
 //!    readers are never blocked and never observe a partially-executed
 //!    epoch.
@@ -91,7 +91,7 @@ pub struct RouteQuote {
     pub hops: Vec<SwapResult>,
 }
 
-/// Statistics from one [`crate::shard::ShardMap::publish_view`] call:
+/// Statistics from one [`crate::EpochProcessor::publish_view`] call:
 /// how many per-pool views the epoch's dirty tracking let us reuse.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ViewPublishStats {
@@ -107,7 +107,7 @@ pub struct ViewPublishStats {
 #[derive(Clone, Debug)]
 pub struct QuoteView {
     epoch: u64,
-    /// Per-pool sealed engine state, ascending by pool id (shard order).
+    /// Per-pool sealed engine state, ascending by pool id.
     pools: Vec<Arc<Engine>>,
     /// Strictly ascending, aligned with `pools`: [`QuoteView::pool`]
     /// binary-searches it.
@@ -116,8 +116,8 @@ pub struct QuoteView {
 
 impl QuoteView {
     /// Assembles a view over sealed per-pool states. `entries` must be in
-    /// strictly ascending pool-id order (the shard order); callers
-    /// outside [`crate::shard::ShardMap::publish_view`] are typically
+    /// strictly ascending pool-id order (the processor's order); callers
+    /// outside [`crate::EpochProcessor::publish_view`] are typically
     /// tests.
     ///
     /// # Panics

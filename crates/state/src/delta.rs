@@ -10,9 +10,11 @@
 //! declared leaf and the final assembly against `root`, so a corrupt or
 //! tampered delta can never silently produce wrong state.
 //!
-//! The wire encoding (magic `ABDS`) re-verifies every page's sub-leaf
-//! hash on decode: a single flipped byte in any page is caught before
-//! the delta is even considered for application.
+//! The wire encoding (magic `ABDS`) ends with the Keccak-256 digest of
+//! everything before it and re-verifies every page's sub-leaf hash on
+//! decode: a single flipped byte anywhere — in a page, a hash, an epoch
+//! or a length — is caught before the delta is even considered for
+//! application.
 //!
 //! [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
 
@@ -28,8 +30,10 @@ use std::fmt;
 /// Delta snapshot file magic.
 pub const DELTA_MAGIC: [u8; 4] = *b"ABDS";
 
-/// Delta wire-format version.
-pub const DELTA_VERSION: u16 = 1;
+/// Delta wire-format version. Version 2 ends the wire form with the
+/// Keccak-256 digest of every byte before it, so decode refuses a
+/// corrupted header field or section leaf as well as a corrupted page.
+pub const DELTA_VERSION: u16 = 2;
 
 /// Why a delta failed to decode or apply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +76,9 @@ pub enum DeltaError {
     SectionHashMismatch(SectionKind),
     /// The assembled snapshot does not hash to the declared `root`.
     RootMismatch,
+    /// The wire form's trailing digest is not the Keccak-256 of the bytes
+    /// before it — the delta was corrupted in flight.
+    DigestMismatch,
 }
 
 impl fmt::Display for DeltaError {
@@ -95,6 +102,7 @@ impl fmt::Display for DeltaError {
                 write!(f, "rebuilt section {kind:?} hash mismatch")
             }
             DeltaError::RootMismatch => write!(f, "delta result root mismatch"),
+            DeltaError::DigestMismatch => write!(f, "delta wire digest mismatch"),
         }
     }
 }
@@ -284,12 +292,12 @@ impl DeltaSnapshot {
             })
             .sum();
         // magic + delta version + snapshot version + epochs + roots +
-        // page size + removed count + delta count + payloads
-        4 + 2 + 2 + 8 + 8 + 32 + 32 + 4 + 4 + removed + 4 + deltas
+        // page size + removed count + delta count + payloads + digest
+        4 + 2 + 2 + 8 + 8 + 32 + 32 + 4 + 4 + removed + 4 + deltas + 32
     }
 
     /// Serializes the delta: magic, versions, epochs, roots, page size,
-    /// removed kinds, section deltas.
+    /// removed kinds, section deltas, then the digest of all of those.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(self.encoded_len());
         w.put_bytes(&DELTA_MAGIC);
@@ -314,19 +322,24 @@ impl DeltaSnapshot {
                 w.put_bytes(&page.bytes);
             }
         }
-        w.into_bytes()
+        let mut bytes = w.into_bytes();
+        let digest = H256::hash(&bytes);
+        bytes.extend_from_slice(digest.as_bytes());
+        bytes
     }
 
     /// Deserializes and *verifies* a delta: magic, versions, the format's
-    /// page size, and every page's sub-leaf hash against its bytes — a single
-    /// flipped byte anywhere in a page (or its hash) fails here, before
-    /// the delta can be applied.
+    /// page size, every page's sub-leaf hash against its bytes, and the
+    /// trailing digest against everything before it — a single flipped
+    /// byte anywhere fails here, before the delta can be applied.
     ///
     /// # Errors
     /// [`DeltaError::Codec`] on wire damage,
-    /// [`DeltaError::PageHashMismatch`] on a corrupted page.
+    /// [`DeltaError::PageHashMismatch`] on a corrupted page,
+    /// [`DeltaError::DigestMismatch`] on any other corrupted byte.
     pub fn decode(bytes: &[u8]) -> Result<DeltaSnapshot, DeltaError> {
-        let mut r = ByteReader::new(bytes);
+        let (body, digest) = bytes.split_at(bytes.len().saturating_sub(32));
+        let mut r = ByteReader::new(body);
         let mut magic = [0u8; 4];
         magic.copy_from_slice(r.take(4)?);
         if magic != DELTA_MAGIC {
@@ -383,6 +396,9 @@ impl DeltaSnapshot {
             });
         }
         r.finish()?;
+        if H256::hash(body).as_bytes()[..] != *digest {
+            return Err(DeltaError::DigestMismatch);
+        }
         Ok(DeltaSnapshot {
             base_epoch,
             epoch,
@@ -512,13 +528,36 @@ mod tests {
                 Err(_) => continue, // caught at decode
                 Ok(d) => d,
             };
-            // flips that survive decode (epochs, roots, lengths the
-            // codec cannot check) must die on apply
+            // a flip decode let through (none since the digest) would
+            // still have to die on apply
             assert!(
                 survived.apply(&base).is_err(),
                 "flip at byte {offset} applied cleanly"
             );
         }
+    }
+
+    #[test]
+    fn every_flipped_bit_fails_decode() {
+        // header fields and section leaves are not checkable without the
+        // base: the digest is what makes the wire form refuse them
+        let (base, next) = base_next();
+        let clean = DeltaSnapshot::diff(&base, &next).encode();
+        for bit in 0..clean.len() * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                DeltaSnapshot::decode(&bytes).is_err(),
+                "flip of bit {bit} decoded"
+            );
+        }
+        let header = 4 + 2 + 2 + 8;
+        let mut bytes = clean.clone();
+        bytes[header] ^= 1; // the target epoch
+        assert_eq!(
+            DeltaSnapshot::decode(&bytes),
+            Err(DeltaError::DigestMismatch)
+        );
     }
 
     #[test]

@@ -40,17 +40,22 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ABSS";
 ///
 /// Version 6: pool sections are engine-tagged ([`EngineState`] with a
 /// leading engine-kind byte), a section's leaf is its page root at
-/// [`PAGE_SIZE`], the header leaf commits the section count, and the
-/// node's processor-meta aux section stores shard membership once (all
-/// as in version 5). New in 6: the ledger section holds the ledger as
-/// retention leaves it — summaries, then the open epoch's meta-blocks
-/// only ([`Ledger::retained_meta`]), then the tip and the byte counters,
-/// with no peak size — and a pool section carries no tick-price table.
+/// [`PAGE_SIZE`], the header leaf commits the section count, the ledger
+/// section holds the ledger as retention leaves it — summaries, then the
+/// open epoch's meta-blocks only ([`Ledger::retained_meta`]), then the
+/// tip and the byte counters, with no peak size — and a pool section
+/// carries no tick-price table.
+///
+/// Version 7 keeps all of that and changes the node's processor-meta aux
+/// section only: the node holds one deposit book, so the section no
+/// longer records which pool each depositor belongs to. It holds the
+/// epoch's accept/reject counters and first-touch record once, then each
+/// pool's position bookkeeping.
 ///
 /// [`EngineState`]: ammboost_amm::engines::EngineState
 /// [`PAGE_SIZE`]: crate::pages::PAGE_SIZE
 /// [`Ledger::retained_meta`]: ammboost_sidechain::ledger::Ledger::retained_meta
-pub const SNAPSHOT_VERSION: u16 = 6;
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// What a section holds. The ordering (pools ascending, then ledger,
 /// deposits, aux by tag) is the canonical section order.
@@ -389,8 +394,8 @@ mod tests {
             Err(CodecError::BadMagic(_))
         ));
         // the version sits big-endian after the magic: 99 is from the
-        // future, 2 to 5 are the retired formats
-        for version in [99, 2, 3, 4, 5] {
+        // future, 2 to 6 are the retired formats
+        for version in [99, 2, 3, 4, 5, 6] {
             let mut bytes = sample().encode();
             bytes[4..6].copy_from_slice(&u16::to_be_bytes(version));
             assert_eq!(

@@ -4,7 +4,7 @@
 
 use ammboost::amm::tx::AmmTx;
 use ammboost::core::checkpoint::{checkpoint_node, NodeRestore};
-use ammboost::core::shard::ShardMap;
+use ammboost::core::processor::EpochProcessor;
 use ammboost::core::Node;
 use ammboost::crypto::H256;
 use ammboost::sidechain::ledger::Ledger;
@@ -22,22 +22,21 @@ pub struct Peer {
 }
 
 impl Peer {
-    /// A peer over `shards` (liquidity seeded) on a ledger rooted at
-    /// `genesis`; every user of `generator` deposits on the pool it is
-    /// homed on.
+    /// A peer over `processor` (liquidity seeded) on a ledger rooted at
+    /// `genesis`; every user of `generator` deposits.
     pub fn new(
-        shards: ShardMap,
+        processor: EpochProcessor,
         generator: TrafficGenerator,
         genesis: &[u8],
         rounds_per_epoch: u64,
     ) -> Peer {
-        let mut node = Node::new(shards, Ledger::new(H256::hash(genesis)));
+        let mut node = Node::new(processor, Ledger::new(H256::hash(genesis)));
         let bucket = generator
             .users()
             .into_iter()
             .map(|user| (user, (DEPOSIT, DEPOSIT)))
             .collect();
-        node.begin_epoch(Some(bucket), |user| generator.pool_for(user));
+        node.begin_epoch(Some(bucket));
         Peer {
             node,
             generator,
@@ -49,7 +48,7 @@ impl Peer {
     /// the summary. Deposits carry over from the epoch before.
     pub fn run_epoch(&mut self, epoch: u64) {
         if epoch > 1 {
-            self.node.begin_epoch(None, |_| None);
+            self.node.begin_epoch(None);
         }
         for round in 0..self.rounds_per_epoch {
             let global = (epoch - 1) * self.rounds_per_epoch + round;

@@ -1,4 +1,4 @@
-//! Heterogeneous-fleet acceptance tests: a shard map mixing all three
+//! Heterogeneous-fleet acceptance tests: a processor mixing all three
 //! AMM engines must route across engine boundaries, and a mixed fleet
 //! must survive the full snapshot → restore → catch-up cycle to the same
 //! Merkle root as a peer that replayed full history.
@@ -10,7 +10,7 @@ use ammboost::amm::tx::{AmmTx, RouteHop, RouteTx};
 use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::{catch_up, restore_node};
 use ammboost::core::config::SystemConfig;
-use ammboost::core::shard::{ExecMode, ShardMap};
+use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
 use ammboost::crypto::Address;
 use ammboost::sidechain::block::TxEffect;
@@ -21,7 +21,6 @@ use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
 };
 use common::{root_of, Peer};
-use std::collections::HashMap;
 
 const ROUNDS_PER_EPOCH: u64 = 5;
 
@@ -33,10 +32,10 @@ const FLEET: [(PoolId, EngineKind); 3] = [
     (PoolId(2), EngineKind::Weighted),
 ];
 
-fn mixed_shards() -> ShardMap {
-    let mut shards = ShardMap::new_with_engines(FLEET);
+fn mixed_fleet() -> EpochProcessor {
+    let mut processor = EpochProcessor::new_with_engines(FLEET);
     for (pool, _) in FLEET {
-        shards.seed_liquidity(
+        processor.seed_liquidity(
             pool,
             Address::from_pubkey_bytes(b"fleet-genesis-lp"),
             -120_000,
@@ -45,7 +44,7 @@ fn mixed_shards() -> ShardMap {
             4_000_000_000_000_000,
         );
     }
-    shards
+    processor
 }
 
 fn trader(i: u64) -> Address {
@@ -81,22 +80,16 @@ fn cross_engine_routes(n: u64) -> Vec<AmmTx> {
 /// and every one of them walks the three engine kinds.
 #[test]
 fn cross_engine_route_is_exec_mode_invariant() {
-    let mut shards = mixed_shards();
-    let deposits: HashMap<Address, (u128, u128)> = (0..8)
-        .map(|i| (trader(i), (2_000_000_000_000u128, 2_000_000_000_000u128)))
-        .collect();
-    shards.begin_epoch(deposits, |a| {
-        (0..8)
-            .find(|i| trader(*i) == *a)
-            .map(|i| PoolId(i as u32 % 3))
-    });
-    assert_eq!(shards.engine_kinds(), FLEET.to_vec());
+    let mut processor = mixed_fleet();
+    processor
+        .snapshot_bank((0..8).map(|i| (trader(i), (2_000_000_000_000u128, 2_000_000_000_000u128))));
+    assert_eq!(processor.engine_kinds(), FLEET.to_vec());
 
     let txs = cross_engine_routes(48);
     let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, t.mainnet_size_bytes())).collect();
 
     // every route accepted, every leg walked all three engine kinds
-    for out in shards.execute_batch(&batch, 0, ExecMode) {
+    for out in processor.execute_batch(&batch, 0, ExecMode) {
         let TxEffect::Route { legs, .. } = &out.effect else {
             panic!("route rejected: {:?}", out.effect);
         };
@@ -104,7 +97,7 @@ fn cross_engine_route_is_exec_mode_invariant() {
         assert!(legs.iter().all(|l| l.amount_out > 0));
         let kinds: Vec<EngineKind> = legs
             .iter()
-            .map(|l| shards.get(l.pool).expect("leg pool").engine_kind())
+            .map(|l| processor.pool(l.pool).expect("leg pool").kind())
             .collect();
         assert_eq!(kinds, FLEET.map(|(_, kind)| kind));
     }
@@ -134,7 +127,7 @@ fn peer_of(seed: u64, users: u64) -> Peer {
     });
     assert_eq!(generator.fleet(), FLEET.to_vec());
     Peer::new(
-        mixed_shards(),
+        mixed_fleet(),
         generator,
         b"engine-fleet-genesis",
         ROUNDS_PER_EPOCH,
@@ -144,7 +137,7 @@ fn peer_of(seed: u64, users: u64) -> Peer {
 /// The fast-sync differential over a heterogeneous fleet: a node
 /// restored from a mid-run snapshot with engine-tagged sections and
 /// caught up from the peer's blocks is byte-identical to the peer —
-/// engine kinds, shard states, ledger, Merkle root.
+/// engine kinds, processor state, ledger, Merkle root.
 #[test]
 fn mixed_fleet_survives_snapshot_restore_catch_up() {
     let mut full = peer(4242);
@@ -155,10 +148,10 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
         if epoch == 3 {
             wire = Some(full.snapshot_at(epoch).encode());
             assert_eq!(full.node.last_checkpoint().unwrap().pools_total, 3);
-            live_at_3 = Some(full.node.shards().clone());
+            live_at_3 = Some(full.node.processor().clone());
         }
     }
-    let stats = full.node.shards().stats();
+    let stats = full.node.processor().stats();
     assert!(stats.accepted > 0, "traffic must flow");
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
@@ -170,23 +163,17 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
     let mut node = restore_node(&snapshot).expect("tagged snapshot restores");
     assert_eq!(node.epoch, 3);
     assert_eq!(node.shards.engine_kinds(), FLEET.to_vec());
-    // shard membership comes back as the live node held it: every shard's
-    // deposits, and every depositor's home shard
+    // the deposit book comes back whole, as the live node held it
     let live = live_at_3.unwrap();
-    for (restored, shard) in node.shards.iter().zip(live.iter()) {
-        assert_eq!(restored.deposits(), shard.deposits(), "{}", shard.pool_id());
-        for (user, _) in shard.deposits().iter() {
-            assert_eq!(node.shards.home_shard_of(&user), Some(shard.pool_id()));
-            assert_eq!(live.home_shard_of(&user), Some(shard.pool_id()));
-        }
-    }
+    assert_eq!(node.shards.deposits(), live.deposits());
+    assert_eq!(node.shards.export_state(), live.export_state());
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
 
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
     assert_eq!(
         node.ledger.retained_state(),
@@ -245,7 +232,7 @@ fn in_run_snapshots_hold_state_not_history() {
         snapshots.push(snapshot);
     }
     assert!(
-        audit.node.shards().stats().accepted > 0,
+        audit.node.processor().stats().accepted > 0,
         "traffic must flow"
     );
     assert_eq!(lean.node.ledger().meta_block_count(), 0);
@@ -264,8 +251,8 @@ fn in_run_snapshots_hold_state_not_history() {
             lean.node.ledger().export_state()
         );
         assert_eq!(
-            node.shards.export_states(),
-            lean.node.shards().export_states()
+            node.shards.export_state(),
+            lean.node.processor().export_state()
         );
         assert_eq!(
             root_of(&mut node, EPOCHS),
@@ -277,9 +264,7 @@ fn in_run_snapshots_hold_state_not_history() {
 }
 
 /// Full-system determinism over a mixed fleet: the same config produces
-/// byte-identical shard states on every run. (That the batch schedule
-/// cannot change them either is the node's own unit test,
-/// `batch_schedule_is_unobservable_in_a_faulted_mixed_fleet`.)
+/// byte-identical processor state on every run.
 #[test]
 fn mixed_fleet_system_runs_deterministically() {
     let config = || {
@@ -299,7 +284,7 @@ fn mixed_fleet_system_runs_deterministically() {
     assert!(ra.routes_accepted > 0, "routes must cross the mixed fleet");
     assert_eq!(ra.accepted, rb.accepted);
     assert_eq!(
-        a.shards().engine_kinds(),
+        a.processor().engine_kinds(),
         vec![
             (PoolId(0), EngineKind::ConcentratedLiquidity),
             (PoolId(1), EngineKind::ConcentratedLiquidity),
@@ -309,5 +294,5 @@ fn mixed_fleet_system_runs_deterministically() {
             (PoolId(5), EngineKind::Weighted),
         ]
     );
-    assert_eq!(a.shards().export_states(), b.shards().export_states());
+    assert_eq!(a.processor().export_state(), b.processor().export_state());
 }

@@ -40,13 +40,13 @@ fn swap(user: Address, amount: u128, dir: bool) -> AmmTx {
 fn sidechain_and_baseline_agree_on_pool_state() {
     // --- sidechain side ---
     let genesis = Address::from_pubkey_bytes(b"equiv-genesis");
-    let mut processor = EpochProcessor::new(PoolId(0));
-    processor.seed_liquidity(genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
+    let mut processor = EpochProcessor::new([PoolId(0)]);
+    processor.seed_liquidity(PoolId(0), genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
     let snapshot: HashMap<Address, (u128, u128)> = users(5)
         .into_iter()
         .map(|u| (u, (10u128.pow(10), 10u128.pow(10))))
         .collect();
-    processor.begin_epoch(snapshot);
+    processor.snapshot_bank(snapshot);
 
     // --- baseline side (same genesis liquidity) ---
     let mut baseline = UniswapBaseline::new();
@@ -107,7 +107,11 @@ fn sidechain_and_baseline_agree_on_pool_state() {
     }
 
     // identical final pool state: same price, tick, liquidity, fees
-    let sp = processor.pool().as_cl().expect("CL engine");
+    let sp = processor
+        .pool(PoolId(0))
+        .unwrap()
+        .as_cl()
+        .expect("CL engine");
     let bp = baseline.pool();
     assert_eq!(sp.sqrt_price(), bp.sqrt_price(), "price diverged");
     assert_eq!(sp.tick(), bp.tick(), "tick diverged");
@@ -123,14 +127,10 @@ fn sidechain_and_baseline_agree_on_pool_state() {
 #[test]
 fn mint_amounts_agree_between_deployments() {
     let genesis = Address::from_pubkey_bytes(b"equiv-genesis-2");
-    let mut processor = EpochProcessor::new(PoolId(0));
-    processor.seed_liquidity(genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
+    let mut processor = EpochProcessor::new([PoolId(0)]);
+    processor.seed_liquidity(PoolId(0), genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
     let user = Address::from_index(1);
-    processor.begin_epoch(
-        [(user, (10u128.pow(10), 10u128.pow(10)))]
-            .into_iter()
-            .collect(),
-    );
+    processor.snapshot_bank([(user, (10u128.pow(10), 10u128.pow(10)))]);
 
     let mut baseline = UniswapBaseline::new();
     let mut token0 = Erc20::new("TKA");
@@ -187,14 +187,10 @@ fn mint_amounts_agree_between_deployments() {
 #[test]
 fn exact_output_swaps_agree() {
     let genesis = Address::from_pubkey_bytes(b"equiv-genesis-3");
-    let mut processor = EpochProcessor::new(PoolId(0));
-    processor.seed_liquidity(genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
+    let mut processor = EpochProcessor::new([PoolId(0)]);
+    processor.seed_liquidity(PoolId(0), genesis, -6000, 6000, SEED_LIQ, SEED_LIQ);
     let user = Address::from_index(2);
-    processor.begin_epoch(
-        [(user, (10u128.pow(10), 10u128.pow(10)))]
-            .into_iter()
-            .collect(),
-    );
+    processor.snapshot_bank([(user, (10u128.pow(10), 10u128.pow(10)))]);
 
     let mut baseline = UniswapBaseline::new();
     let mut token0 = Erc20::new("TKA");
@@ -246,7 +242,11 @@ fn exact_output_swaps_agree() {
     assert_eq!(side_out, 123_456);
     assert_eq!(side_in, base_res.amount_in);
     assert_eq!(side_out, base_res.amount_out);
-    let sp = processor.pool().as_cl().expect("CL engine");
+    let sp = processor
+        .pool(PoolId(0))
+        .unwrap()
+        .as_cl()
+        .expect("CL engine");
     assert_eq!(sp.sqrt_price(), baseline.pool().sqrt_price());
 }
 

@@ -1,7 +1,7 @@
 //! Fast-sync differential — the snapshot subsystem's acceptance test:
 //! a node restored from a mid-run snapshot and caught up from a peer's
 //! retained blocks must be **byte-identical** to the peer that replayed
-//! full history — same shard states, same ledger as retention leaves it,
+//! full history — same processor state, same ledger as retention leaves it,
 //! same Merkle state root — and must execute subsequent traffic
 //! identically.
 
@@ -10,7 +10,7 @@ mod common;
 use ammboost::amm::tx::AmmTx;
 use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::{catch_up, restore_node};
-use ammboost::core::shard::ShardMap;
+use ammboost::core::processor::EpochProcessor;
 use ammboost::core::Node;
 use ammboost::crypto::Address;
 use ammboost::sim::time::SimDuration;
@@ -41,8 +41,8 @@ fn generator_config(seed: u64) -> GeneratorConfig {
 /// A single-pool peer fed by the Uniswap-2023-calibrated traffic
 /// generator — the restart-and-catch-up scenario harness.
 fn peer(seed: u64) -> Peer {
-    let mut shards = ShardMap::new([PoolId(0)]);
-    shards.seed_liquidity(
+    let mut processor = EpochProcessor::new([PoolId(0)]);
+    processor.seed_liquidity(
         PoolId(0),
         Address::from_pubkey_bytes(b"drill-genesis-lp"),
         -120_000,
@@ -51,7 +51,7 @@ fn peer(seed: u64) -> Peer {
         4_000_000_000_000_000,
     );
     let generator = TrafficGenerator::new(generator_config(seed));
-    Peer::new(shards, generator, b"fast-sync-genesis", ROUNDS_PER_EPOCH)
+    Peer::new(processor, generator, b"fast-sync-genesis", ROUNDS_PER_EPOCH)
 }
 
 #[test]
@@ -68,7 +68,10 @@ fn restored_node_is_byte_identical_to_full_replay() {
             snapshot_bytes = Some(snapshot.encode());
         }
     }
-    assert!(full.node.shards().stats().accepted > 0, "traffic must flow");
+    assert!(
+        full.node.processor().stats().accepted > 0,
+        "traffic must flow"
+    );
 
     // the late joiner restores from the wire snapshot…
     let snapshot = Snapshot::decode(&snapshot_bytes.unwrap()).expect("root verifies");
@@ -81,8 +84,8 @@ fn restored_node_is_byte_identical_to_full_replay() {
 
     // byte-identical state
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
     assert_eq!(
         node.ledger.retained_state(),
@@ -103,7 +106,7 @@ fn restored_node_is_byte_identical_to_full_replay() {
     let txs = TrafficGenerator::new(generator_config(1234)).next_round(round);
     let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
     for n in [&mut node, &mut full.node] {
-        n.begin_epoch(None, |_| None);
+        n.begin_epoch(None);
         n.step_round(7, 0, round, &batch);
     }
     assert_eq!(
@@ -111,8 +114,8 @@ fn restored_node_is_byte_identical_to_full_replay() {
         full.node.ledger().meta_blocks(7)
     );
     assert_eq!(
-        node.shards().export_states(),
-        full.node.shards().export_states()
+        node.processor().export_state(),
+        full.node.processor().export_state()
     );
 }
 
@@ -139,8 +142,8 @@ fn snapshot_plus_pruned_peer_still_serves_recent_epochs() {
     let applied = catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).unwrap();
     assert_eq!(applied, 1);
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
 }
 
@@ -153,8 +156,8 @@ fn positions_survive_restore() {
         full.run_epoch(epoch);
     }
     let node = restore_node(&full.snapshot_at(3)).unwrap();
-    let full_pool = full.node.shards().first().pool();
-    let restored_pool = node.shards.first().pool();
+    let full_pool = full.node.processor().pool(PoolId(0)).unwrap();
+    let restored_pool = node.shards.pool(PoolId(0)).unwrap();
     assert_eq!(restored_pool.position_count(), full_pool.position_count());
     for id in full_pool.position_ids() {
         assert_eq!(

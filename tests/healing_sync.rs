@@ -10,7 +10,7 @@ mod common;
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::{catch_up, recover_node, restore_node};
-use ammboost::core::shard::ShardMap;
+use ammboost::core::processor::EpochProcessor;
 use ammboost::crypto::Address;
 use ammboost::sim::time::SimDuration;
 use ammboost::sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
@@ -73,9 +73,9 @@ fn mixed_peer(seed: u64) -> Peer {
 }
 
 fn peer_with_fleet(seed: u64, fleet: &[(PoolId, EngineKind)], engine_mix: EngineMix) -> Peer {
-    let mut shards = ShardMap::new_with_engines(fleet.iter().copied());
+    let mut processor = EpochProcessor::new_with_engines(fleet.iter().copied());
     for (pool, _) in fleet {
-        shards.seed_liquidity(
+        processor.seed_liquidity(
             *pool,
             Address::from_pubkey_bytes(b"heal-genesis-lp"),
             -120_000,
@@ -85,7 +85,12 @@ fn peer_with_fleet(seed: u64, fleet: &[(PoolId, EngineKind)], engine_mix: Engine
         );
     }
     let generator = TrafficGenerator::new(generator_config(seed, fleet, engine_mix));
-    Peer::new(shards, generator, b"healing-sync-genesis", ROUNDS_PER_EPOCH)
+    Peer::new(
+        processor,
+        generator,
+        b"healing-sync-genesis",
+        ROUNDS_PER_EPOCH,
+    )
 }
 
 /// Runs a peer for 6 epochs, checkpointing after `stale_epoch` and
@@ -110,7 +115,10 @@ fn peer_with_snapshots_from(
             snap = Some(full.snapshot_at(epoch));
         }
     }
-    assert!(full.node.shards().stats().accepted > 0, "traffic must flow");
+    assert!(
+        full.node.processor().stats().accepted > 0,
+        "traffic must flow"
+    );
     (full, stale.unwrap(), snap.unwrap())
 }
 
@@ -209,8 +217,8 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
     assert_eq!(
         node.ledger.retained_state(),
@@ -258,8 +266,8 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
             "recovery after {crash:?} diverged"
         );
         assert_eq!(
-            node.shards.export_states(),
-            full.node.shards().export_states()
+            node.shards.export_state(),
+            full.node.processor().export_state()
         );
     }
 
@@ -366,8 +374,8 @@ fn mixed_fleet_heals_tampered_engine_sections() {
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
     assert_eq!(
         root_of(&mut node, 99),
@@ -402,8 +410,8 @@ fn mixed_fleet_torn_commit_recovers_and_catches_up() {
     assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
     assert_eq!(root_of(&mut node, 99), full_root);
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
 
     // staged and marked but not installed: roll forward to the newer

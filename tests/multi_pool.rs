@@ -1,24 +1,24 @@
-//! Multi-pool sharding acceptance tests.
+//! Multi-pool acceptance tests.
 //!
 //! `PoolId` is a real routing key. These tests prove the two properties
 //! the design rests on:
 //!
-//! 1. **Sharded ≡ independent** — an N-pool sharded node is
-//!    byte-identical (pool section bytes, processor state, payouts, pool
-//!    updates, per-pool effects) to N independent single-pool nodes fed
-//!    the same per-pool traffic.
-//! 2. **One checkpoint covers all shards** — a `pool_count ≥ 8` system
+//! 1. **N pools ≡ N independent pools** — an N-pool node is
+//!    byte-identical (per-pool engine state and bookkeeping, pool section
+//!    bytes, payouts, pool updates, per-pool effects) to N independent
+//!    single-pool nodes fed the same per-pool traffic.
+//! 2. **One checkpoint covers all pools** — a `pool_count ≥ 8` system
 //!    runs end-to-end (traffic → epochs → summaries → checkpoint → prune
 //!    → restore) under one state root, and a restored node fast-syncs to
 //!    byte-identical state.
 
 mod common;
 
+use ammboost::amm::tx::{AmmTx, RouteHop, RouteTx, SwapIntent, SwapTx};
 use ammboost::amm::types::PoolId;
 use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
-use ammboost::core::processor::EpochProcessor;
-use ammboost::core::shard::{ExecMode, ShardMap};
+use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
 use ammboost::crypto::{Address, H256};
 use ammboost::sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock};
@@ -55,10 +55,10 @@ fn generator(pools: u32, users: u64, seed: u64) -> TrafficGenerator {
     })
 }
 
-fn seeded_shards(pools: u32) -> ShardMap {
-    let mut shards = ShardMap::new((0..pools).map(PoolId));
+fn seeded_processor(pools: u32) -> EpochProcessor {
+    let mut processor = EpochProcessor::new((0..pools).map(PoolId));
     for p in 0..pools {
-        shards.seed_liquidity(
+        processor.seed_liquidity(
             PoolId(p),
             Address::from_pubkey_bytes(b"multi-pool-genesis-lp"),
             -120_000,
@@ -67,7 +67,7 @@ fn seeded_shards(pools: u32) -> ShardMap {
             SEED_LIQUIDITY,
         );
     }
-    shards
+    processor
 }
 
 fn deposits_for(gen: &TrafficGenerator) -> HashMap<Address, (u128, u128)> {
@@ -77,7 +77,7 @@ fn deposits_for(gen: &TrafficGenerator) -> HashMap<Address, (u128, u128)> {
         .collect()
 }
 
-/// Pre-generates `epochs` of traffic so the sharded node and the
+/// Pre-generates `epochs` of traffic so the N-pool node and the
 /// independent per-pool nodes consume the *same* per-pool streams.
 fn recorded_traffic(pools: u32, users: u64, seed: u64, epochs: u64) -> Vec<Vec<GeneratedTx>> {
     let mut gen = generator(pools, users, seed);
@@ -94,27 +94,27 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
     const USERS: u64 = 16;
     const EPOCHS: u64 = 3;
     let traffic = recorded_traffic(POOLS, USERS, 1717, EPOCHS);
-    let gen = generator(POOLS, USERS, 1717); // only for routing/deposits
+    let gen = generator(POOLS, USERS, 1717); // only for deposits and each pool's users
 
-    // --- the sharded node: one ledger, one shard map, one checkpoint ---
-    let mut shards = seeded_shards(POOLS);
-    shards.begin_epoch(deposits_for(&gen), |u| gen.pool_for(u));
+    // --- the N-pool node: one ledger, one processor, one checkpoint ---
+    let mut processor = seeded_processor(POOLS);
+    processor.snapshot_bank(deposits_for(&gen));
     let mut ledger = Ledger::new(H256::hash(b"sharded-genesis"));
     let mut epoch_summaries: Vec<SummaryBlock> = Vec::new();
     for epoch in 1..=EPOCHS {
         if epoch > 1 {
-            shards.carry_over_epoch();
+            processor.carry_over_epoch();
         }
         for round in 0..ROUNDS_PER_EPOCH {
             let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
             let batch_src = &traffic[global as usize];
-            let batch: Vec<(&ammboost::amm::tx::AmmTx, usize)> =
+            let batch: Vec<(&AmmTx, usize)> =
                 batch_src.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            let executed = shards.execute_batch(&batch, global, ExecMode);
+            let executed = processor.execute_batch(&batch, global, ExecMode);
             let block = MetaBlock::new(epoch, round, ledger.tip(), executed);
             ledger.append_meta(block).unwrap();
         }
-        let (payouts, positions, pools) = shards.end_epoch();
+        let (payouts, positions, pools) = processor.end_epoch();
         let summary = SummaryBlock {
             epoch,
             parent: ledger.tip(),
@@ -126,27 +126,28 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
         ledger.append_summary(summary.clone()).unwrap();
         epoch_summaries.push(summary);
     }
-    let sharded_out = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut shards, &ledger);
+    let sharded_out = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut processor, &ledger);
     let (sharded_snapshot, sharded_stats) = (sharded_out.snapshot, sharded_out.stats);
     assert_eq!(sharded_stats.pools_total, POOLS as usize);
 
     // --- N independent single-pool nodes fed the same per-pool traffic ---
     for p in 0..POOLS {
         let pool = PoolId(p);
-        let mut solo = EpochProcessor::new(pool);
+        let mut solo = EpochProcessor::new([pool]);
         solo.seed_liquidity(
+            pool,
             Address::from_pubkey_bytes(b"multi-pool-genesis-lp"),
             -120_000,
             120_000,
             SEED_LIQUIDITY,
             SEED_LIQUIDITY,
         );
-        // the pool's own user subset gets the same deposits
+        // the users that trade on the pool get the same deposits
         let deposits: HashMap<Address, (u128, u128)> = deposits_for(&gen)
             .into_iter()
             .filter(|(u, _)| gen.pool_for(u) == Some(pool))
             .collect();
-        solo.begin_epoch(deposits);
+        solo.snapshot_bank(deposits);
         let mut solo_effects: Vec<ExecutedTx> = Vec::new();
         let mut solo_summaries = Vec::new();
         for epoch in 1..=EPOCHS {
@@ -164,31 +165,33 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
             solo_summaries.push(solo.end_epoch());
         }
 
-        // 1. byte-identical processor state (pool, deposits, bookkeeping)
-        let shard_state = shards.get(pool).unwrap().export_state();
-        assert_eq!(shard_state, solo.export_state(), "{pool} state diverges");
+        // 1. byte-identical pool state (engine and position bookkeeping),
+        // and the same deposits for the pool's users
+        let solo_state = solo.export_state();
+        assert_eq!(
+            processor.export_state().pools[p as usize],
+            solo_state.pools[0],
+            "{pool} state diverges"
+        );
+        let pool_users: Vec<_> = processor
+            .deposits()
+            .to_sorted_entries()
+            .into_iter()
+            .filter(|(u, _)| gen.pool_for(u) == Some(pool))
+            .collect();
+        assert_eq!(pool_users, solo_state.deposits, "{pool} deposits diverge");
 
-        // 2. byte-identical pool section in the all-shards snapshot
-        let solo_map_snapshot = {
-            let mut solo_map = ShardMap::from_processors(vec![solo.clone()]);
+        // 2. byte-identical pool section in the all-pools snapshot
+        let solo_snapshot = {
             let solo_ledger = Ledger::new(H256::hash(b"solo-genesis"));
-            checkpoint_node(
-                &mut Checkpointer::new(),
-                EPOCHS,
-                &mut solo_map,
-                &solo_ledger,
-            )
-            .snapshot
+            checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut solo, &solo_ledger).snapshot
         };
         assert_eq!(
             sharded_snapshot
                 .section(SectionKind::Pool(p))
                 .unwrap()
                 .bytes,
-            solo_map_snapshot
-                .section(SectionKind::Pool(p))
-                .unwrap()
-                .bytes,
+            solo_snapshot.section(SectionKind::Pool(p)).unwrap().bytes,
             "{pool} snapshot section diverges"
         );
 
@@ -206,7 +209,7 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
         }
 
         // 4. per-epoch payouts & pool updates match the merged summaries
-        for (epoch_idx, (solo_payouts, solo_positions, solo_update)) in
+        for (epoch_idx, (solo_payouts, solo_positions, solo_updates)) in
             solo_summaries.iter().enumerate()
         {
             let sharded = &epoch_summaries[epoch_idx];
@@ -218,7 +221,8 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
                 .collect();
             assert_eq!(&sharded_payouts, solo_payouts, "{pool} payouts diverge");
             assert_eq!(
-                sharded.pools[p as usize], *solo_update,
+                [sharded.pools[p as usize]],
+                solo_updates[..],
                 "{pool} update diverges"
             );
             for entry in solo_positions {
@@ -231,10 +235,83 @@ fn sharded_system_is_byte_identical_to_independent_single_pool_systems() {
     }
 }
 
+/// A user's one deposit covers a trade on any pool: a plain swap on a
+/// pool other than the one the traffic generator sends the user to, and a
+/// route that enters there, both execute against the same book, and every
+/// token the deposit lost went into a pool.
+#[test]
+fn a_deposit_covers_trades_off_the_generators_pool() {
+    const POOLS: u32 = 4;
+    let gen = generator(POOLS, 16, 1717);
+    let mut processor = seeded_processor(POOLS);
+    processor.snapshot_bank(deposits_for(&gen));
+    let user = gen.users()[0];
+    let home = gen.pool_for(&user).expect("a generated user").0;
+    let (away, next) = ((home + 1) % POOLS, (home + 2) % POOLS);
+    let balances = |p: &EpochProcessor| -> Vec<(u128, u128)> {
+        (0..POOLS)
+            .map(|i| {
+                let b = p.pool(PoolId(i)).unwrap().balances();
+                (b.amount0, b.amount1)
+            })
+            .collect()
+    };
+    let before = balances(&processor);
+
+    let swap = AmmTx::Swap(SwapTx {
+        user,
+        pool: PoolId(away),
+        zero_for_one: true,
+        intent: SwapIntent::ExactInput {
+            amount_in: 1_000_000,
+            min_amount_out: 0,
+        },
+        sqrt_price_limit: None,
+        deadline_round: 1_000,
+    });
+    let route = AmmTx::Route(RouteTx {
+        user,
+        hops: vec![
+            RouteHop {
+                pool: PoolId(away),
+                zero_for_one: false,
+            },
+            RouteHop {
+                pool: PoolId(next),
+                zero_for_one: true,
+            },
+        ],
+        amount_in: 2_000_000,
+        min_amount_out: 0,
+        deadline_round: 1_000,
+    });
+    let out = processor.execute_batch(&[(&swap, 200), (&route, 200)], 0, ExecMode);
+    assert!(out.iter().all(|tx| tx.accepted()), "{out:?}");
+
+    // only the pools the two trades named moved
+    let after = balances(&processor);
+    for pool in 0..POOLS {
+        let traded = pool == away || pool == next;
+        let moved = after[pool as usize] != before[pool as usize];
+        assert_eq!(moved, traded, "pool {pool}");
+    }
+    // deposit ↔ pool conservation over both trades
+    let (d0, d1) = processor.deposits().get(&user);
+    let pool_delta = |token: fn(&(u128, u128)) -> u128| -> i128 {
+        after
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| token(a) as i128 - token(b) as i128)
+            .sum()
+    };
+    assert_eq!(d0 as i128 - DEPOSIT as i128, -pool_delta(|b| b.0), "token0");
+    assert_eq!(d1 as i128 - DEPOSIT as i128, -pool_delta(|b| b.1), "token1");
+}
+
 #[test]
 fn eight_pool_system_runs_end_to_end_under_one_state_root() {
     // traffic → epochs → summaries → checkpoint → prune → restore, with
-    // pool_count ≥ 8 and Zipf-skewed traffic, one root covering all shards
+    // pool_count ≥ 8 and Zipf-skewed traffic, one root covering all pools
     let mut cfg = SystemConfig::small_test();
     cfg.pools = 8;
     cfg.users = 32;
@@ -256,24 +333,24 @@ fn eight_pool_system_runs_end_to_end_under_one_state_root() {
         let reserves = sys.bank().pool_reserves(&PoolId(p));
         assert!(reserves.is_some(), "pool {p} missing from TokenBank");
     }
-    // every shard saw traffic across the run (Zipf head is ~37%, tail >1%)
+    // every pool saw traffic across the run (Zipf head is ~37%, tail >1%)
     let summaries = sys.ledger().summaries();
     assert!(!summaries.is_empty());
     for summary in summaries {
-        assert_eq!(summary.pools.len(), 8, "summary must cover all shards");
+        assert_eq!(summary.pools.len(), 8, "summary must cover all pools");
         assert!(
             summary.pools.windows(2).all(|w| w[0].pool < w[1].pool),
             "per-pool sections must be sorted"
         );
     }
 
-    // the final checkpoint restores into a working 8-shard node
+    // the final checkpoint restores into a working 8-pool node
     let stats = sys.checkpoint(report.epochs + 1);
     assert_eq!(stats.pools_total, 8);
     let snapshot = sys.last_snapshot().unwrap();
     let node = restore_node(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
-    assert_eq!(node.shards.len(), 8);
-    assert_eq!(node.shards.export_states(), sys.shards().export_states());
+    assert_eq!(node.shards.pool_ids().len(), 8);
+    assert_eq!(node.shards.export_state(), sys.processor().export_state());
     assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
 
     // the state commitment is reproducible bit-for-bit
@@ -284,14 +361,14 @@ fn eight_pool_system_runs_end_to_end_under_one_state_root() {
 
 #[test]
 fn multi_pool_fast_sync_restart() {
-    // a workload-driven 8-shard node checkpoints mid-run; a late joiner
+    // a workload-driven 8-pool node checkpoints mid-run; a late joiner
     // restores from the wire snapshot and catches up byte-identically
     const POOLS: u32 = 8;
     const USERS: u64 = 24;
     const EPOCHS: u64 = 5;
     let gen = generator(POOLS, USERS, 4242);
     let mut full = Peer::new(
-        seeded_shards(POOLS),
+        seeded_processor(POOLS),
         gen,
         b"restart-genesis",
         ROUNDS_PER_EPOCH,
@@ -309,13 +386,13 @@ fn multi_pool_fast_sync_restart() {
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
     let mut node = restore_node(&snapshot).expect("multi-pool snapshot restores");
     assert_eq!(node.epoch, 2);
-    assert_eq!(node.shards.len(), POOLS as usize);
+    assert_eq!(node.shards.pool_ids().len(), POOLS as usize);
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
     assert_eq!(
-        node.shards.export_states(),
-        full.node.shards().export_states()
+        node.shards.export_state(),
+        full.node.processor().export_state()
     );
     assert_eq!(
         node.ledger.retained_state(),

@@ -10,12 +10,11 @@ use ammboost_amm::pool::SwapKind;
 use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 use ammboost_amm::types::PoolId;
 use ammboost_core::config::SystemConfig;
-use ammboost_core::shard::{ExecMode, ShardMap};
+use ammboost_core::processor::{EpochProcessor, ExecMode};
 use ammboost_core::system::System;
 use ammboost_crypto::Address;
 use ammboost_workload::{QuoteStyle, TrafficSkew};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn quoted_config(seed: u64, pools: u32, volume: u64, quotes_per_tx: f64) -> SystemConfig {
     SystemConfig {
@@ -118,7 +117,7 @@ proptest! {
         prop_assert_eq!(ra.submitted, rb.submitted);
         prop_assert_eq!(ra.accepted, rb.accepted);
         prop_assert_eq!(ra.rejected, rb.rejected);
-        prop_assert_eq!(a.shards().export_states(), b.shards().export_states());
+        prop_assert_eq!(a.processor().export_state(), b.processor().export_state());
     }
 }
 
@@ -131,9 +130,10 @@ fn final_view_matches_final_sealed_state() {
     let view = sys.quote_view().expect("final view published");
     assert_eq!(view.pool_count(), 4);
     assert!(report.view_publications >= report.epochs);
-    for shard in sys.shards().iter() {
-        let sealed = view.pool(shard.pool_id()).expect("covered pool");
-        assert_eq!(sealed.export_state(), shard.pool().export_state());
+    for id in sys.processor().pool_ids() {
+        let sealed = view.pool(id).expect("covered pool");
+        let live = sys.processor().pool(id).expect("live pool");
+        assert_eq!(sealed.export_state(), live.export_state());
     }
 }
 
@@ -155,16 +155,16 @@ fn swap_tx(u: Address, pool: u32, amount: u128) -> AmmTx {
     })
 }
 
-/// The core tentpole invariant, at shard level: a held view is immutable
+/// The core tentpole invariant, at processor level: a held view is immutable
 /// while the next epoch executes (readers never observe a
 /// partially-executed epoch), and the next publication re-clones exactly
 /// the pools the epoch dirtied while reusing every clean pool's `Arc`.
 #[test]
 fn held_view_is_immutable_and_invalidation_is_exact() {
     const POOLS: u32 = 4;
-    let mut shards = ShardMap::new((0..POOLS).map(PoolId));
+    let mut processor = EpochProcessor::new((0..POOLS).map(PoolId));
     for p in 0..POOLS {
-        shards.seed_liquidity(
+        processor.seed_liquidity(
             PoolId(p),
             user(900 + p as u64),
             -60_000,
@@ -173,18 +173,13 @@ fn held_view_is_immutable_and_invalidation_is_exact() {
             10u128.pow(13),
         );
     }
-    let snapshot: HashMap<Address, (u128, u128)> = (0..POOLS as u64)
-        .map(|i| (user(i), (1_000_000_000u128, 1_000_000_000u128)))
-        .collect();
-    shards.begin_epoch(snapshot, |u| {
-        (0..POOLS as u64)
-            .position(|i| user(i) == *u)
-            .map(|i| PoolId(i as u32))
-    });
+    processor.snapshot_bank(
+        (0..POOLS as u64).map(|i| (user(i), (1_000_000_000u128, 1_000_000_000u128))),
+    );
 
     // Seal epoch 0 and publish. Seeding dirtied every pool, so every
     // per-pool view is a fresh clone.
-    let (sealed, stats) = shards.publish_view(0);
+    let (sealed, stats) = processor.publish_view(0);
     assert_eq!(
         (stats.reused, stats.recloned),
         (0, POOLS as usize),
@@ -198,7 +193,7 @@ fn held_view_is_immutable_and_invalidation_is_exact() {
 
     // Epoch 1 mutates pool 0 only, while the epoch-0 view is held.
     let tx = swap_tx(user(0), 0, 250_000);
-    let fx = shards.execute_batch(&[(&tx, 200)], 0, ExecMode);
+    let fx = processor.execute_batch(&[(&tx, 200)], 0, ExecMode);
     assert!(
         matches!(fx[0].effect, ammboost_sidechain::TxEffect::Swap { .. }),
         "swap must land: {:?}",
@@ -211,18 +206,18 @@ fn held_view_is_immutable_and_invalidation_is_exact() {
         assert_eq!(sealed.pool(id).unwrap().export_state(), frozen[i]);
     }
     assert_ne!(
-        shards.get(PoolId(0)).unwrap().pool().export_state(),
+        processor.pool(PoolId(0)).unwrap().export_state(),
         frozen[0],
-        "the live shard really did move"
+        "the live pool really did move"
     );
 
     // Sealing epoch 1 re-clones exactly the dirtied pool; the other
     // three per-pool views are the same allocation as before.
-    let (next, stats) = shards.publish_view(1);
+    let (next, stats) = processor.publish_view(1);
     assert_eq!((stats.reused, stats.recloned), (POOLS as usize - 1, 1));
     assert_eq!(
         next.pool(PoolId(0)).unwrap().export_state(),
-        shards.get(PoolId(0)).unwrap().pool().export_state()
+        processor.pool(PoolId(0)).unwrap().export_state()
     );
     for p in 1..POOLS {
         assert!(

@@ -24,7 +24,7 @@ use ammboost::amm::tx::{AmmTx, RouteError, RouteHop, RouteTx};
 use ammboost::amm::types::{PoolId, PositionId};
 use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
-use ammboost::core::shard::{ExecMode, ShardMap};
+use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
 use ammboost::crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost::crypto::{Address, H256};
@@ -63,10 +63,10 @@ fn routed_generator(pools: u32, users: u64, seed: u64, share: f64) -> TrafficGen
     })
 }
 
-fn seeded_shards(pools: u32) -> ShardMap {
-    let mut shards = ShardMap::new((0..pools).map(PoolId));
+fn seeded_processor(pools: u32) -> EpochProcessor {
+    let mut processor = EpochProcessor::new((0..pools).map(PoolId));
     for p in 0..pools {
-        shards.seed_liquidity(
+        processor.seed_liquidity(
             PoolId(p),
             Address::from_pubkey_bytes(b"routing-genesis-lp"),
             -120_000,
@@ -75,7 +75,7 @@ fn seeded_shards(pools: u32) -> ShardMap {
             SEED_LIQUIDITY,
         );
     }
-    shards
+    processor
 }
 
 fn deposits_for(gen: &TrafficGenerator) -> HashMap<Address, (u128, u128)> {
@@ -110,34 +110,34 @@ fn route(u: Address, path: &[u32], first_dir: bool, amount: u128) -> AmmTx {
     })
 }
 
-/// Runs `epochs` of routed traffic through a shard map, mining each
+/// Runs `epochs` of routed traffic through a processor, mining each
 /// round's batch into a meta-block and sealing summaries, exactly as the
-/// system does. Returns the shard map, ledger and per-epoch summaries.
+/// system does. Returns the processor, ledger and per-epoch summaries.
 fn run_routed_node(
     pools: u32,
     users: u64,
     seed: u64,
     epochs: u64,
     checkpoint_at: Option<u64>,
-) -> (ShardMap, Ledger, Vec<SummaryBlock>, Option<Vec<u8>>) {
+) -> (EpochProcessor, Ledger, Vec<SummaryBlock>, Option<Vec<u8>>) {
     let mut gen = routed_generator(pools, users, seed, 0.4);
     let route_gen = routed_generator(pools, users, seed, 0.4);
-    let mut shards = seeded_shards(pools);
-    shards.begin_epoch(deposits_for(&route_gen), |u| route_gen.pool_for(u));
+    let mut processor = seeded_processor(pools);
+    processor.snapshot_bank(deposits_for(&route_gen));
     let mut ledger = Ledger::new(H256::hash(b"routing-genesis"));
     let mut cp = Checkpointer::new();
     let mut wire = None;
     let mut summaries = Vec::new();
     for epoch in 1..=epochs {
         if epoch > 1 {
-            shards.carry_over_epoch();
+            processor.carry_over_epoch();
         }
         for round in 0..ROUNDS_PER_EPOCH {
             let global = (epoch - 1) * ROUNDS_PER_EPOCH + round;
             let round_txs: Vec<GeneratedTx> = gen.next_round(global);
             let batch: Vec<(&AmmTx, usize)> =
                 round_txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-            let executed = shards.execute_batch(&batch, global, ExecMode);
+            let executed = processor.execute_batch(&batch, global, ExecMode);
             for out in &executed {
                 if let TxEffect::Burn {
                     position, deleted, ..
@@ -151,7 +151,7 @@ fn run_routed_node(
             let block = MetaBlock::new(epoch, round, ledger.tip(), executed);
             ledger.append_meta(block).unwrap();
         }
-        let (payouts, positions, pool_updates) = shards.end_epoch();
+        let (payouts, positions, pool_updates) = processor.end_epoch();
         let summary = SummaryBlock {
             epoch,
             parent: ledger.tip(),
@@ -163,21 +163,21 @@ fn run_routed_node(
         ledger.append_summary(summary.clone()).unwrap();
         summaries.push(summary);
         if checkpoint_at == Some(epoch) {
-            let snap = checkpoint_node(&mut cp, epoch, &mut shards, &ledger).snapshot;
+            let snap = checkpoint_node(&mut cp, epoch, &mut processor, &ledger).snapshot;
             wire = Some(snap.encode());
         }
     }
-    (shards, ledger, summaries, wire)
+    (processor, ledger, summaries, wire)
 }
 
 /// The state root and each epoch's `SyncInput` ABI payload of a routed
 /// run are pinned (the payload by its hash). A snapshot-format bump
-/// re-pins the root, as it rewrites `tests/fixtures/snapshot_v6_mixed.*`.
+/// re-pins the root, as it rewrites `tests/fixtures/snapshot_v7_mixed.*`.
 #[test]
 fn routed_epoch_is_scheduling_free_down_to_sync_bytes() {
     const POOLS: u32 = 6;
     const USERS: u64 = 24;
-    let (mut shards, ledger, summaries, _) = run_routed_node(POOLS, USERS, 2024, 2, None);
+    let (mut processor, ledger, summaries, _) = run_routed_node(POOLS, USERS, 2024, 2, None);
 
     // routes actually flowed
     let routed: usize = ledger
@@ -189,12 +189,12 @@ fn routed_epoch_is_scheduling_free_down_to_sync_bytes() {
         .count();
     assert!(routed > 10, "only {routed} routes executed");
 
-    let root = checkpoint_node(&mut Checkpointer::new(), 2, &mut shards, &ledger)
+    let root = checkpoint_node(&mut Checkpointer::new(), 2, &mut processor, &ledger)
         .stats
         .root;
     assert_eq!(
         root.to_hex(),
-        "7a41905816b8c38eb311199a8f6b4d8e9599ebb42d8aa86bfb0643464162dcd8",
+        "0ab1b0ca49f2b360322b27794735b2c48714f4ecba9cc71726669c1fcb40e517",
         "state root moved"
     );
 
@@ -226,18 +226,14 @@ fn routed_epoch_is_scheduling_free_down_to_sync_bytes() {
 
 #[test]
 fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
-    // a routed-only batch on the shard map ...
+    // a routed-only batch on the processor ...
     const POOLS: u32 = 4;
-    let mut shards = seeded_shards(POOLS);
+    let mut processor = seeded_processor(POOLS);
     let users_n = 8u64;
     let deposits: HashMap<Address, (u128, u128)> = (0..users_n)
         .map(|i| (user(i), (DEPOSIT, DEPOSIT)))
         .collect();
-    shards.begin_epoch(deposits.clone(), |a| {
-        (0..users_n)
-            .find(|i| user(*i) == *a)
-            .map(|i| PoolId((i % POOLS as u64) as u32))
-    });
+    processor.snapshot_bank(deposits.clone());
     let txs: Vec<AmmTx> = (0..40u64)
         .map(|i| {
             let u = i % users_n;
@@ -251,7 +247,7 @@ fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
         })
         .collect();
     let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|t| (t, 1072)).collect();
-    let executed = shards.execute_batch(&batch, 0, ExecMode);
+    let executed = processor.execute_batch(&batch, 0, ExecMode);
     assert!(executed.iter().all(|e| e.accepted()), "all routes accepted");
 
     // ... must equal the same legs applied to independent bare pools in
@@ -312,10 +308,10 @@ fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
         }
     }
 
-    // pool state byte-identical to the routed epoch's shards
+    // pool state byte-identical to the routed epoch's processor
     for p in 0..POOLS {
         assert_eq!(
-            shards.get(PoolId(p)).unwrap().pool().export_state(),
+            processor.pool(PoolId(p)).unwrap().export_state(),
             ammboost::amm::EngineState::Cl(solo_pools.get(&p).unwrap().export_state()),
             "pool {p} diverges from independent-leg execution"
         );
@@ -323,7 +319,7 @@ fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
 
     // deposits equal the initial snapshot plus the ledger's net deltas
     let nets: HashMap<Address, (i128, i128)> = ledger.net_entries().into_iter().collect();
-    let final_deposits = shards.merged_deposits();
+    let final_deposits = processor.deposits();
     for i in 0..users_n {
         let (initial0, initial1) = deposits[&user(i)];
         let (d0, d1) = nets.get(&user(i)).copied().unwrap_or((0, 0));
@@ -337,7 +333,7 @@ fn routed_epoch_equals_independent_legs_plus_netting_ledger() {
     }
 
     // and the explicit ledger matches the one the epoch accumulated
-    assert_eq!(&ledger, shards.epoch_netting());
+    assert_eq!(&ledger, processor.epoch_netting());
 }
 
 #[test]
@@ -345,14 +341,14 @@ fn routes_replay_bit_identically_through_fast_sync() {
     const POOLS: u32 = 6;
     const USERS: u64 = 24;
     const EPOCHS: u64 = 4;
-    let (mut shards, ledger, _, wire) = run_routed_node(POOLS, USERS, 99, EPOCHS, Some(2));
+    let (mut processor, ledger, _, wire) = run_routed_node(POOLS, USERS, 99, EPOCHS, Some(2));
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
     let mut node = restore_node(&snapshot).expect("routed snapshot restores");
     assert_eq!(node.epoch, 2);
     let applied = catch_up(&mut node, &ledger, ROUNDS_PER_EPOCH).expect("routed catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
-    assert_eq!(node.shards.export_states(), shards.export_states());
+    assert_eq!(node.shards.export_state(), processor.export_state());
     assert_eq!(node.ledger.retained_state(), ledger.retained_state());
     let a = checkpoint_node(
         &mut Checkpointer::new(),
@@ -361,7 +357,7 @@ fn routes_replay_bit_identically_through_fast_sync() {
         &node.ledger,
     )
     .stats;
-    let b = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut shards, &ledger).stats;
+    let b = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut processor, &ledger).stats;
     assert_eq!(a.root, b.root, "state roots diverge after routed catch-up");
 }
 
@@ -369,13 +365,13 @@ fn routes_replay_bit_identically_through_fast_sync() {
 fn netted_settlement_is_strictly_smaller_per_route() {
     // for EVERY accepted route with >= 2 hops, the netted settlement
     // bytes are strictly smaller than the naive per-hop settlement
-    let mut shards = seeded_shards(4);
+    let mut processor = seeded_processor(4);
     let gen = routed_generator(4, 16, 5150, 1.0);
-    shards.begin_epoch(deposits_for(&gen), |u| gen.pool_for(u));
+    processor.snapshot_bank(deposits_for(&gen));
     let mut gen = gen;
     let round_txs = gen.next_round(0);
     let batch: Vec<(&AmmTx, usize)> = round_txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
-    let executed = shards.execute_batch(&batch, 0, ExecMode);
+    let executed = processor.execute_batch(&batch, 0, ExecMode);
     let mut seen = 0;
     for out in executed {
         let TxEffect::Route { legs, .. } = &out.effect else {
@@ -430,10 +426,10 @@ fn same_pool_twice_rejected_with_typed_error() {
     assert_eq!(tx.validate(), Err(RouteError::DuplicatePool(PoolId(2))));
 
     // ... and the execution layer surfaces it as a stateless rejection
-    let mut shards = seeded_shards(4);
-    shards.begin_epoch([(user(1), (DEPOSIT, DEPOSIT))], |_| Some(PoolId(0)));
+    let mut processor = seeded_processor(4);
+    processor.snapshot_bank([(user(1), (DEPOSIT, DEPOSIT))]);
     let wrapped = AmmTx::Route(tx);
-    let out = shards.execute(&wrapped, 1072, 0);
+    let out = processor.execute(&wrapped, 1072, 0);
     let TxEffect::Rejected { reason } = &out.effect else {
         panic!(
             "duplicate-pool route must be rejected, got {:?}",
@@ -441,7 +437,7 @@ fn same_pool_twice_rejected_with_typed_error() {
         );
     };
     assert!(reason.contains("twice"), "reason: {reason}");
-    assert_eq!(shards.epoch_netting().route_count(), 0);
+    assert_eq!(processor.epoch_netting().route_count(), 0);
 }
 
 #[test]
@@ -475,7 +471,7 @@ fn system_runs_routed_traffic_end_to_end() {
     let snapshot = sys.last_snapshot().unwrap();
     let node = restore_node(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
     assert_eq!(node.root, stats.root);
-    assert_eq!(node.shards.export_states(), sys.shards().export_states());
+    assert_eq!(node.shards.export_state(), sys.processor().export_state());
 }
 
 fn arb_route(pools: u32, users: u64) -> impl Strategy<Value = AmmTx> {
@@ -521,25 +517,23 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let _ = seed;
-        let mut shards = seeded_shards(4);
+        let mut processor = seeded_processor(4);
         let users_n = 8u64;
         let deposits: HashMap<Address, (u128, u128)> = (0..users_n)
             .map(|i| (user(i), (DEPOSIT, DEPOSIT)))
             .collect();
-        shards.begin_epoch(deposits.clone(), |a| {
-            (0..users_n).find(|i| user(*i) == *a).map(|i| PoolId((i % 4) as u32))
-        });
+        processor.snapshot_bank(deposits.clone());
         let pool_before: Vec<(u128, u128)> = (0..4u32)
             .map(|p| {
-                let b = shards.get(PoolId(p)).unwrap().pool().balances();
+                let b = processor.pool(PoolId(p)).unwrap().balances();
                 (b.amount0, b.amount1)
             })
             .collect();
         let batch: Vec<(&AmmTx, usize)> = routes.iter().map(|t| (t, 1072)).collect();
-        let executed = shards.execute_batch(&batch, 0, ExecMode);
+        let executed = processor.execute_batch(&batch, 0, ExecMode);
 
         // (a) ledger-internal conservation: net totals == flow totals
-        let ledger = shards.epoch_netting();
+        let ledger = processor.epoch_netting();
         prop_assert_eq!(ledger.flow_totals(), ledger.net_totals());
 
         // (b) independent recomputation from the recorded effects
@@ -561,7 +555,7 @@ proptest! {
 
         // (c) global conservation: every token a user's deposit lost went
         // into a pool and vice versa (routes only touch deposits + pools)
-        let final_deposits = shards.merged_deposits();
+        let final_deposits = processor.deposits();
         let mut deposit_delta0 = 0i128;
         let mut deposit_delta1 = 0i128;
         for i in 0..users_n {
@@ -573,7 +567,7 @@ proptest! {
         let mut pool_delta0 = 0i128;
         let mut pool_delta1 = 0i128;
         for p in 0..4u32 {
-            let b = shards.get(PoolId(p)).unwrap().pool().balances();
+            let b = processor.pool(PoolId(p)).unwrap().balances();
             pool_delta0 += b.amount0 as i128 - pool_before[p as usize].0 as i128;
             pool_delta1 += b.amount1 as i128 - pool_before[p as usize].1 as i128;
         }

@@ -1,8 +1,9 @@
-//! The snapshot format across commits: a committed v6 fixture (a routed
+//! The snapshot format across commits: a committed v7 fixture (a routed
 //! run over four pools of all three engine kinds, page-root section
-//! leaves, a counted header, shard membership stored once, the ledger as
-//! retention leaves it, no tick-price table) must keep decoding to its
-//! recorded root and restoring into a working node. `write_v6_fixture`
+//! leaves, a counted header, the ledger as retention leaves it, no
+//! tick-price table, one deposit book with no per-depositor pool record)
+//! must keep decoding to its recorded root and restoring into a working
+//! node. `write_v7_fixture`
 //! rewrites it from the same run, so a diff of the fixture shows a commit
 //! that moved a snapshot byte or the root — a check across commits rather
 //! than inside one process.
@@ -16,18 +17,18 @@ use ammboost::core::system::System;
 use ammboost::state::{CodecError, Snapshot};
 use ammboost::workload::{EngineMix, RouteStyle};
 
-const V6_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v6_mixed.bin");
-const V6_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v6_mixed.root");
+const V7_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v7_mixed.bin");
+const V7_FIXTURE_ROOT: &str = include_str!("fixtures/snapshot_v7_mixed.root");
 
-/// Writes `fixtures/snapshot_v6_mixed.{bin,root}`: the last scheduled
+/// Writes `fixtures/snapshot_v7_mixed.{bin,root}`: the last scheduled
 /// checkpoint of a run over four pools (CL, CL, constant-product,
 /// weighted) with a quarter of the swaps routed. Run on purpose only
-/// (`cargo test --test snapshot_compat -- --ignored write_v6_fixture`;
+/// (`cargo test --test snapshot_compat -- --ignored write_v7_fixture`;
 /// CI runs it and fails on a `git diff` of the fixture): a diff shows the
 /// commit changed a snapshot byte or the root.
 #[test]
-#[ignore = "rewrites the committed v6 fixture"]
-fn write_v6_fixture() {
+#[ignore = "rewrites the committed v7 fixture"]
+fn write_v7_fixture() {
     let mut cfg = SystemConfig::small_test();
     cfg.pools = 4;
     cfg.users = 16;
@@ -40,35 +41,36 @@ fn write_v6_fixture() {
     assert!(report.routes_accepted > 0, "the fixture run must route");
     let snapshot = sys.last_snapshot().expect("checkpoints every epoch");
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    std::fs::write(format!("{dir}/snapshot_v6_mixed.bin"), snapshot.encode()).unwrap();
+    std::fs::write(format!("{dir}/snapshot_v7_mixed.bin"), snapshot.encode()).unwrap();
     std::fs::write(
-        format!("{dir}/snapshot_v6_mixed.root"),
+        format!("{dir}/snapshot_v7_mixed.root"),
         format!("{}\n", snapshot.root()),
     )
     .unwrap();
 }
 
 #[test]
-fn v6_fixture_decodes_reencodes_and_restores_to_its_root() {
-    let snapshot = Snapshot::decode(V6_FIXTURE).expect("committed v6 fixture decodes");
+fn v7_fixture_decodes_reencodes_and_restores_to_its_root() {
+    let snapshot = Snapshot::decode(V7_FIXTURE).expect("committed v7 fixture decodes");
     assert_eq!(snapshot.epoch(), 3);
-    assert_eq!(format!("{}", snapshot.root()), V6_FIXTURE_ROOT.trim());
+    assert_eq!(format!("{}", snapshot.root()), V7_FIXTURE_ROOT.trim());
     assert_eq!(
         snapshot.encode(),
-        V6_FIXTURE,
+        V7_FIXTURE,
         "decode → encode is the identity"
     );
-    assert_restores_mixed_fleet(&snapshot, V6_FIXTURE_ROOT);
+    assert_restores_mixed_fleet(&snapshot, V7_FIXTURE_ROOT);
 }
 
 #[test]
 fn v4_header_is_refused_not_misparsed() {
     // the fixture's bytes under the retired versions: v4 stored a copy of
-    // every depositor's address per shard, and v5 a ledger section with
-    // every unpruned meta-block and pool sections with a tick-price
-    // table, so a v6 decoder must read neither
-    for version in [4, 5] {
-        let mut bytes = V6_FIXTURE.to_vec();
+    // every depositor's address per shard, v5 a ledger section with every
+    // unpruned meta-block and pool sections with a tick-price table, and
+    // v6 a pool index per depositor in the processor meta, so a v7
+    // decoder must read none of them
+    for version in [4, 5, 6] {
+        let mut bytes = V7_FIXTURE.to_vec();
         bytes[4..6].copy_from_slice(&u16::to_be_bytes(version));
         assert_eq!(
             Snapshot::decode(&bytes),
@@ -95,9 +97,8 @@ fn assert_restores_mixed_fleet(snapshot: &Snapshot, root: &str) {
     for (id, kind) in node.shards.engine_kinds() {
         let quote = node
             .shards
-            .get(id)
-            .expect("restored shard")
-            .pool()
+            .pool(id)
+            .expect("restored pool")
             .quote_swap(true, SwapKind::ExactInput(1_000_000), None)
             .unwrap_or_else(|e| panic!("{kind:?} pool {id:?} must quote: {e:?}"));
         assert!(quote.amount_out > 0, "{kind:?} pool {id:?}");
