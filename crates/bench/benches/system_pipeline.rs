@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the system pipeline: sidechain transaction
 //! processing rate, summary building, sync verification on TokenBank,
-//! PBFT agreement, a small end-to-end epoch, and the per-user substrate
+//! PBFT agreement, a small end-to-end epoch, the arrival backlog's
+//! codec, and the per-user substrate
 //! under a fat run (mainchain deposit chain, election, traffic
 //! generation), the batched short-hash paths (transaction root,
 //! ticket draw, page sealing), and the snapshot paths of a fat node
@@ -13,8 +14,9 @@ use ammboost_consensus::election::{draw_ticket, draw_tickets, elect_committee, M
 use ammboost_consensus::pbft::{run_consensus, Behavior};
 use ammboost_core::checkpoint::{checkpoint_node, restore_node};
 use ammboost_core::config::SystemConfig;
-use ammboost_core::processor::EpochProcessor;
+use ammboost_core::processor::{EpochProcessor, ExecMode};
 use ammboost_core::system::System;
+use ammboost_core::Backlog;
 use ammboost_crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost_crypto::vrf::VrfSecretKey;
 use ammboost_crypto::{Address, H256};
@@ -26,10 +28,18 @@ use ammboost_sidechain::ledger::Ledger;
 use ammboost_sim::time::SimTime;
 use ammboost_state::pages::{seal_pages, PAGE_SIZE};
 use ammboost_state::{Checkpointer, SectionKind, Snapshot};
-use ammboost_workload::{GeneratorConfig, LiquidityStyle, TrafficGenerator};
+use ammboost_workload::{
+    GeneratedTx, GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+/// `batch` as the node hands a round to `execute_batch`.
+fn round_of(batch: &[GeneratedTx]) -> Vec<(&AmmTx, usize)> {
+    batch.iter().map(|gtx| (&gtx.tx, gtx.wire_size)).collect()
+}
+
+/// One 1 000-transaction `paper_default` round through `execute_batch`.
 fn bench_processor_throughput(c: &mut Criterion) {
     let mut generator = TrafficGenerator::new(GeneratorConfig {
         daily_volume: 25_000_000,
@@ -50,6 +60,7 @@ fn bench_processor_throughput(c: &mut Criterion) {
         .into_iter()
         .map(|u| (u, (10u128.pow(13), 10u128.pow(13))))
         .collect();
+    let round = round_of(&batch);
     c.bench_function("processor/execute_1000_txs", |b| {
         b.iter_batched(
             || {
@@ -58,9 +69,7 @@ fn bench_processor_throughput(c: &mut Criterion) {
                 p
             },
             |mut p| {
-                for (i, gtx) in batch.iter().enumerate() {
-                    black_box(p.execute(&gtx.tx, gtx.wire_size, i as u64));
-                }
+                black_box(p.execute_batch(&round, 0, ExecMode));
                 p
             },
             BatchSize::LargeInput,
@@ -77,7 +86,7 @@ fn bench_processor_fragmented_liquidity(c: &mut Criterion) {
         users: 400,
         max_positions_per_user: 4,
         liquidity_style: LiquidityStyle::Fragmented,
-        mix: ammboost_workload::TrafficMix::from_tuple((70.0, 30.0, 0.0, 0.0)),
+        mix: TrafficMix::from_tuple((70.0, 30.0, 0.0, 0.0)),
         ..GeneratorConfig::default()
     });
     // warm-up batch populates the fragmented tick ladder via mints
@@ -98,16 +107,13 @@ fn bench_processor_fragmented_liquidity(c: &mut Criterion) {
         .map(|u| (u, (10u128.pow(13), 10u128.pow(13))))
         .collect();
     base.snapshot_bank(snapshot);
-    for (i, gtx) in warmup.iter().enumerate() {
-        base.execute(&gtx.tx, gtx.wire_size, i as u64);
-    }
+    base.execute_batch(&round_of(&warmup), 0, ExecMode);
+    let round = round_of(&batch);
     c.bench_function("processor/execute_1000_txs_fragmented_ticks", |b| {
         b.iter_batched(
             || base.clone(),
             |mut p| {
-                for (i, gtx) in batch.iter().enumerate() {
-                    black_box(p.execute(&gtx.tx, gtx.wire_size, i as u64));
-                }
+                black_box(p.execute_batch(&round, 1, ExecMode));
                 p
             },
             BatchSize::LargeInput,
@@ -134,6 +140,42 @@ fn bench_small_system(c: &mut Criterion) {
         b.iter(|| black_box(System::new(SystemConfig::small_test()).run()))
     });
     group.finish();
+}
+
+/// The world's arrival backlog: pack one 2 026-transaction round of
+/// `paper_default` traffic and one of `fat_busy`'s mint-heavy mix over
+/// 50 000 users, then pop and decode both back (per transaction:
+/// ns / 4 052).
+fn bench_backlog(c: &mut Criterion) {
+    let second_round = |cfg: GeneratorConfig| {
+        let mut generator = TrafficGenerator::new(cfg);
+        // the first round's mints give burns and collects positions
+        generator.next_round(0);
+        let batch = generator.next_round(1);
+        (generator, batch)
+    };
+    let paper = second_round(GeneratorConfig::default());
+    let fat = second_round(GeneratorConfig {
+        users: 50_000,
+        pools: vec![PoolId(0), PoolId(1)],
+        mix: TrafficMix::from_tuple((60.0, 20.0, 10.0, 10.0)),
+        ..GeneratorConfig::default()
+    });
+    assert_eq!(paper.1.len() + fat.1.len(), 4_052);
+    c.bench_function("system/backlog_pack_unpack_round", |b| {
+        b.iter(|| {
+            let mut backlog = Backlog::new();
+            for (generator, batch) in [&paper, &fat] {
+                for (i, gtx) in batch.iter().enumerate() {
+                    let arrival = SimTime::from_millis(60_000 + i as u64 * 3);
+                    backlog.push(arrival, gtx.wire_size, gtx.user, &gtx.tx);
+                }
+                while let Some(entry) = backlog.pop(|i| generator.user(i)) {
+                    black_box(entry);
+                }
+            }
+        })
+    });
 }
 
 /// The one-time deposit flow of `System::submit_deposits`, per user:
@@ -380,6 +422,7 @@ criterion_group!(
     bench_processor_fragmented_liquidity,
     bench_pbft,
     bench_small_system,
+    bench_backlog,
     bench_deposit_chain,
     bench_election,
     bench_tx_root,

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backlog;
 pub mod baseline;
 pub mod checkpoint;
 pub mod config;
@@ -43,6 +44,10 @@ pub mod system;
 pub mod txenv;
 pub mod view;
 
+/// The world's packed arrival queue, re-exported only so the criterion
+/// benches can time its codec; [`System`] owns the one instance.
+#[doc(hidden)]
+pub use backlog::Backlog;
 pub use baseline::{BaselineConfig, BaselineReport, BaselineRunner};
 pub use checkpoint::{
     catch_up, checkpoint_node, recover_node, restore_node, stage_node, NodeRestore,

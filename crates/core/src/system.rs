@@ -15,7 +15,24 @@
 //! "crypto committee" (`crypto_committee_faults`, default `f = 4` →
 //! 14 members, threshold 10) so that multi-million-transaction runs remain
 //! tractable. Every cryptographic check TokenBank performs is genuine.
+//!
+//! ## The arrival backlog
+//! Each round's generated transactions join the world's arrival queue,
+//! and the node is fed from its front under the meta-block byte budget
+//! (and, in-run, an arrival cutoff at the round's end). At the paper's
+//! saturated load the queue outgrows the node's state: ≈ 350 000
+//! transactions are still queued when an 11-epoch `paper_default` run
+//! ends. So the queue is a packed byte arena, not a queue of `AmmTx`:
+//! each arrival is one varint record (≈ 18 B on the paper's mix) that
+//! names its issuer by population index (`GeneratedTx::user`), where an
+//! `AmmTx` takes 128 B.
+//! A round decodes the records it pops back into the exact transactions
+//! that were generated, so the node and every figure it produces are
+//! unchanged. [`SystemReport::backlog_peak`] and
+//! [`SystemReport::backlog_peak_bytes`] report the queue's high-water
+//! mark.
 
+use crate::backlog::Backlog;
 use crate::config::{DepositPolicy, SystemConfig};
 use crate::node::{EpochOutput, Node, RoundOutput};
 use crate::processor::EpochProcessor;
@@ -43,7 +60,7 @@ use ammboost_state::snapshot::Snapshot;
 use ammboost_state::{CheckpointStats, RetentionPolicy};
 use ammboost_workload::{GeneratorConfig, TrafficGenerator};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Everything a run measures (the §VI-A metric list).
@@ -58,6 +75,12 @@ pub struct SystemReport {
     /// Transactions still queued when the run ended (after drain this is
     /// zero).
     pub leftover_queue: u64,
+    /// The most transactions the arrival backlog held at once (its
+    /// high-water mark; the drain empties it).
+    pub backlog_peak: u64,
+    /// The backlog's packed size when it first reached `backlog_peak`,
+    /// in bytes.
+    pub backlog_peak_bytes: u64,
     /// Throughput in processed transactions/second over the active window.
     pub throughput_tps: f64,
     /// Mean sidechain transaction latency (submission → meta-block),
@@ -164,7 +187,8 @@ pub struct System {
     /// DKG for the next committee (its vk rides the next sync).
     next_dkg: DkgOutput,
     committees: Vec<Committee>,
-    queue: VecDeque<(SimTime, AmmTx, usize)>,
+    /// Arrived, not yet mined transactions, in arrival order.
+    queue: Backlog,
     awaiting_payout: BTreeMap<u64, Vec<SimTime>>,
     /// Sealed epochs no applied sync covers yet.
     unsynced: Vec<(u64, EpochOutput)>,
@@ -280,7 +304,7 @@ impl System {
             registered_shares: genesis_dkg,
             next_dkg,
             committees: Vec::new(),
-            queue: VecDeque::new(),
+            queue: Backlog::new(),
             awaiting_payout: BTreeMap::new(),
             unsynced: Vec::new(),
             pending_syncs: Vec::new(),
@@ -395,6 +419,8 @@ impl System {
             accepted: self.accepted,
             rejected: self.rejected,
             leftover_queue: self.queue.len() as u64,
+            backlog_peak: self.queue.peak() as u64,
+            backlog_peak_bytes: self.queue.peak_bytes() as u64,
             throughput_tps: throughput,
             avg_sc_latency_secs: self.sc_latency.mean_secs(),
             avg_payout_latency_secs: self.payout_latency.mean_secs(),
@@ -511,8 +537,9 @@ impl System {
                 let offset = SimDuration::from_millis(
                     self.cfg.round_duration.as_millis() * i as u64 / n.max(1),
                 );
+                debug_assert_eq!(self.generator.user(gtx.user), gtx.tx.user());
                 self.queue
-                    .push_back((round_start + offset, gtx.tx, gtx.wire_size));
+                    .push(round_start + offset, gtx.wire_size, gtx.user, &gtx.tx);
                 self.submitted += 1;
             }
 
@@ -559,14 +586,14 @@ impl System {
     ) {
         let mut popped: Vec<(SimTime, AmmTx, usize)> = Vec::new();
         let mut bytes = 0usize;
-        while let Some((arrival, _, size)) = self.queue.front() {
-            let past_cutoff = arrival_cutoff.is_some_and(|cutoff| *arrival >= cutoff);
+        while let Some((arrival, size)) = self.queue.front() {
+            let past_cutoff = arrival_cutoff.is_some_and(|cutoff| arrival >= cutoff);
             if past_cutoff || bytes + size > self.cfg.meta_block_bytes {
                 break;
             }
-            let entry = self.queue.pop_front().expect("front checked");
-            bytes += entry.2;
-            popped.push(entry);
+            let entry = self.queue.pop(|i| self.generator.user(i));
+            bytes += size;
+            popped.push(entry.expect("front checked"));
         }
         let batch: Vec<(&AmmTx, usize)> = popped.iter().map(|(_, tx, size)| (tx, *size)).collect();
         let out = step(&mut self.node, &batch);
@@ -909,6 +936,31 @@ mod tests {
         assert!(report.avg_payout_latency_secs > report.avg_sc_latency_secs);
         assert!(report.mainchain_gas > 0);
         assert!(report.sidechain_pruned_bytes > 0);
+    }
+
+    /// Arrivals outrun the meta-block budget, so a backlog builds up
+    /// across every epoch and only the drain empties it: its high-water
+    /// mark is reported, packed at no more than 24 B a transaction.
+    #[test]
+    fn saturated_backlog_packs_each_transaction_small() {
+        let mut cfg = small();
+        cfg.daily_volume = 2_000_000;
+        cfg.meta_block_bytes = 20_000;
+        let report = System::new(cfg).run();
+        assert_eq!(report.leftover_queue, 0);
+        assert_eq!(report.accepted + report.rejected, report.submitted);
+        assert!(report.backlog_peak > report.submitted / 2, "{report:?}");
+        assert!(report.backlog_peak < report.submitted, "{report:?}");
+        assert!(
+            report.backlog_peak_bytes <= 24 * report.backlog_peak,
+            "{} B for {} transactions",
+            report.backlog_peak_bytes,
+            report.backlog_peak
+        );
+        // an unsaturated run's backlog holds at most two rounds of
+        // arrivals (5 each): the summary round mines none
+        let calm = System::new(small()).run();
+        assert!((1..=10).contains(&calm.backlog_peak), "{calm:?}");
     }
 
     #[test]

@@ -136,20 +136,6 @@ impl NettingLedger {
         self.routes += 1;
     }
 
-    /// Folds another ledger into this one (per-batch ledgers accumulate
-    /// into the epoch ledger).
-    pub fn merge(&mut self, other: &NettingLedger) {
-        for (user, (d0, d1)) in &other.nets {
-            let entry = self.nets.entry(*user).or_insert((0, 0));
-            entry.0 += d0;
-            entry.1 += d1;
-        }
-        self.flows += other.flows;
-        self.routes += other.routes;
-        self.flow_sum0 += other.flow_sum0;
-        self.flow_sum1 += other.flow_sum1;
-    }
-
     /// The net signed deltas, sorted by user.
     pub fn net_entries(&self) -> Vec<(Address, (i128, i128))> {
         self.nets.iter().map(|(u, d)| (*u, *d)).collect()
@@ -681,20 +667,5 @@ mod tests {
                 n.naive_settlement_bytes()
             );
         }
-    }
-
-    #[test]
-    fn netting_merge_accumulates() {
-        let mut a_ledger = NettingLedger::new();
-        a_ledger.record_route();
-        a_ledger.record_leg(a(1), true, 10, 9);
-        let mut b_ledger = NettingLedger::new();
-        b_ledger.record_route();
-        b_ledger.record_leg(a(1), false, 9, 8);
-        a_ledger.merge(&b_ledger);
-        assert_eq!(a_ledger.route_count(), 2);
-        assert_eq!(a_ledger.flow_count(), 4);
-        assert_eq!(a_ledger.net_entries(), vec![(a(1), (-2, 0))]);
-        assert_eq!(a_ledger.flow_totals(), a_ledger.net_totals());
     }
 }

@@ -319,6 +319,9 @@ pub struct GeneratedTx {
     pub tx: AmmTx,
     /// Its size in bytes as counted against block budgets.
     pub wire_size: usize,
+    /// The issuer's population index: `tx.user()` is
+    /// [`TrafficGenerator::user`]`(user)`.
+    pub user: u32,
 }
 
 /// User `i`'s address is `Address::from_index(USER_INDEX_BASE + i)`.
@@ -334,14 +337,16 @@ pub struct TrafficGenerator {
     /// transaction stream is bit-identical with quotes on or off.
     quote_rng: DetRng,
     nonces: Vec<u64>,
-    /// Positions fed back from mints, indexed by pool so burns/collects
-    /// draw from the right pool in O(1) without scanning the fleet. A
-    /// position is tracked once; each vector keeps tracking order, which
-    /// is what `pick_position` indexes into.
-    positions: HashMap<PoolId, Vec<(Address, PositionId)>>,
-    /// `owned[i]`: user `i`'s tracked positions on their home pool, in
-    /// the order `positions` holds them — what a mint past the per-user
-    /// cap tops up, without scanning the pool's vector for the owner.
+    /// Positions fed back from mints, with their owner's population
+    /// index, indexed by pool so burns/collects draw from the right pool
+    /// in O(1) without scanning the fleet. A position is tracked once;
+    /// each vector keeps tracking order, which is what `pick_position`
+    /// indexes into.
+    positions: HashMap<PoolId, Vec<(u32, PositionId)>>,
+    /// `owned[i]`: user `i`'s tracked positions (all on their home pool),
+    /// in the order `positions` holds them — what a mint past the
+    /// per-user cap tops up, without scanning the pool's vector for the
+    /// owner.
     owned: Vec<Vec<PositionId>>,
     /// The pool each tracked position is on: `forget_position` goes to
     /// the one vector that holds it, and returns at once for a position
@@ -353,8 +358,8 @@ pub struct TrafficGenerator {
     /// `users[i]` = [`TrafficGenerator::user_address`]`(i)`: one Keccak
     /// per user at construction, none per generated transaction.
     users: Vec<Address>,
-    /// Reverse map address → user index (hence home pool), for deposit
-    /// routing and for finding a position's `owned` list.
+    /// Reverse map address → user index (hence home pool), for
+    /// [`TrafficGenerator::pool_for`].
     index_of: DigestMap<Address, u32>,
 }
 
@@ -406,6 +411,14 @@ impl TrafficGenerator {
         self.users.clone()
     }
 
+    /// The address of population index `i` (a [`GeneratedTx::user`]).
+    ///
+    /// # Panics
+    /// Panics when `i` is outside the population.
+    pub fn user(&self, i: u32) -> Address {
+        self.users[i as usize]
+    }
+
     /// Deterministic address of simulated user `i`.
     pub fn user_address(i: u64) -> Address {
         Address::from_index(USER_INDEX_BASE + i)
@@ -422,13 +435,6 @@ impl TrafficGenerator {
     pub fn pool_for(&self, user: &Address) -> Option<PoolId> {
         let i = *self.index_of.get(user)?;
         Some(self.pool_of_index(u64::from(i)))
-    }
-
-    /// The `owned` list holding `owner`'s positions on `pool`: none for
-    /// an address outside the population or a pool that is not its home.
-    fn owned_on(&mut self, owner: &Address, pool: PoolId) -> Option<&mut Vec<PositionId>> {
-        let i = *self.index_of.get(owner)?;
-        (self.pool_of_index(u64::from(i)) == pool).then(|| &mut self.owned[i as usize])
     }
 
     /// The configured fleet with engine kinds assigned: one
@@ -449,15 +455,14 @@ impl TrafficGenerator {
         self.pool_of.len()
     }
 
-    /// Informs the generator that a position exists (e.g. pre-seeded
-    /// liquidity), so burns/collects can target it.
-    pub fn register_position(&mut self, owner: Address, id: PositionId, pool: PoolId) {
+    /// Tracks a position population user `owner` minted on their home
+    /// `pool`, so burns/collects can target it.
+    fn register_position(&mut self, owner: u32, id: PositionId, pool: PoolId) {
+        debug_assert_eq!(self.pool_of_index(u64::from(owner)), pool, "home pool");
         let known = self.pool_of.insert(id, pool);
         debug_assert!(known.is_none(), "position {id} registered twice");
         self.positions.entry(pool).or_default().push((owner, id));
-        if let Some(owned) = self.owned_on(&owner, pool) {
-            owned.push(id);
-        }
+        self.owned[owner as usize].push(id);
     }
 
     /// Removes a position (after a full burn); a no-op for one that is
@@ -473,9 +478,7 @@ impl TrafficGenerator {
         let at = tracked.iter().position(|(_, p)| *p == id);
         // order-preserving removal: `pick_position` indexes by position
         let (owner, _) = tracked.remove(at.expect("tracked on its pool"));
-        if let Some(owned) = self.owned_on(&owner, pool) {
-            owned.retain(|p| *p != id);
-        }
+        self.owned[owner as usize].retain(|p| *p != id);
     }
 
     /// Generates the transaction batch arriving during `round`.
@@ -610,16 +613,17 @@ impl TrafficGenerator {
         (users - pi as u64).div_ceil(p)
     }
 
-    /// Picks a user homed on pool index `pi`.
-    fn pick_user_in(&mut self, pi: usize) -> (u64, Address) {
+    /// Picks a user homed on pool index `pi`: its population index and
+    /// address.
+    fn pick_user_in(&mut self, pi: usize) -> (u32, Address) {
         let p = self.config.pools.len() as u64;
         let k = self.rng.range_u64(0, self.users_in_pool(pi));
-        let i = pi as u64 + k * p;
+        let i = (pi as u64 + k * p) as u32;
         (i, self.users[i as usize])
     }
 
     fn gen_swap(&mut self, round: u64, pi: usize) -> GeneratedTx {
-        let (_, user) = self.pick_user_in(pi);
+        let (ui, user) = self.pick_user_in(pi);
         let zero_for_one = self.rng.unit() < 0.5;
         let amount_in = self.rng.range_u128(1_000, 120_000);
         let exact_input = self.rng.unit() < 0.8;
@@ -642,7 +646,7 @@ impl TrafficGenerator {
             sqrt_price_limit: None,
             deadline_round: round + self.config.deadline_slack_rounds,
         });
-        self.wrap(tx)
+        self.wrap(tx, ui)
     }
 
     /// Generates a multi-hop route: entry on pool index `pi` (issued by a
@@ -650,7 +654,7 @@ impl TrafficGenerator {
     /// entry shard), continuing through distinct pools drawn uniformly
     /// from the rest of the configured set, directions alternating.
     fn gen_route(&mut self, round: u64, pi: usize) -> GeneratedTx {
-        let (_, user) = self.pick_user_in(pi);
+        let (ui, user) = self.pick_user_in(pi);
         let style = self.config.route_style;
         let pool_cap = self.config.pools.len().min(MAX_ROUTE_HOPS);
         let min_hops = style.min_hops.max(2).min(pool_cap);
@@ -677,13 +681,14 @@ impl TrafficGenerator {
             })
             .collect();
         let amount_in = self.rng.range_u128(1_000, 120_000);
-        self.wrap(AmmTx::Route(RouteTx {
+        let tx = AmmTx::Route(RouteTx {
             user,
             hops,
             amount_in,
             min_amount_out: 0,
             deadline_round: round + self.config.deadline_slack_rounds,
-        }))
+        });
+        self.wrap(tx, ui)
     }
 
     fn gen_mint(&mut self, pi: usize) -> GeneratedTx {
@@ -707,7 +712,7 @@ impl TrafficGenerator {
                 amount1_desired: self.rng.range_u128(100_000, 4_000_000),
                 nonce: self.nonces[ui as usize],
             };
-            return self.wrap(AmmTx::Mint(tx));
+            return self.wrap(AmmTx::Mint(tx), ui);
         }
         let (tick_lower, tick_upper) = match self.config.liquidity_style {
             // ranges aligned to the standard 60-tick spacing, centred near
@@ -737,8 +742,8 @@ impl TrafficGenerator {
             nonce: self.nonces[ui as usize],
         };
         // track the would-be position so later burns/collects can hit it
-        self.register_position(user, tx.derived_position_id(), pool);
-        self.wrap(AmmTx::Mint(tx))
+        self.register_position(ui, tx.derived_position_id(), pool);
+        self.wrap(AmmTx::Mint(tx), ui)
     }
 
     fn gen_burn(&mut self, pi: usize) -> GeneratedTx {
@@ -748,12 +753,13 @@ impl TrafficGenerator {
                 if full {
                     self.forget_position(id);
                 }
-                self.wrap(AmmTx::Burn(BurnTx {
-                    user: owner,
+                let tx = AmmTx::Burn(BurnTx {
+                    user: self.user(owner),
                     pool: self.config.pools[pi],
                     position: id,
                     liquidity: if full { None } else { Some(1) },
-                }))
+                });
+                self.wrap(tx, owner)
             }
             // no live position on this pool yet: fall back to a mint so
             // the mix keeps its liquidity-management share
@@ -763,20 +769,24 @@ impl TrafficGenerator {
 
     fn gen_collect(&mut self, pi: usize) -> GeneratedTx {
         match self.pick_position(self.config.pools[pi]) {
-            Some((owner, id)) => self.wrap(AmmTx::Collect(CollectTx {
-                user: owner,
-                pool: self.config.pools[pi],
-                position: id,
-                amount0: u128::MAX,
-                amount1: u128::MAX,
-            })),
+            Some((owner, id)) => {
+                let tx = AmmTx::Collect(CollectTx {
+                    user: self.user(owner),
+                    pool: self.config.pools[pi],
+                    position: id,
+                    amount0: u128::MAX,
+                    amount1: u128::MAX,
+                });
+                self.wrap(tx, owner)
+            }
             None => self.gen_mint(pi),
         }
     }
 
     /// Picks a tracked position on `pool` (burns/collects must reference
-    /// positions of the pool the transaction targets).
-    fn pick_position(&mut self, pool: PoolId) -> Option<(Address, PositionId)> {
+    /// positions of the pool the transaction targets), with its owner's
+    /// population index.
+    fn pick_position(&mut self, pool: PoolId) -> Option<(u32, PositionId)> {
         let tracked = self.positions.get(&pool)?;
         if tracked.is_empty() {
             return None;
@@ -785,12 +795,16 @@ impl TrafficGenerator {
         Some(tracked[i])
     }
 
-    fn wrap(&self, tx: AmmTx) -> GeneratedTx {
+    fn wrap(&self, tx: AmmTx, user: u32) -> GeneratedTx {
         let wire_size = match &tx {
             AmmTx::Route(r) => uniswap2023::route_size_for(r.hops.len()),
             _ => uniswap2023::size_for(tx.kind()),
         };
-        GeneratedTx { tx, wire_size }
+        GeneratedTx {
+            tx,
+            wire_size,
+            user,
+        }
     }
 }
 
@@ -984,6 +998,28 @@ mod tests {
             ammboost_crypto::H256::hash(&stream).to_hex(),
             "0c71b3e6808ed94dbb97effb23999091b933e96e692963ddcc2494eb52f200a6"
         );
+    }
+
+    /// `GeneratedTx::user` is the issuer's population index for every
+    /// kind: swaps, routes and mints from the user draw, burns and
+    /// collects from the position's owner.
+    #[test]
+    fn every_kind_carries_its_issuers_index() {
+        let mut g = TrafficGenerator::new(GeneratorConfig {
+            users: 300,
+            pools: pool_set(4),
+            mix: TrafficMix::from_tuple((40.0, 30.0, 15.0, 15.0)),
+            route_style: RouteStyle::routed(0.5, 3),
+            max_positions_per_user: 2,
+            ..config(1_000_000, 17)
+        });
+        let mut kinds = HashSet::new();
+        for i in 0..5_000 {
+            let t = g.next_tx(i / 100);
+            assert_eq!(t.tx.user(), g.user(t.user), "{:?}", t.tx.kind());
+            kinds.insert(t.tx.kind());
+        }
+        assert_eq!(kinds.len(), 5, "every kind generated: {kinds:?}");
     }
 
     #[test]
