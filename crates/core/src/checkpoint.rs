@@ -9,16 +9,18 @@
 //!   reuse their cached encoding; only dirty pools are re-encoded);
 //! - [`restore_node`] — rebuilds a working processor + ledger from a
 //!   snapshot, with each pool's derived tick index regenerated;
-//! - [`catch_up`] — fast-sync: a node restored at epoch *k* re-executes
-//!   the meta-blocks sealed after *k* from a peer's ledger and verifies
-//!   each recorded effect and each summary block against its own
-//!   re-execution, ending byte-identical to a node that replayed full
-//!   history.
+//!   [`Node::restore`] makes a [`Node`] of them;
+//! - [`catch_up`] — fast-sync: a node restored at epoch *k* follows the
+//!   epochs sealed after *k* from a peer's ledger, block by block, with
+//!   the paper's `VerifyBlock` + `UpdateState` — the same steps, through
+//!   the same code, as the node that mined them ([`Node::follow_round`],
+//!   [`Node::follow_epoch`]) — ending byte-identical to a node that
+//!   replayed full history.
 
-use crate::processor::{EpochProcessor, ExecMode, PoolSlot, ProcessorStats};
+use crate::node::Node;
+use crate::processor::{EpochProcessor, PoolSlot, ProcessorStats};
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::Address;
-use ammboost_sidechain::block::SummaryBlock;
 use ammboost_sidechain::ledger::Ledger;
 use ammboost_sidechain::summary::Deposits;
 use ammboost_state::codec::{
@@ -119,7 +121,7 @@ pub enum NodeRestoreError {
         /// The user.
         user: Address,
     },
-    /// A replayed transaction's effect diverged from the one recorded in
+    /// A followed transaction's effect diverged from the one recorded in
     /// the meta-block — the snapshot or the block stream is inconsistent.
     EffectMismatch {
         /// Epoch of the divergent block.
@@ -127,7 +129,7 @@ pub enum NodeRestoreError {
         /// Round of the divergent block.
         round: u64,
     },
-    /// A replayed epoch's summary diverged from the sealed summary block.
+    /// A followed epoch's summary diverged from the sealed summary block.
     SummaryMismatch {
         /// The divergent epoch.
         epoch: u64,
@@ -152,10 +154,10 @@ impl fmt::Display for NodeRestoreError {
                 write!(f, "the epoch opened for {user}, who has no deposit")
             }
             NodeRestoreError::EffectMismatch { epoch, round } => {
-                write!(f, "replayed effect diverges in epoch {epoch} round {round}")
+                write!(f, "followed effect diverges in epoch {epoch} round {round}")
             }
             NodeRestoreError::SummaryMismatch { epoch } => {
-                write!(f, "replayed summary diverges in epoch {epoch}")
+                write!(f, "followed summary diverges in epoch {epoch}")
             }
             NodeRestoreError::BadChain(detail) => write!(f, "block does not chain: {detail}"),
             NodeRestoreError::Store(e) => write!(f, "checkpoint store: {e}"),
@@ -183,8 +185,10 @@ impl From<StoreError> for NodeRestoreError {
     }
 }
 
-/// A node rebuilt from a snapshot, ready to catch up or to serve the next
-/// epoch.
+/// The parts [`restore_node`] rebuilds from a snapshot. It stays public
+/// only because nodebench's replica (`benchmark/src/{e2e,traced}.rs`)
+/// reads its fields; ROADMAP item 1(b0) deletes it. Everything else
+/// restores a [`Node`] through [`Node::restore`].
 #[derive(Debug)]
 pub struct NodeRestore {
     /// The epoch the snapshot covered.
@@ -275,10 +279,12 @@ pub fn stage_node<'a>(
     )
 }
 
-/// Rebuilds a node from a snapshot: every pool (tick index regenerated),
-/// the deposit book with the open epoch's first-touch record, the
-/// epoch's bookkeeping, and the ledger as retention left it (summaries
-/// and the open epoch's meta-blocks).
+/// Rebuilds a node's parts from a snapshot: every pool (tick index
+/// regenerated), the deposit book with the open epoch's first-touch
+/// record, the epoch's bookkeeping, and the ledger as retention left it
+/// (summaries and the open epoch's meta-blocks). [`Node::restore`] is
+/// built on it; it stays public only for nodebench's replica and the
+/// restore benchmarks, which time it alone.
 ///
 /// Pool metas and pool sections are paired in one walk, both ascending
 /// by pool id, so a meta list that is not strictly ascending, a meta
@@ -347,10 +353,11 @@ pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError
     })
 }
 
-/// Fast-sync catch-up: re-executes every epoch sealed after the node's
-/// snapshot epoch from `source`'s retained blocks, verifying each recorded transaction effect
-/// and each summary block against the node's own re-execution, and
-/// appending the blocks to the node's ledger.
+/// Fast-sync catch-up: `node` follows every epoch `source` sealed after
+/// the node's last summary, one block at a time — `begin_epoch(None)`,
+/// [`Node::follow_round`] per meta-block, [`Node::follow_epoch`] for the
+/// summary. An epoch the node holds meta-blocks of (a snapshot taken
+/// mid-epoch) is already open: it follows the blocks after them.
 ///
 /// `rounds_per_epoch` reproduces the global round numbers transactions
 /// were originally executed at (deadline checks depend on them).
@@ -359,58 +366,35 @@ pub fn restore_node(snapshot: &Snapshot) -> Result<NodeRestore, NodeRestoreError
 ///
 /// # Errors
 /// Fails when a block does not chain, when the source pruned an epoch the
-/// node still needs, or when re-execution diverges from the recorded
-/// effects (inconsistent snapshot/stream).
+/// node still needs, or when following diverges from the recorded
+/// effects or summary (inconsistent snapshot/stream).
 pub fn catch_up(
-    node: &mut NodeRestore,
+    node: &mut Node,
     source: &Ledger,
     rounds_per_epoch: u64,
 ) -> Result<u64, NodeRestoreError> {
     let mut applied = 0u64;
-    let last_sealed = source.last_summary_epoch();
-    for epoch in (node.epoch + 1)..=last_sealed {
-        // A new committee takes over without a fresh TokenBank snapshot:
-        // deposit tracking carries forward exactly as in a mass-sync epoch.
-        node.shards.carry_over_epoch();
-        let metas = source.meta_blocks(epoch);
-        if metas.is_empty() {
+    for epoch in node.ledger().open_epoch()..=source.last_summary_epoch() {
+        let blocks = source.meta_blocks(epoch);
+        if blocks.is_empty() {
             return Err(NodeRestoreError::BadChain(format!(
                 "source pruned epoch {epoch} before the node could sync it"
             )));
         }
-        for block in metas {
-            // replay the block as one batch: routed transactions
-            // re-enter the same two-phase wave schedule they were mined
-            // under, so the replay is bit-identical to live execution
-            let global_round = (epoch - 1) * rounds_per_epoch + block.round;
-            let batch: Vec<(&ammboost_amm::tx::AmmTx, usize)> =
-                block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
-            let replayed = node.shards.execute_batch(&batch, global_round, ExecMode);
-            for (replay, recorded) in replayed.iter().zip(&block.txs) {
-                if replay.effect != recorded.effect {
-                    return Err(NodeRestoreError::EffectMismatch {
-                        epoch,
-                        round: block.round,
-                    });
-                }
-            }
-            node.ledger
-                .append_meta(block.clone())
-                .map_err(|e| NodeRestoreError::BadChain(e.to_string()))?;
+        let held = node.ledger().meta_blocks(epoch).len();
+        if held == 0 {
+            // A new committee takes over without a fresh TokenBank
+            // snapshot: deposit tracking carries forward exactly as in a
+            // mass-sync epoch.
+            node.begin_epoch(None);
+        }
+        for block in blocks.iter().skip(held) {
+            node.follow_round(block, (epoch - 1) * rounds_per_epoch + block.round)?;
         }
         // a ledger's summaries seal epochs 1, 2, … in order (it is built
         // by appends or by a checked `Ledger::from_state`), so this
         // epoch's is at `epoch - 1`
-        let sealed: &SummaryBlock = &source.summaries()[(epoch - 1) as usize];
-        // the node's own summary rules must reproduce the sealed block
-        let (payouts, positions, pools) = node.shards.end_epoch();
-        if payouts != sealed.payouts || positions != sealed.positions || pools != sealed.pools {
-            return Err(NodeRestoreError::SummaryMismatch { epoch });
-        }
-        node.ledger
-            .append_summary(sealed.clone())
-            .map_err(|e| NodeRestoreError::BadChain(e.to_string()))?;
-        node.epoch = epoch;
+        node.follow_epoch(&source.summaries()[(epoch - 1) as usize])?;
         applied += 1;
     }
     Ok(applied)
@@ -420,32 +404,31 @@ pub fn catch_up(
 /// [`CheckpointStore`] and a peer's ledger. The store's journal is
 /// recovered first — rolling a marked, complete staged write forward,
 /// discarding anything torn — then the last committed snapshot is
-/// restored and the epochs sealed after it are replayed via [`catch_up`].
-/// Whatever byte a crash interrupted the checkpoint write at, the node
-/// ends on the same state root as one that never crashed.
+/// restored ([`Node::restore`]) and the epochs sealed after it are
+/// followed via [`catch_up`]. Whatever byte a crash interrupted the
+/// checkpoint write at, the node ends on the same state root as one that
+/// never crashed.
 ///
 /// Returns the rebuilt node, what recovery found in the journal, and the
-/// number of epochs replayed.
+/// number of epochs followed.
 ///
 /// # Errors
 /// [`NodeRestoreError::Store`] when the store holds no committed
-/// snapshot; otherwise any [`restore_node`]/[`catch_up`] failure.
+/// snapshot; otherwise any [`Node::restore`]/[`catch_up`] failure.
 pub fn recover_node(
     store: &mut CheckpointStore,
     source: &Ledger,
     rounds_per_epoch: u64,
-) -> Result<(NodeRestore, RecoveryOutcome, u64), NodeRestoreError> {
+) -> Result<(Node, RecoveryOutcome, u64), NodeRestoreError> {
     let outcome = store.recover();
-    let snapshot = store.latest()?;
-    let mut node = restore_node(&snapshot)?;
+    let mut node = Node::restore(&store.latest()?)?;
     let applied = catch_up(&mut node, source, rounds_per_epoch)?;
     Ok((node, outcome, applied))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::node::Node;
     use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
     use ammboost_crypto::H256;
     use ammboost_sidechain::ledger::{LedgerState, LedgerStateError};
@@ -493,11 +476,11 @@ mod tests {
         })
     }
 
-    fn user(i: u64) -> Address {
+    pub(crate) fn user(i: u64) -> Address {
         Address::from_index(i)
     }
 
-    fn swap_tx(u: Address, pool: u32, amount: u128, zero_for_one: bool) -> AmmTx {
+    pub(crate) fn swap_tx(u: Address, pool: u32, amount: u128, zero_for_one: bool) -> AmmTx {
         AmmTx::Swap(SwapTx {
             user: u,
             pool: PoolId(pool),
@@ -511,12 +494,12 @@ mod tests {
         })
     }
 
-    const ROUNDS: u64 = 3;
+    pub(crate) const ROUNDS: u64 = 3;
 
     /// A tiny node over `pools` pools: users 1..=3·pools trade on pool
     /// (user − 1) mod pools; the last `pools` of them never trade, so
     /// every summary lists a strict subset of the depositors.
-    fn new_node(pools: u32) -> Node {
+    pub(crate) fn new_node(pools: u32) -> Node {
         let mut processor = EpochProcessor::new((0..pools).map(PoolId));
         for p in 0..pools {
             processor.seed_liquidity(
@@ -538,7 +521,7 @@ mod tests {
     }
 
     /// Executes `epoch`'s rounds of swaps into meta-blocks and seals it.
-    fn run_epoch(node: &mut Node, epoch: u64) {
+    pub(crate) fn run_epoch(node: &mut Node, epoch: u64) {
         let pools = node.processor().pool_ids().len() as u64;
         if epoch > 1 {
             node.begin_epoch(None);
@@ -561,9 +544,21 @@ mod tests {
     }
 
     /// Checkpoints `node` at `epoch` and returns the snapshot.
-    fn snapshot_at(node: &mut Node, epoch: u64) -> Snapshot {
+    pub(crate) fn snapshot_at(node: &mut Node, epoch: u64) -> Snapshot {
         node.checkpoint(epoch);
         node.last_snapshot().expect("just taken").clone()
+    }
+
+    /// Asserts that a caught-up `node` is byte-identical to `live`, which
+    /// never pruned: the same processor state, the same ledger as
+    /// retention leaves it, the same state root at `epoch`.
+    fn assert_same_state(node: &mut Node, live: &mut Node, epoch: u64) {
+        let (ours, theirs) = (node.processor(), live.processor());
+        assert_eq!(ours.export_state(), theirs.export_state());
+        let (ours, theirs) = (node.ledger(), live.ledger());
+        assert_eq!(ours.retained_state(), theirs.retained_state());
+        let root = live.checkpoint(epoch).root;
+        assert_eq!(node.checkpoint(epoch).root, root, "state roots diverge");
     }
 
     #[test]
@@ -581,18 +576,12 @@ mod tests {
 
         // late joiner: restore at epoch 2, fast-sync epochs 3..=5
         let snap = mid_snapshot.unwrap();
-        let mut node = restore_node(&Snapshot::decode(&snap.encode()).unwrap()).unwrap();
-        assert_eq!(node.epoch, 2);
+        let mut node = Node::restore(&Snapshot::decode(&snap.encode()).unwrap()).unwrap();
+        assert_eq!(node.quote_view().epoch(), 2);
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 3);
-
-        // byte-identical: same processor state, same state root as the
-        // uninterrupted node, which never pruned; the ledgers agree on
-        // what retention leaves of them
-        assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
-        assert_eq!(node.shards.export_state(), full.processor().export_state());
-        let a = checkpoint_node(&mut Checkpointer::new(), 5, &mut node.shards, &node.ledger);
-        assert_eq!(a.stats.root, full.checkpoint(5).root, "state roots diverge");
+        assert_eq!(node.quote_view().epoch(), 5);
+        assert_same_state(&mut node, &mut full, 5);
     }
 
     #[test]
@@ -609,12 +598,11 @@ mod tests {
                 mid = Some(snap);
             }
         }
-        let mut node = restore_node(&Snapshot::decode(&mid.unwrap().encode()).unwrap()).unwrap();
-        assert_eq!(node.shards.pool_ids().len(), 4);
+        let mut node = Node::restore(&Snapshot::decode(&mid.unwrap().encode()).unwrap()).unwrap();
+        assert_eq!(node.processor().pool_ids().len(), 4);
         let applied = catch_up(&mut node, full.ledger(), ROUNDS).unwrap();
         assert_eq!(applied, 2);
-        assert_eq!(node.shards.export_state(), full.processor().export_state());
-        assert_eq!(node.ledger.retained_state(), full.ledger().retained_state());
+        assert_same_state(&mut node, &mut full, 4);
     }
 
     #[test]
@@ -661,9 +649,7 @@ mod tests {
                     assert_eq!(applied, 3, "re-replays epoch 2 too");
                 }
             }
-            let got = checkpoint_node(&mut Checkpointer::new(), 4, &mut node.shards, &node.ledger)
-                .snapshot;
-            assert_eq!(got.root(), ref_root, "{crash:?} diverged");
+            assert_eq!(node.checkpoint(4).root, ref_root, "{crash:?} diverged");
         }
 
         // a first-ever checkpoint torn before anything was committed
@@ -687,7 +673,7 @@ mod tests {
         run_epoch(&mut full, 3);
         // the source drops epoch 2's raw history before the node synced
         full.prune_epoch(2).unwrap();
-        let mut node = restore_node(&snap).unwrap();
+        let mut node = Node::restore(&snap).unwrap();
         assert!(matches!(
             catch_up(&mut node, full.ledger(), ROUNDS),
             Err(NodeRestoreError::BadChain(_))
@@ -730,7 +716,7 @@ mod tests {
             meta.pools.pop();
         });
         assert!(matches!(
-            restore_node(&snap),
+            Node::restore(&snap),
             Err(NodeRestoreError::UnclaimedPool(PoolId(1)))
         ));
     }
@@ -742,9 +728,9 @@ mod tests {
         let mut node = new_node(3);
         run_epoch(&mut node, 1);
         let snap = snapshot_at(&mut node, 1);
-        assert!(restore_node(&snap).is_ok());
+        assert!(Node::restore(&snap).is_ok());
         let restore =
-            |edit: &dyn Fn(&mut ProcessorMeta)| restore_node(&with_meta(snap.clone(), edit)).err();
+            |edit: &dyn Fn(&mut ProcessorMeta)| Node::restore(&with_meta(snap.clone(), edit)).err();
         // pool metas out of order or repeated pair with the wrong section
         assert_eq!(
             restore(&|m| m.pools.swap(0, 2)),
@@ -786,7 +772,7 @@ mod tests {
             let torn = with_meta_bytes(snap.clone(), |bytes| bytes.truncate(cut));
             assert!(
                 matches!(
-                    restore_node(&torn),
+                    Node::restore(&torn),
                     Err(NodeRestoreError::Restore(RestoreError::Codec(_)))
                 ),
                 "cut at {cut} of {len}"
@@ -807,14 +793,13 @@ mod tests {
             node.step_round(3, round, 2 * ROUNDS + round, &[(&tx, 1008)]);
         }
         let snap = snapshot_at(&mut node, 3);
-        assert!(restore_node(&snap).is_ok());
-        let invalid = |edit: &dyn Fn(&mut LedgerState)| match restore_node(&with_ledger(
-            snap.clone(),
-            edit,
-        )) {
-            Err(NodeRestoreError::Restore(RestoreError::InvalidLedger(e))) => e,
-            other => panic!("expected a ledger error, got {other:?}"),
-        };
+        assert!(Node::restore(&snap).is_ok());
+        let invalid =
+            |edit: &dyn Fn(&mut LedgerState)| match Node::restore(&with_ledger(snap.clone(), edit))
+            {
+                Err(NodeRestoreError::Restore(RestoreError::InvalidLedger(e))) => e,
+                other => panic!("expected a ledger error, got {:?}", other.err()),
+            };
         // a summarised epoch's blocks, which retention drops
         let sealed = node.ledger().meta_blocks(2).to_vec();
         assert_eq!(
@@ -853,9 +838,9 @@ mod tests {
         let mut fresh = EpochProcessor::new([PoolId(0)]);
         let ledger = Ledger::new(H256::hash(b"genesis"));
         let empty = checkpoint_node(&mut Checkpointer::new(), 0, &mut fresh, &ledger).snapshot;
-        assert_eq!(restore_node(&empty).unwrap().ledger.tip(), ledger.tip());
+        assert_eq!(Node::restore(&empty).unwrap().ledger().tip(), ledger.tip());
         assert_eq!(
-            restore_node(&with_ledger(empty, |state| state.genesis = None)).err(),
+            Node::restore(&with_ledger(empty, |state| state.genesis = None)).err(),
             Some(NodeRestoreError::Restore(RestoreError::InvalidLedger(
                 misplaced
             )))
@@ -887,7 +872,7 @@ mod tests {
             });
             assert!(
                 matches!(
-                    restore_node(&torn),
+                    Node::restore(&torn),
                     Err(NodeRestoreError::Restore(RestoreError::Codec(_)))
                 ),
                 "cut at {cut} of {len}"
@@ -924,21 +909,25 @@ mod tests {
         assert_eq!(state.meta[0].0, 3);
         assert_eq!(state.meta[0].1, live.ledger().meta_blocks(3));
 
-        // the restored node finishes the epoch and seals the same summary
-        let restored = restore_node(&snap).unwrap();
-        assert_eq!(restored.ledger.retained_meta().len(), 2);
-        let mut node = Node::new(restored.shards, restored.ledger);
+        // the restored node finishes the epoch and seals the same summary;
+        // a second one follows the live node's blocks after those it holds
+        let mut node = Node::restore(&snap).unwrap();
+        let mut follower = Node::restore(&snap).unwrap();
+        assert_eq!(node.ledger().retained_meta().len(), 2);
         for n in [&mut live, &mut node] {
             for round in 2..ROUNDS {
                 step(n, round);
             }
         }
         assert_eq!(node.close_epoch(3), live.close_epoch(3));
+        assert_eq!(catch_up(&mut follower, live.ledger(), ROUNDS), Ok(1));
         let summary = node.ledger().summaries().last().unwrap();
         assert_eq!(summary, live.ledger().summaries().last().unwrap());
         assert_eq!(summary.meta_refs.len(), ROUNDS as usize);
-        assert_eq!(node.ledger().export_state(), live.ledger().export_state());
-        assert_eq!(node.checkpoint(3).root, live.checkpoint(3).root);
+        for n in [&mut node, &mut follower] {
+            assert_eq!(n.ledger().export_state(), live.ledger().export_state());
+            assert_eq!(n.checkpoint(3).root, live.checkpoint(3).root);
+        }
     }
 
     #[test]
@@ -949,7 +938,7 @@ mod tests {
             sections.retain(|s| s.kind != SectionKind::Pool(1))
         });
         assert!(matches!(
-            restore_node(&snap),
+            Node::restore(&snap),
             Err(NodeRestoreError::MissingPool(PoolId(1)))
         ));
     }
@@ -966,9 +955,9 @@ mod tests {
         let snap = snapshot_at(&mut node, 3);
         let wire = snap.encode();
         let declared = H256(wire[14..46].try_into().unwrap());
-        let restored = restore_node(&Snapshot::decode(&wire).unwrap()).unwrap();
-        assert_eq!(restored.root, declared);
-        assert_eq!(restored.root, snap.root());
+        assert_eq!(declared, snap.root());
+        let mut restored = Node::restore(&Snapshot::decode(&wire).unwrap()).unwrap();
+        assert_eq!(restored.checkpoint(3).root, declared);
 
         // each section's payload sits after its kind and length prefix
         let mut at = 4 + 2 + 8 + 32 + 4;

@@ -8,7 +8,17 @@
 //! [`RoundOutput`] says what that world must learn, and
 //! [`crate::System`] — the world of the paper's experiments — applies
 //! it.
+//!
+//! A node that did not mine a block follows it instead: the paper's
+//! `VerifyBlock` then `UpdateState`. [`Node::follow_round`] checks that a
+//! meta-block chains before executing it through the same execute path
+//! as [`Node::step_round`], and [`Node::follow_epoch`] seals through the
+//! same path as [`Node::close_epoch`]; each then checks that what it
+//! built is what the block records. A node joining from a snapshot
+//! ([`Node::restore`]) catches up by following
+//! ([`crate::checkpoint::catch_up`]), so there is one apply path.
 
+use crate::checkpoint::{restore_node, NodeRestore, NodeRestoreError};
 use crate::processor::{EpochProcessor, ExecMode};
 use crate::view::QuoteView;
 use ammboost_amm::tx::AmmTx;
@@ -240,12 +250,42 @@ pub struct Node {
 impl Node {
     /// A node over `processor` (liquidity already seeded) and `ledger`;
     /// the pools' current state is published as the genesis quote view.
-    pub fn new(mut processor: EpochProcessor, ledger: Ledger) -> Node {
-        let (quote_view, stats) = processor.publish_view(0);
+    pub fn new(processor: EpochProcessor, ledger: Ledger) -> Node {
+        Node::assemble(processor, ledger, Checkpointer::new(), 0)
+    }
+
+    /// The node `snapshot` holds: its pools, deposit book and ledger
+    /// restored, its pools published as the quote view of the snapshot's
+    /// epoch, and its checkpointer resumed from the snapshot, so the
+    /// first checkpoint re-encodes only the pools that changed since and
+    /// emits a delta against `snapshot`. Catch it up with
+    /// [`crate::checkpoint::catch_up`].
+    ///
+    /// # Errors
+    /// As [`restore_node`].
+    pub fn restore(snapshot: &Snapshot) -> Result<Node, NodeRestoreError> {
+        let NodeRestore {
+            epoch,
+            shards,
+            ledger,
+            ..
+        } = restore_node(snapshot)?;
+        let checkpointer = Checkpointer::resume(snapshot);
+        Ok(Node::assemble(shards, ledger, checkpointer, epoch))
+    }
+
+    /// A node whose pools are published as the quote view of `epoch`.
+    fn assemble(
+        mut processor: EpochProcessor,
+        ledger: Ledger,
+        checkpointer: Checkpointer,
+        epoch: u64,
+    ) -> Node {
+        let (quote_view, stats) = processor.publish_view(epoch);
         Node {
             processor,
             ledger,
-            checkpointer: Checkpointer::new(),
+            checkpointer,
             last_checkpoint: None,
             quote_view,
             quote_reader: None,
@@ -293,6 +333,36 @@ impl Node {
         out
     }
 
+    /// Follows a meta-block another node mined (`VerifyBlock`, then
+    /// `UpdateState`): checks that `block` chains onto this node's tip
+    /// before anything executes, executes its transactions at
+    /// `global_round` through [`Node::step_round`]'s execute path,
+    /// checks every effect against the one the block records, and
+    /// appends the block.
+    ///
+    /// # Errors
+    /// [`NodeRestoreError::BadChain`] when the block does not chain; the
+    /// node is then unchanged. [`NodeRestoreError::EffectMismatch`] when
+    /// an effect differs from the recorded one; the pools have executed
+    /// the block by then, and the node must not go on from there.
+    #[doc(alias = "VerifyBlock")]
+    pub fn follow_round(
+        &mut self,
+        block: &MetaBlock,
+        global_round: u64,
+    ) -> Result<(), NodeRestoreError> {
+        self.ledger.verify_meta(block).map_err(bad_chain)?;
+        let batch: Vec<(&AmmTx, usize)> = block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
+        let (_, executed) = self.execute(global_round, &batch);
+        if (executed.iter().zip(&block.txs)).any(|(ours, theirs)| ours.effect != theirs.effect) {
+            return Err(NodeRestoreError::EffectMismatch {
+                epoch: block.epoch,
+                round: block.round,
+            });
+        }
+        self.ledger.append_meta(block.clone()).map_err(bad_chain)
+    }
+
     /// The execute path of [`Node::step_round`]. [`crate::System`]'s
     /// end-of-run drain calls it directly, mining no meta-block; ROADMAP
     /// item 4(b) folds the drain into ordinary epochs and makes this
@@ -314,6 +384,40 @@ impl Node {
     /// If the summary does not chain onto the node's own tip.
     #[doc(alias = "UpdateState")]
     pub fn close_epoch(&mut self, epoch: u64) -> EpochOutput {
+        let (out, summary) = self.seal_summary(epoch);
+        self.ledger
+            .append_summary(summary)
+            .expect("locally built summary chains correctly");
+        out
+    }
+
+    /// Follows a summary block another node sealed (`VerifyBlock`, then
+    /// `UpdateState`): checks that `sealed` chains onto this node's tip
+    /// and names every meta-block it holds of the epoch, seals the epoch
+    /// through [`Node::close_epoch`]'s path, checks that the summary it
+    /// built is `sealed`, and appends it.
+    ///
+    /// # Errors
+    /// [`NodeRestoreError::BadChain`] when the block does not chain; the
+    /// node is then unchanged. [`NodeRestoreError::SummaryMismatch`] when
+    /// the built summary differs; the epoch is sealed by then, and the
+    /// node must not go on from there.
+    #[doc(alias = "VerifyBlock")]
+    pub fn follow_epoch(&mut self, sealed: &SummaryBlock) -> Result<(), NodeRestoreError> {
+        self.ledger.verify_summary(sealed).map_err(bad_chain)?;
+        let (_, summary) = self.seal_summary(sealed.epoch);
+        if summary != *sealed {
+            return Err(NodeRestoreError::SummaryMismatch {
+                epoch: sealed.epoch,
+            });
+        }
+        self.ledger.append_summary(summary).map_err(bad_chain)
+    }
+
+    /// Seals `epoch` and builds its summary block, referencing every
+    /// meta-block mined in the epoch: what [`Node::close_epoch`] appends
+    /// and [`Node::follow_epoch`] checks.
+    fn seal_summary(&mut self, epoch: u64) -> (EpochOutput, SummaryBlock) {
         let out = self.seal(epoch);
         let summary = SummaryBlock {
             epoch,
@@ -328,10 +432,7 @@ impl Node {
             positions: out.positions.clone(),
             pools: out.pools.clone(),
         };
-        self.ledger
-            .append_summary(summary)
-            .expect("locally built summary chains correctly");
-        out
+        (out, summary)
     }
 
     /// Ends the epoch on the processor and publishes the sealed state for
@@ -459,9 +560,15 @@ impl Node {
     }
 }
 
+/// A block that does not chain onto the node's tip.
+fn bad_chain(e: BlockError) -> NodeRestoreError {
+    NodeRestoreError::BadChain(e.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{new_node, run_epoch, snapshot_at, ROUNDS};
     use crate::config::SystemConfig;
     use crate::System;
     use ammboost_amm::types::PoolId;
@@ -507,6 +614,88 @@ mod tests {
         );
         let (inline, _) = run(true);
         assert_eq!(format!("{report:?}"), format!("{inline:?}"));
+    }
+
+    /// A live node past epoch 2 and a node restored from its epoch-1
+    /// snapshot, opened on epoch 2 and ready to follow it.
+    fn live_and_follower() -> (Node, Node) {
+        let mut live = new_node(2);
+        run_epoch(&mut live, 1);
+        let snapshot = snapshot_at(&mut live, 1);
+        run_epoch(&mut live, 2);
+        let mut follower = Node::restore(&snapshot).unwrap();
+        follower.begin_epoch(None);
+        (live, follower)
+    }
+
+    #[test]
+    fn follow_round_rejects_an_altered_effect() {
+        let (live, mut follower) = live_and_follower();
+        let mut block = live.ledger().meta_blocks(2)[0].clone();
+        let swap = block.txs.iter_mut().find(|t| t.accepted()).unwrap();
+        match &mut swap.effect {
+            TxEffect::Swap { amount_out, .. } => *amount_out += 1,
+            other => panic!("the fixture trades swaps only, got {other:?}"),
+        }
+        // the root covers transaction ids, not effects: the block chains
+        assert_eq!(follower.ledger().verify_meta(&block), Ok(()));
+        assert_eq!(
+            follower.follow_round(&block, ROUNDS),
+            Err(NodeRestoreError::EffectMismatch { epoch: 2, round: 0 })
+        );
+        assert!(follower.ledger().meta_blocks(2).is_empty(), "not appended");
+    }
+
+    #[test]
+    fn follow_epoch_rejects_an_altered_payout() {
+        let (live, mut follower) = live_and_follower();
+        for block in live.ledger().meta_blocks(2) {
+            let global = ROUNDS + block.round;
+            follower.follow_round(block, global).unwrap();
+        }
+        let mut summary = live.ledger().summaries()[1].clone();
+        summary.payouts[0].amount1 += 1;
+        assert_eq!(
+            follower.follow_epoch(&summary),
+            Err(NodeRestoreError::SummaryMismatch { epoch: 2 })
+        );
+        assert_eq!(follower.ledger().last_summary_epoch(), 1, "not appended");
+    }
+
+    #[test]
+    fn follow_round_rejects_a_misplaced_block_before_executing_it() {
+        let (live, mut follower) = live_and_follower();
+        let (state, ledger) = (
+            follower.processor().export_state(),
+            follower.ledger().export_state(),
+        );
+        let block = &live.ledger().meta_blocks(2)[0];
+        let forked = MetaBlock {
+            parent: ammboost_crypto::H256::hash(b"fork"),
+            ..block.clone()
+        };
+        let skipped = MetaBlock {
+            round: 1,
+            ..block.clone()
+        };
+        for misplaced in [forked, skipped, live.ledger().meta_blocks(2)[1].clone()] {
+            let global = ROUNDS + misplaced.round;
+            assert!(matches!(
+                follower.follow_round(&misplaced, global),
+                Err(NodeRestoreError::BadChain(_))
+            ));
+            assert_eq!(follower.processor().export_state(), state);
+            assert_eq!(follower.ledger().export_state(), ledger);
+        }
+        // a summary that skips the epoch's blocks is refused unsealed too
+        let summary = &live.ledger().summaries()[1];
+        assert!(matches!(
+            follower.follow_epoch(summary),
+            Err(NodeRestoreError::BadChain(_))
+        ));
+        assert_eq!(follower.processor().export_state(), state);
+        // the block itself still follows
+        follower.follow_round(block, ROUNDS).unwrap();
     }
 
     #[test]

@@ -189,7 +189,9 @@ pub struct System {
     committees: Vec<Committee>,
     /// Arrived, not yet mined transactions, in arrival order.
     queue: Backlog,
-    awaiting_payout: BTreeMap<u64, Vec<SimTime>>,
+    /// Per epoch whose sync is not confirmed yet: the accepted
+    /// transactions settled by it and the sum of their arrival ms.
+    awaiting_payout: BTreeMap<u64, (u64, u128)>,
     /// Sealed epochs no applied sync covers yet.
     unsynced: Vec<(u64, EpochOutput)>,
     pending_syncs: Vec<PendingSync>,
@@ -601,10 +603,9 @@ impl System {
             if *accepted {
                 self.accepted += 1;
                 self.sc_latency.record(round_end.since(*arrival));
-                self.awaiting_payout
-                    .entry(payout_epoch)
-                    .or_default()
-                    .push(*arrival);
+                let (count, arrivals_ms) = self.awaiting_payout.entry(payout_epoch).or_default();
+                *count += 1;
+                *arrivals_ms += u128::from(arrival.as_millis());
             } else {
                 self.rejected += 1;
             }
@@ -829,8 +830,13 @@ impl System {
             self.syncs_confirmed += 1;
             let later = self.awaiting_payout.split_off(&(sync.through_epoch + 1));
             let settled = std::mem::replace(&mut self.awaiting_payout, later);
-            for arrival in settled.into_values().flatten() {
-                self.payout_latency.record(confirmed_at.since(arrival));
+            for (count, arrivals_ms) in settled.into_values() {
+                // every arrival precedes the confirmation, so the sum of
+                // the waits is this difference
+                let waited_ms = (u128::from(count) * u128::from(confirmed_at.as_millis()))
+                    .checked_sub(arrivals_ms)
+                    .expect("transactions arrive before their payout confirms");
+                self.payout_latency.record_total(count, waited_ms);
             }
             for (e, _) in self.unsynced.drain(..) {
                 if !self.cfg.disable_pruning {
@@ -1170,12 +1176,15 @@ mod tests {
         // final on-demand one so the snapshot covers the end state
         let stats = sys.checkpoint(report.epochs + 1);
         let snapshot = sys.last_snapshot().expect("checkpoints taken");
-        let node = crate::checkpoint::restore_node(snapshot).unwrap();
-        assert_eq!(node.root, stats.root);
+        let mut node = Node::restore(snapshot).unwrap();
+        assert_eq!(node.checkpoint(report.epochs + 1).root, stats.root);
         // the restored processor carries the live pool and deposit state
-        assert_eq!(node.shards.export_state(), sys.processor().export_state());
+        assert_eq!(
+            node.processor().export_state(),
+            sys.processor().export_state()
+        );
         // and the restored ledger is the live one as retention leaves it
-        assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
+        assert_eq!(node.ledger().export_state(), sys.ledger().retained_state());
     }
 
     #[test]

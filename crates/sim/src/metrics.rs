@@ -24,6 +24,13 @@ impl LatencyStats {
         self.sum_ms += u128::from(d.as_millis());
     }
 
+    /// Records `count` samples whose latencies sum to `total_ms`: the
+    /// same totals as recording each one.
+    pub fn record_total(&mut self, count: u64, total_ms: u128) {
+        self.count += count;
+        self.sum_ms += total_ms;
+    }
+
     /// Number of samples.
     pub fn count(&self) -> usize {
         self.count as usize
@@ -110,6 +117,17 @@ mod tests {
         }
         assert_eq!(s.count(), 5);
         assert!((s.mean_secs() - 0.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_total_matches_recording_each_sample() {
+        let (mut each, mut total) = (LatencyStats::new(), LatencyStats::new());
+        for ms in [7u64, 1_000, 123_456] {
+            each.record(SimDuration::from_millis(ms));
+        }
+        total.record_total(3, 7 + 1_000 + 123_456);
+        assert_eq!(each.count(), total.count());
+        assert_eq!(each.mean_secs().to_bits(), total.mean_secs().to_bits());
     }
 
     #[test]

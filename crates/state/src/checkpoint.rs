@@ -25,8 +25,8 @@
 use crate::codec::Encode;
 use crate::delta::{DeltaSnapshot, SectionDelta};
 use crate::pages::{
-    diff_pages, hash_page_refs, page_count, page_of, page_root_from_hashes, PageDiff, PageRef,
-    PAGE_SIZE,
+    diff_pages, hash_page_refs, page_count, page_of, page_root_from_hashes, section_page_hashes,
+    PageDiff, PageRef, PAGE_SIZE,
 };
 use crate::snapshot::{check_canonical, Section, SectionKind, Snapshot};
 use ammboost_amm::engines::Engine;
@@ -255,6 +255,31 @@ impl Checkpointer {
     /// A checkpointer with an empty (all-dirty) cache.
     pub fn new() -> Checkpointer {
         Checkpointer::default()
+    }
+
+    /// A checkpointer that holds `snapshot` as if it had staged and
+    /// committed it itself: every section's bytes and page hashes, with
+    /// the snapshot's epoch and root as the confirmed base. A node
+    /// restored from `snapshot` checkpoints on from here, so its first
+    /// checkpoint re-encodes only the pools marked dirty since, hashes only
+    /// the pages that changed and emits a [`DeltaSnapshot`] against
+    /// `snapshot`.
+    pub fn resume(snapshot: &Snapshot) -> Checkpointer {
+        let sections = snapshot.sections();
+        let pages = section_page_hashes(sections);
+        let cache = (sections.iter().zip(pages).zip(snapshot.leaves()))
+            .map(|((section, pages), &leaf)| {
+                let hashes = Some(PageHashes { pages, leaf });
+                let bytes = section.bytes.clone();
+                (section.kind, Cached { bytes, hashes })
+            })
+            .collect();
+        Checkpointer {
+            cache,
+            dirty: BTreeSet::new(),
+            cache_epoch: Some(snapshot.epoch()),
+            committed: Some((snapshot.epoch(), snapshot.root())),
+        }
     }
 
     /// Records that `pool` changed since the last checkpoint; its next
@@ -726,6 +751,39 @@ mod tests {
             check(&out);
             assert!(out.delta.is_none(), "the base was never confirmed");
         }
+    }
+
+    #[test]
+    fn resumed_checkpointer_continues_as_the_one_that_committed() {
+        // two pools, one traded after the base: a checkpointer resumed
+        // from the base snapshot produces the very output of the one that
+        // committed it — reuse, dirty pages, delta and all
+        let pool_a = pool_with_liquidity(1);
+        let mut pool_b = pool_with_liquidity(2);
+        let (ledger, deposits) = fixtures();
+        let mut live = Checkpointer::new();
+        let pools = [(PoolId(0), &pool_a), (PoolId(1), &pool_b)];
+        let base = live.checkpoint(1, &pools, &ledger, &deposits, vec![(2, vec![7; 5000])]);
+        let mut resumed = Checkpointer::resume(&base.snapshot);
+
+        pool_b
+            .swap(true, SwapKind::ExactInput(5_000), None)
+            .unwrap();
+        let pools = [(PoolId(0), &pool_a), (PoolId(1), &pool_b)];
+        let outs = [&mut live, &mut resumed].map(|cp| {
+            cp.mark_dirty(PoolId(1));
+            cp.checkpoint(2, &pools, &ledger, &deposits, vec![(2, vec![8; 5000])])
+        });
+        let [live, resumed] = outs;
+        assert_eq!(resumed.stats, live.stats);
+        assert_eq!(
+            (resumed.stats.pools_reencoded, resumed.stats.pools_reused),
+            (1, 1)
+        );
+        assert_eq!(resumed.snapshot, live.snapshot);
+        let delta = resumed.delta.expect("the snapshot is the base");
+        assert_eq!(delta.base_root, base.stats.root);
+        assert_eq!(Some(delta), live.delta);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! invariant the rest of the system relies on: the store always exposes
 //! the **last committed** snapshot — a marked *and* byte-complete staged
 //! write rolls forward, anything torn or unmarked is discarded. The node
-//! catches back up from the committed epoch by replaying meta-blocks
-//! (`catch_up`), landing on a bit-identical state root.
+//! catches back up from the committed epoch by following the meta-blocks
+//! sealed since (`catch_up`), landing on a bit-identical state root.
 //!
 //! The journal is **delta-aware**: [`CheckpointStore::commit_delta`]
 //! pushes a [`DeltaSnapshot`] through the same stage→mark→install dance

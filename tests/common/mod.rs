@@ -3,12 +3,11 @@
 //! [`Node`] fed round by round by the calibrated traffic generator.
 
 use ammboost::amm::tx::AmmTx;
-use ammboost::core::checkpoint::{checkpoint_node, NodeRestore};
 use ammboost::core::processor::EpochProcessor;
 use ammboost::core::Node;
 use ammboost::crypto::H256;
 use ammboost::sidechain::ledger::Ledger;
-use ammboost::state::{Checkpointer, Snapshot};
+use ammboost::state::Snapshot;
 use ammboost::workload::TrafficGenerator;
 
 /// Each user's deposit of each token, placed once before epoch 1.
@@ -69,15 +68,14 @@ impl Peer {
     }
 }
 
-/// The Merkle root of a restored node's live state at `epoch`, via a
-/// throwaway checkpoint.
-pub fn root_of(node: &mut NodeRestore, epoch: u64) -> H256 {
-    checkpoint_node(
-        &mut Checkpointer::new(),
-        epoch,
-        &mut node.shards,
-        &node.ledger,
-    )
-    .stats
-    .root
+/// Asserts that a caught-up `node` is byte-identical to `live`: the same
+/// processor state, the same ledger as retention leaves it, and the same
+/// state root at `epoch`.
+pub fn assert_same_state(node: &mut Node, live: &mut Node, epoch: u64) {
+    let (ours, theirs) = (node.processor(), live.processor());
+    assert_eq!(ours.export_state(), theirs.export_state());
+    let (ours, theirs) = (node.ledger(), live.ledger());
+    assert_eq!(ours.retained_state(), theirs.retained_state());
+    let root = live.checkpoint(epoch).root;
+    assert_eq!(node.checkpoint(epoch).root, root, "state roots diverge");
 }

@@ -8,19 +8,20 @@ mod common;
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::tx::{AmmTx, RouteHop, RouteTx};
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, restore_node};
+use ammboost::core::checkpoint::catch_up;
 use ammboost::core::config::SystemConfig;
 use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
+use ammboost::core::Node;
 use ammboost::crypto::Address;
 use ammboost::sidechain::block::TxEffect;
 use ammboost::sidechain::ledger::LedgerState;
 use ammboost::sim::time::SimDuration;
-use ammboost::state::{prune_to_snapshot, Decode, RetentionPolicy, SectionKind, Snapshot};
+use ammboost::state::{Decode, RetentionPolicy, SectionKind, Snapshot};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
 };
-use common::{root_of, Peer};
+use common::{assert_same_state, Peer};
 
 const ROUNDS_PER_EPOCH: u64 = 5;
 
@@ -160,30 +161,18 @@ fn mixed_fleet_survives_snapshot_restore_catch_up() {
         assert_eq!(section.bytes[0], kind.tag(), "section tag mismatch");
     }
 
-    let mut node = restore_node(&snapshot).expect("tagged snapshot restores");
-    assert_eq!(node.epoch, 3);
-    assert_eq!(node.shards.engine_kinds(), FLEET.to_vec());
+    let mut node = Node::restore(&snapshot).expect("tagged snapshot restores");
+    assert_eq!(node.quote_view().epoch(), 3);
+    assert_eq!(node.processor().engine_kinds(), FLEET.to_vec());
     // the deposit book comes back whole, as the live node held it
     let live = live_at_3.unwrap();
-    assert_eq!(node.shards.deposits(), live.deposits());
-    assert_eq!(node.shards.export_state(), live.export_state());
+    assert_eq!(node.processor().deposits(), live.deposits());
+    assert_eq!(node.processor().export_state(), live.export_state());
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
 
-    assert_eq!(
-        node.shards.export_state(),
-        full.node.processor().export_state()
-    );
-    assert_eq!(
-        node.ledger.retained_state(),
-        full.node.ledger().retained_state()
-    );
-    assert_eq!(
-        root_of(&mut node, 99),
-        full.node.checkpoint(99).root,
-        "state roots diverge"
-    );
+    assert_same_state(&mut node, &mut full.node, 99);
 }
 
 /// A routed mixed fleet checkpointed every epoch on `System`'s schedule
@@ -240,22 +229,22 @@ fn in_run_snapshots_hold_state_not_history() {
 
     let live_root = lean.node.last_checkpoint().unwrap().root;
     for snapshot in &snapshots[..snapshots.len() - 1] {
-        let mut node = restore_node(snapshot).expect("in-run snapshot restores");
+        let mut node = Node::restore(snapshot).expect("in-run snapshot restores");
         let applied =
             catch_up(&mut node, audit.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
-        assert_eq!(node.epoch, EPOCHS);
+        assert_eq!(node.ledger().last_summary_epoch(), EPOCHS);
         assert_eq!(applied, EPOCHS - snapshot.epoch());
-        prune_to_snapshot(&mut node.ledger, EPOCHS, RetentionPolicy::default());
+        node.prune_to_snapshot(EPOCHS, RetentionPolicy::default());
         assert_eq!(
-            node.ledger.export_state(),
+            node.ledger().export_state(),
             lean.node.ledger().export_state()
         );
         assert_eq!(
-            node.shards.export_state(),
+            node.processor().export_state(),
             lean.node.processor().export_state()
         );
         assert_eq!(
-            root_of(&mut node, EPOCHS),
+            node.checkpoint(EPOCHS).root,
             live_root,
             "from {}",
             snapshot.epoch()

@@ -7,16 +7,17 @@
 
 mod common;
 
+use ammboost::amm::pool::SwapKind;
 use ammboost::amm::tx::AmmTx;
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, restore_node};
+use ammboost::core::checkpoint::catch_up;
 use ammboost::core::processor::EpochProcessor;
 use ammboost::core::Node;
 use ammboost::crypto::Address;
 use ammboost::sim::time::SimDuration;
 use ammboost::state::Snapshot;
 use ammboost::workload::{GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix};
-use common::{root_of, Peer};
+use common::{assert_same_state, Peer};
 
 const ROUNDS_PER_EPOCH: u64 = 5;
 
@@ -75,33 +76,18 @@ fn restored_node_is_byte_identical_to_full_replay() {
 
     // the late joiner restores from the wire snapshot…
     let snapshot = Snapshot::decode(&snapshot_bytes.unwrap()).expect("root verifies");
-    let mut node = restore_node(&snapshot).expect("snapshot restores");
-    assert_eq!(node.epoch, 3);
+    let mut node = Node::restore(&snapshot).expect("snapshot restores");
+    assert_eq!(node.quote_view().epoch(), 3);
     // …and fast-syncs the remaining epochs from the peer's blocks
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
 
-    // byte-identical state
-    assert_eq!(
-        node.shards.export_state(),
-        full.node.processor().export_state()
-    );
-    assert_eq!(
-        node.ledger.retained_state(),
-        full.node.ledger().retained_state()
-    );
-
-    // identical state roots
-    assert_eq!(
-        root_of(&mut node, 6),
-        full.node.checkpoint(6).root,
-        "state roots diverge"
-    );
+    // byte-identical state, identical state roots
+    assert_same_state(&mut node, &mut full.node, 6);
 
     // identical behaviour for the *next* epoch's traffic: the same round
     // mines the same meta-block on both
-    let mut node = Node::new(node.shards, node.ledger);
     let round = 6 * ROUNDS_PER_EPOCH;
     let txs = TrafficGenerator::new(generator_config(1234)).next_round(round);
     let batch: Vec<(&AmmTx, usize)> = txs.iter().map(|g| (&g.tx, g.wire_size)).collect();
@@ -138,11 +124,11 @@ fn snapshot_plus_pruned_peer_still_serves_recent_epochs() {
             snapshot = Some(snap);
         }
     }
-    let mut node = restore_node(&snapshot.unwrap()).unwrap();
+    let mut node = Node::restore(&snapshot.unwrap()).unwrap();
     let applied = catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).unwrap();
     assert_eq!(applied, 1);
     assert_eq!(
-        node.shards.export_state(),
+        node.processor().export_state(),
         full.node.processor().export_state()
     );
 }
@@ -155,9 +141,9 @@ fn positions_survive_restore() {
     for epoch in 1..=3 {
         full.run_epoch(epoch);
     }
-    let node = restore_node(&full.snapshot_at(3)).unwrap();
+    let node = Node::restore(&full.snapshot_at(3)).unwrap();
     let full_pool = full.node.processor().pool(PoolId(0)).unwrap();
-    let restored_pool = node.shards.pool(PoolId(0)).unwrap();
+    let restored_pool = node.processor().pool(PoolId(0)).unwrap();
     assert_eq!(restored_pool.position_count(), full_pool.position_count());
     for id in full_pool.position_ids() {
         assert_eq!(
@@ -166,4 +152,41 @@ fn positions_survive_restore() {
             "position {id}"
         );
     }
+}
+
+#[test]
+fn restored_node_checkpoints_on_as_the_live_node_does() {
+    // two peers on one seed reach epoch 2; one checkpoints there and the
+    // other's node is swapped for the node that checkpoint restores
+    let (mut live, mut twin) = (peer(5), peer(5));
+    for epoch in 1..=2 {
+        live.run_epoch(epoch);
+        twin.run_epoch(epoch);
+    }
+    let snapshot = live.snapshot_at(2);
+    twin.node = Node::restore(&snapshot).expect("snapshot restores");
+
+    // epoch 3 on both, then a checkpoint: the restored node's first one
+    // re-encodes, hashes and ships exactly what the live node's does
+    let [a, b] = [&mut live, &mut twin].map(|peer| {
+        peer.run_epoch(3);
+        peer.node.checkpoint(3)
+    });
+    assert_eq!(b.root, a.root);
+    assert_eq!(b.pages_dirty, a.pages_dirty);
+    assert!(b.delta_bytes > 0);
+    assert_eq!(b.delta_bytes, a.delta_bytes);
+    assert_eq!(b.pools_reencoded, a.pools_reencoded);
+    let delta = twin.node.last_delta().expect("the snapshot is the base");
+    assert_eq!(delta.base_root, snapshot.root());
+    assert_eq!(Some(delta), live.node.last_delta());
+
+    // and its quote view, sealed at epoch 3, answers as the live one does
+    let quote = |peer: &Peer| {
+        let view = peer.node.quote_view();
+        assert_eq!(view.epoch(), 3);
+        view.quote_swap(PoolId(0), true, SwapKind::ExactInput(1_000_000), None)
+            .expect("pool 0 quotes")
+    };
+    assert_eq!(quote(&twin), quote(&live));
 }

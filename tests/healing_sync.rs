@@ -9,8 +9,9 @@ mod common;
 
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, recover_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, recover_node};
 use ammboost::core::processor::EpochProcessor;
+use ammboost::core::Node;
 use ammboost::crypto::Address;
 use ammboost::sim::time::SimDuration;
 use ammboost::sim::{FaultInjector, FaultKind, FaultSpec, InjectionPoint};
@@ -23,7 +24,7 @@ use ammboost::state::{Snapshot, PAGE_SIZE};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix,
 };
-use common::{root_of, Peer};
+use common::{assert_same_state, Peer};
 use std::sync::{Arc, Mutex};
 
 const ROUNDS_PER_EPOCH: u64 = 5;
@@ -211,24 +212,12 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
     assert!(report.sim_elapsed > SimDuration::ZERO, "retries back off");
 
     // the healed snapshot fast-syncs exactly like a clean one
-    let mut node = restore_node(&healed).expect("healed snapshot restores");
-    assert_eq!(node.epoch, 3);
+    let mut node = Node::restore(&healed).expect("healed snapshot restores");
+    assert_eq!(node.quote_view().epoch(), 3);
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
-    assert_eq!(
-        node.shards.export_state(),
-        full.node.processor().export_state()
-    );
-    assert_eq!(
-        node.ledger.retained_state(),
-        full.node.ledger().retained_state()
-    );
-    assert_eq!(
-        root_of(&mut node, 99),
-        full.node.checkpoint(99).root,
-        "state roots diverge"
-    );
+    assert_same_state(&mut node, &mut full.node, 99);
 }
 
 #[test]
@@ -252,21 +241,20 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
         store.commit(&snap5, Some(crash)).unwrap_err();
         // the restarted node: recover the journal, restore the last
         // committed snapshot, replay the missing epochs from the peer
-        let (node, outcome, applied) =
+        let (mut node, outcome, applied) =
             recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
         assert!(
             matches!(outcome, RecoveryOutcome::DiscardedTorn { .. }),
             "torn write must be discarded ({crash:?}), got {outcome:?}"
         );
         assert_eq!(applied, 3, "epochs 4..=6 replayed from the peer");
-        let mut node = node;
         assert_eq!(
-            root_of(&mut node, 99),
+            node.checkpoint(99).root,
             full_root,
             "recovery after {crash:?} diverged"
         );
         assert_eq!(
-            node.shards.export_state(),
+            node.processor().export_state(),
             full.node.processor().export_state()
         );
     }
@@ -282,7 +270,7 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
         recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 5 });
     assert_eq!(applied, 1, "only epoch 6 left to replay");
-    assert_eq!(root_of(&mut node, 99), full_root);
+    assert_eq!(node.checkpoint(99).root, full_root);
 }
 
 #[test]
@@ -368,20 +356,12 @@ fn mixed_fleet_heals_tampered_engine_sections() {
         report.quarantined
     );
 
-    let mut node = restore_node(&healed).expect("healed mixed snapshot restores");
-    assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
+    let mut node = Node::restore(&healed).expect("healed mixed snapshot restores");
+    assert_eq!(node.processor().engine_kinds(), MIXED_FLEET.to_vec());
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, 3);
-    assert_eq!(
-        node.shards.export_state(),
-        full.node.processor().export_state()
-    );
-    assert_eq!(
-        root_of(&mut node, 99),
-        full.node.checkpoint(99).root,
-        "mixed-fleet state roots diverge"
-    );
+    assert_same_state(&mut node, &mut full.node, 99);
 }
 
 /// Torn-commit recovery over a heterogeneous fleet: a crash mid-commit
@@ -407,10 +387,10 @@ fn mixed_fleet_torn_commit_recovers_and_catches_up() {
         recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert!(matches!(outcome, RecoveryOutcome::DiscardedTorn { .. }));
     assert_eq!(applied, 3, "epochs 4..=6 replayed from the peer");
-    assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
-    assert_eq!(root_of(&mut node, 99), full_root);
+    assert_eq!(node.processor().engine_kinds(), MIXED_FLEET.to_vec());
+    assert_eq!(node.checkpoint(99).root, full_root);
     assert_eq!(
-        node.shards.export_state(),
+        node.processor().export_state(),
         full.node.processor().export_state()
     );
 
@@ -425,6 +405,6 @@ fn mixed_fleet_torn_commit_recovers_and_catches_up() {
         recover_node(&mut store, full.node.ledger(), ROUNDS_PER_EPOCH).expect("node recovers");
     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 5 });
     assert_eq!(applied, 1, "only epoch 6 left to replay");
-    assert_eq!(node.shards.engine_kinds(), MIXED_FLEET.to_vec());
-    assert_eq!(root_of(&mut node, 99), full_root);
+    assert_eq!(node.processor().engine_kinds(), MIXED_FLEET.to_vec());
+    assert_eq!(node.checkpoint(99).root, full_root);
 }

@@ -16,10 +16,11 @@ mod common;
 
 use ammboost::amm::tx::{AmmTx, RouteHop, RouteTx, SwapIntent, SwapTx};
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, checkpoint_node};
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
 use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
+use ammboost::core::Node;
 use ammboost::crypto::{Address, H256};
 use ammboost::sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock};
 use ammboost::sidechain::ledger::Ledger;
@@ -30,7 +31,7 @@ use ammboost::workload::{
     GeneratedTx, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
     TrafficSkew,
 };
-use common::{root_of, Peer};
+use common::{assert_same_state, Peer};
 use std::collections::HashMap;
 
 const ROUNDS_PER_EPOCH: u64 = 4;
@@ -348,10 +349,13 @@ fn eight_pool_system_runs_end_to_end_under_one_state_root() {
     let stats = sys.checkpoint(report.epochs + 1);
     assert_eq!(stats.pools_total, 8);
     let snapshot = sys.last_snapshot().unwrap();
-    let node = restore_node(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
-    assert_eq!(node.shards.pool_ids().len(), 8);
-    assert_eq!(node.shards.export_state(), sys.processor().export_state());
-    assert_eq!(node.ledger.export_state(), sys.ledger().retained_state());
+    let node = Node::restore(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
+    assert_eq!(node.processor().pool_ids().len(), 8);
+    assert_eq!(
+        node.processor().export_state(),
+        sys.processor().export_state()
+    );
+    assert_eq!(node.ledger().export_state(), sys.ledger().retained_state());
 
     // the state commitment is reproducible bit-for-bit
     let again = System::new(cfg).run();
@@ -384,23 +388,11 @@ fn multi_pool_fast_sync_restart() {
     }
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
-    let mut node = restore_node(&snapshot).expect("multi-pool snapshot restores");
-    assert_eq!(node.epoch, 2);
-    assert_eq!(node.shards.pool_ids().len(), POOLS as usize);
+    let mut node = Node::restore(&snapshot).expect("multi-pool snapshot restores");
+    assert_eq!(node.quote_view().epoch(), 2);
+    assert_eq!(node.processor().pool_ids().len(), POOLS as usize);
     let applied =
         catch_up(&mut node, full.node.ledger(), ROUNDS_PER_EPOCH).expect("catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
-    assert_eq!(
-        node.shards.export_state(),
-        full.node.processor().export_state()
-    );
-    assert_eq!(
-        node.ledger.retained_state(),
-        full.node.ledger().retained_state()
-    );
-    assert_eq!(
-        root_of(&mut node, EPOCHS),
-        full.node.checkpoint(EPOCHS).root,
-        "state roots diverge after catch-up"
-    );
+    assert_same_state(&mut node, &mut full.node, EPOCHS);
 }

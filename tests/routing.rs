@@ -22,10 +22,11 @@
 use ammboost::amm::pool::Pool;
 use ammboost::amm::tx::{AmmTx, RouteError, RouteHop, RouteTx};
 use ammboost::amm::types::{PoolId, PositionId};
-use ammboost::core::checkpoint::{catch_up, checkpoint_node, restore_node};
+use ammboost::core::checkpoint::{catch_up, checkpoint_node};
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
 use ammboost::core::processor::{EpochProcessor, ExecMode};
 use ammboost::core::system::System;
+use ammboost::core::Node;
 use ammboost::crypto::dkg::{run_ceremony, DkgConfig};
 use ammboost::crypto::{Address, H256};
 use ammboost::mainchain::contracts::token_bank::SyncInput;
@@ -344,21 +345,18 @@ fn routes_replay_bit_identically_through_fast_sync() {
     let (mut processor, ledger, _, wire) = run_routed_node(POOLS, USERS, 99, EPOCHS, Some(2));
 
     let snapshot = Snapshot::decode(&wire.unwrap()).expect("root verifies");
-    let mut node = restore_node(&snapshot).expect("routed snapshot restores");
-    assert_eq!(node.epoch, 2);
+    let mut node = Node::restore(&snapshot).expect("routed snapshot restores");
+    assert_eq!(node.quote_view().epoch(), 2);
     let applied = catch_up(&mut node, &ledger, ROUNDS_PER_EPOCH).expect("routed catch-up verifies");
     assert_eq!(applied, EPOCHS - 2);
-    assert_eq!(node.shards.export_state(), processor.export_state());
-    assert_eq!(node.ledger.retained_state(), ledger.retained_state());
-    let a = checkpoint_node(
-        &mut Checkpointer::new(),
-        EPOCHS,
-        &mut node.shards,
-        &node.ledger,
-    )
-    .stats;
-    let b = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut processor, &ledger).stats;
-    assert_eq!(a.root, b.root, "state roots diverge after routed catch-up");
+    assert_eq!(node.processor().export_state(), processor.export_state());
+    assert_eq!(node.ledger().retained_state(), ledger.retained_state());
+    let live = checkpoint_node(&mut Checkpointer::new(), EPOCHS, &mut processor, &ledger).stats;
+    assert_eq!(
+        node.checkpoint(EPOCHS).root,
+        live.root,
+        "state roots diverge after routed catch-up"
+    );
 }
 
 #[test]
@@ -469,9 +467,12 @@ fn system_runs_routed_traffic_end_to_end() {
     // the final checkpoint restores into a working node
     let stats = sys.checkpoint(report.epochs + 1);
     let snapshot = sys.last_snapshot().unwrap();
-    let node = restore_node(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
-    assert_eq!(node.root, stats.root);
-    assert_eq!(node.shards.export_state(), sys.processor().export_state());
+    let mut node = Node::restore(&Snapshot::decode(&snapshot.encode()).unwrap()).unwrap();
+    assert_eq!(
+        node.processor().export_state(),
+        sys.processor().export_state()
+    );
+    assert_eq!(node.checkpoint(report.epochs + 1).root, stats.root);
 }
 
 fn arb_route(pools: u32, users: u64) -> impl Strategy<Value = AmmTx> {

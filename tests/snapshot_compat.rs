@@ -11,9 +11,9 @@
 use ammboost::amm::engines::EngineKind;
 use ammboost::amm::pool::SwapKind;
 use ammboost::amm::types::PoolId;
-use ammboost::core::checkpoint::restore_node;
 use ammboost::core::config::{SnapshotPolicy, SystemConfig};
 use ammboost::core::system::System;
+use ammboost::core::Node;
 use ammboost::state::{CodecError, Snapshot};
 use ammboost::workload::{EngineMix, RouteStyle};
 
@@ -82,10 +82,11 @@ fn v4_header_is_refused_not_misparsed() {
 /// Restores a fixture of the four-pool mixed run and checks the node's
 /// root and that every pool of every engine kind quotes.
 fn assert_restores_mixed_fleet(snapshot: &Snapshot, root: &str) {
-    let node = restore_node(snapshot).expect("fixture restores");
-    assert_eq!(format!("{}", node.root), root.trim());
+    let mut node = Node::restore(snapshot).expect("fixture restores");
+    let restored = node.checkpoint(snapshot.epoch()).root;
+    assert_eq!(format!("{restored}"), root.trim());
     assert_eq!(
-        node.shards.engine_kinds(),
+        node.processor().engine_kinds(),
         vec![
             (PoolId(0), EngineKind::ConcentratedLiquidity),
             (PoolId(1), EngineKind::ConcentratedLiquidity),
@@ -94,9 +95,9 @@ fn assert_restores_mixed_fleet(snapshot: &Snapshot, root: &str) {
         ]
     );
     // pools of all three engine kinds come back live
-    for (id, kind) in node.shards.engine_kinds() {
+    for (id, kind) in node.processor().engine_kinds() {
         let quote = node
-            .shards
+            .processor()
             .pool(id)
             .expect("restored pool")
             .quote_swap(true, SwapKind::ExactInput(1_000_000), None)
