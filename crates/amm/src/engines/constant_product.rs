@@ -4,10 +4,10 @@
 //! The swap surface keeps the CL engine's compute/commit split: every
 //! quote runs the exact staged computation the write path commits, so a
 //! `QuoteView` serving a constant-product pool is bit-identical to
-//! execution by construction. The [`reference`](mod@reference) module re-derives both
-//! swap directions from the `k`-complement identity — a genuinely
+//! execution by construction. Its differential oracle, which re-derives
+//! both swap directions from the `k`-complement identity — a genuinely
 //! different integer computation that provably produces the same bits —
-//! and is the engine's differential oracle.
+//! is test code in `crates/amm/tests/engine_oracles.rs`.
 
 use super::shares::{mul_div_ceil_u128, mul_div_u128, ShareBook, SharePosition};
 use super::spot_sqrt_price_q96;
@@ -381,108 +381,6 @@ impl CpEngine {
     }
 }
 
-/// Naive reference implementation used as the differential oracle.
-///
-/// Both swap directions are re-derived from the invariant product
-/// `k = r_in · r_out` via the complement identities
-///
-/// ```text
-/// floor(x·r_out / (r_in + x))  =  r_out − ceil(k / (r_in + x))
-/// ceil(out·r_in / (r_out − out))  =  ceil(k / (r_out − out)) − r_in
-/// ```
-///
-/// (both exact over the integers), so the oracle computes the same bits
-/// through a genuinely different sequence of operations — the pattern the
-/// tick-bitmap work established with `TickSearch::BTreeOracle`.
-pub mod reference {
-    use super::*;
-
-    /// `ceil(k / d)` with `k = r_in · r_out` as a 256-bit product.
-    fn ceil_k_over(r_in: Amount, r_out: Amount, d: Amount) -> Result<u128, AmmError> {
-        if d == 0 {
-            return Err(AmmError::ZeroLiquidity);
-        }
-        let (q, rem) = U256::from_u128(r_in)
-            .full_mul(U256::from_u128(r_out))
-            .div_rem_u256(U256::from_u128(d));
-        let q = q
-            .to_u256()
-            .and_then(|v| v.to_u128())
-            .ok_or(AmmError::BalanceOverflow)?;
-        if rem.is_zero() {
-            Ok(q)
-        } else {
-            q.checked_add(1).ok_or(AmmError::BalanceOverflow)
-        }
-    }
-
-    /// Output for an effective (post-fee) input, via the `k` complement.
-    ///
-    /// # Errors
-    /// Overflow of the widened arithmetic.
-    pub fn out_given_in(r_in: Amount, r_out: Amount, in_eff: Amount) -> Result<Amount, AmmError> {
-        let denom = r_in.checked_add(in_eff).ok_or(AmmError::BalanceOverflow)?;
-        Ok(r_out - ceil_k_over(r_in, r_out, denom)?)
-    }
-
-    /// Effective (pre-fee-gross-up) input for an exact output, via the
-    /// `k` complement.
-    ///
-    /// # Errors
-    /// [`AmmError::InsufficientLiquidity`] when `out ≥ r_out`.
-    pub fn in_given_out(r_in: Amount, r_out: Amount, out: Amount) -> Result<Amount, AmmError> {
-        if out >= r_out {
-            return Err(AmmError::InsufficientLiquidity {
-                requested: out,
-                available: r_out,
-            });
-        }
-        Ok(ceil_k_over(r_in, r_out, r_out - out)? - r_in)
-    }
-
-    /// Full reference quote: `(amount_in, amount_out, fee_paid)` for a
-    /// swap against reserves `(r_in, r_out)`, with the engine's fee
-    /// schedule applied around the `k`-complement curve math.
-    ///
-    /// # Errors
-    /// Mirrors the engine's validation.
-    pub fn quote(
-        r_in: Amount,
-        r_out: Amount,
-        kind: SwapKind,
-        fee_pips: u32,
-    ) -> Result<(Amount, Amount, Amount), AmmError> {
-        if r_in == 0 || r_out == 0 {
-            return Err(AmmError::InsufficientReserves);
-        }
-        match kind {
-            SwapKind::ExactInput(amount) => {
-                if amount == 0 {
-                    return Err(AmmError::ZeroAmount);
-                }
-                let fee = mul_div_ceil_u128(amount, fee_pips as u128, PIPS_DENOMINATOR as u128)?;
-                let in_eff = amount - fee;
-                if in_eff == 0 {
-                    return Err(AmmError::ZeroAmount);
-                }
-                Ok((amount, out_given_in(r_in, r_out, in_eff)?, fee))
-            }
-            SwapKind::ExactOutput(amount) => {
-                if amount == 0 {
-                    return Err(AmmError::ZeroAmount);
-                }
-                let in_eff = in_given_out(r_in, r_out, amount)?;
-                let gross = mul_div_ceil_u128(
-                    in_eff,
-                    PIPS_DENOMINATOR as u128,
-                    (PIPS_DENOMINATOR - fee_pips) as u128,
-                )?;
-                Ok((gross, amount, gross - in_eff))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,34 +531,5 @@ mod tests {
         let rebuilt = CpEngine::from_state(state.clone()).unwrap();
         assert_eq!(rebuilt, e);
         assert_eq!(rebuilt.export_state(), state);
-    }
-
-    #[test]
-    fn reference_identities_match_engine() {
-        let e = seeded();
-        for (i, amount) in [1_000u128, 999_983, 1_000_000_007, 123_456_789_123]
-            .iter()
-            .enumerate()
-        {
-            let zf1 = i % 2 == 0;
-            let (r_in, r_out) = if zf1 {
-                (e.reserves().amount0, e.reserves().amount1)
-            } else {
-                (e.reserves().amount1, e.reserves().amount0)
-            };
-            for kind in [
-                SwapKind::ExactInput(*amount),
-                SwapKind::ExactOutput(*amount),
-            ] {
-                let got = e
-                    .quote_swap_with_protection(zf1, kind, None, 0, u128::MAX)
-                    .unwrap();
-                let (ain, aout, fee) = reference::quote(r_in, r_out, kind, e.fee_pips()).unwrap();
-                assert_eq!(
-                    (got.amount_in, got.amount_out, got.fee_paid),
-                    (ain, aout, fee)
-                );
-            }
-        }
     }
 }

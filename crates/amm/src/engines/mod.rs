@@ -633,15 +633,6 @@ impl Engine {
         }
     }
 
-    /// Mutable access to the concentrated-liquidity pool, when this
-    /// engine is one.
-    pub fn as_cl_mut(&mut self) -> Option<&mut Pool> {
-        match self {
-            Engine::Cl(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Pool token balances, owed amounts included.
     pub fn balances(&self) -> AmountPair {
         dispatch!(self, e => AmmEngine::balances(e))

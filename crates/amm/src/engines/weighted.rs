@@ -6,10 +6,10 @@
 //! weighted math).
 //!
 //! The compute/commit swap split is preserved: quotes run the exact
-//! staged computation the write path commits. The [`reference`](mod@reference) module
-//! re-derives both swap directions in `f64` — a genuinely different
-//! numeric domain — and bounds the fixed-point error as the engine's
-//! differential oracle.
+//! staged computation the write path commits. Its differential oracle,
+//! which re-derives both swap directions in `f64` — a genuinely different
+//! numeric domain — and bounds the fixed-point error, is test code in
+//! `crates/amm/tests/engine_oracles.rs`.
 
 use super::bmath::{bdiv, bmul, bmul_up, bpow, BONE};
 use super::shares::{mul_div_ceil_u128, mul_div_u128, ShareBook, SharePosition};
@@ -473,35 +473,6 @@ impl WeightedEngine {
     }
 }
 
-/// Naive `f64` reference implementation used as the differential oracle.
-///
-/// Where the constant-product oracle is bit-exact, floating point cannot
-/// be — so this oracle bounds the fixed-point engine instead: proptests
-/// assert the integer result stays within a small relative tolerance of
-/// the closed-form `f64` curve, which would catch any structural error in
-/// the `bpow` plumbing (wrong ratio, inverted base, dropped fee) while
-/// tolerating the last-ulp disagreements inherent to the comparison.
-pub mod reference {
-    /// `out = r_out · (1 − (r_in / (r_in + in))^(w_in / w_out))` in `f64`.
-    pub fn out_given_in_f64(r_in: u128, r_out: u128, w_in: u128, w_out: u128, in_eff: u128) -> f64 {
-        let base = r_in as f64 / (r_in as f64 + in_eff as f64);
-        r_out as f64 * (1.0 - base.powf(w_in as f64 / w_out as f64))
-    }
-
-    /// `in = r_in · ((r_out / (r_out − out))^(w_out / w_in) − 1)` in `f64`.
-    pub fn in_given_out_f64(r_in: u128, r_out: u128, w_in: u128, w_out: u128, out: u128) -> f64 {
-        let base = r_out as f64 / (r_out as f64 - out as f64);
-        r_in as f64 * (base.powf(w_out as f64 / w_in as f64) - 1.0)
-    }
-
-    /// The G3M invariant `r0^w0 · r1^w1` in `log` space (numerically
-    /// stable for large reserves); weights are BONE-scaled.
-    pub fn log_invariant(r0: u128, r1: u128, w0: u128, w1: u128) -> f64 {
-        let bone = super::BONE as f64;
-        (w0 as f64 / bone) * (r0 as f64).ln() + (w1 as f64 / bone) * (r1 as f64).ln()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,52 +496,6 @@ mod tests {
         let odd = WeightedEngine::new(3000, 1, 3).unwrap();
         let (w0, w1) = odd.weights();
         assert_eq!(w0 + w1, BONE);
-    }
-
-    #[test]
-    fn swap_tracks_f64_reference() {
-        let e = seeded();
-        for (i, amount) in [1_000_000u128, 123_456_789, 500_000_000_000_000]
-            .iter()
-            .enumerate()
-        {
-            let zf1 = i % 2 == 0;
-            let got = e
-                .quote_swap_with_protection(zf1, SwapKind::ExactInput(*amount), None, 0, u128::MAX)
-                .unwrap();
-            let (r_in, r_out, w_in, w_out) = if zf1 {
-                (e.reserve0, e.reserve1, e.weight0, e.weight1)
-            } else {
-                (e.reserve1, e.reserve0, e.weight1, e.weight0)
-            };
-            let expect =
-                reference::out_given_in_f64(r_in, r_out, w_in, w_out, *amount - got.fee_paid);
-            let err = (got.amount_out as f64 - expect).abs() / expect.max(1.0);
-            assert!(
-                err < 1e-6,
-                "amount {amount}: {} vs {expect}",
-                got.amount_out
-            );
-        }
-    }
-
-    #[test]
-    fn invariant_non_decreasing_after_swaps() {
-        let mut e = seeded();
-        let (w0, w1) = e.weights();
-        let before = reference::log_invariant(e.reserve0, e.reserve1, w0, w1);
-        for i in 0..10u32 {
-            e.swap_with_protection(
-                i % 2 == 0,
-                SwapKind::ExactInput(1_000_000_000 + i as u128 * 999_999),
-                None,
-                0,
-                u128::MAX,
-            )
-            .unwrap();
-        }
-        let after = reference::log_invariant(e.reserve0, e.reserve1, w0, w1);
-        assert!(after >= before - 1e-9, "{after} < {before}");
     }
 
     #[test]

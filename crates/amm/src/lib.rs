@@ -58,7 +58,7 @@ pub use engines::{
     WeightedEngine, WeightedState,
 };
 pub use error::AmmError;
-pub use pool::{Pool, Position, PositionValuation, SwapKind, SwapResult, TickSearch};
+pub use pool::{Pool, Position, PositionValuation, SwapKind, SwapResult};
 pub use positions::{PositionRecords, PositionTable, RecordsError, POSITION_RECORD_BYTES};
 pub use tick_bitmap::TickBitmap;
 pub use types::{Amount, AmountPair, Liquidity, PoolId, PositionId, Tick};

@@ -111,19 +111,6 @@ pub enum SwapKind {
     ExactOutput(Amount),
 }
 
-/// Which next-initialized-tick search the swap loop uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TickSearch {
-    /// Word-packed tick bitmap with cached boundary prices — the
-    /// production path.
-    #[default]
-    Bitmap,
-    /// The seed's `BTreeMap::range` scan with per-step boundary-price
-    /// recomputation, retained as the differential-testing and
-    /// benchmarking oracle. Produces bit-identical results.
-    BTreeOracle,
-}
-
 /// Hot-path mirror of one initialized tick: its boundary sqrt price
 /// (immutable once computed) and its net liquidity delta, so a crossing
 /// touches neither `sqrt_ratio_at_tick` nor the ordered tick table.
@@ -254,7 +241,6 @@ pub struct Pool {
     /// Per-initialized-tick cache (boundary price + net liquidity), kept
     /// in lockstep with `ticks`; the swap loop reads only this.
     tick_cache: HashMap<Tick, TickCache, FastIntBuildHasher>,
-    tick_search: TickSearch,
     /// Reusable crossing journal: cleared and refilled by each swap so the
     /// hot loop does not allocate.
     crossings_buf: Vec<(Tick, U256, U256)>,
@@ -291,7 +277,6 @@ impl Pool {
             balance1: 0,
             tick_bitmap: TickBitmap::new(tick_spacing),
             tick_cache: HashMap::default(),
-            tick_search: TickSearch::default(),
             crossings_buf: Vec::with_capacity(16),
         })
     }
@@ -348,18 +333,6 @@ impl Pool {
     /// Number of initialized ticks.
     pub fn initialized_tick_count(&self) -> usize {
         self.ticks.len()
-    }
-
-    /// The swap loop's next-tick search strategy.
-    pub fn tick_search(&self) -> TickSearch {
-        self.tick_search
-    }
-
-    /// Selects the next-tick search strategy. [`TickSearch::BTreeOracle`]
-    /// re-enables the seed scan for differential tests and benchmark
-    /// baselines; swap results are bit-identical under either engine.
-    pub fn set_tick_search(&mut self, search: TickSearch) {
-        self.tick_search = search;
     }
 
     /// Read access to the bitmap index (tests assert it stays in lockstep
@@ -477,7 +450,6 @@ impl Pool {
             balance1: state.balance1,
             tick_bitmap: TickBitmap::new(state.tick_spacing),
             tick_cache: HashMap::default(),
-            tick_search: TickSearch::default(),
             crossings_buf: Vec::with_capacity(16),
         };
         pool.rebuild_tick_index()?;
@@ -880,9 +852,8 @@ impl Pool {
     }
 
     /// Crossing bookkeeping shared by the glide and trade branches of the
-    /// swap loop: journals the crossing, applies the tick's net liquidity
-    /// (from the cache on the bitmap path, from the tick table on the
-    /// oracle path) and steps the staged tick past the boundary, returning
+    /// swap loop: journals the crossing, applies the tick's cached net
+    /// liquidity and steps the staged tick past the boundary, returning
     /// the new staged tick's bounds as far as the crossing fixes them (the
     /// boundary price on the side just crossed). Read-only on the pool: all
     /// effects land in `crossings` and the staged locals.
@@ -900,14 +871,7 @@ impl Pool {
         tick: &mut Tick,
     ) -> Result<TickBounds, AmmError> {
         crossings.push((boundary_tick, fee_growth0, fee_growth1));
-        let net = match cached {
-            Some(c) => c.liquidity_net,
-            None => self
-                .ticks
-                .get(&boundary_tick)
-                .map(|i| i.liquidity_net)
-                .unwrap_or(0),
-        };
+        let net = cached.map_or(0, |c| c.liquidity_net);
         *liquidity = add_delta(*liquidity, if zero_for_one { -net } else { net })?;
         Ok(if zero_for_one {
             *tick = boundary_tick - 1;
@@ -922,21 +886,6 @@ impl Pool {
                 upper: None,
             }
         })
-    }
-
-    /// The tick of a swap's final `price` and its bounds, from the staged
-    /// `tick` and its `bounds` ([`TickBounds::tick_of`]); the oracle engine
-    /// keeps the seed's bracketed search.
-    fn tick_of_price(
-        &self,
-        bounds: TickBounds,
-        tick: Tick,
-        price: U256,
-    ) -> Result<(Tick, TickBounds), AmmError> {
-        match self.tick_search {
-            TickSearch::Bitmap => bounds.tick_of(tick, price),
-            TickSearch::BTreeOracle => Ok((tick_at_sqrt_ratio(price)?, TickBounds::UNKNOWN)),
-        }
     }
 
     /// Quotes a swap without touching state: the exact [`SwapResult`] that
@@ -1138,38 +1087,42 @@ impl Pool {
         }
 
         while remaining > 0 && sqrt_price != limit {
-            // Next initialized tick in the direction of travel. The bitmap
-            // answers with a masked bit scan plus at most one jump through
-            // the occupied-word index; the oracle path retains the seed's
-            // ordered-map range scan for differential testing.
-            let next_tick = match self.tick_search {
-                TickSearch::Bitmap => self.tick_bitmap.next_initialized_tick(tick, zero_for_one),
-                TickSearch::BTreeOracle => {
-                    if zero_for_one {
-                        self.ticks.range(..=tick).next_back().map(|(t, _)| *t)
-                    } else {
-                        self.ticks.range(tick + 1..).next().map(|(t, _)| *t)
-                    }
-                }
-            };
-            let boundary_tick = next_tick.unwrap_or(if zero_for_one { MIN_TICK } else { MAX_TICK });
-            // Boundary price and net liquidity: served from the per-tick
-            // cache on the bitmap path (populated at tick initialization),
-            // recomputed/re-fetched on the oracle path exactly as the seed
-            // did.
-            let cached: Option<TickCache> = match self.tick_search {
-                TickSearch::Bitmap => next_tick.and_then(|t| self.tick_cache.get(&t).copied()),
-                TickSearch::BTreeOracle => None,
-            };
-            let boundary_price = match self.tick_search {
-                TickSearch::Bitmap => match (cached, next_tick) {
-                    (Some(c), _) => c.sqrt_price,
-                    (None, Some(t)) => sqrt_ratio_at_tick(t)?,
-                    (None, None) if zero_for_one => min_sqrt_ratio(),
-                    (None, None) => max_sqrt_ratio(),
+            // Next initialized tick in the direction of travel: a masked bit
+            // scan plus at most one jump through the occupied-word index.
+            // Debug builds check it against the seed's ordered-map scan.
+            let next_tick = self.tick_bitmap.next_initialized_tick(tick, zero_for_one);
+            debug_assert_eq!(
+                next_tick,
+                if zero_for_one {
+                    self.ticks.range(..=tick).next_back().map(|(t, _)| *t)
+                } else {
+                    self.ticks.range(tick + 1..).next().map(|(t, _)| *t)
                 },
-                TickSearch::BTreeOracle => sqrt_ratio_at_tick(boundary_tick)?,
+                "tick bitmap disagrees with the tick table from tick {tick}"
+            );
+            let boundary_tick = next_tick.unwrap_or(if zero_for_one { MIN_TICK } else { MAX_TICK });
+            // Boundary price and net liquidity, from the per-tick cache
+            // filled at tick initialization; `None` only past the last
+            // initialized tick, where the boundary is the domain edge.
+            let cached = next_tick.and_then(|t| self.tick_cache.get(&t).copied());
+            debug_assert_eq!(
+                cached,
+                next_tick.map(|t| TickCache {
+                    sqrt_price: sqrt_ratio_at_tick(t).expect("initialized tick in range"),
+                    liquidity_net: self.ticks[&t].liquidity_net,
+                }),
+                "tick cache disagrees with the tick table at tick {boundary_tick}"
+            );
+            let boundary_price = match cached {
+                Some(c) => c.sqrt_price,
+                None if zero_for_one => min_sqrt_ratio(),
+                None => max_sqrt_ratio(),
             };
+            debug_assert_eq!(
+                Ok(boundary_price),
+                sqrt_ratio_at_tick(boundary_tick),
+                "boundary price of tick {boundary_tick}"
+            );
             let target = if zero_for_one {
                 boundary_price.max(limit)
             } else {
@@ -1199,7 +1152,7 @@ impl Pool {
                         &mut tick,
                     )?;
                 } else {
-                    (tick, bounds) = self.tick_of_price(bounds, tick, target)?;
+                    (tick, bounds) = bounds.tick_of(tick, target)?;
                     break; // hit the price limit
                 }
                 continue;
@@ -1256,7 +1209,7 @@ impl Pool {
                     &mut tick,
                 )?;
             } else if step.sqrt_price_next != boundary_price {
-                (tick, bounds) = self.tick_of_price(bounds, tick, step.sqrt_price_next)?;
+                (tick, bounds) = bounds.tick_of(tick, step.sqrt_price_next)?;
             }
         }
         flush_seg_fee(
@@ -1901,28 +1854,37 @@ mod tests {
         ));
     }
 
+    /// A pool with an initialized tick at -120 between the current price
+    /// and the wide position's lower bound, which a zero-for-one swap of
+    /// `SWAP_PAST_INNER_TICK` crosses.
+    #[cfg(debug_assertions)]
+    fn pool_with_inner_tick() -> Pool {
+        let mut pool = pool_with_liquidity();
+        pool.mint(pid(2), addr(2), -120, 120, 50_000_000, 50_000_000)
+            .unwrap();
+        pool
+    }
+
+    #[cfg(debug_assertions)]
+    const SWAP_PAST_INNER_TICK: Amount = 500_000_000;
+
     #[test]
-    fn oracle_and_bitmap_engines_agree_across_crossings() {
-        let build = |search: TickSearch| {
-            let mut pool = Pool::new_standard();
-            pool.set_tick_search(search);
-            pool.mint(pid(1), addr(1), -600, 600, 10_000_000, 10_000_000)
-                .unwrap();
-            pool.mint(pid(2), addr(2), -120, 120, 50_000_000, 50_000_000)
-                .unwrap();
-            pool
-        };
-        let mut bitmap = build(TickSearch::Bitmap);
-        let mut oracle = build(TickSearch::BTreeOracle);
-        for (dir, amt) in [(true, 40_000_000u128), (false, 25_000_000), (true, 777)] {
-            let a = bitmap.swap(dir, SwapKind::ExactInput(amt), None).unwrap();
-            let b = oracle.swap(dir, SwapKind::ExactInput(amt), None).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(bitmap.sqrt_price(), oracle.sqrt_price());
-            assert_eq!(bitmap.tick(), oracle.tick());
-            assert_eq!(bitmap.liquidity(), oracle.liquidity());
-            assert_eq!(bitmap.fee_growth_global(), oracle.fee_growth_global());
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tick cache disagrees with the tick table at tick -120")]
+    fn swap_checks_the_tick_cache_in_debug_builds() {
+        let mut pool = pool_with_inner_tick();
+        let cached = pool.tick_cache.get_mut(&-120).expect("live tick");
+        cached.sqrt_price = cached.sqrt_price + U256::ONE;
+        let _ = pool.swap(true, SwapKind::ExactInput(SWAP_PAST_INNER_TICK), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tick bitmap disagrees with the tick table from tick")]
+    fn swap_checks_the_tick_bitmap_in_debug_builds() {
+        let mut pool = pool_with_inner_tick();
+        pool.tick_bitmap.clear(-120);
+        let _ = pool.swap(true, SwapKind::ExactInput(SWAP_PAST_INNER_TICK), None);
     }
 
     #[test]

@@ -430,21 +430,6 @@ impl PositionTable {
             count,
         }
     }
-
-    /// Force-decodes every base record into the overlay — the eager-
-    /// restore oracle for differential tests and benches. Returns how
-    /// many records were newly materialized.
-    pub fn materialize_all(&mut self) -> usize {
-        let mut added = 0usize;
-        for i in 0..self.base.len() {
-            let (id, p) = self.base.entry_at(i);
-            if let std::collections::hash_map::Entry::Vacant(v) = self.overlay.entry(id) {
-                v.insert(Some(p));
-                added += 1;
-            }
-        }
-        added
-    }
 }
 
 impl Default for PositionTable {
@@ -594,17 +579,5 @@ mod tests {
         assert_eq!(seen.len(), 4);
         assert_eq!(seen[0].1.liquidity, 42);
         assert_eq!(seen[1].0, pid(2));
-    }
-
-    #[test]
-    fn materialize_all_is_the_eager_oracle() {
-        let mut t = PositionTable::from_records(sample());
-        assert_eq!(t.materialize_all(), 3);
-        assert_eq!(t.materialized(), 3);
-        assert_eq!(t.materialize_all(), 0, "idempotent");
-        // materialization must not change observable state
-        let eager = t.export_records();
-        let lazy = PositionTable::from_records(sample()).export_records();
-        assert_eq!(eager, lazy);
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! Compared with the seed `BTreeMap::range` scan this replaces a
 //! logarithmic, pointer-chasing search per swap step with one or two
-//! hash-map probes and a handful of register operations.
+//! hash-map probes and a handful of register operations. The pool's swap
+//! loop still runs the seed scan in debug builds, as an assertion.
 
 use crate::fast_hash::FastIntBuildHasher;
 use crate::types::Tick;
@@ -111,41 +112,6 @@ impl TickBitmap {
             .is_some_and(|w| w & (1u64 << bit) != 0)
     }
 
-    /// Uniswap's `nextInitializedTickWithinOneWord`: the next initialized
-    /// tick no further than the boundary of the current word.
-    ///
-    /// With `lte == true` the search runs left (≤ `tick`), otherwise right
-    /// (> `tick`). Returns `(tick, initialized)` — when no bit is set in
-    /// the remainder of the word, `tick` is the word's boundary tick and
-    /// `initialized` is `false`, so callers can continue from there.
-    pub fn next_initialized_tick_within_one_word(&self, tick: Tick, lte: bool) -> (Tick, bool) {
-        if lte {
-            let compressed = self.compress(tick);
-            let (word, bit) = Self::position(compressed);
-            // bits at or below `bit`
-            let mask = u64::MAX >> (63 - bit);
-            let masked = self.words.get(&word).copied().unwrap_or(0) & mask;
-            if masked != 0 {
-                let msb = 63 - masked.leading_zeros();
-                (self.tick_at(word, msb), true)
-            } else {
-                (self.tick_at(word, 0), false)
-            }
-        } else {
-            let compressed = self.compress(tick) + 1;
-            let (word, bit) = Self::position(compressed);
-            // bits at or above `bit`
-            let mask = u64::MAX << bit;
-            let masked = self.words.get(&word).copied().unwrap_or(0) & mask;
-            if masked != 0 {
-                let lsb = masked.trailing_zeros();
-                (self.tick_at(word, lsb), true)
-            } else {
-                (self.tick_at(word, 63), false)
-            }
-        }
-    }
-
     /// The next initialized tick in the direction of travel, across word
     /// boundaries: ≤ `tick` when `lte`, > `tick` otherwise. `None` when no
     /// initialized tick remains on that side.
@@ -227,43 +193,6 @@ mod tests {
         b.set(-60);
         assert!(!b.is_initialized(-59));
         assert!(!b.is_initialized(-1));
-    }
-
-    #[test]
-    fn within_one_word_lte() {
-        let mut b = TickBitmap::new(1);
-        b.set(10);
-        b.set(5);
-        // searching left from 12 finds 10
-        assert_eq!(
-            b.next_initialized_tick_within_one_word(12, true),
-            (10, true)
-        );
-        // from 10 itself: inclusive
-        assert_eq!(
-            b.next_initialized_tick_within_one_word(10, true),
-            (10, true)
-        );
-        // from 9: finds 5
-        assert_eq!(b.next_initialized_tick_within_one_word(9, true), (5, true));
-        // from 4: nothing below in this word → word boundary, uninitialized
-        assert_eq!(b.next_initialized_tick_within_one_word(4, true), (0, false));
-    }
-
-    #[test]
-    fn within_one_word_gt() {
-        let mut b = TickBitmap::new(1);
-        b.set(10);
-        // searching right from 5 finds 10 (exclusive of 5)
-        assert_eq!(
-            b.next_initialized_tick_within_one_word(5, false),
-            (10, true)
-        );
-        // from 10: exclusive → word boundary
-        assert_eq!(
-            b.next_initialized_tick_within_one_word(10, false),
-            (63, false)
-        );
     }
 
     #[test]

@@ -1,32 +1,38 @@
-//! Differential properties: the bitmap swap engine and the retained seed
-//! `BTreeMap` oracle must be observationally identical.
+//! Differential properties of the tick-bitmap swap engine.
+//!
+//! The seed comparison runs inside [`Pool`] in debug builds: at every swap
+//! step the pool asserts that the bitmap's next initialized tick is the
+//! seed's `BTreeMap::range` answer, that the cached boundary price and net
+//! liquidity are `sqrt_ratio_at_tick` and the tick table's entry, and that
+//! every cached tick bound is `tick_at_sqrt_ratio`'s. This suite drives
+//! the pool into the cases those checks must see, and adds the checks
+//! that hold in release builds too.
 //!
 //! Random mint/burn/swap/collect sequences — including `ExactOutput`
-//! budgets and price-limit early exits — are replayed against two pools
-//! that differ only in [`TickSearch`]; every operation's result (success
-//! value *or* error) and the full observable pool state must match at
-//! every step. A final check rebuilds the bitmap index from the tick
-//! table and asserts it equals the incrementally maintained one.
+//! budgets and price-limit early exits — are replayed on one pool. After
+//! every operation the bitmap index must count the tick table's ticks and
+//! the committed tick must be the tick of the committed price; at the end
+//! a pool restored from the exported state must quote bit-identically and
+//! a from-scratch index rebuild must equal the incremental one.
 //!
-//! The two engines also recover a swap's final tick differently: the
-//! bitmap engine keeps the staged tick while the price stays inside its
-//! cached sqrt-price bounds, probes one tick when it leaves them by one,
-//! and only then runs the bracketed `tick_at_sqrt_ratio` search; the
-//! oracle engine runs the search on every swap. So the sequences reach
-//! the cases that cache must get right — limits exactly on and one unit
-//! past a tick boundary, swaps that stop on a crossing, glides to a limit
-//! through liquidity-free ranges, full-range positions and limits at
-//! `MIN_TICK` / `MAX_TICK`, amounts too small to move the price — and
-//! every step checks that the committed tick is the tick of the committed
-//! price. A pool restored from its exported state (which rebuilds the
-//! cache) must quote bit-identically. Debug builds also assert every
-//! cache answer against `tick_at_sqrt_ratio` inside the pool.
+//! A swap's final tick is recovered through the pool's cached sqrt-price
+//! bounds: it keeps the staged tick while the price stays inside them,
+//! probes one tick when it leaves them by one, and only then runs the
+//! bracketed `tick_at_sqrt_ratio` search. So the sequences reach the cases
+//! that cache must get right — limits exactly on and one unit past a tick
+//! boundary, swaps that stop on a crossing, glides to a limit through
+//! liquidity-free ranges, full-range positions and limits at `MIN_TICK` /
+//! `MAX_TICK`, amounts too small to move the price. The fixed cases also
+//! run every swap on a copy restored from the pool's exported state, whose
+//! index is rebuilt and whose bounds are derived afresh: both must return
+//! the same result and reach the same state.
 
-use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
+use ammboost_amm::pool::{Pool, SwapKind, SwapResult};
 use ammboost_amm::tick_math::{
     max_sqrt_ratio, min_sqrt_ratio, sqrt_ratio_at_tick, tick_at_sqrt_ratio, MAX_TICK, MIN_TICK,
 };
 use ammboost_amm::types::{Amount, PositionId};
+use ammboost_amm::AmmError;
 use ammboost_crypto::{Address, U256};
 use proptest::prelude::*;
 
@@ -41,7 +47,7 @@ enum Limit {
     None,
     /// Exactly on the boundary of the tick this signed offset from the
     /// current tick; deliberately sometimes on the wrong side so the
-    /// `InvalidPriceLimit` path is exercised on both engines.
+    /// `InvalidPriceLimit` path is exercised.
     OnBoundary(i32),
     /// One unit above (`true`) or below that boundary, a few ticks away:
     /// inside the tick the cache probes, or just past it.
@@ -54,8 +60,7 @@ enum Limit {
     DomainEdge,
 }
 
-/// One random pool operation, fully determined by its parameters so both
-/// engines replay exactly the same call sequence.
+/// One random pool operation, fully determined by its parameters.
 #[derive(Clone, Debug)]
 enum Op {
     Mint {
@@ -135,8 +140,8 @@ fn owner(slot: u8) -> Address {
     Address::from_index(1000 + slot as u64)
 }
 
-/// Applies `op` to one pool, returning a comparable trace of the outcome.
-fn apply(pool: &mut Pool, op: &Op) -> String {
+/// Applies `op` to the pool; a rejected operation leaves it unchanged.
+fn apply(pool: &mut Pool, op: &Op) {
     match *op {
         Op::Mint {
             slot,
@@ -148,24 +153,17 @@ fn apply(pool: &mut Pool, op: &Op) -> String {
             } else {
                 (-60 * half_width, 60 * half_width)
             };
-            format!(
-                "{:?}",
-                pool.mint(pid(slot), owner(slot), lower, upper, amount, amount)
-            )
+            let _ = pool.mint(pid(slot), owner(slot), lower, upper, amount, amount);
         }
         Op::Burn { slot, fraction_bp } => {
             let held = pool.position(&pid(slot)).map(|p| p.liquidity).unwrap_or(0);
             let burn = (held / 10_000) * fraction_bp as u128;
-            if burn == 0 {
-                return "skip".to_string();
+            if burn > 0 {
+                let _ = pool.burn(pid(slot), owner(slot), burn);
             }
-            format!("{:?}", pool.burn(pid(slot), owner(slot), burn))
         }
         Op::Collect { slot } => {
-            format!(
-                "{:?}",
-                pool.collect(pid(slot), owner(slot), Amount::MAX, Amount::MAX)
-            )
+            let _ = pool.collect(pid(slot), owner(slot), Amount::MAX, Amount::MAX);
         }
         Op::Swap {
             zero_for_one,
@@ -194,7 +192,7 @@ fn apply(pool: &mut Pool, op: &Op) -> String {
             } else {
                 SwapKind::ExactInput(amount)
             };
-            format!("{:?}", pool.swap(zero_for_one, kind, limit))
+            let _ = pool.swap(zero_for_one, kind, limit);
         }
     }
 }
@@ -252,6 +250,25 @@ fn assert_restore_quotes_identically(pool: &Pool) {
     }
 }
 
+/// Swaps on `pool` and on a copy restored from its exported state: both
+/// must return the same result and leave the same state.
+fn swap_agrees_with_restored(
+    pool: &mut Pool,
+    zero_for_one: bool,
+    kind: SwapKind,
+    limit: Option<U256>,
+) -> Result<SwapResult, AmmError> {
+    let mut restored = Pool::from_state(pool.export_state()).expect("own state restores");
+    let got = pool.swap(zero_for_one, kind, limit);
+    assert_eq!(
+        restored.swap(zero_for_one, kind, limit),
+        got,
+        "restored pool swaps differently: {zero_for_one} {kind:?} {limit:?}"
+    );
+    assert_eq!(state(&restored), state(pool));
+    got
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -262,29 +279,23 @@ proptest! {
     ) {
         // every start price lies exactly on a tick boundary
         let price = sqrt_ratio_at_tick(start).unwrap();
-        let mut bitmap = Pool::new(3000, SPACING, price).unwrap();
-        let mut oracle = bitmap.clone();
-        oracle.set_tick_search(TickSearch::BTreeOracle);
-        prop_assert_eq!(bitmap.tick_search(), TickSearch::Bitmap);
+        let mut pool = Pool::new(3000, SPACING, price).unwrap();
 
-        for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut bitmap, op);
-            let b = apply(&mut oracle, op);
-            prop_assert_eq!(&a, &b, "op {} diverged: {:?}", i, op);
-            prop_assert_eq!(state(&bitmap), state(&oracle), "state diverged after op {} {:?}", i, op);
+        for op in &ops {
+            apply(&mut pool, op);
             // the bitmap index must track the tick table exactly
             prop_assert_eq!(
-                bitmap.tick_bitmap().initialized_count(),
-                bitmap.initialized_tick_count()
+                pool.tick_bitmap().initialized_count(),
+                pool.initialized_tick_count()
             );
-            assert_tick_matches_price(&bitmap);
+            assert_tick_matches_price(&pool);
         }
-        assert_restore_quotes_identically(&bitmap);
+        assert_restore_quotes_identically(&pool);
 
         // the incrementally maintained index equals a from-scratch rebuild
-        let mut rebuilt = bitmap.clone();
+        let mut rebuilt = pool.clone();
         rebuilt.rebuild_tick_index().unwrap();
-        prop_assert_eq!(rebuilt.tick_bitmap(), bitmap.tick_bitmap());
+        prop_assert_eq!(rebuilt.tick_bitmap(), pool.tick_bitmap());
     }
 
     #[test]
@@ -295,19 +306,13 @@ proptest! {
         exact_output in any::<bool>(),
     ) {
         // A laddered pool with many initialized ticks so swaps cross often.
-        let build = |search: TickSearch| {
-            let mut pool = Pool::new_standard();
-            pool.set_tick_search(search);
-            for i in -20i32..20 {
-                let slot = (i + 20) as u64;
-                let id = PositionId::derive(&[b"ladder", &slot.to_be_bytes()]);
-                pool.mint(id, Address::from_index(slot), i * 120, (i + 1) * 120, 400_000, 400_000)
-                    .ok();
-            }
-            pool
-        };
-        let mut bitmap = build(TickSearch::Bitmap);
-        let mut oracle = build(TickSearch::BTreeOracle);
+        let mut pool = Pool::new_standard();
+        for i in -20i32..20 {
+            let slot = (i + 20) as u64;
+            let id = PositionId::derive(&[b"ladder", &slot.to_be_bytes()]);
+            pool.mint(id, Address::from_index(slot), i * 120, (i + 1) * 120, 400_000, 400_000)
+                .ok();
+        }
         let limit_tick = if zero_for_one { -limit_ticks } else { limit_ticks };
         let limit = Some(sqrt_ratio_at_tick(limit_tick).unwrap());
         let kind = if exact_output {
@@ -315,10 +320,8 @@ proptest! {
         } else {
             SwapKind::ExactInput(amount)
         };
-        let a = bitmap.swap(zero_for_one, kind, limit);
-        let b = oracle.swap(zero_for_one, kind, limit);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(state(&bitmap), state(&oracle));
+        let _ = swap_agrees_with_restored(&mut pool, zero_for_one, kind, limit);
+        assert_tick_matches_price(&pool);
     }
 }
 
@@ -328,24 +331,22 @@ fn boundary_priced_pool_agrees_in_both_directions() {
     // swap leaves the cached bounds downward by one tick, a one-for-zero
     // swap stays inside them
     for zero_for_one in [true, false] {
-        let mut bitmap = Pool::new_standard();
-        bitmap
-            .mint(pid(0), owner(0), -600, 600, 10u128.pow(15), 10u128.pow(15))
+        let mut pool = Pool::new_standard();
+        pool.mint(pid(0), owner(0), -600, 600, 10u128.pow(15), 10u128.pow(15))
             .unwrap();
-        let mut oracle = bitmap.clone();
-        oracle.set_tick_search(TickSearch::BTreeOracle);
         for amount in [1u128, 1_000, 1_000_000, 10u128.pow(12)] {
-            let kind = SwapKind::ExactInput(amount);
-            assert_eq!(
-                bitmap.quote_swap(zero_for_one, kind, None),
-                oracle.quote_swap(zero_for_one, kind, None)
-            );
+            pool.quote_swap(zero_for_one, SwapKind::ExactInput(amount), None)
+                .unwrap();
         }
-        let a = bitmap.swap(zero_for_one, SwapKind::ExactInput(1_000_000), None);
-        let b = oracle.swap(zero_for_one, SwapKind::ExactInput(1_000_000), None);
-        assert_eq!(a, b);
-        assert_eq!(state(&bitmap), state(&oracle));
-        assert_eq!(bitmap.tick(), if zero_for_one { -1 } else { 0 });
+        swap_agrees_with_restored(
+            &mut pool,
+            zero_for_one,
+            SwapKind::ExactInput(1_000_000),
+            None,
+        )
+        .unwrap();
+        assert_eq!(pool.tick(), if zero_for_one { -1 } else { 0 });
+        assert_tick_matches_price(&pool);
     }
 }
 
@@ -353,15 +354,11 @@ fn boundary_priced_pool_agrees_in_both_directions() {
 fn swaps_that_stop_on_a_crossing_keep_agreeing() {
     // stop exactly on an initialized boundary (tick just below it after a
     // zero-for-one crossing), then trade away from it both ways
-    let mut bitmap = Pool::new(3000, 60, sqrt_ratio_at_tick(30).unwrap()).unwrap();
-    bitmap
-        .mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
+    let mut pool = Pool::new(3000, 60, sqrt_ratio_at_tick(30).unwrap()).unwrap();
+    pool.mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
         .unwrap();
-    bitmap
-        .mint(pid(2), owner(2), -120, 0, 10u128.pow(15), 10u128.pow(15))
+    pool.mint(pid(2), owner(2), -120, 0, 10u128.pow(15), 10u128.pow(15))
         .unwrap();
-    let mut oracle = bitmap.clone();
-    oracle.set_tick_search(TickSearch::BTreeOracle);
     let steps = [
         (true, SwapKind::ExactInput(1u128 << 100), Some(0)),
         // too small to move the price, which stays on the boundary above
@@ -379,13 +376,10 @@ fn swaps_that_stop_on_a_crossing_keep_agreeing() {
     ];
     for (zero_for_one, kind, limit_tick) in steps {
         let limit = limit_tick.map(|t| sqrt_ratio_at_tick(t).unwrap());
-        let a = bitmap.swap(zero_for_one, kind, limit);
-        let b = oracle.swap(zero_for_one, kind, limit);
-        assert_eq!(a, b, "{zero_for_one} {kind:?} {limit_tick:?}");
-        assert_eq!(state(&bitmap), state(&oracle));
-        assert_tick_matches_price(&bitmap);
+        let _ = swap_agrees_with_restored(&mut pool, zero_for_one, kind, limit);
+        assert_tick_matches_price(&pool);
     }
-    assert_restore_quotes_identically(&bitmap);
+    assert_restore_quotes_identically(&pool);
 }
 
 #[test]
@@ -396,23 +390,17 @@ fn limits_just_past_the_probed_tick_agree() {
     // must fall back to the search
     for zero_for_one in [true, false] {
         let price = sqrt_ratio_at_tick(30).unwrap() + U256::from_u64(1 << 40);
-        let mut bitmap = Pool::new(3000, 60, price).unwrap();
-        bitmap
-            .mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
+        let mut pool = Pool::new(3000, 60, price).unwrap();
+        pool.mint(pid(1), owner(1), -600, 600, 10u128.pow(15), 10u128.pow(15))
             .unwrap();
-        let mut oracle = bitmap.clone();
-        oracle.set_tick_search(TickSearch::BTreeOracle);
         let limit = if zero_for_one {
             sqrt_ratio_at_tick(29).unwrap() - U256::ONE
         } else {
             sqrt_ratio_at_tick(32).unwrap() + U256::ONE
         };
         let kind = SwapKind::ExactInput(1u128 << 100);
-        let a = bitmap.swap(zero_for_one, kind, Some(limit));
-        let b = oracle.swap(zero_for_one, kind, Some(limit));
-        assert_eq!(a, b);
-        assert_eq!(state(&bitmap), state(&oracle));
-        assert_eq!(bitmap.tick(), if zero_for_one { 28 } else { 32 });
-        assert_tick_matches_price(&bitmap);
+        swap_agrees_with_restored(&mut pool, zero_for_one, kind, Some(limit)).unwrap();
+        assert_eq!(pool.tick(), if zero_for_one { 28 } else { 32 });
+        assert_tick_matches_price(&pool);
     }
 }

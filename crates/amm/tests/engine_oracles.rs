@@ -8,9 +8,10 @@
 //! `w0·ln r0 + w1·ln r1` must never decrease across accepted swaps.
 //! Mint/burn round-trips on both engines are replayed against naive
 //! share math (isqrt genesis, min pro-rata joins, floor pro-rata exits).
+//!
+//! Both references live here, in test code only: [`cp_ref`] and
+//! [`w_ref`] at the end of this file.
 
-use ammboost_amm::engines::constant_product::reference as cp_ref;
-use ammboost_amm::engines::weighted::reference as w_ref;
 use ammboost_amm::engines::{CpEngine, WeightedEngine};
 use ammboost_amm::pool::SwapKind;
 use ammboost_amm::types::{AmountPair, PositionId, PIPS_DENOMINATOR};
@@ -287,5 +288,219 @@ impl EngineUnderTest {
             EngineUnderTest::Cp(e) => e.burn(id, owner, shares),
             EngineUnderTest::W(e) => e.burn(id, owner, shares),
         }
+    }
+}
+
+const SEED_RESERVE: u128 = 4_000_000_000_000_000;
+
+#[test]
+fn reference_identities_match_engine() {
+    let e = seeded_cp(3000, SEED_RESERVE, SEED_RESERVE);
+    for (i, amount) in [1_000u128, 999_983, 1_000_000_007, 123_456_789_123]
+        .iter()
+        .enumerate()
+    {
+        let zf1 = i % 2 == 0;
+        let (r_in, r_out) = if zf1 {
+            (e.reserves().amount0, e.reserves().amount1)
+        } else {
+            (e.reserves().amount1, e.reserves().amount0)
+        };
+        for kind in [
+            SwapKind::ExactInput(*amount),
+            SwapKind::ExactOutput(*amount),
+        ] {
+            let got = e
+                .quote_swap_with_protection(zf1, kind, None, 0, u128::MAX)
+                .unwrap();
+            let (ain, aout, fee) = cp_ref::quote(r_in, r_out, kind, e.fee_pips()).unwrap();
+            assert_eq!(
+                (got.amount_in, got.amount_out, got.fee_paid),
+                (ain, aout, fee)
+            );
+        }
+    }
+}
+
+#[test]
+fn swap_tracks_f64_reference() {
+    let e = seeded_weighted(80, 20, SEED_RESERVE, SEED_RESERVE);
+    let (r, (w0, w1)) = (e.reserves(), e.weights());
+    for (i, amount) in [1_000_000u128, 123_456_789, 500_000_000_000_000]
+        .iter()
+        .enumerate()
+    {
+        let zf1 = i % 2 == 0;
+        let got = e
+            .quote_swap_with_protection(zf1, SwapKind::ExactInput(*amount), None, 0, u128::MAX)
+            .unwrap();
+        let (r_in, r_out, w_in, w_out) = if zf1 {
+            (r.amount0, r.amount1, w0, w1)
+        } else {
+            (r.amount1, r.amount0, w1, w0)
+        };
+        let expect = w_ref::out_given_in_f64(r_in, r_out, w_in, w_out, *amount - got.fee_paid);
+        let err = (got.amount_out as f64 - expect).abs() / expect.max(1.0);
+        assert!(
+            err < 1e-6,
+            "amount {amount}: {} vs {expect}",
+            got.amount_out
+        );
+    }
+}
+
+#[test]
+fn invariant_non_decreasing_after_swaps() {
+    let mut e = seeded_weighted(80, 20, SEED_RESERVE, SEED_RESERVE);
+    let (w0, w1) = e.weights();
+    let log_invariant = |r: AmountPair| w_ref::log_invariant(r.amount0, r.amount1, w0, w1);
+    let before = log_invariant(e.reserves());
+    for i in 0..10u32 {
+        e.swap_with_protection(
+            i % 2 == 0,
+            SwapKind::ExactInput(1_000_000_000 + i as u128 * 999_999),
+            None,
+            0,
+            u128::MAX,
+        )
+        .unwrap();
+    }
+    let after = log_invariant(e.reserves());
+    assert!(after >= before - 1e-9, "{after} < {before}");
+}
+
+/// Naive reference implementation used as the differential oracle.
+///
+/// Both swap directions are re-derived from the invariant product
+/// `k = r_in · r_out` via the complement identities
+///
+/// ```text
+/// floor(x·r_out / (r_in + x))  =  r_out − ceil(k / (r_in + x))
+/// ceil(out·r_in / (r_out − out))  =  ceil(k / (r_out − out)) − r_in
+/// ```
+///
+/// (both exact over the integers), so the oracle computes the same bits
+/// through a genuinely different sequence of operations.
+mod cp_ref {
+    use ammboost_amm::pool::SwapKind;
+    use ammboost_amm::types::{Amount, PIPS_DENOMINATOR};
+    use ammboost_amm::AmmError;
+    use ammboost_crypto::U256;
+
+    /// `ceil(a · b / d)` through a 256-bit product; `ceil(k / d)` with
+    /// `k = r_in · r_out` is `ceil_mul_div(r_in, r_out, d)`.
+    fn ceil_mul_div(a: u128, b: u128, d: u128) -> Result<u128, AmmError> {
+        if d == 0 {
+            return Err(AmmError::ZeroLiquidity);
+        }
+        let (q, rem) = U256::from_u128(a)
+            .full_mul(U256::from_u128(b))
+            .div_rem_u256(U256::from_u128(d));
+        let q = q
+            .to_u256()
+            .and_then(|v| v.to_u128())
+            .ok_or(AmmError::BalanceOverflow)?;
+        if rem.is_zero() {
+            Ok(q)
+        } else {
+            q.checked_add(1).ok_or(AmmError::BalanceOverflow)
+        }
+    }
+
+    /// Output for an effective (post-fee) input, via the `k` complement.
+    ///
+    /// # Errors
+    /// Overflow of the widened arithmetic.
+    pub fn out_given_in(r_in: Amount, r_out: Amount, in_eff: Amount) -> Result<Amount, AmmError> {
+        let denom = r_in.checked_add(in_eff).ok_or(AmmError::BalanceOverflow)?;
+        Ok(r_out - ceil_mul_div(r_in, r_out, denom)?)
+    }
+
+    /// Effective (pre-fee-gross-up) input for an exact output, via the
+    /// `k` complement.
+    ///
+    /// # Errors
+    /// [`AmmError::InsufficientLiquidity`] when `out ≥ r_out`.
+    pub fn in_given_out(r_in: Amount, r_out: Amount, out: Amount) -> Result<Amount, AmmError> {
+        if out >= r_out {
+            return Err(AmmError::InsufficientLiquidity {
+                requested: out,
+                available: r_out,
+            });
+        }
+        Ok(ceil_mul_div(r_in, r_out, r_out - out)? - r_in)
+    }
+
+    /// Full reference quote: `(amount_in, amount_out, fee_paid)` for a
+    /// swap against reserves `(r_in, r_out)`, with the engine's fee
+    /// schedule applied around the `k`-complement curve math.
+    ///
+    /// # Errors
+    /// Mirrors the engine's validation.
+    pub fn quote(
+        r_in: Amount,
+        r_out: Amount,
+        kind: SwapKind,
+        fee_pips: u32,
+    ) -> Result<(Amount, Amount, Amount), AmmError> {
+        if r_in == 0 || r_out == 0 {
+            return Err(AmmError::InsufficientReserves);
+        }
+        match kind {
+            SwapKind::ExactInput(amount) => {
+                if amount == 0 {
+                    return Err(AmmError::ZeroAmount);
+                }
+                let fee = ceil_mul_div(amount, fee_pips as u128, PIPS_DENOMINATOR as u128)?;
+                let in_eff = amount - fee;
+                if in_eff == 0 {
+                    return Err(AmmError::ZeroAmount);
+                }
+                Ok((amount, out_given_in(r_in, r_out, in_eff)?, fee))
+            }
+            SwapKind::ExactOutput(amount) => {
+                if amount == 0 {
+                    return Err(AmmError::ZeroAmount);
+                }
+                let in_eff = in_given_out(r_in, r_out, amount)?;
+                let gross = ceil_mul_div(
+                    in_eff,
+                    PIPS_DENOMINATOR as u128,
+                    (PIPS_DENOMINATOR - fee_pips) as u128,
+                )?;
+                Ok((gross, amount, gross - in_eff))
+            }
+        }
+    }
+}
+
+/// Naive `f64` reference implementation used as the differential oracle.
+///
+/// Where the constant-product oracle is bit-exact, floating point cannot
+/// be — so this oracle bounds the fixed-point engine instead: proptests
+/// assert the integer result stays within a small relative tolerance of
+/// the closed-form `f64` curve, which would catch any structural error in
+/// the `bpow` plumbing (wrong ratio, inverted base, dropped fee) while
+/// tolerating the last-ulp disagreements inherent to the comparison.
+mod w_ref {
+    use ammboost_amm::engines::bmath::BONE;
+
+    /// `out = r_out · (1 − (r_in / (r_in + in))^(w_in / w_out))` in `f64`.
+    pub fn out_given_in_f64(r_in: u128, r_out: u128, w_in: u128, w_out: u128, in_eff: u128) -> f64 {
+        let base = r_in as f64 / (r_in as f64 + in_eff as f64);
+        r_out as f64 * (1.0 - base.powf(w_in as f64 / w_out as f64))
+    }
+
+    /// `in = r_in · ((r_out / (r_out − out))^(w_out / w_in) − 1)` in `f64`.
+    pub fn in_given_out_f64(r_in: u128, r_out: u128, w_in: u128, w_out: u128, out: u128) -> f64 {
+        let base = r_out as f64 / (r_out as f64 - out as f64);
+        r_in as f64 * (base.powf(w_out as f64 / w_in as f64) - 1.0)
+    }
+
+    /// The G3M invariant `r0^w0 · r1^w1` in `log` space (numerically
+    /// stable for large reserves); weights are BONE-scaled.
+    pub fn log_invariant(r0: u128, r1: u128, w0: u128, w1: u128) -> f64 {
+        let bone = BONE as f64;
+        (w0 as f64 / bone) * (r0 as f64).ln() + (w1 as f64 / bone) * (r1 as f64).ln()
     }
 }

@@ -4,7 +4,7 @@
 
 use ammboost_amm::engines::bmath::{bdiv, bmul, bpow, BONE};
 use ammboost_amm::engines::{Engine, EngineKind};
-use ammboost_amm::pool::{Pool, SwapKind, TickSearch};
+use ammboost_amm::pool::{Pool, SwapKind};
 use ammboost_amm::sqrt_price_math::{
     amount0_delta, amount1_delta, next_sqrt_price_from_amount0, next_sqrt_price_from_amount1,
 };
@@ -282,28 +282,22 @@ fn bench_tick_bitmap(c: &mut Criterion) {
     });
 }
 
-/// The headline comparison: a 64-tick-crossing sweep over fragmented
-/// liquidity (32 scattered one-spacing positions → 64 initialized ticks,
-/// half the segments liquidity-free) under the bitmap engine vs the
-/// retained BTreeMap oracle (the seed implementation), plus the same
-/// notional swap against dense vs sparse liquidity bands.
+/// The headline rung: a 64-tick-crossing sweep over fragmented liquidity
+/// (32 scattered one-spacing positions → 64 initialized ticks, half the
+/// segments liquidity-free), plus the same notional swap against dense
+/// vs sparse liquidity bands.
 fn bench_crossing_swaps(c: &mut Criterion) {
-    for (label, search) in [
-        ("bitmap", TickSearch::Bitmap),
-        ("oracle", TickSearch::BTreeOracle),
-    ] {
-        let pool = fragmented_ladder_pool(32, search);
-        c.bench_function(&format!("pool/swap_cross64_{label}"), |b| {
-            b.iter_batched(
-                || pool.clone(),
-                |mut p| black_box(ladder_sweep(&mut p, 63)),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    let pool = fragmented_ladder_pool(32);
+    c.bench_function("pool/swap_cross64_bitmap", |b| {
+        b.iter_batched(
+            || pool.clone(),
+            |mut p| black_box(ladder_sweep(&mut p, 63)),
+            BatchSize::SmallInput,
+        )
+    });
     // dense: 65 initialized ticks across the band; sparse: 2. Same band,
     // same budget, same engine — isolates the cost of tick crossings.
-    let dense = ladder_pool(64, TickSearch::Bitmap);
+    let dense = ladder_pool(64);
     c.bench_function("pool/swap_dense_liquidity_band", |b| {
         b.iter_batched(
             || dense.clone(),
@@ -311,7 +305,7 @@ fn bench_crossing_swaps(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    let sparse = wide_pool(64, TickSearch::Bitmap);
+    let sparse = wide_pool(64);
     c.bench_function("pool/swap_sparse_liquidity_band", |b| {
         b.iter_batched(
             || sparse.clone(),

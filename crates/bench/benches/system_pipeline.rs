@@ -7,7 +7,7 @@
 //! ticket draw, page sealing), and the snapshot paths of a fat node
 //! (decode, restore, a 1 %-dirty checkpoint, delta apply).
 
-use ammboost_amm::pool::{Pool, TickSearch};
+use ammboost_amm::pool::Pool;
 use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 use ammboost_amm::types::PoolId;
 use ammboost_consensus::election::{draw_ticket, draw_tickets, elect_committee, MinerRecord};
@@ -393,7 +393,7 @@ fn bench_fat_snapshot(c: &mut Criterion) {
 /// restore derives every boundary price from tick math while it rebuilds
 /// the tick index.
 fn bench_restore_fragmented(c: &mut Criterion) {
-    let state = ammboost_bench::fragmented_ladder_pool(256, TickSearch::Bitmap).export_state();
+    let state = ammboost_bench::fragmented_ladder_pool(256).export_state();
     assert!(state.ticks.len() >= 256);
     c.bench_function("state/restore_fragmented", |b| {
         b.iter_batched(

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ammboost_amm::pool::{Pool, SwapKind, SwapResult, TickSearch};
+use ammboost_amm::pool::{Pool, SwapKind, SwapResult};
 use ammboost_amm::tick_math::sqrt_ratio_at_tick;
 use ammboost_amm::types::PositionId;
 use ammboost_crypto::{Address, U256};
@@ -16,8 +16,8 @@ use ammboost_crypto::{Address, U256};
 /// Top tick of the benchmark liquidity band. Real heavyweight pools sit
 /// far from price 1.0 (mainnet USDC/WETH trades around tick −200000), so
 /// the band lives there too: boundary-price math at such ticks has many
-/// set bits and a reciprocal division — the cost the seed engine pays on
-/// every step and the bitmap engine's cache amortizes away.
+/// set bits and a reciprocal division — the cost the pool's per-tick
+/// boundary-price cache amortizes away.
 pub const LADDER_TOP_TICK: i32 = -199_980;
 
 /// Builds a pool whose liquidity is a ladder of `rungs` contiguous
@@ -28,14 +28,13 @@ pub const LADDER_TOP_TICK: i32 = -199_980;
 ///
 /// # Panics
 /// Panics if a ladder mint fails (configuration error).
-pub fn ladder_pool(rungs: u32, search: TickSearch) -> Pool {
+pub fn ladder_pool(rungs: u32) -> Pool {
     let mut pool = Pool::new(
         3000,
         60,
         sqrt_ratio_at_tick(LADDER_TOP_TICK).expect("band top in range"),
     )
     .expect("pool params valid");
-    pool.set_tick_search(search);
     for i in 0..rungs as i32 {
         let id = PositionId::derive(&[b"ladder", &(i as u64).to_be_bytes()]);
         pool.mint(
@@ -52,18 +51,17 @@ pub fn ladder_pool(rungs: u32, search: TickSearch) -> Pool {
 }
 
 /// A pool with one wide range spanning the same band as
-/// [`ladder_pool`]`(rungs, _)` — the sparse-liquidity counterpart.
+/// [`ladder_pool`]`(rungs)` — the sparse-liquidity counterpart.
 ///
 /// # Panics
 /// Panics if the seed mint fails (configuration error).
-pub fn wide_pool(rungs: u32, search: TickSearch) -> Pool {
+pub fn wide_pool(rungs: u32) -> Pool {
     let mut pool = Pool::new(
         3000,
         60,
         sqrt_ratio_at_tick(LADDER_TOP_TICK).expect("band top in range"),
     )
     .expect("pool params valid");
-    pool.set_tick_search(search);
     pool.mint(
         PositionId::derive(&[b"wide"]),
         Address::from_index(7_999),
@@ -85,14 +83,13 @@ pub fn wide_pool(rungs: u32, search: TickSearch) -> Pool {
 ///
 /// # Panics
 /// Panics if a mint fails (configuration error).
-pub fn fragmented_ladder_pool(positions: u32, search: TickSearch) -> Pool {
+pub fn fragmented_ladder_pool(positions: u32) -> Pool {
     let mut pool = Pool::new(
         3000,
         60,
         sqrt_ratio_at_tick(LADDER_TOP_TICK).expect("band top in range"),
     )
     .expect("pool params valid");
-    pool.set_tick_search(search);
     for i in 0..positions as i32 {
         let id = PositionId::derive(&[b"frag", &(i as u64).to_be_bytes()]);
         pool.mint(
@@ -110,8 +107,8 @@ pub fn fragmented_ladder_pool(positions: u32, search: TickSearch) -> Pool {
 
 /// The price limit for a full ladder sweep over `rungs` one-spacing
 /// segments: exactly the band's bottom boundary, so the swap ends on a
-/// tick boundary (no final tick binary search distorting the engine
-/// comparison).
+/// tick boundary (no final tick binary search adding to the crossing
+/// cost).
 ///
 /// # Panics
 /// Panics if the ladder bottom is out of tick range (configuration error).
@@ -159,17 +156,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// Formats a gas quantity.
-pub fn fmt_gas(gas: u64) -> String {
-    if gas >= 1_000_000_000 {
-        format!("{:.2}B gas", gas as f64 / 1e9)
-    } else if gas >= 1_000_000 {
-        format!("{:.2}M gas", gas as f64 / 1e6)
-    } else {
-        format!("{gas} gas")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,39 +164,30 @@ mod tests {
     fn formatting() {
         assert_eq!(fmt_bytes(500), "500 B");
         assert_eq!(fmt_bytes(20_200_000_000), "20.20 GB");
-        assert_eq!(fmt_gas(2_225_000_000), "2.23B gas");
     }
 
     #[test]
     fn ladder_sweep_crosses_every_rung() {
-        let mut bitmap = ladder_pool(64, TickSearch::Bitmap);
-        let mut oracle = ladder_pool(64, TickSearch::BTreeOracle);
-        assert_eq!(bitmap.initialized_tick_count(), 65);
-        let a = ladder_sweep(&mut bitmap, 64);
-        let b = ladder_sweep(&mut oracle, 64);
-        assert_eq!(a, b, "engines diverged on the ladder sweep");
+        let mut pool = ladder_pool(64);
+        assert_eq!(pool.initialized_tick_count(), 65);
+        let a = ladder_sweep(&mut pool, 64);
         assert!(a.ticks_crossed >= 64, "crossed {}", a.ticks_crossed);
-        assert_eq!(bitmap.sqrt_price(), ladder_sweep_limit(64));
-        assert_eq!(oracle.sqrt_price(), bitmap.sqrt_price());
+        assert_eq!(pool.sqrt_price(), ladder_sweep_limit(64));
     }
 
     #[test]
     fn fragmented_sweep_crosses_64_ticks() {
-        let mut bitmap = fragmented_ladder_pool(32, TickSearch::Bitmap);
-        let mut oracle = fragmented_ladder_pool(32, TickSearch::BTreeOracle);
-        assert_eq!(bitmap.initialized_tick_count(), 64);
+        let mut pool = fragmented_ladder_pool(32);
+        assert_eq!(pool.initialized_tick_count(), 64);
         // the band's lowest initialized tick is 63 segments down
-        let a = ladder_sweep(&mut bitmap, 63);
-        let b = ladder_sweep(&mut oracle, 63);
-        assert_eq!(a, b, "engines diverged on the fragmented sweep");
+        let a = ladder_sweep(&mut pool, 63);
         assert_eq!(a.ticks_crossed, 64, "crossed {}", a.ticks_crossed);
-        assert_eq!(bitmap.sqrt_price(), ladder_sweep_limit(63));
-        assert_eq!(oracle.sqrt_price(), bitmap.sqrt_price());
+        assert_eq!(pool.sqrt_price(), ladder_sweep_limit(63));
     }
 
     #[test]
     fn wide_pool_spans_the_same_band_sparsely() {
-        let pool = wide_pool(64, TickSearch::Bitmap);
+        let pool = wide_pool(64);
         assert_eq!(pool.initialized_tick_count(), 2);
     }
 }

@@ -937,7 +937,6 @@ impl EpochProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ammboost_amm::pool::TickSearch;
     use ammboost_amm::tx::RouteHop;
 
     fn user(i: u64) -> Address {
@@ -990,40 +989,6 @@ mod tests {
         assert_eq!(d0, 500_000);
         assert!(d1 > 400_000, "received token1: {d1}");
         assert_eq!(p.stats().accepted, 1);
-    }
-
-    #[test]
-    fn epoch_replays_identically_on_oracle_engine() {
-        // System-level differential: the same epoch executed on the bitmap
-        // engine and on the seed BTreeMap oracle must produce identical
-        // effects, deposits and pool state.
-        let run = |search: TickSearch| {
-            let mut p = processor_with_liquidity();
-            p.pools[0]
-                .engine
-                .as_cl_mut()
-                .expect("the test pool is concentrated-liquidity")
-                .set_tick_search(search);
-            p.snapshot_bank([
-                (user(1), (2_000_000, 2_000_000)),
-                (user(2), (500_000, 500_000)),
-            ]);
-            let effects = vec![
-                p.execute(&swap_tx(user(1), 900_000, true), 1008, 0),
-                p.execute(&AmmTx::Mint(mint_tx(user(2), 1)), 1008, 0),
-                p.execute(&swap_tx(user(1), 700_000, false), 1008, 1),
-                p.execute(&swap_tx(user(2), 300_000, true), 1008, 2),
-            ];
-            let end = p.end_epoch();
-            (effects, end)
-        };
-        let (fx_bitmap, end_bitmap) = run(TickSearch::Bitmap);
-        let (fx_oracle, end_oracle) = run(TickSearch::BTreeOracle);
-        assert_eq!(fx_bitmap.len(), fx_oracle.len());
-        for (a, b) in fx_bitmap.iter().zip(fx_oracle.iter()) {
-            assert_eq!(a.effect, b.effect);
-        }
-        assert_eq!(end_bitmap, end_oracle);
     }
 
     #[test]

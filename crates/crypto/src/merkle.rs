@@ -199,25 +199,6 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
-    /// [`MerkleTree::from_leaves`] through the scalar sponge only — the
-    /// differential oracle for the four-way batched build (and its bench
-    /// baseline). Roots, levels and proofs are bit-identical.
-    pub fn from_leaves_scalar(leaves: Vec<H256>) -> MerkleTree {
-        let mut levels = vec![leaves];
-        let mut sponge = NodeSponge::new();
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let l = &pair[0];
-                let r = pair.get(1).unwrap_or(l);
-                next.push(sponge.hash(l, r));
-            }
-            levels.push(next);
-        }
-        MerkleTree { levels }
-    }
-
     /// Builds a tree by hashing raw items as leaves, four leaf hashes per
     /// interleaved permutation.
     pub fn from_items<T: AsRef<[u8]>>(items: &[T]) -> MerkleTree {
@@ -235,12 +216,6 @@ impl MerkleTree {
             leaves.push(leaf_hash(item.as_ref()));
         }
         MerkleTree::from_leaves(leaves)
-    }
-
-    /// [`MerkleTree::from_items`] through scalar hashing only — the
-    /// differential oracle for the batched leaf path.
-    pub fn from_items_scalar<T: AsRef<[u8]>>(items: &[T]) -> MerkleTree {
-        MerkleTree::from_leaves_scalar(items.iter().map(|i| leaf_hash(i.as_ref())).collect())
     }
 
     /// The Merkle root (all-zero for the empty tree).
@@ -299,6 +274,34 @@ pub fn verify_proof(root: &H256, leaf: &H256, proof: &MerkleProof) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl MerkleTree {
+        /// [`MerkleTree::from_leaves`] through the scalar sponge only — the
+        /// differential oracle for the four-way batched build. Roots, levels
+        /// and proofs are bit-identical.
+        fn from_leaves_scalar(leaves: Vec<H256>) -> MerkleTree {
+            let mut levels = vec![leaves];
+            let mut sponge = NodeSponge::new();
+            while levels.last().expect("non-empty").len() > 1 {
+                let prev = levels.last().expect("non-empty");
+                let mut next = Vec::with_capacity(prev.len().div_ceil(2));
+                for pair in prev.chunks(2) {
+                    let l = &pair[0];
+                    let r = pair.get(1).unwrap_or(l);
+                    next.push(sponge.hash(l, r));
+                }
+                levels.push(next);
+            }
+            MerkleTree { levels }
+        }
+
+        /// [`MerkleTree::from_items`] through scalar hashing only — the
+        /// differential oracle for the batched leaf path.
+        fn from_items_scalar<T: AsRef<[u8]>>(items: &[T]) -> MerkleTree {
+            MerkleTree::from_leaves_scalar(items.iter().map(|i| leaf_hash(i.as_ref())).collect())
+        }
+    }
 
     fn items(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("tx-{i}").into_bytes()).collect()
@@ -447,5 +450,27 @@ mod tests {
         concat.extend_from_slice(&l.0);
         concat.extend_from_slice(&r.0);
         assert_ne!(node, leaf_hash(&concat));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn merkle_batched_build_equals_scalar(n in 0usize..300, seed in any::<u64>(), len in 0usize..80) {
+            // variable-length items: leaf batching and node batching must
+            // both reproduce the scalar oracle's roots and proofs exactly
+            let items: Vec<Vec<u8>> = (0..n)
+                .map(|i| {
+                    let digest = crate::keccak::keccak256(&(seed ^ i as u64).to_be_bytes());
+                    digest.iter().cycle().take((len + i) % 80).copied().collect()
+                })
+                .collect();
+            let batched = MerkleTree::from_items(&items);
+            let scalar = MerkleTree::from_items_scalar(&items);
+            prop_assert_eq!(batched.root(), scalar.root());
+            for i in 0..n {
+                prop_assert_eq!(batched.prove(i), scalar.prove(i), "proof {}", i);
+            }
+        }
     }
 }

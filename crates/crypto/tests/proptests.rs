@@ -239,22 +239,4 @@ proptest! {
         let proof = tree.prove(0).unwrap();
         prop_assert!(!verify_proof(&tree.root(), &leaf_hash(&items[1]), &proof));
     }
-
-    #[test]
-    fn merkle_batched_build_equals_scalar(n in 0usize..300, seed in any::<u64>(), len in 0usize..80) {
-        // variable-length items: leaf batching and node batching must
-        // both reproduce the scalar oracle's roots and proofs exactly
-        let items: Vec<Vec<u8>> = (0..n)
-            .map(|i| {
-                let digest = keccak256(&(seed ^ i as u64).to_be_bytes());
-                digest.iter().cycle().take((len + i) % 80).copied().collect()
-            })
-            .collect();
-        let batched = MerkleTree::from_items(&items);
-        let scalar = MerkleTree::from_items_scalar(&items);
-        prop_assert_eq!(batched.root(), scalar.root());
-        for i in 0..n {
-            prop_assert_eq!(batched.prove(i), scalar.prove(i), "proof {}", i);
-        }
-    }
 }
