@@ -550,7 +550,7 @@ impl Pool {
     ///
     /// # Errors
     /// Fails on invalid range, owner mismatch or liquidity overflow.
-    pub fn mint_liquidity(
+    fn mint_liquidity(
         &mut self,
         id: PositionId,
         owner: Address,

@@ -120,7 +120,7 @@ pub fn draw_tickets(
 }
 
 /// Verifies one election proof against the miner's registered key.
-pub fn verify_ticket(record: &MinerRecord, seed: &H256, proof: &ElectionProof) -> bool {
+fn verify_ticket(record: &MinerRecord, seed: &H256, proof: &ElectionProof) -> bool {
     record.id == proof.miner
         && record
             .vrf_pk

@@ -1,5 +1,6 @@
 //! The world's arrival backlog: the FIFO of generated transactions that
-//! have arrived but not yet been mined, packed into one byte arena.
+//! have arrived but not yet been mined, packed into a queue of byte
+//! blocks.
 //!
 //! Under the paper's saturated load (Table V at 25 M tx/day) this queue,
 //! not the node's state, is most of a run's memory: an 11-epoch
@@ -18,15 +19,26 @@
 //! | route hops | count, then one `pool << 1 \| zero_for_one` varint each |
 //! | position id, sqrt price limit | 32 raw bytes, only when present |
 //!
-//! Records are appended at the tail and read from a head offset. The
-//! consumed prefix is cut off once it is at least half the arena, so a
-//! byte is moved at most once on average. Decoding rebuilds the exact
-//! `AmmTx` that was pushed, so the node sees the same transactions.
+//! Records live in fixed [`BLOCK`]-byte blocks, oldest first. A record is
+//! written straight into the newest block, or starts a new one when that
+//! block has less room left than the record's widest encoding, so no
+//! record straddles two blocks and no block outgrows its allocation. It
+//! is read from a head offset into the oldest block, and that block is
+//! freed as soon as its last record pops, unless it is the only one: a
+//! queue below saturation empties every round, and keeping its one block
+//! spares it allocating and freeing a block each round. No byte is moved
+//! after it is written, and what the queue holds follows its live
+//! records, not how many it has popped: the bytes written into the blocks
+//! it still holds are the live records plus the popped prefix of the
+//! oldest block, so less than one block more than
+//! [`Backlog::packed_bytes`]. Decoding rebuilds the exact `AmmTx` that
+//! was pushed, so the node sees the same transactions.
 
 use ammboost_amm::tx::{AmmTx, BurnTx, CollectTx, MintTx, RouteHop, RouteTx, SwapIntent, SwapTx};
 use ammboost_amm::types::{PoolId, PositionId};
 use ammboost_crypto::{Address, H256, U256};
 use ammboost_sim::time::SimTime;
+use std::collections::VecDeque;
 
 const SWAP: u8 = 0;
 const MINT: u8 = 1;
@@ -42,18 +54,26 @@ const EXACT_OUTPUT: u8 = 1 << 4;
 /// position or a burn's liquidity.
 const PRESENT: u8 = 1 << 5;
 
-/// The consumed prefix is cut off only past this many bytes, so a
-/// short queue is never compacted record by record.
-const COMPACT_MIN: usize = 1 << 16;
+/// Bytes per block: 1 MiB, ≈ 58 000 records of the paper's mix, about
+/// what one epoch pushes at the paper's load. The one block the queue may
+/// hold beyond its live records is then a small share of a saturated
+/// run's memory, and few enough blocks are allocated and freed that
+/// each costs next to nothing.
+pub(crate) const BLOCK: usize = 1 << 20;
 
 /// A FIFO of `(arrival, transaction, wire size)` entries, each packed
-/// into one record of a shared byte arena (see the module docs).
-#[derive(Clone, Debug, Default)]
+/// into one record of a byte block (see the module docs).
+#[derive(Debug, Default)]
 pub struct Backlog {
-    arena: Vec<u8>,
-    /// Offset of the front record.
+    /// Whole records, oldest block first; each block is allocated at
+    /// [`BLOCK`] bytes and filled no further. Every block holds a queued
+    /// record, except the one block an emptied queue keeps.
+    blocks: VecDeque<Vec<u8>>,
+    /// Offset of the front record in the front block.
     head: usize,
     len: usize,
+    /// Packed bytes of the queued records.
+    bytes: usize,
     peak: usize,
     peak_bytes: usize,
 }
@@ -76,7 +96,15 @@ impl Backlog {
 
     /// Packed bytes of the queued entries.
     pub fn packed_bytes(&self) -> usize {
-        self.arena.len() - self.head
+        self.bytes
+    }
+
+    /// Bytes written into the blocks the backlog holds: the queued
+    /// records plus the popped prefix of the front block, so never a
+    /// block or more past [`Backlog::packed_bytes`].
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
     }
 
     /// The most entries the backlog has held.
@@ -95,7 +123,16 @@ impl Backlog {
     /// `user`. Only the index is stored: [`Backlog::pop`] maps it back to
     /// the address, which must equal `tx.user()`.
     pub fn push(&mut self, arrival: SimTime, wire_size: usize, user: u32, tx: &AmmTx) {
-        let out = &mut self.arena;
+        let most = max_record_len(tx);
+        if self
+            .blocks
+            .back()
+            .is_none_or(|tail| tail.len() + most > BLOCK)
+        {
+            self.blocks.push_back(Vec::with_capacity(BLOCK.max(most)));
+        }
+        let out = self.blocks.back_mut().expect("a block with room");
+        let start = out.len();
         put(out, arrival.as_millis());
         put(out, wire_size as u64);
         match tx {
@@ -166,7 +203,10 @@ impl Backlog {
                 put(out, t.deadline_round);
             }
         }
+        let written = out.len() - start;
+        debug_assert!(written <= most, "{written} B record, {most} B bound");
         self.len += 1;
+        self.bytes += written;
         if self.len > self.peak {
             self.peak = self.len;
             self.peak_bytes = self.packed_bytes();
@@ -180,35 +220,55 @@ impl Backlog {
             return None;
         }
         let mut r = Reader {
-            bytes: &self.arena,
+            bytes: self.blocks.front()?,
             at: self.head,
         };
         Some((SimTime::from_millis(r.u64()), r.u64() as usize))
     }
 
     /// Removes the front entry and rebuilds its transaction, mapping the
-    /// stored population index to an address through `user`.
+    /// stored population index to an address through `user`. The front
+    /// block is freed when this was its last record, unless it is the
+    /// only block: an emptied queue keeps that one for its next push.
     pub fn pop(&mut self, user: impl Fn(u32) -> Address) -> Option<(SimTime, AmmTx, usize)> {
         if self.is_empty() {
             return None;
         }
+        let front = self.blocks.front()?;
         let mut r = Reader {
-            bytes: &self.arena,
+            bytes: front,
             at: self.head,
         };
         let arrival = SimTime::from_millis(r.u64());
         let wire_size = r.u64() as usize;
         let tx = r.tx(user);
+        self.bytes -= r.at - self.head;
         self.head = r.at;
         self.len -= 1;
-        if self.len == 0 {
-            self.arena.clear();
+        if self.head == front.len() {
             self.head = 0;
-        } else if self.head >= COMPACT_MIN && 2 * self.head >= self.arena.len() {
-            self.arena.drain(..self.head);
-            self.head = 0;
+            if self.blocks.len() == 1 {
+                self.blocks[0].clear();
+            } else {
+                self.blocks.pop_front();
+            }
         }
         Some((arrival, tx, wire_size))
+    }
+}
+
+/// The most bytes [`Backlog::push`] can write for `tx`, every varint at
+/// its widest: a record starts a new block unless this much room is left,
+/// so it never straddles two and a block never grows past [`BLOCK`].
+fn max_record_len(tx: &AmmTx) -> usize {
+    // arrival and wire size (10 each), tag, issuer
+    const HEAD: usize = 10 + 10 + 1 + 5;
+    HEAD + match tx {
+        // hop count, hops, amounts, deadline
+        AmmTx::Route(t) => 10 + 5 * t.hops.len() + 19 + 19 + 10,
+        // a mint with a position, the widest other body: pool, position,
+        // ticks, amounts, nonce
+        _ => 5 + 32 + 5 + 5 + 19 + 19 + 10,
     }
 }
 
@@ -408,9 +468,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
-    /// Population index `i` ↦ address, as the traffic generator maps it.
+    /// Population index `i` ↦ an address of its own. The traffic
+    /// generator hashes the index; any one-to-one map serves here, and
+    /// this one costs no Keccak per record in a debug build.
     fn address(i: u32) -> Address {
-        Address::from_index(0xA110_0000 + u64::from(i))
+        let mut raw = [0xA1; 20];
+        raw[..4].copy_from_slice(&i.to_be_bytes());
+        Address(raw)
     }
 
     fn amount() -> impl Strategy<Value = u128> {
@@ -617,7 +681,7 @@ mod tests {
             1 => AmmTx::Burn(BurnTx {
                 user: Address::ZERO,
                 pool: PoolId(n as u32 % 7),
-                position: PositionId::derive(&[&n.to_be_bytes()]),
+                position: PositionId(H256([n as u8; 32])),
                 liquidity: n.is_multiple_of(2).then_some(u128::from(n)),
             }),
             _ => AmmTx::Route(RouteTx {
@@ -638,31 +702,161 @@ mod tests {
     }
 
     /// Three pushes to two pops, then a full drain, against a `VecDeque`
-    /// oracle: long enough that the consumed prefix is cut off several
-    /// times.
+    /// oracle: long enough that several blocks fill and are released
+    /// while records are still queued behind them.
     #[test]
-    fn fifo_order_holds_across_compaction() {
+    fn fifo_order_holds_across_block_release() {
         let mut backlog = Backlog::new();
         let mut oracle = VecDeque::new();
-        let (mut compactions, mut pushed, mut most) = (0, 0, 0);
-        for step in 0..50_000u64 {
-            if step % 5 < 3 && step < 30_000 {
+        let (mut releases, mut pushed, mut most) = (0, 0, 0);
+        for step in 0..400_000u64 {
+            if step % 5 < 3 && step < 250_000 {
                 let (arrival, size, user, tx) = nth_entry(pushed);
                 backlog.push(arrival, size, user, &tx);
                 oracle.push_back((arrival, tx, size));
                 pushed += 1;
             } else {
-                let head = backlog.head;
+                let blocks = backlog.blocks.len();
                 assert_eq!(backlog.pop(address), oracle.pop_front());
-                if backlog.head < head && !backlog.is_empty() {
-                    compactions += 1;
+                if backlog.blocks.len() < blocks && !backlog.is_empty() {
+                    releases += 1;
                 }
             }
             assert_eq!(backlog.len(), oracle.len());
+            assert!(backlog.held_bytes() < backlog.packed_bytes() + BLOCK);
             most = most.max(oracle.len());
         }
         assert!(oracle.is_empty() && backlog.is_empty());
-        assert!(compactions >= 2, "{compactions} compactions");
+        assert_eq!(
+            backlog.blocks.len(),
+            1,
+            "an emptied backlog keeps one block"
+        );
+        assert_eq!(backlog.held_bytes(), 0);
+        assert!(releases >= 2, "{releases} releases");
         assert_eq!(backlog.peak(), most);
+    }
+
+    /// A 32-byte value whose top bit is set.
+    fn wide() -> impl Strategy<Value = [u8; 32]> {
+        any::<[u8; 32]>().prop_map(|mut raw| {
+            raw[0] |= 0x80;
+            raw
+        })
+    }
+
+    /// An amount that packs to the widest varint (19 bytes).
+    fn widest_amount() -> impl Strategy<Value = u128> {
+        any::<u128>().prop_map(|a| a | 1 << 127)
+    }
+
+    /// A pool id that packs to the widest varint, also as a route hop.
+    fn widest_pool() -> impl Strategy<Value = PoolId> {
+        any::<u32>().prop_map(|p| PoolId(p | 1 << 31))
+    }
+
+    /// The largest records each kind with an optional 32-byte field packs
+    /// to: a swap with a price limit, a mint with a position id and a
+    /// route of [`MAX_ROUTE_HOPS`] hops, every varint at its widest.
+    fn widest_tx() -> impl Strategy<Value = AmmTx> {
+        let amounts = (widest_amount(), widest_amount());
+        let swap = (widest_pool(), any::<bool>(), wide(), amounts, any::<u64>()).prop_map(
+            |(pool, dir, limit, (a, b), deadline)| {
+                AmmTx::Swap(SwapTx {
+                    user: Address::ZERO,
+                    pool,
+                    zero_for_one: dir,
+                    intent: SwapIntent::ExactOutput {
+                        amount_out: a,
+                        max_amount_in: b,
+                    },
+                    sqrt_price_limit: Some(U256::from_be_bytes(limit)),
+                    deadline_round: deadline | 1 << 63,
+                })
+            },
+        );
+        let ticks = any::<bool>().prop_map(|low| if low { i32::MIN } else { i32::MAX });
+        let amounts = (widest_amount(), widest_amount());
+        let mint =
+            (widest_pool(), wide(), ticks, amounts).prop_map(|(pool, position, tick, (a0, a1))| {
+                AmmTx::Mint(MintTx {
+                    user: Address::ZERO,
+                    pool,
+                    position: Some(PositionId(H256(position))),
+                    tick_lower: tick,
+                    tick_upper: tick,
+                    amount0_desired: a0,
+                    amount1_desired: a1,
+                    nonce: u64::MAX,
+                })
+            });
+        let hop = (widest_pool(), any::<bool>())
+            .prop_map(|(pool, zero_for_one)| RouteHop { pool, zero_for_one });
+        let hops = proptest::collection::vec(hop, MAX_ROUTE_HOPS..MAX_ROUTE_HOPS + 1);
+        let route = (hops, widest_amount(), widest_amount()).prop_map(|(hops, a, b)| {
+            AmmTx::Route(RouteTx {
+                user: Address::ZERO,
+                hops,
+                amount_in: a,
+                min_amount_out: b,
+                deadline_round: u64::MAX,
+            })
+        });
+        prop_oneof![swap, mint, route]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Widest records, pushed past three block edges behind `pad`
+        /// population swaps that shift where each edge falls, popped one
+        /// for every two pushed and then drained: no record is longer
+        /// than its bound, a block is opened only when the last one has
+        /// less room than that bound and never grows past [`BLOCK`], and
+        /// what pops is, in order, exactly what was pushed, before and
+        /// after its block is freed.
+        #[test]
+        fn widest_records_round_trip_across_every_block_edge(
+            pad in 0u64..400,
+            widest in proptest::collection::vec(widest_tx(), 1..8),
+        ) {
+            let mut backlog = Backlog::new();
+            let mut oracle = VecDeque::new();
+            let fill = (0..pad).map(|n| (SimTime::from_millis(n), 1_008, 99, population_swap()));
+            let edge = widest.iter().enumerate().map(|(i, tx)| {
+                let user = u32::MAX - i as u32;
+                (SimTime::from_millis(u64::MAX - i as u64), usize::MAX, user, issued_by(tx.clone(), user))
+            });
+            let (mut edges, mut releases) = (0, 0);
+            let mut entries = fill.chain(edge.cycle()).enumerate();
+            while edges < 3 {
+                let (i, (arrival, size, user, tx)) = entries.next().expect("endless");
+                let blocks = backlog.blocks.len();
+                let room = backlog.blocks.back().map_or(0, |tail| BLOCK - tail.len());
+                let (packed, most) = (backlog.packed_bytes(), max_record_len(&tx));
+                backlog.push(arrival, size, user, &tx);
+                let written = backlog.packed_bytes() - packed;
+                prop_assert!(written <= most, "{written} B record, {most} B bound");
+                let tail = backlog.blocks.back().expect("just pushed");
+                prop_assert!(tail.len() <= BLOCK && tail.capacity() == BLOCK);
+                if backlog.blocks.len() > blocks && blocks > 0 {
+                    prop_assert!(room < most, "a {most} B bound opened a block with {room} B left");
+                    edges += 1;
+                }
+                oracle.push_back((arrival, tx, size));
+                if i % 2 == 1 {
+                    let blocks = backlog.blocks.len();
+                    prop_assert_eq!(backlog.pop(address), oracle.pop_front());
+                    releases += usize::from(backlog.blocks.len() < blocks);
+                }
+                prop_assert!(backlog.held_bytes() < backlog.packed_bytes() + BLOCK);
+            }
+            while let Some(want) = oracle.pop_front() {
+                prop_assert_eq!(backlog.pop(address), Some(want));
+            }
+            prop_assert!(releases >= 1, "no block was released while records followed it");
+            prop_assert!(backlog.is_empty() && backlog.blocks.len() == 1);
+            prop_assert_eq!((backlog.packed_bytes(), backlog.held_bytes()), (0, 0));
+        }
     }
 }

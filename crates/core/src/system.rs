@@ -22,10 +22,11 @@
 //! (and, in-run, an arrival cutoff at the round's end). At the paper's
 //! saturated load the queue outgrows the node's state: ≈ 350 000
 //! transactions are still queued when an 11-epoch `paper_default` run
-//! ends. So the queue is a packed byte arena, not a queue of `AmmTx`:
-//! each arrival is one varint record (≈ 18 B on the paper's mix) that
-//! names its issuer by population index (`GeneratedTx::user`), where an
-//! `AmmTx` takes 128 B.
+//! ends. So the queue is packed bytes, not a queue of `AmmTx`: each
+//! arrival is one varint record (≈ 18 B on the paper's mix) that names
+//! its issuer by population index (`GeneratedTx::user`), where an `AmmTx`
+//! takes 128 B. Records sit in 1 MiB blocks that are freed as they are
+//! popped, so the queue holds less than one block past its live records.
 //! A round decodes the records it pops back into the exact transactions
 //! that were generated, so the node and every figure it produces are
 //! unchanged. [`SystemReport::backlog_peak`] and
@@ -189,6 +190,10 @@ pub struct System {
     committees: Vec<Committee>,
     /// Arrived, not yet mined transactions, in arrival order.
     queue: Backlog,
+    /// Empty between rounds: the buffer a round pops its transactions
+    /// into, with their arrival and wire size, kept so a round allocates
+    /// none.
+    popped: Vec<(SimTime, AmmTx, usize)>,
     /// Per epoch whose sync is not confirmed yet: the accepted
     /// transactions settled by it and the sum of their arrival ms.
     awaiting_payout: BTreeMap<u64, (u64, u128)>,
@@ -307,6 +312,7 @@ impl System {
             next_dkg,
             committees: Vec::new(),
             queue: Backlog::new(),
+            popped: Vec::new(),
             awaiting_payout: BTreeMap::new(),
             unsynced: Vec::new(),
             pending_syncs: Vec::new(),
@@ -586,7 +592,7 @@ impl System {
         payout_epoch: u64,
         step: impl FnOnce(&mut Node, &[(&AmmTx, usize)]) -> RoundOutput,
     ) {
-        let mut popped: Vec<(SimTime, AmmTx, usize)> = Vec::new();
+        let mut popped = std::mem::take(&mut self.popped);
         let mut bytes = 0usize;
         while let Some((arrival, size)) = self.queue.front() {
             let past_cutoff = arrival_cutoff.is_some_and(|cutoff| arrival >= cutoff);
@@ -597,6 +603,14 @@ impl System {
             bytes += size;
             popped.push(entry.expect("front checked"));
         }
+        // what the queue has popped is gone, bar the front block's prefix
+        #[cfg(test)]
+        assert!(
+            self.queue.held_bytes() < self.queue.packed_bytes() + crate::backlog::BLOCK,
+            "the backlog holds {} B for {} B of queued records",
+            self.queue.held_bytes(),
+            self.queue.packed_bytes()
+        );
         let batch: Vec<(&AmmTx, usize)> = popped.iter().map(|(_, tx, size)| (tx, *size)).collect();
         let out = step(&mut self.node, &batch);
         for ((arrival, _, _), accepted) in popped.iter().zip(&out.acceptance) {
@@ -615,6 +629,8 @@ impl System {
         for position in out.deleted_positions {
             self.generator.forget_position(position);
         }
+        popped.clear();
+        self.popped = popped;
     }
 
     fn close_epoch(&mut self, epoch: u64, epoch_end: SimTime) {
@@ -967,6 +983,28 @@ mod tests {
         // arrivals (5 each): the summary round mines none
         let calm = System::new(small()).run();
         assert!((1..=10).contains(&calm.backlog_peak), "{calm:?}");
+    }
+
+    /// At 120 M tx/day more than two blocks of records queue up, and the
+    /// drain pops them all. Every round asserts (in `feed_node`) that the
+    /// backlog holds less than one block past its queued records, so a
+    /// block is freed once its last record pops. Deposits of 1 make the
+    /// node reject every transaction before executing it: the test pays
+    /// for generating the traffic, and what the node does with a popped
+    /// transaction does not reach the backlog.
+    #[test]
+    fn saturated_backlog_frees_each_block_it_pops() {
+        let mut cfg = small();
+        cfg.daily_volume = 120_000_000;
+        cfg.meta_block_bytes = 1_000_000;
+        cfg.deposit_amount = 1;
+        let report = System::new(cfg).run();
+        assert_eq!(report.leftover_queue, 0);
+        assert_eq!(report.accepted + report.rejected, report.submitted);
+        assert!(
+            report.backlog_peak_bytes > 2 * crate::backlog::BLOCK as u64,
+            "{report:?}"
+        );
     }
 
     #[test]

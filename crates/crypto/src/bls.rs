@@ -2,8 +2,9 @@
 //!
 //! Secret keys are scalars, public keys live in `G2`, signatures in `G1`
 //! (the "minimal-signature" configuration the paper uses: 64-byte
-//! signatures, 128-byte public keys on the mainchain). Supports aggregation
-//! and proofs of possession; the threshold variant lives in [`crate::tsqc`].
+//! signatures, 128-byte public keys on the mainchain). Supports aggregation;
+//! the threshold variant lives in [`crate::tsqc`]. Proofs of possession
+//! are test-only: no committee key is registered through one.
 
 use crate::field::Fr;
 use crate::group::{pairing_check, G1, G2};
@@ -13,6 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Domain-separation tag for ordinary message signatures.
 const DST_SIG: &[u8] = b"AMMBOOST-BLS-SIG-V1";
 /// Domain-separation tag for proofs of possession.
+#[cfg(test)]
 const DST_POP: &[u8] = b"AMMBOOST-BLS-POP-V1";
 
 /// A BLS secret key.
@@ -66,7 +68,8 @@ impl SecretKey {
 
     /// Produces a proof of possession (a signature over the public key),
     /// defending aggregate verification against rogue-key attacks.
-    pub fn prove_possession(&self) -> Signature {
+    #[cfg(test)]
+    fn prove_possession(&self) -> Signature {
         let pk = self.public_key();
         let h = G1::hash_to_point(DST_POP, &pk.to_bytes());
         Signature(h * self.0)
@@ -88,7 +91,8 @@ impl PublicKey {
     }
 
     /// Verifies a proof of possession.
-    pub fn verify_possession(&self, pop: &Signature) -> bool {
+    #[cfg(test)]
+    fn verify_possession(&self, pop: &Signature) -> bool {
         let h = G1::hash_to_point(DST_POP, &self.to_bytes());
         pairing_check(&h, &self.0, &pop.0, &G2::generator())
     }

@@ -322,11 +322,6 @@ impl TokenBank {
         self.deposits.get(&epoch).cloned().unwrap_or_default()
     }
 
-    /// Snapshot of all stored positions.
-    pub fn snapshot_positions(&self) -> DigestMap<PositionId, StoredPosition> {
-        self.positions.clone()
-    }
-
     /// Reserves of a pool.
     pub fn pool_reserves(&self, pool: &PoolId) -> Option<(u128, u128)> {
         self.pools.get(pool).copied()

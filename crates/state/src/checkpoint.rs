@@ -263,10 +263,14 @@ impl Checkpointer {
     /// restored from `snapshot` checkpoints on from here, so its first
     /// checkpoint re-encodes only the pools marked dirty since, hashes only
     /// the pages that changed and emits a [`DeltaSnapshot`] against
-    /// `snapshot`.
+    /// `snapshot`. The page hashes a decoded snapshot kept are taken as
+    /// they are; only a snapshot sealed under leaves alone is hashed again.
     pub fn resume(snapshot: &Snapshot) -> Checkpointer {
         let sections = snapshot.sections();
-        let pages = section_page_hashes(sections);
+        let pages = match snapshot.page_hashes() {
+            Some(pages) => pages.to_vec(),
+            None => section_page_hashes(sections),
+        };
         let cache = (sections.iter().zip(pages).zip(snapshot.leaves()))
             .map(|((section, pages), &leaf)| {
                 let hashes = Some(PageHashes { pages, leaf });
@@ -765,16 +769,27 @@ mod tests {
         let pools = [(PoolId(0), &pool_a), (PoolId(1), &pool_b)];
         let base = live.checkpoint(1, &pools, &ledger, &deposits, vec![(2, vec![7; 5000])]);
         let mut resumed = Checkpointer::resume(&base.snapshot);
+        // a decoded snapshot hands over the page hashes its seal kept
+        let decoded = Snapshot::decode(&base.snapshot.encode()).unwrap();
+        assert!(base.snapshot.page_hashes().is_none());
+        assert_eq!(
+            decoded.page_hashes(),
+            Some(section_page_hashes(decoded.sections()).as_slice())
+        );
+        let mut from_wire = Checkpointer::resume(&decoded);
 
         pool_b
             .swap(true, SwapKind::ExactInput(5_000), None)
             .unwrap();
         let pools = [(PoolId(0), &pool_a), (PoolId(1), &pool_b)];
-        let outs = [&mut live, &mut resumed].map(|cp| {
+        let outs = [&mut live, &mut resumed, &mut from_wire].map(|cp| {
             cp.mark_dirty(PoolId(1));
             cp.checkpoint(2, &pools, &ledger, &deposits, vec![(2, vec![8; 5000])])
         });
-        let [live, resumed] = outs;
+        let [live, resumed, from_wire] = outs;
+        assert_eq!(from_wire.stats, live.stats);
+        assert_eq!(from_wire.snapshot, live.snapshot);
+        assert_eq!(from_wire.delta, live.delta);
         assert_eq!(resumed.stats, live.stats);
         assert_eq!(
             (resumed.stats.pools_reencoded, resumed.stats.pools_reused),

@@ -18,6 +18,9 @@
 //! it is built ([`Snapshot::seal`], [`Snapshot::decode`], or a checkpoint
 //! or delta apply that already holds the leaves), and never again —
 //! [`Snapshot::root`], [`Snapshot::encode`] and restore only read them.
+//! A snapshot sealed from bare sections (so also a decoded one) keeps the
+//! page hashes it folded, and a checkpointer resumed from it takes them
+//! instead of hashing every page again.
 //! Its fields are private, so a snapshot cannot outlive its root: changing
 //! sections means [`Snapshot::into_sections`], then [`Snapshot::seal`].
 //!
@@ -118,8 +121,13 @@ pub struct Section {
 /// share quads with large ones), then each section's page hashes are
 /// folded under its length leaf.
 pub(crate) fn section_leaves(sections: &[Section]) -> Vec<H256> {
-    (sections.iter().zip(section_page_hashes(sections)))
-        .map(|(s, hashes)| page_root_from_hashes(s.kind, s.bytes.len(), &hashes))
+    leaves_from_pages(sections, &section_page_hashes(sections))
+}
+
+/// Each section's page root, folded from its page hashes.
+fn leaves_from_pages(sections: &[Section], pages: &[Vec<H256>]) -> Vec<H256> {
+    (sections.iter().zip(pages))
+        .map(|(s, hashes)| page_root_from_hashes(s.kind, s.bytes.len(), hashes))
         .collect()
 }
 
@@ -177,25 +185,45 @@ pub(crate) fn check_canonical<'a>(
 }
 
 /// A full-state checkpoint at an epoch boundary, sealed under its root.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Two snapshots are equal when their epoch, sections, leaves and root
+/// are; whether one kept its page hashes does not matter.
+#[derive(Clone, Debug)]
 pub struct Snapshot {
     epoch: u64,
     sections: Vec<Section>,
     /// One leaf per section: its page root.
     leaves: Vec<H256>,
     root: H256,
+    /// Every section's page hashes, kept when [`Snapshot::seal`] computed
+    /// them; `None` when the snapshot was sealed under leaves alone.
+    page_hashes: Option<Vec<Vec<H256>>>,
 }
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        (self.epoch, &self.sections, &self.leaves, self.root)
+            == (other.epoch, &other.sections, &other.leaves, other.root)
+    }
+}
+
+impl Eq for Snapshot {}
 
 impl Snapshot {
     /// Seals `sections` (canonical order) as the snapshot of `epoch`:
-    /// every section's leaf and the root are computed here, once.
+    /// every page hash, every section's leaf and the root are computed
+    /// here, once, and the page hashes are kept.
     ///
     /// # Errors
     /// [`CodecError::UnsortedSections`] when the section kinds are not
     /// strictly ascending.
     pub fn seal(epoch: u64, sections: Vec<Section>) -> Result<Snapshot, CodecError> {
-        let leaves = section_leaves(&sections);
-        Snapshot::from_leaves(epoch, sections, leaves)
+        let pages = section_page_hashes(&sections);
+        let leaves = leaves_from_pages(&sections, &pages);
+        let snapshot = Snapshot::from_leaves(epoch, sections, leaves)?;
+        Ok(Snapshot {
+            page_hashes: Some(pages),
+            ..snapshot
+        })
     }
 
     /// Seals `sections` under leaves the caller already holds and has
@@ -218,6 +246,7 @@ impl Snapshot {
             sections,
             leaves,
             root,
+            page_hashes: None,
         })
     }
 
@@ -235,6 +264,13 @@ impl Snapshot {
     /// Each section's leaf, in section order.
     pub fn leaves(&self) -> &[H256] {
         &self.leaves
+    }
+
+    /// Every section's page hashes, in section order, when the snapshot
+    /// was sealed from bare sections ([`Snapshot::seal`],
+    /// [`Snapshot::decode`]).
+    pub(crate) fn page_hashes(&self) -> Option<&[Vec<H256>]> {
+        self.page_hashes.as_deref()
     }
 
     /// Gives up the seal: the sections, to change and [`Snapshot::seal`]
