@@ -185,7 +185,7 @@ impl TickBounds {
 /// The persistent state of a [`Pool`] — every field that must survive a
 /// snapshot/restore cycle, **excluding** derived data (`tick_bitmap`,
 /// `tick_cache`, swap scratch buffers), which [`Pool::from_state`]
-/// regenerates via [`Pool::rebuild_tick_index`]. Collections are sorted so
+/// regenerates from the tick table. Collections are sorted so
 /// the same pool always exports the same byte-identical state.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolState {
@@ -236,7 +236,7 @@ pub struct Pool {
     balance0: Amount,
     balance1: Amount,
     /// Word-packed index over initialized ticks, kept in lockstep with
-    /// `ticks`. Derived data: rebuildable via [`Pool::rebuild_tick_index`].
+    /// `ticks`. Derived data: rebuildable from `ticks`.
     tick_bitmap: TickBitmap,
     /// Per-initialized-tick cache (boundary price + net liquidity), kept
     /// in lockstep with `ticks`; the swap loop reads only this.
@@ -335,21 +335,15 @@ impl Pool {
         self.ticks.len()
     }
 
-    /// Read access to the bitmap index (tests assert it stays in lockstep
-    /// with the tick table).
-    pub fn tick_bitmap(&self) -> &TickBitmap {
-        &self.tick_bitmap
-    }
-
     /// Rebuilds the tick bitmap and the boundary-price cache from the tick
     /// table. The accelerating structures are derived data; a pool state
-    /// restored from an external snapshot calls this once instead of
-    /// shipping them.
+    /// restored from an external snapshot ([`Pool::from_state`]) calls
+    /// this once instead of shipping them.
     ///
     /// # Errors
     /// Fails only if a stored tick is out of tick-math range (corrupt
     /// snapshot).
-    pub fn rebuild_tick_index(&mut self) -> Result<(), AmmError> {
+    fn rebuild_tick_index(&mut self) -> Result<(), AmmError> {
         let mut bitmap = TickBitmap::new(self.tick_spacing);
         let mut cache = HashMap::with_capacity_and_hasher(self.ticks.len(), Default::default());
         for (t, info) in &self.ticks {
@@ -392,7 +386,7 @@ impl Pool {
     }
 
     /// Reconstructs a pool from snapshotted state, regenerating all
-    /// derived structures ([`Pool::rebuild_tick_index`]). The restored
+    /// derived structures from the tick table. The restored
     /// pool behaves bit-identically to the one that was exported.
     ///
     /// # Errors
@@ -1763,19 +1757,19 @@ mod tests {
             .unwrap();
         pool.mint(pid(2), addr(2), -120, 120, 10_000_000, 10_000_000)
             .unwrap();
-        assert_eq!(pool.tick_bitmap().initialized_count(), 4);
-        assert!(pool.tick_bitmap().is_initialized(-600));
-        assert!(pool.tick_bitmap().is_initialized(120));
+        assert_eq!(pool.tick_bitmap.initialized_count(), 4);
+        assert!(pool.tick_bitmap.is_initialized(-600));
+        assert!(pool.tick_bitmap.is_initialized(120));
         // burning the inner position removes exactly its two ticks
         let liq = pool.position(&pid(2)).unwrap().liquidity;
         pool.burn(pid(2), addr(2), liq).unwrap();
         pool.collect(pid(2), addr(2), Amount::MAX, Amount::MAX)
             .unwrap();
-        assert_eq!(pool.tick_bitmap().initialized_count(), 2);
-        assert!(!pool.tick_bitmap().is_initialized(-120));
-        assert!(!pool.tick_bitmap().is_initialized(120));
+        assert_eq!(pool.tick_bitmap.initialized_count(), 2);
+        assert!(!pool.tick_bitmap.is_initialized(-120));
+        assert!(!pool.tick_bitmap.is_initialized(120));
         assert_eq!(
-            pool.tick_bitmap().initialized_count(),
+            pool.tick_bitmap.initialized_count(),
             pool.initialized_tick_count()
         );
     }
@@ -1789,11 +1783,85 @@ mod tests {
             .unwrap();
         let mut rebuilt = pool.clone();
         rebuilt.rebuild_tick_index().unwrap();
-        assert_eq!(rebuilt.tick_bitmap(), pool.tick_bitmap());
+        assert_eq!(rebuilt.tick_bitmap, pool.tick_bitmap);
         // and swaps behave identically afterwards
         let a = pool.swap(false, SwapKind::ExactInput(1_000_000), None);
         let b = rebuilt.swap(false, SwapKind::ExactInput(1_000_000), None);
         assert_eq!(a, b);
+    }
+
+    /// One random operation on a four-slot pool: a mint of half-width
+    /// `60 · width` (0: the full domain), a burn of all or half of a
+    /// slot's liquidity (all of it clears the slot's ticks unless another
+    /// slot shares them), or a swap of `amount` either way.
+    #[derive(Clone, Debug)]
+    enum IndexOp {
+        Mint { slot: u64, width: i32, amount: u128 },
+        Burn { slot: u64, all: bool },
+        Swap { zero_for_one: bool, amount: u128 },
+    }
+
+    fn index_op() -> impl proptest::strategy::Strategy<Value = IndexOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..4, 0i32..40, 50_000u128..50_000_000).prop_map(|(slot, width, amount)| {
+                IndexOp::Mint {
+                    slot,
+                    width,
+                    amount,
+                }
+            }),
+            (0u64..4, any::<bool>()).prop_map(|(slot, all)| IndexOp::Burn { slot, all }),
+            (any::<bool>(), 1_000u128..80_000_000).prop_map(|(zero_for_one, amount)| {
+                IndexOp::Swap {
+                    zero_for_one,
+                    amount,
+                }
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// After every mint, burn and swap the bitmap index marks exactly
+        /// the tick table's ticks, and at the end the incrementally kept
+        /// index equals a from-scratch rebuild.
+        #[test]
+        fn tick_index_tracks_the_tick_table_and_equals_a_rebuild(
+            ops in proptest::collection::vec(index_op(), 1..40),
+        ) {
+            let mut pool = Pool::new(3000, 4, U256::ONE << 96).unwrap();
+            for op in ops {
+                match op {
+                    IndexOp::Mint { slot, width, amount } => {
+                        let (lower, upper) = match width {
+                            0 => (MIN_TICK, MAX_TICK),
+                            w => (-60 * w, 60 * w),
+                        };
+                        let _ = pool.mint(pid(slot), addr(slot), lower, upper, amount, amount);
+                    }
+                    IndexOp::Burn { slot, all } => {
+                        let held = pool.position(&pid(slot)).map_or(0, |p| p.liquidity);
+                        let burn = if all { held } else { held / 2 };
+                        if burn > 0 {
+                            let _ = pool.burn(pid(slot), addr(slot), burn);
+                        }
+                    }
+                    IndexOp::Swap { zero_for_one, amount } => {
+                        let _ = pool.swap(zero_for_one, SwapKind::ExactInput(amount), None);
+                    }
+                }
+                let index = &pool.tick_bitmap;
+                proptest::prop_assert_eq!(index.initialized_count(), pool.ticks.len());
+                for t in pool.ticks.keys() {
+                    proptest::prop_assert!(index.is_initialized(*t), "tick {} unmarked", t);
+                }
+            }
+            let mut rebuilt = pool.clone();
+            rebuilt.rebuild_tick_index().unwrap();
+            proptest::prop_assert_eq!(rebuilt.tick_bitmap, pool.tick_bitmap);
+        }
     }
 
     #[test]
@@ -1808,7 +1876,7 @@ mod tests {
         assert_eq!(state, pool.export_state());
         let mut restored = Pool::from_state(state.clone()).unwrap();
         // derived structures regenerated in lockstep
-        assert_eq!(restored.tick_bitmap(), pool.tick_bitmap());
+        assert_eq!(restored.tick_bitmap, pool.tick_bitmap);
         assert_eq!(restored.export_state(), state);
         // identical behaviour afterwards
         for (dir, amt) in [(false, 3_000_000u128), (true, 123_456)] {

@@ -261,7 +261,10 @@ fn bench_election(c: &mut Criterion) {
 }
 
 /// The transaction root of a full `paper_default` meta-block (the miner
-/// and the verifier each compute it once per round).
+/// and the verifier each compute it once per round), and the two ways a
+/// block of it reaches a ledger: sealed and appended as the node mines
+/// it (one root pass), or built and appended through `append_meta`,
+/// which verifies it again (two).
 fn bench_tx_root(c: &mut Criterion) {
     let txs: Vec<ExecutedTx> = (0..1_000u64)
         .map(|i| ExecutedTx {
@@ -286,6 +289,30 @@ fn bench_tx_root(c: &mut Criterion) {
         .collect();
     c.bench_function("sidechain/tx_root_1000_swaps", |b| {
         b.iter(|| black_box(MetaBlock::compute_tx_root(black_box(&txs))))
+    });
+    let genesis = H256::hash(b"genesis");
+    let fresh = || (Ledger::new(genesis), txs.clone());
+    c.bench_function("sidechain/seal_and_append_1000_swaps", |b| {
+        b.iter_batched(
+            fresh,
+            |(mut ledger, txs)| {
+                let block = MetaBlock::seal(1, 0, genesis, txs);
+                ledger.append(block).expect("chains onto genesis");
+                ledger
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("sidechain/new_and_append_meta_1000_swaps", |b| {
+        b.iter_batched(
+            fresh,
+            |(mut ledger, txs)| {
+                let block = MetaBlock::new(1, 0, genesis, txs);
+                ledger.append_meta(block).expect("chains onto genesis");
+                ledger
+            },
+            BatchSize::LargeInput,
+        )
     });
 }
 

@@ -10,13 +10,19 @@
 //! it.
 //!
 //! A node that did not mine a block follows it instead: the paper's
-//! `VerifyBlock` then `UpdateState`. [`Node::follow_round`] checks that a
-//! meta-block chains before executing it through the same execute path
-//! as [`Node::step_round`], and [`Node::follow_epoch`] seals through the
-//! same path as [`Node::close_epoch`]; each then checks that what it
-//! built is what the block records. A node joining from a snapshot
-//! ([`Node::restore`]) catches up by following
+//! `VerifyBlock` then `UpdateState`. [`Node::follow_round`] verifies a
+//! meta-block (chaining and root) before executing it through the same
+//! execute path as [`Node::step_round`], and [`Node::follow_epoch`] seals
+//! through the same path as [`Node::close_epoch`]; each then checks that
+//! what it built is what the block records. A node joining from a
+//! snapshot ([`Node::restore`]) catches up by following
 //! ([`crate::checkpoint::catch_up`]), so there is one apply path.
+//!
+//! Either way a meta-block's body is hashed once: the miner seals it
+//! ([`MetaBlock::seal`]) and a follower verifies it
+//! ([`Ledger::verify_meta`]), and each appends the
+//! [`VerifiedMeta`](ammboost_sidechain::block::VerifiedMeta) that step
+//! returned, which [`Ledger::append`] does not hash again.
 
 use crate::checkpoint::{restore_node, NodeRestore, NodeRestoreError};
 use crate::processor::{EpochProcessor, ExecMode};
@@ -311,8 +317,9 @@ impl Node {
         }
     }
 
-    /// Executes one round's batch (at `global_round`, for deadline checks)
-    /// and appends the resulting meta-block as `round` of `epoch`.
+    /// Executes one round's batch (at `global_round`, for deadline checks),
+    /// seals the resulting meta-block ([`MetaBlock::seal`], the one pass
+    /// over its body) and appends it as `round` of `epoch`.
     ///
     /// # Panics
     /// If the block does not chain onto the node's own tip, which only a
@@ -326,32 +333,33 @@ impl Node {
         batch: &[(&AmmTx, usize)],
     ) -> RoundOutput {
         let (out, executed) = self.execute(global_round, batch);
-        let block = MetaBlock::new(epoch, round, self.ledger.tip(), executed);
+        let block = MetaBlock::seal(epoch, round, self.ledger.tip(), executed);
         self.ledger
-            .append_meta(block)
+            .append(block)
             .expect("locally mined meta-block chains correctly");
         out
     }
 
     /// Follows a meta-block another node mined (`VerifyBlock`, then
-    /// `UpdateState`): checks that `block` chains onto this node's tip
-    /// before anything executes, executes its transactions at
-    /// `global_round` through [`Node::step_round`]'s execute path,
-    /// checks every effect against the one the block records, and
-    /// appends the block.
+    /// `UpdateState`): verifies that `block` chains onto this node's tip
+    /// and that its root is the root of its body before anything
+    /// executes, executes its transactions at `global_round` through
+    /// [`Node::step_round`]'s execute path, checks every effect against
+    /// the one the block records, and appends the block it verified.
     ///
     /// # Errors
-    /// [`NodeRestoreError::BadChain`] when the block does not chain; the
-    /// node is then unchanged. [`NodeRestoreError::EffectMismatch`] when
-    /// an effect differs from the recorded one; the pools have executed
-    /// the block by then, and the node must not go on from there.
+    /// [`NodeRestoreError::BadChain`] when the block does not chain or its
+    /// root is wrong; the node is then unchanged.
+    /// [`NodeRestoreError::EffectMismatch`] when an effect differs from the
+    /// recorded one; the pools have executed the block by then, and the
+    /// node must not go on from there.
     #[doc(alias = "VerifyBlock")]
     pub fn follow_round(
         &mut self,
         block: &MetaBlock,
         global_round: u64,
     ) -> Result<(), NodeRestoreError> {
-        self.ledger.verify_meta(block).map_err(bad_chain)?;
+        let verified = self.ledger.verify_meta(block.clone()).map_err(bad_chain)?;
         let batch: Vec<(&AmmTx, usize)> = block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
         let (_, executed) = self.execute(global_round, &batch);
         if (executed.iter().zip(&block.txs)).any(|(ours, theirs)| ours.effect != theirs.effect) {
@@ -360,7 +368,7 @@ impl Node {
                 round: block.round,
             });
         }
-        self.ledger.append_meta(block.clone()).map_err(bad_chain)
+        self.ledger.append(verified).map_err(bad_chain)
     }
 
     /// The execute path of [`Node::step_round`]. [`crate::System`]'s
@@ -637,8 +645,8 @@ mod tests {
             TxEffect::Swap { amount_out, .. } => *amount_out += 1,
             other => panic!("the fixture trades swaps only, got {other:?}"),
         }
-        // the root covers transaction ids, not effects: the block chains
-        assert_eq!(follower.ledger().verify_meta(&block), Ok(()));
+        // the root covers transaction ids, not effects: the block verifies
+        assert!(follower.ledger().verify_meta(block.clone()).is_ok());
         assert_eq!(
             follower.follow_round(&block, ROUNDS),
             Err(NodeRestoreError::EffectMismatch { epoch: 2, round: 0 })
@@ -696,6 +704,96 @@ mod tests {
         assert_eq!(follower.processor().export_state(), state);
         // the block itself still follows
         follower.follow_round(block, ROUNDS).unwrap();
+    }
+
+    #[test]
+    fn follow_round_rejects_a_wrong_root_before_executing_it() {
+        let (live, mut follower) = live_and_follower();
+        let (state, ledger) = (
+            follower.processor().export_state(),
+            follower.ledger().export_state(),
+        );
+        let block = &live.ledger().meta_blocks(2)[0];
+        let mut reordered = block.clone();
+        reordered.txs.swap(0, 1);
+        let forged = MetaBlock {
+            tx_root: ammboost_crypto::H256::hash(b"forged"),
+            ..block.clone()
+        };
+        for bad in [reordered, forged] {
+            assert_ne!(MetaBlock::compute_tx_root(&bad.txs), bad.tx_root);
+            assert_eq!(
+                follower.follow_round(&bad, ROUNDS),
+                Err(NodeRestoreError::BadChain(
+                    BlockError::BadTxRoot.to_string()
+                ))
+            );
+            assert_eq!(follower.processor().export_state(), state);
+            assert_eq!(follower.ledger().export_state(), ledger);
+        }
+        follower.follow_round(block, ROUNDS).unwrap();
+    }
+
+    /// Keccak-f permutations `f` runs on this thread.
+    fn permutations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = ammboost_crypto::keccak::permutations();
+        let out = f();
+        (ammboost_crypto::keccak::permutations() - before, out)
+    }
+
+    /// A leader round and a followed round each hash the block's body
+    /// once: what the round costs beyond executing its batch on a twin
+    /// node is one transaction root and the block id.
+    #[test]
+    fn a_round_hashes_its_block_body_once() {
+        let (live, mut follower) = live_and_follower();
+        let (_, mut twin) = live_and_follower();
+        // a ledger restored at an epoch boundary derives its tip on first
+        // use: hash it here, not inside the counted calls
+        follower.ledger().tip();
+        let block = &live.ledger().meta_blocks(2)[0];
+        assert!(block.txs.len() >= 4, "a four-way quad at least");
+        let batch: Vec<(&AmmTx, usize)> = block.txs.iter().map(|t| (&t.tx, t.wire_size)).collect();
+        let (root, _) = permutations_of(|| MetaBlock::compute_tx_root(&block.txs));
+        let (id, _) = permutations_of(|| block.id());
+        assert!(root >= 2 * block.txs.len() as u64 - 1 && id == 1);
+
+        let (executing, _) = permutations_of(|| twin.execute(ROUNDS, &batch));
+        let (following, followed) = permutations_of(|| follower.follow_round(block, ROUNDS));
+        followed.unwrap();
+        assert_eq!(following, executing + root + id, "followed round");
+
+        // the leader: a third restored node mines the same batch as
+        // round 0 of epoch 2, and seals the block the follower appended
+        let (_, mut leader) = live_and_follower();
+        leader.ledger().tip();
+        let (stepping, out) = permutations_of(|| leader.step_round(2, 0, ROUNDS, &batch));
+        assert_eq!(out.accepted(), block.accepted_count() as u64);
+        assert_eq!(
+            leader.ledger().meta_blocks(2),
+            follower.ledger().meta_blocks(2)
+        );
+        assert_eq!(stepping, executing + root + id, "leader round");
+    }
+
+    /// A node restored from wire bytes hashes each page once: decoding
+    /// seals the snapshot (every page, every section leaf, the root), and
+    /// the restore takes the page hashes decoding kept.
+    #[test]
+    fn restoring_from_wire_bytes_hashes_each_page_once() {
+        let mut live = new_node(2);
+        run_epoch(&mut live, 1);
+        let snapshot = snapshot_at(&mut live, 1);
+        let wire = snapshot.encode();
+        let sections = snapshot.sections().to_vec();
+        let (sealing, _) = permutations_of(|| Snapshot::seal(1, sections));
+        let (decoding, decoded) = permutations_of(|| Snapshot::decode(&wire));
+        let decoded = decoded.unwrap();
+        assert_eq!(decoding, sealing);
+        let (restoring, restored) = permutations_of(|| Node::restore(&decoded));
+        assert_eq!(restoring, 0, "no page is hashed again");
+        let mut restored = restored.unwrap();
+        assert_eq!(restored.checkpoint(1).root, snapshot.root());
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! Keccak-256 drives every hash in the workspace: transaction ids, block
 //! ids, Merkle trees, hash-to-point for the TSQC signatures, and the gas
 //! accounting of the `KECCAK256` EVM opcode.
+//!
+//! Every permutation is counted on the thread that runs it
+//! ([`permutations`]), so a test can assert how often a path hashes:
+//! that a meta-block's body is hashed once per round, a restored page
+//! once per restore.
+
+use std::cell::Cell;
 
 /// Rate in bytes for Keccak-256 (1600-bit state, 512-bit capacity).
 pub const KECCAK256_RATE: usize = 136;
@@ -48,8 +55,32 @@ const PI: [usize; 24] = [
     10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
 ];
 
+thread_local! {
+    static PERMUTATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Keccak-f\[1600\] permutations this thread has run so far. A four-way
+/// [`keccak_f1600_x4`] call counts four, whether or not every lane
+/// carried a message. Read it before and after a call to count what the
+/// call hashed:
+///
+/// ```
+/// use ammboost_crypto::keccak::{keccak256, permutations, KECCAK256_RATE};
+/// let before = permutations();
+/// keccak256(&[7; KECCAK256_RATE]); // one full block, then the padding block
+/// assert_eq!(permutations() - before, 2);
+/// ```
+pub fn permutations() -> u64 {
+    PERMUTATIONS.with(Cell::get)
+}
+
+fn count_permutations(n: u64) {
+    PERMUTATIONS.with(|c| c.set(c.get() + n));
+}
+
 /// The Keccak-f\[1600\] permutation.
 pub fn keccak_f1600(state: &mut [u64; 25]) {
+    count_permutations(1);
     for &rc in RC.iter() {
         // θ
         let mut c = [0u64; 5];
@@ -100,6 +131,7 @@ pub fn keccak_f1600(state: &mut [u64; 25]) {
 /// All versions are bit-identical — integer ops only, no
 /// platform-dependent rounding anywhere.
 pub fn keccak_f1600_x4(states: &mut [[u64; 4]; 25]) {
+    count_permutations(4);
     #[cfg(target_arch = "x86_64")]
     {
         // The AVX-512VL kernel stays on 256-bit registers, so it pays no
@@ -623,6 +655,43 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(keccak256(b"a"), keccak256(b"b"));
+    }
+
+    #[test]
+    fn permutations_count_blocks_per_thread() {
+        let counted = |f: &dyn Fn()| {
+            let before = permutations();
+            f();
+            permutations() - before
+        };
+        // padding always adds a byte: a rate-aligned message takes a
+        // whole extra block
+        for (len, blocks) in [(0, 1), (135, 1), (136, 2), (271, 2), (272, 3)] {
+            let hashed = counted(&|| {
+                keccak256(&vec![1; len]);
+            });
+            assert_eq!(hashed, blocks, "{len} bytes");
+        }
+        // four lanes count four, and a stream that finished early keeps
+        // churning until the longest one completes
+        let (short, long) = (vec![2; 10], vec![3; 300]);
+        let even = counted(&|| {
+            keccak256_x4([&short; 4]);
+        });
+        assert_eq!(even, 4);
+        let ragged = counted(&|| {
+            keccak256_x4([&short, &short, &short, &long]);
+        });
+        assert_eq!(ragged, 4 * 3);
+        // another thread's hashing counts on that thread alone
+        let here = counted(&|| {
+            let there = std::thread::spawn(|| {
+                keccak256(b"there");
+                permutations()
+            });
+            assert_eq!(there.join().unwrap(), 1, "a new thread counts from zero");
+        });
+        assert_eq!(here, 0);
     }
 
     #[test]

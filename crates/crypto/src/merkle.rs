@@ -20,7 +20,7 @@ pub fn leaf_hash(data: &[u8]) -> H256 {
 
 /// Hashes four leaf payloads through the interleaved Keccak permutation.
 /// Bit-identical to four [`leaf_hash`] calls.
-pub fn leaf_hash_x4(items: [&[u8]; 4]) -> [H256; 4] {
+fn leaf_hash_x4(items: [&[u8]; 4]) -> [H256; 4] {
     keccak256_x4_concat([
         &[LEAF_TAG, items[0]],
         &[LEAF_TAG, items[1]],
@@ -436,6 +436,25 @@ mod tests {
         let got = leaf_hash_x4(items);
         for s in 0..4 {
             assert_eq!(got[s], leaf_hash(items[s]), "slot {s}");
+        }
+    }
+
+    #[test]
+    fn merkle_root_runs_one_permutation_per_parent_node() {
+        // a level of m nodes has ⌈m/2⌉ parents (an odd last node pairs
+        // with itself); each costs one permutation, four-way or scalar
+        for n in [0usize, 1, 2, 3, 7, 8, 9, 17, 1000] {
+            let (mut parents, mut m) = (0, n);
+            while m > 1 {
+                m = m.div_ceil(2);
+                parents += m as u64;
+            }
+            let leaves = (0..n as u64)
+                .map(|i| H256::hash(&i.to_be_bytes()))
+                .collect();
+            let before = crate::keccak::permutations();
+            merkle_root(leaves);
+            assert_eq!(crate::keccak::permutations() - before, parents, "n={n}");
         }
     }
 

@@ -1,6 +1,13 @@
 //! Sidechain blocks: temporary **meta-blocks** holding executed
 //! transactions and permanent **summary-blocks** holding epoch summaries
 //! (paper §II, "The chainBoost framework" as adapted in §IV).
+//!
+//! A [`VerifiedMeta`] is a meta-block whose `tx_root` is known to be the
+//! Merkle root of its body. Two functions make one, each hashing the body
+//! once: [`MetaBlock::seal`], for the node that mined the block, and
+//! [`crate::ledger::Ledger::verify_meta`], for a node that received it.
+//! [`crate::ledger::Ledger::append`] takes only a `VerifiedMeta`, so it
+//! checks the block's place in the chain and never hashes the body again.
 
 use crate::codec;
 use crate::summary::{PayoutEntry, PoolUpdate, PositionEntry};
@@ -137,16 +144,23 @@ pub struct MetaBlock {
 }
 
 impl MetaBlock {
-    /// Builds a meta-block, computing the transaction Merkle root.
-    pub fn new(epoch: u64, round: u64, parent: H256, txs: Vec<ExecutedTx>) -> MetaBlock {
+    /// Seals a mined meta-block: its root is computed here, once, from the
+    /// body it keeps.
+    pub fn seal(epoch: u64, round: u64, parent: H256, txs: Vec<ExecutedTx>) -> VerifiedMeta {
         let tx_root = Self::compute_tx_root(&txs);
-        MetaBlock {
+        VerifiedMeta(MetaBlock {
             epoch,
             round,
             parent,
             txs,
             tx_root,
-        }
+        })
+    }
+
+    /// [`MetaBlock::seal`]'s block, without the proof that its root is
+    /// right.
+    pub fn new(epoch: u64, round: u64, parent: H256, txs: Vec<ExecutedTx>) -> MetaBlock {
+        Self::seal(epoch, round, parent, txs).0
     }
 
     /// The Merkle root over transaction ids.
@@ -177,6 +191,25 @@ impl MetaBlock {
     /// Number of accepted transactions.
     pub fn accepted_count(&self) -> usize {
         self.txs.iter().filter(|t| t.accepted()).count()
+    }
+}
+
+/// A meta-block whose `tx_root` is the Merkle root of its body (see the
+/// module docs): made by [`MetaBlock::seal`] or by
+/// [`crate::ledger::Ledger::verify_meta`], taken by
+/// [`crate::ledger::Ledger::append`].
+#[derive(Debug, PartialEq)]
+pub struct VerifiedMeta(MetaBlock);
+
+impl VerifiedMeta {
+    /// `block` if its root is the root of its body.
+    pub(crate) fn check(block: MetaBlock) -> Option<VerifiedMeta> {
+        (MetaBlock::compute_tx_root(&block.txs) == block.tx_root).then_some(VerifiedMeta(block))
+    }
+
+    /// Gives up the proof: the block.
+    pub(crate) fn into_block(self) -> MetaBlock {
+        self.0
     }
 }
 

@@ -3,8 +3,13 @@
 //! an epoch are pruned once that epoch's sync-transaction is confirmed on
 //! the mainchain (paper §IV-C "Sidechain pruning"). Summary-blocks are
 //! permanent checkpoints.
+//!
+//! A meta-block is appended as a [`VerifiedMeta`]: the miner's
+//! [`MetaBlock::seal`] or a receiver's [`Ledger::verify_meta`] has hashed
+//! its body once, so [`Ledger::append`] checks only where it goes in the
+//! chain. [`Ledger::append_meta`] verifies and appends in one call.
 
-use crate::block::{MetaBlock, SummaryBlock};
+use crate::block::{MetaBlock, SummaryBlock, VerifiedMeta};
 use ammboost_crypto::H256;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -176,6 +181,7 @@ pub struct Ledger {
     /// its last summary on first use: that id hashes the whole summary,
     /// megabytes at 50 000 users, which a fast sync need not wait for.
     tip: OnceLock<H256>,
+    /// Round of the tip meta-block (`None` right after a summary).
     tip_round: Option<u64>,
     current_bytes: u64,
     peak_bytes: u64,
@@ -251,18 +257,13 @@ impl Ledger {
         self.open_epoch()
     }
 
-    /// Round of the tip meta-block (`None` right after a summary).
-    pub fn tip_round(&self) -> Option<u64> {
-        self.tip_round
-    }
-
     /// Epochs that still hold unpruned meta-blocks, ascending.
     pub fn meta_epochs(&self) -> Vec<u64> {
         self.meta.keys().copied().collect()
     }
 
     /// `true` when `epoch` has a sealed summary block.
-    pub fn has_summary(&self, epoch: u64) -> bool {
+    fn has_summary(&self, epoch: u64) -> bool {
         self.summaries.iter().any(|s| s.epoch == epoch)
     }
 
@@ -399,13 +400,23 @@ impl Ledger {
         })
     }
 
-    /// Validates a meta-block against the tip (the `VerifyBlock` predicate
-    /// for `btype = meta`).
+    /// Validates a received meta-block against the tip (the `VerifyBlock`
+    /// predicate for `btype = meta`): it must chain onto the tip, and its
+    /// root must be the root of its body. The block comes back as the
+    /// [`VerifiedMeta`] [`Ledger::append`] takes.
     ///
     /// # Errors
     /// Returns the specific chaining/content violation.
     #[doc(alias = "VerifyBlock")]
-    pub fn verify_meta(&self, block: &MetaBlock) -> Result<(), BlockError> {
+    pub fn verify_meta(&self, block: MetaBlock) -> Result<VerifiedMeta, BlockError> {
+        self.check_chain(&block)?;
+        VerifiedMeta::check(block).ok_or(BlockError::BadTxRoot)
+    }
+
+    /// Checks that `block` is the next meta-block of the tip's epoch: its
+    /// parent is the tip, its epoch the open one, its round the one after
+    /// the tip's.
+    fn check_chain(&self, block: &MetaBlock) -> Result<(), BlockError> {
         if block.parent != self.tip() {
             return Err(BlockError::BadParent {
                 expected: self.tip(),
@@ -430,23 +441,33 @@ impl Ledger {
                 ),
             });
         }
-        if MetaBlock::compute_tx_root(&block.txs) != block.tx_root {
-            return Err(BlockError::BadTxRoot);
-        }
         Ok(())
     }
 
-    /// Appends a validated meta-block.
+    /// Appends a meta-block whose root is known to be right. Its place in
+    /// the chain is checked again, since the tip may have moved since the
+    /// block was sealed or verified; its body is not hashed again.
     ///
     /// # Errors
-    /// Propagates [`Ledger::verify_meta`] failures.
-    pub fn append_meta(&mut self, block: MetaBlock) -> Result<(), BlockError> {
-        self.verify_meta(&block)?;
+    /// [`BlockError::BadParent`] or [`BlockError::BadSequence`] when the
+    /// block does not chain onto the tip.
+    pub fn append(&mut self, block: VerifiedMeta) -> Result<(), BlockError> {
+        let block = block.into_block();
+        self.check_chain(&block)?;
         self.tip = OnceLock::from(block.id());
         self.tip_round = Some(block.round);
         self.add_bytes(block.size_bytes() as u64);
         self.meta.entry(block.epoch).or_default().push(block);
         Ok(())
+    }
+
+    /// [`Ledger::verify_meta`], then [`Ledger::append`].
+    ///
+    /// # Errors
+    /// Propagates [`Ledger::verify_meta`] failures.
+    pub fn append_meta(&mut self, block: MetaBlock) -> Result<(), BlockError> {
+        let verified = self.verify_meta(block)?;
+        self.append(verified)
     }
 
     /// Validates a summary-block for the current epoch (the `VerifyBlock`
@@ -605,9 +626,10 @@ mod tests {
         assert_eq!(l.meta_block_count(), 3);
         assert!(l.size_bytes() > 3000);
         // `VerifyBlock` alone: an empty block on the tip verifies
+        let empty = MetaBlock::new(1, 3, l.tip(), vec![]);
         assert_eq!(
-            l.verify_meta(&MetaBlock::new(1, 3, l.tip(), vec![])),
-            Ok(())
+            l.verify_meta(empty.clone()).map(VerifiedMeta::into_block),
+            Ok(empty)
         );
     }
 
@@ -616,7 +638,7 @@ mod tests {
         let mut l = ledger_with_epoch();
         let bad = MetaBlock::new(1, 3, H256::hash(b"fork"), vec![tx(9)]);
         assert!(matches!(
-            l.verify_meta(&bad),
+            l.verify_meta(bad.clone()),
             Err(BlockError::BadParent { .. })
         ));
         assert!(matches!(
@@ -640,7 +662,78 @@ mod tests {
         let mut l = ledger_with_epoch();
         let mut bad = MetaBlock::new(1, 3, l.tip(), vec![tx(9)]);
         bad.tx_root = H256::hash(b"forged");
+        assert_eq!(l.verify_meta(bad.clone()), Err(BlockError::BadTxRoot));
         assert_eq!(l.append_meta(bad), Err(BlockError::BadTxRoot));
+    }
+
+    #[test]
+    fn tampered_body_rejected() {
+        let mut l = ledger_with_epoch();
+        let mut bad = MetaBlock::new(1, 3, l.tip(), vec![tx(9), tx(10)]);
+        bad.txs[1] = tx(11);
+        let before = l.export_state();
+        assert_eq!(l.verify_meta(bad.clone()), Err(BlockError::BadTxRoot));
+        assert_eq!(l.append_meta(bad), Err(BlockError::BadTxRoot));
+        assert_eq!(l.export_state(), before, "nothing appended");
+    }
+
+    #[test]
+    fn verified_block_is_refused_once_the_tip_moves() {
+        let mut l = ledger_with_epoch();
+        let (tip, round) = (l.tip(), 3);
+        let first = MetaBlock::seal(1, round, tip, vec![tx(9)]);
+        let received = l.verify_meta(MetaBlock::new(1, round, tip, vec![tx(10)]));
+        let (sealed, received) = (
+            MetaBlock::seal(1, round, tip, vec![tx(11)]),
+            received.unwrap(),
+        );
+        l.append(first).unwrap();
+        // both were right for the old tip: chaining is checked on append
+        assert!(matches!(
+            l.append(sealed),
+            Err(BlockError::BadParent { .. })
+        ));
+        assert!(matches!(
+            l.append(received),
+            Err(BlockError::BadParent { .. })
+        ));
+        assert_eq!(l.meta_block_count(), 4);
+        // a block sealed for the wrong round is refused as well
+        let skipped = MetaBlock::seal(1, round + 2, l.tip(), vec![tx(12)]);
+        assert!(matches!(
+            l.append(skipped),
+            Err(BlockError::BadSequence { .. })
+        ));
+    }
+
+    /// Keccak-f permutations `f` runs on this thread.
+    fn permutations_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = ammboost_crypto::keccak::permutations();
+        let out = f();
+        (ammboost_crypto::keccak::permutations() - before, out)
+    }
+
+    #[test]
+    fn a_block_body_is_hashed_once_per_path() {
+        let mut l = ledger_with_epoch();
+        let body: Vec<ExecutedTx> = (0..13).map(tx).collect();
+        let (root, _) = permutations_of(|| MetaBlock::compute_tx_root(&body));
+        // thirteen single-block ids, then 7 + 4 + 2 + 1 parent nodes
+        assert_eq!(root, 13 + 14);
+        let mut probe = MetaBlock::new(1, 3, l.tip(), vec![]);
+        let (id, _) = permutations_of(|| probe.id());
+        assert_eq!(id, 1);
+        // the miner: one root pass to seal, the id on append
+        let (sealing, sealed) = permutations_of(|| MetaBlock::seal(1, 3, l.tip(), body.clone()));
+        assert_eq!(sealing, root);
+        let (appending, ok) = permutations_of(|| l.append(sealed));
+        assert_eq!((appending, ok), (id, Ok(())));
+        // a receiver: one root pass to verify, the id on append
+        probe = MetaBlock::new(1, 4, l.tip(), body);
+        let (verifying, verified) = permutations_of(|| l.verify_meta(probe));
+        assert_eq!(verifying, root);
+        let (appending, ok) = permutations_of(|| l.append(verified.unwrap()));
+        assert_eq!((appending, ok), (id, Ok(())));
     }
 
     #[test]
@@ -684,7 +777,7 @@ mod tests {
         // mid-epoch: the open epoch's blocks are the retained view
         let mid = Ledger::from_state(l.export_state()).unwrap();
         assert_eq!(mid.export_state(), l.export_state());
-        assert_eq!((mid.tip(), mid.tip_round()), (l.tip(), Some(2)));
+        assert_eq!((mid.tip(), mid.tip_round), (l.tip(), Some(2)));
         let s = summary_for(&l, 1);
         l.append_summary(s).unwrap();
         // epoch 1's blocks are summarised: retention drops them, and a
@@ -704,7 +797,7 @@ mod tests {
         let mut restored = Ledger::from_state(state).unwrap();
         assert_eq!(restored.tip(), l.tip(), "derived from the last summary");
         assert_eq!(restored.tip_epoch(), 2);
-        assert_eq!(restored.tip_round(), None);
+        assert_eq!(restored.tip_round, None);
         assert_eq!(restored.size_bytes(), l.size_bytes());
         assert_eq!(restored.peak_bytes(), l.size_bytes(), "peak is node-local");
         assert_eq!(restored.meta_epochs(), l.meta_epochs());

@@ -374,32 +374,6 @@ impl CheckpointStore {
         self.fold()
     }
 
-    /// Epoch of the store's tip (last installed commit, full or delta).
-    pub fn committed_epoch(&self) -> Option<u64> {
-        self.committed_epoch
-    }
-
-    /// Root of the store's tip.
-    pub fn tip_root(&self) -> Option<H256> {
-        self.tip_root
-    }
-
-    /// Raw bytes of the last *full* snapshot (what a provider would
-    /// serve as a sync base; installed deltas live in the chain on top).
-    pub fn latest_bytes(&self) -> Option<&[u8]> {
-        self.committed.as_deref()
-    }
-
-    /// Installed delta links since the last full snapshot.
-    pub fn chain_len(&self) -> usize {
-        self.chain.len()
-    }
-
-    /// Durable bytes in the delta chain.
-    pub fn chain_bytes(&self) -> u64 {
-        self.chain.iter().map(|b| b.len() as u64).sum()
-    }
-
     /// Whether an interrupted commit is pending recovery.
     pub fn is_torn(&self) -> bool {
         self.staged.is_some() || self.mark.is_some()
@@ -460,7 +434,7 @@ mod tests {
         let mut store = CheckpointStore::new();
         assert_eq!(store.latest().err(), Some(StoreError::NothingCommitted));
         assert_eq!(store.commit(&snap(1), None).unwrap(), 1);
-        assert_eq!(store.committed_epoch(), Some(1));
+        assert_eq!(store.committed_epoch, Some(1));
         assert_eq!(store.latest().unwrap(), snap(1));
         assert!(!store.is_torn());
         assert_eq!(store.recover(), RecoveryOutcome::Clean);
@@ -508,7 +482,7 @@ mod tests {
                 marked: false
             }
         );
-        assert_eq!(store.committed_epoch(), Some(1));
+        assert_eq!(store.committed_epoch, Some(1));
     }
 
     #[test]
@@ -541,11 +515,11 @@ mod tests {
         store.commit(&evolving(1), None).unwrap();
         store.commit_delta(&delta(1, 2), None).unwrap();
         store.commit_delta(&delta(2, 3), None).unwrap();
-        assert_eq!(store.chain_len(), 2);
-        assert_eq!(store.committed_epoch(), Some(3));
-        assert_eq!(store.tip_root(), Some(evolving(3).root()));
+        assert_eq!(store.chain.len(), 2);
+        assert_eq!(store.committed_epoch, Some(3));
+        assert_eq!(store.tip_root, Some(evolving(3).root()));
         assert_eq!(store.latest().unwrap(), evolving(3));
-        assert!(store.chain_bytes() > 0);
+        assert!(store.chain.iter().all(|link| !link.is_empty()));
     }
 
     #[test]
@@ -571,14 +545,14 @@ mod tests {
         store.commit(&evolving(1), None).unwrap();
         store.commit_delta(&delta(1, 2), None).unwrap();
         store.commit_delta(&delta(2, 3), None).unwrap();
-        assert_eq!(store.chain_len(), 2);
+        assert_eq!(store.chain.len(), 2);
         assert_eq!(store.compactions(), 0);
         store.commit_delta(&delta(3, 4), None).unwrap();
-        assert_eq!(store.chain_len(), 0, "threshold reached, chain folded");
+        assert_eq!(store.chain.len(), 0, "threshold reached, chain folded");
         assert_eq!(store.compactions(), 1);
         // the committed slot now holds the folded full snapshot
         assert_eq!(
-            Snapshot::decode(store.latest_bytes().unwrap()).unwrap(),
+            Snapshot::decode(store.committed.as_deref().unwrap()).unwrap(),
             evolving(4)
         );
         // and the chain keeps growing from the new base
@@ -592,7 +566,7 @@ mod tests {
         store.commit(&evolving(1), None).unwrap();
         store.commit_delta(&delta(1, 2), None).unwrap();
         store.commit(&evolving(7), None).unwrap();
-        assert_eq!(store.chain_len(), 0);
+        assert_eq!(store.chain.len(), 0);
         assert_eq!(store.latest().unwrap(), evolving(7));
     }
 
@@ -627,6 +601,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(store.recover(), RecoveryOutcome::RolledForward { epoch: 2 });
         assert_eq!(store.latest().unwrap(), evolving(2));
-        assert_eq!(store.chain_len(), 1);
+        assert_eq!(store.chain.len(), 1);
     }
 }
