@@ -9,7 +9,8 @@
 //! that hold in release builds too.
 //!
 //! Random mint/burn/swap/collect sequences — including `ExactOutput`
-//! budgets and price-limit early exits — are replayed on one pool. After
+//! budgets, price-limit early exits, and whole burns that remove a tick
+//! later swaps must no longer cross — are replayed on one pool. After
 //! every operation the committed tick must be the tick of the committed
 //! price; at the end a pool restored from the exported state must quote
 //! bit-identically. (That the index tracks the tick table and equals a
@@ -71,7 +72,7 @@ enum Op {
     },
     Burn {
         slot: u8,
-        fraction_bp: u16,
+        share: Share,
     },
     Collect {
         slot: u8,
@@ -82,6 +83,17 @@ enum Op {
         amount: u128,
         limit: Limit,
     },
+}
+
+/// How much of a position a burn takes. A whole burn empties it, which
+/// releases its ticks (and clears their bitmap bits) unless another
+/// position still references them.
+#[derive(Clone, Debug)]
+enum Share {
+    All,
+    Half,
+    /// `(held / 10 000) · bp`: rarely the whole position.
+    BasisPoints(u16),
 }
 
 fn limit_strategy() -> impl Strategy<Value = Limit> {
@@ -124,7 +136,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 amount,
             }
         }),
-        (0u8..4, 1u16..10_001).prop_map(|(slot, fraction_bp)| Op::Burn { slot, fraction_bp }),
+        (0u8..4, 1u16..10_001).prop_map(|(slot, bp)| Op::Burn {
+            slot,
+            share: Share::BasisPoints(bp),
+        }),
+        (0u8..4, any::<bool>()).prop_map(|(slot, all)| Op::Burn {
+            slot,
+            share: if all { Share::All } else { Share::Half },
+        }),
         (0u8..4).prop_map(|slot| Op::Collect { slot }),
         swap_strategy(),
         swap_strategy(),
@@ -155,9 +174,13 @@ fn apply(pool: &mut Pool, op: &Op) {
             };
             let _ = pool.mint(pid(slot), owner(slot), lower, upper, amount, amount);
         }
-        Op::Burn { slot, fraction_bp } => {
+        Op::Burn { slot, ref share } => {
             let held = pool.position(&pid(slot)).map(|p| p.liquidity).unwrap_or(0);
-            let burn = (held / 10_000) * fraction_bp as u128;
+            let burn = match *share {
+                Share::All => held,
+                Share::Half => held / 2,
+                Share::BasisPoints(bp) => (held / 10_000) * bp as u128,
+            };
             if burn > 0 {
                 let _ = pool.burn(pid(slot), owner(slot), burn);
             }

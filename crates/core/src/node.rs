@@ -373,7 +373,7 @@ impl Node {
 
     /// The execute path of [`Node::step_round`]. [`crate::System`]'s
     /// end-of-run drain calls it directly, mining no meta-block; ROADMAP
-    /// item 4(b) folds the drain into ordinary epochs and makes this
+    /// item 28 folds the drain into ordinary epochs and makes this
     /// private again.
     pub(crate) fn execute(
         &mut self,
@@ -446,7 +446,7 @@ impl Node {
     /// Ends the epoch on the processor and publishes the sealed state for
     /// readers before anything else can mutate it. [`crate::System`]'s
     /// drain calls it directly, appending no summary block; ROADMAP item
-    /// 4(b) makes it private again.
+    /// 28 makes it private again.
     pub(crate) fn seal(&mut self, epoch: u64) -> EpochOutput {
         let (payouts, positions, pools) = self.processor.end_epoch();
         let (view, stats) = self.processor.publish_view(epoch);

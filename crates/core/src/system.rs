@@ -32,6 +32,20 @@
 //! unchanged. [`SystemReport::backlog_peak`] and
 //! [`SystemReport::backlog_peak_bytes`] report the queue's high-water
 //! mark.
+//!
+//! ## The election runs an epoch ahead
+//! In the paper every Sync carries the next committee's key
+//! (`SyncInput::next_vk`, §IV-C), so epoch e + 1's committee is settled
+//! while epoch e is still running. The world elects the same way: the
+//! sortition for epoch e + 1 (every miner's VRF ticket drawn, every ticket
+//! verified, the best seated) runs on an `election` thread while the
+//! calling thread executes epoch e, and epoch 1's runs beside the deposit
+//! phase. `run_epoch` joins it before the epoch's first round and re-raises
+//! a panic from it there. A committee is a function of the run's seed, the
+//! epoch and the miners alone, so it does not matter which thread draws
+//! it: every committee, and every figure that follows, is what an inline
+//! election gives. With the quote reader (`Node::serve_quotes`) this is
+//! the second thread beside the calling one.
 
 use crate::backlog::Backlog;
 use crate::config::{DepositPolicy, SystemConfig};
@@ -63,6 +77,7 @@ use ammboost_workload::{GeneratorConfig, TrafficGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 /// Everything a run measures (the §VI-A metric list).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -167,6 +182,31 @@ struct RollbackBackup {
     synced_through: u64,
 }
 
+/// What a committee election reads: the miner records, their VRF keys
+/// (`sks[i]` is the key of `miners[i]`), the run's seed and the number
+/// of seats. Shared with the election thread, which reads it only.
+struct Electorate {
+    seed: u64,
+    seats: usize,
+    miners: Vec<MinerRecord>,
+    sks: Vec<VrfSecretKey>,
+}
+
+impl Electorate {
+    /// `epoch`'s committee by validated VRF sortition: every miner draws a
+    /// ticket, and every ticket is verified before a seat is assigned.
+    fn elect(&self, epoch: u64) -> Committee {
+        let seed = H256::hash_concat(&[
+            b"epoch-seed",
+            &self.seed.to_be_bytes(),
+            &epoch.to_be_bytes(),
+        ]);
+        let tickets = draw_tickets(&self.sks, &self.miners, &seed, epoch);
+        elect_committee(&self.miners, &tickets, &seed, epoch, self.seats)
+            .expect("population exceeds committee size")
+    }
+}
+
 /// The world a [`Node`] runs in: traffic, miners and the election, the
 /// mainchain with TokenBank and both ERC-20s, the committee keys and the
 /// syncs they certify, the clock and the fault plan. [`System::run`]
@@ -180,8 +220,10 @@ pub struct System {
     token0: Erc20,
     token1: Erc20,
     generator: TrafficGenerator,
-    miners: Vec<MinerRecord>,
-    miner_sks: Vec<VrfSecretKey>,
+    electorate: Arc<Electorate>,
+    /// The election running ahead on its own thread: the epoch it elects
+    /// for, and the thread that returns that epoch's committee.
+    election: Option<(u64, JoinHandle<Committee>)>,
     agreement: AgreementModel,
     /// Shares matching the vk currently registered in TokenBank.
     registered_shares: DkgOutput,
@@ -298,6 +340,12 @@ impl System {
         // the node seals genesis: readers can quote against the seeded
         // pools before epoch 1 executes
         let genesis_ref = H256::hash(b"mainchain-block-containing-token-bank");
+        let electorate = Electorate {
+            seed: cfg.seed,
+            seats: cfg.committee_size.min(miners.len()),
+            miners,
+            sks: miner_sks,
+        };
         System {
             node: Node::new(processor, Ledger::new(genesis_ref)),
             chain: Mainchain::new(cfg.mainchain),
@@ -305,8 +353,8 @@ impl System {
             token0,
             token1,
             generator,
-            miners,
-            miner_sks,
+            electorate: Arc::new(electorate),
+            election: None,
             agreement: AgreementModel::default(),
             registered_shares: genesis_dkg,
             next_dkg,
@@ -393,7 +441,11 @@ impl System {
         let warmup = SimDuration::from_secs(60);
         let t0 = SimTime::ZERO + warmup;
 
-        // deposits backing epoch 1 (and the committee for epoch 1)
+        // epoch 1's committee is elected while the deposits backing
+        // epoch 1 are placed
+        if self.cfg.epochs >= 1 {
+            self.elect_ahead(1);
+        }
         self.submit_deposits(SimTime::ZERO, 1);
         self.chain.advance_to(t0);
         self.handle_confirmations();
@@ -484,18 +536,35 @@ impl System {
         self.node.last_checkpoint()
     }
 
+    /// Starts electing `epoch`'s committee on the election thread.
+    fn elect_ahead(&mut self, epoch: u64) {
+        debug_assert!(self.election.is_none(), "one election runs ahead at a time");
+        let electorate = Arc::clone(&self.electorate);
+        let thread = thread::Builder::new()
+            .name("election".into())
+            .spawn(move || electorate.elect(epoch))
+            .expect("spawn the election thread");
+        self.election = Some((epoch, thread));
+    }
+
+    /// Waits for `epoch`'s committee from the election thread; a panic
+    /// there is raised again here.
+    fn elected(&mut self, epoch: u64) -> Committee {
+        let (elects, thread) = self.election.take().expect("every epoch is elected ahead");
+        assert_eq!(elects, epoch, "the election ahead is for another epoch");
+        thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
     fn run_epoch(&mut self, epoch: u64, epoch_start: SimTime) {
-        // --- committee election (validated VRF sortition) ---
-        let seed = H256::hash_concat(&[
-            b"epoch-seed",
-            &self.cfg.seed.to_be_bytes(),
-            &epoch.to_be_bytes(),
-        ]);
-        let committee_size = self.cfg.committee_size.min(self.miners.len());
-        let tickets = draw_tickets(&self.miner_sks, &self.miners, &seed, epoch);
-        let committee = elect_committee(&self.miners, &tickets, &seed, epoch, committee_size)
-            .expect("population exceeds committee size");
+        // --- committee handover: this epoch's was elected during the
+        // last one; the next one's is elected while this one runs ---
+        let committee = self.elected(epoch);
         self.committees.push(committee);
+        if epoch < self.cfg.epochs {
+            self.elect_ahead(epoch + 1);
+        }
 
         self.begin_node_epoch(epoch);
 
@@ -1223,6 +1292,67 @@ mod tests {
         );
         // and the restored ledger is the live one as retention leaves it
         assert_eq!(node.ledger().export_state(), sys.ledger().retained_state());
+    }
+
+    /// Each epoch's committee, elected on the election thread while the
+    /// epoch before it ran, is the one the sortition draws inline for that
+    /// epoch, members and proofs: on a clean run, and under a silent
+    /// leader, a refused sync (a mass-sync follows) and a rollback. No
+    /// election is left running when `run` returns.
+    #[test]
+    fn committees_elected_ahead_match_inline_sortition() {
+        let faults = FaultPlan {
+            silent_leader_epochs: [1].into(),
+            invalid_sync_epochs: [2].into(),
+            rollback_epochs: [3].into(),
+            ..FaultPlan::default()
+        };
+        for faults in [FaultPlan::default(), faults] {
+            let mut cfg = small();
+            cfg.faults = faults.clone();
+            let mut sys = System::new(cfg.clone());
+            let report = sys.run();
+            if !faults.is_empty() {
+                assert!(report.view_changes >= 1, "{report:?}");
+                assert!(report.mass_syncs >= 1, "{report:?}");
+            }
+            assert!(sys.election.is_none(), "an election outlived the run");
+            assert_eq!(sys.committees().len() as u64, cfg.epochs);
+            let electorate = &sys.electorate;
+            let seats = cfg.committee_size.min(cfg.miner_population);
+            for epoch in 1..=cfg.epochs {
+                let seed = H256::hash_concat(&[
+                    b"epoch-seed",
+                    &cfg.seed.to_be_bytes(),
+                    &epoch.to_be_bytes(),
+                ]);
+                let tickets = draw_tickets(&electorate.sks, &electorate.miners, &seed, epoch);
+                let inline = elect_committee(&electorate.miners, &tickets, &seed, epoch, seats)
+                    .expect("enough miners");
+                let ahead = &sys.committees()[epoch as usize - 1];
+                assert_eq!(ahead.epoch, epoch);
+                assert_eq!(ahead.members, inline.members, "{faults:?} epoch {epoch}");
+                assert_eq!(ahead.proofs.len(), inline.proofs.len());
+                for (a, b) in ahead.proofs.iter().zip(&inline.proofs) {
+                    assert_eq!(
+                        (a.miner, a.epoch, a.output, a.proof),
+                        (b.miner, b.epoch, b.output, b.proof),
+                        "{faults:?} epoch {epoch}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A panic on the election thread is raised again where the world
+    /// waits for the committee.
+    #[test]
+    #[should_panic(expected = "sortition failed")]
+    fn committee_handover_reraises_an_election_panic() {
+        let mut sys = System::new(small());
+        let thread = thread::spawn(|| -> Committee { panic!("sortition failed") });
+        sys.election = Some((1, thread));
+        sys.elected(1);
     }
 
     #[test]

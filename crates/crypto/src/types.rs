@@ -233,28 +233,25 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Decodes a hex string (with or without `0x` prefix).
-///
-/// # Errors
-/// Returns `None` on odd length or non-hex characters.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    let s = s.strip_prefix("0x").unwrap_or(s);
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a hex string (with or without `0x` prefix): `None` on odd
+    /// length or a non-hex character.
+    fn from_hex(s: &str) -> Option<Vec<u8>> {
+        let s = s.strip_prefix("0x").unwrap_or(s);
+        if !s.len().is_multiple_of(2) {
+            return None;
+        }
+        let mut out = Vec::with_capacity(s.len() / 2);
+        for pair in s.as_bytes().chunks(2) {
+            let hi = (pair[0] as char).to_digit(16)?;
+            let lo = (pair[1] as char).to_digit(16)?;
+            out.push(((hi << 4) | lo) as u8);
+        }
+        Some(out)
+    }
 
     #[test]
     fn hash_and_display() {

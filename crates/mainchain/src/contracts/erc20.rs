@@ -56,7 +56,7 @@ impl Erc20 {
     }
 
     /// Remaining allowance from `owner` to `spender`.
-    pub fn allowance(&self, owner: &Address, spender: &Address) -> u128 {
+    fn allowance(&self, owner: &Address, spender: &Address) -> u128 {
         self.allowances
             .get(&(*owner, *spender))
             .copied()

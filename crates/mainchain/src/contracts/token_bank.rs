@@ -302,11 +302,6 @@ impl TokenBank {
         self.expected_epoch
     }
 
-    /// The currently registered committee key.
-    pub fn committee_key(&self) -> Option<&PublicKey> {
-        self.vk_current.as_ref()
-    }
-
     /// A user's deposit balances `(token0, token1)` backing `epoch`.
     pub fn deposit_of(&self, user: &Address, epoch: u64) -> (u128, u128) {
         self.deposits

@@ -1,6 +1,6 @@
-//! The network substrate: Δ-bounded point-to-point delivery over links of
-//! fixed bandwidth, plus the fan-out/fan-in cost primitives the PBFT
-//! latency model composes (paper: 1 Gbps links, bounded-delay model §III).
+//! The network substrate: links of fixed bandwidth under a Δ delay
+//! bound, with the transmit and vote-collection costs the PBFT latency
+//! model composes (paper: 1 Gbps links, bounded-delay model §III).
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -41,21 +41,6 @@ impl NetworkModel {
         SimDuration::from_millis(bits.saturating_mul(1000) / self.bandwidth_bps)
     }
 
-    /// One point-to-point message of `bytes`: transmit + propagate +
-    /// receiver overhead.
-    pub fn point_to_point(&self, bytes: usize) -> SimDuration {
-        self.transmit_time(bytes)
-            + SimDuration::from_millis(self.delta_ms)
-            + SimDuration::from_millis(self.per_message_overhead_us / 1000)
-    }
-
-    /// Leader broadcast of `bytes` to `n` receivers over one uplink: the
-    /// leader serializes each copy sequentially (bandwidth-bound), then the
-    /// last copy still propagates for Δ.
-    pub fn leader_broadcast(&self, n: usize, bytes: usize) -> SimDuration {
-        self.transmit_time(bytes).saturating_mul(n as u64) + SimDuration::from_millis(self.delta_ms)
-    }
-
     /// Vote collection: `n` senders each push `bytes` into the leader's
     /// downlink (serialized at the leader), plus Δ for the earliest votes
     /// and per-message processing at the leader.
@@ -77,20 +62,6 @@ mod tests {
         assert_eq!(net.transmit_time(1_000_000).as_millis(), 8);
         assert_eq!(net.transmit_time(2_000_000).as_millis(), 16);
         assert_eq!(net.transmit_time(0).as_millis(), 0);
-    }
-
-    #[test]
-    fn point_to_point_includes_delta() {
-        let net = NetworkModel::paper_cluster();
-        assert!(net.point_to_point(100).as_millis() >= net.delta_ms);
-    }
-
-    #[test]
-    fn broadcast_scales_with_fanout() {
-        let net = NetworkModel::paper_cluster();
-        let small = net.leader_broadcast(10, 1_000_000);
-        let large = net.leader_broadcast(100, 1_000_000);
-        assert!(large.as_millis() > small.as_millis() * 5);
     }
 
     #[test]

@@ -94,14 +94,6 @@ impl DetRng {
         };
         -u.ln() / rate
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range_u64(0, (i + 1) as u64) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,17 +152,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(rate)).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut r = DetRng::new(6);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

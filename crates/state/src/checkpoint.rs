@@ -294,7 +294,7 @@ impl Checkpointer {
 
     /// Whether `pool` must be re-encoded at the next checkpoint (an
     /// uncached pool counts as dirty).
-    pub fn is_dirty(&self, pool: PoolId) -> bool {
+    fn is_dirty(&self, pool: PoolId) -> bool {
         self.dirty.contains(&pool.0) || !self.cache.contains_key(&SectionKind::Pool(pool.0))
     }
 

@@ -131,13 +131,6 @@ pub struct SectionDelta {
     pub pages: Vec<PageDiff>,
 }
 
-impl SectionDelta {
-    /// Payload bytes this delta ships for its section.
-    pub fn page_bytes(&self) -> u64 {
-        self.pages.iter().map(|p| p.bytes.len() as u64).sum()
-    }
-}
-
 /// The difference between two committed snapshots, addressable and
 /// verifiable page by page. See the module docs for the trust chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -271,7 +264,8 @@ impl DeltaSnapshot {
     /// Payload bytes shipped across all section deltas (the dominant
     /// part of the wire size).
     pub fn payload_bytes(&self) -> u64 {
-        self.deltas.iter().map(SectionDelta::page_bytes).sum()
+        let pages = self.deltas.iter().flat_map(|d| &d.pages);
+        pages.map(|p| p.bytes.len() as u64).sum()
     }
 
     /// Changed pages across all sections.

@@ -307,7 +307,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff waited before attempt `attempt` (0-based; the first
     /// attempt waits nothing).
-    pub fn backoff_before(&self, attempt: u32) -> SimDuration {
+    fn backoff_before(&self, attempt: u32) -> SimDuration {
         if attempt == 0 {
             SimDuration::ZERO
         } else {
