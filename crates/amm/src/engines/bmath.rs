@@ -7,7 +7,7 @@
 //! products never silently truncate. The power function splits an
 //! arbitrary exponent into an integer part (exact square-and-multiply,
 //! [`bpowi`]) and a fractional part approximated by the binomial series
-//! ([`bpow_approx`]), exactly as Balancer's `BNum` does — the same
+//! (`bpow_approx`), exactly as Balancer's `BNum` does — the same
 //! alternating-sign term recurrence, the same half-up rounding, the same
 //! base domain `[MIN_BPOW_BASE, MAX_BPOW_BASE]`.
 //! Deterministic integer math throughout: no floats, no platform drift.
@@ -142,7 +142,7 @@ pub fn bpowi(base: u128, mut n: u128) -> Result<u128, AmmError> {
 /// `base^exp` for fractional `exp ∈ [0, BONE)` via the binomial series
 /// `(1 + x)^α = Σ C(α, k)·x^k` with `x = base − 1`, truncated once a term
 /// drops below `precision`.
-pub fn bpow_approx(base: u128, exp: u128, precision: u128) -> Result<u128, AmmError> {
+fn bpow_approx(base: u128, exp: u128, precision: u128) -> Result<u128, AmmError> {
     let a = exp;
     let (x, xneg) = bsub_sign(base, BONE);
     let mut term = BONE;

@@ -30,7 +30,7 @@ fn q96() -> U256 {
 
 /// Liquidity purchasable with `amount0` across `[sqrt_lo, sqrt_hi]`:
 /// `L = amount0 * (sqrt_lo * sqrt_hi / 2^96) / (sqrt_hi - sqrt_lo)`.
-pub fn liquidity_for_amount0(sqrt_lo: U256, sqrt_hi: U256, amount0: Amount) -> Liquidity {
+fn liquidity_for_amount0(sqrt_lo: U256, sqrt_hi: U256, amount0: Amount) -> Liquidity {
     let (lo, hi) = sort(sqrt_lo, sqrt_hi);
     if hi == lo {
         return 0;
@@ -44,7 +44,7 @@ pub fn liquidity_for_amount0(sqrt_lo: U256, sqrt_hi: U256, amount0: Amount) -> L
 
 /// Liquidity purchasable with `amount1` across `[sqrt_lo, sqrt_hi]`:
 /// `L = amount1 * 2^96 / (sqrt_hi - sqrt_lo)`.
-pub fn liquidity_for_amount1(sqrt_lo: U256, sqrt_hi: U256, amount1: Amount) -> Liquidity {
+fn liquidity_for_amount1(sqrt_lo: U256, sqrt_hi: U256, amount1: Amount) -> Liquidity {
     let (lo, hi) = sort(sqrt_lo, sqrt_hi);
     if hi == lo {
         return 0;

@@ -164,7 +164,7 @@ impl PositionRecords {
     }
 
     /// Decodes record `i` in full.
-    pub fn entry_at(&self, i: usize) -> (PositionId, Position) {
+    fn entry_at(&self, i: usize) -> (PositionId, Position) {
         unpack(self.record(i))
     }
 

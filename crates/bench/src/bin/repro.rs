@@ -50,8 +50,8 @@ const USAGE: &str = "usage: repro [--smoke] [--only <id>]";
 
 // Why a row is `model` or `open`, one line each.
 const DRAIN: &str =
-    "saturated: `drain_queue` settles the backlog as one giant epoch with one sync (ROADMAP 4(b))";
-const SHORT_EPOCHS: &str = "drained rounds mine no summary block, so short epochs lose less than 1/ω of capacity (`drain_queue`, ROADMAP 4(b))";
+    "saturated: `drain_queue` settles the backlog as one giant epoch with one sync (ROADMAP 28)";
+const SHORT_EPOCHS: &str = "drained rounds mine no summary block, so short epochs lose less than 1/ω of capacity (`drain_queue`, ROADMAP 28)";
 const AMMOP_DRAIN: &str = "saturated: ammOP's backlog drains after the run in 1.8 MB / 35 s batches, as ammBoost's does (ROADMAP 4(b))";
 const OFFERED_LOAD: &str = "below capacity this is the generated load over the 2 310 s run; the paper's is 0.57-0.73x its offered load (window not recoverable)";
 const HALF_ROUND: &str =

@@ -1,9 +1,9 @@
 //! # ammboost-bench
 //!
-//! The experiment harness: the `repro` ledger of the paper's numbers,
-//! the state and chaos drills (under `src/bin/`) and Criterion
-//! micro-benchmarks (under `benches/`). This library holds the shared
-//! console formatting and the benchmark pool builders.
+//! The experiment harness: the `repro` ledger of the paper's numbers
+//! (under `src/bin/`) and Criterion micro-benchmarks (under `benches/`).
+//! This library holds the ledger's section header and the benchmark
+//! pool builders.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -112,7 +112,7 @@ pub fn fragmented_ladder_pool(positions: u32) -> Pool {
 ///
 /// # Panics
 /// Panics if the ladder bottom is out of tick range (configuration error).
-pub fn ladder_sweep_limit(rungs: u32) -> U256 {
+fn ladder_sweep_limit(rungs: u32) -> U256 {
     sqrt_ratio_at_tick(LADDER_TOP_TICK - (rungs as i32) * 60).expect("ladder bottom in range")
 }
 
@@ -138,33 +138,9 @@ pub fn header(title: &str) {
     println!("==============================================================");
 }
 
-/// Prints a plain key/value line.
-pub fn line(label: &str, value: impl std::fmt::Display) {
-    println!("{label:<44} {value}");
-}
-
-/// Formats bytes with a unit.
-pub fn fmt_bytes(bytes: u64) -> String {
-    if bytes >= 1_000_000_000 {
-        format!("{:.2} GB", bytes as f64 / 1e9)
-    } else if bytes >= 1_000_000 {
-        format!("{:.2} MB", bytes as f64 / 1e6)
-    } else if bytes >= 1_000 {
-        format!("{:.2} KB", bytes as f64 / 1e3)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_bytes(500), "500 B");
-        assert_eq!(fmt_bytes(20_200_000_000), "20.20 GB");
-    }
 
     #[test]
     fn ladder_sweep_crosses_every_rung() {

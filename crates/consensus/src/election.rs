@@ -59,7 +59,8 @@ impl Committee {
     }
 
     /// The member's 1-based share index, if present.
-    pub fn share_index(&self, miner: u64) -> Option<u32> {
+    #[cfg(test)]
+    fn share_index(&self, miner: u64) -> Option<u32> {
         self.members
             .iter()
             .position(|&m| m == miner)

@@ -117,7 +117,7 @@ impl Replica {
     }
 
     /// Handles a message, returning outgoing broadcasts.
-    pub fn on_message(&mut self, msg: &Message) -> Vec<Message> {
+    fn on_message(&mut self, msg: &Message) -> Vec<Message> {
         if !self.is_honest() {
             return Vec::new();
         }
@@ -181,7 +181,7 @@ impl Replica {
     }
 
     /// Local timeout: no progress in the current view.
-    pub fn on_timeout(&mut self) -> Vec<Message> {
+    fn on_timeout(&mut self) -> Vec<Message> {
         if !self.is_honest() || self.decided.is_some() {
             return Vec::new();
         }
@@ -304,7 +304,8 @@ pub fn run_consensus(behaviors: &[Behavior], proposal: Digest, max_views: u64) -
 }
 
 /// Convenience: the committee size `3f + 2` for a fault budget.
-pub fn committee_size_for_faults(f: usize) -> usize {
+#[cfg(test)]
+fn committee_size_for_faults(f: usize) -> usize {
     3 * f + 2
 }
 

@@ -344,15 +344,6 @@ impl BaselineReport {
         // this hook exists for future itemization
         self
     }
-
-    /// Average gas per executed operation.
-    pub fn avg_gas_per_op(&self) -> f64 {
-        if self.executed == 0 {
-            0.0
-        } else {
-            self.total_gas as f64 / self.executed as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ impl Dealing {
     }
 
     /// Feldman check: `g2 * share == Σ_k C_k * index^k`.
-    pub fn verify_share(&self, share: &Share) -> bool {
+    fn verify_share(&self, share: &Share) -> bool {
         let mut expect = G2::IDENTITY;
         let x = Fr::from_u64(share.index as u64);
         let mut x_pow = Fr::ONE;
@@ -94,7 +94,7 @@ impl Dealing {
     }
 
     /// The dealer's committed constant term `g2 * a_0`.
-    pub fn constant_commitment(&self) -> G2 {
+    fn constant_commitment(&self) -> G2 {
         self.commitments[0]
     }
 

@@ -47,13 +47,8 @@ macro_rules! group_impl {
 
             /// Scalar multiplication `self * k` (i.e. `self^k` in
             /// multiplicative notation).
-            pub fn mul_scalar(&self, k: Fr) -> $name {
+            fn mul_scalar(&self, k: Fr) -> $name {
                 $name(self.0 * k)
-            }
-
-            /// Returns `true` for the identity element.
-            pub fn is_identity(&self) -> bool {
-                self.0.is_zero()
             }
 
             /// Hashes arbitrary bytes to a group element
@@ -76,7 +71,7 @@ macro_rules! group_impl {
             }
 
             /// Serialized length in bytes for this group.
-            pub const fn serialized_len() -> usize {
+            const fn serialized_len() -> usize {
                 $ser_len
             }
 
@@ -185,8 +180,7 @@ mod tests {
 
     #[test]
     fn generator_and_identity() {
-        assert!(G1::IDENTITY.is_identity());
-        assert!(!G1::generator().is_identity());
+        assert_ne!(G1::generator(), G1::IDENTITY);
         assert_eq!(G1::generator() + G1::IDENTITY, G1::generator());
     }
 

@@ -54,7 +54,8 @@ impl Polynomial {
     }
 
     /// Degree of the polynomial (`threshold - 1`).
-    pub fn degree(&self) -> usize {
+    #[cfg(test)]
+    fn degree(&self) -> usize {
         self.coeffs.len() - 1
     }
 
@@ -64,7 +65,7 @@ impl Polynomial {
     }
 
     /// Horner evaluation at `x`.
-    pub fn evaluate(&self, x: Fr) -> Fr {
+    fn evaluate(&self, x: Fr) -> Fr {
         let mut acc = Fr::ZERO;
         for &c in self.coeffs.iter().rev() {
             acc = acc * x + c;
@@ -73,7 +74,7 @@ impl Polynomial {
     }
 
     /// Evaluates at the 1-based integer index.
-    pub fn share_for(&self, index: u32) -> Share {
+    fn share_for(&self, index: u32) -> Share {
         assert!(index >= 1, "share indices are 1-based");
         Share {
             index,

@@ -216,7 +216,8 @@ impl QuorumCertificate {
     /// Serialized size on the mainchain in bytes: 64-byte signature (the
     /// `vk_c` itself is stored separately — 128 bytes — when the previous
     /// epoch registers it; see paper Table IV).
-    pub fn mainchain_signature_size(&self) -> usize {
+    #[cfg(test)]
+    fn mainchain_signature_size(&self) -> usize {
         64
     }
 }

@@ -162,7 +162,8 @@ pub struct DigestState {
 
 impl DigestState {
     /// A factory with an explicit seed, for tests.
-    pub const fn with_seed(seed: u64) -> DigestState {
+    #[cfg(test)]
+    const fn with_seed(seed: u64) -> DigestState {
         DigestState { seed }
     }
 }

@@ -99,7 +99,7 @@ impl U256 {
 
     /// Truncates to the low 64 bits.
     #[inline]
-    pub const fn low_u64(&self) -> u64 {
+    const fn low_u64(&self) -> u64 {
         self.0[0]
     }
 
@@ -113,16 +113,6 @@ impl U256 {
     pub fn to_u128(&self) -> Option<u128> {
         if self.0[2] == 0 && self.0[3] == 0 {
             Some(self.low_u128())
-        } else {
-            None
-        }
-    }
-
-    /// Converts to `u64` if the value fits.
-    #[inline]
-    pub fn to_u64(&self) -> Option<u64> {
-        if self.0[1] == 0 && self.0[2] == 0 && self.0[3] == 0 {
-            Some(self.0[0])
         } else {
             None
         }
@@ -268,15 +258,6 @@ impl U256 {
         (U256(first4(q)), U256(first4(r)))
     }
 
-    /// Checked division (`None` when dividing by zero).
-    pub fn checked_div(self, divisor: U256) -> Option<U256> {
-        if divisor.is_zero() {
-            None
-        } else {
-            Some(self.div_rem(divisor).0)
-        }
-    }
-
     /// `Some(k)` iff `self == 2^k` — the hot-path detector behind the
     /// shift fast paths in the `mul_div` family (fixed-point code divides
     /// by `2^96`/`2^128` constantly; a shift beats a long division by an
@@ -351,17 +332,6 @@ impl U256 {
             None => prod.div_rem_u256(div).0,
         };
         q.to_u256()
-    }
-
-    /// Computes `(self * mul) >> shift` with a 512-bit intermediate,
-    /// truncating. Used for Q128 fixed-point products.
-    ///
-    /// # Panics
-    /// Panics if the shifted result does not fit in 256 bits.
-    pub fn mul_shr(self, mul: U256, shift: u32) -> U256 {
-        let prod = self.full_mul(mul);
-        let shifted = prod >> shift;
-        shifted.to_u256().expect("mul_shr overflow")
     }
 
     /// Integer square root: the largest `r` with `r * r <= self`.
@@ -751,7 +721,7 @@ impl U512 {
     /// `true` when any of the lowest `k` bits is set — the remainder
     /// check behind the power-of-two divisor fast path.
     #[inline]
-    pub fn low_bits_nonzero(&self, k: u32) -> bool {
+    fn low_bits_nonzero(&self, k: u32) -> bool {
         let full = ((k / 64) as usize).min(8);
         if self.0[..full].iter().any(|&l| l != 0) {
             return true;

@@ -134,11 +134,6 @@ impl Mainchain {
         self.growth.total()
     }
 
-    /// The underlying growth series (for checkpoint plots).
-    pub fn growth_series(&self) -> &GrowthSeries {
-        &self.growth
-    }
-
     /// Number of transactions waiting in the mempool.
     pub fn mempool_len(&self) -> usize {
         self.pending.len()

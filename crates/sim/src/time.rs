@@ -52,7 +52,8 @@ impl SimTime {
     }
 
     /// Saturating duration since another instant (zero if `other` is later).
-    pub fn saturating_since(&self, other: SimTime) -> SimDuration {
+    #[cfg(test)]
+    fn saturating_since(&self, other: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 }

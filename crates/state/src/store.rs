@@ -143,8 +143,6 @@ pub struct CheckpointStore {
     staged: Option<Vec<u8>>,
     mark: Option<CommitMark>,
     compaction_threshold: usize,
-    commits: u64,
-    recoveries: u64,
     compactions: u64,
 }
 
@@ -175,8 +173,6 @@ impl CheckpointStore {
             staged: None,
             mark: None,
             compaction_threshold: threshold,
-            commits: 0,
-            recoveries: 0,
             compactions: 0,
         }
     }
@@ -263,7 +259,6 @@ impl CheckpointStore {
             return Err(StoreError::SimulatedCrash(CrashPoint::BeforeInstall));
         }
         self.install();
-        self.commits += 1;
         Ok(())
     }
 
@@ -274,8 +269,8 @@ impl CheckpointStore {
     /// the staging area is discarded. Idempotent; safe to call on a
     /// clean store.
     pub fn recover(&mut self) -> RecoveryOutcome {
-        let outcome = match (&self.staged, &self.mark) {
-            (None, None) => return RecoveryOutcome::Clean,
+        match (&self.staged, &self.mark) {
+            (None, None) => RecoveryOutcome::Clean,
             (Some(staged), Some(mark)) if staged.len() == mark.len => {
                 if staged.get(..4) == Some(DELTA_MAGIC.as_slice()) {
                     match DeltaSnapshot::decode(staged) {
@@ -287,7 +282,6 @@ impl CheckpointStore {
                         {
                             let epoch = mark.epoch;
                             self.install();
-                            self.commits += 1;
                             RecoveryOutcome::RolledForward { epoch }
                         }
                         _ => self.discard_staged(),
@@ -297,7 +291,6 @@ impl CheckpointStore {
                         Ok(snap) if snap.epoch() == mark.epoch && snap.root() == mark.root => {
                             let epoch = mark.epoch;
                             self.install();
-                            self.commits += 1;
                             RecoveryOutcome::RolledForward { epoch }
                         }
                         _ => self.discard_staged(),
@@ -305,9 +298,7 @@ impl CheckpointStore {
                 }
             }
             _ => self.discard_staged(),
-        };
-        self.recoveries += 1;
-        outcome
+        }
     }
 
     fn install(&mut self) {
@@ -374,21 +365,6 @@ impl CheckpointStore {
         self.fold()
     }
 
-    /// Whether an interrupted commit is pending recovery.
-    pub fn is_torn(&self) -> bool {
-        self.staged.is_some() || self.mark.is_some()
-    }
-
-    /// Successful commits, including rolled-forward recoveries.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Times [`CheckpointStore::recover`] ran.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
-    }
-
     /// Times the delta chain was folded into a full snapshot.
     pub fn compactions(&self) -> u64 {
         self.compactions
@@ -429,6 +405,11 @@ mod tests {
         DeltaSnapshot::diff(&evolving(from), &evolving(to))
     }
 
+    /// Whether an interrupted commit is pending recovery.
+    fn is_torn(store: &CheckpointStore) -> bool {
+        store.staged.is_some() || store.mark.is_some()
+    }
+
     #[test]
     fn clean_commit_installs() {
         let mut store = CheckpointStore::new();
@@ -436,7 +417,7 @@ mod tests {
         assert_eq!(store.commit(&snap(1), None).unwrap(), 1);
         assert_eq!(store.committed_epoch, Some(1));
         assert_eq!(store.latest().unwrap(), snap(1));
-        assert!(!store.is_torn());
+        assert!(!is_torn(&store));
         assert_eq!(store.recover(), RecoveryOutcome::Clean);
     }
 
@@ -455,7 +436,7 @@ mod tests {
                 err,
                 StoreError::SimulatedCrash(CrashPoint::DuringStage { offset })
             );
-            assert!(store.is_torn());
+            assert!(is_torn(&store));
             assert_eq!(
                 store.recover(),
                 RecoveryOutcome::DiscardedTorn {
@@ -494,7 +475,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(store.recover(), RecoveryOutcome::RolledForward { epoch: 2 });
         assert_eq!(store.latest().unwrap(), snap(2));
-        assert!(!store.is_torn());
+        assert!(!is_torn(&store));
     }
 
     #[test]
@@ -535,7 +516,7 @@ mod tests {
             StoreError::DeltaBaseMismatch { .. }
         ));
         // the failed commit left no trace
-        assert!(!store.is_torn());
+        assert!(!is_torn(&store));
         assert_eq!(store.latest().unwrap(), evolving(1));
     }
 

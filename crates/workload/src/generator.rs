@@ -91,7 +91,7 @@ impl Default for EngineMix {
 impl EngineMix {
     /// Every pool runs the concentrated-liquidity engine (the paper's
     /// setup; the default).
-    pub fn all_cl() -> EngineMix {
+    fn all_cl() -> EngineMix {
         EngineMix {
             cl: 1,
             constant_product: 0,
@@ -112,7 +112,7 @@ impl EngineMix {
     /// `[cl × CL, constant_product × CP, weighted × W]` pattern, so any
     /// fleet size gets a deterministic, evenly interleaved assignment.
     /// An all-zero mix degenerates to concentrated liquidity.
-    pub fn engine_for(&self, i: u32) -> EngineKind {
+    fn engine_for(&self, i: u32) -> EngineKind {
         let period = self.cl + self.constant_product + self.weighted;
         if period == 0 {
             return EngineKind::ConcentratedLiquidity;
@@ -425,7 +425,7 @@ impl TrafficGenerator {
     }
 
     /// The home pool of user index `i`.
-    pub fn pool_of_index(&self, i: u64) -> PoolId {
+    fn pool_of_index(&self, i: u64) -> PoolId {
         self.config.pools[(i % self.config.pools.len() as u64) as usize]
     }
 
@@ -451,7 +451,8 @@ impl TrafficGenerator {
     }
 
     /// Number of positions currently known to the generator.
-    pub fn tracked_positions(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_positions(&self) -> usize {
         self.pool_of.len()
     }
 
@@ -528,7 +529,7 @@ impl TrafficGenerator {
     /// Generates one quote request: mostly single-swap price quotes, with
     /// route simulations mixed in when the pool set supports them and
     /// position valuations when any position is tracked.
-    pub fn next_quote(&mut self) -> QuoteRequest {
+    fn next_quote(&mut self) -> QuoteRequest {
         let pi = if self.config.pools.len() == 1 {
             0
         } else {

@@ -61,7 +61,8 @@ impl TrafficMix {
 
     /// Validates that all components are non-negative and at least one is
     /// positive.
-    pub fn is_valid(&self) -> bool {
+    #[cfg(test)]
+    fn is_valid(&self) -> bool {
         let w = self.weights();
         w.iter().all(|&x| x >= 0.0) && w.iter().sum::<f64>() > 0.0
     }

@@ -3,7 +3,9 @@
 //! quarantine every bad page, heal it within the retry budget, and
 //! catch up to a state **byte-identical** to the peer that replayed full
 //! history; a checkpoint commit torn at any point must recover to the
-//! last committed snapshot and catch up to the same root.
+//! last committed snapshot and catch up to the same root; a journaled
+//! delta chain must fold to the live node's state; and corrupt snapshot
+//! or delta wire bytes must never decode.
 
 mod common;
 
@@ -20,7 +22,7 @@ use ammboost::state::heal::{
 };
 use ammboost::state::pages::page_count;
 use ammboost::state::store::{CheckpointStore, CrashPoint, RecoveryOutcome};
-use ammboost::state::{Snapshot, PAGE_SIZE};
+use ammboost::state::{DeltaSnapshot, Snapshot, PAGE_SIZE};
 use ammboost::workload::{
     EngineMix, GeneratorConfig, LiquidityStyle, TrafficGenerator, TrafficMix,
 };
@@ -146,7 +148,8 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
     // an honest one for the sync itself (occurrence 1), so it is asked
     // for every page first: it serves stale, drops, corrupts and cuts the
     // first page of four sections (a pool header page, which the stale
-    // epoch does not share, takes the stale-root fault)
+    // epoch does not share, takes the stale-root fault), and serves the
+    // page after the cut one late but intact
     assert_ne!(
         stale_snap.sections()[0].bytes.chunks(PAGE_SIZE).next(),
         snapshot.sections()[0].bytes.chunks(PAGE_SIZE).next(),
@@ -174,6 +177,11 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
             kind,
         }),
     );
+    faults.schedule(FaultSpec {
+        point: InjectionPoint::Provider(0),
+        occurrence: first_pages[3] + 1,
+        kind: FaultKind::Delay { millis: 40 },
+    });
     let mut dishonest = SimProvider::faulty(0, snapshot.clone(), Arc::new(Mutex::new(faults)))
         .with_stale(stale_snap);
     let mut honest = SimProvider::honest(1, snapshot.clone());
@@ -209,7 +217,10 @@ fn healed_fast_sync_is_byte_identical_to_full_replay() {
         assert_eq!(q.provider, 0, "only the dishonest provider quarantines");
     }
     assert!(report.retries >= 4);
-    assert!(report.sim_elapsed > SimDuration::ZERO, "retries back off");
+    assert!(
+        report.sim_elapsed >= SimDuration::from_millis(40),
+        "retries back off and the late page takes its delay"
+    );
 
     // the healed snapshot fast-syncs exactly like a clean one
     let mut node = Node::restore(&healed).expect("healed snapshot restores");
@@ -271,6 +282,67 @@ fn torn_commit_recovers_to_last_checkpoint_and_catches_up() {
     assert_eq!(outcome, RecoveryOutcome::RolledForward { epoch: 5 });
     assert_eq!(applied, 1, "only epoch 6 left to replay");
     assert_eq!(node.checkpoint(99).root, full_root);
+}
+
+/// A checkpointing peer journals its first snapshot and every later
+/// epoch's delta into a store that compacts every three links: the
+/// folded tip restores a node byte-identical to the peer, the deltas
+/// undercut the snapshots they stand for, and no flipped, truncated or
+/// duplicated copy of a workload snapshot or delta decodes.
+#[test]
+fn journaled_deltas_compact_restore_and_refuse_corrupt_bytes() {
+    let mut full = peer(5);
+    let mut store = CheckpointStore::with_compaction_threshold(3);
+    let (mut delta_bytes, mut snapshot_bytes) = (0, 0);
+    for epoch in 1..=6 {
+        full.run_epoch(epoch);
+        let snapshot = full.snapshot_at(epoch);
+        match full.node.last_delta() {
+            None => store.commit(&snapshot, None).expect("the base commits"),
+            Some(delta) => {
+                delta_bytes += delta.encoded_len() as u64;
+                snapshot_bytes += full.node.last_checkpoint().unwrap().snapshot_bytes;
+                store
+                    .commit_delta(delta, None)
+                    .expect("the delta extends the tip")
+            }
+        };
+    }
+    assert!(
+        store.compactions() > 0,
+        "five links never compacted at three"
+    );
+    assert_eq!(store.recover(), RecoveryOutcome::Clean);
+    let tip = store.latest().expect("the chain folds");
+    let snapshot = full.node.last_snapshot().expect("checkpoint taken").clone();
+    assert_eq!(tip, snapshot);
+    let mut node = Node::restore(&tip).expect("the folded tip restores");
+    assert_same_state(&mut node, &mut full.node, 6);
+    assert!(delta_bytes < snapshot_bytes, "{delta_bytes} B of deltas");
+
+    let delta = full.node.last_delta().expect("epoch 6 emitted a delta");
+    let (snapshot_wire, delta_wire) = (snapshot.encode(), delta.encode());
+    let mut injector = FaultInjector::new(0xC4A0);
+    for kind in [
+        FaultKind::BitFlip,
+        FaultKind::Truncate,
+        FaultKind::Duplicate,
+    ] {
+        let mut bytes = snapshot_wire.clone();
+        assert!(injector.mutate(kind, &mut bytes));
+        assert!(
+            Snapshot::decode(&bytes).is_err(),
+            "{} snapshot",
+            kind.name()
+        );
+        let mut bytes = delta_wire.clone();
+        assert!(injector.mutate(kind, &mut bytes));
+        assert!(
+            DeltaSnapshot::decode(&bytes).is_err(),
+            "{} delta",
+            kind.name()
+        );
+    }
 }
 
 #[test]

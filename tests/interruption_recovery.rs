@@ -123,3 +123,72 @@ fn faults_do_not_change_processed_traffic() {
     assert_eq!(faulty.accepted, clean.accepted);
     assert_eq!(faulty.rejected, clean.rejected);
 }
+
+/// Liveness under each interruption §IV-C handles, alone and all at
+/// once in back-to-back epochs: every plan costs the view changes and
+/// mass-syncs its faults call for, drains the queue and still confirms
+/// state on the mainchain.
+#[test]
+fn every_fault_plan_drains_the_queue_and_reaches_the_mainchain() {
+    let at = |epoch: u64| [epoch].into();
+    // (plan, its faults, view changes and mass-syncs it must at least cost)
+    let plans = [
+        (
+            "silent leader",
+            FaultPlan {
+                silent_leader_epochs: at(2),
+                ..FaultPlan::default()
+            },
+            1,
+            0,
+        ),
+        (
+            "invalid proposal",
+            FaultPlan {
+                invalid_proposal_epochs: at(2),
+                ..FaultPlan::default()
+            },
+            1,
+            0,
+        ),
+        (
+            "invalid sync inputs",
+            FaultPlan {
+                invalid_sync_epochs: at(2),
+                ..FaultPlan::default()
+            },
+            0,
+            1,
+        ),
+        (
+            "mainchain rollback",
+            FaultPlan {
+                rollback_epochs: at(2),
+                ..FaultPlan::default()
+            },
+            0,
+            1,
+        ),
+        (
+            "everything at once",
+            FaultPlan {
+                silent_leader_epochs: at(2),
+                invalid_proposal_epochs: at(3),
+                invalid_sync_epochs: at(2),
+                rollback_epochs: at(3),
+            },
+            2,
+            1,
+        ),
+    ];
+    for (name, faults, view_changes, mass_syncs) in plans {
+        let report = System::new(cfg(faults, 42)).run();
+        assert!(report.view_changes >= view_changes, "{name}: {report:?}");
+        assert!(report.mass_syncs >= mass_syncs, "{name}: {report:?}");
+        assert_eq!(report.leftover_queue, 0, "{name}: queue drained");
+        assert!(
+            report.syncs_confirmed > 0,
+            "{name}: state reached the mainchain"
+        );
+    }
+}

@@ -26,7 +26,7 @@ use ammboost::sidechain::block::{ExecutedTx, MetaBlock, SummaryBlock};
 use ammboost::sidechain::ledger::Ledger;
 use ammboost::sim::time::SimDuration;
 use ammboost::state::snapshot::SectionKind;
-use ammboost::state::{Checkpointer, Snapshot};
+use ammboost::state::{prune_to_snapshot, Checkpointer, RetentionPolicy, Snapshot};
 use ammboost::workload::{
     GeneratedTx, GeneratorConfig, LiquidityStyle, RouteStyle, TrafficGenerator, TrafficMix,
     TrafficSkew,
@@ -361,6 +361,91 @@ fn eight_pool_system_runs_end_to_end_under_one_state_root() {
     let again = System::new(cfg).run();
     assert_eq!(again.last_state_root, Some(root));
     assert_eq!(again.accepted, report.accepted);
+}
+
+/// Checkpoint → restore → prune → re-checkpoint over whole `System`
+/// runs that checkpoint every epoch but keep every raw block, for one
+/// pool and for eight under Zipf, uniform and routed traffic. The node
+/// restored from the final checkpoint's wire bytes equals the live one;
+/// pruning the live ledger to that checkpoint reclaims exactly the
+/// bytes it reports and leaves the restored ledger; and the restored
+/// node checkpoints back to the same root.
+#[test]
+fn checkpoint_restore_prune_cycle_over_every_traffic_shape() {
+    let zipf = TrafficSkew::Zipf { exponent: 1.0 };
+    let shapes = [
+        ("1 pool", 1, zipf, RouteStyle::default()),
+        ("8 Zipf pools", 8, zipf, RouteStyle::default()),
+        (
+            "8 uniform pools",
+            8,
+            TrafficSkew::Uniform,
+            RouteStyle::default(),
+        ),
+        ("8 pools, routed", 8, zipf, RouteStyle::routed(0.35, 4)),
+    ];
+    for (name, pools, skew, routes) in shapes {
+        let mut cfg = SystemConfig::small_test();
+        cfg.pools = pools;
+        cfg.users = cfg.users.max(2 * pools as u64);
+        cfg.traffic_skew = skew;
+        cfg.route_style = routes;
+        cfg.disable_pruning = true;
+        cfg.snapshot = SnapshotPolicy {
+            interval_epochs: 1,
+            keep_epochs: u64::MAX,
+        };
+        let mut sys = System::new(cfg);
+        let report = sys.run();
+        assert!(report.accepted > 0, "{name}: no traffic");
+        assert!(report.snapshots_taken >= 3, "{name}: no checkpoints");
+        if routes != RouteStyle::default() {
+            assert!(report.routes_accepted > 0, "{name}: no routes");
+            assert!(report.route_legs_executed >= 2 * report.routes_accepted);
+        }
+
+        let epoch = report.epochs + 1;
+        let stats = sys.checkpoint(epoch);
+        assert_eq!(stats.pools_total, pools as usize, "{name}");
+        let wire = sys.last_snapshot().expect("checkpoint taken").encode();
+        let mut node = Node::restore(&Snapshot::decode(&wire).expect("root verifies"))
+            .expect("snapshot restores");
+        assert_eq!(
+            node.processor().export_state(),
+            sys.processor().export_state(),
+            "{name}: restored processor"
+        );
+        assert_eq!(
+            node.ledger().export_state(),
+            sys.ledger().retained_state(),
+            "{name}: restored ledger"
+        );
+
+        let mut live = sys.ledger().clone();
+        let before = live.size_bytes();
+        let pruned = prune_to_snapshot(&mut live, epoch, RetentionPolicy::default());
+        assert!(pruned.epochs_pruned > 0, "{name}: nothing to prune");
+        assert!(pruned.reclaimed_bytes > 0, "{name}: nothing reclaimed");
+        assert_eq!(live.size_bytes(), before - pruned.reclaimed_bytes, "{name}");
+        assert_eq!(
+            live.export_state(),
+            node.ledger().export_state(),
+            "{name}: the pruned live ledger is not the restored one"
+        );
+
+        assert_eq!(
+            node.checkpoint(epoch).root,
+            stats.root,
+            "{name}: root moved"
+        );
+        let again = Node::restore(node.last_snapshot().expect("checkpoint taken"))
+            .expect("re-checkpoint restores");
+        assert_eq!(
+            again.processor().export_state(),
+            node.processor().export_state(),
+            "{name}: re-checkpoint restore"
+        );
+    }
 }
 
 #[test]

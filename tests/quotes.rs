@@ -6,15 +6,21 @@
 //! perturb the executed transaction stream.
 
 use ammboost_amm::engines::Engine;
-use ammboost_amm::pool::SwapKind;
+use ammboost_amm::pool::{SwapKind, SwapResult};
 use ammboost_amm::tx::{AmmTx, SwapIntent, SwapTx};
 use ammboost_amm::types::PoolId;
 use ammboost_core::config::SystemConfig;
 use ammboost_core::processor::{EpochProcessor, ExecMode};
 use ammboost_core::system::System;
+use ammboost_core::view::{QuoteError, QuoteView};
+use ammboost_core::Node;
 use ammboost_crypto::Address;
-use ammboost_workload::{QuoteStyle, TrafficSkew};
+use ammboost_sim::DetRng;
+use ammboost_state::Snapshot;
+use ammboost_workload::{QuoteStyle, RouteStyle, TrafficSkew};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn quoted_config(seed: u64, pools: u32, volume: u64, quotes_per_tx: f64) -> SystemConfig {
     SystemConfig {
@@ -135,6 +141,118 @@ fn final_view_matches_final_sealed_state() {
         let live = sys.processor().pool(id).expect("live pool");
         assert_eq!(sealed.export_state(), live.export_state());
     }
+}
+
+/// One answered quote: the request and the answer a reader got.
+type Answered = (PoolId, bool, u128, Result<SwapResult, QuoteError>);
+
+/// Reader threads per hammer round.
+const READERS: usize = 4;
+
+/// Quotes `view` from [`READERS`] threads, each on its own seeded stream,
+/// until `stop` is set or every reader has answered `cap`. Each reader
+/// waits on `running` after its first answer, so a writer that waits
+/// there too starts only once every reader is mid-stream: a three-epoch
+/// run can end before a thread has even started.
+fn hammer(
+    view: &Arc<QuoteView>,
+    seed: u64,
+    cap: usize,
+    stop: &AtomicBool,
+    running: &Barrier,
+) -> Vec<Answered> {
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS as u64)
+            .map(|t| {
+                let view = Arc::clone(view);
+                s.spawn(move || {
+                    let mut rng = DetRng::new(seed ^ (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    let ids = view.pool_ids().to_vec();
+                    let mut out = Vec::new();
+                    while !stop.load(Ordering::Relaxed) && out.len() < cap {
+                        let pool = ids[rng.range_u64(0, ids.len() as u64) as usize];
+                        let dir = rng.unit() < 0.5;
+                        let amount = rng.range_u128(1_000, 2_000_000);
+                        let res = view.quote_swap(pool, dir, SwapKind::ExactInput(amount), None);
+                        out.push((pool, dir, amount, res));
+                        if out.len() == 1 {
+                            running.wait();
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .flat_map(|r| r.join().expect("reader thread panicked"))
+            .collect()
+    })
+}
+
+/// Re-quotes every answer on the `reference` pool: the recorded answer
+/// must come back bit for bit.
+fn reverify(answers: &[Answered], reference: impl Fn(PoolId) -> Engine) {
+    assert!(!answers.is_empty(), "the readers answered nothing");
+    let mut pools = std::collections::HashMap::new();
+    for (pool, dir, amount, recorded) in answers {
+        let engine = pools.entry(*pool).or_insert_with(|| reference(*pool));
+        let again = engine
+            .quote_swap(*dir, SwapKind::ExactInput(*amount), None)
+            .map_err(QuoteError::from);
+        assert_eq!(
+            recorded, &again,
+            "{pool:?} zero_for_one {dir} amount {amount}"
+        );
+    }
+}
+
+/// Readers hammer the genesis view from four threads while `System::run`
+/// executes every epoch on the live pools, routes and in-run quotes
+/// included: every answer must equal the same quote on the genesis
+/// bytes, so no reader ever saw a write. The final view, hammered after
+/// the run, must answer as a node restored from the final checkpoint's
+/// wire bytes does.
+#[test]
+fn concurrent_readers_see_only_sealed_epochs() {
+    const POOLS: u32 = 8;
+    let mut cfg = quoted_config(7, POOLS, 50_000, 1.0);
+    cfg.route_style = RouteStyle::routed(0.35, 4);
+    let mut sys = System::new(cfg);
+    let genesis = sys.quote_view().expect("genesis view published");
+    let frozen: Vec<_> = (genesis.pool_ids().iter())
+        .map(|&id| (id, genesis.pool(id).expect("covered").export_state()))
+        .collect();
+
+    let stop = AtomicBool::new(false);
+    let running = Barrier::new(READERS + 1);
+    let (report, answered) = std::thread::scope(|s| {
+        // the cap only bounds readers that outrun the run
+        let readers = s.spawn(|| hammer(&genesis, 7, 20_000, &stop, &running));
+        running.wait();
+        let report = sys.run();
+        stop.store(true, Ordering::Relaxed);
+        (report, readers.join().expect("hammer scope panicked"))
+    });
+    assert!(report.quotes_served > 0, "in-run quote serving was idle");
+    assert!(report.routes_accepted > 0, "no route executed");
+    reverify(&answered, |id| {
+        let (_, state) = frozen.iter().find(|(fid, _)| *fid == id).expect("covered");
+        Engine::from_state(state.clone()).expect("frozen bytes restore")
+    });
+
+    let stats = sys.checkpoint(report.epochs + 1);
+    let wire = sys.last_snapshot().expect("checkpoint taken").encode();
+    let node = Node::restore(&Snapshot::decode(&wire).expect("root verifies")).expect("restores");
+    assert_eq!(stats.pools_total, POOLS as usize);
+    let last = sys.quote_view().expect("final view published");
+    assert_eq!(last.pool_count(), POOLS as usize);
+    // nothing executes now: each reader answers 500 and stops
+    let idle = AtomicBool::new(false);
+    let answered = hammer(&last, 7 ^ 0x0F1E_2D3C, 500, &idle, &Barrier::new(READERS));
+    reverify(&answered, |id| {
+        Engine::clone(node.processor().pool(id).expect("restored pool"))
+    });
 }
 
 fn user(i: u64) -> Address {
